@@ -70,6 +70,12 @@ class GeneratorSpec:
             raise ConfigError("generator.channels: must be >= 1")
         if not np.isfinite(self.snr_db):
             raise ConfigError("generator.snr_db: must be finite")
+        try:
+            10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(
+                f"generator.snr_db: {self.snr_db} dB overflows the power budget 10**(snr_db/10)"
+            ) from None
         if self.fading not in FADING_LAWS:
             raise ConfigError(
                 f"generator.fading: unknown law {self.fading!r}, expected one of {FADING_LAWS}"

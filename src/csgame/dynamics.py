@@ -6,6 +6,8 @@ deterministic given their inputs.
 * :func:`run_fp` is the full-observation engine: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
   pseudo-observation) and best-responds to the product of those marginals.
+  It steps one game, or a stack of same-shape games in lockstep with the
+  same per-game arithmetic, which is how Monte-Carlo sweeps run.
 * :func:`run_aggregation_fp` never reveals actions. After each round the
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution and folds the value of
@@ -18,6 +20,7 @@ deterministic given their inputs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,16 +206,31 @@ def belief_update(frequencies, observed_channel: int, t: int) -> np.ndarray:
     return f + (1.0 / (int(t) + 1)) * (indicator - f)
 
 
-def _expected_by_channel(table_k: np.ndarray, marginals: np.ndarray, player: int) -> np.ndarray:
-    """Contract one player's utility tensor with all opponent marginals.
+def _expectation(tables: np.ndarray):
+    """Expected-payoff map for a stack of utility tables, shape (G, K) + (S,)*K.
 
-    Returns the S-vector of expected utilities per own channel under the
-    product of the opponents' frequency vectors.
+    Returns ``expected(f)``: for marginals ``f`` of shape (G, K, S), the
+    (G, K, S) expected utility of every own channel under the product of the
+    opponents' frequency vectors. Opponents are contracted one ``einsum`` at
+    a time, last player first, on strided views of the tables: contiguous
+    copies would switch numpy to a kernel that sums in another order.
     """
-    res = np.moveaxis(table_k, player, 0)
-    for j in reversed([j for j in range(marginals.shape[0]) if j != player]):
-        res = np.einsum("...s,s->...", res, marginals[j])
-    return res
+    n_players = tables.shape[1]
+    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
+    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
+
+    def expected(f: np.ndarray) -> np.ndarray:
+        out = np.empty(f.shape)
+        for k, res in enumerate(own_first):
+            if not opponents[k]:  # a lone player's payoffs ignore beliefs
+                out[:, k] = res
+                continue
+            for j in opponents[k][:-1]:
+                res = np.einsum("z...s,zs->z...", res, f[:, j])
+            np.einsum("z...s,zs->z...", res, f[:, opponents[k][-1]], out=out[:, k])
+        return out
+
+    return expected
 
 
 def fp_best_response(
@@ -228,65 +246,125 @@ def fp_best_response(
             f"S**(K-1) = {game.S ** (game.K - 1)} opponent profiles exceeds the "
             f"enumeration guard of {MAX_OPPONENT_PROFILES}"
         )
-    table = utility_table(game)
-    expected = _expected_by_channel(table[player], beliefs.marginals, player)
-    return _argmax_tie(expected, tie_break)
+    expected = _expectation(utility_table(game)[None])(beliefs.marginals[None])
+    return _argmax_tie(expected[0, player], tie_break)
+
+
+@dataclass
+class BatchFPResult:
+    """Classic fictitious play on a stack of G same-shape games.
+
+    ``actions`` holds every game's profile at every step, shape (T, G, K), in
+    the smallest signed integer type that holds a channel index.
+    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies after
+    checkpoint step t, and ``utility_sums`` each player's payoffs summed over
+    the run in step order, shape (G, K).
+    """
+
+    frequencies: dict[int, np.ndarray]
+    final_marginals: np.ndarray
+    final_step: int
+    actions: np.ndarray
+    utility_sums: np.ndarray
 
 
 def run_fp(
-    game: GameSpec,
-    init_beliefs: BeliefState | None = None,
+    game: GameSpec | Sequence[GameSpec],
+    init_beliefs: BeliefState | Sequence[BeliefState] | None = None,
     T: int = 10_000,
     tie_break: str = "lowest",
-) -> Trajectory:
+    checkpoints: tuple[int, ...] = (),
+) -> Trajectory | BatchFPResult:
     """Simultaneous-move fictitious play under full action observation.
 
     Each round every player best-responds to the product of the current
     frequency vectors, all actions are revealed at once, and every vector
     absorbs the new observation with weight 1/(step+1).
+
+    ``game`` is one game or a sequence of games with one (K, S) shape, which
+    are stepped in lockstep; each game's arithmetic is the same either way.
+    One game returns a :class:`Trajectory`. A sequence returns a
+    :class:`BatchFPResult` (with frequencies at ``checkpoints``) and takes one
+    shared :class:`BeliefState` or one per game; all must carry the same step.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
-    beliefs = init_beliefs if init_beliefs is not None else BeliefState.uniform(game.K, game.S)
-    if beliefs.marginals.shape != (game.K, game.S):
-        raise ValueError(
-            f"beliefs have shape {beliefs.marginals.shape}, game needs {(game.K, game.S)}"
-        )
-    table = utility_table(game)
-    phi = potential_table(game)
-    n_players, n_channels = game.K, game.S
-    f = beliefs.marginals.copy()
-    step = beliefs.step
-    profiles = np.empty((T, n_players), dtype=np.int64)
-    utilities = np.empty((T, n_players))
-    potentials = np.empty(T)
-    snapshots = np.empty((T, n_players, n_channels))
+    single = isinstance(game, GameSpec)
+    games = [game] if single else list(game)
+    if not games:
+        raise ValueError("need at least one game")
+    n_games, n_players, n_channels = len(games), games[0].K, games[0].S
+    if any((g.K, g.S) != (n_players, n_channels) for g in games):
+        raise ValueError("all games in a batch must share one (K, S) shape")
+    if init_beliefs is None:
+        init_beliefs = BeliefState.uniform(n_players, n_channels)
+    inits = [init_beliefs] * n_games if isinstance(init_beliefs, BeliefState) else list(init_beliefs)
+    if len(inits) != n_games:
+        raise ValueError(f"got {len(inits)} initial belief states for {n_games} games")
+    if any(b.marginals.shape != (n_players, n_channels) for b in inits):
+        raise ValueError(f"beliefs must have shape {(n_players, n_channels)} to match the game")
+    if len({b.step for b in inits}) != 1:
+        raise ValueError("every initial belief state in a batch must carry the same step")
+    tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
+    for i, g in enumerate(games):  # filled in place: no second copy of the stack
+        tables[i] = utility_table(g)
+    expected = _expectation(tables)
+    # Utility of player k at profile index p is flat[base[g, k] + p], so one
+    # gather per step reads every game's payoffs.
+    flat = tables.reshape(-1)
+    base = np.arange(n_games * n_players).reshape(n_games, n_players) * n_channels**n_players
+    place = n_channels ** np.arange(n_players - 1, -1, -1)
     eye = np.eye(n_channels)
+    f = np.stack([b.marginals for b in inits])
+    init_step = step = inits[0].step
+    counts = np.zeros(f.shape)
+    usums = np.zeros((n_games, n_players))
+    checkpoint_set = set(int(c) for c in checkpoints)
+    frequencies: dict[int, np.ndarray] = {}
+    actions = np.empty((T, n_games, n_players), dtype=np.min_scalar_type(-n_channels))
+    snapshots = np.empty((T, n_players, n_channels)) if single else None
     for t in range(T):
-        snapshots[t] = f
-        actions = [
-            _argmax_tie(_expected_by_channel(table[k], f, k), tie_break)
-            for k in range(n_players)
-        ]
-        profiles[t] = actions
-        idx = tuple(actions)
-        utilities[t] = table[(slice(None), *idx)]
-        potentials[t] = phi[idx]
-        f = f + (1.0 / (step + 1)) * (eye[actions] - f)
+        if snapshots is not None:
+            snapshots[t] = f[0]
+        values = expected(f)
+        if tie_break == "lowest":
+            a = np.argmax(values, axis=2)
+        else:
+            a = n_channels - 1 - np.argmax(values[:, :, ::-1], axis=2)
+        actions[t] = a
+        usums += flat[base + (a @ place)[:, None]]
+        onehot = eye.take(a, axis=0)
+        counts += onehot
+        # f + (1/(step+1)) * (onehot - f), computed in place.
+        delta = onehot - f
+        delta *= 1.0 / (step + 1)
+        f += delta
         step += 1
+        if (t + 1) in checkpoint_set:
+            frequencies[t + 1] = counts / float(t + 1)
+    if not single:
+        return BatchFPResult(
+            frequencies=frequencies,
+            final_marginals=f,
+            final_step=step,
+            actions=actions,
+            utility_sums=usums,
+        )
+    profiles = actions[:, 0].astype(np.int64)
+    idx = tuple(profiles.T)
     return Trajectory(
         variant="classic",
         tie_break=tie_break,
         profiles=profiles,
-        utilities=utilities,
-        potentials=potentials,
+        utilities=np.moveaxis(tables[0], 0, -1)[idx],
+        potentials=potential_table(game)[idx],
         beliefs=snapshots,
-        initial_step=beliefs.step,
-        initial_state=beliefs.marginals.copy(),
+        initial_step=init_step,
+        initial_state=inits[0].marginals.copy(),
         final_step=step,
-        final_state=f,
+        final_state=f[0],
     )
 
 
@@ -296,10 +374,7 @@ def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
     Use this to start :func:`run_aggregation_fp` in lockstep with
     :func:`run_fp` from the same initial state.
     """
-    table = utility_table(game)
-    q = np.stack(
-        [_expected_by_channel(table[k], beliefs.marginals, k) for k in range(game.K)]
-    )
+    q = _expectation(utility_table(game)[None])(beliefs.marginals[None])[0]
     return QState(step=beliefs.step, q=q)
 
 
@@ -466,93 +541,11 @@ def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     return True
 
 
-@dataclass
-class BatchFPResult:
-    """Vectorized classic-play results for a batch of 2x2 games.
-
-    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies after
-    checkpoint step t. ``actions`` is only present when recording was
-    requested (shape (T, G, K)).
-    """
-
-    frequencies: dict[int, np.ndarray]
-    final_marginals: np.ndarray
-    final_step: int
-    actions: np.ndarray | None = None
-    utility_sums: np.ndarray | None = None  # (G, K) summed payoffs over the run
-
-
 def run_fp_batch_2x2(
-    games: list[GameSpec],
-    T: int,
-    tie_break: str = "lowest",
-    init_marginals: np.ndarray | None = None,
-    init_step: int = 1,
-    checkpoints: tuple[int, ...] = (),
-    record_actions: bool = False,
-    utility_sums: bool = False,
+    games: Sequence[GameSpec], T: int, checkpoints: tuple[int, ...] = ()
 ) -> BatchFPResult:
-    """Run classic fictitious play on many 2x2 games in lockstep.
-
-    Per-game arithmetic matches :func:`run_fp` exactly (same contraction and
-    update expressions), which the test suite asserts; this exists so that
-    large Monte-Carlo sweeps do not pay the per-step Python cost game by
-    game. ``init_marginals`` may be one (2, 2) state shared by all games or a
-    (G, 2, 2) stack.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
-    n_games = len(games)
-    if n_games == 0:
-        raise ValueError("need at least one game")
-    for g in games:
-        if g.K != 2 or g.S != 2:
-            raise ValueError("the batch engine only handles 2 players x 2 channels")
-    tables = np.stack([utility_table(g) for g in games])  # (G, 2, 2, 2)
-    table0 = np.ascontiguousarray(tables[:, 0])  # own axis first already
-    table1 = np.ascontiguousarray(np.swapaxes(tables[:, 1], 1, 2))
-    if init_marginals is None:
-        f = np.full((n_games, 2, 2), 0.5)
-    else:
-        init_marginals = np.asarray(init_marginals, dtype=float)
-        f = np.broadcast_to(init_marginals, (n_games, 2, 2)).copy()
-    step = int(init_step)
-    counts = np.zeros((n_games, 2, 2), dtype=np.int64)
-    rows = np.arange(n_games)
-    checkpoint_set = set(int(c) for c in checkpoints)
-    frequencies: dict[int, np.ndarray] = {}
-    actions_hist = np.empty((T, n_games, 2), dtype=np.int8) if record_actions else None
-    usums = np.zeros((n_games, 2)) if utility_sums else None
-    for t in range(T):
-        e0 = np.einsum("gsc,gc->gs", table0, f[:, 1])
-        e1 = np.einsum("gsc,gc->gs", table1, f[:, 0])
-        if tie_break == "lowest":
-            a0 = np.argmax(e0, axis=1)
-            a1 = np.argmax(e1, axis=1)
-        else:
-            a0 = 1 - np.argmax(e0[:, ::-1], axis=1)
-            a1 = 1 - np.argmax(e1[:, ::-1], axis=1)
-        if actions_hist is not None:
-            actions_hist[t, :, 0] = a0
-            actions_hist[t, :, 1] = a1
-        if usums is not None:
-            usums[:, 0] += tables[rows, 0, a0, a1]
-            usums[:, 1] += tables[rows, 1, a0, a1]
-        counts[rows, 0, a0] += 1
-        counts[rows, 1, a1] += 1
-        onehot = np.zeros((n_games, 2, 2))
-        onehot[rows, 0, a0] = 1.0
-        onehot[rows, 1, a1] = 1.0
-        f = f + (1.0 / (step + 1)) * (onehot - f)
-        step += 1
-        if (t + 1) in checkpoint_set:
-            frequencies[t + 1] = counts / float(t + 1)
-    return BatchFPResult(
-        frequencies=frequencies,
-        final_marginals=f,
-        final_step=step,
-        actions=actions_hist,
-        utility_sums=usums,
-    )
+    """:func:`run_fp` on a stack of 2x2 games from uniform beliefs, for callers
+    of the former 2x2-only batch engine; rejects any other shape."""
+    if any(g.K != 2 or g.S != 2 for g in games):
+        raise ValueError("the batch engine only handles 2 players x 2 channels")
+    return run_fp(games, T=T, checkpoints=checkpoints)

@@ -2,9 +2,11 @@
 
 Trials are fully independent: trial i draws from a generator seeded with
 ``SeedSequence([seed, i])``, so records do not depend on execution order and
-the whole sweep is reproducible bit for bit. Classic-variant sweeps over 2x2
-games route through the vectorized batch engine; everything else runs the
-per-game reference engines.
+the whole sweep is reproducible bit for bit. Classic-variant sweeps of any
+shape run as lockstep batches of :func:`~csgame.dynamics.run_fp`, chunked to
+stay within a memory budget; a single classic trial is a batch of one, so
+its record is bit-for-bit the one a sweep writes. Aggregation-variant trials
+run one game at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .dynamics import (
     q_from_beliefs,
     run_aggregation_fp,
     run_fp,
-    run_fp_batch_2x2,
 )
 from .equilibrium import EquilibriumReport, analyze_game
 from .game import GameSpec, expected_utility, utility_table
@@ -44,7 +45,8 @@ CYCLE_WINDOW = 64
 # Total-variation radius within which a frequency profile counts as "at" an
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
-# Soft cap on T * trials before the batch engine starts chunking games.
+# Cap on the cells one classic batch holds: K * T actions and K * S**K table
+# entries per game.
 _BATCH_CELL_BUDGET = 50_000_000
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -199,7 +201,7 @@ def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
 
 
 def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
-    """One dynamics run as configured (reference engines)."""
+    """One dynamics run as configured, as a full per-step trajectory."""
     beliefs = dynamics.initial_beliefs_for(game)
     if dynamics.variant == "classic":
         return run_fp(game, beliefs, T=dynamics.steps, tie_break=dynamics.tie_break)
@@ -208,8 +210,29 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
     )
 
 
+def _classic_records(first_trial: int, games: list[GameSpec],
+                     dynamics: DynamicsSpec) -> list[dict]:
+    """Records of consecutive classic trials, simulated as one lockstep batch."""
+    T = dynamics.steps
+    result = run_fp(
+        games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
+        tie_break=dynamics.tie_break, checkpoints=(T,),
+    )
+    window = min(CYCLE_WINDOW, T)
+    return [
+        _record_from_parts(
+            first_trial + i, game, analyze_game(game), dynamics,
+            result.frequencies[T][i], result.utility_sums[i] / T,
+            result.actions[T - window:, i].astype(np.int64),
+        )
+        for i, game in enumerate(games)
+    ]
+
+
 def run_trial(trial: int, game: GameSpec, dynamics: DynamicsSpec) -> dict:
     """Full single-trial record: equilibrium analysis plus one dynamics run."""
+    if dynamics.variant == "classic":
+        return _classic_records(trial, [game], dynamics)[0]
     report = analyze_game(game)
     traj = simulate_trajectory(game, dynamics)
     freq = empirical_frequencies(traj)
@@ -229,33 +252,6 @@ def _trial_games(config: ExperimentConfig) -> list[GameSpec]:
                       gen.snr_db, gen.fading)
         for i in range(gen.trials)
     ]
-
-
-def _batch_records(config: ExperimentConfig, games: list[GameSpec]) -> list[dict]:
-    """Vectorized classic-2x2 sweep; per-trial content matches run_trial
-    (time averages agree up to float summation order)."""
-    dynamics = config.dynamics
-    T = dynamics.steps
-    window = min(CYCLE_WINDOW, T)
-    records = []
-    chunk = max(1, _BATCH_CELL_BUDGET // max(T, 1))
-    for start in range(0, len(games), chunk):
-        part = games[start:start + chunk]
-        init = np.stack([dynamics.initial_beliefs_for(g).marginals for g in part])
-        result = run_fp_batch_2x2(
-            part, T=T, tie_break=dynamics.tie_break, init_marginals=init,
-            checkpoints=(T,), record_actions=True, utility_sums=True,
-        )
-        freqs = result.frequencies[T]
-        for i, game in enumerate(part):
-            trial = start + i
-            report = analyze_game(game)
-            tail = result.actions[T - window:, i, :].astype(np.int64)
-            records.append(_record_from_parts(
-                trial, game, report, dynamics, freqs[i],
-                result.utility_sums[i] / T, tail,
-            ))
-    return records
 
 
 def _summarize(records: list[dict]) -> MonteCarloSummary:
@@ -302,13 +298,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[di
     """
     games = _trial_games(config)
     dynamics = config.dynamics
-    fast = (
-        dynamics.variant == "classic"
-        and bool(games)
-        and all(g.K == 2 and g.S == 2 for g in games)
-    )
-    if fast:
-        records = _batch_records(config, games)
+    if dynamics.variant == "classic":
+        # Generated games share one shape; an empty sweep makes no engine call.
+        cells = max((g.K * max(dynamics.steps, g.S**g.K) for g in games[:1]), default=1)
+        chunk = max(1, _BATCH_CELL_BUDGET // cells)
+        records = [
+            record
+            for start in range(0, len(games), chunk)
+            for record in _classic_records(start, games[start:start + chunk], dynamics)
+        ]
     else:
         records = [run_trial(i, game, dynamics) for i, game in enumerate(games)]
     return _summarize(records), records

@@ -16,6 +16,7 @@ from csgame import (
     load_config,
     parse_config,
 )
+from csgame.cli import main
 
 INLINE_GAME = {
     "bandwidths": [1.0, 1.0],
@@ -131,6 +132,15 @@ class TestSpecValidation:
             GeneratorSpec(fading="nakagami")
         with pytest.raises(ConfigError, match="trials"):
             GeneratorSpec(trials=-1)
+
+    def test_snr_whose_power_budget_overflows(self, tmp_path, capsys):
+        assert GeneratorSpec(snr_db=3000.0).snr_db == 3000.0  # 1e300 is a float
+        with pytest.raises(ConfigError, match="snr_db.*overflows"):
+            GeneratorSpec(snr_db=4000.0)
+        path = tmp_path / "loud.yaml"
+        path.write_text(f"generator:\n  snr_db: 4000\nseed: 1\noutputs:\n  directory: {tmp_path}\n")
+        assert main(["montecarlo", str(path)]) == 1
+        assert "generator.snr_db" in capsys.readouterr().err
 
     def test_dynamics_spec(self):
         with pytest.raises(ConfigError, match="variant"):

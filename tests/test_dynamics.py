@@ -26,8 +26,8 @@ from csgame import (
     run_fp_batch_2x2,
     utility,
 )
-from _oracles import oracle_utility
-from conftest import random_symmetric_2x2
+from _oracles import oracle_run_fp, oracle_utility
+from conftest import random_game, random_symmetric_2x2
 
 
 class TestBeliefState:
@@ -493,64 +493,97 @@ class TestCyclePersistence:
             cycle_persistence_2x2(asymmetric, (0.5, 0.5), 1)
 
 
+def _batch_with_ties(rng, n_players, n_channels, n_games=6):
+    """Random games with random per-game beliefs, plus two all-ones games
+    from uniform beliefs, where every first move is an exact tie."""
+    games = [random_game(rng, n_players, n_channels) for _ in range(n_games)]
+    inits = [
+        BeliefState(step=1, marginals=rng.dirichlet(np.ones(n_channels), size=n_players))
+        for _ in games
+    ]
+    tied = GameSpec.symmetric(np.ones((n_players, n_channels)), p_max=10.0)
+    games += [tied, tied]
+    inits += [BeliefState.uniform(n_players, n_channels)] * 2
+    return games, inits
+
+
+def _assert_matches_oracle(batch, i, game, init, T, tie_break):
+    ref = oracle_run_fp(game, init.marginals, T, tie_break, step=init.step)
+    np.testing.assert_array_equal(batch.actions[:, i], ref.profiles)
+    np.testing.assert_array_equal(batch.final_marginals[i], ref.final_state)
+    np.testing.assert_array_equal(batch.utility_sums[i], ref.utility_sums)
+    for t, freq in batch.frequencies.items():
+        np.testing.assert_array_equal(freq[i], ref.counts[t] / t)
+    assert batch.final_step == ref.final_step
+    return ref
+
+
 class TestBatchEngine:
     def test_exact_parity_with_reference_engine(self):
         rng = np.random.default_rng(89)
-        games = [random_symmetric_2x2(rng) for _ in range(25)]
-        batch = run_fp_batch_2x2(
-            games, T=300, checkpoints=(150, 300), record_actions=True, utility_sums=True
-        )
-        for i, game in enumerate(games):
-            traj = run_fp(game, T=300)
-            np.testing.assert_array_equal(
-                traj.profiles, batch.actions[:, i, :].astype(np.int64)
-            )
-            np.testing.assert_array_equal(traj.final_state, batch.final_marginals[i])
-            np.testing.assert_allclose(
-                traj.utilities.sum(axis=0), batch.utility_sums[i], rtol=0, atol=1e-9
-            )
-            freq = empirical_frequencies(traj)
-            np.testing.assert_array_equal(freq, batch.frequencies[300][i])
-            head = run_fp(game, T=150)
-            np.testing.assert_array_equal(
-                empirical_frequencies(head), batch.frequencies[150][i]
-            )
-        assert batch.final_step == 301
+        T = 120
+        for n_players, n_channels in ((2, 2), (3, 3), (4, 3)):
+            games, inits = _batch_with_ties(rng, n_players, n_channels)
+            for tie_break in ("lowest", "highest"):
+                batch = run_fp(games, inits, T=T, tie_break=tie_break,
+                               checkpoints=(T // 2, T))
+                assert batch.actions.shape == (T, len(games), n_players)
+                assert batch.actions.dtype == np.int8
+                for i, (game, init) in enumerate(zip(games, inits)):
+                    ref = _assert_matches_oracle(batch, i, game, init, T, tie_break)
+                    # One game is a batch of one with the same arithmetic.
+                    traj = run_fp(game, init, T=T, tie_break=tie_break)
+                    for name in ("profiles", "utilities", "potentials", "beliefs",
+                                 "final_state"):
+                        np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+                first = 0 if tie_break == "lowest" else n_channels - 1
+                assert np.all(batch.actions[0, -2:] == first)
 
     def test_parity_with_custom_init_and_tie_break(self):
         rng = np.random.default_rng(97)
-        games = [random_symmetric_2x2(rng) for _ in range(10)]
-        init = BeliefState.from_xi([0.5, 0.5])
-        batch = run_fp_batch_2x2(
-            games,
-            T=200,
-            tie_break="highest",
-            init_marginals=init.marginals,
-            init_step=init.step,
-            record_actions=True,
-        )
-        for i, game in enumerate(games):
-            traj = run_fp(game, init, T=200, tie_break="highest")
-            np.testing.assert_array_equal(
-                traj.profiles, batch.actions[:, i, :].astype(np.int64)
-            )
+        for n_players, n_channels in ((2, 2), (3, 3)):
+            games = [random_game(rng, n_players, n_channels) for _ in range(5)]
+            marginals = rng.dirichlet(np.ones(n_channels), size=n_players)
+            shared = BeliefState(step=5, marginals=marginals)
+            batch = run_fp(games, shared, T=80, tie_break="highest", checkpoints=(80,))
+            assert batch.final_step == 85
+            for i, game in enumerate(games):
+                _assert_matches_oracle(batch, i, game, shared, 80, "highest")
 
     def test_per_game_initial_states(self):
         rng = np.random.default_rng(101)
-        games = [random_symmetric_2x2(rng) for _ in range(6)]
-        inits = rng.dirichlet(np.ones(2), size=(6, 2))
-        batch = run_fp_batch_2x2(games, T=100, init_marginals=inits, record_actions=True)
-        for i, game in enumerate(games):
-            traj = run_fp(game, BeliefState(step=1, marginals=inits[i]), T=100)
-            np.testing.assert_array_equal(
-                traj.profiles, batch.actions[:, i, :].astype(np.int64)
-            )
+        games, inits = _batch_with_ties(rng, 4, 3)
+        batch = run_fp(games, inits, T=60, checkpoints=(1, 59, 60))
+        for i, (game, init) in enumerate(zip(games, inits)):
+            _assert_matches_oracle(batch, i, game, init, 60, "lowest")
+        # Channel indices past 127 need a wider action type than int8.
+        gains = np.ones((2, 130))
+        gains[:, 129] = 50.0
+        wide = [GameSpec.symmetric(gains, p_max=1.0)]
+        batch = run_fp(wide, T=4, checkpoints=(4,))
+        assert batch.actions.dtype == np.int16
+        assert batch.actions[0, 0, 0] == 129
+        _assert_matches_oracle(batch, 0, wide[0], BeliefState.uniform(2, 130), 4, "lowest")
 
     def test_validation(self, unit_game):
         with pytest.raises(ValueError, match="at least one"):
-            run_fp_batch_2x2([], T=10)
+            run_fp([], T=10)
         with pytest.raises(ValueError, match="T must be"):
-            run_fp_batch_2x2([unit_game], T=0)
+            run_fp([unit_game], T=0)
         three_channel = GameSpec.symmetric(np.ones((2, 3)), p_max=1.0)
+        with pytest.raises(ValueError, match="one \\(K, S\\) shape"):
+            run_fp([unit_game, three_channel], T=10)
+        with pytest.raises(ValueError, match="2 initial belief states for 1 games"):
+            run_fp([unit_game], [BeliefState.uniform(2, 2)] * 2, T=10)
+        with pytest.raises(ValueError, match="shape"):
+            run_fp([unit_game], [BeliefState.uniform(2, 3)], T=10)
+        with pytest.raises(ValueError, match="same step"):
+            run_fp([unit_game] * 2,
+                   [BeliefState.uniform(2, 2), BeliefState(step=2, marginals=np.full((2, 2), 0.5))],
+                   T=10)
         with pytest.raises(ValueError, match="2 players x 2 channels"):
             run_fp_batch_2x2([three_channel], T=10)
+        via_2x2 = run_fp_batch_2x2([unit_game], T=10, checkpoints=(10,))
+        direct = run_fp([unit_game], T=10, checkpoints=(10,))
+        np.testing.assert_array_equal(via_2x2.actions, direct.actions)
+        np.testing.assert_array_equal(via_2x2.frequencies[10], direct.frequencies[10])

@@ -19,7 +19,10 @@ from csgame import (
     snr_db_to_power,
     trial_rng,
 )
+from csgame import montecarlo
+from csgame.cli import main
 from csgame.config import DynamicsSpec
+from csgame.dynamics import run_fp
 from csgame.montecarlo import _trial_games
 
 XI_CYCLE_CONFIG = {
@@ -96,28 +99,81 @@ class TestRunExperiment:
         assert [r["game"] for r in records_a] != [r["game"] for r in records_b]
 
     def test_fast_batch_path_matches_reference_path(self):
-        config = parse_config(
-            {
-                "generator": {"players": 2, "channels": 2, "snr_db": 10.0, "trials": 15},
-                "dynamics": {"steps": 600},
-                "seed": 31,
-            }
-        )
-        _, fast_records = run_experiment(config)
-        games = _trial_games(config)
-        for i, game in enumerate(games):
-            reference = run_trial(i, game, config.dynamics)
-            fast = copy.deepcopy(fast_records[i])
-            np.testing.assert_allclose(
-                fast["dynamics"]["time_avg_utility"],
-                reference["dynamics"]["time_avg_utility"],
-                rtol=0,
-                atol=1e-12,
+        # A sweep's batched records equal, bit for bit, single trials run
+        # as batches of one.
+        for players, channels, trials, steps in ((2, 2, 15, 600), (3, 3, 6, 300)):
+            config = parse_config(
+                {
+                    "generator": {"players": players, "channels": channels,
+                                  "snr_db": 10.0, "trials": trials},
+                    "dynamics": {"steps": steps},
+                    "seed": 31,
+                }
             )
-            # Everything else is bit-for-bit identical across the two paths.
-            fast["dynamics"]["time_avg_utility"] = None
-            reference["dynamics"]["time_avg_utility"] = None
-            assert fast == reference
+            _, fast_records = run_experiment(config)
+            games = _trial_games(config)
+            assert len(fast_records) == len(games) == trials
+            for i, game in enumerate(games):
+                assert fast_records[i] == run_trial(i, game, config.dynamics)
+
+    def test_sweeps_are_chunked_to_the_cell_budget(self, monkeypatch):
+        calls = []
+
+        def traced_run_fp(*args, **kwargs):
+            result = run_fp(*args, **kwargs)
+            calls.append((result.actions.size, len(args[0]) * tables_per_game))
+            return result
+
+        monkeypatch.setattr(montecarlo, "run_fp", traced_run_fp)
+        # Long runs: the actions history (T*G*K cells) binds.
+        config = parse_config({"generator": {"players": 3, "channels": 2, "trials": 7},
+                               "dynamics": {"steps": 100}, "seed": 4})
+        tables_per_game = 3 * 2**3
+        _, whole = run_experiment(config)
+        assert calls == [(7 * 300, 7 * tables_per_game)]
+        calls.clear()
+        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 3 * 300)
+        _, chunked = run_experiment(config)
+        assert [c[0] for c in calls] == [900, 900, 300]
+        assert chunked == whole
+        # Short runs of many-player games: the stacked tables (G*K*S**K) bind.
+        config = parse_config({"generator": {"players": 4, "channels": 3, "trials": 5},
+                               "dynamics": {"steps": 10}, "seed": 4})
+        tables_per_game = 4 * 3**4
+        calls.clear()
+        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 2 * tables_per_game)
+        _, chunked = run_experiment(config)
+        assert [c[1] for c in calls] == [2 * tables_per_game] * 2 + [tables_per_game]
+        assert all(max(c) <= 2 * tables_per_game for c in calls)
+        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 10**9)
+        calls.clear()
+        assert run_experiment(config)[1] == chunked
+        assert len(calls) == 1
+
+    def test_engine_calls_report_every_game_step(self, monkeypatch, tmp_path, capsys):
+        # Wrap the engine where the sweep binds it and read the batch result
+        # the way an outside profiler does: game steps are T * G of the
+        # actions, next to the final marginals, payoff sums and frequencies.
+        steps = []
+
+        def counted_run_fp(*args, **kwargs):
+            result = run_fp(*args, **kwargs)
+            T, G, K = result.actions.shape
+            assert result.final_marginals.shape == (G, K, 3)
+            assert result.utility_sums.shape == (G, K)
+            assert all(f.shape == (G, K, 3) for f in result.frequencies.values())
+            steps.append(T * G)
+            return result
+
+        monkeypatch.setattr(montecarlo, "run_fp", counted_run_fp)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(
+            "generator:\n  players: 3\n  channels: 3\n  trials: 9\n"
+            "dynamics:\n  steps: 70\nseed: 2\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main(["montecarlo", str(path)]) == 0
+        assert steps == [9 * 70]
 
     def test_cycle_record_content(self):
         config = parse_config(copy.deepcopy(XI_CYCLE_CONFIG))

@@ -325,6 +325,18 @@ class TestCli:
             twin = out_b / "trials" / path.name
             assert path.read_bytes() == twin.read_bytes()
 
+    def test_empty_three_by_three_sweep(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text(
+            "generator:\n  players: 3\n  channels: 3\n  trials: 0\nseed: 1\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main(["montecarlo", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["trials"] == 0
+        assert summary["ne_count_histogram"] == {}
+        assert set(summary["convergence"].values()) == {0}
+
     def test_montecarlo_seed_override_changes_games(self, generator_config, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
