@@ -13,7 +13,6 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .montecarlo import (
     trial_rng,
 )
 from .output import (
+    dumps_json,
     emit_plot_data,
     write_json,
     write_summary_json,
@@ -50,7 +50,7 @@ def _config_game(config: ExperimentConfig):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dumps_json(payload))
 
 
 def cmd_equilibria(config: ExperimentConfig) -> int:

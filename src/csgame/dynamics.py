@@ -28,6 +28,7 @@ import numpy as np
 from .game import (
     GameSpec,
     MAX_OPPONENT_PROFILES,
+    aggregate_message,
     potential,
     potential_table,
     utility_table,
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 TIE_BREAKS = ("lowest", "highest")
+
+
+def _action_dtype(n_channels: int) -> np.dtype:
+    """Smallest signed integer type that holds a channel index."""
+    return np.min_scalar_type(-n_channels)
 
 
 def _argmax_tie(values: np.ndarray, tie_break: str) -> int:
@@ -323,7 +329,7 @@ def run_fp(
     usums = np.zeros((n_games, n_players))
     checkpoint_set = set(int(c) for c in checkpoints)
     frequencies: dict[int, np.ndarray] = {}
-    actions = np.empty((T, n_games, n_players), dtype=np.min_scalar_type(-n_channels))
+    actions = np.empty((T, n_games, n_players), dtype=_action_dtype(n_channels))
     snapshots = np.empty((T, n_players, n_channels)) if single else None
     for t in range(T):
         if snapshots is not None:
@@ -378,6 +384,29 @@ def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
     return QState(step=beliefs.step, q=q)
 
 
+def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
+    """What the broadcast aggregate tells every player under one profile.
+
+    Returns the (K, S) value of every channel to every player against what is
+    left of gamma (noise plus total received power per channel) once its own
+    contribution is stripped, then gamma, each player's payoff and the
+    potential.
+    """
+    rows = np.arange(game.K)
+    received = game.received_power
+    weights = game.weights
+    gamma = aggregate_message(game, actions)
+    # Strip own actual contribution; what is left of gamma on channel s is
+    # exactly the interference-plus-noise the player would face there.
+    own = np.zeros((game.K, game.S))
+    own[rows, actions] = received[rows, actions]
+    remainder = gamma[None, :] - own
+    if np.any(remainder <= 0):
+        raise ValueError("aggregate inconsistent with own received power")
+    values = weights[None, :] * np.log2(1.0 + received / remainder)
+    return values, gamma, values[rows, actions], float(np.dot(weights, np.log2(gamma)))
+
+
 def run_aggregation_fp(
     game: GameSpec,
     init_q: QState | None = None,
@@ -392,6 +421,12 @@ def run_aggregation_fp(
     actual contribution and scores every channel it could have used against
     the remaining interference, averaging that into its score vector with
     weight 1/(step+1).
+
+    Everything the broadcast determines (gamma, the consistency check, the
+    channel values, the payoffs and the potential) depends on the action
+    profile alone, so it is computed once per distinct profile the run
+    visits, at the first step that reaches it. Each step only takes the
+    argmax of the scores and folds in that profile's values.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -400,49 +435,46 @@ def run_aggregation_fp(
     state = init_q if init_q is not None else QState.zeros(game.K, game.S)
     if state.q.shape != (game.K, game.S):
         raise ValueError(f"q has shape {state.q.shape}, game needs {(game.K, game.S)}")
-    n_players, n_channels = game.K, game.S
-    received = game.received_power
-    weights = game.weights
-    q = state.q.copy()
-    step = state.step
-    rows = np.arange(n_players)
-    profiles = np.empty((T, n_players), dtype=np.int64)
-    utilities = np.empty((T, n_players))
-    potentials = np.empty(T)
-    snapshots = np.empty((T, n_players, n_channels))
-    gammas = np.empty((T, n_channels))
-    for t in range(T):
-        snapshots[t] = q
-        actions = [_argmax_tie(q[k], tie_break) for k in range(n_players)]
-        profiles[t] = actions
-        gamma = game.noise.copy()
-        for k in range(n_players):
-            gamma[actions[k]] += received[k, actions[k]]
-        gammas[t] = gamma
-        # Strip own actual contribution; what is left of gamma on channel s is
-        # exactly the interference-plus-noise the player would face there.
-        own = np.zeros((n_players, n_channels))
-        own[rows, actions] = received[rows, actions]
-        remainder = gamma[None, :] - own
-        if np.any(remainder <= 0):
-            raise ValueError("aggregate inconsistent with own received power")
-        values = weights[None, :] * np.log2(1.0 + received / remainder)
-        utilities[t] = values[rows, actions]
-        potentials[t] = float(np.dot(weights, np.log2(gamma)))
-        q = q + (1.0 / (step + 1)) * (values - q)
-        step += 1
+    lowest = tie_break == "lowest"
+    # q[t] is the decision-time state of step t; q[T] is the final state.
+    q = np.empty((T + 1, game.K, game.S))
+    q[0] = state.q
+    # 1/(step+1) of every step, as (1, 1) arrays: multiplying by an array is
+    # cheaper than by a scalar and gives the same products.
+    rates = (1.0 / np.arange(state.step + 1, state.step + T + 1))[:, None, None]
+    # Per distinct profile, in order of first visit: its channel values and
+    # its (profile, gamma, utilities, potential) record.
+    seen: dict[bytes, int] = {}  # argmax bytes -> index of the profile
+    values, records = [], []
+    visits = np.empty(T, dtype=np.int64)  # index of each step's profile
+    for t, (cur, nxt, rate) in enumerate(zip(q[:-1], q[1:], rates)):
+        first = cur.argmax(axis=1) if lowest else cur[:, ::-1].argmax(axis=1)
+        key = first.tobytes()
+        i = seen.get(key)
+        if i is None:
+            actions = first if lowest else game.S - 1 - first
+            i = seen[key] = len(values)
+            value, *record = _aggregate_feedback(game, actions)
+            values.append(value)
+            records.append((actions, *record))
+        visits[t] = i
+        # q + (1/(step+1)) * (values - q), written into the next row.
+        np.subtract(values[i], cur, out=nxt)
+        np.multiply(nxt, rate, out=nxt)
+        np.add(nxt, cur, out=nxt)
+    profiles, gammas, utilities, potentials = (np.array(col)[visits] for col in zip(*records))
     return Trajectory(
         variant="aggregation",
         tie_break=tie_break,
-        profiles=profiles,
+        profiles=profiles.astype(np.int64, copy=False),
         utilities=utilities,
         potentials=potentials,
-        q_values=snapshots,
+        q_values=q[:T],
         gammas=gammas,
         initial_step=state.step,
         initial_state=state.q.copy(),
-        final_step=step,
-        final_state=q,
+        final_step=state.step + T,
+        final_state=q[T].copy(),
     )
 
 
@@ -494,9 +526,11 @@ def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
     period = _smallest_period(tail)
     if period is None:
         return None
+    # The run is periodic from the step after the last one before the window
+    # that differs from its successor one period on.
     start = T - window
-    while start > 0 and np.array_equal(profiles[start - 1], profiles[start - 1 + period]):
-        start -= 1
+    misses = np.flatnonzero(np.any(profiles[:start] != profiles[period:start + period], axis=1))
+    start = int(misses[-1]) + 1 if misses.size else 0
     cycle_profiles = tuple(
         tuple(int(c) for c in profiles[i]) for i in range(start, start + period)
     )

@@ -79,7 +79,14 @@ class GameSpec:
         if not np.all(np.isfinite(gains)) or np.any(gains < 0):
             raise ValueError("gains must be finite and non-negative")
         weights = bandwidths / bandwidths.sum()
-        received = max_power[:, None] * gains
+        with np.errstate(over="ignore"):
+            received = max_power[:, None] * gains
+            worst = noise + received.sum(axis=0)
+        if not np.all(np.isfinite(worst)):
+            raise ValueError(
+                "noise plus the total received power on a channel overflows; "
+                "every channel aggregate must be finite"
+            )
         for arr in (bandwidths, noise, max_power, gains, weights, received):
             arr.setflags(write=False)
         object.__setattr__(self, "bandwidths", bandwidths)

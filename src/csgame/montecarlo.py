@@ -18,6 +18,7 @@ import numpy as np
 from .config import FADING_LAWS, DynamicsSpec, ExperimentConfig
 from .dynamics import (
     Trajectory,
+    _action_dtype,
     _smallest_period,
     empirical_frequencies,
     q_from_beliefs,
@@ -45,9 +46,9 @@ CYCLE_WINDOW = 64
 # Total-variation radius within which a frequency profile counts as "at" an
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
-# Cap on the cells one classic batch holds: K * T actions and K * S**K table
-# entries per game.
-_BATCH_CELL_BUDGET = 50_000_000
+# Cap on the bytes one classic batch holds: per game, K * S**K float64 table
+# entries plus K * T recorded actions.
+_BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
 
@@ -247,11 +248,14 @@ def _trial_games(config: ExperimentConfig) -> list[GameSpec]:
     if config.game is not None:
         return [config.game]
     gen = config.generator
-    return [
-        generate_game(trial_rng(config.seed, i), gen.players, gen.channels,
-                      gen.snr_db, gen.fading)
-        for i in range(gen.trials)
-    ]
+    games = []
+    for i in range(gen.trials):
+        try:
+            games.append(generate_game(trial_rng(config.seed, i), gen.players,
+                                       gen.channels, gen.snr_db, gen.fading))
+        except ValueError as exc:
+            raise ValueError(f"trial {i} (seed {config.seed}): {exc}") from exc
+    return games
 
 
 def _summarize(records: list[dict]) -> MonteCarloSummary:
@@ -288,6 +292,14 @@ def _summarize(records: list[dict]) -> MonteCarloSummary:
     )
 
 
+def _batch_size(game: GameSpec, steps: int) -> int:
+    """Games of ``game``'s shape that one classic batch of ``steps`` steps
+    may hold within :data:`_BATCH_BYTE_BUDGET` (at least one)."""
+    table_bytes = 8 * game.K * game.S**game.K
+    action_bytes = game.K * steps * _action_dtype(game.S).itemsize
+    return max(1, _BATCH_BYTE_BUDGET // (table_bytes + action_bytes))
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[dict]]:
     """Run every trial of a configured experiment and aggregate the records.
 
@@ -300,8 +312,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[di
     dynamics = config.dynamics
     if dynamics.variant == "classic":
         # Generated games share one shape; an empty sweep makes no engine call.
-        cells = max((g.K * max(dynamics.steps, g.S**g.K) for g in games[:1]), default=1)
-        chunk = max(1, _BATCH_CELL_BUDGET // cells)
+        chunk = _batch_size(games[0], dynamics.steps) if games else 1
         records = [
             record
             for start in range(0, len(games), chunk)

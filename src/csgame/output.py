@@ -2,13 +2,23 @@
 
 Floats are rendered with ``repr`` (shortest round-trip form) and JSON keys
 are sorted, so identical inputs always produce byte-identical files; no
-timestamps or environment details ever enter a payload.
+timestamps or environment details ever enter a payload. JSON is strict: a
+non-finite float raises ``ValueError`` instead of becoming ``Infinity``/``NaN``.
+
+Per-step files are rendered in bulk from a trajectory's numpy columns, a
+bounded chunk of steps at a time, with ``float.__repr__``/``int.__repr__``
+on ``tolist()`` output, once per distinct value of a column. CSV rows are the cells joined by commas, as
+``csv.writer`` writes them; the JSON step template is cut from the standard
+encoder's layout of a two-step skeleton, so the file is exactly
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,32 +27,69 @@ from .dynamics import Trajectory
 from .montecarlo import SCHEMA_VERSION, MonteCarloSummary
 
 __all__ = [
-    "fmt_float",
-    "write_json",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "write_trajectory_json",
-    "write_summary_json",
-    "write_trial_records",
-    "emit_plot_data",
+    "fmt_float", "dumps_json", "write_json", "write_trajectory_csv", "read_trajectory_csv",
+    "write_trajectory_json", "write_summary_json", "write_trial_records", "emit_plot_data",
 ]
+
+# Steps rendered at once, which bounds the writers' memory whatever T is.
+_CHUNK_STEPS = 64
+# A numbered leaf of a skeleton step, as the encoder writes it.
+_LEAF = re.compile(r'"@@(\d+)@@"')
+_FORMATS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
 
 
 def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def dumps_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(payload: dict, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(dumps_json(payload) + "\n")
     return path
 
 
+def _render(path, head: str, row, sep: str, tail: str, n_steps: int, columns,
+            newline: str | None = "") -> Path:
+    """Write ``head``, ``row(cells)`` for every output row joined by ``sep``,
+    then ``tail``. ``columns(a, b)`` gives the blocks of steps a..b-1: arrays
+    whose first axis is the output row and whose entries, in C order, are
+    that row's cells, block after block."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline=newline) as fh:
+        fh.write(head)
+        for a in range(0, n_steps, _CHUNK_STEPS):
+            blocks = [b.reshape(len(b), -1) for b in columns(a, min(a + _CHUNK_STEPS, n_steps))]
+            cells = np.concatenate([_strings(b) for b in blocks], axis=1)
+            fh.write((sep if a else "") + sep.join(map(row, cells.tolist())))
+        fh.write(tail)
+    return path
+
+
+def _strings(block: np.ndarray) -> np.ndarray:
+    """Object array of the cells' strings, each distinct value rendered once
+    (floats told apart by their bits, so 0.0 and -0.0 stay distinct)."""
+    fmt = _FORMATS.get(block.dtype.kind)
+    if fmt is None:
+        return block.astype(object)
+    bits = np.ascontiguousarray(block).view(f"i{block.itemsize}")
+    values, where = np.unique(bits, return_inverse=True)
+    strings = np.array(list(map(fmt, values.view(block.dtype).tolist())), dtype=object)
+    return strings[where.reshape(block.shape)]
+
+
+def _csv(path, header: list[str], n_steps: int, columns) -> Path:
+    return _render(path, ",".join(header) + "\r\n", ",".join, "\r\n",
+                   "\r\n" if n_steps else "", n_steps, columns)
+
+
 def _state_columns(traj: Trajectory) -> tuple[str, np.ndarray | None]:
-    if traj.variant == "classic":
-        return "belief", traj.beliefs
-    return "q", traj.q_values
+    return ("belief", traj.beliefs) if traj.variant == "classic" else ("q", traj.q_values)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
@@ -53,27 +100,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     prefix, state = _state_columns(traj)
     n_players = traj.num_players
     n_channels = state.shape[2] if state is not None else int(traj.profiles.max()) + 1
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "player", "channel", "utility", "potential"]
-            + [f"{prefix}_{s + 1}" for s in range(n_channels)]
-        )
-        for t in range(traj.T):
-            for k in range(n_players):
-                row = [
-                    t + 1,
-                    k,
-                    int(traj.profiles[t, k]),
-                    fmt_float(traj.utilities[t, k]),
-                    fmt_float(traj.potentials[t]),
-                ]
-                if state is not None:
-                    row += [fmt_float(x) for x in state[t, k]]
-                writer.writerow(row)
-    return path
+    header = ["t", "player", "channel", "utility", "potential"]
+    header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
+    return _csv(path, header, traj.T, lambda a, b: [
+        np.repeat(np.arange(a + 1, b + 1), n_players),
+        np.tile(np.arange(n_players), b - a),
+        traj.profiles[a:b].ravel(),
+        traj.utilities[a:b].ravel(),
+        np.repeat(traj.potentials[a:b], n_players),
+    ] + ([] if state is None else [state[a:b].reshape(-1, n_channels)]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -91,72 +126,59 @@ def read_trajectory_csv(path) -> Trajectory:
     state_cols = [c for c in header if c.startswith(("belief_", "q_"))]
     variant = "classic" if state_cols and state_cols[0].startswith("belief_") else "aggregation"
     n_channels = len(state_cols)
-    if not rows:
-        empty = np.empty((0, 0))
-        return Trajectory(
-            variant=variant,
-            tie_break="lowest",
-            profiles=np.empty((0, 0), dtype=np.int64),
-            utilities=empty,
-            potentials=np.empty(0),
-            beliefs=np.empty((0, 0, n_channels)) if variant == "classic" else None,
-            q_values=np.empty((0, 0, n_channels)) if variant == "aggregation" else None,
-            initial_state=np.empty((0, n_channels)),
-            final_state=np.empty((0, n_channels)),
-        )
-    n_players = max(int(r[1]) for r in rows) + 1
-    T = max(int(r[0]) for r in rows)
+    table = np.array([list(map(float, r)) for r in rows]).reshape(len(rows), len(header))
+    t, k = table[:, 0].astype(np.int64) - 1, table[:, 1].astype(np.int64)
+    T, n_players = (int(t.max()) + 1, int(k.max()) + 1) if rows else (0, 0)
     profiles = np.empty((T, n_players), dtype=np.int64)
     utilities = np.empty((T, n_players))
     potentials = np.empty(T)
     state = np.empty((T, n_players, n_channels))
-    for r in rows:
-        t, k = int(r[0]) - 1, int(r[1])
-        profiles[t, k] = int(r[2])
-        utilities[t, k] = float(r[3])
-        potentials[t] = float(r[4])
-        state[t, k] = [float(x) for x in r[5:5 + n_channels]]
+    profiles[t, k] = table[:, 2]
+    utilities[t, k] = table[:, 3]
+    potentials[t] = table[:, 4]
+    state[t, k] = table[:, 5:5 + n_channels]
+    ends = state[[0, -1]] if T else np.empty((2, 0, n_channels))
     return Trajectory(
-        variant=variant,
-        tie_break="lowest",
-        profiles=profiles,
-        utilities=utilities,
-        potentials=potentials,
-        beliefs=state if variant == "classic" else None,
+        variant=variant, tie_break="lowest", profiles=profiles, utilities=utilities,
+        potentials=potentials, beliefs=state if variant == "classic" else None,
         q_values=state if variant == "aggregation" else None,
-        initial_state=state[0].copy(),
-        final_state=state[-1].copy(),
-        final_step=T,
+        initial_state=ends[0], final_state=ends[1], final_step=max(T, 1),
     )
 
 
 def write_trajectory_json(traj: Trajectory, path) -> Path:
     """Full-fidelity JSON form of a run."""
     prefix, state = _state_columns(traj)
-    steps = []
-    for t in range(traj.T):
-        entry = {
-            "t": t + 1,
-            "profile": [int(c) for c in traj.profiles[t]],
-            "utilities": [float(u) for u in traj.utilities[t]],
-            "potential": float(traj.potentials[t]),
-        }
-        if state is not None:
-            entry[prefix] = state[t].tolist()
-        if traj.gammas is not None:
-            entry["gamma"] = traj.gammas[t].tolist()
-        steps.append(entry)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "variant": traj.variant,
-        "tie_break": traj.tie_break,
-        "initial_step": traj.initial_step,
-        "initial_state": traj.initial_state.tolist(),
-        "final_step": traj.final_step,
-        "final_state": traj.final_state.tolist(),
-        "steps": steps,
-    }
-    return write_json(payload, path)
+    fields = {key: arr for key, arr in (
+        ("t", np.arange(1, traj.T + 1)), ("profile", traj.profiles),
+        ("utilities", traj.utilities), ("potential", traj.potentials),
+        (prefix, state), ("gamma", traj.gammas),
+    ) if arr is not None}
+    if not all(np.isfinite(arr).all() for arr in fields.values()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    # Two skeleton steps whose leaves are numbered in cell order; the text the
+    # encoder lays out around the numbers is the per-step template.
+    number = itertools.count()
+    skeleton = [
+        {key: np.array([f"@@{next(number)}@@" for _ in range(arr[0].size)], dtype=object)
+              .reshape(arr.shape[1:]).tolist() for key, arr in fields.items()}
+        for _ in range(2 if traj.T else 0)
+    ]
+    payload = {"schema_version": SCHEMA_VERSION, "variant": traj.variant,
+               "tie_break": traj.tie_break, "initial_step": traj.initial_step,
+               "initial_state": traj.initial_state.tolist(), "final_step": traj.final_step,
+               "final_state": traj.final_state.tolist(), "steps": skeleton}
+    if not traj.T:
+        return write_json(payload, path)
+    parts = _LEAF.split(dumps_json(payload) + "\n")
+    texts, n_leaves = parts[0::2], next(number) // 2  # texts around the leaves
+    template = "".join(
+        "{%s}%s" % (i, text.replace("{", "{{").replace("}", "}}"))
+        for i, text in zip(parts[1::2], texts[1:n_leaves] + [""])
+    )
+    return _render(path, texts[0], lambda cells: template.format(*cells), texts[n_leaves],
+                   texts[-1], traj.T, lambda a, b: [arr[a:b] for arr in fields.values()],
+                   newline=None)
 
 
 def write_summary_json(summary: MonteCarloSummary, path) -> Path:
@@ -166,20 +188,7 @@ def write_summary_json(summary: MonteCarloSummary, path) -> Path:
 def write_trial_records(records: list[dict], directory) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for rec in records:
-        paths.append(write_json(rec, directory / f"trial_{rec['trial']:05d}.json"))
-    return paths
-
-
-def _write_wide_csv(path, header: list[str], rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    return [write_json(rec, directory / f"trial_{rec['trial']:05d}.json") for rec in records]
 
 
 def emit_plot_data(obj, kind: str, path) -> Path:
@@ -189,42 +198,32 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     :class:`Trajectory` (wide per-step series), ``"regions"`` for a list of
     trial records (gain-ratio scatter with region labels).
     """
-    if kind in ("beliefs", "utilities"):
-        if not isinstance(obj, Trajectory):
-            raise ValueError(f"kind {kind!r} needs a Trajectory")
-        if kind == "beliefs":
-            prefix, state = _state_columns(obj)
-            n_players = state.shape[1] if obj.T else 0
-            n_channels = state.shape[2] if obj.T else 0
-            header = ["t"] + [
-                f"{prefix}_p{k}_c{s}" for k in range(n_players) for s in range(n_channels)
-            ]
-            rows = (
-                [t + 1] + [fmt_float(x) for x in state[t].ravel()] for t in range(obj.T)
-            )
-            return _write_wide_csv(path, header, rows)
-        n_players = obj.profiles.shape[1]
-        header = ["t"] + [f"utility_p{k}" for k in range(n_players)] + ["potential"]
-        rows = (
-            [t + 1]
-            + [fmt_float(u) for u in obj.utilities[t]]
-            + [fmt_float(obj.potentials[t])]
-            for t in range(obj.T)
-        )
-        return _write_wide_csv(path, header, rows)
+    if kind in ("beliefs", "utilities") and not isinstance(obj, Trajectory):
+        raise ValueError(f"kind {kind!r} needs a Trajectory")
+    if kind == "beliefs":
+        prefix, state = _state_columns(obj)
+        n_players, n_channels = state.shape[1:] if obj.T else (0, 0)
+        header = [f"{prefix}_p{k}_c{s}" for k in range(n_players) for s in range(n_channels)]
+        return _csv(path, ["t", *header], obj.T,
+                    lambda a, b: [np.arange(a + 1, b + 1), state[a:b]])
+    if kind == "utilities":
+        header = [f"utility_p{k}" for k in range(obj.num_players)]
+        return _csv(path, ["t", *header, "potential"], obj.T, lambda a, b: [
+            np.arange(a + 1, b + 1), obj.utilities[a:b], obj.potentials[a:b]
+        ])
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")
+        gains = np.array([rec["game"]["gains"] for rec in obj], dtype=float)
+        gains = gains.reshape(len(obj), 2, 2)  # 2x2 games only
+        with np.errstate(divide="raise", invalid="raise"):  # a zero gain has no ratio
+            ratios = gains[:, :, 0] / gains[:, :, 1]
+        blocks = [
+            np.array([rec["trial"] for rec in obj], dtype=np.int64),
+            gains,
+            ratios,
+            np.array(["+".join(rec["regions"] or []) for rec in obj], dtype=object),
+        ]
         header = ["trial", "g11", "g12", "g21", "g22", "own_ratio", "cross_ratio", "regions"]
-        rows = []
-        for rec in obj:
-            (g11, g12), (g21, g22) = rec["game"]["gains"]
-            regions = rec["regions"] or []
-            rows.append([
-                rec["trial"],
-                fmt_float(g11), fmt_float(g12), fmt_float(g21), fmt_float(g22),
-                fmt_float(g11 / g12), fmt_float(g21 / g22),
-                "+".join(regions),
-            ])
-        return _write_wide_csv(path, header, rows)
+        return _csv(path, header, len(obj), lambda a, b: [block[a:b] for block in blocks])
     raise ValueError(f"unsupported plot-data kind {kind!r}")

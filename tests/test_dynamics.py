@@ -26,7 +26,12 @@ from csgame import (
     run_fp_batch_2x2,
     utility,
 )
-from _oracles import oracle_run_fp, oracle_utility
+from _oracles import (
+    oracle_cycle_onset,
+    oracle_run_aggregation_fp,
+    oracle_run_fp,
+    oracle_utility,
+)
 from conftest import random_game, random_symmetric_2x2
 
 
@@ -347,6 +352,71 @@ class TestAggregationFP:
                     )
 
 
+def _assert_aggregation_matches_oracle(game, init, T, tie_break):
+    traj = run_aggregation_fp(game, init, T=T, tie_break=tie_break)
+    ref = oracle_run_aggregation_fp(game, init.q, T, tie_break, step=init.step)
+    for name in ("profiles", "utilities", "potentials", "gammas", "q_values", "final_state"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name), err_msg=name)
+    assert traj.profiles.dtype == np.int64
+    assert traj.final_step == ref.final_step
+    assert traj.initial_step == init.step
+    np.testing.assert_array_equal(traj.initial_state, init.q)
+    return traj
+
+
+class TestAggregationEngineAgainstOracle:
+    """The engine computes the broadcast feedback once per distinct profile;
+    the oracle recomputes it every step. Both must agree bit for bit."""
+
+    @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
+    def test_random_games(self, tie_break):
+        rng = np.random.default_rng(2024)
+        switching = 0
+        for n_players in range(1, 6):
+            for n_channels in range(1, 5):
+                for _ in range(3):
+                    game = random_game(rng, n_players, n_channels)
+                    # Random positive starts with little weight switch often;
+                    # zero starts open on an exact tie in every row.
+                    for init in (
+                        QState(step=int(rng.integers(0, 4)),
+                               q=rng.uniform(0.0, 2.0, (n_players, n_channels))),
+                        QState.zeros(n_players, n_channels),
+                    ):
+                        traj = _assert_aggregation_matches_oracle(game, init, 150, tie_break)
+                        switching += np.any(traj.profiles[1:] != traj.profiles[:-1])
+        assert switching >= 10
+
+    @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
+    def test_cycling_run(self, strong_interference_game, tie_break):
+        game = strong_interference_game
+        init = q_from_beliefs(game, BeliefState.from_xi([0.5, 0.5]))
+        traj = _assert_aggregation_matches_oracle(game, init, 400, tie_break)
+        assert detect_cycle(traj, window=64).period == 2
+
+    def test_inconsistent_aggregate_raises_at_the_same_step(self):
+        # Channel 1 is so quiet that a lone user's power swallows its noise:
+        # gamma - own cancels to 0 once player 0 moves there.
+        game = GameSpec(bandwidths=[1.0, 1.0], noise=[1.0, 1e-30],
+                        max_power=[1e10, 1.0], gains=[[1.0, 1.0], [1.0, 0.0]])
+        init = QState(step=10, q=[[60.0, 0.0], [1.0, 0.0]])
+        outcomes = []
+        for T in range(1, 40):
+            try:
+                run_aggregation_fp(game, init, T=T)
+            except ValueError as exc:
+                assert "aggregate inconsistent" in str(exc)
+                with pytest.raises(ValueError, match="aggregate inconsistent"):
+                    oracle_run_aggregation_fp(game, init.q, T, step=init.step)
+                outcomes.append("raised")
+            else:
+                _assert_aggregation_matches_oracle(game, init, T, "lowest")
+                outcomes.append("ok")
+        first = outcomes.index("raised")
+        assert first > 1
+        assert outcomes == ["ok"] * first + ["raised"] * (len(outcomes) - first)
+
+
 class TestEmpiricalFrequencies:
     def test_counts_rounds(self):
         traj = run_fp(
@@ -424,6 +494,40 @@ class TestDetectCycle:
         report = detect_cycle(traj, window=6)
         assert report.period == 2
         assert report.onset == 2
+
+
+class TestCycleOnsetAgainstWalkBack:
+    """The onset is found by one vectorized comparison; the old loop walked
+    back one step at a time."""
+
+    def _check(self, profiles, window):
+        report = detect_cycle(_manual_trajectory(profiles), window=window)
+        if report is not None:
+            assert report.onset == oracle_cycle_onset(np.asarray(profiles), report.period, window)
+        return report
+
+    def test_random_profiles(self):
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(300):
+            n_players = int(rng.integers(1, 4))
+            period = int(rng.integers(1, 5))
+            cycle = rng.integers(0, 3, (period, n_players))
+            lead = rng.integers(0, 3, (int(rng.integers(0, 30)), n_players))
+            body = np.tile(cycle, (int(rng.integers(3, 20)), 1))
+            profiles = np.concatenate([lead, body])
+            window = int(rng.integers(1, len(profiles) + 1))
+            found += self._check(profiles, window) is not None
+        assert found > 100
+
+    def test_periodic_from_step_one(self):
+        profiles = np.tile([[0, 1], [1, 1], [1, 0]], (12, 1))
+        report = self._check(profiles, window=12)
+        assert (report.period, report.onset) == (3, 1)
+
+    def test_no_cycle(self):
+        steps = np.arange(40)
+        assert self._check(np.stack([steps, steps % 3], axis=1), window=40) is None
 
 
 class TestCyclePersistence:

@@ -367,3 +367,13 @@ def test_property_extra_interferer_strictly_hurts(case):
     joined = list(apart)
     joined[other] = profile[player]
     assert utility(game, joined, player) < utility(game, apart, player)
+
+
+def test_channel_aggregate_must_be_finite():
+    # Each received power is finite, but their sum on channel 0 is not.
+    with pytest.raises(ValueError, match="overflows"):
+        GameSpec.symmetric([[1.5, 1.0], [1.5, 1.0]], p_max=1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        GameSpec.symmetric([[1.0, 2.0]], p_max=1e308)
+    game = GameSpec.symmetric([[1.0, 0.5], [0.5, 1.0]], p_max=1e308)
+    assert np.all(np.isfinite(game.received_power.sum(axis=0) + game.noise))

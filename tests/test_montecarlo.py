@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from csgame import (
     CYCLE_WINDOW,
     GameSpec,
     generate_game,
+    load_config,
     parse_config,
     run_experiment,
     run_trial,
@@ -24,6 +26,8 @@ from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
 from csgame.montecarlo import _trial_games
+
+ROOT = Path(__file__).resolve().parents[1]
 
 XI_CYCLE_CONFIG = {
     "game": {
@@ -117,38 +121,54 @@ class TestRunExperiment:
                 assert fast_records[i] == run_trial(i, game, config.dynamics)
 
     def test_sweeps_are_chunked_to_the_cell_budget(self, monkeypatch):
+        # The budget is in bytes: per game, 8 * K * S**K of float64 tables
+        # plus K * T actions of one byte each (up to 128 channels).
         calls = []
 
         def traced_run_fp(*args, **kwargs):
             result = run_fp(*args, **kwargs)
-            calls.append((result.actions.size, len(args[0]) * tables_per_game))
+            calls.append((result.actions.size, len(args[0])))
             return result
 
         monkeypatch.setattr(montecarlo, "run_fp", traced_run_fp)
-        # Long runs: the actions history (T*G*K cells) binds.
+        # Long runs: the actions history binds.
         config = parse_config({"generator": {"players": 3, "channels": 2, "trials": 7},
                                "dynamics": {"steps": 100}, "seed": 4})
-        tables_per_game = 3 * 2**3
+        bytes_per_game = 3 * (8 * 2**3 + 100)
         _, whole = run_experiment(config)
-        assert calls == [(7 * 300, 7 * tables_per_game)]
+        assert calls == [(7 * 300, 7)]
         calls.clear()
-        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 3 * 300)
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * bytes_per_game + 1)
         _, chunked = run_experiment(config)
-        assert [c[0] for c in calls] == [900, 900, 300]
+        assert calls == [(900, 3), (900, 3), (300, 1)]
         assert chunked == whole
-        # Short runs of many-player games: the stacked tables (G*K*S**K) bind.
+        # Short runs of many-player games: the stacked tables bind.
         config = parse_config({"generator": {"players": 4, "channels": 3, "trials": 5},
                                "dynamics": {"steps": 10}, "seed": 4})
-        tables_per_game = 4 * 3**4
+        bytes_per_game = 4 * (8 * 3**4 + 10)
         calls.clear()
-        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 2 * tables_per_game)
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 2 * bytes_per_game)
         _, chunked = run_experiment(config)
-        assert [c[1] for c in calls] == [2 * tables_per_game] * 2 + [tables_per_game]
-        assert all(max(c) <= 2 * tables_per_game for c in calls)
-        monkeypatch.setattr(montecarlo, "_BATCH_CELL_BUDGET", 10**9)
+        assert [c[1] for c in calls] == [2, 2, 1]
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", bytes_per_game - 1)
+        calls.clear()
+        assert run_experiment(config)[1] == chunked
+        assert [c[1] for c in calls] == [1] * 5  # a game over budget still runs alone
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 10**9)
         calls.clear()
         assert run_experiment(config)[1] == chunked
         assert len(calls) == 1
+
+    def test_committed_sweeps_run_as_one_batch(self):
+        # The 1000-trial 2x2 config and the 3x3 generator sweep each fit the
+        # byte budget whole, while a 7x3 sweep of 1000 short trials does not.
+        for path in ("configs/montecarlo_2x2_snr20.yaml", "bench/workloads/sweep3x3.yaml"):
+            config = load_config(ROOT / path)
+            games = _trial_games(config)
+            assert montecarlo._batch_size(games[0], config.dynamics.steps) >= len(games)
+        wide = generate_game(trial_rng(0, 0), 7, 3, 10.0)
+        assert montecarlo._batch_size(wide, 5) < 1000
+        assert 7 * (8 * 3**7 + 5) * montecarlo._batch_size(wide, 5) <= 32 * 2**20
 
     def test_engine_calls_report_every_game_step(self, monkeypatch, tmp_path, capsys):
         # Wrap the engine where the sweep binds it and read the batch result

@@ -23,8 +23,11 @@ from csgame import (
     write_trajectory_json,
     write_trial_records,
 )
+from csgame import output
 from csgame.cli import main
 from csgame.output import fmt_float, write_json
+from _oracles import oracle_plot_csv, oracle_trajectory_csv, oracle_trajectory_json
+from conftest import random_game
 
 INLINE_GAME_YAML = """\
 game:
@@ -169,6 +172,119 @@ class TestTrajectoryJson:
         for t, step in enumerate(payload["steps"]):
             assert step["gamma"] == traj.gammas[t].tolist()
             assert step["q"] == traj.q_values[t].tolist()
+
+
+ODD_FLOATS = [-0.0, 5e-324, 1e16, 0.0, 0.1, 1 / 3, 1e-7, 123456789.125, 2.0**-1022, 1e308]
+
+
+def _odd_trajectory(variant: str, T: int, n_players: int, n_channels: int) -> Trajectory:
+    """A hand-made trajectory whose every float column cycles through values
+    with awkward shortest forms (signed zero, subnormals, exponent switch)."""
+    def fill(*shape):
+        size = int(np.prod(shape))
+        return np.resize(np.array(ODD_FLOATS), size).reshape(shape)
+
+    state = fill(T, n_players, n_channels)
+    return Trajectory(
+        variant=variant,
+        tie_break="highest",
+        profiles=np.arange(T * n_players).reshape(T, n_players) % n_channels,
+        utilities=fill(T, n_players)[::-1],
+        potentials=-fill(T),
+        beliefs=state if variant == "classic" else None,
+        q_values=state if variant == "aggregation" else None,
+        gammas=fill(T, n_channels) if variant == "aggregation" else None,
+        initial_step=3,
+        initial_state=fill(n_players, n_channels),
+        final_step=T + 3,
+        final_state=-fill(n_players, n_channels),
+    )
+
+
+def _engine_trajectories(T: int):
+    rng = np.random.default_rng(T)
+    game = random_game(rng, 3, 4)
+    yield run_fp(game, T=T, tie_break="highest")
+    yield run_aggregation_fp(game, T=T)
+    lone = random_game(rng, 1, 2)
+    yield run_fp(lone, T=T)
+    yield run_aggregation_fp(lone, T=T)
+
+
+class TestBulkRenderingAgainstStdlib:
+    """The bulk writers equal, byte for byte, the whole-payload standard
+    encoder and row-by-row ``csv.writer`` they replaced."""
+
+    def _check_all(self, traj, tmp_path):
+        json_path = output.write_trajectory_json(traj, tmp_path / "t.json")
+        assert json_path.read_bytes() == oracle_trajectory_json(traj).encode()
+        csv_path = output.write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert csv_path.read_bytes() == oracle_trajectory_csv(traj).encode()
+        for kind in ("beliefs", "utilities"):
+            plot = emit_plot_data(traj, kind, tmp_path / f"{kind}.csv")
+            assert plot.read_bytes() == oracle_plot_csv(traj, kind).encode()
+
+    @pytest.mark.parametrize("T", [1, 3, 4, 5, 8, 9])
+    def test_chunk_boundaries(self, T, tmp_path, monkeypatch):
+        monkeypatch.setattr(output, "_CHUNK_STEPS", 4)
+        for traj in _engine_trajectories(T):
+            self._check_all(traj, tmp_path)
+        for variant in ("classic", "aggregation"):
+            self._check_all(_odd_trajectory(variant, T, 2, 3), tmp_path)
+
+    def test_default_chunk_boundary(self, tmp_path):
+        chunk = output._CHUNK_STEPS
+        for T in (chunk, chunk + 1):
+            for traj in _engine_trajectories(T):
+                self._check_all(traj, tmp_path)
+
+    def test_odd_floats_one_player_one_channel(self, tmp_path):
+        for variant in ("classic", "aggregation"):
+            for n_channels in (1, 2):
+                traj = _odd_trajectory(variant, 2 * len(ODD_FLOATS), 1, n_channels)
+                self._check_all(traj, tmp_path)
+        text = (tmp_path / "t.json").read_text()
+        for x in ODD_FLOATS:
+            assert repr(x) in text
+
+    def test_trajectory_without_state_snapshots(self, tmp_path):
+        traj = _odd_trajectory("classic", 5, 2, 3)
+        traj.beliefs = None
+        json_path = output.write_trajectory_json(traj, tmp_path / "t.json")
+        assert json_path.read_bytes() == oracle_trajectory_json(traj).encode()
+        csv_path = output.write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert csv_path.read_bytes() == oracle_trajectory_csv(traj).encode()
+
+    def test_empty_trajectory(self, tmp_path):
+        traj = _empty_trajectory()
+        traj.initial_state = traj.final_state = np.empty((2, 2))
+        assert (output.write_trajectory_json(traj, tmp_path / "t.json").read_bytes()
+                == oracle_trajectory_json(traj).encode())
+
+    def test_region_scatter(self, tmp_path):
+        config = parse_config({"generator": {"trials": 9}, "dynamics": {"steps": 5}, "seed": 3})
+        _, records = run_experiment(config)
+        path = emit_plot_data(records, "regions", tmp_path / "regions.csv")
+        assert path.read_bytes() == oracle_plot_csv(records, "regions").encode()
+
+
+class TestStrictJson:
+    def test_write_json_refuses_non_finite_floats(self, tmp_path):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                write_json({"x": [1.0, bad]}, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("field", ["utilities", "q_values", "gammas", "final_state"])
+    def test_trajectory_json_refuses_non_finite_floats(self, field, tmp_path):
+        traj = _odd_trajectory("aggregation", 6, 2, 3)
+        getattr(traj, field).flat[-1] = np.nan if field == "gammas" else np.inf
+        with pytest.raises(ValueError, match="JSON compliant"):
+            output.write_trajectory_json(traj, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
+        # CSV has no such restriction and still writes what csv.writer would.
+        path = output.write_trajectory_csv(traj, tmp_path / "ok.csv")
+        assert path.read_bytes() == oracle_trajectory_csv(traj).encode()
 
 
 class TestTrialRecords:
@@ -369,6 +485,24 @@ class TestCli:
     def test_bad_override_is_a_config_error(self, inline_config, capsys):
         assert main(["simulate", str(inline_config), "--steps", "0"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_sweep_whose_channel_aggregate_overflows(self, tmp_path, capsys):
+        # 3080 dB is a finite power budget (about 1e308), but power times gain
+        # summed over the players overflows: the sweep stops with the trial
+        # and seed that failed instead of writing Infinity into summary.json.
+        path = tmp_path / "loud.yaml"
+        path.write_text(
+            "generator:\n  players: 2\n  channels: 2\n  snr_db: 3080\n"
+            "  fading: exponential\n  trials: 20\n"
+            "dynamics:\n  variant: classic\n  steps: 10000\nseed: 7\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main(["montecarlo", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trial 0 (seed 7)" in captured.err
+        assert "overflows" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         # A three-player game has no 2x2 region classification.
