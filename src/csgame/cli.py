@@ -22,10 +22,9 @@ from .equilibrium import analyze_game, classify_region_2x2
 from .montecarlo import (
     CYCLE_WINDOW,
     SCHEMA_VERSION,
-    generate_game,
     run_experiment,
     simulate_trajectory,
-    trial_rng,
+    trial_game,
 )
 from .output import (
     dumps_json,
@@ -40,21 +39,12 @@ from .output import (
 __all__ = ["main", "build_parser"]
 
 
-def _config_game(config: ExperimentConfig):
-    if config.game is not None:
-        return config.game
-    gen = config.generator
-    return generate_game(
-        trial_rng(config.seed, 0), gen.players, gen.channels, gen.snr_db, gen.fading
-    )
-
-
 def _emit(payload: dict) -> None:
     print(dumps_json(payload))
 
 
 def cmd_equilibria(config: ExperimentConfig) -> int:
-    report = analyze_game(_config_game(config))
+    report = analyze_game(trial_game(config, 0))
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     write_json(payload, Path(config.outputs.directory) / "equilibria.json")
     _emit(payload)
@@ -76,8 +66,7 @@ def cmd_regions(config: ExperimentConfig) -> int:
     gen = config.generator
     records, histogram = [], {}
     for i in range(gen.trials):
-        game = generate_game(trial_rng(config.seed, i), gen.players, gen.channels,
-                             gen.snr_db, gen.fading)
+        game = trial_game(config, i)
         labels = sorted(classify_region_2x2(game))
         key = "+".join(labels)
         histogram[key] = histogram.get(key, 0) + 1
@@ -95,7 +84,7 @@ def cmd_regions(config: ExperimentConfig) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    game = _config_game(config)
+    game = trial_game(config, 0)
     traj = simulate_trajectory(game, config.dynamics)
     out_dir = Path(config.outputs.directory)
     if config.outputs.format == "csv":

@@ -5,9 +5,15 @@ deterministic given their inputs.
 
 * :func:`run_fp` is the full-observation engine: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
-  pseudo-observation) and best-responds to the product of those marginals.
-  It steps one game, or a stack of same-shape games in lockstep with the
-  same per-game arithmetic, which is how Monte-Carlo sweeps run.
+  pseudo-observation), carried as exact counts, and best-responds to the
+  product of those marginals. It is event-driven: once a game repeats a
+  profile it plays it for as many steps as the per-step rule is certain to
+  keep it, and decides again only then, so a run that settles costs a few
+  decisions, not one per step, with the same result bit for bit. It steps
+  one game, or a stack of same-shape games in lockstep with one clock per
+  game and the same per-game arithmetic, which is how Monte-Carlo sweeps
+  run; a batch keeps the play run-length encoded and renders per-step
+  actions only when they are read.
 * :func:`run_aggregation_fp` never reveals actions. After each round the
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution and folds the value of
@@ -20,8 +26,10 @@ deterministic given their inputs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +62,12 @@ __all__ = [
 ]
 
 TIE_BREAKS = ("lowest", "highest")
+
+try:  # np.einsum without path optimization only forwards to this; calling it
+    # directly saves the dispatch, which dominates on small stacks.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - other numpy layouts
+    _einsum = np.einsum
 
 
 def _action_dtype(n_channels: int) -> np.dtype:
@@ -232,8 +246,8 @@ def _expectation(tables: np.ndarray):
                 out[:, k] = res
                 continue
             for j in opponents[k][:-1]:
-                res = np.einsum("z...s,zs->z...", res, f[:, j])
-            np.einsum("z...s,zs->z...", res, f[:, opponents[k][-1]], out=out[:, k])
+                res = _einsum("z...s,zs->z...", res, f[:, j])
+            _einsum("z...s,zs->z...", res, f[:, opponents[k][-1]], out=out[:, k])
         return out
 
     return expected
@@ -256,22 +270,174 @@ def fp_best_response(
     return _argmax_tie(expected[0, player], tie_break)
 
 
+class _SwitchLog:
+    """Growable log of profile switches: game index, belief weight at the
+    switch and new profile code, appended in time order per game, in the
+    smallest integer types that hold them."""
+
+    def __init__(self, n_games: int, max_weight: int, n_profiles: int) -> None:
+        self.size = 0
+        self.game = np.empty(64, np.min_scalar_type(n_games))
+        self.weight = np.empty(64, np.min_scalar_type(max_weight))
+        self.code = np.empty(64, np.min_scalar_type(n_profiles))
+
+    def append(self, games, weights, codes) -> None:
+        start, end = self.size, self.size + len(games)
+        if end > len(self.game):
+            capacity = max(2 * len(self.game), end)
+            self.game, self.weight, self.code = (
+                np.concatenate([a[:start], np.empty(capacity - start, a.dtype)])
+                for a in (self.game, self.weight, self.code)
+            )
+        self.game[start:end] = games
+        self.weight[start:end] = weights
+        self.code[start:end] = codes
+        self.size = end
+
+
 @dataclass
 class BatchFPResult:
     """Classic fictitious play on a stack of G same-shape games.
 
-    ``actions`` holds every game's profile at every step, shape (T, G, K), in
-    the smallest signed integer type that holds a channel index.
-    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies after
-    checkpoint step t, and ``utility_sums`` each player's payoffs summed over
-    the run in step order, shape (G, K).
+    The play is kept run-length encoded, as the belief weight and new
+    profile of every switch (``switches``); each game's first decision is a
+    switch. ``actions`` renders every game's profile at every step, shape
+    (T, G, K), in the smallest signed integer type that holds a channel
+    index, when it is first read, and :meth:`tail` renders only the last
+    steps.
+    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
+    after checkpoint step t, from exact counts. ``utility_sums`` holds each
+    player's payoffs summed over the run as run length times payoff, run by
+    run, shape (G, K). ``evaluations`` counts each game's decision points,
+    the steps at which its expected payoffs were computed; ``tables`` holds
+    the (G, K) + (S,)*K payoffs.
     """
 
     frequencies: dict[int, np.ndarray]
     final_marginals: np.ndarray
     final_step: int
-    actions: np.ndarray
-    utility_sums: np.ndarray
+    evaluations: np.ndarray
+    tables: np.ndarray
+    switches: _SwitchLog
+    T: int
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every run, by game and then in time: game, first step, length and
+        (n, K) profile."""
+        log = self.switches
+        order = np.argsort(log.game[:log.size], kind="stable")
+        game = log.game[order].astype(np.int64)
+        start = log.weight[order].astype(np.int64) - (self.final_step - self.T)
+        end = np.append(start[1:], self.T)
+        end[np.flatnonzero(game[1:] != game[:-1])] = self.T
+        n_channels = self.tables.shape[2]
+        place = n_channels ** np.arange(self.tables.shape[1] - 1, -1, -1)
+        profile = log.code[order, None].astype(np.int64) // place % n_channels
+        return game, start, end - start, profile.astype(_action_dtype(n_channels))
+
+    def tail(self, window: int) -> np.ndarray:
+        """Every game's profiles over its last ``window`` steps, (G, window, K)."""
+        _, start, length, profile = self.runs
+        keep = np.clip(start + length - (self.T - window), 0, length)
+        return np.repeat(profile, keep, axis=0).reshape(len(self.tables), window, -1)
+
+    @cached_property
+    def actions(self) -> np.ndarray:
+        """Every game's profile at every step, (T, G, K)."""
+        return self.tail(self.T).swapaxes(0, 1)
+
+    def counts(self, t: int) -> np.ndarray:
+        """Exact (G, K, S) action counts over the first t steps, as floats."""
+        game, start, length, profile = self.runs
+        n_games, n_players, n_channels = self.tables.shape[:3]
+        played = np.clip(t - start, 0, length).astype(float)
+        index = (game[:, None] * n_players + np.arange(n_players)) * n_channels + profile
+        counts = np.bincount(index.ravel(), weights=np.repeat(played, n_players),
+                             minlength=n_games * n_players * n_channels)
+        return counts.reshape(n_games, n_players, n_channels)
+
+    @cached_property
+    def utility_sums(self) -> np.ndarray:
+        """Each player's payoffs summed run by run, (G, K)."""
+        game, _, length, profile = self.runs
+        n_games, n_players = self.tables.shape[:2]
+        payoffs = self.tables[(game[:, None], np.arange(n_players)) + tuple(profile.T[:, :, None])]
+        terms = length[:, None] * payoffs
+        # Add each game's runs in time order: the r-th runs of all games at once.
+        rank = np.arange(len(game)) - np.searchsorted(game, game)
+        order = np.lexsort((game, rank))
+        bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
+        sums = np.zeros((n_games, n_players))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = order[lo:hi]
+            sums[game[rows]] += terms[rows]
+        return sums
+
+
+def _certified_run(tables: np.ndarray):
+    """Certified run lengths for a stack of utility tables, (G, K) + (S,)*K.
+
+    Returns ``certify(f, values, actions, step, remaining)``: for every
+    game, whose beliefs ``f`` (G, K, S) at belief weight ``step`` (G,) gave
+    expected payoffs ``values`` and the profile ``actions`` (G, K), the
+    number of steps, at least 1 and at most ``remaining``, over which the
+    per-step rule is certain to keep playing ``actions``.
+
+    While a profile a is played n more steps, every belief moves to
+    (1 - lam) f + lam e_a with lam = n / (step + n), so each margin
+    E_k(a_k) - E_k(c) is a degree-(K-1) polynomial in lam. Its Bernstein
+    coefficient b_m averages the margin over the ways to put m opponents at
+    their point mass on a: b_0 is the margin now (d0), b_{K-1} the payoff
+    difference at a itself. With tau the largest of (d0 - b_m) / m and 0,
+    the margin is at least d0 - lam (K-1) tau, because the point masses
+    placed follow a binomial law of mean (K-1) lam; for K = 2 that bound is
+    the margin itself. A step is certified when the bound exceeds a rounding
+    slack far above the error of the float expectation, so there the
+    per-step argmax is strict and no tie-break is consulted.
+    """
+    n_games, n_players = tables.shape[:2]
+    n_channels = tables.shape[2]
+    flat = tables.reshape(n_games, -1)
+    slack = (16 * n_players * n_channels ** (n_players - 1) * np.finfo(float).eps
+             * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
+    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
+    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
+    ways = np.array([math.comb(n_players - 1, m) for m in range(n_players)])[:, None, None, None]
+    games = np.arange(n_games)
+
+    def certify(f, values, actions, step, remaining):
+        if n_players == 1:  # payoffs ignore beliefs: the choice never changes
+            return remaining
+        # sums[m, :, k] adds player k's expected payoffs over every way to
+        # put m opponents at their point mass, the others at their beliefs.
+        sums = np.empty((n_players,) + values.shape)
+        for k in range(n_players):
+            terms = [own_first[k]]
+            for j in opponents[k]:
+                mass = [t[games, ..., actions[:, j]] for t in terms]
+                spread = [_einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
+                terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), mass[-1]]
+            sums[:, :, k] = terms
+        mine = actions[:, :, None]
+        d0 = np.take_along_axis(values, mine, 2) - values
+        b = sums / ways
+        b = np.take_along_axis(b, mine[None], 3) - b
+        tau = (d0 - b[1:]) / np.arange(1, n_players)[:, None, None, None]
+        tau = np.maximum(tau, 0).max(axis=0)
+        low = d0 - slack[:, None, None]  # bound minus slack now ...
+        high = low - (n_players - 1) * tau  # ... and at the point mass (lam = 1)
+        s = step[:, None, None]
+        # Further steps n the bound certifies: low * s + n * high > 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            more = np.ceil(np.minimum(low * s / -high, remaining.max())) - 1
+            more -= low * s + more * high <= 0  # rounding guard
+        more = np.where(high >= 0, np.inf, more)
+        more = np.where(low > 0, more, 0)
+        more[np.arange(n_channels) == mine] = np.inf
+        return np.minimum(1 + more.min(axis=(1, 2)), remaining)
+
+    return certify
 
 
 def run_fp(
@@ -285,13 +451,24 @@ def run_fp(
 
     Each round every player best-responds to the product of the current
     frequency vectors, all actions are revealed at once, and every vector
-    absorbs the new observation with weight 1/(step+1).
+    absorbs the new observation. Beliefs are carried as exact counts: at
+    belief weight ``step`` a vector is (prior * initial step + counts) /
+    step, the prior being the initial marginals.
 
-    ``game`` is one game or a sequence of games with one (K, S) shape, which
-    are stepped in lockstep; each game's arithmetic is the same either way.
-    One game returns a :class:`Trajectory`. A sequence returns a
-    :class:`BatchFPResult` (with frequencies at ``checkpoints``) and takes one
-    shared :class:`BeliefState` or one per game; all must carry the same step.
+    The engine is event-driven. At a decision point it computes every
+    expected payoff and the argmax; when a game repeats its previous
+    profile, it plays that profile for as many steps as the per-step rule
+    is certain to keep it (see :func:`_certified_run`) and decides again
+    only then. A game that switches every step is decided every step. The
+    result equals the step-by-step rule's exactly.
+
+    ``game`` is one game or a sequence of games with one (K, S) shape,
+    stepped in lockstep with one clock per game; each game's arithmetic is
+    the same either way. One game returns a :class:`Trajectory` (profiles
+    and belief snapshots rendered after the run). A sequence returns a
+    :class:`BatchFPResult` (with frequencies at ``checkpoints``) and takes
+    one shared :class:`BeliefState` or one per game; all must carry the
+    same step.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -316,61 +493,112 @@ def run_fp(
     tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
     for i, g in enumerate(games):  # filled in place: no second copy of the stack
         tables[i] = utility_table(g)
-    expected = _expectation(tables)
-    # Utility of player k at profile index p is flat[base[g, k] + p], so one
-    # gather per step reads every game's payoffs.
-    flat = tables.reshape(-1)
-    base = np.arange(n_games * n_players).reshape(n_games, n_players) * n_channels**n_players
     place = n_channels ** np.arange(n_players - 1, -1, -1)
     eye = np.eye(n_channels)
-    f = np.stack([b.marginals for b in inits])
-    init_step = step = inits[0].step
-    counts = np.zeros(f.shape)
-    usums = np.zeros((n_games, n_players))
-    checkpoint_set = set(int(c) for c in checkpoints)
-    frequencies: dict[int, np.ndarray] = {}
-    actions = np.empty((T, n_games, n_players), dtype=_action_dtype(n_channels))
-    snapshots = np.empty((T, n_players, n_channels)) if single else None
-    for t in range(T):
-        if snapshots is not None:
-            snapshots[t] = f[0]
+    init_step = inits[0].step
+    end = float(init_step + T)
+    prior = np.stack([b.marginals for b in inits]) * init_step
+    final_counts = np.zeros(prior.shape)
+    evaluations = np.zeros(n_games, dtype=np.int64)
+    switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
+    # The stack of games still running is the first n rows of ``tables``;
+    # ``ids`` maps every row to its game. Per running game: exact counts,
+    # belief weight (initial step plus steps played, as a float) and current
+    # profile code (-1 before the first decision). A game leaves the stack as
+    # soon as it finishes, so every game in it is decided at every pass.
+    ids = np.arange(n_games)
+    counts = np.zeros(prior.shape)
+    weight = np.full(n_games, float(init_step))
+    current = np.full(n_games, -1)
+    swaps = []  # row exchanges made to keep the stack a prefix, in order
+
+    def running(n):
+        """Expectation, certification, game indices, priors and belief-weight
+        view of the first n rows; a prefix of ``tables`` has its layout, so
+        the same einsum kernels and the same sums."""
+        stack = tables[:n]
+        return (_expectation(stack), _certified_run(stack), ids[:n], prior[ids[:n]],
+                weight[:, None, None])
+
+    expected, certify, stack_ids, stack_prior, scale = running(n_games)
+    lead = init_step  # the largest belief weight in the stack
+    iteration = 0
+    while True:
+        iteration += 1
+        f = stack_prior + counts
+        f /= scale
         values = expected(f)
         if tie_break == "lowest":
-            a = np.argmax(values, axis=2)
+            a = values.argmax(axis=2)
         else:
-            a = n_channels - 1 - np.argmax(values[:, :, ::-1], axis=2)
-        actions[t] = a
-        usums += flat[base + (a @ place)[:, None]]
-        onehot = eye.take(a, axis=0)
-        counts += onehot
-        # f + (1/(step+1)) * (onehot - f), computed in place.
-        delta = onehot - f
-        delta *= 1.0 / (step + 1)
-        f += delta
-        step += 1
-        if (t + 1) in checkpoint_set:
-            frequencies[t + 1] = counts / float(t + 1)
+            a = n_channels - 1 - values[:, :, ::-1].argmax(axis=2)
+        code = a.dot(place)
+        held = code == current
+        if np.count_nonzero(held):
+            length = np.where(held, certify(f, values, a, weight, end - weight), 1.0)
+            moved = np.flatnonzero(~held)
+            switches.append(stack_ids[moved], weight[moved], code[moved])
+            current[moved] = code[moved]
+            counts += eye.take(a, axis=0) * length[:, None, None]
+            weight += length
+            lead = weight.max()
+        else:
+            switches.append(stack_ids, weight, code)
+            current = code
+            counts += eye.take(a, axis=0)
+            weight += 1.0
+            lead += 1
+        if lead == end:
+            done = weight == end
+            final_counts[stack_ids[done]] = counts[done]
+            evaluations[stack_ids[done]] = iteration
+            n = len(weight) - np.count_nonzero(done)
+            if n == 0:
+                break
+            # Move the running games into the first n rows, one row exchange
+            # at a time, so no table is copied.
+            order = np.arange(n)
+            for row, other in zip(np.flatnonzero(done[:n]), n + np.flatnonzero(~done[n:])):
+                tables[[row, other]] = tables[[other, row]]
+                ids[[row, other]] = ids[[other, row]]
+                order[row] = other
+                swaps.append((row, other))
+            counts, weight, current = counts[order], weight[order], current[order]
+            expected, certify, stack_ids, stack_prior, scale = running(n)
+            lead = weight.max()
+    for row, other in reversed(swaps):  # every table back in its game's row
+        tables[[row, other]] = tables[[other, row]]
+    result = BatchFPResult(
+        frequencies={},
+        final_marginals=(prior + final_counts) / (init_step + T),
+        final_step=init_step + T,
+        evaluations=evaluations,
+        tables=tables,
+        switches=switches,
+        T=T,
+    )
+    for t in sorted(set(int(c) for c in checkpoints)):
+        result.frequencies[t] = result.counts(t) / float(t)
     if not single:
-        return BatchFPResult(
-            frequencies=frequencies,
-            final_marginals=f,
-            final_step=step,
-            actions=actions,
-            utility_sums=usums,
-        )
-    profiles = actions[:, 0].astype(np.int64)
+        return result
+    profiles = result.tail(T)[0].astype(np.int64)
     idx = tuple(profiles.T)
+    # Decision-time beliefs: counts before each step, over its belief weight.
+    beliefs = np.zeros((T, n_players, n_channels))
+    np.cumsum(eye[profiles[:-1]], axis=0, out=beliefs[1:])
+    beliefs += prior[0]
+    beliefs /= (init_step + np.arange(T))[:, None, None]
     return Trajectory(
         variant="classic",
         tie_break=tie_break,
         profiles=profiles,
         utilities=np.moveaxis(tables[0], 0, -1)[idx],
         potentials=potential_table(game)[idx],
-        beliefs=snapshots,
+        beliefs=beliefs,
         initial_step=init_step,
         initial_state=inits[0].marginals.copy(),
-        final_step=step,
-        final_state=f[0],
+        final_step=init_step + T,
+        final_state=result.final_marginals[0],
     )
 
 

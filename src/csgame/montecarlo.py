@@ -5,8 +5,9 @@ Trials are fully independent: trial i draws from a generator seeded with
 the whole sweep is reproducible bit for bit. Classic-variant sweeps of any
 shape run as lockstep batches of :func:`~csgame.dynamics.run_fp`, chunked to
 stay within a memory budget; a single classic trial is a batch of one, so
-its record is bit-for-bit the one a sweep writes. Aggregation-variant trials
-run one game at a time.
+its record is bit-for-bit the one a sweep writes. A classic record reads only
+its game's trailing window of profiles and the batch's own payoff table.
+Aggregation-variant trials run one game at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "sample_gains",
     "snr_db_to_power",
     "generate_game",
+    "trial_game",
     "MonteCarloSummary",
     "run_trial",
     "run_experiment",
@@ -47,7 +49,8 @@ CYCLE_WINDOW = 64
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one classic batch holds: per game, K * S**K float64 table
-# entries plus K * T recorded actions.
+# entries plus K * T actions, the size of its per-step actions when they are
+# rendered. The batch itself keeps a few bytes per profile switch.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -129,23 +132,6 @@ def _nearest_equilibrium(freq: np.ndarray, report: EquilibriumReport,
     return best_kind, best_tv
 
 
-def _cycle_summary(game: GameSpec, tail: np.ndarray) -> dict | None:
-    """Exact-period description of the trailing profile window, if periodic."""
-    if len(tail) < 2:
-        return None
-    period = _smallest_period(tail)
-    if period is None:
-        return None
-    table = utility_table(game)
-    cycle = [tuple(int(c) for c in row) for row in tail[:period]]
-    avg = np.mean([[table[(k, *p)] for k in range(game.K)] for p in cycle], axis=0)
-    return {
-        "period": period,
-        "profiles": [list(p) for p in cycle],
-        "time_avg_utility": [float(x) for x in avg],
-    }
-
-
 def _classify_outcome(report: EquilibriumReport, freq: np.ndarray,
                       cycle: dict | None, n_channels: int) -> tuple[str, float]:
     kind, tv = _nearest_equilibrium(freq, report, n_channels)
@@ -174,8 +160,18 @@ def _mixed_mean_utility(game: GameSpec, report: EquilibriumReport) -> float | No
 
 def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
                        dynamics: DynamicsSpec, freq: np.ndarray,
-                       time_avg_utility: np.ndarray, tail: np.ndarray) -> dict:
-    cycle = _cycle_summary(game, tail)
+                       time_avg_utility: np.ndarray, tail: np.ndarray,
+                       table: np.ndarray) -> dict:
+    """One trial's record; ``tail`` is the trailing profile window, checked
+    for exact periodicity, and ``table`` the game's utility table."""
+    period = _smallest_period(tail) if len(tail) >= 2 else None
+    cycle = None if period is None else {
+        "period": period,
+        "profiles": tail[:period].tolist(),
+        "time_avg_utility": np.mean(
+            [table[(slice(None), *p)] for p in tail[:period]], axis=0
+        ).tolist(),
+    }
     outcome, tv = _classify_outcome(report, freq, cycle, game.S)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -219,12 +215,11 @@ def _classic_records(first_trial: int, games: list[GameSpec],
         games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
         tie_break=dynamics.tie_break, checkpoints=(T,),
     )
-    window = min(CYCLE_WINDOW, T)
+    tails = result.tail(min(CYCLE_WINDOW, T)).astype(np.int64)
     return [
         _record_from_parts(
             first_trial + i, game, analyze_game(game), dynamics,
-            result.frequencies[T][i], result.utility_sums[i] / T,
-            result.actions[T - window:, i].astype(np.int64),
+            result.frequencies[T][i], result.utility_sums[i] / T, tails[i], result.tables[i],
         )
         for i, game in enumerate(games)
     ]
@@ -240,22 +235,29 @@ def run_trial(trial: int, game: GameSpec, dynamics: DynamicsSpec) -> dict:
     window = min(CYCLE_WINDOW, traj.T)
     tail = traj.profiles[traj.T - window:]
     return _record_from_parts(
-        trial, game, report, dynamics, freq, traj.utilities.mean(axis=0), tail
+        trial, game, report, dynamics, freq, traj.utilities.mean(axis=0), tail,
+        utility_table(game),
     )
+
+
+def trial_game(config: ExperimentConfig, index: int) -> GameSpec:
+    """The game of trial ``index``: the inline game, or the one generated
+    from (seed, index). A generated game that fails validation raises a
+    ValueError naming the trial and the seed."""
+    if config.game is not None:
+        return config.game
+    gen = config.generator
+    try:
+        return generate_game(trial_rng(config.seed, index), gen.players, gen.channels,
+                             gen.snr_db, gen.fading)
+    except ValueError as exc:
+        raise ValueError(f"trial {index} (seed {config.seed}): {exc}") from exc
 
 
 def _trial_games(config: ExperimentConfig) -> list[GameSpec]:
     if config.game is not None:
         return [config.game]
-    gen = config.generator
-    games = []
-    for i in range(gen.trials):
-        try:
-            games.append(generate_game(trial_rng(config.seed, i), gen.players,
-                                       gen.channels, gen.snr_db, gen.fading))
-        except ValueError as exc:
-            raise ValueError(f"trial {i} (seed {config.seed}): {exc}") from exc
-    return games
+    return [trial_game(config, i) for i in range(config.generator.trials)]
 
 
 def _summarize(records: list[dict]) -> MonteCarloSummary:

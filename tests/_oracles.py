@@ -9,8 +9,9 @@ The step-loop oracles are the straightforward loops that faster engines
 replaced, and tests hold the engines to them bit for bit, so they repeat the
 engines' float arithmetic. :func:`oracle_run_fp` is the one-game, one-step-
 at-a-time classic fictitious-play loop, with the same per-opponent
-``einsum`` contractions (last opponent first) and the same belief update; it
-reads the package's payoff tables, which other tests check against
+``einsum`` contractions (last opponent first) and the same count-based
+beliefs, deciding every step; it reads the package's payoff tables, which
+other tests check against
 :func:`oracle_utility` and :func:`oracle_potential`.
 :func:`oracle_run_aggregation_fp` recomputes the broadcast aggregate and
 every payoff at every step, and :func:`oracle_cycle_onset` walks a cycle's
@@ -101,20 +102,23 @@ def oracle_best_response_2x2(bandwidths, noise, max_power, gains, player, oppone
 def oracle_run_fp(game, marginals, T: int, tie_break: str = "lowest", step: int = 1):
     """Classic fictitious play on one game, one step at a time.
 
-    Returns profiles (T, K), per-step utilities (T, K) and potentials (T,),
+    Beliefs are exact counts: at belief weight ``step`` each vector is
+    (prior + counts) / step, with prior = marginals * initial step. Returns
+    profiles (T, K), per-step utilities (T, K) and potentials (T,),
     decision-time beliefs (T, K, S), the final beliefs and step, the (K, S)
-    action counts after each of steps 0..T, and each player's payoffs summed
-    in step order.
+    action counts after each of steps 0..T, and each player's payoffs
+    summed run by run, as run length times payoff, over the maximal runs of
+    one profile in time order.
     """
     table = utility_table(game)
     phi = potential_table(game)
     n_players, n_channels = game.K, game.S
-    f = np.array(marginals, dtype=float)
+    prior = np.array(marginals, dtype=float) * step
     eye = np.eye(n_channels)
     profiles, utilities, potentials, beliefs = [], [], [], []
     counts = [np.zeros((n_players, n_channels))]
-    utility_sums = np.zeros(n_players)
     for _ in range(T):
+        f = (prior + counts[-1]) / step
         beliefs.append(f)
         actions = []
         for k in range(n_players):
@@ -128,17 +132,18 @@ def oracle_run_fp(game, marginals, T: int, tie_break: str = "lowest", step: int 
         idx = tuple(actions)
         profiles.append(actions)
         utilities.append(table[(slice(None), *idx)])
-        utility_sums = utility_sums + utilities[-1]
         potentials.append(phi[idx])
         counts.append(counts[-1] + eye[actions])
-        f = f + (1.0 / (step + 1)) * (eye[actions] - f)
         step += 1
+    utility_sums = np.zeros(n_players)
+    for profile, run in itertools.groupby(map(tuple, profiles)):
+        utility_sums = utility_sums + len(list(run)) * table[(slice(None), *profile)]
     return SimpleNamespace(
         profiles=np.array(profiles, dtype=np.int64),
         utilities=np.array(utilities),
         potentials=np.array(potentials),
         beliefs=np.array(beliefs),
-        final_state=f,
+        final_state=(prior + counts[-1]) / step,
         final_step=step,
         counts=counts,
         utility_sums=utility_sums,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from csgame import (
     empirical_frequencies,
     expected_utility,
     fp_best_response,
+    load_config,
     potential,
     q_from_beliefs,
     run_aggregation_fp,
     run_fp,
     run_fp_batch_2x2,
+    trial_game,
     utility,
 )
 from _oracles import (
@@ -33,6 +36,8 @@ from _oracles import (
     oracle_utility,
 )
 from conftest import random_game, random_symmetric_2x2
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestBeliefState:
@@ -257,15 +262,13 @@ class TestRunFP:
                 np.testing.assert_allclose(even, [[g_c0, g_c1]] * 2, rtol=0, atol=1e-12)
 
     def test_counting_identity(self, worked_mixed_game):
-        # Beliefs of weight 1+T are exactly (prior + action counts) / (1+T).
+        # Beliefs of weight 1+T are (prior + action counts) / (1+T), bit for bit.
         init = BeliefState.uniform(2, 2)
         traj = run_fp(worked_mixed_game, init, T=200)
         counts = np.zeros((2, 2))
         for k in range(2):
             counts[k] = np.bincount(traj.profiles[:, k], minlength=2)
-        np.testing.assert_allclose(
-            traj.final_state, (init.marginals + counts) / 201.0, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(traj.final_state, (init.marginals + counts) / 201.0)
 
     def test_tie_break_highest_changes_first_move(self, strong_interference_game):
         low = run_fp(strong_interference_game, T=3, tie_break="lowest")
@@ -668,6 +671,94 @@ class TestBatchEngine:
         assert batch.actions.dtype == np.int16
         assert batch.actions[0, 0, 0] == 129
         _assert_matches_oracle(batch, 0, wide[0], BeliefState.uniform(2, 130), 4, "lowest")
+
+    @pytest.mark.parametrize("n_channels", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_players", [1, 2, 3, 4, 5])
+    def test_every_shape(self, n_players, n_channels):
+        # For K > 2 the certified runs rest on a bound, not the exact margin.
+        rng = np.random.default_rng(1000 * n_players + n_channels)
+        games, inits = _batch_with_ties(rng, n_players, n_channels, n_games=4)
+        T = 150
+        for tie_break in ("lowest", "highest"):
+            batch = run_fp(games, inits, T=T, tie_break=tie_break, checkpoints=(7, T))
+            for i, (game, init) in enumerate(zip(games, inits)):
+                ref = _assert_matches_oracle(batch, i, game, init, T, tie_break)
+            traj = run_fp(game, init, T=T, tie_break=tie_break)
+            for name in ("profiles", "utilities", "potentials", "beliefs", "final_state"):
+                np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("n_players, n_channels", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+    def test_switches_after_certified_runs(self, n_players, n_channels):
+        # Near-symmetric gains keep play wandering: the game checked switches
+        # often, and every run before a switch must end right at it.
+        rng = np.random.default_rng(10 * n_players + n_channels)
+        games, inits = [], []
+        for _ in range(40):
+            gains = np.exp(rng.normal(0.0, 0.15, (n_players, n_channels)))
+            games.append(GameSpec.symmetric(gains, p_max=float(rng.choice([1.0, 10.0, 100.0]))))
+            inits.append(BeliefState(
+                step=1, marginals=rng.dirichlet(np.ones(n_channels), size=n_players)))
+        T = 1000
+        batch = run_fp(games, inits, T=T)
+        switches = np.any(batch.actions[1:] != batch.actions[:-1], axis=2).sum(axis=0)
+        i = int(np.argmax(switches * (batch.evaluations < T // 2)))
+        assert switches[i] >= 25 and batch.evaluations[i] < T // 2
+        _assert_matches_oracle(batch, i, games[i], inits[i], T, "lowest")
+
+    def test_all_ones_games_tie_exactly_at_step_three(self):
+        # From uniform beliefs both players tie, both take the same channel,
+        # both flee, and at step 3 every belief is (0.5 + 1) / 3 = 0.5 again.
+        game = GameSpec.symmetric(np.ones((2, 2)), p_max=10.0)
+        for tie_break, first in (("lowest", 0), ("highest", 1)):
+            traj = run_fp(game, T=3, tie_break=tie_break)
+            np.testing.assert_array_equal(traj.beliefs[2], np.full((2, 2), 0.5))
+            np.testing.assert_array_equal(traj.profiles, [[first] * 2, [1 - first] * 2,
+                                                          [first] * 2])
+            ref = oracle_run_fp(game, np.full((2, 2), 0.5), 3, tie_break)
+            np.testing.assert_array_equal(traj.profiles, ref.profiles)
+            np.testing.assert_array_equal(traj.beliefs, ref.beliefs)
+
+    def test_two_cycle_in_a_batch_of_settling_games(self, strong_interference_game):
+        # The cycle switches every step, so it is decided every step, while
+        # the settled games leave the stack early.
+        rng = np.random.default_rng(103)
+        games = [strong_interference_game] + [random_game(rng, 2, 2) for _ in range(5)]
+        init = BeliefState.from_xi([0.5, 0.5])
+        T = 400
+        for tie_break in ("lowest", "highest"):
+            batch = run_fp(games, init, T=T, tie_break=tie_break, checkpoints=(T // 2, T))
+            assert batch.evaluations[0] == T
+            assert np.all(batch.evaluations[1:] < T // 10)
+            for i, game in enumerate(games):
+                _assert_matches_oracle(batch, i, game, init, T, tie_break)
+            np.testing.assert_array_equal(batch.tail(9), batch.actions[-9:].swapaxes(0, 1))
+
+    def test_checkpoint_inside_a_run(self):
+        # Player 0 is far better off on channel 0, player 1 on channel 1.
+        game = GameSpec.symmetric([[10.0, 0.01], [0.01, 10.0]], p_max=1.0)
+        init = BeliefState.uniform(2, 2)
+        batch = run_fp([game], init, T=1000, checkpoints=(1, 2, 3, 500, 999, 1000))
+        assert batch.evaluations[0] <= 3
+        _assert_matches_oracle(batch, 0, game, init, 1000, "lowest")
+        np.testing.assert_array_equal(batch.frequencies[500][0], np.eye(2))
+
+    def test_engine_skips_constant_runs(self):
+        # A dominant profile is decided at most three times in 10**6 steps.
+        game = GameSpec.symmetric([[10.0, 0.01], [0.01, 10.0]], p_max=1.0)
+        T = 10**6
+        batch = run_fp([game], T=T, checkpoints=(T,))
+        assert batch.evaluations[0] <= 3
+        np.testing.assert_array_equal(batch.frequencies[T][0], np.eye(2))
+        np.testing.assert_array_equal(batch.final_marginals[0], (0.5 + T * np.eye(2)) / (T + 1))
+        # The committed 2x2 sweep settles in few lockstep passes.
+        config = load_config(CONFIGS / "montecarlo_2x2_snr20.yaml")
+        games = [trial_game(config, i) for i in range(config.generator.trials)]
+        batch = run_fp(games, T=config.dynamics.steps)
+        assert batch.evaluations.max() <= 200
+        # The paper's 2-cycle is decided at every step.
+        cycle = GameSpec.symmetric(np.ones((2, 2)), p_max=10.0)
+        batch = run_fp([cycle], BeliefState.from_xi([0.5, 0.5]), T=5000)
+        np.testing.assert_array_equal(batch.evaluations, [5000])
 
     def test_validation(self, unit_game):
         with pytest.raises(ValueError, match="at least one"):

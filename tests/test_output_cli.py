@@ -504,6 +504,25 @@ class TestCli:
         assert "overflows" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "equilibria", "regions"])
+    def test_generated_game_that_overflows_names_trial_and_seed(self, command, tmp_path,
+                                                                capsys):
+        # The same 3080 dB game as above, built outside the sweep: simulate and
+        # equilibria use trial 0, regions walks every trial.
+        path = tmp_path / "loud.yaml"
+        path.write_text(
+            "generator:\n  players: 2\n  channels: 2\n  snr_db: 3080\n"
+            "  fading: exponential\n  trials: 20\n"
+            "dynamics:\n  variant: classic\n  steps: 100\nseed: 7\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trial 0 (seed 7)" in captured.err
+        assert "overflows" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         # A three-player game has no 2x2 region classification.
         path = tmp_path / "three.yaml"
