@@ -5,145 +5,27 @@ each transmitter picks the single channel it sends on: exhaustive and
 closed-form equilibrium computation, fictitious play under full action
 observation and under aggregate-only feedback, cycle analysis, and a seeded
 Monte-Carlo harness.
+
+The package exports every public name of its modules, as each module's
+``__all__`` lists them.
 """
 
-from .game import (
-    GameSpec,
-    MAX_ENUM_PROFILES,
-    MAX_OPPONENT_PROFILES,
-    aggregate_message,
-    aggregated_utility,
-    check_profile,
-    expected_utility,
-    potential,
-    potential_table,
-    utility,
-    utility_table,
-)
-from .equilibrium import (
-    REGION_PROFILES,
-    EquilibriumReport,
-    analyze_game,
-    boundary_margin_2x2,
-    classify_region_2x2,
-    enumerate_pure_ne,
-    mixed_ne_2x2,
-    region_ne_profiles,
-    require_symmetric_2x2,
-)
-from .dynamics import (
-    TIE_BREAKS,
-    BatchFPResult,
-    BeliefState,
-    CycleReport,
-    QState,
-    Trajectory,
-    belief_update,
-    cycle_persistence_2x2,
-    detect_cycle,
-    empirical_frequencies,
-    fp_best_response,
-    q_from_beliefs,
-    run_aggregation_fp,
-    run_fp,
-    run_fp_batch_2x2,
-)
-from .config import (
-    ConfigError,
-    DynamicsSpec,
-    ExperimentConfig,
-    GeneratorSpec,
-    OutputSpec,
-    load_config,
-    parse_config,
-)
-from .montecarlo import (
-    CONVERGENCE_TV,
-    CYCLE_WINDOW,
-    OUTCOMES,
-    SCHEMA_VERSION,
-    MonteCarloSummary,
-    generate_game,
-    run_experiment,
-    run_trial,
-    sample_gains,
-    simulate_trajectory,
-    snr_db_to_power,
-    trial_game,
-    trial_rng,
-)
-from .output import (
-    emit_plot_data,
-    read_trajectory_csv,
-    write_summary_json,
-    write_trajectory_csv,
-    write_trajectory_json,
-    write_trial_records,
-)
+from . import config, dynamics, equilibrium, game, montecarlo, output
+from .game import *  # noqa: F401,F403
+from .equilibrium import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .output import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GameSpec",
-    "MAX_ENUM_PROFILES",
-    "MAX_OPPONENT_PROFILES",
-    "aggregate_message",
-    "aggregated_utility",
-    "check_profile",
-    "expected_utility",
-    "potential",
-    "potential_table",
-    "utility",
-    "utility_table",
-    "REGION_PROFILES",
-    "EquilibriumReport",
-    "analyze_game",
-    "boundary_margin_2x2",
-    "classify_region_2x2",
-    "enumerate_pure_ne",
-    "mixed_ne_2x2",
-    "region_ne_profiles",
-    "require_symmetric_2x2",
-    "TIE_BREAKS",
-    "BatchFPResult",
-    "BeliefState",
-    "CycleReport",
-    "QState",
-    "Trajectory",
-    "belief_update",
-    "cycle_persistence_2x2",
-    "detect_cycle",
-    "empirical_frequencies",
-    "fp_best_response",
-    "q_from_beliefs",
-    "run_aggregation_fp",
-    "run_fp",
-    "run_fp_batch_2x2",
-    "ConfigError",
-    "DynamicsSpec",
-    "ExperimentConfig",
-    "GeneratorSpec",
-    "OutputSpec",
-    "load_config",
-    "parse_config",
-    "CONVERGENCE_TV",
-    "CYCLE_WINDOW",
-    "OUTCOMES",
-    "SCHEMA_VERSION",
-    "MonteCarloSummary",
-    "generate_game",
-    "run_experiment",
-    "run_trial",
-    "sample_gains",
-    "simulate_trajectory",
-    "snr_db_to_power",
-    "trial_game",
-    "trial_rng",
-    "emit_plot_data",
-    "read_trajectory_csv",
-    "write_summary_json",
-    "write_trajectory_csv",
-    "write_trajectory_json",
-    "write_trial_records",
+    *game.__all__,
+    *equilibrium.__all__,
+    *dynamics.__all__,
+    *config.__all__,
+    *montecarlo.__all__,
+    *output.__all__,
     "__version__",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .game import (
     GameSpec,
-    MAX_OPPONENT_PROFILES,
+    _guard_opponent_profiles,
     aggregate_message,
     potential,
     potential_table,
@@ -75,12 +75,17 @@ def _action_dtype(n_channels: int) -> np.dtype:
     return np.min_scalar_type(-n_channels)
 
 
-def _argmax_tie(values: np.ndarray, tie_break: str) -> int:
+def _chooser(tie_break: str, T: int = 1):
+    """Tie-broken argmax over the last axis, for a run of ``T`` steps, as
+    ``(pick, channel)``: ``pick(values)`` is the first maximum in tie-break
+    order and ``channel(first, n_channels)`` maps it to a channel, so a
+    per-profile cache can key on ``pick``. Rejects a bad ``T`` or tie-break."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
     if tie_break == "lowest":
-        return int(np.argmax(values))
+        return (lambda values: values.argmax(axis=-1)), (lambda first, n: first)
     if tie_break == "highest":
-        values = np.asarray(values)
-        return int(values.size - 1 - np.argmax(values[::-1]))
+        return (lambda values: values[..., ::-1].argmax(axis=-1)), (lambda first, n: n - 1 - first)
     raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
 
 
@@ -226,18 +231,26 @@ def belief_update(frequencies, observed_channel: int, t: int) -> np.ndarray:
     return f + (1.0 / (int(t) + 1)) * (indicator - f)
 
 
+def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
+    """Per player of tables shaped (G, K) + (S,)*K: its payoffs with its own
+    channel axis first, as strided views (contiguous copies would switch
+    ``einsum`` to a kernel that sums in another order), and its opponents,
+    last player first, in the order they are contracted."""
+    n_players = tables.shape[1]
+    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
+    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
+    return own_first, opponents
+
+
 def _expectation(tables: np.ndarray):
     """Expected-payoff map for a stack of utility tables, shape (G, K) + (S,)*K.
 
     Returns ``expected(f)``: for marginals ``f`` of shape (G, K, S), the
     (G, K, S) expected utility of every own channel under the product of the
-    opponents' frequency vectors. Opponents are contracted one ``einsum`` at
-    a time, last player first, on strided views of the tables: contiguous
-    copies would switch numpy to a kernel that sums in another order.
+    opponents' frequency vectors, contracted one ``einsum`` per opponent in
+    the order of :func:`_layout`.
     """
-    n_players = tables.shape[1]
-    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
-    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
+    own_first, opponents = _layout(tables)
 
     def expected(f: np.ndarray) -> np.ndarray:
         out = np.empty(f.shape)
@@ -253,21 +266,23 @@ def _expectation(tables: np.ndarray):
     return expected
 
 
-def fp_best_response(
-    game: GameSpec, player: int, beliefs: BeliefState, tie_break: str = "lowest"
-) -> int:
-    """Channel maximizing expected utility under product-of-marginals beliefs."""
+def _expected_payoffs(game: GameSpec, beliefs: BeliefState) -> np.ndarray:
+    """(K, S) expected utility of every player's every channel under
+    product-of-marginals ``beliefs``, which must match the game's shape."""
     if beliefs.marginals.shape != (game.K, game.S):
         raise ValueError(
             f"beliefs have shape {beliefs.marginals.shape}, game needs {(game.K, game.S)}"
         )
-    if game.S ** (game.K - 1) > MAX_OPPONENT_PROFILES:
-        raise ValueError(
-            f"S**(K-1) = {game.S ** (game.K - 1)} opponent profiles exceeds the "
-            f"enumeration guard of {MAX_OPPONENT_PROFILES}"
-        )
-    expected = _expectation(utility_table(game)[None])(beliefs.marginals[None])
-    return _argmax_tie(expected[0, player], tie_break)
+    return _expectation(utility_table(game)[None])(beliefs.marginals[None])[0]
+
+
+def fp_best_response(
+    game: GameSpec, player: int, beliefs: BeliefState, tie_break: str = "lowest"
+) -> int:
+    """Channel maximizing expected utility under product-of-marginals beliefs."""
+    pick, channel = _chooser(tie_break)
+    _guard_opponent_profiles(game)
+    return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
 
 
 class _SwitchLog:
@@ -401,8 +416,7 @@ def _certified_run(tables: np.ndarray):
     flat = tables.reshape(n_games, -1)
     slack = (16 * n_players * n_channels ** (n_players - 1) * np.finfo(float).eps
              * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
-    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
-    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
+    own_first, opponents = _layout(tables)
     ways = np.array([math.comb(n_players - 1, m) for m in range(n_players)])[:, None, None, None]
     games = np.arange(n_games)
 
@@ -470,10 +484,7 @@ def run_fp(
     one shared :class:`BeliefState` or one per game; all must carry the
     same step.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
+    pick, channel = _chooser(tie_break, T)
     single = isinstance(game, GameSpec)
     games = [game] if single else list(game)
     if not games:
@@ -528,10 +539,7 @@ def run_fp(
         f = stack_prior + counts
         f /= scale
         values = expected(f)
-        if tie_break == "lowest":
-            a = values.argmax(axis=2)
-        else:
-            a = n_channels - 1 - values[:, :, ::-1].argmax(axis=2)
+        a = channel(pick(values), n_channels)
         code = a.dot(place)
         held = code == current
         if np.count_nonzero(held):
@@ -608,8 +616,7 @@ def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
     Use this to start :func:`run_aggregation_fp` in lockstep with
     :func:`run_fp` from the same initial state.
     """
-    q = _expectation(utility_table(game)[None])(beliefs.marginals[None])[0]
-    return QState(step=beliefs.step, q=q)
+    return QState(step=beliefs.step, q=_expected_payoffs(game, beliefs))
 
 
 def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
@@ -656,14 +663,10 @@ def run_aggregation_fp(
     visits, at the first step that reaches it. Each step only takes the
     argmax of the scores and folds in that profile's values.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
+    pick, channel = _chooser(tie_break, T)
     state = init_q if init_q is not None else QState.zeros(game.K, game.S)
     if state.q.shape != (game.K, game.S):
         raise ValueError(f"q has shape {state.q.shape}, game needs {(game.K, game.S)}")
-    lowest = tie_break == "lowest"
     # q[t] is the decision-time state of step t; q[T] is the final state.
     q = np.empty((T + 1, game.K, game.S))
     q[0] = state.q
@@ -672,15 +675,15 @@ def run_aggregation_fp(
     rates = (1.0 / np.arange(state.step + 1, state.step + T + 1))[:, None, None]
     # Per distinct profile, in order of first visit: its channel values and
     # its (profile, gamma, utilities, potential) record.
-    seen: dict[bytes, int] = {}  # argmax bytes -> index of the profile
+    seen: dict[bytes, int] = {}  # pick bytes -> index of the profile
     values, records = [], []
     visits = np.empty(T, dtype=np.int64)  # index of each step's profile
     for t, (cur, nxt, rate) in enumerate(zip(q[:-1], q[1:], rates)):
-        first = cur.argmax(axis=1) if lowest else cur[:, ::-1].argmax(axis=1)
+        first = pick(cur)
         key = first.tobytes()
         i = seen.get(key)
         if i is None:
-            actions = first if lowest else game.S - 1 - first
+            actions = channel(first, game.S)
             i = seen[key] = len(values)
             value, *record = _aggregate_feedback(game, actions)
             values.append(value)

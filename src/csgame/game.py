@@ -245,6 +245,18 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
     return float(game.weights[own_channel] * np.log2(1.0 + own / denom))
 
 
+def _guard_opponent_profiles(game: GameSpec) -> int:
+    """S**(K-1), the number of profiles of one player's opponents; raises
+    above :data:`MAX_OPPONENT_PROFILES`."""
+    n_profiles = game.S ** (game.K - 1)
+    if n_profiles > MAX_OPPONENT_PROFILES:
+        raise ValueError(
+            f"S**(K-1) = {n_profiles} opponent profiles exceeds the "
+            f"enumeration guard of {MAX_OPPONENT_PROFILES}"
+        )
+    return n_profiles
+
+
 def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dist) -> float:
     """Exact expected utility of a channel against a joint opponent distribution.
 
@@ -257,12 +269,7 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
     player = _check_player(game, player)
     if not 0 <= own_channel < game.S:
         raise ValueError(f"channel indices must lie in [0, {game.S})")
-    n_profiles = game.S ** (game.K - 1)
-    if n_profiles > MAX_OPPONENT_PROFILES:
-        raise ValueError(
-            f"S**(K-1) = {n_profiles} opponent profiles exceeds the "
-            f"enumeration guard of {MAX_OPPONENT_PROFILES}"
-        )
+    n_profiles = _guard_opponent_profiles(game)
     shape = (game.S,) * (game.K - 1)
     dist = np.asarray(opponent_dist, dtype=float)
     try:
@@ -300,6 +307,20 @@ def _guard_full_enumeration(game: GameSpec) -> tuple[int, int]:
     return game.K, game.S
 
 
+def _channel_load(game: GameSpec, s: int, players) -> np.ndarray:
+    """Noise plus the received power of whichever of ``players`` sit on
+    channel ``s``, at every profile of theirs (axis i holds the i-th listed
+    player's channel). Powers are added in the listed order, which callers
+    keep ascending, so the table entries keep their bits."""
+    n_channels = game.S
+    load = np.full((n_channels,) * len(players), float(game.noise[s]))
+    for pos, j in enumerate(players):
+        contrib = np.zeros(n_channels)
+        contrib[s] = game.received_power[j, s]
+        load = load + contrib.reshape([n_channels if q == pos else 1 for q in range(len(players))])
+    return load
+
+
 def utility_table(game: GameSpec) -> np.ndarray:
     """Utilities of every player at every pure profile.
 
@@ -311,16 +332,9 @@ def utility_table(game: GameSpec) -> np.ndarray:
     weights = game.weights
     table = np.empty((n_players,) + (n_channels,) * n_players)
     for k in range(n_players):
-        opp_axes = [j for j in range(n_players) if j != k]
-        reduced = (n_channels,) * (n_players - 1)
+        opponents = [j for j in range(n_players) if j != k]
         for s in range(n_channels):
-            denom = np.full(reduced, float(game.noise[s]))
-            for pos, j in enumerate(opp_axes):
-                contrib = np.zeros(n_channels)
-                contrib[s] = received[j, s]
-                denom = denom + contrib.reshape(
-                    [n_channels if q == pos else 1 for q in range(n_players - 1)]
-                )
+            denom = _channel_load(game, s, opponents)
             idx: list = [slice(None)] * n_players
             idx[k] = s
             table[k][tuple(idx)] = weights[s] * np.log2(1.0 + received[k, s] / denom)
@@ -330,15 +344,7 @@ def utility_table(game: GameSpec) -> np.ndarray:
 def potential_table(game: GameSpec) -> np.ndarray:
     """Exact potential at every pure profile, shape (S,)*K."""
     n_players, n_channels = _guard_full_enumeration(game)
-    received = game.received_power
     out = np.zeros((n_channels,) * n_players)
     for s in range(n_channels):
-        agg = np.full((n_channels,) * n_players, float(game.noise[s]))
-        for k in range(n_players):
-            contrib = np.zeros(n_channels)
-            contrib[s] = received[k, s]
-            agg = agg + contrib.reshape(
-                [n_channels if q == k else 1 for q in range(n_players)]
-            )
-        out += game.weights[s] * np.log2(agg)
+        out += game.weights[s] * np.log2(_channel_load(game, s, range(n_players)))
     return out

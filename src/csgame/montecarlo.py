@@ -2,12 +2,13 @@
 
 Trials are fully independent: trial i draws from a generator seeded with
 ``SeedSequence([seed, i])``, so records do not depend on execution order and
-the whole sweep is reproducible bit for bit. Classic-variant sweeps of any
-shape run as lockstep batches of :func:`~csgame.dynamics.run_fp`, chunked to
-stay within a memory budget; a single classic trial is a batch of one, so
-its record is bit-for-bit the one a sweep writes. A classic record reads only
-its game's trailing window of profiles and the batch's own payoff table.
-Aggregation-variant trials run one game at a time.
+the whole sweep is reproducible bit for bit. Sweeps of either learning rule
+go through one driver: the trials are cut into chunks that stay within a
+memory budget, and one record builder turns each chunk into records. It runs
+a classic chunk as one lockstep batch of :func:`~csgame.dynamics.run_fp` and
+an aggregation chunk one game at a time; a single trial is a chunk of one,
+so its record is bit-for-bit the one a sweep writes. A record reads only its
+game's trailing window of profiles and the game's payoff table.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ from .game import GameSpec, expected_utility, utility_table
 
 __all__ = [
     "SCHEMA_VERSION",
+    "CYCLE_WINDOW",
+    "CONVERGENCE_TV",
+    "OUTCOMES",
     "trial_rng",
     "sample_gains",
     "snr_db_to_power",
     "generate_game",
     "trial_game",
     "MonteCarloSummary",
+    "simulate_trajectory",
     "run_trial",
     "run_experiment",
 ]
@@ -48,9 +53,11 @@ CYCLE_WINDOW = 64
 # Total-variation radius within which a frequency profile counts as "at" an
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
-# Cap on the bytes one classic batch holds: per game, K * S**K float64 table
-# entries plus K * T actions, the size of its per-step actions when they are
-# rendered. The batch itself keeps a few bytes per profile switch.
+# Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
+# table entries plus K * T channel indices. Sweeps never render per-step
+# actions (a record reads a CYCLE_WINDOW-step tail), so the second term
+# stands for the classic switch log when games switch every step: one entry
+# of a few bytes per game and step.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -207,37 +214,38 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
     )
 
 
-def _classic_records(first_trial: int, games: list[GameSpec],
-                     dynamics: DynamicsSpec) -> list[dict]:
-    """Records of consecutive classic trials, simulated as one lockstep batch."""
+def _aggregation_run(game: GameSpec, dynamics: DynamicsSpec, window: int) -> tuple:
+    """What an aggregation record reads of one run: frequencies, mean
+    payoffs, the last ``window`` profiles and the game's utility table."""
+    traj = simulate_trajectory(game, dynamics)
+    return (empirical_frequencies(traj), traj.utilities.mean(axis=0),
+            traj.profiles[traj.T - window:], utility_table(game))
+
+
+def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> list[dict]:
+    """Records of consecutive trials. Classic trials are simulated as one
+    lockstep batch; aggregation trials one game at a time, each after its
+    game's analysis, so only one trajectory is held at a time."""
     T = dynamics.steps
-    result = run_fp(
-        games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
-        tie_break=dynamics.tie_break, checkpoints=(T,),
-    )
-    tails = result.tail(min(CYCLE_WINDOW, T)).astype(np.int64)
-    return [
-        _record_from_parts(
-            first_trial + i, game, analyze_game(game), dynamics,
-            result.frequencies[T][i], result.utility_sums[i] / T, tails[i], result.tables[i],
+    window = min(CYCLE_WINDOW, T)
+    if dynamics.variant == "classic":
+        result = run_fp(
+            games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
+            tie_break=dynamics.tie_break, checkpoints=(T,),
         )
+        runs = zip(result.frequencies[T], result.utility_sums / T,
+                   result.tail(window).astype(np.int64), result.tables)
+    else:
+        runs = (_aggregation_run(game, dynamics, window) for game in games)
+    return [
+        _record_from_parts(first_trial + i, game, analyze_game(game), dynamics, *next(runs))
         for i, game in enumerate(games)
     ]
 
 
 def run_trial(trial: int, game: GameSpec, dynamics: DynamicsSpec) -> dict:
     """Full single-trial record: equilibrium analysis plus one dynamics run."""
-    if dynamics.variant == "classic":
-        return _classic_records(trial, [game], dynamics)[0]
-    report = analyze_game(game)
-    traj = simulate_trajectory(game, dynamics)
-    freq = empirical_frequencies(traj)
-    window = min(CYCLE_WINDOW, traj.T)
-    tail = traj.profiles[traj.T - window:]
-    return _record_from_parts(
-        trial, game, report, dynamics, freq, traj.utilities.mean(axis=0), tail,
-        utility_table(game),
-    )
+    return _records(trial, [game], dynamics)[0]
 
 
 def trial_game(config: ExperimentConfig, index: int) -> GameSpec:
@@ -295,8 +303,8 @@ def _summarize(records: list[dict]) -> MonteCarloSummary:
 
 
 def _batch_size(game: GameSpec, steps: int) -> int:
-    """Games of ``game``'s shape that one classic batch of ``steps`` steps
-    may hold within :data:`_BATCH_BYTE_BUDGET` (at least one)."""
+    """Games of ``game``'s shape that one chunk of ``steps`` steps may hold
+    within :data:`_BATCH_BYTE_BUDGET` (at least one)."""
     table_bytes = 8 * game.K * game.S**game.K
     action_bytes = game.K * steps * _action_dtype(game.S).itemsize
     return max(1, _BATCH_BYTE_BUDGET // (table_bytes + action_bytes))
@@ -312,14 +320,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[di
     """
     games = _trial_games(config)
     dynamics = config.dynamics
-    if dynamics.variant == "classic":
-        # Generated games share one shape; an empty sweep makes no engine call.
-        chunk = _batch_size(games[0], dynamics.steps) if games else 1
-        records = [
-            record
-            for start in range(0, len(games), chunk)
-            for record in _classic_records(start, games[start:start + chunk], dynamics)
-        ]
-    else:
-        records = [run_trial(i, game, dynamics) for i, game in enumerate(games)]
+    # Generated games share one shape; an empty sweep makes no engine call.
+    chunk = _batch_size(games[0], dynamics.steps) if games else 1
+    records = [
+        record
+        for start in range(0, len(games), chunk)
+        for record in _records(start, games[start:start + chunk], dynamics)
+    ]
     return _summarize(records), records

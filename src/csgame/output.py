@@ -27,8 +27,8 @@ from .dynamics import Trajectory
 from .montecarlo import SCHEMA_VERSION, MonteCarloSummary
 
 __all__ = [
-    "fmt_float", "dumps_json", "write_json", "write_trajectory_csv", "read_trajectory_csv",
-    "write_trajectory_json", "write_summary_json", "write_trial_records", "emit_plot_data",
+    "write_trajectory_csv", "read_trajectory_csv", "write_trajectory_json",
+    "write_summary_json", "write_trial_records", "emit_plot_data",
 ]
 
 # Steps rendered at once, which bounds the writers' memory whatever T is.

@@ -355,6 +355,63 @@ class TestAggregationFP:
                     )
 
 
+class TestSharedChecks:
+    """One tie-break chooser and one validated expectation serve both
+    engines and the best response, so each rejects bad input alike."""
+
+    def test_unknown_tie_break_has_one_message(self, unit_game):
+        messages = set()
+        for call in (
+            lambda: run_fp(unit_game, T=1, tie_break="random"),
+            lambda: run_aggregation_fp(unit_game, T=1, tie_break="random"),
+            lambda: fp_best_response(unit_game, 0, BeliefState.uniform(2, 2), "random"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"unknown tie_break 'random', expected one of ('lowest', 'highest')"}
+
+    def test_horizon_below_one_has_one_message(self, unit_game):
+        for engine in (run_fp, run_aggregation_fp):
+            with pytest.raises(ValueError) as info:
+                engine(unit_game, T=0)
+            assert str(info.value) == "T must be >= 1"
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
+    def test_beliefs_that_do_not_fit_the_game(self, unit_game, shape):
+        # q_from_beliefs once returned a state with rows of uninitialised
+        # memory for beliefs with more players than the game.
+        beliefs = BeliefState.uniform(*shape)
+        message = rf"beliefs have shape \({shape[0]}, {shape[1]}\), game needs \(2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            q_from_beliefs(unit_game, beliefs)
+        with pytest.raises(ValueError, match=message):
+            fp_best_response(unit_game, 0, beliefs)
+
+    def test_opponent_profile_guard(self):
+        # 2**20 opponent profiles: past the guard, though the 2**21-profile
+        # table is within its own.
+        game = GameSpec.symmetric([[1.0, 1.0]] * 21, p_max=1.0)
+        with pytest.raises(ValueError) as info:
+            expected_utility(game, 0, 0, np.full(2**20, 2.0**-20))
+        assert "S**(K-1) = 1048576 opponent profiles exceeds the enumeration guard" in str(
+            info.value)
+        with pytest.raises(ValueError) as other:
+            fp_best_response(game, 0, BeliefState.uniform(21, 2))
+        assert str(other.value) == str(info.value)
+
+    def test_q_from_beliefs_is_not_held_to_the_opponent_guard(self, monkeypatch):
+        # The guard bounds one player's opponent enumeration; q_from_beliefs
+        # contracts the utility table, which has its own bound.
+        game = GameSpec.symmetric([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]], p_max=1.0)
+        beliefs = BeliefState.uniform(3, 2)
+        before = q_from_beliefs(game, beliefs).q
+        monkeypatch.setattr("csgame.game.MAX_OPPONENT_PROFILES", 3)
+        with pytest.raises(ValueError, match="S\\*\\*\\(K-1\\) = 4 opponent profiles"):
+            fp_best_response(game, 0, beliefs)
+        np.testing.assert_array_equal(q_from_beliefs(game, beliefs).q, before)
+
+
 def _assert_aggregation_matches_oracle(game, init, T, tie_break):
     traj = run_aggregation_fp(game, init, T=T, tie_break=tie_break)
     ref = oracle_run_aggregation_fp(game, init.q, T, tie_break, step=init.step)

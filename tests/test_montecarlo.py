@@ -159,6 +159,26 @@ class TestRunExperiment:
         assert run_experiment(config)[1] == chunked
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
+    def test_aggregation_sweep_in_chunks_matches_single_trials(self, monkeypatch, tie_break):
+        # Aggregation sweeps go through the same chunked driver as classic
+        # ones: cut into chunks of 3, 3 and 1 games, their records still
+        # equal single trials, trial indices included.
+        config = parse_config({
+            "generator": {"players": 3, "channels": 2, "snr_db": 10.0, "trials": 7},
+            "dynamics": {"variant": "aggregation", "steps": 150, "tie_break": tie_break},
+            "seed": 12,
+        })
+        games = _trial_games(config)
+        _, whole = run_experiment(config)
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 150))
+        assert montecarlo._batch_size(games[0], 150) == 3
+        _, records = run_experiment(config)
+        assert records == whole
+        assert [r["trial"] for r in records] == list(range(7))
+        for i, game in enumerate(games):
+            assert records[i] == run_trial(i, game, config.dynamics)
+
     def test_committed_sweeps_run_as_one_batch(self):
         # The 1000-trial 2x2 config and the 3x3 generator sweep each fit the
         # byte budget whole, while a 7x3 sweep of 1000 short trials does not.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ dynamics:
   steps: 300
 seed: 17
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Every committed config, with the subcommand its header and the README run
+# it with and the files that run writes.
+COMMITTED_CONFIGS = {
+    "aggregation_demo.yaml": ("simulate", ["run_summary.json", "trajectory.json"]),
+    "generator_2x2_snr10.yaml": ("regions", ["regions.csv", "regions.json"]),
+    "mixed_worked_example.yaml": ("equilibria", ["equilibria.json"]),
+    "montecarlo_2x2_snr20.yaml": ("montecarlo", ["summary.json", "trials"]),
+    "symmetric_cycle.yaml": ("simulate", ["run_summary.json", "trajectory.csv"]),
+    "unique_ne.yaml": ("simulate", ["run_summary.json", "trajectory.csv"]),
+}
 
 
 def _empty_trajectory() -> Trajectory:
@@ -539,3 +554,15 @@ class TestCli:
         )
         assert main(["regions", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_committed_config(self, name, tmp_path, capsys):
+        command, files = COMMITTED_CONFIGS[name]
+        argv = [command, str(CONFIGS / name), "--steps", "20", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        stdout = json.loads(capsys.readouterr().out)
+        if command == "montecarlo":
+            assert len(list((tmp_path / "trials").iterdir())) == stdout["trials"] == 1000
+        if command == "simulate":
+            assert stdout["steps"] == 20
