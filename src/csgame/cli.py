@@ -16,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import detect_cycle, empirical_frequencies
+from .config import FORMATS, VARIANTS, ConfigError, ExperimentConfig, load_config
+from .dynamics import TIE_BREAKS, detect_cycle, empirical_frequencies
 from .equilibrium import analyze_game, classify_region_2x2
 from .montecarlo import (
     CYCLE_WINDOW,
@@ -144,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--steps", type=int, default=None, help="override dynamics steps")
-        p.add_argument("--variant", choices=("classic", "aggregation"), default=None,
+        p.add_argument("--variant", choices=VARIANTS, default=None,
                        help="override learning variant")
-        p.add_argument("--tie-break", choices=("lowest", "highest"), default=None,
+        p.add_argument("--tie-break", choices=TIE_BREAKS, default=None,
                        help="override argmax tie-break policy")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=FORMATS, default=None,
                        help="override trajectory file format")
     return parser
 

@@ -23,11 +23,20 @@ instance) or ``generator`` (random sampling recipe) must be present::
     outputs:
       directory: out
       format: csv             # csv | json
+
+Each section is its dataclass: ``game`` is :class:`~csgame.game.GameSpec`,
+``generator`` :class:`GeneratorSpec`, ``dynamics`` :class:`DynamicsSpec`,
+``outputs`` :class:`OutputSpec`, and the top level :class:`ExperimentConfig`.
+A section's keys are its dataclass's fields, a missing key takes the field's
+default, and each value is checked once, by the dataclass, so any value it
+rejects is a :class:`ConfigError` naming the section or field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,7 @@ __all__ = [
     "DynamicsSpec",
     "OutputSpec",
     "ExperimentConfig",
+    "snr_db_to_power",
     "parse_config",
     "load_config",
 ]
@@ -55,6 +65,25 @@ class ConfigError(ValueError):
     """A configuration file failed validation."""
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """The integer rule: an int (not a bool, float or string) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name}: must be >= {minimum}")
+
+
+def _require_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """The choice rule: one of the names in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{name}: unknown value {value!r}, expected one of {choices}")
+
+
+def snr_db_to_power(snr_db: float) -> float:
+    """Power budget that hits the target SNR over unit noise."""
+    return float(10.0 ** (snr_db / 10.0))
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     players: int = 2
@@ -64,24 +93,43 @@ class GeneratorSpec:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        if self.players < 1:
-            raise ConfigError("generator.players: must be >= 1")
-        if self.channels < 1:
-            raise ConfigError("generator.channels: must be >= 1")
-        if not np.isfinite(self.snr_db):
-            raise ConfigError("generator.snr_db: must be finite")
+        _require_int("generator.players", self.players, 1)
+        _require_int("generator.channels", self.channels, 1)
+        if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
+            raise ConfigError(f"generator.snr_db: must be a number, got {self.snr_db!r}")
         try:
-            10.0 ** (self.snr_db / 10.0)
+            power = snr_db_to_power(self.snr_db)
         except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
             raise ConfigError(
-                f"generator.snr_db: {self.snr_db} dB overflows the power budget 10**(snr_db/10)"
-            ) from None
-        if self.fading not in FADING_LAWS:
-            raise ConfigError(
-                f"generator.fading: unknown law {self.fading!r}, expected one of {FADING_LAWS}"
+                f"generator.snr_db: {self.snr_db} dB overflows or underflows the power "
+                "budget 10**(snr_db/10), which must be positive and finite"
             )
-        if self.trials < 0:
-            raise ConfigError("generator.trials: must be >= 0")
+        _require_choice("generator.fading", self.fading, FADING_LAWS)
+        _require_int("generator.trials", self.trials, 0)
+
+
+def _initial_beliefs(spec):
+    """Configured initial beliefs in their stored form: "uniform", ("xi",
+    floats) or an explicit float array."""
+    if isinstance(spec, str) and spec == "uniform":
+        return spec
+    if isinstance(spec, dict):
+        if set(spec) != {"xi"}:
+            raise ConfigError("dynamics.initial_beliefs: the mapping form is {xi: [..]}")
+        spec = ("xi", spec["xi"])
+    try:
+        if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "xi":
+            return ("xi", tuple(float(x) for x in spec[1]))
+        if isinstance(spec, (list, tuple, np.ndarray)):
+            return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"dynamics.initial_beliefs: {exc}") from exc
+    raise ConfigError(
+        "dynamics.initial_beliefs: expected 'uniform', an {xi: [..]} mapping "
+        "or explicit per-player rows"
+    )
 
 
 @dataclass(frozen=True)
@@ -92,25 +140,18 @@ class DynamicsSpec:
     initial_beliefs: object = "uniform"  # "uniform" | ("xi", tuple) | explicit array
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"dynamics.variant: unknown variant {self.variant!r}, expected one of {VARIANTS}"
-            )
-        if self.steps < 1:
-            raise ConfigError("dynamics.steps: must be >= 1")
-        if self.tie_break not in TIE_BREAKS:
-            raise ConfigError(
-                f"dynamics.tie_break: unknown policy {self.tie_break!r}, "
-                f"expected one of {TIE_BREAKS}"
-            )
+        _require_choice("dynamics.variant", self.variant, VARIANTS)
+        _require_int("dynamics.steps", self.steps, 1)
+        _require_choice("dynamics.tie_break", self.tie_break, TIE_BREAKS)
+        object.__setattr__(self, "initial_beliefs", _initial_beliefs(self.initial_beliefs))
 
     def initial_beliefs_for(self, game: GameSpec) -> BeliefState:
         """Materialize the configured initial beliefs for a concrete game."""
         spec = self.initial_beliefs
         try:
-            if isinstance(spec, str) and spec == "uniform":
+            if isinstance(spec, str):
                 return BeliefState.uniform(game.K, game.S)
-            if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "xi":
+            if isinstance(spec, tuple):
                 if game.S != 2:
                     raise ConfigError(
                         "dynamics.initial_beliefs: xi parameterization needs 2 channels"
@@ -121,16 +162,15 @@ class DynamicsSpec:
                         f"dynamics.initial_beliefs: xi needs one entry per player (K={game.K})"
                     )
                 return BeliefState.from_xi(xi)
-            marginals = np.asarray(spec, dtype=float)
-            if marginals.shape != (game.K, game.S):
+            if spec.shape != (game.K, game.S):
                 raise ConfigError(
                     "dynamics.initial_beliefs: explicit beliefs need shape "
-                    f"(K, S) = {(game.K, game.S)}, got {marginals.shape}"
+                    f"(K, S) = {(game.K, game.S)}, got {spec.shape}"
                 )
-            return BeliefState(step=1, marginals=marginals)
+            return BeliefState(step=1, marginals=spec)
+        except ConfigError:
+            raise
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"dynamics.initial_beliefs: {exc}") from exc
 
 
@@ -140,27 +180,26 @@ class OutputSpec:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ConfigError(
-                f"outputs.format: unknown format {self.format!r}, expected one of {FORMATS}"
-            )
+        object.__setattr__(self, "directory", str(self.directory))
+        _require_choice("outputs.format", self.format, FORMATS)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    game: GameSpec | None
-    generator: GeneratorSpec | None
-    dynamics: DynamicsSpec
-    seed: int
-    outputs: OutputSpec
+    game: GameSpec | None = None
+    generator: GeneratorSpec | None = None
+    dynamics: DynamicsSpec = DynamicsSpec()
+    seed: int | None = None  # mandatory in generator mode, 0 for an inline game
+    outputs: OutputSpec = OutputSpec()
 
     def __post_init__(self) -> None:
         if (self.game is None) == (self.generator is None):
             raise ConfigError("exactly one of 'game' or 'generator' must be present")
-        if self.generator is not None and self.seed is None:
-            raise ConfigError("seed: mandatory in generator mode")
-        if self.seed is not None and (int(self.seed) != self.seed or int(self.seed) < 0):
-            raise ConfigError("seed: must be a non-negative integer")
+        if self.seed is None:
+            if self.generator is not None:
+                raise ConfigError("seed: mandatory in generator mode")
+            object.__setattr__(self, "seed", 0)
+        _require_int("seed", self.seed, 0)
 
     @property
     def trials(self) -> int:
@@ -175,112 +214,48 @@ class ExperimentConfig:
         out: str | None = None,
         fmt: str | None = None,
     ) -> "ExperimentConfig":
-        """Apply command-line overrides, re-validating as we go."""
-        dyn = self.dynamics
-        if steps is not None or variant is not None or tie_break is not None:
-            dyn = replace(
-                dyn,
-                steps=dyn.steps if steps is None else steps,
-                variant=dyn.variant if variant is None else variant,
-                tie_break=dyn.tie_break if tie_break is None else tie_break,
-            )
-        outputs = self.outputs
-        if out is not None or fmt is not None:
-            outputs = replace(
-                outputs,
-                directory=outputs.directory if out is None else out,
-                format=outputs.format if fmt is None else fmt,
-            )
-        return ExperimentConfig(
-            game=self.game,
-            generator=self.generator,
-            dynamics=dyn,
-            seed=self.seed if seed is None else seed,
-            outputs=outputs,
+        """Apply command-line overrides; None leaves a field as it is, and
+        the dataclasses check the new values."""
+        def given(**values):
+            return {name: value for name, value in values.items() if value is not None}
+
+        return replace(
+            self,
+            dynamics=replace(self.dynamics, **given(steps=steps, variant=variant,
+                                                    tie_break=tie_break)),
+            outputs=replace(self.outputs, **given(directory=out, format=fmt)),
+            **given(seed=seed),
         )
 
 
-def _require_mapping(data, context: str) -> dict:
+def _build(cls, data, section: str, sections: dict | None = None):
+    """``cls`` built from the mapping ``data`` of config ``section``. Its keys
+    are the dataclass's fields, and a missing one takes the field's default;
+    a key named in ``sections`` is a section of its own, built from its class
+    first. A value the constructor rejects is a ConfigError naming the
+    section."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(data).__name__}")
-    return data
-
-
-def _reject_unknown(data: dict, known: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(data) - set(known))
+        raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)}, key=str)
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
+        raise ConfigError(f"{section}: unknown keys {unknown}")
+    sections = sections or {}
+    values = {key: _build(sections[key], value, key) if key in sections else value
+              for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed YAML mapping into an :class:`ExperimentConfig`."""
-    data = _require_mapping(data, "config")
-    _reject_unknown(data, ("game", "generator", "dynamics", "seed", "outputs"), "config")
-
-    game = None
-    if "game" in data:
-        section = _require_mapping(data["game"], "game")
-        _reject_unknown(section, ("bandwidths", "noise", "max_power", "gains"), "game")
-        try:
-            game = GameSpec.from_dict(section)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"game: missing or malformed field ({exc})") from exc
-        except ValueError as exc:
-            raise ConfigError(f"game: {exc}") from exc
-
-    generator = None
-    if "generator" in data:
-        section = _require_mapping(data["generator"], "generator")
-        _reject_unknown(
-            section, ("players", "channels", "snr_db", "fading", "trials"), "generator"
-        )
-        try:
-            generator = GeneratorSpec(**section)
-        except TypeError as exc:
-            raise ConfigError(f"generator: {exc}") from exc
-
-    dyn_data = _require_mapping(data.get("dynamics", {}), "dynamics")
-    _reject_unknown(
-        dyn_data, ("variant", "steps", "tie_break", "initial_beliefs"), "dynamics"
-    )
-    init = dyn_data.get("initial_beliefs", "uniform")
-    if isinstance(init, dict):
-        _reject_unknown(init, ("xi",), "dynamics.initial_beliefs")
-        if "xi" not in init:
-            raise ConfigError("dynamics.initial_beliefs: mapping form needs an 'xi' list")
-        init = ("xi", tuple(float(x) for x in init["xi"]))
-    elif isinstance(init, list):
-        init = np.asarray(init, dtype=float)
-    elif init != "uniform":
-        raise ConfigError(
-            "dynamics.initial_beliefs: expected 'uniform', an {xi: [..]} mapping "
-            "or explicit per-player rows"
-        )
-    dynamics = DynamicsSpec(
-        variant=dyn_data.get("variant", "classic"),
-        steps=int(dyn_data.get("steps", 10_000)),
-        tie_break=dyn_data.get("tie_break", "lowest"),
-        initial_beliefs=init,
-    )
-
-    out_data = _require_mapping(data.get("outputs", {}), "outputs")
-    _reject_unknown(out_data, ("directory", "format"), "outputs")
-    outputs = OutputSpec(
-        directory=str(out_data.get("directory", "out")),
-        format=out_data.get("format", "csv"),
-    )
-
-    seed = data.get("seed")
-    if seed is None and generator is not None:
-        raise ConfigError("seed: mandatory in generator mode")
-    if seed is None:
-        seed = 0
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed: must be a non-negative integer")
-
-    return ExperimentConfig(
-        game=game, generator=generator, dynamics=dynamics, seed=seed, outputs=outputs
-    )
+    return _build(ExperimentConfig, data, "config", {
+        "game": GameSpec, "generator": GeneratorSpec,
+        "dynamics": DynamicsSpec, "outputs": OutputSpec,
+    })
 
 
 def load_config(path) -> ExperimentConfig:

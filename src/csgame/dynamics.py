@@ -35,6 +35,7 @@ import numpy as np
 
 from .game import (
     GameSpec,
+    _check_player,
     _guard_opponent_profiles,
     aggregate_message,
     potential,
@@ -281,6 +282,7 @@ def fp_best_response(
 ) -> int:
     """Channel maximizing expected utility under product-of-marginals beliefs."""
     pick, channel = _chooser(tie_break)
+    player = _check_player(game, player)
     _guard_opponent_profiles(game)
     return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
 
@@ -378,16 +380,12 @@ class BatchFPResult:
         game, _, length, profile = self.runs
         n_games, n_players = self.tables.shape[:2]
         payoffs = self.tables[(game[:, None], np.arange(n_players)) + tuple(profile.T[:, :, None])]
-        terms = length[:, None] * payoffs
-        # Add each game's runs in time order: the r-th runs of all games at once.
-        rank = np.arange(len(game)) - np.searchsorted(game, game)
-        order = np.lexsort((game, rank))
-        bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
-        sums = np.zeros((n_games, n_players))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = order[lo:hi]
-            sums[game[rows]] += terms[rows]
-        return sums
+        # bincount adds each bin's weights in input order, so every (game,
+        # player) sum runs over that game's runs in time order.
+        index = game[:, None] * n_players + np.arange(n_players)
+        sums = np.bincount(index.ravel(), weights=(length[:, None] * payoffs).ravel(),
+                           minlength=n_games * n_players)
+        return sums.reshape(n_games, n_players)
 
 
 def _certified_run(tables: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FADING_LAWS, DynamicsSpec, ExperimentConfig
+from .config import FADING_LAWS, DynamicsSpec, ExperimentConfig, snr_db_to_power
 from .dynamics import (
     Trajectory,
     _action_dtype,
@@ -37,7 +37,6 @@ __all__ = [
     "OUTCOMES",
     "trial_rng",
     "sample_gains",
-    "snr_db_to_power",
     "generate_game",
     "trial_game",
     "MonteCarloSummary",
@@ -80,11 +79,6 @@ def sample_gains(rng: np.random.Generator, n_players: int, n_channels: int,
     if fading not in FADING_LAWS:
         raise ValueError(f"unknown fading law {fading!r}, expected one of {FADING_LAWS}")
     return rng.exponential(1.0, size=(n_players, n_channels))
-
-
-def snr_db_to_power(snr_db: float) -> float:
-    """Power budget that hits the target SNR over unit noise."""
-    return float(10.0 ** (snr_db / 10.0))
 
 
 def generate_game(rng: np.random.Generator, players: int, channels: int,
@@ -263,9 +257,7 @@ def trial_game(config: ExperimentConfig, index: int) -> GameSpec:
 
 
 def _trial_games(config: ExperimentConfig) -> list[GameSpec]:
-    if config.game is not None:
-        return [config.game]
-    return [trial_game(config, i) for i in range(config.generator.trials)]
+    return [trial_game(config, i) for i in range(config.trials)]
 
 
 def _summarize(records: list[dict]) -> MonteCarloSummary:

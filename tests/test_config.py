@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csgame import (
     BeliefState,
@@ -84,6 +86,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config({"game": dict(INLINE_GAME), "seed": seed})
 
+    @pytest.mark.parametrize("section", ["game", "generator", "dynamics", "outputs"])
+    def test_section_keys_are_the_dataclass_fields(self, section):
+        data = {"game": dict(INLINE_GAME)} if section != "generator" else {"seed": 1}
+        data[section] = dict(data.get(section, {}), bogus=1)
+        with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['bogus'\]$"):
+            parse_config(data)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown keys.*'extra'"):
             parse_config({"game": dict(INLINE_GAME), "extra": 1})
@@ -94,6 +103,13 @@ class TestParseConfig:
         bad = dict(INLINE_GAME, noise=[0.0, 1.0])
         with pytest.raises(ConfigError, match="noise must be positive"):
             parse_config({"game": bad})
+
+    def test_a_value_too_large_for_a_float_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^game: int too large"):
+            parse_config({"game": dict(INLINE_GAME, noise=[10**400, 1.0])})
+        with pytest.raises(ConfigError, match="^dynamics.initial_beliefs: int too large"):
+            parse_config({"game": dict(INLINE_GAME),
+                          "dynamics": {"initial_beliefs": {"xi": [10**400, 0.5]}}})
 
     def test_xi_initial_beliefs(self):
         config = parse_config(
@@ -249,9 +265,88 @@ class TestExperimentConfigDirect:
                 outputs=OutputSpec(),
             )
 
+    @pytest.mark.parametrize("seed", [True, 3.0])
+    def test_direct_construction_checks_the_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(game=GameSpec.from_dict(INLINE_GAME), seed=seed)
+
     def test_trials_property(self):
         game = GameSpec.from_dict(INLINE_GAME)
         config = ExperimentConfig(
             game=game, generator=None, dynamics=DynamicsSpec(), seed=0, outputs=OutputSpec()
         )
         assert config.trials == 1
+
+
+def _inline_config(out_dir) -> dict:
+    return {
+        "game": dict(INLINE_GAME),
+        "dynamics": {"variant": "classic", "steps": 20, "tie_break": "lowest",
+                     "initial_beliefs": "uniform"},
+        "seed": 3,
+        "outputs": {"directory": str(out_dir), "format": "csv"},
+    }
+
+
+def _run(tmp_path, data, *argv):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return main([*argv[:1], str(path), *argv[1:]])
+
+
+# Each malformed value exits 1 with one config error naming its field.
+MALFORMED = [
+    ("simulate", "dynamics", "steps", "abc"),
+    ("simulate", "dynamics", "steps", 1.5),
+    ("simulate", "dynamics", "steps", True),
+    ("simulate", "dynamics", "initial_beliefs", {"xi": [0.5, "abc"]}),
+    ("simulate", "dynamics", "initial_beliefs", {"xi": 5}),
+    ("simulate", "dynamics", "initial_beliefs", [[0.5, "abc"], [0.5, 0.5]]),
+    ("montecarlo", "generator", "players", 2.5),
+    ("montecarlo", "generator", "trials", 1.5),
+    ("montecarlo", "generator", "snr_db", True),
+    ("montecarlo", "generator", "snr_db", -3300),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", MALFORMED)
+def test_malformed_values_are_config_errors(tmp_path, capsys, command, section, key, value):
+    data = _inline_config(tmp_path / "out")
+    if section == "generator":
+        del data["game"]
+        data["generator"] = {"players": 2, "channels": 2, "trials": 2}
+    data[section][key] = value
+    assert _run(tmp_path, data, command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+_WRONG_TYPES = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.text(alphabet="abcxyz", max_size=4),
+    st.lists(st.one_of(st.integers(), st.text(alphabet="abc", max_size=2)), max_size=3),
+    st.none(),
+    st.dictionaries(st.text(alphabet="abcxi", max_size=2), st.integers(), max_size=2),
+)
+_KEYS = [(key,) for key in _inline_config("out")] + [
+    (section, key) for section, value in _inline_config("out").items()
+    if isinstance(value, dict) for key in value
+]
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_KEYS), value=_WRONG_TYPES)
+def test_property_a_wrongly_typed_value_never_raises(tmp_path, monkeypatch, capsys, key, value):
+    # A replaced output directory is relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    data = _inline_config(tmp_path / "out")
+    parent = data if len(key) == 1 else data[key[0]]
+    parent[key[-1]] = value
+    code = _run(tmp_path, data, "simulate", "--steps", "5")
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.count("config error:") == 1

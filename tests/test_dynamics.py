@@ -388,6 +388,11 @@ class TestSharedChecks:
         with pytest.raises(ValueError, match=message):
             fp_best_response(unit_game, 0, beliefs)
 
+    @pytest.mark.parametrize("player", [-1, 2])
+    def test_best_response_checks_the_player(self, unit_game, player):
+        with pytest.raises(IndexError, match=rf"player index {player} out of range \[0, 2\)"):
+            fp_best_response(unit_game, player, BeliefState.uniform(2, 2))
+
     def test_opponent_profile_guard(self):
         # 2**20 opponent profiles: past the guard, though the 2**21-profile
         # table is within its own.
