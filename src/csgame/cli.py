@@ -7,7 +7,8 @@ classifies 2x2 gain vectors, ``simulate`` runs one learning trajectory and
 ``simulate`` operate on the trial-0 game.
 
 Exit codes: 0 on success, 1 for configuration or validation problems, 2 for
-runtime failures.
+runtime failures. ``regions`` on a config outside the common-budget 2x2
+setting is a configuration problem.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .config import FORMATS, VARIANTS, ConfigError, ExperimentConfig, load_config
 from .dynamics import TIE_BREAKS, detect_cycle, empirical_frequencies
-from .equilibrium import analyze_game, classify_region_2x2
+from .equilibrium import _SYMMETRIC_2X2_NEEDS, analyze_game, classify_region_2x2
 from .montecarlo import (
     CYCLE_WINDOW,
     SCHEMA_VERSION,
@@ -54,7 +55,10 @@ def cmd_equilibria(config: ExperimentConfig) -> int:
 def cmd_regions(config: ExperimentConfig) -> int:
     out_dir = Path(config.outputs.directory)
     if config.game is not None:
-        labels = classify_region_2x2(config.game)
+        try:
+            labels = classify_region_2x2(config.game)
+        except ValueError as exc:
+            raise ConfigError(f"game: {exc}") from None
         payload = {
             "schema_version": SCHEMA_VERSION,
             "regions": sorted(labels),
@@ -64,10 +68,15 @@ def cmd_regions(config: ExperimentConfig) -> int:
         _emit(payload)
         return 0
     gen = config.generator
+    if (gen.players, gen.channels) != (2, 2):
+        raise ConfigError(
+            f"generator: this analysis needs {_SYMMETRIC_2X2_NEEDS[0]}, "
+            f"got {gen.players} and {gen.channels}"
+        )
+    games = [trial_game(config, i) for i in range(gen.trials)]
     records, histogram = [], {}
-    for i in range(gen.trials):
-        game = trial_game(config, i)
-        labels = sorted(classify_region_2x2(game))
+    for i, (game, labels) in enumerate(zip(games, classify_region_2x2(games))):
+        labels = sorted(labels)
         key = "+".join(labels)
         histogram[key] = histogram.get(key, 0) + 1
         records.append({"trial": i, "game": game.to_dict(), "regions": labels})

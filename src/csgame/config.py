@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -180,7 +181,14 @@ class OutputSpec:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "directory", str(self.directory))
+        directory = self.directory
+        if isinstance(directory, os.PathLike):
+            directory = os.fspath(directory)
+        if not isinstance(directory, str) or not directory:
+            raise ConfigError(
+                f"outputs.directory: must be a non-empty string, got {self.directory!r}"
+            )
+        object.__setattr__(self, "directory", directory)
         _require_choice("outputs.format", self.format, FORMATS)
 
 

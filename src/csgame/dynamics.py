@@ -36,6 +36,8 @@ import numpy as np
 from .game import (
     GameSpec,
     _check_player,
+    _game_batch,
+    _guard_full_enumeration,
     _guard_opponent_profiles,
     aggregate_message,
     potential,
@@ -483,13 +485,10 @@ def run_fp(
     same step.
     """
     pick, channel = _chooser(tie_break, T)
-    single = isinstance(game, GameSpec)
-    games = [game] if single else list(game)
+    games, single = _game_batch(game)
     if not games:
         raise ValueError("need at least one game")
     n_games, n_players, n_channels = len(games), games[0].K, games[0].S
-    if any((g.K, g.S) != (n_players, n_channels) for g in games):
-        raise ValueError("all games in a batch must share one (K, S) shape")
     if init_beliefs is None:
         init_beliefs = BeliefState.uniform(n_players, n_channels)
     inits = [init_beliefs] * n_games if isinstance(init_beliefs, BeliefState) else list(init_beliefs)
@@ -499,6 +498,7 @@ def run_fp(
         raise ValueError(f"beliefs must have shape {(n_players, n_channels)} to match the game")
     if len({b.step for b in inits}) != 1:
         raise ValueError("every initial belief state in a batch must carry the same step")
+    _guard_full_enumeration(games[0])  # before the stack is allocated
     tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
     for i, g in enumerate(games):  # filled in place: no second copy of the stack
         tables[i] = utility_table(g)

@@ -6,18 +6,31 @@ power budget, common noise level and equal bandwidths; there the gain vector
 alone decides which pure profiles are equilibria, and when both orthogonal
 profiles qualify a strictly mixed equilibrium exists with probabilities given
 by potential differences.
+
+Every rule is written once, as array operations over a stack of same-shape
+games: the pure-equilibrium mask compares each player's payoffs with their
+maximum along its own channel axis of the stacked utility tables, an
+equilibrium's payoffs and potential are reads of the utility and potential
+tables (a unilateral payoff change is a potential difference, Monderer and
+Shapley 1996), and the 2x2 precondition, the region comparisons and the
+mixed-point ratios are evaluated on (G, 2, 2) stacks. :func:`analyze_game`
+takes one game or a same-shape sequence (a Monte-Carlo chunk, with the
+engine's tables); one game is a batch of one, and the single-game functions
+below are that batch of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .game import (
     GameSpec,
-    potential,
-    utility,
+    _game_batch,
+    potential_table,
     utility_table,
 )
 
@@ -40,6 +53,27 @@ REGION_PROFILES = {
     "H3": (1, 1),
     "H4": (1, 0),
 }
+_REGIONS = tuple(REGION_PROFILES)
+
+# What the common-budget 2x2 setting needs, in the order it is checked.
+_SYMMETRIC_2X2_NEEDS = (
+    "exactly 2 players and 2 channels",
+    "equal channel bandwidths",
+    "a common noise level",
+    "a common power budget",
+    "strictly positive gains",
+)
+
+
+def _pure_ne_mask(tables: np.ndarray) -> np.ndarray:
+    """Pure-equilibrium mask of a stack of utility tables, (G, K) + (S,)*K:
+    a profile is kept when each player's payoff there reaches the best its
+    own channel axis offers (ties count)."""
+    mask = np.ones(tables.shape[:1] + tables.shape[2:], dtype=bool)
+    for k in range(tables.shape[1]):
+        own = tables[:, k]
+        mask &= own >= own.max(axis=k + 1, keepdims=True)
+    return mask
 
 
 def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
@@ -48,12 +82,41 @@ def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
     Ties count: a profile stays in the set when the best deviation merely
     matches the current payoff. Profiles are returned in lexicographic order.
     """
-    table = utility_table(game)
-    mask = np.ones((game.S,) * game.K, dtype=bool)
-    for k in range(game.K):
-        best = table[k].max(axis=k, keepdims=True)
-        mask &= table[k] >= best
-    return [tuple(int(c) for c in row) for row in np.argwhere(mask)]
+    mask = _pure_ne_mask(utility_table(game)[None])[0]
+    return [tuple(row) for row in np.argwhere(mask).tolist()]
+
+
+def _symmetric_2x2(games: list[GameSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per game of a same-shape list: the index into
+    :data:`_SYMMETRIC_2X2_NEEDS` of the first need it fails, or -1 when it
+    is in the common-budget 2x2 setting; then the (G, 2, 2) gains and (G,)
+    common SNRs, which only games in that setting use."""
+    n_games = len(games)
+    if not games or (games[0].K, games[0].S) != (2, 2):
+        return np.zeros(n_games, dtype=np.int64), np.empty((n_games, 2, 2)), np.empty(n_games)
+    bandwidths, noise, max_power, gains = (
+        np.stack([getattr(g, name) for g in games])
+        for name in ("bandwidths", "noise", "max_power", "gains")
+    )
+    fails = np.stack([
+        np.zeros(n_games, dtype=bool),
+        bandwidths[:, 0] != bandwidths[:, 1],
+        noise[:, 0] != noise[:, 1],
+        max_power[:, 0] != max_power[:, 1],
+        np.any(gains <= 0, axis=(1, 2)),
+    ], axis=1)
+    failures = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
+    return failures, gains, max_power[:, 0] / noise[:, 0]
+
+
+def _require_symmetric_2x2(games: list[GameSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 2, 2) gains and (G,) common SNRs of games in the common-budget 2x2
+    setting; raises ValueError for the first game that is not."""
+    failures, gains, snr = _symmetric_2x2(games)
+    failed = failures[failures >= 0]
+    if len(failed):
+        raise ValueError(f"this analysis needs {_SYMMETRIC_2X2_NEEDS[failed[0]]}")
+    return gains, snr
 
 
 def require_symmetric_2x2(game: GameSpec) -> float:
@@ -62,25 +125,15 @@ def require_symmetric_2x2(game: GameSpec) -> float:
     Needs K = S = 2, equal bandwidths, one noise level, one power budget and
     strictly positive gains. Raises ValueError otherwise.
     """
-    if game.K != 2 or game.S != 2:
-        raise ValueError("this analysis needs exactly 2 players and 2 channels")
-    if game.bandwidths[0] != game.bandwidths[1]:
-        raise ValueError("this analysis needs equal channel bandwidths")
-    if game.noise[0] != game.noise[1]:
-        raise ValueError("this analysis needs a common noise level")
-    if game.max_power[0] != game.max_power[1]:
-        raise ValueError("this analysis needs a common power budget")
-    if np.any(game.gains <= 0):
-        raise ValueError("this analysis needs strictly positive gains")
-    return float(game.max_power[0] / game.noise[0])
+    return float(_require_symmetric_2x2([game])[1][0])
 
 
-def _region_comparisons(game: GameSpec) -> tuple[float, float, float, float, float, float]:
-    snr = require_symmetric_2x2(game)
-    (g11, g12), (g21, g22) = game.gains
+def _region_comparisons(gains: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gain ratios and the four thresholds the regions are built from,
+    per game of a (G, 2, 2) gain stack with common SNRs ``snr``."""
+    g11, g12, g21, g22 = (gains[:, k, s] for k in range(2) for s in range(2))
     own_ratio = g11 / g12  # player 0's gain ratio, channel 0 over channel 1
     cross_ratio = g21 / g22  # player 1's gain ratio, channel 0 over channel 1
-    # The four thresholds the regions are built from.
     low_own = 1.0 / (1.0 + snr * g22)
     high_own = 1.0 + snr * g21
     low_cross = 1.0 / (1.0 + snr * g12)
@@ -88,7 +141,25 @@ def _region_comparisons(game: GameSpec) -> tuple[float, float, float, float, flo
     return own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross
 
 
-def classify_region_2x2(game: GameSpec) -> frozenset[str]:
+def _region_mask(gains: np.ndarray, snr: np.ndarray) -> np.ndarray:
+    """(G, 4) memberships in H1..H4 (weak inequalities)."""
+    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = (
+        _region_comparisons(gains, snr))
+    return np.stack([
+        (own_ratio >= low_own) & (cross_ratio <= high_cross),
+        (own_ratio >= high_own) & (cross_ratio >= high_cross),
+        (own_ratio <= low_own) & (cross_ratio <= low_cross),
+        (own_ratio <= high_own) & (cross_ratio >= low_cross),
+    ], axis=1)
+
+
+def _labels(mask: np.ndarray) -> list[frozenset[str]]:
+    return [frozenset(compress(_REGIONS, row)) for row in mask.tolist()]
+
+
+def classify_region_2x2(
+    game: GameSpec | Sequence[GameSpec],
+) -> frozenset[str] | list[frozenset[str]]:
     """Region memberships of the gain vector (weak inequalities, may overlap).
 
     Each region certifies one pure equilibrium, see :data:`REGION_PROFILES`:
@@ -103,18 +174,13 @@ def classify_region_2x2(game: GameSpec) -> frozenset[str]:
       creates there.
 
     Every strictly positive gain vector belongs to at least one region.
+    ``game`` is one game, or a sequence of games classified in one pass,
+    which gives a list of memberships; any game outside the common-budget
+    2x2 setting raises, the first one naming its defect.
     """
-    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = _region_comparisons(game)
-    labels = set()
-    if own_ratio >= low_own and cross_ratio <= high_cross:
-        labels.add("H1")
-    if own_ratio >= high_own and cross_ratio >= high_cross:
-        labels.add("H2")
-    if own_ratio <= low_own and cross_ratio <= low_cross:
-        labels.add("H3")
-    if own_ratio <= high_own and cross_ratio >= low_cross:
-        labels.add("H4")
-    return frozenset(labels)
+    games, single = _game_batch(game)
+    labels = _labels(_region_mask(*_require_symmetric_2x2(games)))
+    return labels[0] if single else labels
 
 
 def region_ne_profiles(labels) -> list[tuple[int, int]]:
@@ -128,13 +194,33 @@ def boundary_margin_2x2(game: GameSpec) -> float:
     Useful for rejection-sampling games away from region boundaries, where
     weak-inequality membership and payoff comparisons become tie-sensitive.
     """
-    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = _region_comparisons(game)
+    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = (
+        c[0] for c in _region_comparisons(*_require_symmetric_2x2([game])))
     return min(
         abs(own_ratio - low_own),
         abs(own_ratio - high_own),
         abs(cross_ratio - low_cross),
         abs(cross_ratio - high_cross),
     )
+
+
+def _mixed_points(potentials: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate mixed points of a (G, 2, 2) stack of potential tables:
+    the (G, 2, 2) points, and masks of the games whose potential
+    differences degenerate and whose point is not strictly interior."""
+    phi11, phi12, phi21, phi22 = (potentials[:, a, b] for a in range(2) for b in range(2))
+    numerators = np.stack([
+        phi21 - phi22,  # player 0's weight on channel 0
+        phi12 - phi11,
+        phi12 - phi22,  # player 1's weight on channel 0
+        phi21 - phi11,
+    ], axis=1).reshape(-1, 2, 2)
+    denom = numerators[:, 0, 0] + numerators[:, 0, 1]
+    degenerate = np.abs(denom) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixed = numerators / denom[:, None, None]
+    boundary = np.any((mixed <= 0.0) | (mixed >= 1.0), axis=(1, 2))
+    return mixed, degenerate, boundary
 
 
 def mixed_ne_2x2(game: GameSpec) -> np.ndarray:
@@ -152,21 +238,12 @@ def mixed_ne_2x2(game: GameSpec) -> np.ndarray:
             "a strictly mixed equilibrium needs both orthogonal profiles "
             f"to be stable (regions found: {sorted(labels)})"
         )
-    phi11 = potential(game, (0, 0))
-    phi12 = potential(game, (0, 1))
-    phi21 = potential(game, (1, 0))
-    phi22 = potential(game, (1, 1))
-    num00 = phi21 - phi22  # player 0's weight on channel 0
-    num01 = phi12 - phi11
-    num10 = phi12 - phi22  # player 1's weight on channel 0
-    num11 = phi21 - phi11
-    denom = num00 + num01
-    if abs(denom) <= 1e-12:
+    mixed, degenerate, boundary = _mixed_points(potential_table([game]))
+    if degenerate[0]:
         raise ValueError("degenerate potential differences, no unique mixed point")
-    mixed = np.array([[num00 / denom, num01 / denom], [num10 / denom, num11 / denom]])
-    if np.any(mixed <= 0.0) or np.any(mixed >= 1.0):
+    if boundary[0]:
         raise ValueError("boundary case: the mixed point is not strictly interior")
-    return mixed
+    return mixed[0]
 
 
 @dataclass(frozen=True)
@@ -194,33 +271,64 @@ class EquilibriumReport:
         }
 
 
-def _is_symmetric_2x2(game: GameSpec) -> bool:
-    try:
-        require_symmetric_2x2(game)
-    except ValueError:
-        return False
-    return True
+def analyze_game(
+    game: GameSpec | Sequence[GameSpec], tables: np.ndarray | None = None,
+) -> EquilibriumReport | list[EquilibriumReport]:
+    """Run the full equilibrium analysis each game deserves.
 
+    ``game`` is one game or a sequence of games with one (K, S) shape,
+    analyzed in one pass of array operations over their stacked tables; one
+    game is a batch of one and returns its report, a sequence returns one
+    report per game. ``tables``, when given, must be exactly the games'
+    :func:`~csgame.game.utility_table` results stacked in order as
+    (G, K) + (S,)*K, as a batch engine holds them (even for one game); only
+    their shape is checked, so tables of other games give a report that
+    mixes two games. Without them they are built here.
 
-def analyze_game(game: GameSpec) -> EquilibriumReport:
-    """Run the full equilibrium analysis one game deserves."""
-    pure = enumerate_pure_ne(game)
-    utilities = np.array([[utility(game, p, k) for k in range(game.K)] for p in pure])
-    utilities = utilities.reshape(len(pure), game.K)
-    potentials = np.array([potential(game, p) for p in pure])
-    regions: frozenset[str] | None = None
-    mixed: np.ndarray | None = None
-    if _is_symmetric_2x2(game):
-        regions = classify_region_2x2(game)
-        if {"H1", "H4"} <= regions and len(pure) == 2:
-            try:
-                mixed = mixed_ne_2x2(game)
-            except ValueError:
-                mixed = None
-    return EquilibriumReport(
-        pure_ne=tuple(pure),
-        utilities=utilities,
-        potentials=potentials,
-        mixed_ne=mixed,
-        regions=regions,
-    )
+    The pure equilibria come from per-player maxima of the utility tables,
+    their payoffs and potentials are read off the utility and potential
+    tables, and games in the common-budget 2x2 setting get their regions
+    and, with exactly the two orthogonal equilibria, the strictly mixed one.
+    """
+    games, single = _game_batch(game)
+    if not games:
+        return []
+    n_games, n_players, n_channels = len(games), games[0].K, games[0].S
+    shape = (n_games, n_players) + (n_channels,) * n_players
+    if tables is None:
+        tables = np.stack([utility_table(g) for g in games])
+    if np.shape(tables) != shape:
+        raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
+    ne = np.argwhere(_pure_ne_mask(tables))  # (N, 1 + K): game, then profile
+    game_of = ne[:, 0]
+    utilities = tables[(game_of, slice(None)) + tuple(ne[:, 1:].T)]
+    potential_stack = potential_table(games)
+    counts = np.bincount(game_of, minlength=n_games)
+    regions: list = [None] * n_games
+    mixed: list = [None] * n_games
+    failures, gains, snr = _symmetric_2x2(games)
+    symmetric = np.flatnonzero(failures < 0)
+    if len(symmetric):
+        mask = _region_mask(gains[symmetric], snr[symmetric])
+        for g, labels in zip(symmetric.tolist(), _labels(mask)):
+            regions[g] = labels
+        # In H1 and H4, with the two orthogonal profiles as the only pure NE.
+        two_sided = symmetric[mask[:, 0] & mask[:, 3] & (counts[symmetric] == 2)]
+        points, degenerate, boundary = _mixed_points(potential_stack[two_sided])
+        for g, point, ok in zip(two_sided.tolist(), points, ~(degenerate | boundary)):
+            if ok:
+                mixed[g] = point
+    potentials = potential_stack[tuple(ne.T)]
+    profiles = [tuple(row) for row in ne[:, 1:].tolist()]
+    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    reports = [
+        EquilibriumReport(
+            pure_ne=tuple(profiles[lo:hi]),
+            utilities=utilities[lo:hi],
+            potentials=potentials[lo:hi],
+            mixed_ne=mixed[g],
+            regions=regions[g],
+        )
+        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    return reports[0] if single else reports

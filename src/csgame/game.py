@@ -15,6 +15,7 @@ Channels and players are 0-based indices throughout.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,16 @@ def _check_player(game: GameSpec, player: int) -> int:
     return int(player)
 
 
+def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[list[GameSpec], bool]:
+    """``game`` as a list of games, and whether it was one game (a batch of
+    one). The games of a sequence must share one (K, S) shape."""
+    single = isinstance(game, GameSpec)
+    games = [game] if single else list(game)
+    if any((g.K, g.S) != (games[0].K, games[0].S) for g in games):
+        raise ValueError("all games in a batch must share one (K, S) shape")
+    return games, single
+
+
 def utility(game: GameSpec, profile, player: int) -> float:
     """Spectral efficiency (bits/s/Hz) of one player under a pure profile.
 
@@ -307,17 +318,22 @@ def _guard_full_enumeration(game: GameSpec) -> tuple[int, int]:
     return game.K, game.S
 
 
-def _channel_load(game: GameSpec, s: int, players) -> np.ndarray:
-    """Noise plus the received power of whichever of ``players`` sit on
-    channel ``s``, at every profile of theirs (axis i holds the i-th listed
-    player's channel). Powers are added in the listed order, which callers
-    keep ascending, so the table entries keep their bits."""
-    n_channels = game.S
-    load = np.full((n_channels,) * len(players), float(game.noise[s]))
+def _channel_loads(noise: np.ndarray, received: np.ndarray, players,
+                   on_channel: np.ndarray) -> np.ndarray:
+    """For a stack of games, with ``noise`` (G, C) and ``received`` (G, K, C)
+    on C channels whose one-hot rows over all S channels are ``on_channel``
+    (C, S): on each of those channels (axis 1), noise plus the received
+    power of whichever of ``players`` sit on it, at every profile of theirs
+    (axis i + 2 holds the i-th listed player's channel). A player's power
+    there is its power times 1 on that channel and times 0 elsewhere, and
+    powers are added in the listed order, which callers keep ascending, so
+    the table entries keep their bits."""
+    lead = noise.shape
+    n_listed, n_channels = len(players), on_channel.shape[1]
+    load = noise.reshape(lead + (1,) * n_listed)
     for pos, j in enumerate(players):
-        contrib = np.zeros(n_channels)
-        contrib[s] = game.received_power[j, s]
-        load = load + contrib.reshape([n_channels if q == pos else 1 for q in range(len(players))])
+        power = received[:, j, :, None] * on_channel
+        load = load + power.reshape(lead + (1,) * pos + (n_channels,) + (1,) * (n_listed - pos - 1))
     return load
 
 
@@ -330,21 +346,39 @@ def utility_table(game: GameSpec) -> np.ndarray:
     n_players, n_channels = _guard_full_enumeration(game)
     received = game.received_power
     weights = game.weights
+    eye = np.eye(n_channels)
     table = np.empty((n_players,) + (n_channels,) * n_players)
     for k in range(n_players):
         opponents = [j for j in range(n_players) if j != k]
         for s in range(n_channels):
-            denom = _channel_load(game, s, opponents)
+            denom = _channel_loads(game.noise[None, s:s + 1], received[None, :, s:s + 1],
+                                   opponents, eye[s:s + 1])[0, 0]
             idx: list = [slice(None)] * n_players
             idx[k] = s
             table[k][tuple(idx)] = weights[s] * np.log2(1.0 + received[k, s] / denom)
     return table
 
 
-def potential_table(game: GameSpec) -> np.ndarray:
-    """Exact potential at every pure profile, shape (S,)*K."""
-    n_players, n_channels = _guard_full_enumeration(game)
-    out = np.zeros((n_channels,) * n_players)
+def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
+    """Exact potential at every pure profile, shape (S,)*K.
+
+    ``game`` is one game or a sequence of games with one (K, S) shape; a
+    sequence gives the stack, shape (G,) + (S,)*K, with each game's entries
+    the bits it has alone.
+    """
+    games, single = _game_batch(game)
+    if not games:
+        raise ValueError("need at least one game")
+    n_players, n_channels = _guard_full_enumeration(games[0])
+    noise = np.stack([g.noise for g in games])
+    received = np.stack([g.received_power for g in games])
+    weights = np.stack([g.weights for g in games])
+    eye = np.eye(n_channels)
+    out = np.zeros((len(games),) + (n_channels,) * n_players)
     for s in range(n_channels):
-        out += game.weights[s] * np.log2(_channel_load(game, s, range(n_players)))
-    return out
+        term = _channel_loads(noise[:, s:s + 1], received[:, :, s:s + 1], range(n_players),
+                              eye[s:s + 1])[:, 0]
+        np.log2(term, out=term)
+        term *= weights[:, s].reshape((len(games),) + (1,) * n_players)
+        out += term
+    return out[0] if single else out

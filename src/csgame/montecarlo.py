@@ -7,8 +7,13 @@ go through one driver: the trials are cut into chunks that stay within a
 memory budget, and one record builder turns each chunk into records. It runs
 a classic chunk as one lockstep batch of :func:`~csgame.dynamics.run_fp` and
 an aggregation chunk one game at a time; a single trial is a chunk of one,
-so its record is bit-for-bit the one a sweep writes. A record reads only its
-game's trailing window of profiles and the game's payoff table.
+so its record is bit-for-bit the one a sweep writes. The analysis and the
+records of a chunk share one stack of utility tables (the classic batch's
+own, or one built per aggregation game), and the whole chunk is analyzed in
+one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
+equilibrium point and the mixed-equilibrium payoff of every record are read
+off the chunk's arrays. A record reads only its game's trailing window of
+profiles and the game's payoff table.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import EquilibriumReport, analyze_game
-from .game import GameSpec, expected_utility, utility_table
+from .game import GameSpec, utility_table
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,7 +61,9 @@ CONVERGENCE_TV = 1e-2
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term
 # stands for the classic switch log when games switch every step: one entry
-# of a few bytes per game and step.
+# of a few bytes per game and step. The chunk's analysis adds a potential
+# stack and a working load of S**K float64 entries each per game, and a
+# boolean mask, which for K >= 2 stay within the tables' own size.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -112,59 +119,77 @@ class MonteCarloSummary:
         }
 
 
-def _tv_to_point(freq: np.ndarray, point: np.ndarray) -> float:
-    """Worst per-player total variation between two frequency stacks."""
-    return float(np.max(0.5 * np.abs(freq - point).sum(axis=1)))
+def _tv_to_points(freqs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Worst per-player total variation between paired (n, K, S) frequency
+    and point stacks, (n,)."""
+    return np.max(0.5 * np.abs(freqs - points).sum(axis=-1), axis=-1)
 
 
-def _nearest_equilibrium(freq: np.ndarray, report: EquilibriumReport,
-                         n_channels: int) -> tuple[str, float]:
-    """Closest equilibrium point to an empirical frequency stack."""
-    best_kind, best_tv = "none", np.inf
-    eye = np.eye(n_channels)
-    for profile in report.pure_ne:
-        tv = _tv_to_point(freq, eye[list(profile)])
-        if tv < best_tv:
-            best_kind, best_tv = "pure", tv
-    if report.mixed_ne is not None:
-        tv = _tv_to_point(freq, report.mixed_ne)
-        if tv < best_tv:
-            best_kind, best_tv = "mixed", tv
-    return best_kind, best_tv
+def _nearest_equilibria(freqs: np.ndarray,
+                        reports: list[EquilibriumReport]) -> tuple[list[str], list[float]]:
+    """Per game of a (G, K, S) frequency stack, the kind ("pure", "mixed" or
+    "none") and total-variation distance of its closest equilibrium point:
+    the first closest pure equilibrium, unless the mixed one is strictly
+    closer; with neither, "none" at infinity."""
+    n_games, n_players, n_channels = freqs.shape
+    game_of = np.array([g for g, r in enumerate(reports) for _ in r.pure_ne], dtype=np.intp)
+    profiles = np.array([p for r in reports for p in r.pure_ne], dtype=np.intp)
+    tv = np.full(n_games, np.inf)
+    np.minimum.at(tv, game_of, _tv_to_points(
+        freqs[game_of], np.eye(n_channels)[profiles.reshape(-1, n_players)]))
+    kinds = ["pure" if r.pure_ne else "none" for r in reports]
+    with_mixed = [g for g, r in enumerate(reports) if r.mixed_ne is not None]
+    if with_mixed:
+        mixed_tv = _tv_to_points(freqs[with_mixed],
+                                 np.stack([reports[g].mixed_ne for g in with_mixed]))
+        closer = mixed_tv < tv[with_mixed]
+        closest = np.array(with_mixed)[closer]
+        tv[closest] = mixed_tv[closer]
+        for g in closest.tolist():
+            kinds[g] = "mixed"
+    return kinds, tv.tolist()
 
 
-def _classify_outcome(report: EquilibriumReport, freq: np.ndarray,
-                      cycle: dict | None, n_channels: int) -> tuple[str, float]:
-    kind, tv = _nearest_equilibrium(freq, report, n_channels)
+def _classify_outcome(report: EquilibriumReport, kind: str, tv: float,
+                      cycle: dict | None) -> str:
+    """A trial's outcome from its nearest equilibrium point and its cycle."""
     if cycle is not None and cycle["period"] == 1:
         profile = tuple(cycle["profiles"][0])
         if profile in report.pure_ne:
-            return "pure", tv
-        return "undetermined", tv
+            return "pure"
+        return "undetermined"
     if cycle is not None and cycle["period"] >= 2:
-        return "cycling", tv
+        return "cycling"
     if tv < CONVERGENCE_TV and kind != "none":
-        return kind, tv
-    return "undetermined", tv
+        return kind
+    return "undetermined"
 
 
-def _mixed_mean_utility(game: GameSpec, report: EquilibriumReport) -> float | None:
-    """Mean per-player expected payoff at the strictly mixed equilibrium."""
-    if report.mixed_ne is None:
-        return None
-    vals = [
-        expected_utility(game, k, 0, report.mixed_ne[1 - k])
-        for k in range(2)
-    ]
-    return float(np.mean(vals))
+def _mixed_mean_utilities(tables: np.ndarray,
+                          reports: list[EquilibriumReport]) -> list[float | None]:
+    """Per game, the mean per-player expected payoff at its strictly mixed
+    equilibrium (None without one): each of the two players on channel 0
+    against the other's mixed row, over the (G, 2, 2, 2) utility tables."""
+    means: list[float | None] = [None] * len(reports)
+    with_mixed = [g for g, r in enumerate(reports) if r.mixed_ne is not None]
+    if with_mixed:
+        mixed = np.stack([reports[g].mixed_ne for g in with_mixed])
+        own = tables[with_mixed]
+        player0 = mixed[:, 1, 0] * own[:, 0, 0, 0] + mixed[:, 1, 1] * own[:, 0, 0, 1]
+        player1 = mixed[:, 0, 0] * own[:, 1, 0, 0] + mixed[:, 0, 1] * own[:, 1, 1, 0]
+        for g, mean in zip(with_mixed, ((player0 + player1) / 2).tolist()):
+            means[g] = mean
+    return means
 
 
 def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
                        dynamics: DynamicsSpec, freq: np.ndarray,
                        time_avg_utility: np.ndarray, tail: np.ndarray,
-                       table: np.ndarray) -> dict:
+                       table: np.ndarray, nearest: tuple[str, float],
+                       mixed_mean_utility: float | None) -> dict:
     """One trial's record; ``tail`` is the trailing profile window, checked
-    for exact periodicity, and ``table`` the game's utility table."""
+    for exact periodicity, ``table`` the game's utility table and
+    ``nearest`` the kind and distance of its closest equilibrium point."""
     period = _smallest_period(tail) if len(tail) >= 2 else None
     cycle = None if period is None else {
         "period": period,
@@ -173,7 +198,7 @@ def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
             [table[(slice(None), *p)] for p in tail[:period]], axis=0
         ).tolist(),
     }
-    outcome, tv = _classify_outcome(report, freq, cycle, game.S)
+    kind, tv = nearest
     return {
         "schema_version": SCHEMA_VERSION,
         "trial": trial,
@@ -183,7 +208,7 @@ def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
         "ne_utilities": report.utilities.tolist(),
         "ne_potentials": report.potentials.tolist(),
         "mixed_ne": None if report.mixed_ne is None else report.mixed_ne.tolist(),
-        "mixed_ne_mean_utility": _mixed_mean_utility(game, report),
+        "mixed_ne_mean_utility": mixed_mean_utility,
         "regions": None if report.regions is None else sorted(report.regions),
         "dynamics": {
             "variant": dynamics.variant,
@@ -192,7 +217,7 @@ def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
             "final_frequencies": freq.tolist(),
             "time_avg_utility": [float(x) for x in time_avg_utility],
             "cycle": cycle,
-            "outcome": outcome,
+            "outcome": _classify_outcome(report, kind, tv, cycle),
             "nearest_ne_tv": tv if np.isfinite(tv) else None,
         },
     }
@@ -210,16 +235,20 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
 
 def _aggregation_run(game: GameSpec, dynamics: DynamicsSpec, window: int) -> tuple:
     """What an aggregation record reads of one run: frequencies, mean
-    payoffs, the last ``window`` profiles and the game's utility table."""
+    payoffs and the last ``window`` profiles."""
     traj = simulate_trajectory(game, dynamics)
     return (empirical_frequencies(traj), traj.utilities.mean(axis=0),
-            traj.profiles[traj.T - window:], utility_table(game))
+            traj.profiles[traj.T - window:])
 
 
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> list[dict]:
-    """Records of consecutive trials. Classic trials are simulated as one
-    lockstep batch; aggregation trials one game at a time, each after its
-    game's analysis, so only one trajectory is held at a time."""
+    """Records of consecutive same-shape trials. Classic trials are
+    simulated as one lockstep batch, whose stacked utility tables the
+    analysis reuses; aggregation trials have their tables built once, for
+    the analysis and the records, and are simulated one game at a time, so
+    only one trajectory is held at a time. The whole chunk is analyzed in
+    one pass, and its nearest equilibrium points and mixed-equilibrium
+    payoffs are read off the chunk's arrays."""
     T = dynamics.steps
     window = min(CYCLE_WINDOW, T)
     if dynamics.variant == "classic":
@@ -227,13 +256,23 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
             games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
             tie_break=dynamics.tie_break, checkpoints=(T,),
         )
-        runs = zip(result.frequencies[T], result.utility_sums / T,
-                   result.tail(window).astype(np.int64), result.tables)
+        tables = result.tables
+        freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
+                                        result.tail(window).astype(np.int64))
     else:
-        runs = (_aggregation_run(game, dynamics, window) for game in games)
+        tables = np.stack([utility_table(game) for game in games])
+        freqs, mean_utilities, tails = (
+            np.stack(parts)
+            for parts in zip(*(_aggregation_run(game, dynamics, window) for game in games))
+        )
+    reports = analyze_game(games, tables=tables)
+    kinds, tvs = _nearest_equilibria(freqs, reports)
+    mixed_means = _mixed_mean_utilities(tables, reports)
     return [
-        _record_from_parts(first_trial + i, game, analyze_game(game), dynamics, *next(runs))
-        for i, game in enumerate(games)
+        _record_from_parts(first_trial + i, games[i], reports[i], dynamics, freqs[i],
+                           mean_utilities[i], tails[i], tables[i], (kinds[i], tvs[i]),
+                           mixed_means[i])
+        for i in range(len(games))
     ]
 
 

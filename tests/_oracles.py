@@ -17,6 +17,14 @@ other tests check against
 every payoff at every step, and :func:`oracle_cycle_onset` walks a cycle's
 onset back one step at a time.
 
+The analysis oracles are the per-game equilibrium analysis that the batched
+``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
+time, and tests hold the batch to them bit for bit: :func:`oracle_analyze_game`
+with its pure-equilibrium, 2x2-setting, region and mixed-point pieces, and
+the per-record mixed payoff
+(:func:`oracle_mixed_mean_utility`) and nearest equilibrium point
+(:func:`oracle_nearest_equilibrium`) of the Monte-Carlo records.
+
 The rendering oracles write trajectories and plot series the plain way, with
 the standard ``json`` encoder on the whole payload and ``csv.writer`` row by
 row; the package's bulk writers must produce the same bytes.
@@ -33,7 +41,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from csgame import potential_table, utility_table
+from csgame import (
+    EquilibriumReport,
+    expected_utility,
+    potential,
+    potential_table,
+    utility,
+    utility_table,
+)
 
 
 def oracle_utility(bandwidths, noise, max_power, gains, profile, player) -> float:
@@ -206,6 +221,139 @@ def oracle_cycle_onset(profiles, period: int, window: int) -> int:
     while start > 0 and np.array_equal(profiles[start - 1], profiles[start - 1 + period]):
         start -= 1
     return start + 1
+
+
+def _oracle_utility_table(game) -> np.ndarray:
+    """The (K,) + (S,)*K payoff table, one scalar ``utility`` call per entry."""
+    table = np.empty((game.K,) + (game.S,) * game.K)
+    for profile in itertools.product(range(game.S), repeat=game.K):
+        for k in range(game.K):
+            table[(k,) + profile] = utility(game, profile, k)
+    return table
+
+
+def oracle_enumerate_pure_ne(game) -> list[tuple[int, ...]]:
+    """Pure equilibria of one game from its payoff table, ties counting."""
+    table = _oracle_utility_table(game)
+    mask = np.ones((game.S,) * game.K, dtype=bool)
+    for k in range(game.K):
+        best = table[k].max(axis=k, keepdims=True)
+        mask &= table[k] >= best
+    return [tuple(int(c) for c in row) for row in np.argwhere(mask)]
+
+
+def oracle_require_symmetric_2x2(game) -> float:
+    """The common SNR of a game in the common-budget 2x2 setting; raises
+    ValueError naming the first need the game fails."""
+    if game.K != 2 or game.S != 2:
+        raise ValueError("this analysis needs exactly 2 players and 2 channels")
+    if game.bandwidths[0] != game.bandwidths[1]:
+        raise ValueError("this analysis needs equal channel bandwidths")
+    if game.noise[0] != game.noise[1]:
+        raise ValueError("this analysis needs a common noise level")
+    if game.max_power[0] != game.max_power[1]:
+        raise ValueError("this analysis needs a common power budget")
+    if np.any(game.gains <= 0):
+        raise ValueError("this analysis needs strictly positive gains")
+    return float(game.max_power[0] / game.noise[0])
+
+
+def oracle_classify_region_2x2(game) -> frozenset[str]:
+    """H1-H4 memberships of one game, each region's two weak inequalities
+    evaluated on scalars."""
+    snr = oracle_require_symmetric_2x2(game)
+    (g11, g12), (g21, g22) = game.gains
+    own_ratio, cross_ratio = g11 / g12, g21 / g22
+    low_own, high_own = 1.0 / (1.0 + snr * g22), 1.0 + snr * g21
+    low_cross, high_cross = 1.0 / (1.0 + snr * g12), 1.0 + snr * g11
+    labels = set()
+    if own_ratio >= low_own and cross_ratio <= high_cross:
+        labels.add("H1")
+    if own_ratio >= high_own and cross_ratio >= high_cross:
+        labels.add("H2")
+    if own_ratio <= low_own and cross_ratio <= low_cross:
+        labels.add("H3")
+    if own_ratio <= high_own and cross_ratio >= low_cross:
+        labels.add("H4")
+    return frozenset(labels)
+
+
+def oracle_mixed_ne_2x2(game) -> np.ndarray:
+    """The strictly mixed equilibrium of one 2x2 game from scalar potentials;
+    raises as the package does when there is none."""
+    labels = oracle_classify_region_2x2(game)
+    if not {"H1", "H4"} <= labels:
+        raise ValueError(
+            "a strictly mixed equilibrium needs both orthogonal profiles "
+            f"to be stable (regions found: {sorted(labels)})"
+        )
+    phi11 = potential(game, (0, 0))
+    phi12 = potential(game, (0, 1))
+    phi21 = potential(game, (1, 0))
+    phi22 = potential(game, (1, 1))
+    num00 = phi21 - phi22
+    num01 = phi12 - phi11
+    num10 = phi12 - phi22
+    num11 = phi21 - phi11
+    denom = num00 + num01
+    if abs(denom) <= 1e-12:
+        raise ValueError("degenerate potential differences, no unique mixed point")
+    mixed = np.array([[num00 / denom, num01 / denom], [num10 / denom, num11 / denom]])
+    if np.any(mixed <= 0.0) or np.any(mixed >= 1.0):
+        raise ValueError("boundary case: the mixed point is not strictly interior")
+    return mixed
+
+
+def oracle_analyze_game(game) -> EquilibriumReport:
+    """The equilibrium analysis of one game, one scalar call at a time: the
+    per-game loop the batched ``analyze_game`` replaced."""
+    pure = oracle_enumerate_pure_ne(game)
+    utilities = np.array([[utility(game, p, k) for k in range(game.K)] for p in pure])
+    utilities = utilities.reshape(len(pure), game.K)
+    potentials = np.array([potential(game, p) for p in pure])
+    regions = mixed = None
+    try:
+        oracle_require_symmetric_2x2(game)
+    except ValueError:
+        pass
+    else:
+        regions = oracle_classify_region_2x2(game)
+        if {"H1", "H4"} <= regions and len(pure) == 2:
+            try:
+                mixed = oracle_mixed_ne_2x2(game)
+            except ValueError:
+                mixed = None
+    return EquilibriumReport(pure_ne=tuple(pure), utilities=utilities,
+                             potentials=potentials, mixed_ne=mixed, regions=regions)
+
+
+def oracle_mixed_mean_utility(game, report) -> float | None:
+    """Mean per-player expected payoff at a report's strictly mixed
+    equilibrium, through the validated single-game expectation."""
+    if report.mixed_ne is None:
+        return None
+    vals = [expected_utility(game, k, 0, report.mixed_ne[1 - k]) for k in range(2)]
+    return float(np.mean(vals))
+
+
+def oracle_nearest_equilibrium(freq, report, n_channels: int) -> tuple[str, float]:
+    """Closest equilibrium point to one (K, S) frequency stack, scanning the
+    pure equilibria in order and then the mixed one; a later point must be
+    strictly closer to win."""
+    def tv_to_point(point):
+        return float(np.max(0.5 * np.abs(freq - point).sum(axis=1)))
+
+    best_kind, best_tv = "none", np.inf
+    eye = np.eye(n_channels)
+    for profile in report.pure_ne:
+        tv = tv_to_point(eye[list(profile)])
+        if tv < best_tv:
+            best_kind, best_tv = "pure", tv
+    if report.mixed_ne is not None:
+        tv = tv_to_point(report.mixed_ne)
+        if tv < best_tv:
+            best_kind, best_tv = "mixed", tv
+    return best_kind, best_tv
 
 
 def _state(traj):

@@ -306,11 +306,18 @@ MALFORMED = [
     ("montecarlo", "generator", "trials", 1.5),
     ("montecarlo", "generator", "snr_db", True),
     ("montecarlo", "generator", "snr_db", -3300),
+    ("simulate", "outputs", "directory", None),
+    ("simulate", "outputs", "directory", True),
+    ("simulate", "outputs", "directory", ["out"]),
+    ("simulate", "outputs", "directory", ""),
 ]
 
 
 @pytest.mark.parametrize("command,section,key,value", MALFORMED)
-def test_malformed_values_are_config_errors(tmp_path, capsys, command, section, key, value):
+def test_malformed_values_are_config_errors(tmp_path, monkeypatch, capsys, command, section,
+                                           key, value):
+    # A replaced output directory would be relative to the working directory.
+    monkeypatch.chdir(tmp_path)
     data = _inline_config(tmp_path / "out")
     if section == "generator":
         del data["game"]
@@ -319,7 +326,7 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, command, section, 
     assert _run(tmp_path, data, command) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key}: ")
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
 _WRONG_TYPES = st.one_of(

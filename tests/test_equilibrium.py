@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgame import (
+    EquilibriumReport,
     GameSpec,
     analyze_game,
     boundary_margin_2x2,
@@ -20,8 +21,17 @@ from csgame import (
     region_ne_profiles,
     require_symmetric_2x2,
     utility,
+    utility_table,
 )
-from _oracles import oracle_best_response_2x2, oracle_pure_ne
+from _oracles import (
+    oracle_analyze_game,
+    oracle_best_response_2x2,
+    oracle_classify_region_2x2,
+    oracle_enumerate_pure_ne,
+    oracle_mixed_ne_2x2,
+    oracle_pure_ne,
+    oracle_require_symmetric_2x2,
+)
 from conftest import random_game, random_symmetric_2x2
 
 
@@ -298,6 +308,143 @@ class TestAnalyzeGame:
         assert payload["regions"] == ["H1", "H4"]
         assert payload["pure_ne"] == [[0, 1], [1, 0]]
         json.dumps(payload)
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_report(report: EquilibriumReport, oracle: EquilibriumReport) -> None:
+    assert report.pure_ne == oracle.pure_ne
+    assert _same_array(report.utilities, oracle.utilities)
+    assert _same_array(report.potentials, oracle.potentials)
+    assert (report.mixed_ne is None) == (oracle.mixed_ne is None)
+    if oracle.mixed_ne is not None:
+        assert _same_array(report.mixed_ne, oracle.mixed_ne)
+    assert report.regions == oracle.regions
+
+
+def _outcome(fn, game):
+    """``fn(game)``, or the message of the ValueError it raises."""
+    try:
+        return fn(game)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _special_2x2_games() -> dict[str, GameSpec]:
+    ones = [[1.0, 1.0], [1.0, 1.0]]
+    return {
+        # Both orthogonal profiles stable, mixed point exactly (0.5, 0.5).
+        "fully symmetric": GameSpec.symmetric(ones, p_max=10.0),
+        # Two pure equilibria, but potential differences of order 1e-14.
+        "degenerate denominator": GameSpec.symmetric(ones, p_max=1e-7),
+        # g11/g12 = 1 + SNR*g21: the mixed point has a 0 and a 1.
+        "non-interior": GameSpec.symmetric([[2.0, 1.0], [1.0, 1.0]], p_max=1.0),
+        # Payoff ties everywhere: all four profiles are equilibria.
+        "all-ones ties": GameSpec.symmetric(ones, p_max=1e-9),
+        # H1, H3 and H4 with three pure equilibria; the point is not interior.
+        "three equilibria": GameSpec.symmetric([[0.25, 1.0], [1.5, 3.0]], p_max=1.0),
+        "unequal bandwidths": GameSpec(bandwidths=[1.0, 2.0], noise=[1.0, 1.0],
+                                       max_power=[3.0, 3.0], gains=[[1.0, 0.5], [0.4, 1.2]]),
+        "unequal noise": GameSpec(bandwidths=[1.0, 1.0], noise=[1.0, 0.5],
+                                  max_power=[3.0, 3.0], gains=[[1.0, 0.5], [0.4, 1.2]]),
+        "unequal budgets": GameSpec(bandwidths=[1.0, 1.0], noise=[1.0, 1.0],
+                                    max_power=[3.0, 2.0], gains=[[1.0, 0.5], [0.4, 1.2]]),
+        "zero gain": GameSpec.symmetric([[1.0, 0.0], [0.4, 1.2]], p_max=3.0),
+        "zero gains": GameSpec.symmetric([[0.0, 0.0], [0.0, 0.0]], p_max=3.0),
+    }
+
+
+class TestBatchedAnalysisAgainstOracle:
+    """The batched analysis equals the per-game oracle bit for bit, whether
+    games come as a batch or one at a time."""
+
+    def _check(self, games: list[GameSpec]) -> list[EquilibriumReport]:
+        oracles = [oracle_analyze_game(g) for g in games]
+        for report, oracle in zip(analyze_game(games), oracles):
+            _assert_same_report(report, oracle)
+        for game, oracle in zip(games, oracles):
+            _assert_same_report(analyze_game(game), oracle)
+        return oracles
+
+    @pytest.mark.parametrize("n_players", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
+    def test_every_small_shape(self, n_players, n_channels):
+        rng = np.random.default_rng(1000 + 10 * n_players + n_channels)
+        games = [random_game(rng, n_players, n_channels) for _ in range(5)]
+        ones = np.ones((n_players, n_channels))
+        games.append(GameSpec.symmetric(ones, p_max=1.0))  # payoff ties
+        games.append(GameSpec.symmetric(ones * (rng.random(ones.shape) < 0.5), p_max=2.0))
+        self._check(games)
+
+    def test_symmetric_2x2_games(self):
+        rng = np.random.default_rng(67)
+        games = [random_symmetric_2x2(rng, snr) for snr in (0.1, 1.0, 10.0, 100.0)
+                 for _ in range(60)]
+        oracles = self._check(games)
+        assert sum(o.mixed_ne is not None for o in oracles) > 30
+
+    def test_special_2x2_games_alone_and_together(self):
+        special = _special_2x2_games()
+        oracles = dict(zip(special, self._check(list(special.values()))))
+        assert oracles["fully symmetric"].mixed_ne.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        for name in ("degenerate denominator", "non-interior"):
+            assert len(oracles[name].pure_ne) == 2
+            assert oracles[name].regions == {"H1", "H4"}
+            assert oracles[name].mixed_ne is None
+        assert len(oracles["all-ones ties"].pure_ne) == 4
+        assert len(oracles["three equilibria"].pure_ne) == 3
+        assert oracles["three equilibria"].mixed_ne is None
+        for name in ("unequal bandwidths", "unequal noise", "unequal budgets", "zero gain",
+                     "zero gains"):
+            assert oracles[name].regions is None
+        # Mixed into a batch of ordinary games, each keeps its own result.
+        rng = np.random.default_rng(71)
+        games = [random_symmetric_2x2(rng) for _ in range(20)] + list(special.values())
+        self._check(games[::2] + games[1::2])
+
+    def test_single_game_functions_share_the_batched_rule(self):
+        rng = np.random.default_rng(73)
+        games = list(_special_2x2_games().values()) + [
+            random_symmetric_2x2(rng, snr) for snr in (0.5, 10.0) for _ in range(40)
+        ] + [random_game(rng, 3, 2), random_game(rng, 2, 3)]
+        for game in games:
+            assert enumerate_pure_ne(game) == oracle_enumerate_pure_ne(game)
+            for fn, oracle in ((require_symmetric_2x2, oracle_require_symmetric_2x2),
+                               (classify_region_2x2, oracle_classify_region_2x2)):
+                assert _outcome(fn, game) == _outcome(oracle, game)
+            mixed, oracle = _outcome(mixed_ne_2x2, game), _outcome(oracle_mixed_ne_2x2, game)
+            if isinstance(oracle, str):
+                assert mixed == oracle
+            else:
+                assert _same_array(mixed, oracle)
+        symmetric = [g for g in games if isinstance(_outcome(require_symmetric_2x2, g), float)]
+        assert classify_region_2x2(symmetric) == [oracle_classify_region_2x2(g)
+                                                  for g in symmetric]
+
+    def test_a_batch_outside_the_2x2_setting_names_its_first_defect(self):
+        special = _special_2x2_games()
+        games = [special["fully symmetric"], special["unequal noise"], special["zero gain"]]
+        with pytest.raises(ValueError, match="^this analysis needs a common noise level$"):
+            classify_region_2x2(games)
+        assert classify_region_2x2([]) == []
+
+    def test_given_tables_are_used_as_they_are(self):
+        rng = np.random.default_rng(79)
+        games = [random_game(rng, 3, 3) for _ in range(4)]
+        tables = np.stack([utility_table(g) for g in games])
+        for report, oracle in zip(analyze_game(games, tables=tables), analyze_game(games)):
+            _assert_same_report(report, oracle)
+        _assert_same_report(analyze_game(games[0], tables=tables[:1]),
+                            oracle_analyze_game(games[0]))
+        with pytest.raises(ValueError, match="tables must have shape"):
+            analyze_game(games[0], tables=tables[0])
+        with pytest.raises(ValueError, match="tables must have shape"):
+            analyze_game(games, tables=tables[:3])
+        with pytest.raises(ValueError, match="share one"):
+            analyze_game([games[0], random_game(rng, 2, 3)])
+        assert analyze_game([]) == []
 
 
 positive = st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False)

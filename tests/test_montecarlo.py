@@ -21,11 +21,13 @@ from csgame import (
     snr_db_to_power,
     trial_rng,
 )
-from csgame import montecarlo
+from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_table
 from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
 from csgame.montecarlo import _trial_games
+from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
+from conftest import random_game, random_symmetric_2x2
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -353,3 +355,137 @@ class TestRecords:
         assert dyn["steps"] == 300
         assert dyn["outcome"] in ("pure", "mixed", "cycling", "undetermined")
         assert dyn["nearest_ne_tv"] is not None
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+class TestChunkAnalysis:
+    """A chunk's records read the mixed-equilibrium payoff and the nearest
+    equilibrium point off the chunk's arrays, bit for bit what the
+    per-record helpers computed."""
+
+    def _games(self):
+        rng = np.random.default_rng(83)
+        ones = [[1.0, 1.0], [1.0, 1.0]]
+        return [random_symmetric_2x2(rng, snr) for snr in (0.3, 3.0, 30.0)
+                for _ in range(40)] + [
+            GameSpec.symmetric(ones, p_max=10.0),  # mixed exactly one half
+            GameSpec.symmetric(ones, p_max=1e-9),  # four tied pure equilibria
+            GameSpec.symmetric([[2.0, 1.0], [1.0, 1.0]], p_max=1.0),  # no interior point
+            GameSpec(bandwidths=[1.0, 2.0], noise=[1.0, 1.0], max_power=[3.0, 3.0],
+                     gains=[[1.0, 0.5], [0.4, 1.2]]),  # outside the 2x2 setting
+        ]
+
+    def test_mixed_payoffs_match_the_per_record_oracle(self):
+        games = self._games()
+        tables = np.stack([utility_table(g) for g in games])
+        means = montecarlo._mixed_mean_utilities(tables, analyze_game(games, tables=tables))
+        expected = [oracle_mixed_mean_utility(g, oracle_analyze_game(g)) for g in games]
+        assert sum(m is not None for m in expected) > 20
+        assert [_bits(m) for m in means] == [_bits(m) for m in expected]
+
+    @pytest.mark.parametrize("n_players,n_channels", [(2, 2), (3, 3), (1, 4)])
+    def test_nearest_points_match_the_per_record_oracle(self, n_players, n_channels):
+        rng = np.random.default_rng(89 + n_players)
+        if (n_players, n_channels) == (2, 2):
+            games = self._games()
+        else:
+            games = [random_game(rng, n_players, n_channels) for _ in range(30)]
+        reports = [oracle_analyze_game(g) for g in games]
+        eye = np.eye(n_channels)
+        freqs = rng.dirichlet(np.ones(n_channels), size=(len(games), n_players))
+        for g, report in enumerate(reports):
+            # Points on an equilibrium, and halfway between two of them.
+            if g % 3 == 0 and report.mixed_ne is not None:
+                freqs[g] = report.mixed_ne
+            elif g % 3 == 1:
+                freqs[g] = eye[list(report.pure_ne[-1])]
+            elif len(report.pure_ne) >= 2:
+                freqs[g] = 0.5 * (eye[list(report.pure_ne[0])] + eye[list(report.pure_ne[1])])
+        if (n_players, n_channels) == (2, 2):
+            # Equally far, 0.25, from the pure (0, 1) and the mixed point
+            # (0.5, 0.5) of the fully symmetric game: the pure one wins.
+            symmetric = len(games) - 4
+            assert reports[symmetric].mixed_ne.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+            freqs[symmetric] = [[0.75, 0.25], [0.25, 0.75]]
+        kinds, tvs = montecarlo._nearest_equilibria(freqs, analyze_game(games))
+        expected = [oracle_nearest_equilibrium(f, r, n_channels) for f, r in zip(freqs, reports)]
+        assert kinds == [kind for kind, _ in expected]
+        if n_channels == 2:
+            assert {"pure", "mixed"} <= set(kinds)
+        assert [_bits(tv) for tv in tvs] == [_bits(tv) for _, tv in expected]
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_sweep_records_match_the_per_record_oracles(self, variant):
+        config = parse_config({
+            "generator": {"players": 2, "channels": 2, "snr_db": 5.0, "trials": 60},
+            "dynamics": {"variant": variant, "steps": 300}, "seed": 21,
+        })
+        _, records = run_experiment(config)
+        for game, record in zip(_trial_games(config), records):
+            report = oracle_analyze_game(game)
+            freq = np.array(record["dynamics"]["final_frequencies"])
+            _, tv = oracle_nearest_equilibrium(freq, report, game.S)
+            assert _bits(record["dynamics"]["nearest_ne_tv"]) == _bits(tv)
+            assert (_bits(record["mixed_ne_mean_utility"])
+                    == _bits(oracle_mixed_mean_utility(game, report)))
+            assert record["ne_utilities"] == report.utilities.tolist()
+            assert record["ne_potentials"] == report.potentials.tolist()
+
+    @pytest.mark.parametrize("variant, per_game", [("classic", 1), ("aggregation", 2)])
+    def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant,
+                                                              per_game):
+        # Wrapped where the engine, the analysis and the driver bind it, the
+        # way the benchmark's tracer does; chunks of 3, 3 and 1 games. The
+        # analysis and the records share the chunk's tables: a classic chunk
+        # reuses the batch engine's, and an aggregation chunk builds one per
+        # game, next to the one each game's initial scores are built from.
+        built = []
+
+        def counted(game):
+            built.append(game)
+            return utility_table(game)
+
+        for module in (dynamics, equilibrium, montecarlo):
+            monkeypatch.setattr(module, "utility_table", counted)
+        analyses = []
+
+        def counted_analysis(*args, **kwargs):
+            analyses.append(len(args[0]))
+            return analyze_game(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "analyze_game", counted_analysis)
+        config = parse_config({
+            "generator": {"players": 3, "channels": 2, "snr_db": 10.0, "trials": 7},
+            "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
+        })
+        games = _trial_games(config)
+        _, whole = run_experiment(config)
+        assert len(built) == 7 * per_game and analyses == [7]
+        built.clear()
+        analyses.clear()
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 40))
+        _, chunked = run_experiment(config)
+        assert analyses == [3, 3, 1]
+        assert chunked == whole
+        expected = [g for lo, hi in ((0, 3), (3, 6), (6, 7)) for g in games[lo:hi] * per_game]
+        assert [g.gains.tolist() for g in built] == [g.gains.tolist() for g in expected]
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_chunk_past_the_enumeration_guard_exits_two(self, variant, tmp_path, capsys):
+        # 2**24 profiles: the first game's table is refused before any is built.
+        path = tmp_path / "wide.yaml"
+        path.write_text(
+            "generator:\n  players: 24\n  channels: 2\n  trials: 3\n"
+            f"dynamics:\n  variant: {variant}\n  steps: 10\nseed: 1\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main(["montecarlo", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: S**K = 16777216 profiles exceeds the enumeration guard of 10000000\n"
+        )
+        assert not (tmp_path / "out").exists()

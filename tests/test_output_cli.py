@@ -24,7 +24,7 @@ from csgame import (
     write_trajectory_json,
     write_trial_records,
 )
-from csgame import output
+from csgame import cli, output
 from csgame.cli import main
 from csgame.output import fmt_float, write_json
 from _oracles import oracle_plot_csv, oracle_trajectory_csv, oracle_trajectory_json
@@ -539,21 +539,41 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
-        # A three-player game has no 2x2 region classification.
-        path = tmp_path / "three.yaml"
+        # 2**24 profiles exceed the enumeration guard: the config is valid,
+        # the analysis it asks for is not possible.
+        path = tmp_path / "wide.yaml"
         path.write_text(
-            "game:\n"
-            "  bandwidths: [1.0, 1.0]\n"
-            "  noise: [1.0, 1.0]\n"
-            "  max_power: [1.0, 1.0, 1.0]\n"
-            "  gains:\n"
-            "    - [1.0, 1.0]\n"
-            "    - [1.0, 1.0]\n"
-            "    - [1.0, 1.0]\n"
+            "generator:\n  players: 24\n  channels: 2\n  trials: 1\nseed: 3\n"
             f"outputs:\n  directory: {tmp_path / 'out'}\n"
         )
-        assert main(["regions", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["equilibria", str(path)]) == 2
+        assert "exceeds the enumeration guard" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,expected", [
+        ("game:\n  bandwidths: [1.0, 1.0]\n  noise: [1.0, 1.0]\n"
+         "  max_power: [1.0, 1.0, 1.0]\n  gains: [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]\n",
+         "game: this analysis needs exactly 2 players and 2 channels"),
+        ("game:\n  bandwidths: [1.0, 2.0]\n  noise: [1.0, 1.0]\n"
+         "  max_power: [1.0, 1.0]\n  gains: [[1.0, 1.0], [1.0, 1.0]]\n",
+         "game: this analysis needs equal channel bandwidths"),
+        ("game:\n  bandwidths: [1.0, 1.0]\n  noise: [1.0, 1.0]\n"
+         "  max_power: [1.0, 1.0]\n  gains: [[1.0, 0.0], [1.0, 1.0]]\n",
+         "game: this analysis needs strictly positive gains"),
+        ("generator:\n  players: 3\n  channels: 3\n  trials: 5\nseed: 1\n",
+         "generator: this analysis needs exactly 2 players and 2 channels, got 3 and 3"),
+    ])
+    def test_regions_outside_the_2x2_setting_is_a_config_error(self, section, expected,
+                                                                tmp_path, capsys, monkeypatch):
+        # In generator mode the shape is checked before any game is drawn.
+        monkeypatch.setattr(cli, "trial_game", None)
+        path = tmp_path / "bad.yaml"
+        path.write_text(section + f"outputs:\n  directory: {tmp_path / 'out'}\n")
+        assert main(["regions", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {expected}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
     def test_committed_config(self, name, tmp_path, capsys):
