@@ -7,13 +7,14 @@ deterministic given their inputs.
   empirical frequency vector per opponent (initial beliefs act as a single
   pseudo-observation), carried as exact counts, and best-responds to the
   product of those marginals. It is event-driven: once a game repeats a
-  profile it plays it for as many steps as the per-step rule is certain to
-  keep it, and decides again only then, so a run that settles costs a few
-  decisions, not one per step, with the same result bit for bit. It steps
-  one game, or a stack of same-shape games in lockstep with one clock per
-  game and the same per-game arithmetic, which is how Monte-Carlo sweeps
-  run; a batch keeps the play run-length encoded and renders per-step
-  actions only when they are read.
+  profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for
+  as many whole periods as the per-step rule is certain to keep it, and
+  decides again only then, so a run that settles and the paper's
+  miscoordination cycle alike cost a few decisions, not one per step, with
+  the same result bit for bit. It steps one game, or a stack of same-shape
+  games in lockstep with one clock per game and the same per-game
+  arithmetic, which is how Monte-Carlo sweeps run; a batch keeps the play
+  run-length encoded and renders per-step actions only when they are read.
 * :func:`run_aggregation_fp` never reveals actions. After each round the
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution and folds the value of
@@ -65,6 +66,16 @@ __all__ = [
 ]
 
 TIE_BREAKS = ("lowest", "highest")
+
+# The longest cycle of profiles run_fp tries to jump over. A game is tried
+# at period p once its last 2p steps, the new decision included, repeat with
+# period p; every period allowed costs a comparison per game and decision.
+MAX_PERIOD = 8
+# Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
+# the window is p-periodic; entries j >= p map to themselves.
+_PERIOD_SHIFT = np.where(np.arange(MAX_PERIOD) < np.arange(1, MAX_PERIOD + 1)[:, None],
+                         np.arange(MAX_PERIOD) + np.arange(1, MAX_PERIOD + 1)[:, None],
+                         np.arange(MAX_PERIOD))
 
 try:  # np.einsum without path optimization only forwards to this; calling it
     # directly saves the dispatch, which dominates on small stacks.
@@ -357,6 +368,8 @@ class BatchFPResult:
 
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
+        if not 1 <= window <= self.T:
+            raise ValueError(f"window must lie in [1, {self.T}]")
         _, start, length, profile = self.runs
         keep = np.clip(start + length - (self.T - window), 0, length)
         return np.repeat(profile, keep, axis=0).reshape(len(self.tables), window, -1)
@@ -390,26 +403,69 @@ class BatchFPResult:
         return sums.reshape(n_games, n_players)
 
 
+def _periods(window: np.ndarray) -> np.ndarray:
+    """Per row of ``window`` (a game's new decision, then the profiles of the
+    steps it played, newest first, as codes): the smallest p <=
+    :data:`MAX_PERIOD` whose first 2p entries repeat with period p, else 0."""
+    periodic = (window[:, None, :MAX_PERIOD] == window[:, _PERIOD_SHIFT]).all(axis=2)
+    return np.where(periodic.any(axis=1), periodic.argmax(axis=1) + 1, 0)
+
+
+def _unroll(window: np.ndarray, period: np.ndarray):
+    """Each row's cycle of its new decision and the ``period`` - 1 steps
+    before it, in a ``window`` that repeats with that period (see
+    :func:`_periods`), flattened row by row, phase 0 first: the row, phase
+    and profile code of every phase, the code of the step before it, and
+    where each row's phases start."""
+    start = np.cumsum(period) - period
+    row = np.repeat(np.arange(len(period)), period)
+    phase = np.arange(len(row)) - start[row]
+    at = (period[row] - phase) % period[row]  # the window runs back in time
+    return row, phase, window[row, at], window[row, at + 1], start
+
+
+def _lap_entries(switch, row, phase, laps, period):
+    """The switches of cycles played whole periods at a time, period by
+    period. ``switch`` indexes the phases of :func:`_unroll` whose profile
+    differs from the step before; row r plays ``laps[r]`` periods of
+    ``period[r]`` steps. Returns the phase index of every entry, each
+    phase once per period, and its steps after the row's first step."""
+    per_lap = np.bincount(row[switch], minlength=len(laps))
+    reps = per_lap * laps
+    entry_row = np.repeat(np.arange(len(laps)), reps)
+    lap, k = np.divmod(np.arange(len(entry_row)) - np.repeat(np.cumsum(reps) - reps, reps),
+                       per_lap[entry_row])
+    entry = switch[np.repeat(np.cumsum(per_lap) - per_lap, reps) + k]
+    lap *= period[entry_row]  # the steps before the entry's period ...
+    lap += phase[entry]  # ... and before its phase
+    return entry, lap
+
+
 def _certified_run(tables: np.ndarray):
-    """Certified run lengths for a stack of utility tables, (G, K) + (S,)*K.
+    """Certified cycles for a stack of utility tables, (G, K) + (S,)*K.
 
-    Returns ``certify(f, values, actions, step, remaining)``: for every
-    game, whose beliefs ``f`` (G, K, S) at belief weight ``step`` (G,) gave
-    expected payoffs ``values`` and the profile ``actions`` (G, K), the
-    number of steps, at least 1 and at most ``remaining``, over which the
-    per-step rule is certain to keep playing ``actions``.
+    Returns ``certify(rows, f, choice, step, target, period, cap)``, which
+    bounds one phase of a cycle of profiles per entry. Entry i concerns
+    stack row ``rows[i]`` at a step where its beliefs are ``f[i]`` (K, S),
+    at belief weight ``step[i]``, and where it plays the profile whose
+    one-hot rows are ``choice[i]`` (K, S); every period of the cycle adds
+    ``period[i]`` steps and ``period[i] * target[i]`` to the counts, so
+    ``target`` holds the cycle's average marginals (the point mass of the
+    profile for a period of one step). ``certify`` returns, per entry, the
+    number of periods n = 0, 1, ..., at most ``cap[i]``, over which the
+    per-step rule is certain to play that profile at this phase.
 
-    While a profile a is played n more steps, every belief moves to
-    (1 - lam) f + lam e_a with lam = n / (step + n), so each margin
-    E_k(a_k) - E_k(c) is a degree-(K-1) polynomial in lam. Its Bernstein
-    coefficient b_m averages the margin over the ways to put m opponents at
-    their point mass on a: b_0 is the margin now (d0), b_{K-1} the payoff
-    difference at a itself. With tau the largest of (d0 - b_m) / m and 0,
-    the margin is at least d0 - lam (K-1) tau, because the point masses
-    placed follow a binomial law of mean (K-1) lam; for K = 2 that bound is
-    the margin itself. A step is certified when the bound exceeds a rounding
-    slack far above the error of the float expectation, so there the
-    per-step argmax is strict and no tie-break is consulted.
+    After n more periods the beliefs at the phase are (1 - lam) f + lam v,
+    with v the target and lam = n p / (step + n p), so each margin E_k(a_k)
+    - E_k(c) is a degree-(K-1) polynomial in lam. Its Bernstein coefficient
+    b_m averages the margin over the ways to put m opponents at their
+    target: b_0 is the margin now (d0), b_{K-1} the margin at the target
+    itself. With tau the largest of (d0 - b_m) / m and 0, the margin is at
+    least d0 - lam (K-1) tau, because the opponents placed follow a
+    binomial law of mean (K-1) lam; for K = 2 that bound is the margin
+    itself. A period is certified when the bound exceeds a rounding slack
+    far above the error of the float expectation, so there the per-step
+    argmax is strict and no tie-break is consulted.
     """
     n_games, n_players = tables.shape[:2]
     n_channels = tables.shape[2]
@@ -418,38 +474,36 @@ def _certified_run(tables: np.ndarray):
              * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
     own_first, opponents = _layout(tables)
     ways = np.array([math.comb(n_players - 1, m) for m in range(n_players)])[:, None, None, None]
-    games = np.arange(n_games)
+    placed = np.arange(1, n_players)[:, None, None, None]  # opponents at their target
 
-    def certify(f, values, actions, step, remaining):
+    def certify(rows, f, choice, step, target, period, cap):
         if n_players == 1:  # payoffs ignore beliefs: the choice never changes
-            return remaining
+            return cap
         # sums[m, :, k] adds player k's expected payoffs over every way to
-        # put m opponents at their point mass, the others at their beliefs.
-        sums = np.empty((n_players,) + values.shape)
+        # put m opponents at their target, the others at their beliefs.
+        sums = np.empty((n_players,) + f.shape)
         for k in range(n_players):
-            terms = [own_first[k]]
+            terms = [own_first[k][rows]]
             for j in opponents[k]:
-                mass = [t[games, ..., actions[:, j]] for t in terms]
                 spread = [_einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
+                mass = [_einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
                 terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), mass[-1]]
             sums[:, :, k] = terms
-        mine = actions[:, :, None]
-        d0 = np.take_along_axis(values, mine, 2) - values
         b = sums / ways
-        b = np.take_along_axis(b, mine[None], 3) - b
-        tau = (d0 - b[1:]) / np.arange(1, n_players)[:, None, None, None]
-        tau = np.maximum(tau, 0).max(axis=0)
-        low = d0 - slack[:, None, None]  # bound minus slack now ...
-        high = low - (n_players - 1) * tau  # ... and at the point mass (lam = 1)
+        b = (b * choice).sum(axis=3, keepdims=True) - b  # one term is nonzero: exact
+        d0 = b[0]
+        tau = np.maximum((d0 - b[1:]) / placed, 0).max(axis=0)
+        low = d0 - slack[rows, None, None]  # bound minus slack now ...
+        high = low - (n_players - 1) * tau  # ... and at the target (lam = 1)
         s = step[:, None, None]
-        # Further steps n the bound certifies: low * s + n * high > 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            more = np.ceil(np.minimum(low * s / -high, remaining.max())) - 1
-            more -= low * s + more * high <= 0  # rounding guard
-        more = np.where(high >= 0, np.inf, more)
-        more = np.where(low > 0, more, 0)
-        more[np.arange(n_channels) == mine] = np.inf
-        return np.minimum(1 + more.min(axis=(1, 2)), remaining)
+        p = period[:, None, None]
+        # Periods n the bound certifies: low * s + n * p * high > 0.
+        n = np.divide(low * s, -high * p, out=np.full(low.shape, np.inf), where=high < 0)
+        n = np.ceil(np.minimum(n, cap.max()))
+        n -= low * s + (n - 1) * p * high <= 0  # rounding guard
+        n = np.where(low > 0, n, 0)
+        n[choice > 0] = np.inf
+        return np.minimum(n.min(axis=(1, 2)), cap)
 
     return certify
 
@@ -470,11 +524,16 @@ def run_fp(
     step, the prior being the initial marginals.
 
     The engine is event-driven. At a decision point it computes every
-    expected payoff and the argmax; when a game repeats its previous
-    profile, it plays that profile for as many steps as the per-step rule
-    is certain to keep it (see :func:`_certified_run`) and decides again
-    only then. A game that switches every step is decided every step. The
-    result equals the step-by-step rule's exactly.
+    expected payoff and the argmax. When a game's last 2p steps, the new
+    decision included, repeat with period p (p = 1: it repeats its previous
+    profile; p up to :data:`MAX_PERIOD`), it plays that cycle of p profiles
+    for as many whole periods as the per-step rule is certain to keep it
+    (see :func:`_certified_run`, whose target is the cycle's average
+    marginals) and decides again only then. So a game that settles, and
+    one locked in a cycle such as the paper's 2-cycle, cost a few decisions
+    however long the run; only a game that wanders, or meets exact ties
+    again and again, is decided every step. The result equals the
+    step-by-step rule's exactly. Checkpoints must lie in [1, T].
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
     stepped in lockstep with one clock per game; each game's arithmetic is
@@ -485,6 +544,10 @@ def run_fp(
     same step.
     """
     pick, channel = _chooser(tie_break, T)
+    checkpoints = sorted({int(t) for t in checkpoints})
+    for t in checkpoints:
+        if not 1 <= t <= T:
+            raise ValueError(f"checkpoint {t} must lie in [1, T] = [1, {T}]")
     games, single = _game_batch(game)
     if not games:
         raise ValueError("need at least one game")
@@ -512,13 +575,14 @@ def run_fp(
     switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
     # The stack of games still running is the first n rows of ``tables``;
     # ``ids`` maps every row to its game. Per running game: exact counts,
-    # belief weight (initial step plus steps played, as a float) and current
-    # profile code (-1 before the first decision). A game leaves the stack as
-    # soon as it finishes, so every game in it is decided at every pass.
+    # belief weight (initial step plus steps played, as a float) and the
+    # profile codes of the last steps played, newest first (-1 before the
+    # first steps). A game leaves the stack as soon as it finishes, so every
+    # game in it is decided at every pass.
     ids = np.arange(n_games)
     counts = np.zeros(prior.shape)
     weight = np.full(n_games, float(init_step))
-    current = np.full(n_games, -1)
+    history = np.full((n_games, 2 * MAX_PERIOD - 1), -1)
     swaps = []  # row exchanges made to keep the stack a prefix, in order
 
     def running(n):
@@ -530,31 +594,55 @@ def run_fp(
                 weight[:, None, None])
 
     expected, certify, stack_ids, stack_prior, scale = running(n_games)
-    lead = init_step  # the largest belief weight in the stack
     iteration = 0
     while True:
         iteration += 1
         f = stack_prior + counts
         f /= scale
-        values = expected(f)
-        a = channel(pick(values), n_channels)
-        code = a.dot(place)
-        held = code == current
-        if np.count_nonzero(held):
-            length = np.where(held, certify(f, values, a, weight, end - weight), 1.0)
-            moved = np.flatnonzero(~held)
-            switches.append(stack_ids[moved], weight[moved], code[moved])
-            current[moved] = code[moved]
-            counts += eye.take(a, axis=0) * length[:, None, None]
-            weight += length
-            lead = weight.max()
-        else:
-            switches.append(stack_ids, weight, code)
-            current = code
-            counts += eye.take(a, axis=0)
-            weight += 1.0
-            lead += 1
-        if lead == end:
+        a = channel(pick(expected(f)), n_channels)
+        window = np.concatenate([a.dot(place)[:, None], history], axis=1)
+        # Each game plays ``cycles`` periods of ``period`` steps, each adding
+        # ``played`` to its counts: one step of its new decision, unless its
+        # last steps repeat and the certificate covers whole periods of them.
+        cycles = np.ones(len(weight), dtype=np.int64)
+        period = np.ones(len(weight), dtype=np.int64)
+        played = eye.take(a, axis=0)
+        repeats = _periods(window)
+        tried = np.flatnonzero(repeats)
+        if tried.size:
+            p = repeats[tried]
+            row, phase, code, before, start = _unroll(window[tried], p)
+            one = eye.take(code[:, None] // place % n_channels, axis=0)
+            # Every phase of the first period: its beliefs, as the per-step
+            # rule would compute them there, and the periods it is kept for.
+            at = tried[row]
+            earlier = np.cumsum(one, axis=0) - one
+            earlier -= earlier[start][row]  # counts of the earlier phases of the period
+            step = weight[at] + phase
+            g = stack_prior[at] + (counts[at] + earlier)
+            g /= step[:, None, None]
+            per_period = np.add.reduceat(one, start)
+            kept = certify(at, g, one, step, per_period[row] / p[row, None, None], p[row],
+                           (end - weight[at]) // p[row])
+            kept[phase == 0] = np.maximum(kept[phase == 0], 1)  # decided now
+            laps = np.minimum.reduceat(kept, start).astype(np.int64)
+            jump = np.flatnonzero(laps)
+            cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
+            played[tried[jump]] = per_period[jump]
+            # A phase whose profile differs from the step before it is a
+            # switch in every period jumped.
+            entry, offset = _lap_entries(np.flatnonzero(code != before), row, phase, laps, p)
+            switches.append(stack_ids[at[entry]], weight[at[entry]] + offset, code[entry])
+        moved = np.flatnonzero((window[:, 0] != window[:, 1]) & (period == 1))  # single steps
+        switches.append(stack_ids[moved], weight[moved], window[moved, 0])
+        counts += played * cycles[:, None, None]
+        steps = cycles * period
+        weight += steps
+        # The last steps played follow the cycle back from its last phase.
+        back = np.arange(history.shape[1])
+        history = window[np.arange(len(window))[:, None], np.where(
+            back < steps[:, None], (back + 1) % period[:, None], back - steps[:, None] + 1)]
+        if weight.max() == end:
             done = weight == end
             final_counts[stack_ids[done]] = counts[done]
             evaluations[stack_ids[done]] = iteration
@@ -569,9 +657,8 @@ def run_fp(
                 ids[[row, other]] = ids[[other, row]]
                 order[row] = other
                 swaps.append((row, other))
-            counts, weight, current = counts[order], weight[order], current[order]
+            counts, weight, history = counts[order], weight[order], history[order]
             expected, certify, stack_ids, stack_prior, scale = running(n)
-            lead = weight.max()
     for row, other in reversed(swaps):  # every table back in its game's row
         tables[[row, other]] = tables[[other, row]]
     result = BatchFPResult(
@@ -583,7 +670,7 @@ def run_fp(
         switches=switches,
         T=T,
     )
-    for t in sorted(set(int(c) for c in checkpoints)):
+    for t in checkpoints:
         result.frequencies[t] = result.counts(t) / float(t)
     if not single:
         return result

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from csgame import (
+    TIE_BREAKS,
     BeliefState,
     GameSpec,
     QState,
@@ -28,16 +29,21 @@ from csgame import (
     run_fp_batch_2x2,
     trial_game,
     utility,
+    write_trajectory_csv,
 )
 from _oracles import (
     oracle_cycle_onset,
     oracle_run_aggregation_fp,
     oracle_run_fp,
+    oracle_trajectory_csv,
     oracle_utility,
 )
 from conftest import random_game, random_symmetric_2x2
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Potential-difference ratio ~0.894: its 2-cycle from xi = 0.5 persists
+# through round 3 and dies at round 4.
+NEAR_SYMMETRIC = GameSpec.symmetric([[1.0, 0.9], [0.9, 1.0]], p_max=10.0)
 
 
 class TestBeliefState:
@@ -603,11 +609,48 @@ class TestCyclePersistence:
     def test_near_symmetric_game_dies_at_known_round(self):
         # Potential-difference ratio ~0.894: inside the xi=0.5 band for
         # n <= 3, outside from n = 4 on.
-        game = GameSpec.symmetric([[1.0, 0.9], [0.9, 1.0]], p_max=10.0)
         for n in (1, 2, 3):
-            assert cycle_persistence_2x2(game, (0.5, 0.5), n)
+            assert cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), n)
         for n in (4, 5, 100):
-            assert not cycle_persistence_2x2(game, (0.5, 0.5), n)
+            assert not cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), n)
+
+    def test_engine_leaves_the_cycle_where_the_predicate_turns_false(self):
+        init = BeliefState.from_xi([0.5, 0.5])
+        assert cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), 3)
+        assert not cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), 4)
+        for batch in _assert_cycles_match_oracle([NEAR_SYMMETRIC], [init], 2000).values():
+            assert batch.evaluations[0] <= 10
+            assert _round_leaving_two_cycle(batch.actions[:, 0]) == 4
+
+    def test_dying_cycle_is_jumped_to_the_round_it_dies(self):
+        # For K = 2 the certificate is the margin itself, so a cycle that
+        # dies at round 643 is jumped right up to it, in as few decisions as
+        # a cycle that never dies.
+        game = GameSpec.symmetric([[1.0, 0.9995], [0.9995, 1.0]], p_max=10.0)
+        init = BeliefState.from_xi([0.5, 0.5])
+        assert cycle_persistence_2x2(game, (0.5, 0.5), 642)
+        assert not cycle_persistence_2x2(game, (0.5, 0.5), 643)
+        for batch in _assert_cycles_match_oracle([game], [init], 1500).values():
+            assert batch.evaluations[0] <= 7
+            assert _round_leaving_two_cycle(batch.actions[:, 0]) == 643
+
+    def test_symmetric_cycle_is_jumped_to_two_million_steps(self, strong_interference_game):
+        # The predicate says the cycle persists through round 10**6; the
+        # engine plays all 2 * 10**6 steps of it in a few decisions.
+        game, T = strong_interference_game, 2 * 10**6
+        init = BeliefState.from_xi([0.5, 0.5])
+        assert cycle_persistence_2x2(game, (0.5, 0.5), T // 2)
+        batch = run_fp([game], init, T=T, checkpoints=(T - 1, T))
+        assert batch.evaluations[0] <= 10
+        # Every step is a run of its own, (0, 0) on odd steps, (1, 1) on even.
+        _, start, length, profile = batch.runs
+        np.testing.assert_array_equal(start, np.arange(T))
+        assert np.all(length == 1)
+        assert np.all(profile[0::2] == 0) and np.all(profile[1::2] == 1)
+        np.testing.assert_array_equal(batch.frequencies[T][0], np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(batch.frequencies[T - 1][0],
+                                      [[T // 2, T // 2 - 1]] * 2 / np.float64(T - 1))
+        np.testing.assert_array_equal(batch.final_marginals[0], (init.marginals + T // 2) / (T + 1))
 
     def test_agrees_with_direct_bound_arithmetic(self):
         rng = np.random.default_rng(83)
@@ -687,6 +730,18 @@ def _assert_matches_oracle(batch, i, game, init, T, tie_break):
     return ref
 
 
+def _round_leaving_two_cycle(profiles) -> int:
+    """The first round n, steps 2n - 1 and 2n, not played as (0, 0), (1, 1)."""
+    rounds = profiles.reshape(-1, 2, 2)
+    return [np.array_equal(r, [[0, 0], [1, 1]]) for r in rounds].index(False) + 1
+
+
+def _assert_trajectory_matches(traj, ref):
+    """One game run alone, a batch of one, against the oracle's run."""
+    for name in ("profiles", "utilities", "potentials", "beliefs", "final_state"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+
+
 class TestBatchEngine:
     def test_exact_parity_with_reference_engine(self):
         rng = np.random.default_rng(89)
@@ -701,10 +756,7 @@ class TestBatchEngine:
                 for i, (game, init) in enumerate(zip(games, inits)):
                     ref = _assert_matches_oracle(batch, i, game, init, T, tie_break)
                     # One game is a batch of one with the same arithmetic.
-                    traj = run_fp(game, init, T=T, tie_break=tie_break)
-                    for name in ("profiles", "utilities", "potentials", "beliefs",
-                                 "final_state"):
-                        np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+                    _assert_trajectory_matches(run_fp(game, init, T=T, tie_break=tie_break), ref)
                 first = 0 if tie_break == "lowest" else n_channels - 1
                 assert np.all(batch.actions[0, -2:] == first)
 
@@ -745,9 +797,7 @@ class TestBatchEngine:
             batch = run_fp(games, inits, T=T, tie_break=tie_break, checkpoints=(7, T))
             for i, (game, init) in enumerate(zip(games, inits)):
                 ref = _assert_matches_oracle(batch, i, game, init, T, tie_break)
-            traj = run_fp(game, init, T=T, tie_break=tie_break)
-            for name in ("profiles", "utilities", "potentials", "beliefs", "final_state"):
-                np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+            _assert_trajectory_matches(run_fp(game, init, T=T, tie_break=tie_break), ref)
 
     @pytest.mark.parametrize("n_players, n_channels", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
     def test_switches_after_certified_runs(self, n_players, n_channels):
@@ -781,15 +831,17 @@ class TestBatchEngine:
             np.testing.assert_array_equal(traj.beliefs, ref.beliefs)
 
     def test_two_cycle_in_a_batch_of_settling_games(self, strong_interference_game):
-        # The cycle switches every step, so it is decided every step, while
-        # the settled games leave the stack early.
+        # The cycle switches every step but is jumped period by period, the
+        # near-symmetric game's cycle dies, and the settled games leave the
+        # stack early.
         rng = np.random.default_rng(103)
-        games = [strong_interference_game] + [random_game(rng, 2, 2) for _ in range(5)]
+        games = [strong_interference_game, NEAR_SYMMETRIC]
+        games += [random_game(rng, 2, 2) for _ in range(5)]
         init = BeliefState.from_xi([0.5, 0.5])
         T = 400
         for tie_break in ("lowest", "highest"):
             batch = run_fp(games, init, T=T, tie_break=tie_break, checkpoints=(T // 2, T))
-            assert batch.evaluations[0] == T
+            assert batch.evaluations[0] <= 10
             assert np.all(batch.evaluations[1:] < T // 10)
             for i, game in enumerate(games):
                 _assert_matches_oracle(batch, i, game, init, T, tie_break)
@@ -817,10 +869,12 @@ class TestBatchEngine:
         games = [trial_game(config, i) for i in range(config.generator.trials)]
         batch = run_fp(games, T=config.dynamics.steps)
         assert batch.evaluations.max() <= 200
-        # The paper's 2-cycle is decided at every step.
+        # The paper's 2-cycle is jumped period by period.
         cycle = GameSpec.symmetric(np.ones((2, 2)), p_max=10.0)
-        batch = run_fp([cycle], BeliefState.from_xi([0.5, 0.5]), T=5000)
-        np.testing.assert_array_equal(batch.evaluations, [5000])
+        init = BeliefState.from_xi([0.5, 0.5])
+        batch = run_fp([cycle], init, T=5000, checkpoints=(5000,))
+        assert batch.evaluations[0] <= 10
+        _assert_matches_oracle(batch, 0, cycle, init, 5000, "lowest")
 
     def test_validation(self, unit_game):
         with pytest.raises(ValueError, match="at least one"):
@@ -844,3 +898,94 @@ class TestBatchEngine:
         direct = run_fp([unit_game], T=10, checkpoints=(10,))
         np.testing.assert_array_equal(via_2x2.actions, direct.actions)
         np.testing.assert_array_equal(via_2x2.frequencies[10], direct.frequencies[10])
+
+    @pytest.mark.parametrize("checkpoint", [20, 0, -3])
+    def test_checkpoints_outside_the_run(self, unit_game, checkpoint):
+        message = f"checkpoint {checkpoint} must lie in \\[1, T\\] = \\[1, 10\\]"
+        for run in (lambda c: run_fp([unit_game], T=10, checkpoints=c),
+                    lambda c: run_fp(unit_game, T=10, checkpoints=c),
+                    lambda c: run_fp_batch_2x2([unit_game], T=10, checkpoints=c)):
+            with pytest.raises(ValueError, match=message):
+                run((5, checkpoint))
+
+    @pytest.mark.parametrize("window", [0, 11, -1])
+    def test_tail_window_outside_the_run(self, unit_game, window):
+        batch = run_fp([unit_game], T=10)
+        with pytest.raises(ValueError, match="window must lie in \\[1, 10\\]"):
+            batch.tail(window)
+
+
+def _assert_cycles_match_oracle(games, inits, T, checkpoints=()):
+    """Both tie-breaks: every game of the batch, and each game run alone as
+    a batch of one, bit for bit against the per-step oracle."""
+    batches = {}
+    for tie_break in TIE_BREAKS:
+        batch = run_fp(games, inits, T=T, tie_break=tie_break, checkpoints=checkpoints)
+        for i, (game, init) in enumerate(zip(games, inits)):
+            ref = _assert_matches_oracle(batch, i, game, init, T, tie_break)
+            _assert_trajectory_matches(run_fp(game, init, T=T, tie_break=tie_break), ref)
+        batches[tie_break] = batch
+    return batches
+
+
+class TestCertifiedCycles:
+    """Cycles of profiles are jumped whole periods at a time, exactly."""
+
+    @pytest.mark.parametrize("xi", [(0.5, 0.5), (0.2, 0.2), (0.9, 0.9), (0.3, 0.7)])
+    def test_symmetric_two_cycle(self, strong_interference_game, xi):
+        init = BeliefState.from_xi(xi)
+        T = 3000
+        for batch in _assert_cycles_match_oracle([strong_interference_game], [init], T,
+                                                 (T,)).values():
+            assert batch.evaluations[0] <= 10
+            np.testing.assert_array_equal(batch.tail(4)[0], [[0, 0], [1, 1]] * 2)
+
+    def test_random_near_symmetric_games(self):
+        # Gains within a few percent of each other: some cycles persist,
+        # others die after a while.
+        rng = np.random.default_rng(107)
+        games = [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.03, (2, 2))),
+                                    p_max=float(rng.choice([1.0, 10.0, 100.0])))
+                 for _ in range(12)]
+        inits = [BeliefState.from_xi(rng.uniform(0.05, 0.95, 2)) for _ in games]
+        T = 1500
+        batch = _assert_cycles_match_oracle(games, inits, T, (T // 3, T))["lowest"]
+        switches = np.any(batch.actions[1:] != batch.actions[:-1], axis=2).sum(axis=0)
+        assert np.any(switches > 10 * batch.evaluations)
+
+    def test_checkpoints_inside_a_jumped_cycle(self, strong_interference_game):
+        # An odd horizon ends on a partial period, decided step by step.
+        init = BeliefState.from_xi([0.5, 0.5])
+        T = 1001
+        checkpoints = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 500, 501, 999, 1000, 1001)
+        for batch in _assert_cycles_match_oracle([strong_interference_game], [init], T,
+                                                 checkpoints).values():
+            assert batch.evaluations[0] <= 10
+            np.testing.assert_array_equal(batch.frequencies[500][0], np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("n_players, n_channels, draw, period",
+                             [(3, 3, 0, 2), (3, 3, 2, 3), (4, 2, 0, 2), (4, 2, 2, 2),
+                              (2, 3, 1, 3)])
+    def test_multi_player_cycles(self, n_players, n_channels, draw, period):
+        # All-ones games from Dirichlet beliefs: everyone crowds onto the same
+        # channels and flees them together, in cycles of 2 or 3 profiles.
+        rng = np.random.default_rng(10 * n_players + n_channels)
+        init = [BeliefState(step=1, marginals=rng.dirichlet(np.ones(n_channels), size=n_players))
+                for _ in range(draw + 1)][draw]
+        game = GameSpec.symmetric(np.ones((n_players, n_channels)), p_max=10.0)
+        T = 600
+        for batch in _assert_cycles_match_oracle([game], [init], T, (T // 2, T)).values():
+            assert batch.evaluations[0] <= 10
+        assert detect_cycle(run_fp(game, init, T=T), window=60).period == period
+
+    def test_cycle_trajectory_csv_matches_oracle(self, tmp_path):
+        # The simulate path of the paper's 2-cycle: engine, rendering and CSV
+        # writer against the per-step oracle, byte for byte.
+        config = load_config(CONFIGS / "symmetric_cycle.yaml")
+        game, init, T = config.game, config.dynamics.initial_beliefs_for(config.game), 30_000
+        ref = oracle_run_fp(game, init.marginals, T)
+        ref_traj = Trajectory(variant="classic", tie_break="lowest", profiles=ref.profiles,
+                              utilities=ref.utilities, potentials=ref.potentials,
+                              beliefs=ref.beliefs)
+        path = write_trajectory_csv(run_fp(game, init, T=T), tmp_path / "trajectory.csv")
+        assert path.read_bytes() == oracle_trajectory_csv(ref_traj).encode()
