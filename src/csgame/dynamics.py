@@ -19,8 +19,9 @@ deterministic given their inputs.
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution and folds the value of
   every channel it could have used into a running per-channel average, then
-  plays argmax of the averages. With two players the two engines generate
-  identical action sequences from matched initial state
+  plays argmax of the averages; a run reports the game's own payoffs and
+  potential. With two players the two engines play identical profiles, so
+  identical payoffs and potentials, from matched initial state
   (:func:`q_from_beliefs`); with more players the aggregate no longer pins
   down the opponent profile and the trajectories may diverge.
 """
@@ -40,6 +41,9 @@ from .game import (
     _game_batch,
     _guard_full_enumeration,
     _guard_opponent_profiles,
+    _payoffs,
+    _rate,
+    _strip_own,
     aggregate_message,
     potential,
     potential_table,
@@ -573,27 +577,21 @@ def run_fp(
     final_counts = np.zeros(prior.shape)
     evaluations = np.zeros(n_games, dtype=np.int64)
     switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
-    # The stack of games still running is the first n rows of ``tables``;
-    # ``ids`` maps every row to its game. Per running game: exact counts,
-    # belief weight (initial step plus steps played, as a float) and the
-    # profile codes of the last steps played, newest first (-1 before the
-    # first steps). A game leaves the stack as soon as it finishes, so every
-    # game in it is decided at every pass.
+    # Per running game: its table, index, exact counts, belief weight
+    # (initial step plus steps played, as a float) and the profile codes of
+    # the last steps played, newest first (-1 before the first steps). A
+    # game leaves the stack as soon as it finishes, so every game in it is
+    # decided at every pass.
+    stack = tables
     ids = np.arange(n_games)
     counts = np.zeros(prior.shape)
     weight = np.full(n_games, float(init_step))
     history = np.full((n_games, 2 * MAX_PERIOD - 1), -1)
-    swaps = []  # row exchanges made to keep the stack a prefix, in order
 
-    def running(n):
-        """Expectation, certification, game indices, priors and belief-weight
-        view of the first n rows; a prefix of ``tables`` has its layout, so
-        the same einsum kernels and the same sums."""
-        stack = tables[:n]
-        return (_expectation(stack), _certified_run(stack), ids[:n], prior[ids[:n]],
-                weight[:, None, None])
+    def running():  # expectation, certificate, priors and weight view of the stack
+        return _expectation(stack), _certified_run(stack), prior[ids], weight[:, None, None]
 
-    expected, certify, stack_ids, stack_prior, scale = running(n_games)
+    expected, certify, stack_prior, scale = running()
     iteration = 0
     while True:
         iteration += 1
@@ -632,9 +630,9 @@ def run_fp(
             # A phase whose profile differs from the step before it is a
             # switch in every period jumped.
             entry, offset = _lap_entries(np.flatnonzero(code != before), row, phase, laps, p)
-            switches.append(stack_ids[at[entry]], weight[at[entry]] + offset, code[entry])
+            switches.append(ids[at[entry]], weight[at[entry]] + offset, code[entry])
         moved = np.flatnonzero((window[:, 0] != window[:, 1]) & (period == 1))  # single steps
-        switches.append(stack_ids[moved], weight[moved], window[moved, 0])
+        switches.append(ids[moved], weight[moved], window[moved, 0])
         counts += played * cycles[:, None, None]
         steps = cycles * period
         weight += steps
@@ -644,23 +642,16 @@ def run_fp(
             back < steps[:, None], (back + 1) % period[:, None], back - steps[:, None] + 1)]
         if weight.max() == end:
             done = weight == end
-            final_counts[stack_ids[done]] = counts[done]
-            evaluations[stack_ids[done]] = iteration
-            n = len(weight) - np.count_nonzero(done)
-            if n == 0:
+            final_counts[ids[done]] = counts[done]
+            evaluations[ids[done]] = iteration
+            if done.all():
                 break
-            # Move the running games into the first n rows, one row exchange
-            # at a time, so no table is copied.
-            order = np.arange(n)
-            for row, other in zip(np.flatnonzero(done[:n]), n + np.flatnonzero(~done[n:])):
-                tables[[row, other]] = tables[[other, row]]
-                ids[[row, other]] = ids[[other, row]]
-                order[row] = other
-                swaps.append((row, other))
-            counts, weight, history = counts[order], weight[order], history[order]
-            expected, certify, stack_ids, stack_prior, scale = running(n)
-    for row, other in reversed(swaps):  # every table back in its game's row
-        tables[[row, other]] = tables[[other, row]]
+            # A C-ordered copy of the running rows has the layout of a
+            # prefix of ``tables``, so the same einsum kernels and sums.
+            keep = ~done
+            stack, ids, counts, weight, history = (
+                arr[keep] for arr in (stack, ids, counts, weight, history))
+            expected, certify, stack_prior, scale = running()
     result = BatchFPResult(
         frequencies={},
         final_marginals=(prior + final_counts) / (init_step + T),
@@ -709,22 +700,15 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
 
     Returns the (K, S) value of every channel to every player against what is
     left of gamma (noise plus total received power per channel) once its own
-    contribution is stripped, then gamma, each player's payoff and the
-    potential.
+    contribution is stripped, then gamma, and the payoffs and potential the
+    run reports: the game's own, not the reconstruction.
     """
     rows = np.arange(game.K)
-    received = game.received_power
-    weights = game.weights
     gamma = aggregate_message(game, actions)
-    # Strip own actual contribution; what is left of gamma on channel s is
-    # exactly the interference-plus-noise the player would face there.
-    own = np.zeros((game.K, game.S))
-    own[rows, actions] = received[rows, actions]
-    remainder = gamma[None, :] - own
-    if np.any(remainder <= 0):
-        raise ValueError("aggregate inconsistent with own received power")
-    values = weights[None, :] * np.log2(1.0 + received / remainder)
-    return values, gamma, values[rows, actions], float(np.dot(weights, np.log2(gamma)))
+    heard = np.tile(gamma, (game.K, 1))  # all of gamma off the player's own channel
+    heard[rows, actions] = _strip_own(game, rows, actions, gamma)
+    values = _rate(game.weights, game.received_power, heard)
+    return values, gamma, _payoffs(game, actions), potential(game, actions)
 
 
 def run_aggregation_fp(
@@ -740,7 +724,8 @@ def run_aggregation_fp(
     plus total received power per channel); each player removes its own
     actual contribution and scores every channel it could have used against
     the remaining interference, averaging that into its score vector with
-    weight 1/(step+1).
+    weight 1/(step+1). The run reports each profile's exact
+    :func:`~csgame.game.utility` and :func:`~csgame.game.potential`.
 
     Everything the broadcast determines (gamma, the consistency check, the
     channel values, the payoffs and the potential) depends on the action
@@ -859,34 +844,31 @@ def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
 def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     """Whether the two-profile coordination cycle survives through round n.
 
-    ``xi`` holds each player's initial-belief parameter (marginals
-    (xi/(1+xi), 1/(1+xi))). The cycle persists while the ratio of the two
-    potential drops from the shared profiles stays inside per-player bounds
-    that tighten toward 1 as n grows; a ratio of exactly 1 (fully symmetric
-    games) keeps the cycle alive forever. Raises when the denominator
-    potential difference is zero.
+    Round n is steps 2n - 1 and 2n, played as (0, 0) then (1, 1). ``xi``
+    holds each player's initial-belief parameter (marginals (xi/(1+xi),
+    1/(1+xi))). Each player answers the other's frequencies: player 1 keeps
+    the cycle while r1 = (Φ(1,0) − Φ(1,1)) / (Φ(0,1) − Φ(0,0)) lies in the
+    band of xi[0], player 0 while r0 = (Φ(0,1) − Φ(1,1)) / (Φ(1,0) − Φ(0,0))
+    lies in the band of xi[1]. The band of x, (b + x)/(b + 1) <= r <= (b + 1
+    + 2x)/(b + 1) with b = (n − 1)(1 + x), holds 1 and tightens toward it as
+    n grows. Raises when either denominator is zero.
     """
     require_symmetric_2x2(game)
     xi = np.asarray(xi, dtype=float).ravel()
     if xi.shape != (2,):
         raise ValueError("xi must hold one value per player (length 2)")
-    if np.any(xi <= 0) or np.any(xi >= 1):
-        raise ValueError("xi entries must lie strictly between 0 and 1")
+    BeliefState.from_xi(xi)  # rejects xi outside (0, 1)
     if int(n) < 1:
         raise ValueError("n must be >= 1")
     n = int(n)
-    numerator = potential(game, (1, 0)) - potential(game, (1, 1))
-    denominator = potential(game, (0, 1)) - potential(game, (0, 0))
-    if denominator == 0.0:
+    phi00, phi01, phi10, phi11 = (potential(game, p) for p in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    ratios = ((phi10 - phi11, phi01 - phi00, xi[0]),  # player 1, answering player 0
+              (phi01 - phi11, phi10 - phi00, xi[1]))  # player 0, answering player 1
+    if any(den == 0.0 for _, den, _ in ratios):
         raise ValueError("degenerate potential differences: denominator is zero")
-    ratio = numerator / denominator
-    if ratio == 1.0:
-        return True
-    for x in xi:
-        base = n * (x + 1.0)
-        low = (base - 1.0) / (base - x)
-        high = (base + x) / (base - x)
-        if not low <= ratio <= high:
+    for num, den, x in ratios:
+        b = (n - 1) * (1.0 + x)
+        if not (b + x) / (b + 1.0) <= num / den <= (b + 1.0 + 2.0 * x) / (b + 1.0):
             return False
     return True
 

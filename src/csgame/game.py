@@ -149,20 +149,27 @@ class GameSpec:
         )
 
 
+def _check_channels(game: GameSpec, channels) -> np.ndarray:
+    """One channel index or an array of them, checked, as int64."""
+    arr = np.asarray(channels)
+    if arr.dtype.kind not in "iu":
+        raise ValueError("channel indices must be integers")
+    if ((arr < 0) | (arr >= game.S)).any():
+        raise ValueError(f"channel indices must lie in [0, {game.S})")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_profile(game: GameSpec, profile) -> np.ndarray:
     """Validate a pure profile and return it as an int64 array of channel indices."""
-    arr = np.asarray(profile)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("profile entries must be integer channel indices")
-    arr = arr.astype(np.int64, copy=False).ravel()
+    arr = _check_channels(game, profile).ravel()
     if arr.shape != (game.K,):
         raise ValueError(f"profile must list one channel per player (K={game.K})")
-    if np.any(arr < 0) or np.any(arr >= game.S):
-        raise ValueError(f"channel indices must lie in [0, {game.S})")
     return arr
 
 
-def _check_player(game: GameSpec, player: int) -> int:
+def _check_player(game: GameSpec, player) -> int:
+    if not isinstance(player, (int, np.integer)):
+        raise TypeError(f"player index must be an integer, got {player!r}")
     if not 0 <= player < game.K:
         raise IndexError(f"player index {player} out of range [0, {game.K})")
     return int(player)
@@ -178,6 +185,26 @@ def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[list[GameSpec], bo
     return games, single
 
 
+def _rate(weight, signal, interference):
+    """The payoff rule of every payoff, table entry and reconstruction."""
+    return weight * np.log2(1.0 + signal / interference)
+
+
+def _payoffs(game: GameSpec, channels: np.ndarray) -> np.ndarray:
+    """Every player's utility under a checked profile, (K,). Row k of
+    ``loads``: k's channel noise, then each player's power where it shares
+    k's channel and 0 elsewhere; accumulated left to right (a reduction may
+    pair terms), the powers are added in ascending player order."""
+    n_players = game.K
+    own = game.received_power[range(n_players), channels]
+    loads = np.empty((n_players, n_players + 1))
+    loads[:, 0] = game.noise[channels]
+    np.multiply(channels[:, None] == channels, own, out=loads[:, 1:])
+    loads.reshape(-1)[1::n_players + 2] = 0.0  # k's own power, at (k, k + 1)
+    np.add.accumulate(loads, axis=1, out=loads)
+    return _rate(game.weights[channels], own, loads[:, -1])
+
+
 def utility(game: GameSpec, profile, player: int) -> float:
     """Spectral efficiency (bits/s/Hz) of one player under a pure profile.
 
@@ -186,16 +213,7 @@ def utility(game: GameSpec, profile, player: int) -> float:
     transmitter is counted as interference.
     """
     channels = check_profile(game, profile)
-    player = _check_player(game, player)
-    s = int(channels[player])
-    received = game.received_power
-    denom = float(game.noise[s])
-    for j in range(game.K):
-        if j != player and channels[j] == s:
-            denom += received[j, s]
-    # np.log2 keeps this bitwise identical to the corresponding entry of
-    # utility_table(), which computes the same quantity on whole arrays.
-    return float(game.weights[s] * np.log2(1.0 + received[player, s] / denom))
+    return float(_payoffs(game, channels)[_check_player(game, player)])
 
 
 def aggregate_message(game: GameSpec, profile) -> np.ndarray:
@@ -229,31 +247,32 @@ def potential(game: GameSpec, profile) -> float:
     return total
 
 
+def _strip_own(game: GameSpec, players, channels, gamma: np.ndarray):
+    """The reconstruction: what each of ``players`` hears on its own entry
+    of ``channels``, the aggregate ``gamma`` there less its own power."""
+    heard = gamma[channels] - game.received_power[players, channels]
+    if (heard <= 0.0).any():
+        raise ValueError("aggregate inconsistent: own power meets or exceeds the aggregate")
+    return heard
+
+
 def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> float:
     """Utility reconstructed from own parameters and the receiver aggregate.
 
-    For the profile that actually produced ``gamma`` this equals
-    :func:`utility`: the player subtracts its own received power from the
-    aggregate on its channel and treats the remainder as
-    interference-plus-noise. Entries of ``gamma`` for unused channels are
+    The player subtracts its own received power from the aggregate on its
+    channel and treats the remainder as interference-plus-noise. For the
+    profile that actually produced ``gamma`` this is :func:`utility`'s value
+    up to rounding: the subtraction loses about eps * own / remainder of
+    relative precision. Entries of ``gamma`` for unused channels are
     irrelevant.
     """
     player = _check_player(game, player)
-    if not 0 <= own_channel < game.S:
-        raise ValueError(f"channel indices must lie in [0, {game.S})")
+    own_channel = int(_check_channels(game, own_channel))
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.shape != (game.S,):
         raise ValueError(f"gamma must have length S={game.S}")
-    own = float(game.received_power[player, own_channel])
-    if own == 0.0:
-        return 0.0
-    denom = float(gamma[own_channel]) - own
-    if denom <= 0.0:
-        raise ValueError(
-            "aggregate is inconsistent: own received power meets or exceeds "
-            "the reported channel aggregate"
-        )
-    return float(game.weights[own_channel] * np.log2(1.0 + own / denom))
+    heard = _strip_own(game, player, own_channel, gamma)
+    return float(_rate(game.weights[own_channel], game.received_power[player, own_channel], heard))
 
 
 def _guard_opponent_profiles(game: GameSpec) -> int:
@@ -278,8 +297,7 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
     skipped, so a point mass reproduces :func:`utility` exactly.
     """
     player = _check_player(game, player)
-    if not 0 <= own_channel < game.S:
-        raise ValueError(f"channel indices must lie in [0, {game.S})")
+    own_channel = int(_check_channels(game, own_channel))
     n_profiles = _guard_opponent_profiles(game)
     shape = (game.S,) * (game.K - 1)
     dist = np.asarray(opponent_dist, dtype=float)
@@ -355,7 +373,7 @@ def utility_table(game: GameSpec) -> np.ndarray:
                                    opponents, eye[s:s + 1])[0, 0]
             idx: list = [slice(None)] * n_players
             idx[k] = s
-            table[k][tuple(idx)] = weights[s] * np.log2(1.0 + received[k, s] / denom)
+            table[k][tuple(idx)] = _rate(weights[s], received[k, s], denom)
     return table
 
 

@@ -9,8 +9,9 @@ a classic chunk as one lockstep batch of :func:`~csgame.dynamics.run_fp` and
 an aggregation chunk one game at a time; a single trial is a chunk of one,
 so its record is bit-for-bit the one a sweep writes. The analysis and the
 records of a chunk share one stack of utility tables (the classic batch's
-own, or one built per aggregation game), and the whole chunk is analyzed in
-one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
+own, or one built per aggregation game, which also gives each aggregation
+game its initial scores), and the whole chunk is analyzed in one
+:func:`~csgame.equilibrium.analyze_game` call over them; the nearest
 equilibrium point and the mixed-equilibrium payoff of every record are read
 off the chunk's arrays. A record reads only its game's trailing window of
 profiles and the game's payoff table.
@@ -24,8 +25,10 @@ import numpy as np
 
 from .config import FADING_LAWS, DynamicsSpec, ExperimentConfig, snr_db_to_power
 from .dynamics import (
+    QState,
     Trajectory,
     _action_dtype,
+    _expectation,
     _smallest_period,
     empirical_frequencies,
     q_from_beliefs,
@@ -63,7 +66,9 @@ CONVERGENCE_TV = 1e-2
 # stands for the classic switch log when games switch every step: one entry
 # of a few bytes per game and step. The chunk's analysis adds a potential
 # stack and a working load of S**K float64 entries each per game, and a
-# boolean mask, which for K >= 2 stay within the tables' own size.
+# boolean mask, which for K >= 2 stay within the tables' own size. The
+# classic engine's copy of its running games' tables adds up to that size
+# again, twice while one compaction replaces the last.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -174,10 +179,8 @@ def _mixed_mean_utilities(tables: np.ndarray,
     with_mixed = [g for g, r in enumerate(reports) if r.mixed_ne is not None]
     if with_mixed:
         mixed = np.stack([reports[g].mixed_ne for g in with_mixed])
-        own = tables[with_mixed]
-        player0 = mixed[:, 1, 0] * own[:, 0, 0, 0] + mixed[:, 1, 1] * own[:, 0, 0, 1]
-        player1 = mixed[:, 0, 0] * own[:, 1, 0, 0] + mixed[:, 0, 1] * own[:, 1, 1, 0]
-        for g, mean in zip(with_mixed, ((player0 + player1) / 2).tolist()):
+        on_first = _expectation(tables[with_mixed])(mixed)[:, :, 0]
+        for g, mean in zip(with_mixed, (on_first.sum(axis=1) / 2).tolist()):
             means[g] = mean
     return means
 
@@ -233,38 +236,32 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
     )
 
 
-def _aggregation_run(game: GameSpec, dynamics: DynamicsSpec, window: int) -> tuple:
-    """What an aggregation record reads of one run: frequencies, mean
-    payoffs and the last ``window`` profiles."""
-    traj = simulate_trajectory(game, dynamics)
-    return (empirical_frequencies(traj), traj.utilities.mean(axis=0),
-            traj.profiles[traj.T - window:])
-
-
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> list[dict]:
     """Records of consecutive same-shape trials. Classic trials are
     simulated as one lockstep batch, whose stacked utility tables the
     analysis reuses; aggregation trials have their tables built once, for
-    the analysis and the records, and are simulated one game at a time, so
-    only one trajectory is held at a time. The whole chunk is analyzed in
-    one pass, and its nearest equilibrium points and mixed-equilibrium
-    payoffs are read off the chunk's arrays."""
+    their initial scores, the analysis and the records, and are simulated
+    one game at a time, so only one trajectory is held at a time. The whole
+    chunk is analyzed in one pass, and its nearest equilibrium points and
+    mixed-equilibrium payoffs are read off the chunk's arrays."""
     T = dynamics.steps
     window = min(CYCLE_WINDOW, T)
+    beliefs = [dynamics.initial_beliefs_for(g) for g in games]
     if dynamics.variant == "classic":
-        result = run_fp(
-            games, [dynamics.initial_beliefs_for(g) for g in games], T=T,
-            tie_break=dynamics.tie_break, checkpoints=(T,),
-        )
+        result = run_fp(games, beliefs, T=T, tie_break=dynamics.tie_break, checkpoints=(T,))
         tables = result.tables
         freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                         result.tail(window).astype(np.int64))
     else:
         tables = np.stack([utility_table(game) for game in games])
-        freqs, mean_utilities, tails = (
-            np.stack(parts)
-            for parts in zip(*(_aggregation_run(game, dynamics, window) for game in games))
-        )
+        # q_from_beliefs of every game, from the same tables.
+        scores = _expectation(tables)(np.stack([b.marginals for b in beliefs]))
+        runs = (run_aggregation_fp(game, QState(step=b.step, q=q), T=T,
+                                   tie_break=dynamics.tie_break)
+                for game, b, q in zip(games, beliefs, scores))
+        freqs, mean_utilities, tails = (np.stack(parts) for parts in zip(*(
+            (empirical_frequencies(r), r.utilities.mean(axis=0), r.profiles[T - window:])
+            for r in runs)))
     reports = analyze_game(games, tables=tables)
     kinds, tvs = _nearest_equilibria(freqs, reports)
     mixed_means = _mixed_mean_utilities(tables, reports)

@@ -14,7 +14,9 @@ beliefs, deciding every step; it reads the package's payoff tables, which
 other tests check against
 :func:`oracle_utility` and :func:`oracle_potential`.
 :func:`oracle_run_aggregation_fp` recomputes the broadcast aggregate and
-every payoff at every step, and :func:`oracle_cycle_onset` walks a cycle's
+every payoff at every step, and scores every profile it plays, from the
+package's scalar ``aggregate_message``, ``aggregated_utility``, ``utility``
+and ``potential``, and :func:`oracle_cycle_onset` walks a cycle's
 onset back one step at a time.
 
 The analysis oracles are the per-game equilibrium analysis that the batched
@@ -43,6 +45,8 @@ import numpy as np
 
 from csgame import (
     EquilibriumReport,
+    aggregate_message,
+    aggregated_utility,
     expected_utility,
     potential,
     potential_table,
@@ -165,23 +169,44 @@ def oracle_run_fp(game, marginals, T: int, tie_break: str = "lowest", step: int 
     )
 
 
+def _oracle_scores(game, actions, gamma) -> np.ndarray:
+    """The (K, S) value of every channel to every player under one profile,
+    one scalar call per entry: :func:`aggregated_utility` on the broadcast
+    for the player's own channel, and for any other channel the player's
+    :func:`utility` had it moved there alone, since the aggregate there holds
+    the same powers, added in the same order."""
+    values = np.empty((game.K, game.S))
+    for k in range(game.K):
+        for s in range(game.S):
+            if s == actions[k]:
+                values[k, s] = aggregated_utility(game, k, s, gamma)
+            else:
+                moved = list(actions)
+                moved[k] = s
+                values[k, s] = utility(game, moved, k)
+    return values
+
+
 def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: int = 0):
-    """Aggregate-feedback fictitious play on one game, recomputing the
-    broadcast and every payoff at every step.
+    """Aggregate-feedback fictitious play on one game, one step at a time.
+
+    Every step recomputes the broadcast with :func:`aggregate_message` and
+    reads the payoffs and the potential of the profile played from
+    :func:`utility` and :func:`potential`. The channel scores depend on the
+    profile alone and take K * S scalar calls, so each profile is scored
+    once (:func:`_oracle_scores`), keyed by the profile itself.
 
     Returns profiles (T, K), utilities (T, K), potentials (T,), gammas (T, S),
     decision-time scores (T, K, S) and the final scores and step.
     """
     n_players, n_channels = game.K, game.S
-    received = game.received_power
-    weights = game.weights
     q = np.array(q, dtype=float)
-    rows = np.arange(n_players)
     profiles = np.empty((T, n_players), dtype=np.int64)
     utilities = np.empty((T, n_players))
     potentials = np.empty(T)
     snapshots = np.empty((T, n_players, n_channels))
     gammas = np.empty((T, n_channels))
+    scores = {}
     for t in range(T):
         snapshots[t] = q
         if tie_break == "lowest":
@@ -189,19 +214,12 @@ def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: 
         else:
             actions = [int(n_channels - 1 - np.argmax(q[k][::-1])) for k in range(n_players)]
         profiles[t] = actions
-        gamma = game.noise.copy()
-        for k in range(n_players):
-            gamma[actions[k]] += received[k, actions[k]]
-        gammas[t] = gamma
-        own = np.zeros((n_players, n_channels))
-        own[rows, actions] = received[rows, actions]
-        remainder = gamma[None, :] - own
-        if np.any(remainder <= 0):
-            raise ValueError("aggregate inconsistent with own received power")
-        values = weights[None, :] * np.log2(1.0 + received / remainder)
-        utilities[t] = values[rows, actions]
-        potentials[t] = float(np.dot(weights, np.log2(gamma)))
-        q = q + (1.0 / (step + 1)) * (values - q)
+        gammas[t] = gamma = aggregate_message(game, actions)
+        if tuple(actions) not in scores:
+            scores[tuple(actions)] = _oracle_scores(game, actions, gamma)
+        utilities[t] = [utility(game, actions, k) for k in range(n_players)]
+        potentials[t] = potential(game, actions)
+        q = q + (1.0 / (step + 1)) * (scores[tuple(actions)] - q)
         step += 1
     return SimpleNamespace(
         profiles=profiles,

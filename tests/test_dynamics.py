@@ -16,6 +16,7 @@ from csgame import (
     Trajectory,
     aggregate_message,
     belief_update,
+    classify_region_2x2,
     cycle_persistence_2x2,
     detect_cycle,
     empirical_frequencies,
@@ -283,6 +284,16 @@ class TestRunFP:
         assert tuple(high.profiles[0]) == (1, 1)
 
 
+def _assert_two_player_engines_agree(game):
+    """Both engines from matched uniform beliefs: the same profiles,
+    payoffs and potentials, bit for bit."""
+    beliefs = BeliefState.uniform(2, game.S)
+    classic = run_fp(game, beliefs, T=1000)
+    aggregated = run_aggregation_fp(game, q_from_beliefs(game, beliefs), T=1000)
+    for name in ("profiles", "utilities", "potentials"):
+        np.testing.assert_array_equal(getattr(classic, name), getattr(aggregated, name))
+
+
 class TestAggregationFP:
     def test_validation(self, unit_game):
         with pytest.raises(ValueError, match="T must be"):
@@ -317,17 +328,29 @@ class TestAggregationFP:
     def test_matches_classic_engine_with_matched_init(self):
         rng = np.random.default_rng(73)
         for _ in range(30):
-            game = random_symmetric_2x2(rng)
-            beliefs = BeliefState.uniform(2, 2)
-            classic = run_fp(game, beliefs, T=1000)
-            aggregated = run_aggregation_fp(game, q_from_beliefs(game, beliefs), T=1000)
-            np.testing.assert_array_equal(classic.profiles, aggregated.profiles)
-            np.testing.assert_allclose(
-                classic.utilities, aggregated.utilities, rtol=0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                classic.potentials, aggregated.potentials, rtol=0, atol=1e-9
-            )
+            _assert_two_player_engines_agree(random_symmetric_2x2(rng))
+
+    def test_two_player_engines_agree_bit_for_bit(self):
+        # Criterion 9's games.
+        rng = np.random.default_rng(987654)
+        for _ in range(100):
+            _assert_two_player_engines_agree(random_game(rng, 2, int(rng.integers(2, 5))))
+
+    def test_payoffs_and_potentials_are_the_games_own(self):
+        # The scores are reconstructed from the broadcast; what a run
+        # reports is utility() and potential() of the profile played.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n_players, n_channels = (int(x) for x in rng.integers(1, 5, 2))
+            game = random_game(rng, n_players, n_channels)
+            init = QState(step=int(rng.integers(0, 4)),
+                          q=rng.uniform(0.0, 2.0, (n_players, n_channels)))
+            traj = run_aggregation_fp(game, init, T=50)
+            for profile in np.unique(traj.profiles, axis=0):
+                at = np.all(traj.profiles == profile, axis=1)
+                payoffs = [utility(game, profile, k) for k in range(n_players)]
+                assert np.all(traj.utilities[at] == payoffs)
+                assert np.all(traj.potentials[at] == potential(game, profile))
 
     def test_q_is_running_average_of_counterfactual_values(self, worked_mixed_game):
         game = worked_mixed_game
@@ -652,24 +675,38 @@ class TestCyclePersistence:
                                       [[T // 2, T // 2 - 1]] * 2 / np.float64(T - 1))
         np.testing.assert_array_equal(batch.final_marginals[0], (init.marginals + T // 2) / (T + 1))
 
-    def test_agrees_with_direct_bound_arithmetic(self):
-        rng = np.random.default_rng(83)
-        for _ in range(50):
+    def test_first_false_round_is_where_play_leaves_the_cycle(self):
+        # 8 near-symmetric games and 52 random ones in H1 and H4, each from
+        # 5 xi pairs. The bands are nested, so the predicate is True up to
+        # some round and False from the next on; that round is the last one
+        # exact play spends in the 2-cycle. Past the horizon the predicate
+        # must hold through it.
+        rng = np.random.default_rng(0)
+        games = [GameSpec.symmetric([[1.0, 1.001], [1.001, 1.0]], p_max=10.0)]
+        games += [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.01, (2, 2))),
+                                     p_max=float(rng.choice([1.0, 10.0, 100.0])))
+                  for _ in range(7)]
+        while len(games) < 60:
             game = random_symmetric_2x2(rng)
-            num = potential(game, (1, 0)) - potential(game, (1, 1))
-            den = potential(game, (0, 1)) - potential(game, (0, 0))
-            if den == 0.0:
-                continue
-            ratio = num / den
-            xi = (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
-            n = int(rng.integers(1, 50))
-            expected = ratio == 1.0 or all(
-                (n * (x + 1) - 1) / (n * (x + 1) - x)
-                <= ratio
-                <= (n * (x + 1) + x) / (n * (x + 1) - x)
-                for x in xi
-            )
-            assert cycle_persistence_2x2(game, xi, n) == expected
+            if {"H1", "H4"} <= classify_region_2x2(game):
+                games.append(game)
+        xis = [(0.5, 0.5)] + [tuple(rng.uniform(0.05, 0.95, 2)) for _ in range(4)]
+        T = 1000
+        rounds = []
+        for xi in xis:
+            batch = run_fp(games, BeliefState.from_xi(xi), T=T)
+            for i, game in enumerate(games):
+                n = _round_leaving_two_cycle(batch.actions[:, i])
+                assert n == 1 or cycle_persistence_2x2(game, xi, n - 1)
+                assert n > T // 2 or not cycle_persistence_2x2(game, xi, n)
+                rounds.append(n)
+        # Gains 1.001 from xi 0.5 leave at round 322; the predicate once
+        # held through round 642.
+        assert rounds[0] == 322
+        assert len(rounds) == 300
+        # Most cases leave at once; dozens hold for rounds, one past the horizon.
+        assert sum(n == 1 for n in rounds) == 208
+        assert sum(n > 20 for n in rounds) >= 25 and max(rounds) == T // 2 + 1
 
     def test_strongly_asymmetric_game_exits_cycle_immediately(self):
         # Ratio ~46 lies far outside every band; play leaves the cycle and
@@ -731,9 +768,11 @@ def _assert_matches_oracle(batch, i, game, init, T, tie_break):
 
 
 def _round_leaving_two_cycle(profiles) -> int:
-    """The first round n, steps 2n - 1 and 2n, not played as (0, 0), (1, 1)."""
+    """The first round n, steps 2n - 1 and 2n, not played as (0, 0), (1, 1),
+    or the round after the last if every round is."""
     rounds = profiles.reshape(-1, 2, 2)
-    return [np.array_equal(r, [[0, 0], [1, 1]]) for r in rounds].index(False) + 1
+    kept = [np.array_equal(r, [[0, 0], [1, 1]]) for r in rounds] + [False]
+    return kept.index(False) + 1
 
 
 def _assert_trajectory_matches(traj, ref):

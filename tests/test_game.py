@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgame import (
+    BeliefState,
     GameSpec,
     MAX_ENUM_PROFILES,
     MAX_OPPONENT_PROFILES,
     aggregate_message,
     aggregated_utility,
     expected_utility,
+    fp_best_response,
     potential,
     potential_table,
     utility,
@@ -160,6 +162,33 @@ class TestUtility:
             utility(unit_game, (0, 1, 0), 0)
         with pytest.raises(ValueError, match="channel indices"):
             utility(unit_game, (0, 2), 0)
+
+
+# A fractional player or channel index was once truncated (or, in
+# aggregated_utility, refused by numpy's indexing) instead of rejected.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: utility(g, (0, 1), 1.5), TypeError, "player index must be an integer"),
+    (lambda g: fp_best_response(g, 1.5, BeliefState.uniform(2, 2)), TypeError,
+     "player index must be an integer"),
+    (lambda g: expected_utility(g, 0, 1.5, [0.5, 0.5]), ValueError,
+     "channel indices must be integers"),
+    (lambda g: aggregated_utility(g, 0, 1.5, [2.0, 2.0]), ValueError,
+     "channel indices must be integers"),
+], ids=["utility", "fp_best_response", "expected_utility", "aggregated_utility"])
+def test_non_integer_indices_are_rejected(unit_game, call, error, message):
+    with pytest.raises(error, match=message):
+        call(unit_game)
+
+
+def test_numpy_integer_indices_are_accepted(worked_mixed_game):
+    game, gamma = worked_mixed_game, aggregate_message(worked_mixed_game, (0, 1))
+    assert utility(game, (0, 1), np.int32(1)) == utility(game, (0, 1), 1)
+    assert (expected_utility(game, np.int64(0), np.uint8(1), [0.25, 0.75])
+            == expected_utility(game, 0, 1, [0.25, 0.75]))
+    assert (aggregated_utility(game, np.int16(1), np.int64(1), gamma)
+            == aggregated_utility(game, 1, 1, gamma))
+    assert (fp_best_response(game, np.int8(1), BeliefState.uniform(2, 2))
+            == fp_best_response(game, 1, BeliefState.uniform(2, 2)))
 
 
 class TestAggregateAndPotential:

@@ -434,14 +434,13 @@ class TestChunkAnalysis:
             assert record["ne_utilities"] == report.utilities.tolist()
             assert record["ne_potentials"] == report.potentials.tolist()
 
-    @pytest.mark.parametrize("variant, per_game", [("classic", 1), ("aggregation", 2)])
-    def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant,
-                                                              per_game):
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant):
         # Wrapped where the engine, the analysis and the driver bind it, the
         # way the benchmark's tracer does; chunks of 3, 3 and 1 games. The
         # analysis and the records share the chunk's tables: a classic chunk
         # reuses the batch engine's, and an aggregation chunk builds one per
-        # game, next to the one each game's initial scores are built from.
+        # game, which also gives the game its initial scores.
         built = []
 
         def counted(game):
@@ -463,15 +462,14 @@ class TestChunkAnalysis:
         })
         games = _trial_games(config)
         _, whole = run_experiment(config)
-        assert len(built) == 7 * per_game and analyses == [7]
+        assert len(built) == 7 and analyses == [7]
         built.clear()
         analyses.clear()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 40))
         _, chunked = run_experiment(config)
         assert analyses == [3, 3, 1]
         assert chunked == whole
-        expected = [g for lo, hi in ((0, 3), (3, 6), (6, 7)) for g in games[lo:hi] * per_game]
-        assert [g.gains.tolist() for g in built] == [g.gains.tolist() for g in expected]
+        assert [g.gains.tolist() for g in built] == [g.gains.tolist() for g in games]
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_chunk_past_the_enumeration_guard_exits_two(self, variant, tmp_path, capsys):
