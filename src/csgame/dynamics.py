@@ -1,35 +1,36 @@
 """Learning dynamics: classic fictitious play and its aggregate-feedback twin.
 
-Both engines move all players simultaneously each round and are fully
-deterministic given their inputs.
+Both rules move all players simultaneously each round, are fully
+deterministic given their inputs, and run on one event-driven lockstep driver
+(:func:`_play`). It steps one game, or a stack of same-shape games with one
+clock per game and the same per-game arithmetic, which is how Monte-Carlo
+sweeps run, and keeps the play run-length encoded. Once a game repeats a
+profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for as
+many whole periods as the per-step rule is certain to keep it, and decides
+again only then, so a run that settles and the paper's miscoordination cycle
+alike cost a few decisions, not one per step, with the same result bit for
+bit. Each rule supplies only its scores and its certificate.
 
-* :func:`run_fp` is the full-observation engine: every player tracks one
+* :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
   pseudo-observation), carried as exact counts, and best-responds to the
-  product of those marginals. It is event-driven: once a game repeats a
-  profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for
-  as many whole periods as the per-step rule is certain to keep it, and
-  decides again only then, so a run that settles and the paper's
-  miscoordination cycle alike cost a few decisions, not one per step, with
-  the same result bit for bit. It steps one game, or a stack of same-shape
-  games in lockstep with one clock per game and the same per-game
-  arithmetic, which is how Monte-Carlo sweeps run; a batch keeps the play
-  run-length encoded and renders per-step actions only when they are read.
+  product of those marginals.
 * :func:`run_aggregation_fp` never reveals actions. After each round the
   receiver broadcasts the per-channel aggregate (noise plus total received
-  power); each player strips its own contribution and folds the value of
-  every channel it could have used into a running per-channel average, then
-  plays argmax of the averages; a run reports the game's own payoffs and
-  potential. With two players the two engines play identical profiles, so
-  identical payoffs and potentials, from matched initial state
-  (:func:`q_from_beliefs`); with more players the aggregate no longer pins
-  down the opponent profile and the trajectories may diverge.
+  power); each player strips its own contribution, values every channel it
+  could have used, and plays argmax of the running average of those values,
+  carried as a counted sum (visit count times channel values per distinct
+  profile); a run reports the game's own payoffs and potential. With two
+  players the two rules play identical profiles, so identical payoffs and
+  potentials, from matched initial state (:func:`q_from_beliefs`); with more
+  players the aggregate no longer pins down the opponent profile and the
+  trajectories may diverge.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -304,10 +305,16 @@ def fp_best_response(
     return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
 
 
+# Entries one append of a jumped cycle adds to the switch log at most (more
+# only when a single period of the games jumped switches more often), so
+# the append's index arrays stay bounded however many periods a jump covers.
+_LOG_BLOCK = 2**14
+
+
 class _SwitchLog:
-    """Growable log of profile switches: game index, belief weight at the
-    switch and new profile code, appended in time order per game, in the
-    smallest integer types that hold them."""
+    """Growable log of profile switches: game index, weight (initial step
+    plus steps played) at the switch and new profile code, appended in time
+    order per game, in the smallest integer types that hold them."""
 
     def __init__(self, n_games: int, max_weight: int, n_profiles: int) -> None:
         self.size = 0
@@ -319,10 +326,10 @@ class _SwitchLog:
         start, end = self.size, self.size + len(games)
         if end > len(self.game):
             capacity = max(2 * len(self.game), end)
-            self.game, self.weight, self.code = (
-                np.concatenate([a[:start], np.empty(capacity - start, a.dtype)])
-                for a in (self.game, self.weight, self.code)
-            )
+            for name in ("game", "weight", "code"):  # one old array held at a time
+                old = getattr(self, name)
+                setattr(self, name, np.empty(capacity, old.dtype))
+                getattr(self, name)[:start] = old[:start]
         self.game[start:end] = games
         self.weight[start:end] = weights
         self.code[start:end] = codes
@@ -331,29 +338,33 @@ class _SwitchLog:
 
 @dataclass
 class BatchFPResult:
-    """Classic fictitious play on a stack of G same-shape games.
+    """Fictitious play, of either rule, on a stack of G same-shape games.
 
-    The play is kept run-length encoded, as the belief weight and new
-    profile of every switch (``switches``); each game's first decision is a
-    switch. ``actions`` renders every game's profile at every step, shape
-    (T, G, K), in the smallest signed integer type that holds a channel
-    index, when it is first read, and :meth:`tail` renders only the last
-    steps.
+    The play is kept run-length encoded, as the weight and new profile of
+    every switch (``switches``); each game's first decision is a switch.
+    ``actions`` renders every game's profile at every step, shape (T, G, K),
+    in the smallest signed integer type that holds a channel index, when it
+    is first read, and :meth:`tail` renders only the last steps.
     ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
-    after checkpoint step t, from exact counts. ``utility_sums`` holds each
-    player's payoffs summed over the run as run length times payoff, run by
-    run, shape (G, K). ``evaluations`` counts each game's decision points,
-    the steps at which its expected payoffs were computed; ``tables`` holds
-    the (G, K) + (S,)*K payoffs.
+    after checkpoint step t, from exact counts, and ``final_marginals`` the
+    (G, K, S) final state: beliefs under the classic rule, channel scores
+    under the aggregation rule. ``utility_sums`` holds each player's payoffs
+    summed over the run as run length times payoff, run by run, shape
+    (G, K), reading the payoffs of profiles from ``payoffs(games,
+    profiles)``. ``evaluations`` counts each game's decision points, the
+    steps at which its rule's scores were computed; ``tables`` holds the
+    classic rule's (G, K) + (S,)*K payoffs (None for the aggregation rule,
+    which needs no table).
     """
 
     frequencies: dict[int, np.ndarray]
     final_marginals: np.ndarray
     final_step: int
     evaluations: np.ndarray
-    tables: np.ndarray
+    tables: np.ndarray | None
     switches: _SwitchLog
     T: int
+    payoffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -365,8 +376,8 @@ class BatchFPResult:
         start = log.weight[order].astype(np.int64) - (self.final_step - self.T)
         end = np.append(start[1:], self.T)
         end[np.flatnonzero(game[1:] != game[:-1])] = self.T
-        n_channels = self.tables.shape[2]
-        place = n_channels ** np.arange(self.tables.shape[1] - 1, -1, -1)
+        _, n_players, n_channels = self.final_marginals.shape
+        place = n_channels ** np.arange(n_players - 1, -1, -1)
         profile = log.code[order, None].astype(np.int64) // place % n_channels
         return game, start, end - start, profile.astype(_action_dtype(n_channels))
 
@@ -376,7 +387,7 @@ class BatchFPResult:
             raise ValueError(f"window must lie in [1, {self.T}]")
         _, start, length, profile = self.runs
         keep = np.clip(start + length - (self.T - window), 0, length)
-        return np.repeat(profile, keep, axis=0).reshape(len(self.tables), window, -1)
+        return np.repeat(profile, keep, axis=0).reshape(len(self.final_marginals), window, -1)
 
     @cached_property
     def actions(self) -> np.ndarray:
@@ -386,7 +397,7 @@ class BatchFPResult:
     def counts(self, t: int) -> np.ndarray:
         """Exact (G, K, S) action counts over the first t steps, as floats."""
         game, start, length, profile = self.runs
-        n_games, n_players, n_channels = self.tables.shape[:3]
+        n_games, n_players, n_channels = self.final_marginals.shape
         played = np.clip(t - start, 0, length).astype(float)
         index = (game[:, None] * n_players + np.arange(n_players)) * n_channels + profile
         counts = np.bincount(index.ravel(), weights=np.repeat(played, n_players),
@@ -397,8 +408,8 @@ class BatchFPResult:
     def utility_sums(self) -> np.ndarray:
         """Each player's payoffs summed run by run, (G, K)."""
         game, _, length, profile = self.runs
-        n_games, n_players = self.tables.shape[:2]
-        payoffs = self.tables[(game[:, None], np.arange(n_players)) + tuple(profile.T[:, :, None])]
+        n_games, n_players = self.final_marginals.shape[:2]
+        payoffs = self.payoffs(game, profile)
         # bincount adds each bin's weights in input order, so every (game,
         # player) sum runs over that game's runs in time order.
         index = game[:, None] * n_players + np.arange(n_players)
@@ -432,17 +443,46 @@ def _lap_entries(switch, row, phase, laps, period):
     """The switches of cycles played whole periods at a time, period by
     period. ``switch`` indexes the phases of :func:`_unroll` whose profile
     differs from the step before; row r plays ``laps[r]`` periods of
-    ``period[r]`` steps. Returns the phase index of every entry, each
-    phase once per period, and its steps after the row's first step."""
+    ``period[r]`` steps. Yields, in blocks of a bounded number of periods
+    (see :data:`_LOG_BLOCK`), the phase index of every entry, each phase
+    once per period, and its steps after the row's first step."""
     per_lap = np.bincount(row[switch], minlength=len(laps))
-    reps = per_lap * laps
-    entry_row = np.repeat(np.arange(len(laps)), reps)
-    lap, k = np.divmod(np.arange(len(entry_row)) - np.repeat(np.cumsum(reps) - reps, reps),
-                       per_lap[entry_row])
-    entry = switch[np.repeat(np.cumsum(per_lap) - per_lap, reps) + k]
-    lap *= period[entry_row]  # the steps before the entry's period ...
-    lap += phase[entry]  # ... and before its phase
-    return entry, lap
+    laps = np.where(per_lap > 0, laps, 0)
+    block = max(1, _LOG_BLOCK // max(1, int(per_lap.sum())))
+    for first in range(0, int(laps.max()), block):
+        reps = per_lap * np.clip(laps - first, 0, block)
+        entry_row = np.repeat(np.arange(len(laps)), reps)
+        lap, k = np.divmod(np.arange(len(entry_row)) - np.repeat(np.cumsum(reps) - reps, reps),
+                           per_lap[entry_row])
+        entry = switch[np.repeat(np.cumsum(per_lap) - per_lap, reps) + k]
+        lap += first
+        lap *= period[entry_row]  # the steps before the entry's period ...
+        lap += phase[entry]  # ... and before its phase
+        yield entry, lap
+
+
+def _margins(values: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    """Each player's value of its chosen channel (one-hot ``choice``, the
+    last two axes (K, S)) less that of every channel."""
+    return (values * choice).sum(axis=-1, keepdims=True) - values
+
+
+def _laps(low, high, step, period, cap, choice):
+    """Periods n = 0, 1, ..., at most ``cap``, certified per entry of a
+    cycle's phase. A margin bound, less the rounding slack, is ``low`` (K,
+    S) now, at weight ``step``, and ``high`` at the cycle's target; n more
+    periods of ``period`` steps put it at (low * step + n * period * high) /
+    (step + n * period), which must stay positive for every margin but the
+    chosen channel's own."""
+    s = step[:, None, None]
+    p = period[:, None, None]
+    # Periods n the bound certifies: low * s + n * p * high > 0.
+    n = np.divide(low * s, -high * p, out=np.full(low.shape, np.inf), where=high < 0)
+    n = np.ceil(np.minimum(n, cap.max()))
+    n -= low * s + (n - 1) * p * high <= 0  # rounding guard
+    n = np.where(low > 0, n, 0)
+    n[choice > 0] = np.inf
+    return np.minimum(n.min(axis=(1, 2)), cap)
 
 
 def _certified_run(tables: np.ndarray):
@@ -467,9 +507,9 @@ def _certified_run(tables: np.ndarray):
     itself. With tau the largest of (d0 - b_m) / m and 0, the margin is at
     least d0 - lam (K-1) tau, because the opponents placed follow a
     binomial law of mean (K-1) lam; for K = 2 that bound is the margin
-    itself. A period is certified when the bound exceeds a rounding slack
-    far above the error of the float expectation, so there the per-step
-    argmax is strict and no tie-break is consulted.
+    itself. A period is certified (:func:`_laps`) when the bound exceeds a
+    rounding slack far above the error of the float expectation, so there
+    the per-step argmax is strict and no tie-break is consulted.
     """
     n_games, n_players = tables.shape[:2]
     n_channels = tables.shape[2]
@@ -493,23 +533,191 @@ def _certified_run(tables: np.ndarray):
                 mass = [_einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
                 terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), mass[-1]]
             sums[:, :, k] = terms
-        b = sums / ways
-        b = (b * choice).sum(axis=3, keepdims=True) - b  # one term is nonzero: exact
+        b = _margins(sums / ways, choice)  # one term is nonzero: exact
         d0 = b[0]
         tau = np.maximum((d0 - b[1:]) / placed, 0).max(axis=0)
         low = d0 - slack[rows, None, None]  # bound minus slack now ...
         high = low - (n_players - 1) * tau  # ... and at the target (lam = 1)
-        s = step[:, None, None]
-        p = period[:, None, None]
-        # Periods n the bound certifies: low * s + n * p * high > 0.
-        n = np.divide(low * s, -high * p, out=np.full(low.shape, np.inf), where=high < 0)
-        n = np.ceil(np.minimum(n, cap.max()))
-        n -= low * s + (n - 1) * p * high <= 0  # rounding guard
-        n = np.where(low > 0, n, 0)
-        n[choice > 0] = np.inf
-        return np.minimum(n.min(axis=(1, 2)), cap)
+        return _laps(low, high, step, period, cap, choice)
 
     return certify
+
+
+def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_break: str,
+          checkpoints: list[int]) -> BatchFPResult:
+    """The event-driven lockstep driver of both rules. A game's weight is
+    ``init_step`` plus the steps it played.
+
+    At a decision point every player of every running game plays the
+    tie-broken argmax of the rule's scores. When a game's last 2p steps,
+    the new decision included, repeat with period p (p = 1: it repeats its
+    previous profile; p up to :data:`MAX_PERIOD`), the rule certifies each
+    phase of that cycle for a number of whole periods, and the game plays
+    the fewest of them before it decides again. Only a game that wanders,
+    or meets exact ties again and again, is decided every step.
+
+    ``rule`` holds the running games' state: ``ids`` (which games run),
+    ``scores(weight)``, ``certify(at, row, phase, start, code, step,
+    period, cap)`` (per phase of :func:`_unroll` of running game ``at``,
+    at weight ``step``, the periods it keeps, at most ``cap``),
+    ``advance(rows, codes, mult)`` (running game ``rows[i]`` played profile
+    ``codes[i]`` ``mult[i]`` more times), ``retire(done, weight)`` (record
+    the final state of the games ``done`` and drop them), ``final``,
+    ``tables`` and ``payoffs()`` (see :class:`BatchFPResult`).
+    """
+    pick, channel = _chooser(tie_break, T)
+    if n_channels**n_players > np.iinfo(np.int64).max:
+        raise ValueError(f"S**K = {n_channels**n_players} profiles do not fit a 64-bit code")
+    n_games = len(rule.ids)
+    place = n_channels ** np.arange(n_players - 1, -1, -1)
+    end = float(init_step + T)
+    evaluations = np.zeros(n_games, dtype=np.int64)
+    switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
+    # Per running game: its weight, as a float, and the profile codes of the
+    # last steps played, newest first (-1 before the first steps). A game
+    # leaves the stack as soon as it finishes, so every game in it is
+    # decided at every pass.
+    weight = np.full(n_games, float(init_step))
+    history = np.full((n_games, 2 * MAX_PERIOD - 1), -1)
+    iteration = 0
+    while True:
+        iteration += 1
+        ids = rule.ids
+        a = channel(pick(rule.scores(weight)), n_channels)
+        window = np.concatenate([a.dot(place)[:, None], history], axis=1)
+        # Each game plays ``cycles`` periods of ``period`` steps: one step of
+        # its new decision, unless its last steps repeat and the certificate
+        # covers whole periods of them. Running game ``rows[i]`` plays
+        # profile ``codes[i]`` ``mult[i]`` times.
+        cycles = np.ones(len(weight), dtype=np.int64)
+        period = np.ones(len(weight), dtype=np.int64)
+        rows, codes, mult = np.arange(len(weight)), window[:, 0], np.ones_like(cycles)
+        repeats = _periods(window)
+        tried = np.flatnonzero(repeats)
+        if tried.size:
+            p = repeats[tried]
+            row, phase, code, before, start = _unroll(window[tried], p)
+            at = tried[row]
+            kept = rule.certify(at, row, phase, start, code, weight[at] + phase, p[row],
+                                (end - weight[at]) // p[row])
+            kept[phase == 0] = np.maximum(kept[phase == 0], 1)  # decided now
+            laps = np.minimum.reduceat(kept, start).astype(np.int64)
+            jump = np.flatnonzero(laps)
+            cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
+            # A phase whose profile differs from the step before it is a
+            # switch in every period jumped.
+            for entry, offset in _lap_entries(np.flatnonzero(code != before), row, phase, laps, p):
+                switches.append(ids[at[entry]], weight[at[entry]] + offset, code[entry])
+            # A jumped game plays every phase of its cycle once per period.
+            whole = laps[row] > 0
+            alone = np.ones(len(weight), dtype=bool)
+            alone[at[whole]] = False
+            rows, codes, mult = (np.concatenate([x[alone], y[whole]]) for x, y in
+                                 ((rows, at), (codes, code), (mult, laps[row])))
+        moved = np.flatnonzero((window[:, 0] != window[:, 1]) & (period == 1))  # single steps
+        switches.append(ids[moved], weight[moved], window[moved, 0])
+        rule.advance(rows, codes, mult)
+        steps = cycles * period
+        weight += steps
+        # The last steps played follow the cycle back from its last phase.
+        back = np.arange(history.shape[1])
+        history = window[np.arange(len(window))[:, None], np.where(
+            back < steps[:, None], (back + 1) % period[:, None], back - steps[:, None] + 1)]
+        if weight.max() == end:
+            done = weight == end
+            evaluations[ids[done]] = iteration
+            rule.retire(done, end)
+            if done.all():
+                break
+            weight, history = weight[~done], history[~done]
+    result = BatchFPResult(frequencies={}, final_marginals=rule.final, final_step=init_step + T,
+                           evaluations=evaluations, tables=rule.tables, switches=switches, T=T,
+                           payoffs=rule.payoffs())
+    for t in checkpoints:
+        result.frequencies[t] = result.counts(t) / float(t)
+    return result
+
+
+def _inputs(game, init, default, what: str, T: int, tie_break: str, checkpoints):
+    """Checked inputs of either engine: the games, whether ``game`` was one
+    game, the sorted checkpoints, the initial step and one initial state
+    array per game, stacked (from ``default(K, S)`` for None). ``what`` is
+    "belief" for :class:`BeliefState`, "q" for :class:`QState`."""
+    _chooser(tie_break, T)  # rejects a bad horizon or tie-break first
+    checkpoints = sorted({int(t) for t in checkpoints})
+    for t in checkpoints:
+        if not 1 <= t <= T:
+            raise ValueError(f"checkpoint {t} must lie in [1, T] = [1, {T}]")
+    games, single = _game_batch(game)
+    if not games:
+        raise ValueError("need at least one game")
+    shape = (games[0].K, games[0].S)
+    init = default(*shape) if init is None else init
+    inits = [init] * len(games) if isinstance(init, (BeliefState, QState)) else list(init)
+    if len(inits) != len(games):
+        raise ValueError(f"got {len(inits)} initial {what} states for {len(games)} games")
+    states = [s.marginals if what == "belief" else s.q for s in inits]
+    for state in states:
+        if state.shape != shape:
+            raise ValueError(f"initial {what} state has shape {state.shape}, game needs {shape}")
+    if len({s.step for s in inits}) != 1:
+        raise ValueError(f"every initial {what} state in a batch must carry the same step")
+    return games, single, checkpoints, inits[0].step, np.stack(states)
+
+
+class _Classic:
+    """Classic play for :func:`_play`: each running game's exact action
+    counts, expected payoffs under the product of its marginals, and the
+    certificate of :func:`_certified_run`."""
+
+    def __init__(self, tables: np.ndarray, prior: np.ndarray) -> None:
+        self.tables, self.prior = tables, prior  # prior: marginals times the initial step
+        self.ids = np.arange(len(tables))
+        self.counts = np.zeros(prior.shape)
+        self.final = np.empty(prior.shape)
+        self.place = prior.shape[2] ** np.arange(prior.shape[1] - 1, -1, -1)
+        self.eye = np.eye(prior.shape[2])
+        self._stack(tables)
+
+    def _stack(self, stack: np.ndarray) -> None:
+        # A C-ordered copy of the running rows has the layout of a prefix
+        # of ``tables``, so the same einsum kernels and sums.
+        self.stack = stack
+        self.expected, self.certified = _expectation(stack), _certified_run(stack)
+        self.stack_prior = self.prior[self.ids]
+
+    def scores(self, weight):
+        f = self.stack_prior + self.counts
+        f /= weight[:, None, None]
+        return self.expected(f)
+
+    def certify(self, at, row, phase, start, code, step, period, cap):
+        one = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
+        # Every phase of the first period: its beliefs, as the per-step
+        # rule would compute them there, and the periods it is kept for.
+        earlier = np.cumsum(one, axis=0) - one
+        earlier -= earlier[start][row]  # counts of the earlier phases of the period
+        g = self.stack_prior[at] + (self.counts[at] + earlier)
+        g /= step[:, None, None]
+        per_period = np.add.reduceat(one, start)
+        return self.certified(at, g, one, step, per_period[row] / period[:, None, None],
+                              period, cap)
+
+    def advance(self, rows, codes, mult):
+        # Whole counts, so the order of these additions is immaterial.
+        np.add.at(self.counts, (rows[:, None], np.arange(len(self.place)),
+                                codes[:, None] // self.place % len(self.eye)), mult[:, None])
+
+    def retire(self, done, weight):
+        self.final[self.ids[done]] = (self.prior[self.ids[done]] + self.counts[done]) / weight
+        keep = ~done
+        self.ids, self.counts = self.ids[keep], self.counts[keep]
+        if keep.any():
+            self._stack(self.stack[keep])
+
+    def payoffs(self):
+        tables, players = self.tables, np.arange(self.tables.shape[1])
+        return lambda game, profile: tables[(game[:, None], players) + tuple(profile.T[:, :, None])]
 
 
 def run_fp(
@@ -527,17 +735,10 @@ def run_fp(
     belief weight ``step`` a vector is (prior * initial step + counts) /
     step, the prior being the initial marginals.
 
-    The engine is event-driven. At a decision point it computes every
-    expected payoff and the argmax. When a game's last 2p steps, the new
-    decision included, repeat with period p (p = 1: it repeats its previous
-    profile; p up to :data:`MAX_PERIOD`), it plays that cycle of p profiles
-    for as many whole periods as the per-step rule is certain to keep it
-    (see :func:`_certified_run`, whose target is the cycle's average
-    marginals) and decides again only then. So a game that settles, and
-    one locked in a cycle such as the paper's 2-cycle, cost a few decisions
-    however long the run; only a game that wanders, or meets exact ties
-    again and again, is decided every step. The result equals the
-    step-by-step rule's exactly. Checkpoints must lie in [1, T].
+    The engine is event-driven (:func:`_play`): a cycle of profiles is
+    played for as many whole periods as :func:`_certified_run`, whose
+    target is the cycle's average marginals, certifies. The result equals
+    the step-by-step rule's exactly. Checkpoints must lie in [1, T].
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
     stepped in lockstep with one clock per game; each game's arithmetic is
@@ -547,129 +748,23 @@ def run_fp(
     one shared :class:`BeliefState` or one per game; all must carry the
     same step.
     """
-    pick, channel = _chooser(tie_break, T)
-    checkpoints = sorted({int(t) for t in checkpoints})
-    for t in checkpoints:
-        if not 1 <= t <= T:
-            raise ValueError(f"checkpoint {t} must lie in [1, T] = [1, {T}]")
-    games, single = _game_batch(game)
-    if not games:
-        raise ValueError("need at least one game")
-    n_games, n_players, n_channels = len(games), games[0].K, games[0].S
-    if init_beliefs is None:
-        init_beliefs = BeliefState.uniform(n_players, n_channels)
-    inits = [init_beliefs] * n_games if isinstance(init_beliefs, BeliefState) else list(init_beliefs)
-    if len(inits) != n_games:
-        raise ValueError(f"got {len(inits)} initial belief states for {n_games} games")
-    if any(b.marginals.shape != (n_players, n_channels) for b in inits):
-        raise ValueError(f"beliefs must have shape {(n_players, n_channels)} to match the game")
-    if len({b.step for b in inits}) != 1:
-        raise ValueError("every initial belief state in a batch must carry the same step")
+    games, single, checkpoints, init_step, marginals = _inputs(
+        game, init_beliefs, BeliefState.uniform, "belief", T, tie_break, checkpoints)
+    n_games, n_players, n_channels = marginals.shape
     _guard_full_enumeration(games[0])  # before the stack is allocated
     tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
     for i, g in enumerate(games):  # filled in place: no second copy of the stack
         tables[i] = utility_table(g)
-    place = n_channels ** np.arange(n_players - 1, -1, -1)
-    eye = np.eye(n_channels)
-    init_step = inits[0].step
-    end = float(init_step + T)
-    prior = np.stack([b.marginals for b in inits]) * init_step
-    final_counts = np.zeros(prior.shape)
-    evaluations = np.zeros(n_games, dtype=np.int64)
-    switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
-    # Per running game: its table, index, exact counts, belief weight
-    # (initial step plus steps played, as a float) and the profile codes of
-    # the last steps played, newest first (-1 before the first steps). A
-    # game leaves the stack as soon as it finishes, so every game in it is
-    # decided at every pass.
-    stack = tables
-    ids = np.arange(n_games)
-    counts = np.zeros(prior.shape)
-    weight = np.full(n_games, float(init_step))
-    history = np.full((n_games, 2 * MAX_PERIOD - 1), -1)
-
-    def running():  # expectation, certificate, priors and weight view of the stack
-        return _expectation(stack), _certified_run(stack), prior[ids], weight[:, None, None]
-
-    expected, certify, stack_prior, scale = running()
-    iteration = 0
-    while True:
-        iteration += 1
-        f = stack_prior + counts
-        f /= scale
-        a = channel(pick(expected(f)), n_channels)
-        window = np.concatenate([a.dot(place)[:, None], history], axis=1)
-        # Each game plays ``cycles`` periods of ``period`` steps, each adding
-        # ``played`` to its counts: one step of its new decision, unless its
-        # last steps repeat and the certificate covers whole periods of them.
-        cycles = np.ones(len(weight), dtype=np.int64)
-        period = np.ones(len(weight), dtype=np.int64)
-        played = eye.take(a, axis=0)
-        repeats = _periods(window)
-        tried = np.flatnonzero(repeats)
-        if tried.size:
-            p = repeats[tried]
-            row, phase, code, before, start = _unroll(window[tried], p)
-            one = eye.take(code[:, None] // place % n_channels, axis=0)
-            # Every phase of the first period: its beliefs, as the per-step
-            # rule would compute them there, and the periods it is kept for.
-            at = tried[row]
-            earlier = np.cumsum(one, axis=0) - one
-            earlier -= earlier[start][row]  # counts of the earlier phases of the period
-            step = weight[at] + phase
-            g = stack_prior[at] + (counts[at] + earlier)
-            g /= step[:, None, None]
-            per_period = np.add.reduceat(one, start)
-            kept = certify(at, g, one, step, per_period[row] / p[row, None, None], p[row],
-                           (end - weight[at]) // p[row])
-            kept[phase == 0] = np.maximum(kept[phase == 0], 1)  # decided now
-            laps = np.minimum.reduceat(kept, start).astype(np.int64)
-            jump = np.flatnonzero(laps)
-            cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
-            played[tried[jump]] = per_period[jump]
-            # A phase whose profile differs from the step before it is a
-            # switch in every period jumped.
-            entry, offset = _lap_entries(np.flatnonzero(code != before), row, phase, laps, p)
-            switches.append(ids[at[entry]], weight[at[entry]] + offset, code[entry])
-        moved = np.flatnonzero((window[:, 0] != window[:, 1]) & (period == 1))  # single steps
-        switches.append(ids[moved], weight[moved], window[moved, 0])
-        counts += played * cycles[:, None, None]
-        steps = cycles * period
-        weight += steps
-        # The last steps played follow the cycle back from its last phase.
-        back = np.arange(history.shape[1])
-        history = window[np.arange(len(window))[:, None], np.where(
-            back < steps[:, None], (back + 1) % period[:, None], back - steps[:, None] + 1)]
-        if weight.max() == end:
-            done = weight == end
-            final_counts[ids[done]] = counts[done]
-            evaluations[ids[done]] = iteration
-            if done.all():
-                break
-            # A C-ordered copy of the running rows has the layout of a
-            # prefix of ``tables``, so the same einsum kernels and sums.
-            keep = ~done
-            stack, ids, counts, weight, history = (
-                arr[keep] for arr in (stack, ids, counts, weight, history))
-            expected, certify, stack_prior, scale = running()
-    result = BatchFPResult(
-        frequencies={},
-        final_marginals=(prior + final_counts) / (init_step + T),
-        final_step=init_step + T,
-        evaluations=evaluations,
-        tables=tables,
-        switches=switches,
-        T=T,
-    )
-    for t in checkpoints:
-        result.frequencies[t] = result.counts(t) / float(t)
+    prior = marginals * init_step
+    result = _play(_Classic(tables, prior), n_players, n_channels, init_step, T, tie_break,
+                   checkpoints)
     if not single:
         return result
     profiles = result.tail(T)[0].astype(np.int64)
     idx = tuple(profiles.T)
     # Decision-time beliefs: counts before each step, over its belief weight.
     beliefs = np.zeros((T, n_players, n_channels))
-    np.cumsum(eye[profiles[:-1]], axis=0, out=beliefs[1:])
+    np.cumsum(np.eye(n_channels)[profiles[:-1]], axis=0, out=beliefs[1:])
     beliefs += prior[0]
     beliefs /= (init_step + np.arange(T))[:, None, None]
     return Trajectory(
@@ -680,7 +775,7 @@ def run_fp(
         potentials=potential_table(game)[idx],
         beliefs=beliefs,
         initial_step=init_step,
-        initial_state=inits[0].marginals.copy(),
+        initial_state=marginals[0].copy(),
         final_step=init_step + T,
         final_state=result.final_marginals[0],
     )
@@ -711,71 +806,174 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
     return values, gamma, _payoffs(game, actions), potential(game, actions)
 
 
+class _Aggregation:
+    """Aggregate-feedback play for :func:`_play`. A game's scores at weight
+    w > 0 are a counted sum over w: its initial step times its initial
+    scores, plus, over the distinct profiles it played in order of first
+    visit and added left to right, each one's visit count times its channel
+    values; at weight 0 they are the initial scores. The broadcast feedback
+    of a profile (its channel values, gamma, payoffs and potential) is
+    computed once per game, at the first step that plays it.
+
+    While a cycle of profiles repeats, the scores at each phase move
+    linearly toward the cycle's average values in lam = n p / (w + n p), so
+    each margin is certified as in :func:`_laps`, with a rounding slack far
+    above the error of the counted sums."""
+
+    def __init__(self, games: list[GameSpec], q0: np.ndarray, init_step: int) -> None:
+        n_games, n_players, n_channels = q0.shape
+        self.games, self.q0, self.base = games, q0, q0 * init_step
+        self.ids = np.arange(n_games)
+        self.place = n_channels ** np.arange(n_players - 1, -1, -1)
+        self.eye = np.eye(n_channels)
+        # Per game and slot (a profile, in order of first visit): its
+        # channel values and visit count; per game: its profiles' slots,
+        # their number and the largest score or value seen.
+        self.values = np.zeros((n_games, 1, n_players, n_channels))
+        self.visits = np.zeros((n_games, 1))
+        self.slots: list[dict[int, int]] = [{} for _ in games]
+        self.n_slots = np.zeros(n_games, dtype=np.int64)
+        self.scale = q0.max(axis=(1, 2), initial=0.0)
+        # Per visit, in order: its key (game * S**K + code), gamma, payoffs
+        # and potential.
+        self.visited: list[tuple] = []
+        self.final = np.empty(q0.shape)
+        self.tables = None
+
+    def _sums(self, games):
+        sums = self.base[games]
+        for slot in range(int(self.n_slots[games].max())):
+            sums += self.visits[games, slot, None, None] * self.values[games, slot]
+        return sums
+
+    def scores(self, weight):
+        self.sums = self._sums(self.ids)
+        w = weight[:, None, None]
+        return np.divide(self.sums, w, out=self.q0[self.ids], where=w > 0)
+
+    def _slot(self, games, codes):
+        """The slot of every (game, profile code); a profile not played
+        before gets its game's next slot and its feedback now."""
+        slots = np.empty(len(codes), dtype=np.intp)
+        for i, (g, c) in enumerate(zip(games.tolist(), codes.tolist())):
+            slot = self.slots[g].get(c)
+            if slot is None:
+                slot = self.slots[g][c] = int(self.n_slots[g])
+                if slot == self.values.shape[1]:
+                    self.values, self.visits = (np.concatenate([a, np.zeros_like(a)], axis=1)
+                                                for a in (self.values, self.visits))
+                value, *record = _aggregate_feedback(self.games[g], c // self.place % len(self.eye))
+                self.values[g, slot] = value
+                self.n_slots[g] += 1
+                self.scale[g] = max(self.scale[g], value.max())
+                self.visited.append((g * len(self.eye) ** len(self.place) + c, *record))
+            slots[i] = slot
+        return slots
+
+    def certify(self, at, row, phase, start, code, step, period, cap):
+        games = self.ids[at]
+        slots = self._slot(games, code)  # all played before: the arrays do not grow
+        values = self.values[games, slots]
+        # Every phase's scores, as the per-step rule would compute them
+        # there up to rounding, and the cycle's average values.
+        earlier = np.zeros(values.shape)
+        for j in range(1, int(phase.max()) + 1):
+            now = np.flatnonzero(phase == j)
+            earlier[now] = earlier[now - 1] + values[now - 1]
+        scores = (self.sums[at] + earlier) / step[:, None, None]
+        target = np.add.reduceat(values, start)[row] / period[:, None, None]
+        choice = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
+        # The counted sum of v visited profiles errs by about v + 1 rounding
+        # errors of the largest score, the phase's scores by p more.
+        slack = (16 * (self.n_slots[games] + MAX_PERIOD + 2) * np.finfo(float).eps
+                 * self.scale[games])[:, None, None]
+        return _laps(_margins(scores, choice) - slack, _margins(target, choice) - slack,
+                     step, period, cap, choice)
+
+    def advance(self, rows, codes, mult):
+        games = self.ids[rows]
+        slots = self._slot(games, codes)  # may grow the arrays
+        np.add.at(self.visits, (games, slots), mult)
+
+    def retire(self, done, weight):
+        self.final[self.ids[done]] = self._sums(self.ids[done]) / weight
+        self.ids = self.ids[~done]
+
+    def index(self):
+        """Maps visit keys (game * S**K + profile code) to visit numbers."""
+        keys = np.array([key for key, *_ in self.visited])
+        order = np.argsort(keys)
+        return lambda key: order[np.searchsorted(keys[order], key)]
+
+    def payoffs(self):
+        index, place = self.index(), self.place
+        payoffs = np.array([record[2] for record in self.visited])
+        n_profiles = len(self.eye) ** len(place)
+        return lambda game, profile: payoffs[index(game * n_profiles + profile.dot(place))]
+
+
 def run_aggregation_fp(
-    game: GameSpec,
-    init_q: QState | None = None,
+    game: GameSpec | Sequence[GameSpec],
+    init_q: QState | Sequence[QState] | None = None,
     T: int = 10_000,
     tie_break: str = "lowest",
-) -> Trajectory:
+    checkpoints: tuple[int, ...] = (),
+) -> Trajectory | BatchFPResult:
     """Fictitious play driven only by the receiver's per-channel aggregate.
 
     Players never observe opponent actions. Each round they play argmax of
-    their running channel scores; the receiver then broadcasts gamma (noise
-    plus total received power per channel); each player removes its own
-    actual contribution and scores every channel it could have used against
-    the remaining interference, averaging that into its score vector with
-    weight 1/(step+1). The run reports each profile's exact
-    :func:`~csgame.game.utility` and :func:`~csgame.game.potential`.
+    their channel scores; the receiver then broadcasts gamma (noise plus
+    total received power per channel); each player removes its own actual
+    contribution and values every channel it could have used against the
+    remaining interference. A player's scores average those values with its
+    initial scores, which weigh as many rounds as the initial step, carried
+    as a counted sum (see :class:`_Aggregation`) that does not depend on how
+    play is cut into runs. Everything the broadcast determines (gamma, the
+    consistency check, the channel values) depends on the profile alone, so
+    it is computed once per distinct profile a game visits. The run reports
+    each profile's exact :func:`~csgame.game.utility` and
+    :func:`~csgame.game.potential`.
 
-    Everything the broadcast determines (gamma, the consistency check, the
-    channel values, the payoffs and the potential) depends on the action
-    profile alone, so it is computed once per distinct profile the run
-    visits, at the first step that reaches it. Each step only takes the
-    argmax of the scores and folds in that profile's values.
+    The engine is event-driven and batched like :func:`run_fp` (see
+    :func:`_play`), with the step-by-step rule's result bit for bit. One
+    game returns a :class:`Trajectory`; a sequence of same-shape games
+    returns a :class:`BatchFPResult` and takes one shared :class:`QState`
+    or one per game, all with the same step.
     """
-    pick, channel = _chooser(tie_break, T)
-    state = init_q if init_q is not None else QState.zeros(game.K, game.S)
-    if state.q.shape != (game.K, game.S):
-        raise ValueError(f"q has shape {state.q.shape}, game needs {(game.K, game.S)}")
-    # q[t] is the decision-time state of step t; q[T] is the final state.
-    q = np.empty((T + 1, game.K, game.S))
-    q[0] = state.q
-    # 1/(step+1) of every step, as (1, 1) arrays: multiplying by an array is
-    # cheaper than by a scalar and gives the same products.
-    rates = (1.0 / np.arange(state.step + 1, state.step + T + 1))[:, None, None]
-    # Per distinct profile, in order of first visit: its channel values and
-    # its (profile, gamma, utilities, potential) record.
-    seen: dict[bytes, int] = {}  # pick bytes -> index of the profile
-    values, records = [], []
-    visits = np.empty(T, dtype=np.int64)  # index of each step's profile
-    for t, (cur, nxt, rate) in enumerate(zip(q[:-1], q[1:], rates)):
-        first = pick(cur)
-        key = first.tobytes()
-        i = seen.get(key)
-        if i is None:
-            actions = channel(first, game.S)
-            i = seen[key] = len(values)
-            value, *record = _aggregate_feedback(game, actions)
-            values.append(value)
-            records.append((actions, *record))
-        visits[t] = i
-        # q + (1/(step+1)) * (values - q), written into the next row.
-        np.subtract(values[i], cur, out=nxt)
-        np.multiply(nxt, rate, out=nxt)
-        np.add(nxt, cur, out=nxt)
-    profiles, gammas, utilities, potentials = (np.array(col)[visits] for col in zip(*records))
+    games, single, checkpoints, init_step, q0 = _inputs(
+        game, init_q, QState.zeros, "q", T, tie_break, checkpoints)
+    n_games, n_players, n_channels = q0.shape
+    rule = _Aggregation(games, q0, init_step)
+    result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
+    if not single:
+        return result
+    _, start, length, profile = result.runs
+    visit = np.repeat(rule.index()(profile.astype(np.int64).dot(rule.place)), length)
+    gammas, utilities, potentials = (np.array(col)[visit] for col in list(zip(*rule.visited))[1:])
+    # Decision-time scores, summed as the engine sums them: each profile
+    # from the step after its first visit on, in order of first visit.
+    q = np.empty((T, n_players, n_channels))
+    q[:] = rule.base[0]
+    for slot, first in enumerate(np.unique(visit, return_index=True)[1]):
+        before = np.cumsum(visit[first:T - 1] == slot, dtype=float)
+        for k, s in np.ndindex(n_players, n_channels):
+            q[first + 1:, k, s] += before * rule.values[0, slot, k, s]
+    weight = (init_step + np.arange(T))[:, None, None]
+    np.divide(q, weight, out=q, where=weight > 0)
+    if init_step == 0:
+        q[0] = q0[0]
     return Trajectory(
         variant="aggregation",
         tie_break=tie_break,
-        profiles=profiles.astype(np.int64, copy=False),
+        profiles=result.tail(T)[0].astype(np.int64),
         utilities=utilities,
         potentials=potentials,
-        q_values=q[:T],
+        q_values=q,
         gammas=gammas,
-        initial_step=state.step,
-        initial_state=state.q.copy(),
-        final_step=state.step + T,
-        final_state=q[T].copy(),
+        initial_step=init_step,
+        initial_state=q0[0].copy(),
+        final_step=init_step + T,
+        final_state=result.final_marginals[0],
     )
 
 

@@ -5,16 +5,19 @@ Trials are fully independent: trial i draws from a generator seeded with
 the whole sweep is reproducible bit for bit. Sweeps of either learning rule
 go through one driver: the trials are cut into chunks that stay within a
 memory budget, and one record builder turns each chunk into records. It runs
-a classic chunk as one lockstep batch of :func:`~csgame.dynamics.run_fp` and
-an aggregation chunk one game at a time; a single trial is a chunk of one,
-so its record is bit-for-bit the one a sweep writes. The analysis and the
-records of a chunk share one stack of utility tables (the classic batch's
-own, or one built per aggregation game, which also gives each aggregation
-game its initial scores), and the whole chunk is analyzed in one
-:func:`~csgame.equilibrium.analyze_game` call over them; the nearest
+a chunk as one lockstep batch of the configured rule
+(:func:`~csgame.dynamics.run_fp` or
+:func:`~csgame.dynamics.run_aggregation_fp`, which share one event-driven
+engine and one run-length result); a single trial is a chunk of one, so its
+record is bit-for-bit the one a sweep writes. The analysis and the records
+of a chunk share one stack of utility tables (the classic batch's own, or,
+for the aggregation rule, which needs none, one built for the chunk, which
+also gives each game its initial scores), and the whole chunk is analyzed in
+one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
 equilibrium point and the mixed-equilibrium payoff of every record are read
 off the chunk's arrays. A record reads only its game's trailing window of
-profiles and the game's payoff table.
+profiles, its counts and payoffs summed run by run, and the game's payoff
+table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .dynamics import (
     _action_dtype,
     _expectation,
     _smallest_period,
-    empirical_frequencies,
     q_from_beliefs,
     run_aggregation_fp,
     run_fp,
@@ -63,12 +65,13 @@ CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term
-# stands for the classic switch log when games switch every step: one entry
-# of a few bytes per game and step. The chunk's analysis adds a potential
-# stack and a working load of S**K float64 entries each per game, and a
-# boolean mask, which for K >= 2 stay within the tables' own size. The
-# classic engine's copy of its running games' tables adds up to that size
-# again, twice while one compaction replaces the last.
+# stands for the switch log when games switch every step: one entry of a
+# few bytes per game and step. The chunk's analysis adds a potential stack
+# and a working load of S**K float64 entries each per game, and a boolean
+# mask, which for K >= 2 stay within the tables' own size. The classic
+# engine's copy of its running games' tables adds up to that size again,
+# twice while one compaction replaces the last; the aggregation engine
+# instead keeps K * S float64 channel values per profile a game visits.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -237,31 +240,27 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
 
 
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> list[dict]:
-    """Records of consecutive same-shape trials. Classic trials are
-    simulated as one lockstep batch, whose stacked utility tables the
-    analysis reuses; aggregation trials have their tables built once, for
-    their initial scores, the analysis and the records, and are simulated
-    one game at a time, so only one trajectory is held at a time. The whole
-    chunk is analyzed in one pass, and its nearest equilibrium points and
-    mixed-equilibrium payoffs are read off the chunk's arrays."""
+    """Records of consecutive same-shape trials, simulated as one lockstep
+    batch of the configured rule. The analysis and the records share one
+    stack of utility tables: the classic batch's own, or, for the
+    aggregation rule, which needs none, one built here that also gives
+    every game its initial scores. The whole chunk is analyzed in one pass,
+    and its nearest equilibrium points and mixed-equilibrium payoffs are
+    read off the chunk's arrays."""
     T = dynamics.steps
-    window = min(CYCLE_WINDOW, T)
     beliefs = [dynamics.initial_beliefs_for(g) for g in games]
+    run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
     if dynamics.variant == "classic":
-        result = run_fp(games, beliefs, T=T, tie_break=dynamics.tie_break, checkpoints=(T,))
+        result = run_fp(games, beliefs, **run)
         tables = result.tables
-        freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
-                                        result.tail(window).astype(np.int64))
     else:
         tables = np.stack([utility_table(game) for game in games])
         # q_from_beliefs of every game, from the same tables.
         scores = _expectation(tables)(np.stack([b.marginals for b in beliefs]))
-        runs = (run_aggregation_fp(game, QState(step=b.step, q=q), T=T,
-                                   tie_break=dynamics.tie_break)
-                for game, b, q in zip(games, beliefs, scores))
-        freqs, mean_utilities, tails = (np.stack(parts) for parts in zip(*(
-            (empirical_frequencies(r), r.utilities.mean(axis=0), r.profiles[T - window:])
-            for r in runs)))
+        result = run_aggregation_fp(
+            games, [QState(step=b.step, q=q) for b, q in zip(beliefs, scores)], **run)
+    freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
+                                    result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     reports = analyze_game(games, tables=tables)
     kinds, tvs = _nearest_equilibria(freqs, reports)
     mixed_means = _mixed_mean_utilities(tables, reports)

@@ -16,8 +16,9 @@ other tests check against
 :func:`oracle_run_aggregation_fp` recomputes the broadcast aggregate and
 every payoff at every step, and scores every profile it plays, from the
 package's scalar ``aggregate_message``, ``aggregated_utility``, ``utility``
-and ``potential``, and :func:`oracle_cycle_onset` walks a cycle's
-onset back one step at a time.
+and ``potential``, and re-adds its counted-sum scores from scratch at every
+step; :func:`oracle_cycle_onset` walks a cycle's onset back one step at a
+time.
 
 The analysis oracles are the per-game equilibrium analysis that the batched
 ``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
@@ -196,19 +197,35 @@ def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: 
     profile alone and take K * S scalar calls, so each profile is scored
     once (:func:`_oracle_scores`), keyed by the profile itself.
 
+    Scores are counted sums, recomputed from scratch at every step: at
+    weight w = initial step + steps played, each player's scores are
+    (initial step * initial scores + the sum, over the distinct profiles
+    played so far in order of first visit and added left to right, of visit
+    count * channel values) / w; at weight 0 (a cold start's first step)
+    they are the initial scores themselves.
+
     Returns profiles (T, K), utilities (T, K), potentials (T,), gammas (T, S),
     decision-time scores (T, K, S) and the final scores and step.
     """
     n_players, n_channels = game.K, game.S
-    q = np.array(q, dtype=float)
+    q0 = np.array(q, dtype=float)
     profiles = np.empty((T, n_players), dtype=np.int64)
     utilities = np.empty((T, n_players))
     potentials = np.empty(T)
     snapshots = np.empty((T, n_players, n_channels))
     gammas = np.empty((T, n_channels))
-    scores = {}
+    scores, visits = {}, {}  # per profile, in order of first visit
+
+    def current(weight):
+        if weight == 0:
+            return q0
+        total = step * q0
+        for profile, values in scores.items():
+            total = total + visits[profile] * values
+        return total / weight
+
     for t in range(T):
-        snapshots[t] = q
+        snapshots[t] = q = current(step + t)
         if tie_break == "lowest":
             actions = [int(np.argmax(q[k])) for k in range(n_players)]
         else:
@@ -217,18 +234,18 @@ def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: 
         gammas[t] = gamma = aggregate_message(game, actions)
         if tuple(actions) not in scores:
             scores[tuple(actions)] = _oracle_scores(game, actions, gamma)
+            visits[tuple(actions)] = 0
+        visits[tuple(actions)] += 1
         utilities[t] = [utility(game, actions, k) for k in range(n_players)]
         potentials[t] = potential(game, actions)
-        q = q + (1.0 / (step + 1)) * (scores[tuple(actions)] - q)
-        step += 1
     return SimpleNamespace(
         profiles=profiles,
         utilities=utilities,
         potentials=potentials,
         gammas=gammas,
         q_values=snapshots,
-        final_state=q,
-        final_step=step,
+        final_state=current(step + T),
+        final_step=step + T,
     )
 
 

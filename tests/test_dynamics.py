@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +511,116 @@ class TestAggregationEngineAgainstOracle:
         first = outcomes.index("raised")
         assert first > 1
         assert outcomes == ["ok"] * first + ["raised"] * (len(outcomes) - first)
+
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_cold_start_reads_the_initial_scores(self, tie_break):
+        # At weight 0 the first decision reads q0 itself, never 0/0; from
+        # then on q0 weighs nothing.
+        rng = np.random.default_rng(211)
+        for n_players, n_channels in ((1, 3), (2, 2), (3, 3), (4, 2)):
+            game = random_game(rng, n_players, n_channels)
+            init = QState(step=0, q=rng.uniform(0.0, 2.0, (n_players, n_channels)))
+            traj = _assert_aggregation_matches_oracle(game, init, 60, tie_break)
+            np.testing.assert_array_equal(traj.q_values[0], init.q)
+            first = (init.q.argmax(axis=1) if tie_break == "lowest"
+                     else n_channels - 1 - init.q[:, ::-1].argmax(axis=1))
+            np.testing.assert_array_equal(traj.profiles[0], first)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_batch_matches_the_oracle_game_by_game(self, tie_break):
+        # Games stepped in lockstep, each one against the per-step oracle:
+        # random games, near-symmetric ones, which wander, and all-ones
+        # games, which meet exact ties and cycle.
+        rng = np.random.default_rng(223)
+        T = 300
+        jumped = 0  # games whose cycles were jumped
+        for n_players, n_channels in ((1, 3), (2, 2), (3, 3), (4, 2)):
+            games = [random_game(rng, n_players, n_channels) for _ in range(3)]
+            games += [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.15, (n_players, n_channels))),
+                                         p_max=10.0) for _ in range(3)]
+            games += [GameSpec.symmetric(np.ones((n_players, n_channels)), p_max=10.0)] * 2
+            inits = [QState(step=1, q=rng.uniform(0.0, 2.0, (n_players, n_channels)))
+                     for _ in games]
+            inits[-1] = QState(step=1, q=np.zeros((n_players, n_channels)))
+            batch = run_aggregation_fp(games, inits, T=T, tie_break=tie_break,
+                                       checkpoints=(1, T // 3, T))
+            assert batch.tables is None and batch.final_step == T + 1
+            switches = np.any(batch.actions[1:] != batch.actions[:-1], axis=2).sum(axis=0)
+            jumped += np.sum(switches > 10 * batch.evaluations)
+            for i, (game, init) in enumerate(zip(games, inits)):
+                ref = oracle_run_aggregation_fp(game, init.q, T, tie_break, step=init.step)
+                np.testing.assert_array_equal(batch.actions[:, i], ref.profiles)
+                np.testing.assert_array_equal(batch.final_marginals[i], ref.final_state)
+                sums = np.zeros(n_players)  # run length times payoff, run by run
+                for _, run in itertools.groupby(range(T), key=lambda t: tuple(ref.profiles[t])):
+                    run = list(run)
+                    sums = sums + len(run) * ref.utilities[run[0]]
+                np.testing.assert_array_equal(batch.utility_sums[i], sums)
+                for t, freq in batch.frequencies.items():
+                    counts = [np.bincount(ref.profiles[:t, k], minlength=n_channels)
+                              for k in range(n_players)]
+                    np.testing.assert_array_equal(freq[i], np.array(counts) / t)
+        assert jumped >= 2
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_near_ties_are_decided_step_by_step(self, tie_break):
+        # Gains of 1 and 2 from zero scores keep channels within rounding
+        # of each other; the rounding slack must leave those margins to the
+        # per-step rule (without it, these runs leave the oracle's play).
+        rng = np.random.default_rng(229)
+        T = 300
+        for n_players, n_channels in ((2, 2), (3, 2), (4, 2), (3, 3)):
+            games = [GameSpec.symmetric(rng.integers(1, 3, (n_players, n_channels)).astype(float),
+                                        p_max=2.0) for _ in range(6)]
+            batch = run_aggregation_fp(games, QState.zeros(n_players, n_channels), T=T,
+                                       tie_break=tie_break)
+            for i, game in enumerate(games):
+                ref = oracle_run_aggregation_fp(game, np.zeros((n_players, n_channels)), T,
+                                                tie_break)
+                np.testing.assert_array_equal(batch.actions[:, i], ref.profiles)
+                np.testing.assert_array_equal(batch.final_marginals[i], ref.final_state)
+
+    def test_a_run_that_settles_costs_two_decisions(self):
+        # The demo game settles on (2, 1) at once: one decision, then a
+        # second that certifies the profile up to the horizon.
+        config = load_config(CONFIGS / "aggregation_demo.yaml")
+        game = config.game
+        init = q_from_beliefs(game, config.dynamics.initial_beliefs_for(game))
+        batch = run_aggregation_fp([game], init, T=25_000)
+        assert batch.evaluations.tolist() == [2]
+        assert batch.switches.size == 1
+        np.testing.assert_array_equal(batch.tail(3)[0], [[2, 1]] * 3)
+        _assert_aggregation_matches_oracle(game, init, 2000, "lowest")
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_two_cycle_is_jumped_period_by_period(self, strong_interference_game, tie_break):
+        game = strong_interference_game
+        init = q_from_beliefs(game, BeliefState.from_xi([0.5, 0.5]))
+        batch = run_aggregation_fp([game], init, T=3000, tie_break=tie_break)
+        assert batch.evaluations[0] <= 10
+        traj = _assert_aggregation_matches_oracle(game, init, 3000, tie_break)
+        np.testing.assert_array_equal(batch.actions[:, 0], traj.profiles)
+        assert detect_cycle(traj, window=64).period == 2
+
+
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, engine):
+    # Both rules log 2 * 10**6 switches of the paper's 2-cycle; a jump's
+    # entries are appended a bounded block at a time, so the peak stays
+    # within twice the log (the log's own doubling takes 1.5 times).
+    game = strong_interference_game
+    beliefs = BeliefState.from_xi([0.5, 0.5])
+    init = beliefs if engine is run_fp else q_from_beliefs(game, beliefs)
+    tracemalloc.start()
+    try:
+        batch = engine([game], init, T=2 * 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    log = batch.switches
+    assert log.size == 2 * 10**6  # the 2-cycle switches at every step
+    assert peak <= 2 * (log.game.nbytes + log.weight.nbytes + log.code.nbytes)
 
 
 class TestEmpiricalFrequencies:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -180,6 +181,26 @@ class TestRunExperiment:
         assert [r["trial"] for r in records] == list(range(7))
         for i, game in enumerate(games):
             assert records[i] == run_trial(i, game, config.dynamics)
+
+    @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
+    def test_two_player_aggregation_records_equal_classic_ones(self, tie_break):
+        # With two players both rules play the same profiles from matched
+        # initial state, and one record builder reads both batches, so the
+        # records differ in the variant's name alone (time_avg_utility once
+        # differed in all 100 trials: the mean of per-step payoffs against
+        # sums run by run).
+        config = load_config(ROOT / "configs/generator_2x2_snr10.yaml")
+        config = dataclasses.replace(
+            config, generator=dataclasses.replace(config.generator, trials=100))
+        records = {}
+        for variant in ("classic", "aggregation"):
+            swept = config.with_overrides(steps=2000, variant=variant, tie_break=tie_break)
+            records[variant] = run_experiment(swept)[1]
+        assert len(records["classic"]) == 100
+        for classic, aggregation in zip(records["classic"], records["aggregation"]):
+            assert classic["dynamics"].pop("variant") == "classic"
+            assert aggregation["dynamics"].pop("variant") == "aggregation"
+            assert aggregation == classic
 
     def test_committed_sweeps_run_as_one_batch(self):
         # The 1000-trial 2x2 config and the 3x3 generator sweep each fit the
