@@ -638,11 +638,12 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
     return result
 
 
-def _inputs(game, init, default, what: str, T: int, tie_break: str, checkpoints):
+def _inputs(game, init, default, array, what: str, T: int, tie_break: str, checkpoints):
     """Checked inputs of either engine: the games, whether ``game`` was one
     game, the sorted checkpoints, the initial step and one initial state
-    array per game, stacked (from ``default(K, S)`` for None). ``what`` is
-    "belief" for :class:`BeliefState`, "q" for :class:`QState`."""
+    array per game (``array(state)``), stacked. ``init`` is one initial
+    state, one per game, or None for ``default(K, S)``; ``what`` names the
+    state in messages."""
     _chooser(tie_break, T)  # rejects a bad horizon or tie-break first
     checkpoints = sorted({int(t) for t in checkpoints})
     for t in checkpoints:
@@ -653,10 +654,10 @@ def _inputs(game, init, default, what: str, T: int, tie_break: str, checkpoints)
         raise ValueError("need at least one game")
     shape = (games[0].K, games[0].S)
     init = default(*shape) if init is None else init
-    inits = [init] * len(games) if isinstance(init, (BeliefState, QState)) else list(init)
+    inits = [init] * len(games) if hasattr(init, "step") else list(init)
     if len(inits) != len(games):
         raise ValueError(f"got {len(inits)} initial {what} states for {len(games)} games")
-    states = [s.marginals if what == "belief" else s.q for s in inits]
+    states = [array(s) for s in inits]
     for state in states:
         if state.shape != shape:
             raise ValueError(f"initial {what} state has shape {state.shape}, game needs {shape}")
@@ -749,7 +750,8 @@ def run_fp(
     same step.
     """
     games, single, checkpoints, init_step, marginals = _inputs(
-        game, init_beliefs, BeliefState.uniform, "belief", T, tie_break, checkpoints)
+        game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
+        checkpoints)
     n_games, n_players, n_channels = marginals.shape
     _guard_full_enumeration(games[0])  # before the stack is allocated
     tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
@@ -826,24 +828,28 @@ class _Aggregation:
         self.ids = np.arange(n_games)
         self.place = n_channels ** np.arange(n_players - 1, -1, -1)
         self.eye = np.eye(n_channels)
-        # Per game and slot (a profile, in order of first visit): its
-        # channel values and visit count; per game: its profiles' slots,
-        # their number and the largest score or value seen.
-        self.values = np.zeros((n_games, 1, n_players, n_channels))
-        self.visits = np.zeros((n_games, 1))
-        self.slots: list[dict[int, int]] = [{} for _ in games]
-        self.n_slots = np.zeros(n_games, dtype=np.int64)
+        # One row per profile a game played (row 0 stands for none and
+        # stays zero): its channel values, visit count, gamma, payoffs and
+        # potential. Per game: the map from its profile codes to their
+        # rows, its rows in order of first visit (``order``, padded with
+        # row 0) and the largest score or value seen.
+        self.values = np.zeros((16, n_players, n_channels))
+        self.visits = np.zeros(16)
+        self.gamma = np.zeros((16, n_channels))
+        self.payoff = np.zeros((16, n_players))
+        self.potential = np.zeros(16)
+        self.n_rows = 1
+        self.row_of: list[dict[int, int]] = [{} for _ in games]
+        self.order = np.zeros((n_games, 1), dtype=np.intp)
+        self.n_slots = np.zeros(n_games, dtype=np.intp)
         self.scale = q0.max(axis=(1, 2), initial=0.0)
-        # Per visit, in order: its key (game * S**K + code), gamma, payoffs
-        # and potential.
-        self.visited: list[tuple] = []
         self.final = np.empty(q0.shape)
         self.tables = None
 
     def _sums(self, games):
         sums = self.base[games]
-        for slot in range(int(self.n_slots[games].max())):
-            sums += self.visits[games, slot, None, None] * self.values[games, slot]
+        for rows in self.order[games, :self.n_slots[games].max()].T:
+            sums += self.visits[rows, None, None] * self.values[rows]
         return sums
 
     def scores(self, weight):
@@ -851,29 +857,39 @@ class _Aggregation:
         w = weight[:, None, None]
         return np.divide(self.sums, w, out=self.q0[self.ids], where=w > 0)
 
-    def _slot(self, games, codes):
-        """The slot of every (game, profile code); a profile not played
-        before gets its game's next slot and its feedback now."""
-        slots = np.empty(len(codes), dtype=np.intp)
+    def _rows(self, games, codes):
+        """The row of every (game, profile code); a profile not played
+        before gets a new row and its feedback now."""
+        rows = np.empty(len(codes), dtype=np.intp)
         for i, (g, c) in enumerate(zip(games.tolist(), codes.tolist())):
-            slot = self.slots[g].get(c)
-            if slot is None:
-                slot = self.slots[g][c] = int(self.n_slots[g])
-                if slot == self.values.shape[1]:
-                    self.values, self.visits = (np.concatenate([a, np.zeros_like(a)], axis=1)
-                                                for a in (self.values, self.visits))
-                value, *record = _aggregate_feedback(self.games[g], c // self.place % len(self.eye))
-                self.values[g, slot] = value
+            row = self.row_of[g].get(c)
+            if row is None:
+                row = self.row_of[g][c] = self.n_rows
+                self.n_rows += 1
+                if row == len(self.visits):
+                    self.values, self.visits, self.gamma, self.payoff, self.potential = (
+                        np.concatenate([a, np.zeros_like(a)]) for a in
+                        (self.values, self.visits, self.gamma, self.payoff, self.potential))
+                if self.n_slots[g] == self.order.shape[1]:
+                    self.order = np.concatenate([self.order, np.zeros_like(self.order)], axis=1)
+                self.order[g, self.n_slots[g]] = row
                 self.n_slots[g] += 1
-                self.scale[g] = max(self.scale[g], value.max())
-                self.visited.append((g * len(self.eye) ** len(self.place) + c, *record))
-            slots[i] = slot
-        return slots
+                feedback = _aggregate_feedback(self.games[g], c // self.place % len(self.eye))
+                self.values[row], self.gamma[row], self.payoff[row], self.potential[row] = feedback
+                self.scale[g] = max(self.scale[g], self.values[row].max())
+            rows[i] = row
+        return rows
+
+    def played(self, games, codes):
+        """The rows of (game, profile code) pairs already played, looked up
+        once per distinct pair."""
+        pairs, back = np.unique(np.column_stack([games, codes]), axis=0, return_inverse=True)
+        rows = np.array([self.row_of[g][c] for g, c in pairs.tolist()], dtype=np.intp)
+        return rows[back.reshape(-1)]
 
     def certify(self, at, row, phase, start, code, step, period, cap):
         games = self.ids[at]
-        slots = self._slot(games, code)  # all played before: the arrays do not grow
-        values = self.values[games, slots]
+        values = self.values[self._rows(games, code)]  # all played before: no new row
         # Every phase's scores, as the per-step rule would compute them
         # there up to rounding, and the cycle's average values.
         earlier = np.zeros(values.shape)
@@ -891,25 +907,15 @@ class _Aggregation:
                      step, period, cap, choice)
 
     def advance(self, rows, codes, mult):
-        games = self.ids[rows]
-        slots = self._slot(games, codes)  # may grow the arrays
-        np.add.at(self.visits, (games, slots), mult)
+        rows = self._rows(self.ids[rows], codes)  # may grow the arrays
+        np.add.at(self.visits, rows, mult)
 
     def retire(self, done, weight):
         self.final[self.ids[done]] = self._sums(self.ids[done]) / weight
         self.ids = self.ids[~done]
 
-    def index(self):
-        """Maps visit keys (game * S**K + profile code) to visit numbers."""
-        keys = np.array([key for key, *_ in self.visited])
-        order = np.argsort(keys)
-        return lambda key: order[np.searchsorted(keys[order], key)]
-
     def payoffs(self):
-        index, place = self.index(), self.place
-        payoffs = np.array([record[2] for record in self.visited])
-        n_profiles = len(self.eye) ** len(place)
-        return lambda game, profile: payoffs[index(game * n_profiles + profile.dot(place))]
+        return lambda game, profile: self.payoff[self.played(game, profile.dot(self.place))]
 
 
 def run_aggregation_fp(
@@ -941,23 +947,30 @@ def run_aggregation_fp(
     or one per game, all with the same step.
     """
     games, single, checkpoints, init_step, q0 = _inputs(
-        game, init_q, QState.zeros, "q", T, tie_break, checkpoints)
+        game, init_q, QState.zeros, lambda s: s.q, "q", T, tie_break, checkpoints)
     n_games, n_players, n_channels = q0.shape
     rule = _Aggregation(games, q0, init_step)
     result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    _, start, length, profile = result.runs
-    visit = np.repeat(rule.index()(profile.astype(np.int64).dot(rule.place)), length)
-    gammas, utilities, potentials = (np.array(col)[visit] for col in list(zip(*rule.visited))[1:])
-    # Decision-time scores, summed as the engine sums them: each profile
-    # from the step after its first visit on, in order of first visit.
-    q = np.empty((T, n_players, n_channels))
-    q[:] = rule.base[0]
-    for slot, first in enumerate(np.unique(visit, return_index=True)[1]):
-        before = np.cumsum(visit[first:T - 1] == slot, dtype=float)
-        for k, s in np.ndindex(n_players, n_channels):
-            q[first + 1:, k, s] += before * rule.values[0, slot, k, s]
+    ids, _, length, profile = result.runs
+    visit = np.repeat(rule.played(ids, profile.astype(np.int64).dot(rule.place)), length)
+    # Decision-time scores, summed as the engine sums them: the initial
+    # sum, then each profile's visit count times its values, in order of
+    # first visit (the order of the rows). The sum through a profile is
+    # kept only at the steps ``kept`` where it can change, the steps after
+    # it or an earlier one was played. A step so costs O(K S) for the
+    # profile played before it and for each one first visited later, and
+    # play that stays on its newest profiles renders in O(T K S).
+    rows, slot = np.unique(visit[:-1], return_inverse=True)
+    kept, q = np.zeros(1, dtype=np.intp), rule.base[:1].copy()
+    for s, row in enumerate(rows):
+        now = np.flatnonzero(np.concatenate([[True], slot <= s]))
+        q = q[np.searchsorted(kept, now, side="right") - 1]
+        count = np.concatenate([[0], np.cumsum(slot == s)])[now]  # visits before the step
+        on = np.searchsorted(count, 1)  # from the step after the first visit on
+        q[on:] += count[on:, None, None] * rule.values[row]
+        kept = now
     weight = (init_step + np.arange(T))[:, None, None]
     np.divide(q, weight, out=q, where=weight > 0)
     if init_step == 0:
@@ -966,10 +979,10 @@ def run_aggregation_fp(
         variant="aggregation",
         tie_break=tie_break,
         profiles=result.tail(T)[0].astype(np.int64),
-        utilities=utilities,
-        potentials=potentials,
+        utilities=rule.payoff[visit],
+        potentials=rule.potential[visit],
         q_values=q,
-        gammas=gammas,
+        gammas=rule.gamma[visit],
         initial_step=init_step,
         initial_state=q0[0].copy(),
         final_step=init_step + T,

@@ -70,8 +70,12 @@ CONVERGENCE_TV = 1e-2
 # and a working load of S**K float64 entries each per game, and a boolean
 # mask, which for K >= 2 stay within the tables' own size. The classic
 # engine's copy of its running games' tables adds up to that size again,
-# twice while one compaction replaces the last; the aggregation engine
-# instead keeps K * S float64 channel values per profile a game visits.
+# twice while one compaction replaces the last. The aggregation engine
+# builds no table: it keeps K * S + K + S + 2 float64 entries (channel
+# values, payoffs, gamma, potential, visit count) per profile a game
+# visits, and per game an 8-byte row index for each profile the most
+# visiting game of the chunk has visited (rounded up to a power of two).
+# Those grow with the play, so they are not counted here.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")

@@ -603,6 +603,24 @@ class TestAggregationEngineAgainstOracle:
         np.testing.assert_array_equal(batch.actions[:, 0], traj.profiles)
         assert detect_cycle(traj, window=64).period == 2
 
+    def test_games_with_huge_profile_spaces_read_their_own_payoffs(self):
+        # 62 players on 2 channels: 2**62 profile codes, so a key packing
+        # the game index with the code would overflow 64 bits from the
+        # third game on. Each game of the batch must read its own payoffs.
+        rng = np.random.default_rng(241)
+        n_players, T = 62, 40
+        games = [GameSpec.symmetric(rng.exponential(1.0, (n_players, 2)), p_max=10.0)
+                 for _ in range(3)]
+        batch = run_aggregation_fp(games, None, T=T)
+        for i, game in enumerate(games):
+            traj = run_aggregation_fp(game, None, T=T)
+            np.testing.assert_array_equal(batch.actions[:, i], traj.profiles)
+            sums = np.zeros(n_players)  # run length times payoff, run by run
+            for _, run in itertools.groupby(range(T), key=lambda t: tuple(traj.profiles[t])):
+                run = list(run)
+                sums = sums + len(run) * traj.utilities[run[0]]
+            np.testing.assert_array_equal(batch.utility_sums[i], sums)
+
 
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
 def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, engine):
