@@ -40,11 +40,11 @@ from .game import (
     GameSpec,
     _check_player,
     _game_batch,
-    _guard_full_enumeration,
     _guard_opponent_profiles,
     _payoffs,
     _rate,
     _strip_own,
+    _utility_tables,
     aggregate_message,
     potential,
     potential_table,
@@ -752,11 +752,8 @@ def run_fp(
     games, single, checkpoints, init_step, marginals = _inputs(
         game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
         checkpoints)
-    n_games, n_players, n_channels = marginals.shape
-    _guard_full_enumeration(games[0])  # before the stack is allocated
-    tables = np.empty((n_games, n_players) + (n_channels,) * n_players)
-    for i, g in enumerate(games):  # filled in place: no second copy of the stack
-        tables[i] = utility_table(g)
+    _, n_players, n_channels = marginals.shape
+    tables = _utility_tables(games)
     prior = marginals * init_step
     result = _play(_Classic(tables, prior), n_players, n_channels, init_step, T, tie_break,
                    checkpoints)

@@ -30,6 +30,7 @@ import numpy as np
 from .game import (
     GameSpec,
     _game_batch,
+    _utility_tables,
     potential_table,
     utility_table,
 )
@@ -296,7 +297,7 @@ def analyze_game(
     n_games, n_players, n_channels = len(games), games[0].K, games[0].S
     shape = (n_games, n_players) + (n_channels,) * n_players
     if tables is None:
-        tables = np.stack([utility_table(g) for g in games])
+        tables = _utility_tables(games)
     if np.shape(tables) != shape:
         raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
     ne = np.argwhere(_pure_ne_mask(tables))  # (N, 1 + K): game, then profile

@@ -71,19 +71,19 @@ class GameSpec:
             raise ValueError(
                 f"max_power must have length K={n_players}, got {max_power.shape[0]}"
             )
-        if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0):
+        if not np.isfinite(bandwidths).all() or (bandwidths <= 0).any():
             raise ValueError("bandwidths must be positive and finite")
-        if not np.all(np.isfinite(noise)) or np.any(noise <= 0):
+        if not np.isfinite(noise).all() or (noise <= 0).any():
             raise ValueError("noise must be positive")
-        if not np.all(np.isfinite(max_power)) or np.any(max_power <= 0):
+        if not np.isfinite(max_power).all() or (max_power <= 0).any():
             raise ValueError("max_power must be positive and finite")
-        if not np.all(np.isfinite(gains)) or np.any(gains < 0):
+        if not np.isfinite(gains).all() or (gains < 0).any():
             raise ValueError("gains must be finite and non-negative")
         weights = bandwidths / bandwidths.sum()
         with np.errstate(over="ignore"):
             received = max_power[:, None] * gains
             worst = noise + received.sum(axis=0)
-        if not np.all(np.isfinite(worst)):
+        if not np.isfinite(worst).all():
             raise ValueError(
                 "noise plus the total received power on a channel overflows; "
                 "every channel aggregate must be finite"
@@ -355,26 +355,43 @@ def _channel_loads(noise: np.ndarray, received: np.ndarray, players,
     return load
 
 
+def _stacks(games: Sequence[GameSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (G, S) noise, (G, K, S) received powers and (G, S) bandwidth
+    fractions of same-shape games."""
+    return (np.stack([g.noise for g in games]), np.stack([g.received_power for g in games]),
+            np.stack([g.weights for g in games]))
+
+
+def _utility_tables(games: Sequence[GameSpec]) -> np.ndarray:
+    """:func:`utility_table` of every game of a non-empty same-shape
+    sequence, stacked: (G, K) + (S,)*K, each game's entries the bits it has
+    alone. Built one (player, channel) slice at a time over the whole
+    stack, so the working set is one G * S**(K-1) load and the stack is
+    never copied."""
+    n_players, n_channels = _guard_full_enumeration(games[0])
+    noise, received, weights = _stacks(games)
+    lead = (len(games),) + (1,) * (n_players - 1)
+    eye = np.eye(n_channels)
+    tables = np.empty((len(games), n_players) + (n_channels,) * n_players)
+    for k in range(n_players):
+        opponents = [j for j in range(n_players) if j != k]
+        for s in range(n_channels):
+            denom = _channel_loads(noise[:, s:s + 1], received[:, :, s:s + 1], opponents,
+                                   eye[s:s + 1])[:, 0]
+            idx: list = [slice(None), k] + [slice(None)] * n_players
+            idx[k + 2] = s
+            tables[tuple(idx)] = _rate(weights[:, s].reshape(lead),
+                                       received[:, k, s].reshape(lead), denom)
+    return tables
+
+
 def utility_table(game: GameSpec) -> np.ndarray:
     """Utilities of every player at every pure profile.
 
     Returns shape (K,) + (S,)*K; axis j+1 indexes player j's channel. Guarded
     by :data:`MAX_ENUM_PROFILES`.
     """
-    n_players, n_channels = _guard_full_enumeration(game)
-    received = game.received_power
-    weights = game.weights
-    eye = np.eye(n_channels)
-    table = np.empty((n_players,) + (n_channels,) * n_players)
-    for k in range(n_players):
-        opponents = [j for j in range(n_players) if j != k]
-        for s in range(n_channels):
-            denom = _channel_loads(game.noise[None, s:s + 1], received[None, :, s:s + 1],
-                                   opponents, eye[s:s + 1])[0, 0]
-            idx: list = [slice(None)] * n_players
-            idx[k] = s
-            table[k][tuple(idx)] = _rate(weights[s], received[k, s], denom)
-    return table
+    return _utility_tables([game])[0]
 
 
 def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
@@ -388,9 +405,7 @@ def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
     if not games:
         raise ValueError("need at least one game")
     n_players, n_channels = _guard_full_enumeration(games[0])
-    noise = np.stack([g.noise for g in games])
-    received = np.stack([g.received_power for g in games])
-    weights = np.stack([g.weights for g in games])
+    noise, received, weights = _stacks(games)
     eye = np.eye(n_channels)
     out = np.zeros((len(games),) + (n_channels,) * n_players)
     for s in range(n_channels):

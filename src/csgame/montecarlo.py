@@ -38,7 +38,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import EquilibriumReport, analyze_game
-from .game import GameSpec, utility_table
+from .game import GameSpec, _utility_tables
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,16 +66,20 @@ CONVERGENCE_TV = 1e-2
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term
 # stands for the switch log when games switch every step: one entry of a
-# few bytes per game and step. The chunk's analysis adds a potential stack
-# and a working load of S**K float64 entries each per game, and a boolean
-# mask, which for K >= 2 stay within the tables' own size. The classic
-# engine's copy of its running games' tables adds up to that size again,
-# twice while one compaction replaces the last. The aggregation engine
-# builds no table: it keeps K * S + K + S + 2 float64 entries (channel
-# values, payoffs, gamma, potential, visit count) per profile a game
-# visits, and per game an 8-byte row index for each profile the most
-# visiting game of the chunk has visited (rounded up to a power of two).
-# Those grow with the play, so they are not counted here.
+# few bytes per game and step. The chunk's tables are built as one stack,
+# one (player, channel) slice at a time: the build's working set is one
+# G * S**(K-1) load per slice, and there is no second copy of the stack, so
+# an aggregation chunk holds that stack alone, not G single-game tables as
+# well. The chunk's analysis adds a potential stack and a working load of
+# S**K float64 entries each per game, and a boolean mask, which for K >= 2
+# stay within the tables' own size. The classic engine's copy of its
+# running games' tables adds up to that size again, twice while one
+# compaction replaces the last. The aggregation engine needs no table: it
+# keeps K * S + K + S + 2 float64 entries (channel values, payoffs, gamma,
+# potential, visit count) per profile a game visits, and per game an 8-byte
+# row index for each profile the most visiting game of the chunk has
+# visited (rounded up to a power of two). Those grow with the play, so they
+# are not counted here.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -252,17 +256,19 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     and its nearest equilibrium points and mixed-equilibrium payoffs are
     read off the chunk's arrays."""
     T = dynamics.steps
-    beliefs = [dynamics.initial_beliefs_for(g) for g in games]
+    beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
     if dynamics.variant == "classic":
         result = run_fp(games, beliefs, **run)
         tables = result.tables
     else:
-        tables = np.stack([utility_table(game) for game in games])
-        # q_from_beliefs of every game, from the same tables.
-        scores = _expectation(tables)(np.stack([b.marginals for b in beliefs]))
+        tables = _utility_tables(games)
+        # q_from_beliefs of every game, from the same tables, over a
+        # C-ordered stack of the marginals (einsum picks its kernel by layout).
+        marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
         result = run_aggregation_fp(
-            games, [QState(step=b.step, q=q) for b, q in zip(beliefs, scores)], **run)
+            games, [QState(step=beliefs.step, q=q) for q in _expectation(tables)(marginals)],
+            **run)
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     reports = analyze_game(games, tables=tables)

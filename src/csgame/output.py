@@ -5,9 +5,13 @@ are sorted, so identical inputs always produce byte-identical files; no
 timestamps or environment details ever enter a payload. JSON is strict: a
 non-finite float raises ``ValueError`` instead of becoming ``Infinity``/``NaN``.
 
-Per-step files are rendered in bulk from a trajectory's numpy columns, a
-bounded chunk of steps at a time, with ``float.__repr__``/``int.__repr__``
-on ``tolist()`` output, once per distinct value of a column. CSV rows are the cells joined by commas, as
+Per-step files are rendered in bulk from a trajectory's numpy columns,
+:data:`_CHUNK_STEPS` (1024) steps at a time, with
+``float.__repr__``/``int.__repr__`` on ``tolist()`` output, once per
+distinct value of a column within a chunk. A chunk costs a handful of numpy
+calls whatever its size, so a large chunk pays that fixed cost rarely,
+while the memory a writer holds stays bounded by one chunk's cells. CSV
+rows are the cells joined by commas, as
 ``csv.writer`` writes them; the JSON step template is cut from the standard
 encoder's layout of a two-step skeleton, so the file is exactly
 ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
@@ -32,7 +36,10 @@ __all__ = [
 ]
 
 # Steps rendered at once, which bounds the writers' memory whatever T is.
-_CHUNK_STEPS = 64
+# Writer CPU time of the two-player cycle_long CSV and agg_long JSON falls
+# with the chunk up to 1024 steps and no further; there a writer holds about
+# 1-2 MB.
+_CHUNK_STEPS = 1024
 # A numbered leaf of a skeleton step, as the encoder writes it.
 _LEAF = re.compile(r'"@@(\d+)@@"')
 _FORMATS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
@@ -201,7 +208,7 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind in ("beliefs", "utilities") and not isinstance(obj, Trajectory):
         raise ValueError(f"kind {kind!r} needs a Trajectory")
     if kind == "beliefs":
-        prefix, state = _state_columns(obj)
+        prefix, state = _state_columns(obj)[0], obj.beliefs_or_q
         n_players, n_channels = state.shape[1:] if obj.T else (0, 0)
         header = [f"{prefix}_p{k}_c{s}" for k in range(n_players) for s in range(n_channels)]
         return _csv(path, ["t", *header], obj.T,

@@ -22,6 +22,7 @@ from csgame import (
     utility,
     utility_table,
 )
+from csgame.game import _utility_tables
 from _oracles import oracle_potential, oracle_utility
 from conftest import random_game
 
@@ -396,6 +397,34 @@ def test_property_extra_interferer_strictly_hurts(case):
     joined = list(apart)
     joined[other] = profile[player]
     assert utility(game, joined, player) < utility(game, apart, player)
+
+
+@st.composite
+def game_stacks(draw):
+    """1-40 games of one shape (1-5 players, 1-4 channels) whose bandwidths,
+    noise levels and powers span several decades, some gains exactly 0."""
+    n_players, n_channels = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n_games = draw(st.integers(1, 40))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = rng.exponential(1.0, (n_games, n_players, n_channels))
+    gains[rng.random(gains.shape) < zero_share] = 0.0
+    return [
+        GameSpec(bandwidths=10 ** rng.uniform(-1, 1, n_channels),
+                 noise=10 ** rng.uniform(-3, 2, n_channels),
+                 max_power=10 ** rng.uniform(-3, 6, n_players), gains=g)
+        for g in gains
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(game_stacks())
+def test_property_stacked_tables_equal_each_games_own(games):
+    stack = _utility_tables(games)
+    assert stack.flags.c_contiguous
+    assert stack.shape == (len(games), games[0].K) + (games[0].S,) * games[0].K
+    for table, game in zip(stack, games):
+        assert np.array_equal(table.view(np.int64), utility_table(game).view(np.int64))
 
 
 def test_channel_aggregate_must_be_finite():

@@ -26,6 +26,7 @@ from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_tabl
 from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
+from csgame.game import _utility_tables
 from csgame.montecarlo import _trial_games
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
@@ -457,19 +458,27 @@ class TestChunkAnalysis:
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant):
-        # Wrapped where the engine, the analysis and the driver bind it, the
-        # way the benchmark's tracer does; chunks of 3, 3 and 1 games. The
-        # analysis and the records share the chunk's tables: a classic chunk
-        # reuses the batch engine's, and an aggregation chunk builds one per
-        # game, which also gives the game its initial scores.
-        built = []
+        # The stacked table function, wrapped where the engine, the analysis
+        # and the sweep bind it, the way the benchmark's tracer wraps names:
+        # one call per chunk (7 games, then chunks of 3, 3 and 1), with that
+        # chunk's games in order. The analysis and the records share the
+        # chunk's tables: a classic chunk reuses the batch engine's, and an
+        # aggregation chunk builds one stack, which also gives its games
+        # their initial scores. No table is built for a single game.
+        built, singles = [], []
 
-        def counted(game):
-            built.append(game)
+        def counted(games):
+            built.append([g.gains.tolist() for g in games])
+            return _utility_tables(games)
+
+        def counted_single(game):
+            singles.append(game)
             return utility_table(game)
 
         for module in (dynamics, equilibrium, montecarlo):
-            monkeypatch.setattr(module, "utility_table", counted)
+            monkeypatch.setattr(module, "_utility_tables", counted)
+        for module in (dynamics, equilibrium):
+            monkeypatch.setattr(module, "utility_table", counted_single)
         analyses = []
 
         def counted_analysis(*args, **kwargs):
@@ -481,16 +490,17 @@ class TestChunkAnalysis:
             "generator": {"players": 3, "channels": 2, "snr_db": 10.0, "trials": 7},
             "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
         })
-        games = _trial_games(config)
+        gains = [g.gains.tolist() for g in _trial_games(config)]
         _, whole = run_experiment(config)
-        assert len(built) == 7 and analyses == [7]
+        assert built == [gains] and analyses == [7]
         built.clear()
         analyses.clear()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 40))
         _, chunked = run_experiment(config)
         assert analyses == [3, 3, 1]
+        assert built == [gains[0:3], gains[3:6], gains[6:7]]
         assert chunked == whole
-        assert [g.gains.tolist() for g in built] == [g.gains.tolist() for g in games]
+        assert singles == []
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_chunk_past_the_enumeration_guard_exits_two(self, variant, tmp_path, capsys):

@@ -270,6 +270,18 @@ class TestBulkRenderingAgainstStdlib:
         csv_path = output.write_trajectory_csv(traj, tmp_path / "t.csv")
         assert csv_path.read_bytes() == oracle_trajectory_csv(traj).encode()
 
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_belief_plot_without_state_snapshots(self, variant, tmp_path):
+        # The state is read through Trajectory.beliefs_or_q, which names
+        # what is missing; the utility series needs no state.
+        traj = _odd_trajectory(variant, 5, 2, 3)
+        traj.beliefs = traj.q_values = None
+        with pytest.raises(ValueError, match="no per-step state snapshots"):
+            emit_plot_data(traj, "beliefs", tmp_path / "beliefs.csv")
+        assert not (tmp_path / "beliefs.csv").exists()
+        plot = emit_plot_data(traj, "utilities", tmp_path / "utilities.csv")
+        assert plot.read_bytes() == oracle_plot_csv(traj, "utilities").encode()
+
     def test_empty_trajectory(self, tmp_path):
         traj = _empty_trajectory()
         traj.initial_state = traj.final_state = np.empty((2, 2))
