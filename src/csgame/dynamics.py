@@ -58,7 +58,6 @@ __all__ = [
     "QState",
     "Trajectory",
     "CycleReport",
-    "belief_update",
     "fp_best_response",
     "run_fp",
     "run_aggregation_fp",
@@ -231,25 +230,6 @@ class Trajectory:
         return state
 
 
-def belief_update(frequencies, observed_channel: int, t: int) -> np.ndarray:
-    """Fold one observation into a frequency vector of weight t.
-
-    Returns f + (1/(t+1)) * (indicator(observed) - f): the vector that held
-    after t observations (prior included) now holds after t+1. The input must
-    already be a probability vector; the output then stays one.
-    """
-    f = np.asarray(frequencies, dtype=float).ravel()
-    if int(t) < 1:
-        raise ValueError("observation count t must be >= 1")
-    if not 0 <= observed_channel < f.size:
-        raise ValueError(f"observed channel {observed_channel} out of range [0, {f.size})")
-    if np.any(f < 0) or abs(float(f.sum()) - 1.0) > 1e-9:
-        raise ValueError("frequencies must form a probability vector (sum 1 within 1e-9)")
-    indicator = np.zeros(f.size)
-    indicator[observed_channel] = 1.0
-    return f + (1.0 / (int(t) + 1)) * (indicator - f)
-
-
 def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
     """Per player of tables shaped (G, K) + (S,)*K: its payoffs with its own
     channel axis first, as strided views (contiguous copies would switch
@@ -305,43 +285,48 @@ def fp_best_response(
     return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
 
 
-# Entries one append of a jumped cycle adds to the switch log at most (more
-# only when a single period of the games jumped switches more often), so
-# the append's index arrays stay bounded however many periods a jump covers.
-_LOG_BLOCK = 2**14
-
-
 class _SwitchLog:
-    """Growable log of profile switches: game index, weight (initial step
-    plus steps played) at the switch and new profile code, appended in time
-    order per game, in the smallest integer types that hold them."""
+    """Growable log of the switching phases of every decision: game index,
+    weight (initial step plus steps played) at the phase's first switch,
+    new profile code, and the period and number of periods (``laps``) of
+    the cycle played, the phase switching once per period. A single step's
+    switch has period and laps 1. Entries are appended in time order of
+    decisions per game, in the smallest integer types that hold them."""
 
     def __init__(self, n_games: int, max_weight: int, n_profiles: int) -> None:
         self.size = 0
         self.game = np.empty(64, np.min_scalar_type(n_games))
         self.weight = np.empty(64, np.min_scalar_type(max_weight))
         self.code = np.empty(64, np.min_scalar_type(n_profiles))
+        self.period = np.empty(64, np.min_scalar_type(MAX_PERIOD))
+        self.laps = np.empty(64, np.min_scalar_type(max_weight))
 
-    def append(self, games, weights, codes) -> None:
+    def append(self, games, weights, codes, periods=1, laps=1) -> None:
         start, end = self.size, self.size + len(games)
+        columns = {"game": games, "weight": weights, "code": codes, "period": periods,
+                   "laps": laps}
         if end > len(self.game):
             capacity = max(2 * len(self.game), end)
-            for name in ("game", "weight", "code"):  # one old array held at a time
+            for name in columns:  # one old array held at a time
                 old = getattr(self, name)
                 setattr(self, name, np.empty(capacity, old.dtype))
                 getattr(self, name)[:start] = old[:start]
-        self.game[start:end] = games
-        self.weight[start:end] = weights
-        self.code[start:end] = codes
+        for name, values in columns.items():
+            getattr(self, name)[start:end] = values
         self.size = end
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """One column over the entries logged, as int64."""
+        return getattr(self, name)[:self.size].astype(np.int64)
 
 
 @dataclass
 class BatchFPResult:
     """Fictitious play, of either rule, on a stack of G same-shape games.
 
-    The play is kept run-length encoded, as the weight and new profile of
-    every switch (``switches``); each game's first decision is a switch.
+    The play is kept run-length encoded, as the switching phases of every
+    decision (``switches``), a jumped cycle's phase once for all its
+    periods; each game's first decision is a switch.
     ``actions`` renders every game's profile at every step, shape (T, G, K),
     in the smallest signed integer type that holds a channel index, when it
     is first read, and :meth:`tail` renders only the last steps.
@@ -350,11 +335,11 @@ class BatchFPResult:
     (G, K, S) final state: beliefs under the classic rule, channel scores
     under the aggregation rule. ``utility_sums`` holds each player's payoffs
     summed over the run as run length times payoff, run by run, shape
-    (G, K), reading the payoffs of profiles from ``payoffs(games,
-    profiles)``. ``evaluations`` counts each game's decision points, the
-    steps at which its rule's scores were computed; ``tables`` holds the
-    classic rule's (G, K) + (S,)*K payoffs (None for the aggregation rule,
-    which needs no table).
+    (G, K), reading the payoffs of (game, profile code) pairs from
+    ``payoffs(games, codes)`` once per log entry. ``evaluations`` counts
+    each game's decision points, the steps at which its rule's scores were
+    computed; ``tables`` holds the classic rule's (G, K) + (S,)*K payoffs
+    (None for the aggregation rule, which needs no table).
     """
 
     frequencies: dict[int, np.ndarray]
@@ -367,19 +352,37 @@ class BatchFPResult:
     payoffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @cached_property
+    def _run_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The log entry and first step of every run, by game and then in
+        time: entry i stands for ``laps[i]`` runs, one per period from its
+        weight on."""
+        log = self.switches
+        laps = log["laps"]
+        entry = np.repeat(np.arange(log.size), laps)
+        lap = np.arange(len(entry)) - np.repeat(np.cumsum(laps) - laps, laps)
+        start = log["weight"][entry] - (self.final_step - self.T) + lap * log["period"][entry]
+        # A decision's runs are a few sorted sequences, which timsort merges.
+        order = np.argsort(log["game"][entry] * self.T + start, kind="stable")
+        return entry[order], start[order]
+
+    @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every run, by game and then in time: game, first step, length and
         (n, K) profile."""
-        log = self.switches
-        order = np.argsort(log.game[:log.size], kind="stable")
-        game = log.game[order].astype(np.int64)
-        start = log.weight[order].astype(np.int64) - (self.final_step - self.T)
+        entry, start = self._run_entries
+        game = self.switches["game"][entry]
         end = np.append(start[1:], self.T)
         end[np.flatnonzero(game[1:] != game[:-1])] = self.T
         _, n_players, n_channels = self.final_marginals.shape
         place = n_channels ** np.arange(n_players - 1, -1, -1)
-        profile = log.code[order, None].astype(np.int64) // place % n_channels
-        return game, start, end - start, profile.astype(_action_dtype(n_channels))
+        profile = self.switches["code"][:, None] // place % n_channels
+        return game, start, end - start, profile.astype(_action_dtype(n_channels))[entry]
+
+    def _by_run(self, lookup: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """``lookup(games, codes)`` of every run, called once over the log's
+        entries and read per run."""
+        log = self.switches
+        return lookup(log["game"], log["code"])[self._run_entries[0]]
 
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
@@ -407,9 +410,9 @@ class BatchFPResult:
     @cached_property
     def utility_sums(self) -> np.ndarray:
         """Each player's payoffs summed run by run, (G, K)."""
-        game, _, length, profile = self.runs
+        game, _, length, _ = self.runs
         n_games, n_players = self.final_marginals.shape[:2]
-        payoffs = self.payoffs(game, profile)
+        payoffs = self._by_run(self.payoffs)
         # bincount adds each bin's weights in input order, so every (game,
         # player) sum runs over that game's runs in time order.
         index = game[:, None] * n_players + np.arange(n_players)
@@ -437,28 +440,6 @@ def _unroll(window: np.ndarray, period: np.ndarray):
     phase = np.arange(len(row)) - start[row]
     at = (period[row] - phase) % period[row]  # the window runs back in time
     return row, phase, window[row, at], window[row, at + 1], start
-
-
-def _lap_entries(switch, row, phase, laps, period):
-    """The switches of cycles played whole periods at a time, period by
-    period. ``switch`` indexes the phases of :func:`_unroll` whose profile
-    differs from the step before; row r plays ``laps[r]`` periods of
-    ``period[r]`` steps. Yields, in blocks of a bounded number of periods
-    (see :data:`_LOG_BLOCK`), the phase index of every entry, each phase
-    once per period, and its steps after the row's first step."""
-    per_lap = np.bincount(row[switch], minlength=len(laps))
-    laps = np.where(per_lap > 0, laps, 0)
-    block = max(1, _LOG_BLOCK // max(1, int(per_lap.sum())))
-    for first in range(0, int(laps.max()), block):
-        reps = per_lap * np.clip(laps - first, 0, block)
-        entry_row = np.repeat(np.arange(len(laps)), reps)
-        lap, k = np.divmod(np.arange(len(entry_row)) - np.repeat(np.cumsum(reps) - reps, reps),
-                           per_lap[entry_row])
-        entry = switch[np.repeat(np.cumsum(per_lap) - per_lap, reps) + k]
-        lap += first
-        lap *= period[entry_row]  # the steps before the entry's period ...
-        lap += phase[entry]  # ... and before its phase
-        yield entry, lap
 
 
 def _margins(values: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -604,12 +585,13 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
             laps = np.minimum.reduceat(kept, start).astype(np.int64)
             jump = np.flatnonzero(laps)
             cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
-            # A phase whose profile differs from the step before it is a
-            # switch in every period jumped.
-            for entry, offset in _lap_entries(np.flatnonzero(code != before), row, phase, laps, p):
-                switches.append(ids[at[entry]], weight[at[entry]] + offset, code[entry])
-            # A jumped game plays every phase of its cycle once per period.
+            # A jumped game plays every phase of its cycle once per period,
+            # and a phase whose profile differs from the step before it is
+            # one log entry, a switch in every period.
             whole = laps[row] > 0
+            logged = np.flatnonzero(whole & (code != before))
+            switches.append(ids[at[logged]], weight[at[logged]] + phase[logged], code[logged],
+                            p[row[logged]], laps[row[logged]])
             alone = np.ones(len(weight), dtype=bool)
             alone[at[whole]] = False
             rows, codes, mult = (np.concatenate([x[alone], y[whole]]) for x, y in
@@ -717,8 +699,9 @@ class _Classic:
             self._stack(self.stack[keep])
 
     def payoffs(self):
-        tables, players = self.tables, np.arange(self.tables.shape[1])
-        return lambda game, profile: tables[(game[:, None], players) + tuple(profile.T[:, :, None])]
+        tables = self.tables.reshape(self.tables.shape[:2] + (-1,))  # by profile code
+        players = np.arange(tables.shape[1])
+        return lambda game, code: tables[game[:, None], players, code[:, None]]
 
 
 def run_fp(
@@ -877,13 +860,6 @@ class _Aggregation:
             rows[i] = row
         return rows
 
-    def played(self, games, codes):
-        """The rows of (game, profile code) pairs already played, looked up
-        once per distinct pair."""
-        pairs, back = np.unique(np.column_stack([games, codes]), axis=0, return_inverse=True)
-        rows = np.array([self.row_of[g][c] for g, c in pairs.tolist()], dtype=np.intp)
-        return rows[back.reshape(-1)]
-
     def certify(self, at, row, phase, start, code, step, period, cap):
         games = self.ids[at]
         values = self.values[self._rows(games, code)]  # all played before: no new row
@@ -912,7 +888,7 @@ class _Aggregation:
         self.ids = self.ids[~done]
 
     def payoffs(self):
-        return lambda game, profile: self.payoff[self.played(game, profile.dot(self.place))]
+        return lambda game, code: self.payoff[self._rows(game, code)]
 
 
 def run_aggregation_fp(
@@ -950,8 +926,7 @@ def run_aggregation_fp(
     result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    ids, _, length, profile = result.runs
-    visit = np.repeat(rule.played(ids, profile.astype(np.int64).dot(rule.place)), length)
+    visit = np.repeat(result._by_run(rule._rows), result.runs[2])
     # Decision-time scores, summed as the engine sums them: the initial
     # sum, then each profile's visit count times its values, in order of
     # first visit (the order of the rows). The sum through a profile is

@@ -65,21 +65,24 @@ CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term
-# stands for the switch log when games switch every step: one entry of a
-# few bytes per game and step. The chunk's tables are built as one stack,
-# one (player, channel) slice at a time: the build's working set is one
-# G * S**(K-1) load per slice, and there is no second copy of the stack, so
-# an aggregation chunk holds that stack alone, not G single-game tables as
+# stands for the runs a chunk's records read when games switch every step.
+# The switch log itself holds one entry of a few bytes (game, weight,
+# profile code, period and laps) per switching phase of a decision: a single
+# step's switch costs one entry, and a jumped cycle one per switching phase,
+# however many periods it covers. The chunk's tables are built as one stack,
+# one (player, channel) slice at a time: the build's working set is one G *
+# S**(K-1) load per slice, and there is no second copy of the stack, so an
+# aggregation chunk holds that stack alone, not G single-game tables as
 # well. The chunk's analysis adds a potential stack and a working load of
 # S**K float64 entries each per game, and a boolean mask, which for K >= 2
-# stay within the tables' own size. The classic engine's copy of its
-# running games' tables adds up to that size again, twice while one
-# compaction replaces the last. The aggregation engine needs no table: it
-# keeps K * S + K + S + 2 float64 entries (channel values, payoffs, gamma,
-# potential, visit count) per profile a game visits, and per game an 8-byte
-# row index for each profile the most visiting game of the chunk has
-# visited (rounded up to a power of two). Those grow with the play, so they
-# are not counted here.
+# stay within the tables' own size. The classic engine's copy of its running
+# games' tables adds up to that size again, twice while one compaction
+# replaces the last. The aggregation engine needs no table: it keeps K * S +
+# K + S + 2 float64 entries (channel values, payoffs, gamma, potential,
+# visit count) per profile a game visits, and per game an 8-byte row index
+# for each profile the most visiting game of the chunk has visited (rounded
+# up to a power of two). Those grow with the play, so they are not counted
+# here.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")

@@ -12,12 +12,12 @@ import pytest
 
 from csgame import (
     TIE_BREAKS,
+    BatchFPResult,
     BeliefState,
     GameSpec,
     QState,
     Trajectory,
     aggregate_message,
-    belief_update,
     classify_region_2x2,
     cycle_persistence_2x2,
     detect_cycle,
@@ -34,6 +34,7 @@ from csgame import (
     utility,
     write_trajectory_csv,
 )
+from csgame.dynamics import MAX_PERIOD, _SwitchLog
 from _oracles import (
     oracle_cycle_onset,
     oracle_run_aggregation_fp,
@@ -101,33 +102,6 @@ class TestQState:
             QState(step=0, q=[[0.1, -0.2]])
         with pytest.raises(ValueError, match="finite and non-negative"):
             QState(step=0, q=[[0.1, math.nan]])
-
-
-class TestBeliefUpdate:
-    def test_two_channel_example(self):
-        # Weight-1 vector absorbing one observation of channel 0.
-        np.testing.assert_allclose(
-            belief_update([0.5, 0.5], 0, t=1), [0.75, 0.25], rtol=0, atol=1e-15
-        )
-
-    def test_three_channel_example(self):
-        updated = belief_update([1 / 3, 1 / 3, 1 / 3], 1, t=2)
-        np.testing.assert_allclose(updated, [2 / 9, 5 / 9, 2 / 9], rtol=0, atol=1e-15)
-
-    def test_preserves_normalization(self):
-        rng = np.random.default_rng(67)
-        f = rng.dirichlet(np.ones(5))
-        for t in range(1, 50):
-            f = belief_update(f, int(rng.integers(5)), t)
-            assert abs(f.sum() - 1.0) < 1e-12
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            belief_update([0.5, 0.5], 0, t=0)
-        with pytest.raises(ValueError, match="out of range"):
-            belief_update([0.5, 0.5], 2, t=1)
-        with pytest.raises(ValueError, match="probability vector"):
-            belief_update([0.9, 0.9], 0, t=1)
 
 
 class TestBestResponse:
@@ -624,9 +598,10 @@ class TestAggregationEngineAgainstOracle:
 
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
 def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, engine):
-    # Both rules log 2 * 10**6 switches of the paper's 2-cycle; a jump's
-    # entries are appended a bounded block at a time, so the peak stays
-    # within twice the log (the log's own doubling takes 1.5 times).
+    # Both rules play 2 * 10**6 steps of the paper's 2-cycle, a switch at
+    # every step, in a few decisions. The log holds one entry per switching
+    # phase of a decision, not one per switch, so neither it nor the
+    # engine's peak grows with the horizon.
     game = strong_interference_game
     beliefs = BeliefState.from_xi([0.5, 0.5])
     init = beliefs if engine is run_fp else q_from_beliefs(game, beliefs)
@@ -636,9 +611,63 @@ def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, en
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    log = batch.switches
-    assert log.size == 2 * 10**6  # the 2-cycle switches at every step
-    assert peak <= 2 * (log.game.nbytes + log.weight.nbytes + log.code.nbytes)
+    assert batch.switches.size <= MAX_PERIOD * batch.evaluations.sum()
+    assert peak < 2**20
+    np.testing.assert_array_equal(batch.tail(4)[0], [[0, 0], [1, 1]] * 2)
+
+
+def test_the_switch_log_reads_as_per_step_play():
+    # Two games on 2 players x 3 channels (code c is profile (c // 3, c % 3)),
+    # logged as the engine logs them: one entry per switching phase of a
+    # decision, the games' entries interleaved. Game 0 plays a 2-cycle,
+    # then a 3-cycle whose middle phase repeats the step before it, and its
+    # horizon ends two phases into that cycle's fourth period.
+    T, init_step = 19, 2
+    steps = [
+        [5, 5] + [3, 7] * 3 + [0, 0, 4] * 3 + [0, 0],
+        [2] + [6, 1] * 4 + [6] * 10,
+    ]
+    log = _SwitchLog(2, init_step + T, 9)
+    for game, step, code, period, laps in [
+        (0, 0, 5, 1, 1), (1, 0, 2, 1, 1), (1, 1, 6, 2, 4), (1, 2, 1, 2, 4),
+        (0, 2, 3, 2, 3), (0, 3, 7, 2, 3), (0, 8, 0, 3, 3), (0, 10, 4, 3, 3),
+        (1, 9, 6, 1, 1), (0, 17, 0, 1, 1),
+    ]:
+        log.append([game], [init_step + step], [code], [period], [laps])
+    tables = np.random.default_rng(5).uniform(0.0, 3.0, (2, 2, 3, 3))
+    looked_up = []
+
+    def payoffs(game, code):
+        looked_up.append(len(code))
+        return tables.reshape(2, 2, 9)[game[:, None], [0, 1], code[:, None]]
+
+    batch = BatchFPResult(frequencies={}, final_marginals=np.zeros((2, 2, 3)),
+                          final_step=init_step + T, evaluations=np.zeros(2, dtype=np.int64),
+                          tables=None, switches=log, T=T, payoffs=payoffs)
+    profiles = [[divmod(c, 3) for c in codes] for codes in steps]
+    runs = []  # (game, first step, length, profile) of every maximal run
+    for g in range(2):
+        for start in range(T):
+            if start == 0 or profiles[g][start] != profiles[g][start - 1]:
+                end = start + 1
+                while end < T and profiles[g][end] == profiles[g][start]:
+                    end += 1
+                runs.append((g, start, end - start, profiles[g][start]))
+    game, start, length, profile = batch.runs
+    assert list(zip(game.tolist(), start.tolist(), length.tolist(), map(tuple, profile.tolist()))) \
+        == runs
+    for window in (1, 2, 5, T):
+        np.testing.assert_array_equal(batch.tail(window), [p[T - window:] for p in profiles])
+    np.testing.assert_array_equal(batch.actions, np.swapaxes(profiles, 0, 1))
+    for t in range(1, T + 1):
+        np.testing.assert_array_equal(batch.counts(t), [
+            [[sum(p[k] == c for p in profiles[g][:t]) for c in range(3)] for k in range(2)]
+            for g in range(2)])
+    sums = [np.zeros(2), np.zeros(2)]  # run length times payoff, run by run
+    for g, _, n, (a, b) in runs:
+        sums[g] = sums[g] + n * tables[g, :, a, b]
+    np.testing.assert_array_equal(batch.utility_sums, sums)
+    assert looked_up == [log.size]  # payoffs are read once per log entry
 
 
 class TestEmpiricalFrequencies:

@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "require_symmetric_2x2",
     # dynamics
     "TIE_BREAKS", "BatchFPResult", "BeliefState", "CycleReport", "QState", "Trajectory",
-    "belief_update", "cycle_persistence_2x2", "detect_cycle", "empirical_frequencies",
+    "cycle_persistence_2x2", "detect_cycle", "empirical_frequencies",
     "fp_best_response", "q_from_beliefs", "run_aggregation_fp", "run_fp", "run_fp_batch_2x2",
     # config
     "ConfigError", "DynamicsSpec", "ExperimentConfig", "GeneratorSpec", "OutputSpec",
@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert len(csgame.__all__) == len(set(csgame.__all__))
     assert set(csgame.__all__) == PUBLIC_NAMES
 
