@@ -301,7 +301,7 @@ class _SwitchLog:
         self.period = np.empty(64, np.min_scalar_type(MAX_PERIOD))
         self.laps = np.empty(64, np.min_scalar_type(max_weight))
 
-    def append(self, games, weights, codes, periods=1, laps=1) -> None:
+    def append(self, games, weights, codes, periods, laps) -> None:
         start, end = self.size, self.size + len(games)
         columns = {"game": games, "weight": weights, "code": codes, "period": periods,
                    "laps": laps}
@@ -432,14 +432,23 @@ def _periods(window: np.ndarray) -> np.ndarray:
 def _unroll(window: np.ndarray, period: np.ndarray):
     """Each row's cycle of its new decision and the ``period`` - 1 steps
     before it, in a ``window`` that repeats with that period (see
-    :func:`_periods`), flattened row by row, phase 0 first: the row, phase
-    and profile code of every phase, the code of the step before it, and
-    where each row's phases start."""
+    :func:`_periods`; a single step is a cycle of period 1 in any window),
+    flattened row by row, phase 0 first: the row, phase and profile code of
+    every phase, the code of the step before it, and where each row's
+    phases start."""
     start = np.cumsum(period) - period
     row = np.repeat(np.arange(len(period)), period)
     phase = np.arange(len(row)) - start[row]
     at = (period[row] - phase) % period[row]  # the window runs back in time
     return row, phase, window[row, at], window[row, at + 1], start
+
+
+def _earlier(terms: np.ndarray, row: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Per phase of :func:`_unroll`, ``terms`` summed over the earlier phases
+    of its cycle, added one phase after another from phase 0."""
+    padded = np.zeros((row[-1] + 1, MAX_PERIOD + 1) + terms.shape[1:])
+    padded[row, phase + 1] = terms
+    return np.cumsum(padded, axis=1)[row, phase]
 
 
 def _margins(values: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -566,18 +575,16 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         ids = rule.ids
         a = channel(pick(rule.scores(weight)), n_channels)
         window = np.concatenate([a.dot(place)[:, None], history], axis=1)
-        # Each game plays ``cycles`` periods of ``period`` steps: one step of
-        # its new decision, unless its last steps repeat and the certificate
-        # covers whole periods of them. Running game ``rows[i]`` plays
-        # profile ``codes[i]`` ``mult[i]`` times.
+        # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
+        # one period of one step, its new decision, unless its last steps
+        # repeat and the certificate covers whole periods of them.
         cycles = np.ones(len(weight), dtype=np.int64)
         period = np.ones(len(weight), dtype=np.int64)
-        rows, codes, mult = np.arange(len(weight)), window[:, 0], np.ones_like(cycles)
         repeats = _periods(window)
         tried = np.flatnonzero(repeats)
         if tried.size:
             p = repeats[tried]
-            row, phase, code, before, start = _unroll(window[tried], p)
+            row, phase, code, _, start = _unroll(window[tried], p)
             at = tried[row]
             kept = rule.certify(at, row, phase, start, code, weight[at] + phase, p[row],
                                 (end - weight[at]) // p[row])
@@ -585,20 +592,14 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
             laps = np.minimum.reduceat(kept, start).astype(np.int64)
             jump = np.flatnonzero(laps)
             cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
-            # A jumped game plays every phase of its cycle once per period,
-            # and a phase whose profile differs from the step before it is
-            # one log entry, a switch in every period.
-            whole = laps[row] > 0
-            logged = np.flatnonzero(whole & (code != before))
-            switches.append(ids[at[logged]], weight[at[logged]] + phase[logged], code[logged],
-                            p[row[logged]], laps[row[logged]])
-            alone = np.ones(len(weight), dtype=bool)
-            alone[at[whole]] = False
-            rows, codes, mult = (np.concatenate([x[alone], y[whole]]) for x, y in
-                                 ((rows, at), (codes, code), (mult, laps[row])))
-        moved = np.flatnonzero((window[:, 0] != window[:, 1]) & (period == 1))  # single steps
-        switches.append(ids[moved], weight[moved], window[moved, 0])
-        rule.advance(rows, codes, mult)
+        # Every game plays each phase of its cycle once per period, and a
+        # phase whose profile differs from the step before it is one log
+        # entry, a switch in every period.
+        row, phase, code, before, _ = _unroll(window, period)
+        logged = np.flatnonzero(code != before)
+        switches.append(ids[row[logged]], weight[row[logged]] + phase[logged], code[logged],
+                        period[row[logged]], cycles[row[logged]])
+        rule.advance(row, code, cycles[row])
         steps = cycles * period
         weight += steps
         # The last steps played follow the cycle back from its last phase.
@@ -678,9 +679,7 @@ class _Classic:
         one = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
         # Every phase of the first period: its beliefs, as the per-step
         # rule would compute them there, and the periods it is kept for.
-        earlier = np.cumsum(one, axis=0) - one
-        earlier -= earlier[start][row]  # counts of the earlier phases of the period
-        g = self.stack_prior[at] + (self.counts[at] + earlier)
+        g = self.stack_prior[at] + (self.counts[at] + _earlier(one, row, phase))
         g /= step[:, None, None]
         per_period = np.add.reduceat(one, start)
         return self.certified(at, g, one, step, per_period[row] / period[:, None, None],
@@ -865,11 +864,7 @@ class _Aggregation:
         values = self.values[self._rows(games, code)]  # all played before: no new row
         # Every phase's scores, as the per-step rule would compute them
         # there up to rounding, and the cycle's average values.
-        earlier = np.zeros(values.shape)
-        for j in range(1, int(phase.max()) + 1):
-            now = np.flatnonzero(phase == j)
-            earlier[now] = earlier[now - 1] + values[now - 1]
-        scores = (self.sums[at] + earlier) / step[:, None, None]
+        scores = (self.sums[at] + _earlier(values, row, phase)) / step[:, None, None]
         target = np.add.reduceat(values, start)[row] / period[:, None, None]
         choice = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
         # The counted sum of v visited profiles errs by about v + 1 rounding
@@ -929,20 +924,13 @@ def run_aggregation_fp(
     visit = np.repeat(result._by_run(rule._rows), result.runs[2])
     # Decision-time scores, summed as the engine sums them: the initial
     # sum, then each profile's visit count times its values, in order of
-    # first visit (the order of the rows). The sum through a profile is
-    # kept only at the steps ``kept`` where it can change, the steps after
-    # it or an earlier one was played. A step so costs O(K S) for the
-    # profile played before it and for each one first visited later, and
-    # play that stays on its newest profiles renders in O(T K S).
-    rows, slot = np.unique(visit[:-1], return_inverse=True)
-    kept, q = np.zeros(1, dtype=np.intp), rule.base[:1].copy()
-    for s, row in enumerate(rows):
-        now = np.flatnonzero(np.concatenate([[True], slot <= s]))
-        q = q[np.searchsorted(kept, now, side="right") - 1]
-        count = np.concatenate([[0], np.cumsum(slot == s)])[now]  # visits before the step
-        on = np.searchsorted(count, 1)  # from the step after the first visit on
-        q[on:] += count[on:, None, None] * rule.values[row]
-        kept = now
+    # first visit (the order of the rows), from the step after that visit
+    # on. A render costs O(v T K S) for v profiles visited.
+    q = np.repeat(rule.base[:1], T, axis=0)
+    for row in np.unique(visit[:-1]):
+        hits = visit == row
+        on = hits.argmax() + 1
+        q[on:] += np.cumsum(hits)[on - 1:-1, None, None] * rule.values[row]  # visits before
     weight = (init_step + np.arange(T))[:, None, None]
     np.divide(q, weight, out=q, where=weight > 0)
     if init_step == 0:
@@ -991,13 +979,15 @@ class CycleReport:
     time_avg_utility: np.ndarray
 
 
-def _smallest_period(tail: np.ndarray) -> int | None:
-    """Smallest p <= len(tail)//2 with tail exactly p-periodic, else None."""
-    window = len(tail)
-    for p in range(1, window // 2 + 1):
-        if np.array_equal(tail[p:], tail[:-p]):
-            return p
-    return None
+def _smallest_period(windows: np.ndarray) -> np.ndarray:
+    """Per window of a (G, W, K) stack, the smallest p <= W // 2 with the
+    window exactly p-periodic, else 0."""
+    period = np.zeros(len(windows), dtype=np.int64)
+    for p in range(1, windows.shape[1] // 2 + 1):
+        if period.all():
+            break
+        period[(period == 0) & (windows[:, p:] == windows[:, :-p]).all(axis=(1, 2))] = p
+    return period
 
 
 def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
@@ -1006,9 +996,8 @@ def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
         raise ValueError(f"window must lie in [1, {traj.T}]")
     profiles = traj.profiles
     T = traj.T
-    tail = profiles[T - window:]
-    period = _smallest_period(tail)
-    if period is None:
+    period = int(_smallest_period(profiles[None, T - window:])[0])
+    if not period:
         return None
     # The run is periodic from the step after the last one before the window
     # that differs from its successor one period on.

@@ -64,8 +64,15 @@ CYCLE_WINDOW = 64
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
 # table entries plus K * T channel indices. Sweeps never render per-step
-# actions (a record reads a CYCLE_WINDOW-step tail), so the second term
-# stands for the runs a chunk's records read when games switch every step.
+# actions (a record reads a CYCLE_WINDOW-step tail), and the second term
+# does not bound what the records read: reading expands the switch log into
+# one run per switch, about 80 bytes each in int64 and float64 arrays,
+# against the K channel indices per step (2 bytes for a 2x2 game) counted
+# here. Measured on the 1000-trial, 10**4-step 2x2 sweeps
+# (montecarlo_2x2_snr20, and generator_2x2_snr10 under the aggregation
+# rule): 0 cycling trials in either, so their reads stay O(decisions), 2730
+# and 1874 runs per chunk. A batch of games that switch every step is the
+# known exception: it reads about 40 times what this term counts.
 # The switch log itself holds one entry of a few bytes (game, weight,
 # profile code, period and laps) per switching phase of a decision: a single
 # step's switch costs one entry, and a jumped cycle one per switching phase,
@@ -201,14 +208,14 @@ def _mixed_mean_utilities(tables: np.ndarray,
 
 def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
                        dynamics: DynamicsSpec, freq: np.ndarray,
-                       time_avg_utility: np.ndarray, tail: np.ndarray,
+                       time_avg_utility: np.ndarray, tail: np.ndarray, period: int,
                        table: np.ndarray, nearest: tuple[str, float],
                        mixed_mean_utility: float | None) -> dict:
-    """One trial's record; ``tail`` is the trailing profile window, checked
-    for exact periodicity, ``table`` the game's utility table and
-    ``nearest`` the kind and distance of its closest equilibrium point."""
-    period = _smallest_period(tail) if len(tail) >= 2 else None
-    cycle = None if period is None else {
+    """One trial's record; ``tail`` is the trailing profile window and
+    ``period`` its exact period (0 for none), ``table`` the game's utility
+    table and ``nearest`` the kind and distance of its closest equilibrium
+    point."""
+    cycle = None if not period else {
         "period": period,
         "profiles": tail[:period].tolist(),
         "time_avg_utility": np.mean(
@@ -256,8 +263,9 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     stack of utility tables: the classic batch's own, or, for the
     aggregation rule, which needs none, one built here that also gives
     every game its initial scores. The whole chunk is analyzed in one pass,
-    and its nearest equilibrium points and mixed-equilibrium payoffs are
-    read off the chunk's arrays."""
+    its trailing windows are checked for an exact period in one call, and
+    its nearest equilibrium points and mixed-equilibrium payoffs are read
+    off the chunk's arrays."""
     T = dynamics.steps
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
@@ -274,13 +282,14 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
             **run)
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
+    periods = _smallest_period(tails).tolist()
     reports = analyze_game(games, tables=tables)
     kinds, tvs = _nearest_equilibria(freqs, reports)
     mixed_means = _mixed_mean_utilities(tables, reports)
     return [
         _record_from_parts(first_trial + i, games[i], reports[i], dynamics, freqs[i],
-                           mean_utilities[i], tails[i], tables[i], (kinds[i], tvs[i]),
-                           mixed_means[i])
+                           mean_utilities[i], tails[i], periods[i], tables[i],
+                           (kinds[i], tvs[i]), mixed_means[i])
         for i in range(len(games))
     ]
 

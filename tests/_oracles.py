@@ -18,7 +18,8 @@ every payoff at every step, and scores every profile it plays, from the
 package's scalar ``aggregate_message``, ``aggregated_utility``, ``utility``
 and ``potential``, and re-adds its counted-sum scores from scratch at every
 step; :func:`oracle_cycle_onset` walks a cycle's onset back one step at a
-time.
+time, and :func:`oracle_smallest_period` tries one period of one window at
+a time.
 
 The analysis oracles are the per-game equilibrium analysis that the batched
 ``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
@@ -256,6 +257,15 @@ def oracle_cycle_onset(profiles, period: int, window: int) -> int:
     while start > 0 and np.array_equal(profiles[start - 1], profiles[start - 1 + period]):
         start -= 1
     return start + 1
+
+
+def oracle_smallest_period(tail) -> int | None:
+    """Smallest p <= len(tail)//2 with tail exactly p-periodic, else None."""
+    window = len(tail)
+    for p in range(1, window // 2 + 1):
+        if np.array_equal(tail[p:], tail[:-p]):
+            return p
+    return None
 
 
 def _oracle_utility_table(game) -> np.ndarray:

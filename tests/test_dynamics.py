@@ -34,11 +34,12 @@ from csgame import (
     utility,
     write_trajectory_csv,
 )
-from csgame.dynamics import MAX_PERIOD, _SwitchLog
+from csgame.dynamics import MAX_PERIOD, _smallest_period, _SwitchLog
 from _oracles import (
     oracle_cycle_onset,
     oracle_run_aggregation_fp,
     oracle_run_fp,
+    oracle_smallest_period,
     oracle_trajectory_csv,
     oracle_utility,
 )
@@ -441,7 +442,7 @@ class TestAggregationEngineAgainstOracle:
     @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
     def test_random_games(self, tie_break):
         rng = np.random.default_rng(2024)
-        switching = 0
+        switching = going_back = 0
         for n_players in range(1, 6):
             for n_channels in range(1, 5):
                 for _ in range(3):
@@ -455,7 +456,14 @@ class TestAggregationEngineAgainstOracle:
                     ):
                         traj = _assert_aggregation_matches_oracle(game, init, 150, tie_break)
                         switching += np.any(traj.profiles[1:] != traj.profiles[:-1])
+                        # Runs that go back to a profile first visited before
+                        # the one they leave, which the q render sums in order
+                        # of first visit, not of the steps.
+                        _, first, slot = np.unique(traj.profiles, axis=0, return_index=True,
+                                                   return_inverse=True)
+                        going_back += np.any(np.diff(first[slot.ravel()]) < 0)
         assert switching >= 10
+        assert going_back >= 1
 
     @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
     def test_cycling_run(self, strong_interference_game, tie_break):
@@ -781,6 +789,28 @@ class TestCycleOnsetAgainstWalkBack:
     def test_no_cycle(self):
         steps = np.arange(40)
         assert self._check(np.stack([steps, steps % 3], axis=1), window=40) is None
+
+
+class TestSmallestPeriodAgainstScan:
+    """The period rule runs on a stack of windows at once; the scalar scan
+    tries one period of one window at a time."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(17)
+        found = set()
+        for window in (1, 2, 3, 7, 16, 33, 64):
+            for n_players in (1, 2, 3):
+                stack = rng.integers(0, 3, (40, window, n_players))  # mostly aperiodic
+                for g in range(0, 40, 2):  # every other window periodic, p in 1..W/2
+                    p = int(rng.integers(1, window // 2 + 1)) if window >= 2 else 1
+                    cycle = rng.integers(0, 3, (p, n_players))
+                    stack[g] = np.tile(cycle, (window // p + 1, 1))[:window]
+                periods = _smallest_period(stack)
+                assert periods.dtype == np.int64 and periods.shape == (40,)
+                for tail, period in zip(stack, periods.tolist()):
+                    assert period == (oracle_smallest_period(tail) or 0)
+                    found.add(min(period, 2))
+        assert found == {0, 1, 2}  # none, settled and cycling windows all met
 
 
 class TestCyclePersistence:
