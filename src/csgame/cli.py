@@ -23,6 +23,7 @@ from .equilibrium import _SYMMETRIC_2X2_NEEDS, analyze_game, classify_region_2x2
 from .montecarlo import (
     CYCLE_WINDOW,
     SCHEMA_VERSION,
+    _trial_games,
     run_experiment,
     simulate_trajectory,
     trial_game,
@@ -73,7 +74,7 @@ def cmd_regions(config: ExperimentConfig) -> int:
             f"generator: this analysis needs {_SYMMETRIC_2X2_NEEDS[0]}, "
             f"got {gen.players} and {gen.channels}"
         )
-    games = [trial_game(config, i) for i in range(gen.trials)]
+    games = _trial_games(config)
     records, histogram = [], {}
     for i, (game, labels) in enumerate(zip(games, classify_region_2x2(games))):
         labels = sorted(labels)

@@ -71,31 +71,11 @@ class GameSpec:
             raise ValueError(
                 f"max_power must have length K={n_players}, got {max_power.shape[0]}"
             )
-        if not np.isfinite(bandwidths).all() or (bandwidths <= 0).any():
-            raise ValueError("bandwidths must be positive and finite")
-        if not np.isfinite(noise).all() or (noise <= 0).any():
-            raise ValueError("noise must be positive")
-        if not np.isfinite(max_power).all() or (max_power <= 0).any():
-            raise ValueError("max_power must be positive and finite")
-        if not np.isfinite(gains).all() or (gains < 0).any():
-            raise ValueError("gains must be finite and non-negative")
-        weights = bandwidths / bandwidths.sum()
-        with np.errstate(over="ignore"):
-            received = max_power[:, None] * gains
-            worst = noise + received.sum(axis=0)
-        if not np.isfinite(worst).all():
-            raise ValueError(
-                "noise plus the total received power on a channel overflows; "
-                "every channel aggregate must be finite"
-            )
-        for arr in (bandwidths, noise, max_power, gains, weights, received):
+        # A batch of one; its arrays are views of these, frozen with them.
+        [game] = _game_stack(bandwidths[None], noise[None], max_power[None], gains[None])
+        for arr in (bandwidths, noise, max_power, gains):
             arr.setflags(write=False)
-        object.__setattr__(self, "bandwidths", bandwidths)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "max_power", max_power)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_received", received)
+        vars(self).update(vars(game))
 
     @property
     def K(self) -> int:
@@ -147,6 +127,51 @@ class GameSpec:
             max_power=data["max_power"],
             gains=data["gains"],
         )
+
+
+# What every game must satisfy, in the order it is checked.
+_GAME_NEEDS = (
+    "bandwidths must be positive and finite",
+    "noise must be positive",
+    "max_power must be positive and finite",
+    "gains must be finite and non-negative",
+    "noise plus the total received power on a channel overflows; "
+    "every channel aggregate must be finite",
+)
+
+
+def _game_stack(bandwidths: np.ndarray, noise: np.ndarray, max_power: np.ndarray,
+                gains: np.ndarray, name=lambda g: "") -> list[GameSpec]:
+    """The games of same-shape float64 stacks, (G, S) bandwidths and noise,
+    (G, K) power budgets and (G, K, S) gains, checked in one pass: the first
+    game that fails a need of :data:`_GAME_NEEDS` raises ValueError with the
+    first need it fails, prefixed by ``name(g)``. The stacks are frozen, and
+    each game's arrays are views of them."""
+    with np.errstate(all="ignore"):  # failing games only; they raise below
+        weights = bandwidths / bandwidths.sum(axis=1, keepdims=True)
+        received = max_power[:, :, None] * gains
+        worst = noise + received.sum(axis=1)
+    fails = np.stack([
+        ~np.isfinite(bandwidths).all(axis=1) | (bandwidths <= 0).any(axis=1),
+        ~np.isfinite(noise).all(axis=1) | (noise <= 0).any(axis=1),
+        ~np.isfinite(max_power).all(axis=1) | (max_power <= 0).any(axis=1),
+        ~np.isfinite(gains).all(axis=(1, 2)) | (gains < 0).any(axis=(1, 2)),
+        ~np.isfinite(worst).all(axis=1),
+    ], axis=1)
+    failed = np.flatnonzero(fails.any(axis=1))
+    if len(failed):
+        g = int(failed[0])
+        raise ValueError(name(g) + _GAME_NEEDS[int(fails[g].argmax())])
+    stacks = {"bandwidths": bandwidths, "noise": noise, "max_power": max_power,
+              "gains": gains, "_weights": weights, "_received": received}
+    for arr in stacks.values():
+        arr.setflags(write=False)
+    games = []
+    for rows in zip(*stacks.values()):
+        game = object.__new__(GameSpec)
+        vars(game).update(zip(stacks, rows))
+        games.append(game)
+    return games
 
 
 def _check_channels(game: GameSpec, channels) -> np.ndarray:

@@ -4,8 +4,8 @@ Trials are fully independent: trial i draws from a generator seeded with
 ``SeedSequence([seed, i])``, so records do not depend on execution order and
 the whole sweep is reproducible bit for bit. Sweeps of either learning rule
 go through one driver: the trials are cut into chunks that stay within a
-memory budget, and one record builder turns each chunk into records. It runs
-a chunk as one lockstep batch of the configured rule
+memory budget, and one record builder turns each chunk into its records'
+columns. It runs a chunk as one lockstep batch of the configured rule
 (:func:`~csgame.dynamics.run_fp` or
 :func:`~csgame.dynamics.run_aggregation_fp`, which share one event-driven
 engine and one run-length result); a single trial is a chunk of one, so its
@@ -17,11 +17,14 @@ one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
 equilibrium point and the mixed-equilibrium payoff of every record are read
 off the chunk's arrays. A record reads only its game's trailing window of
 profiles, its counts and payoffs summed run by run, and the game's payoff
-table.
+table. The summary is read off the columns too, and a record's dict is
+built only when a caller reads it: the CLI writes each trial file by filling
+a template from the columns (see :mod:`csgame.output`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import EquilibriumReport, analyze_game
-from .game import GameSpec, _utility_tables
+from .game import GameSpec, _game_stack, _utility_tables
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -89,7 +92,15 @@ CONVERGENCE_TV = 1e-2
 # visit count) per profile a game visits, and per game an 8-byte row index
 # for each profile the most visiting game of the chunk has visited (rounded
 # up to a power of two). Those grow with the play, so they are not counted
-# here.
+# here. Nor are the records: a chunk keeps them as columns (see _Chunk),
+# about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and 2 * K + 1 per pure
+# equilibrium, beside the trailing windows, CYCLE_WINDOW * K int64 per
+# trial, which dominate; a sweep keeps every chunk's columns until its
+# trial files are written. Writing renders at most 1024 trial files at a
+# time: their cells (one string per distinct value of a column) and their
+# texts. Measured on montecarlo_2x2_snr20 (1000 trials, one chunk, with
+# tracemalloc): the columns hold 2.6 MB, 1.0 MB of it the windows, and
+# writing peaks 3.2 MB above them; the same records as dicts hold 3.7 MB.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -117,11 +128,16 @@ def sample_gains(rng: np.random.Generator, n_players: int, n_channels: int,
 def generate_game(rng: np.random.Generator, players: int, channels: int,
                   snr_db: float, fading: str = "exponential") -> GameSpec:
     """Random instance with unit bandwidths and noise, budget set from SNR."""
-    return GameSpec.symmetric(
-        sample_gains(rng, players, channels, fading),
-        p_max=snr_db_to_power(snr_db),
-        noise_var=1.0,
-    )
+    return _generated_games(sample_gains(rng, players, channels, fading)[None], snr_db)[0]
+
+
+def _generated_games(gains: np.ndarray, snr_db: float, name=lambda g: "") -> list[GameSpec]:
+    """The games of a (G, K, S) gain stack with unit bandwidths and noise
+    and the budget set from SNR, checked in one pass (see
+    :func:`~csgame.game._game_stack`)."""
+    n_games, n_players, n_channels = gains.shape
+    return _game_stack(np.ones((n_games, n_channels)), np.ones((n_games, n_channels)),
+                       np.full((n_games, n_players), snr_db_to_power(snr_db)), gains, name)
 
 
 @dataclass(frozen=True)
@@ -176,21 +192,6 @@ def _nearest_equilibria(freqs: np.ndarray,
     return kinds, tv.tolist()
 
 
-def _classify_outcome(report: EquilibriumReport, kind: str, tv: float,
-                      cycle: dict | None) -> str:
-    """A trial's outcome from its nearest equilibrium point and its cycle."""
-    if cycle is not None and cycle["period"] == 1:
-        profile = tuple(cycle["profiles"][0])
-        if profile in report.pure_ne:
-            return "pure"
-        return "undetermined"
-    if cycle is not None and cycle["period"] >= 2:
-        return "cycling"
-    if tv < CONVERGENCE_TV and kind != "none":
-        return kind
-    return "undetermined"
-
-
 def _mixed_mean_utilities(tables: np.ndarray,
                           reports: list[EquilibriumReport]) -> list[float | None]:
     """Per game, the mean per-player expected payoff at its strictly mixed
@@ -206,45 +207,145 @@ def _mixed_mean_utilities(tables: np.ndarray,
     return means
 
 
-def _record_from_parts(trial: int, game: GameSpec, report: EquilibriumReport,
-                       dynamics: DynamicsSpec, freq: np.ndarray,
-                       time_avg_utility: np.ndarray, tail: np.ndarray, period: int,
-                       table: np.ndarray, nearest: tuple[str, float],
-                       mixed_mean_utility: float | None) -> dict:
-    """One trial's record; ``tail`` is the trailing profile window and
-    ``period`` its exact period (0 for none), ``table`` the game's utility
-    table and ``nearest`` the kind and distance of its closest equilibrium
-    point."""
-    cycle = None if not period else {
-        "period": period,
-        "profiles": tail[:period].tolist(),
-        "time_avg_utility": np.mean(
-            [table[(slice(None), *p)] for p in tail[:period]], axis=0
-        ).tolist(),
-    }
-    kind, tv = nearest
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "trial": trial,
-        "game": game.to_dict(),
-        "ne_count": len(report.pure_ne),
-        "pure_ne": [list(p) for p in report.pure_ne],
-        "ne_utilities": report.utilities.tolist(),
-        "ne_potentials": report.potentials.tolist(),
-        "mixed_ne": None if report.mixed_ne is None else report.mixed_ne.tolist(),
-        "mixed_ne_mean_utility": mixed_mean_utility,
-        "regions": None if report.regions is None else sorted(report.regions),
-        "dynamics": {
-            "variant": dynamics.variant,
-            "steps": dynamics.steps,
-            "tie_break": dynamics.tie_break,
-            "final_frequencies": freq.tolist(),
-            "time_avg_utility": [float(x) for x in time_avg_utility],
-            "cycle": cycle,
-            "outcome": _classify_outcome(report, kind, tv, cycle),
-            "nearest_ne_tv": tv if np.isfinite(tv) else None,
-        },
-    }
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """The records of a chunk of consecutive trials, as columns. Per trial:
+    its index, its game's stacks (``games``), its pure-equilibrium count,
+    whether it has a mixed point (``mixed``; ``mixed_ne`` and
+    ``mixed_ne_mean_utility`` are read only there), its sorted region
+    labels or None, its final frequencies and mean payoffs, its trailing
+    profiles (``tails``) and their exact period (0 for none) with the
+    mean payoffs over one period (read only where the period is not 0), its
+    outcome, and the distance to its nearest equilibrium point (infinite
+    for none). Per pure equilibrium, trial after trial: its profile,
+    payoffs and potential."""
+
+    trials: np.ndarray
+    games: dict[str, np.ndarray]
+    dynamics: DynamicsSpec
+    ne_counts: np.ndarray
+    pure_ne: np.ndarray
+    ne_utilities: np.ndarray
+    ne_potentials: np.ndarray
+    mixed: np.ndarray
+    mixed_ne: np.ndarray
+    mixed_ne_mean_utility: np.ndarray
+    regions: list[tuple[str, ...] | None]
+    final_frequencies: np.ndarray
+    time_avg_utility: np.ndarray
+    tails: np.ndarray
+    periods: np.ndarray
+    cycle_utility: np.ndarray
+    outcomes: np.ndarray
+    nearest_ne_tv: np.ndarray
+
+    def skeletons(self):
+        """For each record skeleton (pure-equilibrium count, a mixed point
+        or not, the number of region labels or none, the period, a nearest
+        point or none): the rows of its trials, and the record's layout
+        with an array of one row per trial at each leaf and the skeleton's
+        constants as they are."""
+        n_labels = [-1 if labels is None else len(labels) for labels in self.regions]
+        keys = np.stack([self.ne_counts, self.mixed, n_labels, self.periods,
+                         np.isfinite(self.nearest_ne_tv)], axis=1)
+        shapes, skeleton_of = np.unique(keys, axis=0, return_inverse=True)
+        first_ne = np.cumsum(self.ne_counts) - self.ne_counts
+        dyn = self.dynamics
+        for i, (n_ne, mixed, n_regions, period, near) in enumerate(shapes.tolist()):
+            rows = np.flatnonzero(skeleton_of.ravel() == i)
+            ne = first_ne[rows, None] + np.arange(n_ne)
+            yield rows, {
+                "schema_version": SCHEMA_VERSION,
+                "trial": self.trials[rows],
+                "game": {key: stack[rows] for key, stack in self.games.items()},
+                "ne_count": n_ne,
+                "pure_ne": self.pure_ne[ne],
+                "ne_utilities": self.ne_utilities[ne],
+                "ne_potentials": self.ne_potentials[ne],
+                "mixed_ne": self.mixed_ne[rows] if mixed else None,
+                "mixed_ne_mean_utility": self.mixed_ne_mean_utility[rows] if mixed else None,
+                "regions": None if n_regions < 0 else np.array(
+                    [self.regions[r] for r in rows.tolist()], dtype=str),
+                "dynamics": {
+                    "variant": dyn.variant,
+                    "steps": dyn.steps,
+                    "tie_break": dyn.tie_break,
+                    "final_frequencies": self.final_frequencies[rows],
+                    "time_avg_utility": self.time_avg_utility[rows],
+                    "cycle": None if not period else {
+                        "period": period,
+                        "profiles": self.tails[rows, :period],
+                        "time_avg_utility": self.cycle_utility[rows],
+                    },
+                    "outcome": self.outcomes[rows],
+                    "nearest_ne_tv": self.nearest_ne_tv[rows] if near else None,
+                },
+            }
+
+    def records(self) -> list[dict]:
+        """The record dict of every trial, in trial order."""
+        records: list = [None] * len(self.trials)
+        for rows, layout in self.skeletons():
+            for r, record in zip(rows.tolist(), _rows(layout, len(rows))):
+                records[r] = record
+        return records
+
+
+def _rows(layout, n_rows: int) -> list:
+    """The values of each row of a layout: an array leaf gives its row as
+    nested lists, a constant stays as it is."""
+    if isinstance(layout, dict):
+        columns = [_rows(value, n_rows) for value in layout.values()]
+        return [dict(zip(layout, values)) for values in zip(*columns)]
+    if isinstance(layout, np.ndarray):
+        return layout.tolist()
+    return [layout] * n_rows
+
+
+class _SweepRecords(list):
+    """A sweep's trial records, kept as its chunks' columns: a list whose
+    record dicts are built from the columns on first read. Its length is
+    known without them, and :func:`csgame.output.write_trial_records`
+    renders the trial files from the columns, so writing a sweep builds
+    no dict."""
+
+    def __init__(self, chunks: list[_Chunk]):
+        super().__init__()
+        self.chunks = chunks
+        self._length = sum(len(chunk.trials) for chunk in chunks)
+
+    def _read(self) -> list:
+        if list.__len__(self) < self._length:
+            self.extend(record for chunk in self.chunks for record in chunk.records())
+        return self
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return list.__iter__(self._read())
+
+    def __reversed__(self):
+        return list.__reversed__(self._read())
+
+    def __getitem__(self, index):
+        return list.__getitem__(self._read(), index)
+
+    def __contains__(self, value) -> bool:
+        return list.__contains__(self._read(), value)
+
+    def __eq__(self, other) -> bool:
+        return list.__eq__(self._read(), _dicts(other))
+
+    def __ne__(self, other) -> bool:
+        return list.__ne__(self._read(), _dicts(other))
+
+    def __repr__(self) -> str:
+        return list.__repr__(self._read())
+
+
+def _dicts(records):
+    return records._read() if isinstance(records, _SweepRecords) else records
 
 
 def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
@@ -257,15 +358,15 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
     )
 
 
-def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> list[dict]:
-    """Records of consecutive same-shape trials, simulated as one lockstep
-    batch of the configured rule. The analysis and the records share one
-    stack of utility tables: the classic batch's own, or, for the
-    aggregation rule, which needs none, one built here that also gives
-    every game its initial scores. The whole chunk is analyzed in one pass,
-    its trailing windows are checked for an exact period in one call, and
-    its nearest equilibrium points and mixed-equilibrium payoffs are read
-    off the chunk's arrays."""
+def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> _Chunk:
+    """The records of consecutive same-shape trials, as columns, simulated
+    as one lockstep batch of the configured rule. The analysis and the
+    records share one stack of utility tables: the classic batch's own, or,
+    for the aggregation rule, which needs none, one built here that also
+    gives every game its initial scores. The whole chunk is analyzed in one
+    pass, its trailing windows are checked for an exact period in one call,
+    and its nearest equilibrium points, mixed-equilibrium payoffs, cycle
+    payoffs and outcomes are read off the chunk's arrays."""
     T = dynamics.steps
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
@@ -282,71 +383,123 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
             **run)
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
-    periods = _smallest_period(tails).tolist()
+    periods = _smallest_period(tails)
     reports = analyze_game(games, tables=tables)
     kinds, tvs = _nearest_equilibria(freqs, reports)
-    mixed_means = _mixed_mean_utilities(tables, reports)
-    return [
-        _record_from_parts(first_trial + i, games[i], reports[i], dynamics, freqs[i],
-                           mean_utilities[i], tails[i], periods[i], tables[i],
-                           (kinds[i], tvs[i]), mixed_means[i])
-        for i in range(len(games))
-    ]
+    near, tvs = np.array(kinds), np.array(tvs)
+    ne_counts = np.array([len(r.pure_ne) for r in reports])
+    game_of = np.repeat(np.arange(len(games)), ne_counts)
+    pure_ne = np.array([p for r in reports for p in r.pure_ne], dtype=np.int64)
+    pure_ne = pure_ne.reshape(len(game_of), games[0].K)
+    # A settled run is "pure" when its profile is one of its game's pure
+    # equilibria; an unsettled one is "at" its nearest point within
+    # CONVERGENCE_TV.
+    settled_on_ne = np.zeros(len(games), dtype=bool)
+    settled_on_ne[game_of[(pure_ne == tails[game_of, 0]).all(axis=1)]] = True
+    outcomes = np.where(periods >= 2, "cycling", np.where(
+        periods == 1, np.where(settled_on_ne, "pure", "undetermined"),
+        np.where((tvs < CONVERGENCE_TV) & (near != "none"), near, "undetermined")))
+    # Each cycle's mean payoffs over one period, read off the tables at its
+    # first `period` trailing profiles; np.mean along the period axis adds
+    # them in the order a mean of one trial's (period, K) stack does.
+    cycle_utility = np.zeros(mean_utilities.shape)
+    for period in sorted(set(periods[periods > 0].tolist())):
+        rows = np.flatnonzero(periods == period)
+        profiles = tuple(np.moveaxis(tails[rows, :period], -1, 0))
+        cycle_utility[rows] = np.mean(tables[(rows[:, None], slice(None)) + profiles], axis=1)
+    mixed = np.array([r.mixed_ne is not None for r in reports])
+    mixed_ne = np.zeros(freqs.shape)
+    if mixed.any():
+        mixed_ne[mixed] = np.stack([r.mixed_ne for r in reports if r.mixed_ne is not None])
+    return _Chunk(
+        trials=first_trial + np.arange(len(games)),
+        games={key: np.stack([getattr(g, key) for g in games])
+               for key in ("bandwidths", "noise", "max_power", "gains")},
+        dynamics=dynamics,
+        ne_counts=ne_counts,
+        pure_ne=pure_ne,
+        ne_utilities=np.concatenate([r.utilities for r in reports]),
+        ne_potentials=np.concatenate([r.potentials for r in reports]),
+        mixed=mixed,
+        mixed_ne=mixed_ne,
+        mixed_ne_mean_utility=np.array(
+            [0.0 if m is None else m for m in _mixed_mean_utilities(tables, reports)]),
+        regions=[None if r.regions is None else tuple(sorted(r.regions)) for r in reports],
+        final_frequencies=freqs,
+        time_avg_utility=mean_utilities,
+        tails=tails,
+        periods=periods,
+        cycle_utility=cycle_utility,
+        outcomes=outcomes,
+        nearest_ne_tv=tvs,
+    )
 
 
 def run_trial(trial: int, game: GameSpec, dynamics: DynamicsSpec) -> dict:
     """Full single-trial record: equilibrium analysis plus one dynamics run."""
-    return _records(trial, [game], dynamics)[0]
+    return _records(trial, [game], dynamics).records()[0]
 
 
 def trial_game(config: ExperimentConfig, index: int) -> GameSpec:
     """The game of trial ``index``: the inline game, or the one generated
     from (seed, index). A generated game that fails validation raises a
     ValueError naming the trial and the seed."""
+    return _trial_games(config, [index])[0]
+
+
+def _trial_games(config: ExperimentConfig, indices=None) -> list[GameSpec]:
+    """The games of trials ``indices`` (by default every trial): the inline
+    game, or the games generated from (seed, index), each from its own
+    generator and all checked in one pass; the first that fails validation
+    raises a ValueError naming its trial and the seed."""
+    indices = range(config.trials) if indices is None else indices
     if config.game is not None:
-        return config.game
+        return [config.game] * len(indices)
+    if not len(indices):
+        return []
     gen = config.generator
-    try:
-        return generate_game(trial_rng(config.seed, index), gen.players, gen.channels,
-                             gen.snr_db, gen.fading)
-    except ValueError as exc:
-        raise ValueError(f"trial {index} (seed {config.seed}): {exc}") from exc
+    gains = np.stack([sample_gains(trial_rng(config.seed, i), gen.players, gen.channels,
+                                   gen.fading) for i in indices])
+    return _generated_games(gains, gen.snr_db,
+                            lambda g: f"trial {indices[g]} (seed {config.seed}): ")
 
 
-def _trial_games(config: ExperimentConfig) -> list[GameSpec]:
-    return [trial_game(config, i) for i in range(config.trials)]
-
-
-def _summarize(records: list[dict]) -> MonteCarloSummary:
-    ne_hist: dict[int, int] = {}
-    region_hist: dict[str, int] = {}
-    convergence = {k: 0 for k in OUTCOMES}
+def _summarize(chunks: list[_Chunk]) -> MonteCarloSummary:
+    """The summary of a sweep, read off its chunks' columns. A mean over
+    trials averages each trial's mean over players (for an equilibrium
+    payoff, the best or worst such mean among the trial's pure equilibria)."""
+    ne_hist: Counter = Counter()
+    region_hist: Counter = Counter()
+    convergence: Counter = Counter()
     realized, best, worst, mixed_vals = [], [], [], []
-    for rec in records:
-        ne_hist[rec["ne_count"]] = ne_hist.get(rec["ne_count"], 0) + 1
-        if rec["regions"] is not None:
-            key = "+".join(rec["regions"])
-            region_hist[key] = region_hist.get(key, 0) + 1
-        convergence[rec["dynamics"]["outcome"]] += 1
-        realized.append(float(np.mean(rec["dynamics"]["time_avg_utility"])))
-        per_ne = [float(np.mean(u)) for u in rec["ne_utilities"]]
-        if per_ne:
-            best.append(max(per_ne))
-            worst.append(min(per_ne))
-        if rec["mixed_ne_mean_utility"] is not None:
-            mixed_vals.append(rec["mixed_ne_mean_utility"])
+    for chunk in chunks:
+        ne_hist.update(chunk.ne_counts.tolist())
+        region_hist.update("+".join(labels) for labels in chunk.regions if labels is not None)
+        convergence.update(chunk.outcomes.tolist())
+        realized.append(chunk.time_avg_utility.mean(axis=1))
+        per_ne = chunk.ne_utilities.mean(axis=1)
+        starts = (np.cumsum(chunk.ne_counts) - chunk.ne_counts)[chunk.ne_counts > 0]
+        if len(starts):
+            best.append(np.maximum.reduceat(per_ne, starts))
+            worst.append(np.minimum.reduceat(per_ne, starts))
+        mixed_vals.append(chunk.mixed_ne_mean_utility[chunk.mixed])
+
+    def mean(parts: list[np.ndarray]) -> float | None:
+        values = np.concatenate(parts) if parts else np.empty(0)
+        return float(np.mean(values)) if len(values) else None
+
     payoffs = {
-        "mean_time_avg_utility": float(np.mean(realized)) if realized else None,
-        "mean_best_pure_ne_utility": float(np.mean(best)) if best else None,
-        "mean_worst_pure_ne_utility": float(np.mean(worst)) if worst else None,
-        "mean_mixed_ne_utility": float(np.mean(mixed_vals)) if mixed_vals else None,
-        "trials_with_mixed": len(mixed_vals),
+        "mean_time_avg_utility": mean(realized),
+        "mean_best_pure_ne_utility": mean(best),
+        "mean_worst_pure_ne_utility": mean(worst),
+        "mean_mixed_ne_utility": mean(mixed_vals),
+        "trials_with_mixed": sum(len(v) for v in mixed_vals),
     }
     return MonteCarloSummary(
-        trials=len(records),
-        ne_count_histogram=ne_hist,
-        region_histogram=region_hist,
-        convergence=convergence,
+        trials=sum(len(chunk.trials) for chunk in chunks),
+        ne_count_histogram=dict(ne_hist),
+        region_histogram=dict(region_hist),
+        convergence={k: convergence[k] for k in OUTCOMES},
         payoffs=payoffs,
     )
 
@@ -365,15 +518,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[di
     Pure computation: writing files is the caller's business (see
     :mod:`csgame.output` and the CLI). Trials are processed in index order
     but each one depends only on (seed, index), so any execution order would
-    produce the same records.
+    produce the same records. The records are a list whose dicts are built
+    from the chunks' columns when first read.
     """
     games = _trial_games(config)
     dynamics = config.dynamics
     # Generated games share one shape; an empty sweep makes no engine call.
     chunk = _batch_size(games[0], dynamics.steps) if games else 1
-    records = [
-        record
-        for start in range(0, len(games), chunk)
-        for record in _records(start, games[start:start + chunk], dynamics)
-    ]
-    return _summarize(records), records
+    chunks = [_records(start, games[start:start + chunk], dynamics)
+              for start in range(0, len(games), chunk)]
+    return _summarize(chunks), _SweepRecords(chunks)

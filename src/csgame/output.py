@@ -5,16 +5,18 @@ are sorted, so identical inputs always produce byte-identical files; no
 timestamps or environment details ever enter a payload. JSON is strict: a
 non-finite float raises ``ValueError`` instead of becoming ``Infinity``/``NaN``.
 
-Per-step files are rendered in bulk from a trajectory's numpy columns,
-:data:`_CHUNK_STEPS` (1024) steps at a time, with
-``float.__repr__``/``int.__repr__`` on ``tolist()`` output, once per
-distinct value of a column within a chunk. A chunk costs a handful of numpy
-calls whatever its size, so a large chunk pays that fixed cost rarely,
-while the memory a writer holds stays bounded by one chunk's cells. CSV
-rows are the cells joined by commas, as
-``csv.writer`` writes them; the JSON step template is cut from the standard
-encoder's layout of a two-step skeleton, so the file is exactly
-``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+Per-step files and a sweep's trial files are rendered in bulk from numpy
+columns by one template renderer. A template is the text around the cells
+of one row: for CSV, the commas and the line break; for JSON, the text the
+standard encoder lays out around the numbered leaves of a skeleton (a
+payload whose leaves are the columns' arrays), so a file is exactly
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline. The cells
+are ``float.__repr__``/``int.__repr__`` on ``tolist()`` output (JSON string
+literals for strings), once per distinct value of a column, and a row is
+the template's texts and its cells joined. Per-step files are rendered
+:data:`_CHUNK_STEPS` (1024) steps at a time and trial files as many trials
+at a time, each chunk costing a handful of numpy calls whatever its size,
+while the memory a writer holds stays bounded by one chunk's cells.
 """
 
 from __future__ import annotations
@@ -22,27 +24,28 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .montecarlo import SCHEMA_VERSION, MonteCarloSummary
+from .montecarlo import SCHEMA_VERSION, MonteCarloSummary, _SweepRecords
 
 __all__ = [
     "write_trajectory_csv", "read_trajectory_csv", "write_trajectory_json",
     "write_summary_json", "write_trial_records", "emit_plot_data",
 ]
 
-# Steps rendered at once, which bounds the writers' memory whatever T is.
-# Writer CPU time of the two-player cycle_long CSV and agg_long JSON falls
-# with the chunk up to 1024 steps and no further; there a writer holds about
-# 1-2 MB.
+# Rows (steps, or trial files) rendered at once, which bounds the writers'
+# memory whatever their number. Writer CPU time of the two-player
+# cycle_long CSV and agg_long JSON falls with the chunk up to 1024 steps and
+# no further; there a writer holds about 1-2 MB.
 _CHUNK_STEPS = 1024
-# A numbered leaf of a skeleton step, as the encoder writes it.
+# A numbered leaf of a skeleton, as the encoder writes it.
 _LEAF = re.compile(r'"@@(\d+)@@"')
-_FORMATS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+_FORMATS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__, "U": json.dumps}
 
 
 def fmt_float(x) -> str:
@@ -60,38 +63,91 @@ def write_json(payload: dict, path) -> Path:
     return path
 
 
-def _render(path, head: str, row, sep: str, tail: str, n_steps: int, columns,
-            newline: str | None = "") -> Path:
-    """Write ``head``, ``row(cells)`` for every output row joined by ``sep``,
-    then ``tail``. ``columns(a, b)`` gives the blocks of steps a..b-1: arrays
-    whose first axis is the output row and whose entries, in C order, are
-    that row's cells, block after block."""
+def _strings(block: np.ndarray) -> np.ndarray:
+    """Object array of the cells' strings, each distinct value rendered once
+    (floats told apart by their bits, so 0.0 and -0.0 stay distinct;
+    strings as JSON string literals; object cells as they are)."""
+    fmt = _FORMATS.get(block.dtype.kind)
+    if fmt is None:
+        return block.astype(object)
+    if block.dtype.kind == "U":
+        values, where = np.unique(block, return_inverse=True)
+    else:
+        bits = np.ascontiguousarray(block).view(f"i{block.itemsize}")
+        values, where = np.unique(bits, return_inverse=True)
+        values = values.view(block.dtype)
+    strings = np.array(list(map(fmt, values.tolist())), dtype=object)
+    return strings[where.reshape(block.shape)]
+
+
+def _cells(blocks: list[np.ndarray], order=None) -> np.ndarray:
+    """(rows, cells) object array of the blocks' strings: each block's first
+    axis is the row, and its entries, in C order, are that row's cells,
+    block after block; ``order`` puts them in a template's order."""
+    cells = np.concatenate([_strings(b.reshape(len(b), -1)) for b in blocks], axis=1)
+    return cells if order is None else cells[:, order]
+
+
+def _fill(texts: list[str], cells: np.ndarray) -> np.ndarray:
+    """(rows, 2n + 1) object array: each row's n cells between the n + 1
+    texts of a template."""
+    out = np.empty((len(cells), 2 * len(texts) - 1), dtype=object)
+    out[:, 0::2] = np.array(texts, dtype=object)
+    out[:, 1::2] = cells
+    return out
+
+
+def _skeleton(tree, number, arrays: list):
+    """``tree`` with every array leaf, whose first axis is the row, replaced
+    by one row's shape of leaf strings numbered by ``number``; the arrays
+    are appended to ``arrays`` in that order, and other leaves are kept."""
+    if isinstance(tree, dict):
+        return {key: _skeleton(value, number, arrays) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_skeleton(value, number, arrays) for value in tree]
+    if not isinstance(tree, np.ndarray):
+        return tree
+    arrays.append(tree)
+    shape = tree.shape[1:]
+    return np.array([f"@@{next(number)}@@" for _ in range(math.prod(shape))],
+                    dtype=object).reshape(shape).tolist()
+
+
+def _template(tree) -> tuple[list[str], list[int], list[np.ndarray]]:
+    """The standard encoder's layout of ``tree`` (see :func:`_skeleton`):
+    the texts around its leaves, one more than the leaves, then the leaf
+    numbers in the order the sorted keys lay them out, and the leaf arrays.
+    A non-finite float, in an array or kept as it is, raises ValueError."""
+    arrays: list = []
+    parts = _LEAF.split(dumps_json(_skeleton(tree, itertools.count(), arrays)) + "\n")
+    if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in arrays):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return parts[0::2], [int(i) for i in parts[1::2]], arrays
+
+
+def _render(path, head: str, template, tail: str, n_rows: int, columns,
+            order=None, newline: str | None = "") -> Path:
+    """Write ``head``, every row, then ``tail``. A row of n cells is its
+    cells between the texts ``template(n)``, whose first entry, what goes
+    between two rows, is dropped before the first row. ``columns(a, b)``
+    gives the blocks of rows a..b-1 (see :func:`_cells`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline=newline) as fh:
         fh.write(head)
-        for a in range(0, n_steps, _CHUNK_STEPS):
-            blocks = [b.reshape(len(b), -1) for b in columns(a, min(a + _CHUNK_STEPS, n_steps))]
-            cells = np.concatenate([_strings(b) for b in blocks], axis=1)
-            fh.write((sep if a else "") + sep.join(map(row, cells.tolist())))
+        for a in range(0, n_rows, _CHUNK_STEPS):
+            cells = _cells(columns(a, min(a + _CHUNK_STEPS, n_rows)), order)
+            out = _fill(template(cells.shape[1]), cells)
+            if not a:
+                out[0, 0] = ""
+            fh.write("".join(out.ravel().tolist()))
         fh.write(tail)
     return path
 
 
-def _strings(block: np.ndarray) -> np.ndarray:
-    """Object array of the cells' strings, each distinct value rendered once
-    (floats told apart by their bits, so 0.0 and -0.0 stay distinct)."""
-    fmt = _FORMATS.get(block.dtype.kind)
-    if fmt is None:
-        return block.astype(object)
-    bits = np.ascontiguousarray(block).view(f"i{block.itemsize}")
-    values, where = np.unique(bits, return_inverse=True)
-    strings = np.array(list(map(fmt, values.view(block.dtype).tolist())), dtype=object)
-    return strings[where.reshape(block.shape)]
-
-
 def _csv(path, header: list[str], n_steps: int, columns) -> Path:
-    return _render(path, ",".join(header) + "\r\n", ",".join, "\r\n",
+    return _render(path, ",".join(header) + "\r\n",
+                   lambda n_cells: ["\r\n"] + [","] * (n_cells - 1) + [""],
                    "\r\n" if n_steps else "", n_steps, columns)
 
 
@@ -156,46 +212,61 @@ def read_trajectory_csv(path) -> Trajectory:
 def write_trajectory_json(traj: Trajectory, path) -> Path:
     """Full-fidelity JSON form of a run."""
     prefix, state = _state_columns(traj)
-    fields = {key: arr for key, arr in (
+    step = {key: arr for key, arr in (
         ("t", np.arange(1, traj.T + 1)), ("profile", traj.profiles),
         ("utilities", traj.utilities), ("potential", traj.potentials),
         (prefix, state), ("gamma", traj.gammas),
     ) if arr is not None}
-    if not all(np.isfinite(arr).all() for arr in fields.values()):
-        raise ValueError("Out of range float values are not JSON compliant")
-    # Two skeleton steps whose leaves are numbered in cell order; the text the
-    # encoder lays out around the numbers is the per-step template.
-    number = itertools.count()
-    skeleton = [
-        {key: np.array([f"@@{next(number)}@@" for _ in range(arr[0].size)], dtype=object)
-              .reshape(arr.shape[1:]).tolist() for key, arr in fields.items()}
-        for _ in range(2 if traj.T else 0)
-    ]
     payload = {"schema_version": SCHEMA_VERSION, "variant": traj.variant,
                "tie_break": traj.tie_break, "initial_step": traj.initial_step,
                "initial_state": traj.initial_state.tolist(), "final_step": traj.final_step,
-               "final_state": traj.final_state.tolist(), "steps": skeleton}
+               "final_state": traj.final_state.tolist(), "steps": [step, step] if traj.T else []}
     if not traj.T:
         return write_json(payload, path)
-    parts = _LEAF.split(dumps_json(payload) + "\n")
-    texts, n_leaves = parts[0::2], next(number) // 2  # texts around the leaves
-    template = "".join(
-        "{%s}%s" % (i, text.replace("{", "{{").replace("}", "}}"))
-        for i, text in zip(parts[1::2], texts[1:n_leaves] + [""])
-    )
-    return _render(path, texts[0], lambda cells: template.format(*cells), texts[n_leaves],
-                   texts[-1], traj.T, lambda a, b: [arr[a:b] for arr in fields.values()],
-                   newline=None)
+    # Two skeleton steps: the text between them is what goes between rows.
+    texts, order, arrays = _template(payload)
+    n_leaves, arrays = len(order) // 2, arrays[:len(step)]
+    row = [texts[n_leaves], *texts[1:n_leaves], ""]
+    return _render(path, texts[0], lambda n_cells: row, texts[-1], traj.T,
+                   lambda a, b: [arr[a:b] for arr in arrays], order[:n_leaves], newline=None)
 
 
 def write_summary_json(summary: MonteCarloSummary, path) -> Path:
     return write_json(summary.to_dict(), path)
 
 
+def _trial_texts(records: _SweepRecords):
+    """(trial, file text) of every record of a sweep, rendered from its
+    chunks' columns a skeleton and at most :data:`_CHUNK_STEPS` trials at a
+    time."""
+    for chunk in records.chunks:
+        for _, layout in chunk.skeletons():
+            texts, order, arrays = _template(layout)
+            trials = layout["trial"].tolist()
+            for a in range(0, len(trials), _CHUNK_STEPS):
+                b = a + _CHUNK_STEPS
+                cells = _cells([arr[a:b] for arr in arrays], order)
+                yield from zip(trials[a:b], map("".join, _fill(texts, cells).tolist()))
+
+
 def write_trial_records(records: list[dict], directory) -> list[Path]:
+    """Write each record to ``trial_<index>.json`` in ``directory``, as
+    :func:`write_json` would, and return the paths in trial order. A
+    sweep's records, as :func:`~csgame.montecarlo.run_experiment` returns
+    them, are rendered from the columns they were built from; any other
+    list of record dicts goes through the standard encoder."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    return [write_json(rec, directory / f"trial_{rec['trial']:05d}.json") for rec in records]
+    if isinstance(records, _SweepRecords):
+        files = _trial_texts(records)
+    else:
+        files = ((rec["trial"], dumps_json(rec) + "\n") for rec in records)
+    paths = {}
+    for trial, text in files:
+        paths[trial] = directory / f"trial_{trial:05d}.json"
+        with open(paths[trial], "w") as fh:
+            fh.write(text)
+    return [paths[trial] for trial in sorted(paths)]
 
 
 def emit_plot_data(obj, kind: str, path) -> Path:

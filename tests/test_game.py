@@ -22,7 +22,7 @@ from csgame import (
     utility,
     utility_table,
 )
-from csgame.game import _utility_tables
+from csgame.game import _game_stack, _utility_tables
 from _oracles import oracle_potential, oracle_utility
 from conftest import random_game
 
@@ -80,6 +80,27 @@ class TestGameSpec:
         kwargs[field] = value
         with pytest.raises(ValueError, match=message):
             GameSpec(**kwargs)
+
+    def test_a_stack_is_checked_as_each_game_alone(self):
+        # A stack names its first failing game with the first need that game
+        # fails alone (game 1 fails the noise and the gain needs, game 2 the
+        # bandwidth need); games of a valid stack equal single games.
+        rng = np.random.default_rng(5)
+        stacks = [rng.uniform(0.5, 2.0, shape) for shape in ((3, 2), (3, 2), (3, 2), (3, 2, 2))]
+        bad = [a.copy() for a in stacks]
+        bad[1][1, 0] = 0.0
+        bad[3][1, 1, 0] = -1.0
+        bad[0][2, 1] = np.inf
+        with pytest.raises(ValueError, match="^game 1: noise must be positive$"):
+            _game_stack(*bad, name=lambda g: f"game {g}: ")
+        with pytest.raises(ValueError, match="noise must be positive"):
+            GameSpec(*(a[1] for a in bad))
+        for stacked, *arrays in zip(_game_stack(*stacks), *stacks):
+            alone = GameSpec(*arrays)
+            for name in ("bandwidths", "noise", "max_power", "gains", "weights",
+                         "received_power"):
+                assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes()
+                assert not getattr(stacked, name).flags.writeable
 
     def test_rejects_mismatched_gain_shape(self):
         # Channel count is taken from the gain matrix, so the bandwidth

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -14,19 +15,22 @@ from csgame import (
     GameSpec,
     Trajectory,
     emit_plot_data,
+    load_config,
     parse_config,
     read_trajectory_csv,
     run_aggregation_fp,
     run_experiment,
     run_fp,
+    snr_db_to_power,
+    trial_rng,
     write_summary_json,
     write_trajectory_csv,
     write_trajectory_json,
     write_trial_records,
 )
-from csgame import cli, output
+from csgame import cli, montecarlo, output
 from csgame.cli import main
-from csgame.output import fmt_float, write_json
+from csgame.output import dumps_json, fmt_float, write_json
 from _oracles import oracle_plot_csv, oracle_trajectory_csv, oracle_trajectory_json
 from conftest import random_game
 
@@ -331,6 +335,53 @@ class TestTrialRecords:
         summary_path = write_summary_json(summary, tmp_path / "summary.json")
         assert json.loads(summary_path.read_text()) == summary.to_dict()
 
+    @pytest.mark.parametrize("config", [
+        # Regions and mixed equilibria, under each rule.
+        {"generator": {"trials": 200, "snr_db": 10.0}, "dynamics": {"steps": 300}, "seed": 4},
+        {"generator": {"trials": 200, "snr_db": 10.0},
+         "dynamics": {"variant": "aggregation", "steps": 300}, "seed": 4},
+        # No regions and no mixed point; runs that settle and runs that do not.
+        {"generator": {"players": 3, "channels": 3, "trials": 60}, "dynamics": {"steps": 60},
+         "seed": 5},
+        # The paper's 2-cycle.
+        str(CONFIGS / "symmetric_cycle.yaml"),
+    ])
+    def test_trial_files_equal_the_standard_encoder(self, config, tmp_path):
+        # Trial files are filled into one template per record skeleton from
+        # the sweep's columns; each equals the encoder's layout of its dict.
+        config = load_config(config) if isinstance(config, str) else parse_config(config)
+        _, records = run_experiment(config)
+        paths = write_trial_records(records, tmp_path / "trials")
+        assert len(paths) == len(records) == config.trials
+        skeletons = {(r["ne_count"], r["mixed_ne"] is None, r["regions"] is None,
+                      (r["dynamics"]["cycle"] or {}).get("period")) for r in records}
+        assert len(skeletons) >= min(config.trials, 2)
+        for path, record in zip(paths, records):
+            assert path.read_text() == dumps_json(record) + "\n"
+
+    def test_trial_files_with_odd_floats_and_non_finite_leaves(self, tmp_path):
+        config = parse_config({"generator": {"trials": 10}, "dynamics": {"steps": 50}, "seed": 3})
+        _, records = run_experiment(config)
+        [chunk] = records.chunks
+        odd = np.resize([0.0, -0.0, 1.0, 1e-05, 1e16], chunk.time_avg_utility.size)
+        records = montecarlo._SweepRecords([dataclasses.replace(
+            chunk, time_avg_utility=odd.reshape(chunk.time_avg_utility.shape))])
+        paths = write_trial_records(records, tmp_path / "trials")
+        text = "".join(path.read_text() for path in paths)
+        assert all(f"  {x!r}" in text for x in (0.0, -0.0, 1.0, 1e-05, 1e16))
+        for path, record in zip(paths, records):
+            assert path.read_text() == dumps_json(record) + "\n"
+        # A non-finite float raises, as the encoder does on the record's dict.
+        for bad in (np.inf, -np.inf, np.nan):
+            utilities = chunk.time_avg_utility.copy()
+            utilities[-1, 0] = bad
+            records = montecarlo._SweepRecords([dataclasses.replace(
+                chunk, time_avg_utility=utilities)])
+            with pytest.raises(ValueError, match="JSON compliant"):
+                write_trial_records(records, tmp_path / "bad")
+            with pytest.raises(ValueError, match="JSON compliant"):
+                write_json(records[-1], tmp_path / "bad.json")
+
 
 class TestPlotData:
     def test_belief_series(self, strong_interference_game, tmp_path):
@@ -529,6 +580,29 @@ class TestCli:
         assert captured.out == ""
         assert "trial 0 (seed 7)" in captured.err
         assert "overflows" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_names_its_first_failing_trial(self, tmp_path, capsys):
+        # At 3079.6 dB a trial fails when a channel's two gains sum past
+        # about 1.97. The games are checked as one stack, and the error
+        # names the first trial that fails, found here by drawing each
+        # trial's gains from its own generator.
+        power = snr_db_to_power(3079.6)
+        with np.errstate(over="ignore"):
+            first = next(i for i in range(40) if not np.isfinite(
+                1.0 + (power * trial_rng(7, i).exponential(1.0, size=(2, 2))).sum(axis=0)).all())
+        assert first >= 2
+        path = tmp_path / "loud.yaml"
+        path.write_text(
+            "generator:\n  players: 2\n  channels: 2\n  snr_db: 3079.6\n"
+            "  fading: exponential\n  trials: 40\n"
+            "dynamics:\n  variant: classic\n  steps: 100\nseed: 7\n"
+            f"outputs:\n  directory: {tmp_path / 'out'}\n"
+        )
+        assert main(["montecarlo", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: trial {first} (seed 7): noise plus")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "equilibria", "regions"])
