@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +208,7 @@ def _mixed_mean_utilities(tables: np.ndarray,
     return means
 
 
-@dataclass(frozen=True, eq=False)
-class _Chunk:
+class _Chunk(NamedTuple):
     """The records of a chunk of consecutive trials, as columns. Per trial:
     its index, its game's stacks (``games``), its pure-equilibrium count,
     whether it has a mixed point (``mixed``; ``mixed_ne`` and

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -364,8 +363,8 @@ class TestTrialRecords:
         _, records = run_experiment(config)
         [chunk] = records.chunks
         odd = np.resize([0.0, -0.0, 1.0, 1e-05, 1e16], chunk.time_avg_utility.size)
-        records = montecarlo._SweepRecords([dataclasses.replace(
-            chunk, time_avg_utility=odd.reshape(chunk.time_avg_utility.shape))])
+        records = montecarlo._SweepRecords([chunk._replace(
+            time_avg_utility=odd.reshape(chunk.time_avg_utility.shape))])
         paths = write_trial_records(records, tmp_path / "trials")
         text = "".join(path.read_text() for path in paths)
         assert all(f"  {x!r}" in text for x in (0.0, -0.0, 1.0, 1e-05, 1e16))
@@ -375,8 +374,7 @@ class TestTrialRecords:
         for bad in (np.inf, -np.inf, np.nan):
             utilities = chunk.time_avg_utility.copy()
             utilities[-1, 0] = bad
-            records = montecarlo._SweepRecords([dataclasses.replace(
-                chunk, time_avg_utility=utilities)])
+            records = montecarlo._SweepRecords([chunk._replace(time_avg_utility=utilities)])
             with pytest.raises(ValueError, match="JSON compliant"):
                 write_trial_records(records, tmp_path / "bad")
             with pytest.raises(ValueError, match="JSON compliant"):
