@@ -107,7 +107,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         "variant": traj.variant,
         "steps": traj.T,
         "final_frequencies": empirical_frequencies(traj).tolist(),
-        "time_avg_utility": traj.utilities.mean(axis=0).tolist(),
+        "time_avg_utility": (traj.utility_sums / traj.T).tolist(),
         "cycle": None if cycle is None else {
             "period": cycle.period,
             "onset": cycle.onset,

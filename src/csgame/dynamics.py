@@ -4,12 +4,13 @@ Both rules move all players simultaneously each round, are fully
 deterministic given their inputs, and run on one event-driven lockstep driver
 (:func:`_play`). It steps one game, or a stack of same-shape games with one
 clock per game and the same per-game arithmetic, which is how Monte-Carlo
-sweeps run, and keeps the play run-length encoded. Once a game repeats a
-profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for as
-many whole periods as the per-step rule is certain to keep it, and decides
-again only then, so a run that settles and the paper's miscoordination cycle
-alike cost a few decisions, not one per step, with the same result bit for
-bit. Each rule supplies only its scores and its certificate.
+sweeps run, and keeps the play run-length encoded, as a decision log that
+every reader reads directly. Once a game repeats a profile, or a cycle of up
+to :data:`MAX_PERIOD` profiles, it plays it for as many whole periods as the
+per-step rule is certain to keep it, and decides again only then, so a run
+that settles and the paper's miscoordination cycle alike cost a few
+decisions, not one per step, with the same result bit for bit. Each rule
+supplies only its scores and its certificate.
 
 * :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,8 @@ TIE_BREAKS = ("lowest", "highest")
 # at period p once its last 2p steps, the new decision included, repeat with
 # period p; every period allowed costs a comparison per game and decision.
 MAX_PERIOD = 8
+# Steps detect_cycle reads at once while it seeks a cycle's onset.
+_SCAN_STEPS = 2**14
 # Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
 # the window is p-periodic; entries j >= p map to themselves.
 _PERIOD_SHIFT = np.where(np.arange(MAX_PERIOD) < np.arange(1, MAX_PERIOD + 1)[:, None],
@@ -187,40 +191,78 @@ class QState:
         return cls(step=0, q=np.zeros((n_players, n_channels)))
 
 
-@dataclass
+def _per_step(name: str) -> cached_property:
+    """A per-step field of a :class:`Trajectory`, built when first read."""
+    return cached_property(lambda traj: traj.steps(0, traj.T, name)[0])
+
+
 class Trajectory:
-    """One simulated run. Arrays are indexed by step 0..T-1 (step t of the
-    run is row t-1); ``beliefs`` / ``q_values`` hold the decision-time state
-    each round, i.e. what the actions of that row were computed from.
+    """One simulated run. Per-step fields are indexed by step 0..T-1 (step t
+    of the run is row t-1); ``beliefs`` / ``q_values`` hold the decision-time
+    state each round, i.e. what the actions of that row were computed from.
+
+    A trajectory built from arrays holds them. One that :func:`run_fp` or
+    :func:`run_aggregation_fp` returns is a view of its batch-of-one engine
+    result: :meth:`steps` renders any stretch of steps from the decision log,
+    so a writer holds one chunk at a time whatever the horizon, and a field
+    is built whole only when that attribute is read. A step's profile comes
+    from the log, its payoffs, potential and gamma from one lookup per
+    distinct profile (rows in order of first visit), and its decision-time
+    state is summed as the engine sums it, from the initial step times the
+    initial state: exact counts, or each profile's channel values
+    (``values``) under the aggregation rule. Chunks read in order carry the
+    state's sums from one to the next.
     """
 
-    variant: str
-    tie_break: str
-    profiles: np.ndarray  # (T, K) int
-    utilities: np.ndarray  # (T, K)
-    potentials: np.ndarray  # (T,)
-    beliefs: np.ndarray | None = None  # (T, K, S), classic variant
-    q_values: np.ndarray | None = None  # (T, K, S), aggregation variant
-    gammas: np.ndarray | None = None  # (T, S), aggregation variant
-    initial_step: int = 1
-    initial_state: np.ndarray = field(default=None)  # type: ignore[assignment]
-    final_step: int = 1
-    final_state: np.ndarray = field(default=None)  # type: ignore[assignment]
+    profiles = _per_step("profiles")  # (T, K) int
+    utilities = _per_step("utilities")  # (T, K)
+    potentials = _per_step("potentials")  # (T,)
+    beliefs = _per_step("beliefs")  # (T, K, S), classic variant
+    q_values = _per_step("q_values")  # (T, K, S), aggregation variant
+    gammas = _per_step("gammas")  # (T, S), aggregation variant
 
-    def __post_init__(self) -> None:
-        T = len(self.profiles)
-        for name in ("utilities", "potentials", "beliefs", "q_values", "gammas"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != T:
-                raise ValueError(f"trajectory field {name} has length {len(arr)} != {T}")
+    def __init__(self, variant: str, tie_break: str, profiles, utilities, potentials,
+                 beliefs=None, q_values=None, gammas=None, initial_step: int = 1,
+                 initial_state=None, final_step: int = 1, final_state=None) -> None:
+        self.variant, self.tie_break, self._result = variant, tie_break, None
+        self.initial_step, self.initial_state = initial_step, initial_state
+        self.final_step, self.final_state = final_step, final_state
+        fields = {"profiles": profiles, "utilities": utilities, "potentials": potentials,
+                  "beliefs": beliefs, "q_values": q_values, "gammas": gammas}
+        for name, arr in fields.items():
+            if arr is not None and len(arr) != len(profiles):
+                raise ValueError(f"trajectory field {name} has length {len(arr)} != "
+                                 f"{len(profiles)}")
+            setattr(self, name, arr)
+
+    @classmethod
+    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, per_profile: dict,
+              initial_state: np.ndarray, base: np.ndarray, values=None) -> "Trajectory":
+        traj = cls.__new__(cls)
+        traj.variant, traj.tie_break, traj._result = variant, tie_break, result
+        traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
+        traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
+        traj._per_profile, traj._base, traj._values = per_profile, base, values
+        # The state's sums at a step: counts, or each profile's visits.
+        traj._carry = (0, np.zeros(base.shape if values is None else len(values)))
+        return traj
 
     @property
     def T(self) -> int:
-        return len(self.profiles)
+        return len(self.profiles) if self._result is None else self._result.T
 
     @property
     def num_players(self) -> int:
-        return self.profiles.shape[1]
+        if self._result is None:
+            return self.profiles.shape[1]
+        return self._result.final_marginals.shape[1]
+
+    @property
+    def n_channels(self) -> int:
+        if self._result is not None:
+            return self._result.final_marginals.shape[2]
+        state = self.beliefs if self.variant == "classic" else self.q_values
+        return state.shape[2] if state is not None else int(self.profiles.max()) + 1
 
     @property
     def beliefs_or_q(self) -> np.ndarray:
@@ -228,6 +270,74 @@ class Trajectory:
         if state is None:
             raise ValueError("trajectory carries no per-step state snapshots")
         return state
+
+    def steps(self, a: int, b: int, *names: str) -> list:
+        """The per-step fields ``names`` over steps a..b-1 (None for a field
+        the run does not carry): slices of the fields held, the others
+        rendered from the engine's log."""
+        held = vars(self)
+        fresh = {}
+        if any(name not in held for name in names):
+            entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
+            pair = self._result._log.pair[entry]
+            fresh = {name: table[pair] for name, table in self._per_profile.items()}
+            fresh["profiles"] = self._result._profiles(entry, np.int64)
+            state = "beliefs" if self._values is None else "q_values"
+            if state in names:
+                fresh[state] = self._state(a, b, pair, fresh["profiles"])
+        return [(None if held[n] is None else held[n][a:b]) if n in held else fresh.get(n)
+                for n in names]
+
+    def _state(self, a: int, b: int, pair: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+        result = self._result
+        step, sums = self._carry
+        if step != a:
+            sums = result.counts(a)[0] if self._values is None else np.bincount(
+                result._log.pair, weights=result._played(a), minlength=len(self._values))
+        weight = (self.initial_step + np.arange(a, b))[:, None, None]
+        if self._values is None:  # exact counts, then the prior
+            eye = np.eye(sums.shape[1])
+            state = np.empty((b - a,) + sums.shape)
+            state[0] = sums
+            np.cumsum(eye[profiles[:-1]], axis=0, out=state[1:])
+            state[1:] += sums
+            self._carry = (b, state[-1] + eye[profiles[-1]])
+            state += self._base
+            return state / weight
+        # The initial sum, then each profile's visits before the step times
+        # its values, in order of first visit, from the step after that
+        # visit on.
+        state = np.repeat(self._base[None], b - a, axis=0)
+        for row in range(np.searchsorted(result._log.pair_start, b - 1)):
+            hits = pair == row
+            visits = sums[row] + np.cumsum(hits) - hits
+            on = visits > 0
+            state[on] += visits[on, None, None] * self._values[row]
+        self._carry = (b, sums + np.bincount(pair, minlength=len(sums)))
+        np.divide(state, weight, out=state, where=weight > 0)
+        if a == 0 and self.initial_step == 0:
+            state[0] = self.initial_state
+        return state
+
+    def counts(self) -> np.ndarray:
+        """Each player's number of steps on each channel, (K, S), as floats."""
+        if self._result is not None:
+            return self._result.counts(self.T)[0]
+        return np.stack([np.bincount(self.profiles[:, k], minlength=self.n_channels)
+                         for k in range(self.num_players)]).astype(float)
+
+    @property
+    def utility_sums(self) -> np.ndarray:
+        """Each player's payoffs as a counted sum over the run, (K,): per
+        distinct profile, in order of first visit, its visit count times its
+        payoffs, added left to right."""
+        if self._result is not None:
+            return self._result.utility_sums[0]
+        _, first, visits = np.unique(self.profiles, axis=0, return_index=True, return_counts=True)
+        sums = np.zeros(self.num_players)
+        for v in np.argsort(first):
+            sums += visits[v] * self.utilities[first[v]]
+        return sums
 
 
 def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
@@ -320,26 +430,51 @@ class _SwitchLog:
         return getattr(self, name)[:self.size].astype(np.int64)
 
 
+class _Log(NamedTuple):
+    """A switch log's entries by game, then in time: the game, the first
+    step (0-based) of the phase, its profile code, period and laps; the
+    entry whose profile is played before the phase's first switch (-1 for
+    a game's first entry) and before its switch in every later period (the
+    cycle's last switching phase, for its first one); and the number of
+    the entry's (game, profile code) pair, the pairs counted by game and in
+    order of first visit, with each pair's game, code and first step."""
+
+    game: np.ndarray
+    start: np.ndarray
+    code: np.ndarray
+    period: np.ndarray
+    laps: np.ndarray
+    before: np.ndarray
+    before_lap: np.ndarray
+    pair: np.ndarray
+    pair_game: np.ndarray
+    pair_code: np.ndarray
+    pair_start: np.ndarray
+
+
 @dataclass
 class BatchFPResult:
     """Fictitious play, of either rule, on a stack of G same-shape games.
 
     The play is kept run-length encoded, as the switching phases of every
     decision (``switches``), a jumped cycle's phase once for all its
-    periods; each game's first decision is a switch.
-    ``actions`` renders every game's profile at every step, shape (T, G, K),
-    in the smallest signed integer type that holds a channel index, when it
-    is first read, and :meth:`tail` renders only the last steps.
-    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
-    after checkpoint step t, from exact counts, and ``final_marginals`` the
-    (G, K, S) final state: beliefs under the classic rule, channel scores
-    under the aggregation rule. ``utility_sums`` holds each player's payoffs
-    summed over the run as run length times payoff, run by run, shape
-    (G, K), reading the payoffs of (game, profile code) pairs from
-    ``payoffs(games, codes)`` once per log entry. ``evaluations`` counts
-    each game's decision points, the steps at which its rule's scores were
-    computed; ``tables`` holds the classic rule's (G, K) + (S,)*K payoffs
-    (None for the aggregation rule, which needs no table).
+    periods; each game's first decision is a switch. Every read goes
+    through the log's entries, so its cost grows with the decisions, not
+    with the steps. ``actions`` renders every game's profile at every step,
+    shape (T, G, K), in the smallest signed integer type that holds a
+    channel index, when it is first read, and :meth:`tail` renders only the
+    last steps. ``frequencies[t]`` holds the (G, K, S) empirical action
+    frequencies after checkpoint step t, from exact counts, and
+    ``final_marginals`` the (G, K, S) final state: beliefs under the
+    classic rule, channel scores under the aggregation rule.
+    ``utility_sums`` holds each player's payoffs summed over the run as a
+    counted sum: per distinct profile, in order of first visit and added
+    left to right, its visit count times its payoffs, shape (G, K), read
+    from ``payoffs(games, codes)`` once per (game, profile code) pair.
+    ``evaluations`` counts each game's decision points, the steps at which
+    its rule's scores were computed; ``tables`` holds the classic rule's
+    (G, K) + (S,)*K payoffs (None for the aggregation rule, which needs no
+    table).
     """
 
     frequencies: dict[int, np.ndarray]
@@ -352,45 +487,89 @@ class BatchFPResult:
     payoffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @cached_property
-    def _run_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The log entry and first step of every run, by game and then in
-        time: entry i stands for ``laps[i]`` runs, one per period from its
-        weight on."""
+    def _log(self) -> _Log:
         log = self.switches
-        laps = log["laps"]
-        entry = np.repeat(np.arange(log.size), laps)
-        lap = np.arange(len(entry)) - np.repeat(np.cumsum(laps) - laps, laps)
-        start = log["weight"][entry] - (self.final_step - self.T) + lap * log["period"][entry]
-        # A decision's runs are a few sorted sequences, which timsort merges.
-        order = np.argsort(log["game"][entry] * self.T + start, kind="stable")
-        return entry[order], start[order]
+        order = np.argsort(log["game"], kind="stable")  # each game's entries stay in time order
+        game, code, period, laps = (log[name][order] for name in ("game", "code", "period", "laps"))
+        start = log["weight"][order] - (self.final_step - self.T)
+        index = np.arange(len(order))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = game[1:] != game[:-1]
+        before = np.where(first, -1, index - 1)
+        # A cycle's switching phases share their decision's period and laps
+        # and lie within one period; the game's next decision comes at least
+        # a whole cycle later. (Cycles of one lap read the same either way.)
+        opens = first.copy()
+        opens[1:] |= ((period[1:] != period[:-1]) | (laps[1:] != laps[:-1])
+                      | (start[1:] - start[:-1] >= period[1:]))
+        closes = np.flatnonzero(np.append(opens[1:], True))
+        before_lap = np.where(opens, closes[np.cumsum(opens) - 1], before)
+        _, at, pair = np.unique(np.stack([game, code], axis=1), axis=0, return_index=True,
+                                return_inverse=True)
+        rank = np.empty(len(at), dtype=np.intp)
+        rank[np.argsort(at)] = np.arange(len(at))
+        at.sort()
+        return _Log(game, start, code, period, laps, before, before_lap, rank[pair.ravel()],
+                    game[at], code[at], start[at])
 
-    @cached_property
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every run, by game and then in time: game, first step, length and
-        (n, K) profile."""
-        entry, start = self._run_entries
-        game = self.switches["game"][entry]
-        end = np.append(start[1:], self.T)
-        end[np.flatnonzero(game[1:] != game[:-1])] = self.T
+    def _played(self, t: int) -> np.ndarray:
+        """Steps each log entry's profile is played over the first t steps,
+        as int64: each of its switches before step t adds t - s steps for a
+        switch at step s, and each switch away from it takes them off."""
+        log = self._log
+        n = np.clip((t - log.start + log.period - 1) // log.period, 0, log.laps)  # switches
+        into = n * (t - log.start) - log.period * (n * (n - 1) // 2)
+        first = np.where(n > 0, t - log.start, 0)
+        played = into.copy()
+        known = log.before >= 0
+        np.subtract.at(played, log.before[known], first[known])
+        np.subtract.at(played, log.before_lap, into - first)
+        return played
+
+    def _in_effect(self, a: int, b: int, games: np.ndarray) -> np.ndarray:
+        """The log entry each of ``games`` plays at steps a..b-1, shape
+        (len(games), b - a): the entry of its latest switch up to then."""
+        log, T = self._log, self.T
+        key = log.game * (T + 1) + log.start  # sorted
+        base = games * (T + 1)
+        # The switch in effect at step a is one of the last MAX_PERIOD
+        # entries up to it: a decision logs at most one per phase.
+        lo = np.maximum(np.searchsorted(key, base),
+                        np.searchsorted(key, base + a, side="right") - MAX_PERIOD)
+        n = np.searchsorted(key, base + b - 1, side="right") - lo
+        entry = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        row = np.repeat(np.arange(len(games)), n)
+        # Each entry's switches from its last one up to step a (its first,
+        # if later) to step b - 1.
+        start, period, laps = log.start[entry], log.period[entry], log.laps[entry]
+        lap = np.clip((a - start) // period, 0, laps - 1)
+        m = np.maximum(np.minimum((b - 1 - start) // period, laps - 1) - lap + 1, 0)
+        switch = np.repeat(np.arange(len(entry)), m)
+        at = start[switch] + period[switch] * (
+            np.repeat(lap, m) + np.arange(len(switch)) - np.repeat(np.cumsum(m) - m, m))
+        entry, row = entry[switch], row[switch]
+        latest = np.full(len(games), -1)
+        np.maximum.at(latest, row, np.where(at <= a, at, -1))
+        keep = (at > a) | (at == latest[row])
+        column = np.maximum(at[keep] - a, 0)
+        marked = np.zeros((len(games), b - a), dtype=np.intp)
+        marked[row[keep], column] = column
+        switched = np.zeros((len(games), b - a), dtype=np.intp)
+        switched[row[keep], column] = entry[keep]
+        return np.take_along_axis(switched, np.maximum.accumulate(marked, axis=1), axis=1)
+
+    def _profiles(self, entries: np.ndarray, dtype) -> np.ndarray:
+        """The profiles of log entries, with a trailing player axis."""
         _, n_players, n_channels = self.final_marginals.shape
         place = n_channels ** np.arange(n_players - 1, -1, -1)
-        profile = self.switches["code"][:, None] // place % n_channels
-        return game, start, end - start, profile.astype(_action_dtype(n_channels))[entry]
-
-    def _by_run(self, lookup: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """``lookup(games, codes)`` of every run, called once over the log's
-        entries and read per run."""
-        log = self.switches
-        return lookup(log["game"], log["code"])[self._run_entries[0]]
+        return (self._log.code[entries][..., None] // place % n_channels).astype(dtype)
 
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
         if not 1 <= window <= self.T:
             raise ValueError(f"window must lie in [1, {self.T}]")
-        _, start, length, profile = self.runs
-        keep = np.clip(start + length - (self.T - window), 0, length)
-        return np.repeat(profile, keep, axis=0).reshape(len(self.final_marginals), window, -1)
+        entries = self._in_effect(self.T - window, self.T, np.arange(len(self.final_marginals)))
+        return self._profiles(entries, _action_dtype(self.final_marginals.shape[2]))
 
     @cached_property
     def actions(self) -> np.ndarray:
@@ -399,24 +578,25 @@ class BatchFPResult:
 
     def counts(self, t: int) -> np.ndarray:
         """Exact (G, K, S) action counts over the first t steps, as floats."""
-        game, start, length, profile = self.runs
+        log = self._log
         n_games, n_players, n_channels = self.final_marginals.shape
-        played = np.clip(t - start, 0, length).astype(float)
-        index = (game[:, None] * n_players + np.arange(n_players)) * n_channels + profile
-        counts = np.bincount(index.ravel(), weights=np.repeat(played, n_players),
+        profile = self._profiles(np.arange(len(log.code)), np.int64)
+        index = (log.game[:, None] * n_players + np.arange(n_players)) * n_channels + profile
+        counts = np.bincount(index.ravel(), weights=np.repeat(self._played(t), n_players),
                              minlength=n_games * n_players * n_channels)
         return counts.reshape(n_games, n_players, n_channels)
 
     @cached_property
     def utility_sums(self) -> np.ndarray:
-        """Each player's payoffs summed run by run, (G, K)."""
-        game, _, length, _ = self.runs
+        """Each player's payoffs as a counted sum over the run, (G, K)."""
+        log = self._log
         n_games, n_players = self.final_marginals.shape[:2]
-        payoffs = self._by_run(self.payoffs)
+        visits = np.bincount(log.pair, weights=self._played(self.T), minlength=len(log.pair_game))
+        payoffs = self.payoffs(log.pair_game, log.pair_code)
         # bincount adds each bin's weights in input order, so every (game,
-        # player) sum runs over that game's runs in time order.
-        index = game[:, None] * n_players + np.arange(n_players)
-        sums = np.bincount(index.ravel(), weights=(length[:, None] * payoffs).ravel(),
+        # player) sum runs over that game's profiles in order of first visit.
+        index = log.pair_game[:, None] * n_players + np.arange(n_players)
+        sums = np.bincount(index.ravel(), weights=(visits[:, None] * payoffs).ravel(),
                            minlength=n_games * n_players)
         return sums.reshape(n_games, n_players)
 
@@ -725,8 +905,9 @@ def run_fp(
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
     stepped in lockstep with one clock per game; each game's arithmetic is
-    the same either way. One game returns a :class:`Trajectory` (profiles
-    and belief snapshots rendered after the run). A sequence returns a
+    the same either way. One game returns a :class:`Trajectory`, a view of
+    the decision log that renders profiles and belief snapshots when they
+    are read. A sequence returns a
     :class:`BatchFPResult` (with frequencies at ``checkpoints``) and takes
     one shared :class:`BeliefState` or one per game; all must carry the
     same step.
@@ -741,25 +922,11 @@ def run_fp(
                    checkpoints)
     if not single:
         return result
-    profiles = result.tail(T)[0].astype(np.int64)
-    idx = tuple(profiles.T)
-    # Decision-time beliefs: counts before each step, over its belief weight.
-    beliefs = np.zeros((T, n_players, n_channels))
-    np.cumsum(np.eye(n_channels)[profiles[:-1]], axis=0, out=beliefs[1:])
-    beliefs += prior[0]
-    beliefs /= (init_step + np.arange(T))[:, None, None]
-    return Trajectory(
-        variant="classic",
-        tie_break=tie_break,
-        profiles=profiles,
-        utilities=np.moveaxis(tables[0], 0, -1)[idx],
-        potentials=potential_table(game)[idx],
-        beliefs=beliefs,
-        initial_step=init_step,
-        initial_state=marginals[0].copy(),
-        final_step=init_step + T,
-        final_state=result.final_marginals[0],
-    )
+    codes = result._log.pair_code
+    per_profile = {"utilities": tables[0].reshape(n_players, -1)[:, codes].T,
+                   "potentials": potential_table(game).reshape(-1)[codes]}
+    return Trajectory._view(result, "classic", tie_break, per_profile, marginals[0].copy(),
+                            prior[0])
 
 
 def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
@@ -921,47 +1088,19 @@ def run_aggregation_fp(
     result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    visit = np.repeat(result._by_run(rule._rows), result.runs[2])
-    # Decision-time scores, summed as the engine sums them: the initial
-    # sum, then each profile's visit count times its values, in order of
-    # first visit (the order of the rows), from the step after that visit
-    # on. A render costs O(v T K S) for v profiles visited.
-    q = np.repeat(rule.base[:1], T, axis=0)
-    for row in np.unique(visit[:-1]):
-        hits = visit == row
-        on = hits.argmax() + 1
-        q[on:] += np.cumsum(hits)[on - 1:-1, None, None] * rule.values[row]  # visits before
-    weight = (init_step + np.arange(T))[:, None, None]
-    np.divide(q, weight, out=q, where=weight > 0)
-    if init_step == 0:
-        q[0] = q0[0]
-    return Trajectory(
-        variant="aggregation",
-        tie_break=tie_break,
-        profiles=result.tail(T)[0].astype(np.int64),
-        utilities=rule.payoff[visit],
-        potentials=rule.potential[visit],
-        q_values=q,
-        gammas=rule.gamma[visit],
-        initial_step=init_step,
-        initial_state=q0[0].copy(),
-        final_step=init_step + T,
-        final_state=result.final_marginals[0],
-    )
+    log = result._log
+    rows = rule._rows(log.pair_game, log.pair_code)
+    per_profile = {"utilities": rule.payoff[rows], "potentials": rule.potential[rows],
+                   "gammas": rule.gamma[rows]}
+    return Trajectory._view(result, "aggregation", tie_break, per_profile, q0[0].copy(),
+                            rule.base[0], rule.values[rows])
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:
     """Fraction of rounds each player spent on each channel, shape (K, S)."""
     if traj.T == 0:
         raise ValueError("cannot compute frequencies of an empty trajectory")
-    n_players = traj.num_players
-    n_channels = int(traj.profiles.max()) + 1
-    if traj.beliefs is not None or traj.q_values is not None:
-        n_channels = traj.beliefs_or_q.shape[2]
-    freq = np.zeros((n_players, n_channels))
-    for k in range(n_players):
-        freq[k] = np.bincount(traj.profiles[:, k], minlength=n_channels) / traj.T
-    return freq
+    return traj.counts() / traj.T
 
 
 @dataclass(frozen=True)
@@ -992,25 +1131,28 @@ def _smallest_period(windows: np.ndarray) -> np.ndarray:
 
 def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
     """Exact-period detection over the trailing ``window`` steps of a run."""
-    if not 1 <= window <= traj.T:
-        raise ValueError(f"window must lie in [1, {traj.T}]")
-    profiles = traj.profiles
     T = traj.T
-    period = int(_smallest_period(profiles[None, T - window:])[0])
+    if not 1 <= window <= T:
+        raise ValueError(f"window must lie in [1, {T}]")
+    [tail] = traj.steps(T - window, T, "profiles")
+    period = int(_smallest_period(tail[None])[0])
     if not period:
         return None
     # The run is periodic from the step after the last one before the window
-    # that differs from its successor one period on.
-    start = T - window
-    misses = np.flatnonzero(np.any(profiles[:start] != profiles[period:start + period], axis=1))
-    start = int(misses[-1]) + 1 if misses.size else 0
-    cycle_profiles = tuple(
-        tuple(int(c) for c in profiles[i]) for i in range(start, start + period)
-    )
-    avg = traj.utilities[T - period:].mean(axis=0)
-    return CycleReport(
-        period=period, cycle_profiles=cycle_profiles, onset=start + 1, time_avg_utility=avg
-    )
+    # that differs from its successor one period on, sought back a chunk of
+    # steps at a time.
+    onset = 0
+    for b in range(T - window, 0, -_SCAN_STEPS):
+        a = max(0, b - _SCAN_STEPS)
+        [profiles] = traj.steps(a, b + period, "profiles")
+        misses = np.flatnonzero(np.any(profiles[:b - a] != profiles[period:], axis=1))
+        if misses.size:
+            onset = a + int(misses[-1]) + 1
+            break
+    [cycle] = traj.steps(onset, onset + period, "profiles")
+    [utilities] = traj.steps(T - period, T, "utilities")
+    return CycleReport(period=period, cycle_profiles=tuple(map(tuple, cycle.tolist())),
+                       onset=onset + 1, time_avg_utility=utilities.mean(axis=0))
 
 
 def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:

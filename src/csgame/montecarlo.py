@@ -16,10 +16,11 @@ also gives each game its initial scores), and the whole chunk is analyzed in
 one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
 equilibrium point and the mixed-equilibrium payoff of every record are read
 off the chunk's arrays. A record reads only its game's trailing window of
-profiles, its counts and payoffs summed run by run, and the game's payoff
-table. The summary is read off the columns too, and a record's dict is
-built only when a caller reads it: the CLI writes each trial file by filling
-a template from the columns (see :mod:`csgame.output`).
+profiles, its counts and counted payoff sums, all off the decision log's
+entries, and the game's payoff table. The summary is read off the columns
+too, and a record's dict is built only when a caller reads it: the CLI
+writes each trial file by filling a template from the columns (see
+:mod:`csgame.output`).
 """
 
 from __future__ import annotations
@@ -68,19 +69,15 @@ CYCLE_WINDOW = 64
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
 # table entries plus K * T channel indices. Sweeps never render per-step
-# actions (a record reads a CYCLE_WINDOW-step tail), and the second term
-# does not bound what the records read: reading expands the switch log into
-# one run per switch, about 80 bytes each in int64 and float64 arrays,
-# against the K channel indices per step (2 bytes for a 2x2 game) counted
-# here. Measured on the 1000-trial, 10**4-step 2x2 sweeps
-# (montecarlo_2x2_snr20, and generator_2x2_snr10 under the aggregation
-# rule): 0 cycling trials in either, so their reads stay O(decisions), 2730
-# and 1874 runs per chunk. A batch of games that switch every step is the
-# known exception: it reads about 40 times what this term counts.
-# The switch log itself holds one entry of a few bytes (game, weight,
-# profile code, period and laps) per switching phase of a decision: a single
-# step's switch costs one entry, and a jumped cycle one per switching phase,
-# however many periods it covers. The chunk's tables are built as one stack,
+# actions (a record reads a CYCLE_WINDOW-step tail), so the second term is a
+# ceiling, not what a chunk holds: the switch log keeps one entry of a few
+# bytes (game, weight, profile code, period and laps) per switching phase of
+# a decision, a single step's switch one entry and a jumped cycle one per
+# switching phase however many periods it covers, and every read (counts,
+# counted payoff sums, the tail) works on those entries, a few int64 arrays
+# of their length. Ten games of the paper's 2-cycle at T = 10**5, which
+# switch at every step, read their records in 84 kB (tracemalloc peak)
+# against the 2 MB counted here. The chunk's tables are built as one stack,
 # one (player, channel) slice at a time: the build's working set is one G *
 # S**(K-1) load per slice, and there is no second copy of the stack, so an
 # aggregation chunk holds that stack alone, not G single-game tables as

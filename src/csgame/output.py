@@ -126,22 +126,31 @@ def _template(tree) -> tuple[list[str], list[int], list[np.ndarray]]:
 
 
 def _render(path, head: str, template, tail: str, n_rows: int, columns,
-            order=None, newline: str | None = "") -> Path:
+            order=None, newline: str | None = "", strict: bool = False) -> Path:
     """Write ``head``, every row, then ``tail``. A row of n cells is its
     cells between the texts ``template(n)``, whose first entry, what goes
     between two rows, is dropped before the first row. ``columns(a, b)``
-    gives the blocks of rows a..b-1 (see :func:`_cells`)."""
+    gives the blocks of rows a..b-1 (see :func:`_cells`). ``strict`` (JSON)
+    refuses a non-finite float with ValueError and leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline=newline) as fh:
-        fh.write(head)
-        for a in range(0, n_rows, _CHUNK_STEPS):
-            cells = _cells(columns(a, min(a + _CHUNK_STEPS, n_rows)), order)
-            out = _fill(template(cells.shape[1]), cells)
-            if not a:
-                out[0, 0] = ""
-            fh.write("".join(out.ravel().tolist()))
-        fh.write(tail)
+    try:
+        with path.open("w", newline=newline) as fh:
+            fh.write(head)
+            for a in range(0, n_rows, _CHUNK_STEPS):
+                blocks = columns(a, min(a + _CHUNK_STEPS, n_rows))
+                if strict and any(b.dtype.kind == "f" and not np.isfinite(b).all()
+                                  for b in blocks):
+                    raise ValueError("Out of range float values are not JSON compliant")
+                cells = _cells(blocks, order)
+                out = _fill(template(cells.shape[1]), cells)
+                if not a:
+                    out[0, 0] = ""
+                fh.write("".join(out.ravel().tolist()))
+            fh.write(tail)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -151,8 +160,9 @@ def _csv(path, header: list[str], n_steps: int, columns) -> Path:
                    "\r\n" if n_steps else "", n_steps, columns)
 
 
-def _state_columns(traj: Trajectory) -> tuple[str, np.ndarray | None]:
-    return ("belief", traj.beliefs) if traj.variant == "classic" else ("q", traj.q_values)
+def _state_names(traj: Trajectory) -> tuple[str, str]:
+    """The state's column prefix and its trajectory field."""
+    return ("belief", "beliefs") if traj.variant == "classic" else ("q", "q_values")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
@@ -160,18 +170,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     then the player's decision-time state (belief_1..belief_S for the
     classic variant, q_1..q_S for the aggregation variant; column i holds
     channel i-1)."""
-    prefix, state = _state_columns(traj)
-    n_players = traj.num_players
-    n_channels = state.shape[2] if state is not None else int(traj.profiles.max()) + 1
+    prefix, state = _state_names(traj)
+    n_players, n_channels = traj.num_players, traj.n_channels
     header = ["t", "player", "channel", "utility", "potential"]
     header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
-    return _csv(path, header, traj.T, lambda a, b: [
-        np.repeat(np.arange(a + 1, b + 1), n_players),
-        np.tile(np.arange(n_players), b - a),
-        traj.profiles[a:b].ravel(),
-        traj.utilities[a:b].ravel(),
-        np.repeat(traj.potentials[a:b], n_players),
-    ] + ([] if state is None else [state[a:b].reshape(-1, n_channels)]))
+
+    def columns(a, b):
+        profiles, utilities, potentials, states = traj.steps(
+            a, b, "profiles", "utilities", "potentials", state)
+        return [np.repeat(np.arange(a + 1, b + 1), n_players),
+                np.tile(np.arange(n_players), b - a), profiles.ravel(), utilities.ravel(),
+                np.repeat(potentials, n_players)] + (
+                    [] if states is None else [states.reshape(-1, n_channels)])
+
+    return _csv(path, header, traj.T, columns)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -211,24 +223,27 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_trajectory_json(traj: Trajectory, path) -> Path:
     """Full-fidelity JSON form of a run."""
-    prefix, state = _state_columns(traj)
-    step = {key: arr for key, arr in (
-        ("t", np.arange(1, traj.T + 1)), ("profile", traj.profiles),
-        ("utilities", traj.utilities), ("potential", traj.potentials),
-        (prefix, state), ("gamma", traj.gammas),
-    ) if arr is not None}
+    prefix, state = _state_names(traj)
+    names = {"profile": "profiles", "utilities": "utilities", "potential": "potentials",
+             prefix: state, "gamma": "gammas"}
     payload = {"schema_version": SCHEMA_VERSION, "variant": traj.variant,
                "tie_break": traj.tie_break, "initial_step": traj.initial_step,
                "initial_state": traj.initial_state.tolist(), "final_step": traj.final_step,
-               "final_state": traj.final_state.tolist(), "steps": [step, step] if traj.T else []}
+               "final_state": traj.final_state.tolist(), "steps": []}
     if not traj.T:
         return write_json(payload, path)
-    # Two skeleton steps: the text between them is what goes between rows.
-    texts, order, arrays = _template(payload)
-    n_leaves, arrays = len(order) // 2, arrays[:len(step)]
+    # The fields the run carries, as a skeleton step of one row's shapes,
+    # twice: the text between the two is what goes between rows.
+    first = dict(zip(names, traj.steps(0, 1, *names.values())))
+    step = {"t": np.arange(1, 2), **{key: arr for key, arr in first.items() if arr is not None}}
+    fields = [names[key] for key in step if key != "t"]
+    payload["steps"] = [step, step]
+    texts, order, _ = _template(payload)
+    n_leaves = len(order) // 2
     row = [texts[n_leaves], *texts[1:n_leaves], ""]
     return _render(path, texts[0], lambda n_cells: row, texts[-1], traj.T,
-                   lambda a, b: [arr[a:b] for arr in arrays], order[:n_leaves], newline=None)
+                   lambda a, b: [np.arange(a + 1, b + 1), *traj.steps(a, b, *fields)],
+                   order[:n_leaves], newline=None, strict=True)
 
 
 def write_summary_json(summary: MonteCarloSummary, path) -> Path:
@@ -279,7 +294,7 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind in ("beliefs", "utilities") and not isinstance(obj, Trajectory):
         raise ValueError(f"kind {kind!r} needs a Trajectory")
     if kind == "beliefs":
-        prefix, state = _state_columns(obj)[0], obj.beliefs_or_q
+        prefix, state = _state_names(obj)[0], obj.beliefs_or_q
         n_players, n_channels = state.shape[1:] if obj.T else (0, 0)
         header = [f"{prefix}_p{k}_c{s}" for k in range(n_players) for s in range(n_channels)]
         return _csv(path, ["t", *header], obj.T,

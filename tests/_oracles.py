@@ -127,9 +127,8 @@ def oracle_run_fp(game, marginals, T: int, tie_break: str = "lowest", step: int 
     (prior + counts) / step, with prior = marginals * initial step. Returns
     profiles (T, K), per-step utilities (T, K) and potentials (T,),
     decision-time beliefs (T, K, S), the final beliefs and step, the (K, S)
-    action counts after each of steps 0..T, and each player's payoffs
-    summed run by run, as run length times payoff, over the maximal runs of
-    one profile in time order.
+    action counts after each of steps 0..T, and each player's payoffs as a
+    counted sum (:func:`oracle_counted_sum`).
     """
     table = utility_table(game)
     phi = potential_table(game)
@@ -156,19 +155,32 @@ def oracle_run_fp(game, marginals, T: int, tie_break: str = "lowest", step: int 
         potentials.append(phi[idx])
         counts.append(counts[-1] + eye[actions])
         step += 1
-    utility_sums = np.zeros(n_players)
-    for profile, run in itertools.groupby(map(tuple, profiles)):
-        utility_sums = utility_sums + len(list(run)) * table[(slice(None), *profile)]
+    utilities = np.array(utilities)
     return SimpleNamespace(
         profiles=np.array(profiles, dtype=np.int64),
-        utilities=np.array(utilities),
+        utilities=utilities,
         potentials=np.array(potentials),
         beliefs=np.array(beliefs),
         final_state=(prior + counts[-1]) / step,
         final_step=step,
         counts=counts,
-        utility_sums=utility_sums,
+        utility_sums=oracle_counted_sum(profiles, utilities),
     )
+
+
+def oracle_counted_sum(profiles, utilities) -> np.ndarray:
+    """Each player's payoffs summed over a run as a counted sum: for every
+    distinct profile, in order of first visit and added left to right, its
+    number of steps times its payoffs (``utilities`` holds each step's)."""
+    first: dict = {}
+    visits: dict = {}
+    for t, profile in enumerate(map(tuple, np.asarray(profiles).tolist())):
+        first.setdefault(profile, t)
+        visits[profile] = visits.get(profile, 0) + 1
+    sums = np.zeros(np.shape(utilities)[1])
+    for profile, t in first.items():
+        sums = sums + visits[profile] * utilities[t]
+    return sums
 
 
 def _oracle_scores(game, actions, gamma) -> np.ndarray:

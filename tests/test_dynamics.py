@@ -36,6 +36,7 @@ from csgame import (
 )
 from csgame.dynamics import MAX_PERIOD, _smallest_period, _SwitchLog
 from _oracles import (
+    oracle_counted_sum,
     oracle_cycle_onset,
     oracle_run_aggregation_fp,
     oracle_run_fp,
@@ -534,11 +535,8 @@ class TestAggregationEngineAgainstOracle:
                 ref = oracle_run_aggregation_fp(game, init.q, T, tie_break, step=init.step)
                 np.testing.assert_array_equal(batch.actions[:, i], ref.profiles)
                 np.testing.assert_array_equal(batch.final_marginals[i], ref.final_state)
-                sums = np.zeros(n_players)  # run length times payoff, run by run
-                for _, run in itertools.groupby(range(T), key=lambda t: tuple(ref.profiles[t])):
-                    run = list(run)
-                    sums = sums + len(run) * ref.utilities[run[0]]
-                np.testing.assert_array_equal(batch.utility_sums[i], sums)
+                np.testing.assert_array_equal(batch.utility_sums[i],
+                                              oracle_counted_sum(ref.profiles, ref.utilities))
                 for t, freq in batch.frequencies.items():
                     counts = [np.bincount(ref.profiles[:t, k], minlength=n_channels)
                               for k in range(n_players)]
@@ -597,11 +595,8 @@ class TestAggregationEngineAgainstOracle:
         for i, game in enumerate(games):
             traj = run_aggregation_fp(game, None, T=T)
             np.testing.assert_array_equal(batch.actions[:, i], traj.profiles)
-            sums = np.zeros(n_players)  # run length times payoff, run by run
-            for _, run in itertools.groupby(range(T), key=lambda t: tuple(traj.profiles[t])):
-                run = list(run)
-                sums = sums + len(run) * traj.utilities[run[0]]
-            np.testing.assert_array_equal(batch.utility_sums[i], sums)
+            np.testing.assert_array_equal(batch.utility_sums[i],
+                                          oracle_counted_sum(traj.profiles, traj.utilities))
 
 
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
@@ -653,17 +648,6 @@ def test_the_switch_log_reads_as_per_step_play():
                           final_step=init_step + T, evaluations=np.zeros(2, dtype=np.int64),
                           tables=None, switches=log, T=T, payoffs=payoffs)
     profiles = [[divmod(c, 3) for c in codes] for codes in steps]
-    runs = []  # (game, first step, length, profile) of every maximal run
-    for g in range(2):
-        for start in range(T):
-            if start == 0 or profiles[g][start] != profiles[g][start - 1]:
-                end = start + 1
-                while end < T and profiles[g][end] == profiles[g][start]:
-                    end += 1
-                runs.append((g, start, end - start, profiles[g][start]))
-    game, start, length, profile = batch.runs
-    assert list(zip(game.tolist(), start.tolist(), length.tolist(), map(tuple, profile.tolist()))) \
-        == runs
     for window in (1, 2, 5, T):
         np.testing.assert_array_equal(batch.tail(window), [p[T - window:] for p in profiles])
     np.testing.assert_array_equal(batch.actions, np.swapaxes(profiles, 0, 1))
@@ -671,11 +655,11 @@ def test_the_switch_log_reads_as_per_step_play():
         np.testing.assert_array_equal(batch.counts(t), [
             [[sum(p[k] == c for p in profiles[g][:t]) for c in range(3)] for k in range(2)]
             for g in range(2)])
-    sums = [np.zeros(2), np.zeros(2)]  # run length times payoff, run by run
-    for g, _, n, (a, b) in runs:
-        sums[g] = sums[g] + n * tables[g, :, a, b]
+    sums = [oracle_counted_sum(profiles[g], [tables[g, :, a, b] for a, b in profiles[g]])
+            for g in range(2)]
     np.testing.assert_array_equal(batch.utility_sums, sums)
-    assert looked_up == [log.size]  # payoffs are read once per log entry
+    # Payoffs are read once per distinct (game, profile) pair.
+    assert looked_up == [sum(len(set(codes)) for codes in steps)]
 
 
 class TestEmpiricalFrequencies:
@@ -854,10 +838,8 @@ class TestCyclePersistence:
         assert cycle_persistence_2x2(game, (0.5, 0.5), T // 2)
         batch = run_fp([game], init, T=T, checkpoints=(T - 1, T))
         assert batch.evaluations[0] <= 10
-        # Every step is a run of its own, (0, 0) on odd steps, (1, 1) on even.
-        _, start, length, profile = batch.runs
-        np.testing.assert_array_equal(start, np.arange(T))
-        assert np.all(length == 1)
+        # Every step switches, to (0, 0) on odd steps and (1, 1) on even.
+        profile = batch.actions[:, 0]
         assert np.all(profile[0::2] == 0) and np.all(profile[1::2] == 1)
         np.testing.assert_array_equal(batch.frequencies[T][0], np.full((2, 2), 0.5))
         np.testing.assert_array_equal(batch.frequencies[T - 1][0],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -518,3 +519,23 @@ class TestChunkAnalysis:
             "error: S**K = 16777216 profiles exceeds the enumeration guard of 10000000\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+def test_a_cycling_chunk_reads_its_records_within_the_byte_budget():
+    # The paper's 2-cycle switches at every step. Reading the records of ten
+    # such games (counts, counted payoff sums, the trailing window) goes
+    # through the decision log's few entries, so it peaks within the bytes
+    # _BATCH_BYTE_BUDGET counts for the chunk: per game, its table and K
+    # channel indices per step.
+    config = load_config(ROOT / "configs/symmetric_cycle.yaml").with_overrides(steps=10**5)
+    game, T = config.game, config.dynamics.steps
+    budget = 10 * (8 * game.K * game.S**game.K
+                   + game.K * T * dynamics._action_dtype(game.S).itemsize)
+    tracemalloc.start()
+    try:
+        chunk = montecarlo._records(0, [game] * 10, config.dynamics)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunk.periods.tolist() == [2] * 10
+    assert peak <= budget

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from csgame import (
 )
 from csgame import cli, montecarlo, output
 from csgame.cli import main
+from csgame.montecarlo import simulate_trajectory
 from csgame.output import dumps_json, fmt_float, write_json
 from _oracles import oracle_plot_csv, oracle_trajectory_csv, oracle_trajectory_json
 from conftest import random_game
@@ -670,3 +675,42 @@ class TestCli:
             assert len(list((tmp_path / "trials").iterdir())) == stdout["trials"] == 1000
         if command == "simulate":
             assert stdout["steps"] == 20
+
+
+def test_a_trajectory_is_written_in_memory_that_does_not_grow_with_the_horizon(tmp_path):
+    # The paper's 2-cycle switches at every step. A run is a view of the
+    # engine's decision log, rendered a chunk at a time, so ten times the
+    # steps peak within 10% of the same bytes.
+    config = load_config(CONFIGS / "symmetric_cycle.yaml")
+    peaks = []
+    for steps in (3 * 10**4, 3 * 10**5):
+        tracemalloc.start()
+        try:
+            traj = simulate_trajectory(config.game, config.with_overrides(steps=steps).dynamics)
+            write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_the_cli_never_imports_numpy_ma(tmp_path):
+    # np.unique without a return option imports numpy.ma (about 9 ms of
+    # start-up); no simulate or sweep path may reach it.
+    script = (
+        "import sys\n"
+        "from csgame.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split()) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    out = tmp_path / "out"
+    runs = [f"simulate {CONFIGS / 'aggregation_demo.yaml'} --steps 300 --out {out}/a",
+            f"simulate {CONFIGS / 'symmetric_cycle.yaml'} --variant aggregation --steps 300 "
+            f"--format json --out {out}/b",
+            f"montecarlo {CONFIGS / 'generator_2x2_snr10.yaml'} --variant aggregation "
+            f"--steps 200 --out {out}/c"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *runs], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
