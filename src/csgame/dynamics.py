@@ -948,8 +948,8 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
     """
     rows = np.arange(game.K)
     gamma = aggregate_message(game, actions)
-    heard = np.tile(gamma, (game.K, 1))  # all of gamma off the player's own channel
-    heard[rows, actions] = _strip_own(game, rows, actions, gamma)
+    heard = np.tile(gamma.view(np.ndarray), (game.K, 1))  # all of gamma off the own channel
+    heard[rows, actions] = _strip_own(game, rows, actions, gamma, gamma.residual)
     values = _rate(game.weights, game.received_power, heard)
     return values, gamma, _payoffs(game, actions), potential(game, actions)
 

@@ -241,17 +241,35 @@ def utility(game: GameSpec, profile, player: int) -> float:
     return float(_payoffs(game, channels)[_check_player(game, player)])
 
 
+class _Aggregate(np.ndarray):
+    """The broadcast aggregate: per channel, noise plus the received powers
+    there, added in ascending player order, with the rounding error of
+    that sum in ``residual``, accumulated by TwoSum (Knuth, TAOCP vol. 2)."""
+
+    residual: np.ndarray
+
+    def __array_finalize__(self, obj) -> None:
+        self.residual = getattr(obj, "residual", None)
+
+
 def aggregate_message(game: GameSpec, profile) -> np.ndarray:
     """Receiver-side per-channel aggregate: noise plus total received power.
 
     This is the single broadcast message the low-feedback dynamics rely on;
-    it is also exactly what the exact potential is built from.
+    it is also exactly what the exact potential is built from. The array
+    carries, in ``residual``, each channel's rounding residual, so the
+    message is 2S floats: value plus residual.
     """
     channels = check_profile(game, profile)
-    gamma = game.noise.copy()
-    received = game.received_power
-    for k in range(game.K):
-        gamma[channels[k]] += received[k, channels[k]]
+    total, residual = game.noise.tolist(), [0.0] * game.S
+    for k, s in enumerate(channels.tolist()):
+        power = float(game.received_power[k, s])
+        added = total[s] + power
+        part = added - total[s]
+        residual[s] += (total[s] - (added - part)) + (power - part)
+        total[s] = added
+    gamma = np.array(total).view(_Aggregate)
+    gamma.residual = np.array(residual)
     return gamma
 
 
@@ -272,10 +290,13 @@ def potential(game: GameSpec, profile) -> float:
     return total
 
 
-def _strip_own(game: GameSpec, players, channels, gamma: np.ndarray):
+def _strip_own(game: GameSpec, players, channels, gamma: np.ndarray, residual: np.ndarray):
     """The reconstruction: what each of ``players`` hears on its own entry
-    of ``channels``, the aggregate ``gamma`` there less its own power."""
-    heard = gamma[channels] - game.received_power[players, channels]
+    of ``channels``, the aggregate ``gamma`` there less its own power, plus
+    the aggregate's rounding ``residual`` there. The difference is exact
+    wherever the own power is at least half the aggregate (Sterbenz), which
+    is where it would otherwise cancel."""
+    heard = (gamma[channels] - game.received_power[players, channels]) + residual[channels]
     if (heard <= 0.0).any():
         raise ValueError("aggregate inconsistent: own power meets or exceeds the aggregate")
     return heard
@@ -285,18 +306,20 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
     """Utility reconstructed from own parameters and the receiver aggregate.
 
     The player subtracts its own received power from the aggregate on its
-    channel and treats the remainder as interference-plus-noise. For the
-    profile that actually produced ``gamma`` this is :func:`utility`'s value
-    up to rounding: the subtraction loses about eps * own / remainder of
-    relative precision. Entries of ``gamma`` for unused channels are
-    irrelevant.
+    channel, adds the aggregate's rounding residual (zero for a plain
+    array; see :func:`aggregate_message`), and treats the remainder as
+    interference-plus-noise. For the profile that actually produced
+    ``gamma`` this is :func:`utility`'s value up to a few roundings.
+    Entries of ``gamma`` for unused channels are irrelevant.
     """
     player = _check_player(game, player)
     own_channel = int(_check_channels(game, own_channel))
+    residual = getattr(gamma, "residual", None)
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.shape != (game.S,):
         raise ValueError(f"gamma must have length S={game.S}")
-    heard = _strip_own(game, player, own_channel, gamma)
+    heard = _strip_own(game, player, own_channel, gamma,
+                       np.zeros(game.S) if residual is None else residual)
     return float(_rate(game.weights[own_channel], game.received_power[player, own_channel], heard))
 
 

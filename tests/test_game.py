@@ -456,3 +456,17 @@ def test_channel_aggregate_must_be_finite():
         GameSpec.symmetric([[1.0, 2.0]], p_max=1e308)
     game = GameSpec.symmetric([[1.0, 0.5], [0.5, 1.0]], p_max=1e308)
     assert np.all(np.isfinite(game.received_power.sum(axis=0) + game.noise))
+
+
+def test_reconstruction_is_exact_where_the_subtraction_cancels():
+    # Player 0 alone on channel 0, with power far above that channel's
+    # noise: gamma - own in floats loses the noise's low bits (1.05e-12
+    # bits off utility), and the broadcast's rounding residual restores
+    # them. The aggregate's value and the potential keep their bits.
+    game = GameSpec(bandwidths=[4.0, 1.0], noise=[0.05, 1.0], max_power=[19.0, 19.0],
+                    gains=[[27.0, 1.0], [1.0, 1.0]])
+    gamma = aggregate_message(game, (0, 1))
+    np.testing.assert_array_equal(gamma, [0.05 + 19.0 * 27.0, 1.0 + 19.0])
+    for k, channel in enumerate((0, 1)):
+        assert aggregated_utility(game, k, channel, gamma) == utility(game, (0, 1), k)
+    assert aggregated_utility(game, 0, 0, gamma.tolist()) != utility(game, (0, 1), 0)
