@@ -200,11 +200,18 @@ def _check_player(game: GameSpec, player) -> int:
     return int(player)
 
 
+class _Batch(list):
+    """Games checked to share one (K, S) shape."""
+
+
 def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[list[GameSpec], bool]:
     """``game`` as a list of games, and whether it was one game (a batch of
-    one). The games of a sequence must share one (K, S) shape."""
+    one). The games of a sequence must share one (K, S) shape; the list
+    returned is not checked again when it is passed back in."""
+    if isinstance(game, _Batch):
+        return game, False
     single = isinstance(game, GameSpec)
-    games = [game] if single else list(game)
+    games = _Batch([game] if single else game)
     if any((g.K, g.S) != (games[0].K, games[0].S) for g in games):
         raise ValueError("all games in a batch must share one (K, S) shape")
     return games, single

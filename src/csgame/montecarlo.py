@@ -43,7 +43,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import EquilibriumReport, analyze_game
-from .game import GameSpec, _game_stack, _utility_tables
+from .game import GameSpec, _game_batch, _game_stack, _utility_tables
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -365,6 +365,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     and its nearest equilibrium points, mixed-equilibrium payoffs, cycle
     payoffs and outcomes are read off the chunk's arrays."""
     T = dynamics.steps
+    games, _ = _game_batch(games)  # the engine, analysis and potentials skip the shape check
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
     if dynamics.variant == "classic":

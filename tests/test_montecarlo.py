@@ -24,6 +24,7 @@ from csgame import (
     trial_rng,
 )
 from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_table
+from csgame import game as game_module
 from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
@@ -539,3 +540,20 @@ def test_a_cycling_chunk_reads_its_records_within_the_byte_budget():
         tracemalloc.stop()
     assert chunk.periods.tolist() == [2] * 10
     assert peak <= budget
+
+
+@pytest.mark.parametrize("variant", ["classic", "aggregation"])
+def test_a_chunk_checks_the_shape_of_its_games_once(monkeypatch, variant):
+    # The engine, the analysis and the potential tables all take the
+    # chunk's games; only the first look walks them to compare shapes.
+    games = [generate_game(trial_rng(5, i), 2, 2, 20.0) for i in range(40)]
+    walks = []
+
+    class Batch(game_module._Batch):
+        def __init__(self, games):
+            walks.append(len(games))
+            super().__init__(games)
+
+    monkeypatch.setattr(game_module, "_Batch", Batch)
+    montecarlo._records(0, games, DynamicsSpec(steps=50, variant=variant))
+    assert walks == [len(games)]
