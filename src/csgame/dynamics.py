@@ -31,10 +31,10 @@ supplies only its scores and its certificate.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -191,9 +191,7 @@ class QState:
         return cls(step=0, q=np.zeros((n_players, n_channels)))
 
 
-def _per_step(name: str) -> cached_property:
-    """A per-step field of a :class:`Trajectory`, built when first read."""
-    return cached_property(lambda traj: traj.steps(0, traj.T, name)[0])
+_PER_STEP = ("profiles", "utilities", "potentials", "beliefs", "q_values", "gammas")
 
 
 class Trajectory:
@@ -214,26 +212,27 @@ class Trajectory:
     state's sums from one to the next.
     """
 
-    profiles = _per_step("profiles")  # (T, K) int
-    utilities = _per_step("utilities")  # (T, K)
-    potentials = _per_step("potentials")  # (T,)
-    beliefs = _per_step("beliefs")  # (T, K, S), classic variant
-    q_values = _per_step("q_values")  # (T, K, S), aggregation variant
-    gammas = _per_step("gammas")  # (T, S), aggregation variant
-
     def __init__(self, variant: str, tie_break: str, profiles, utilities, potentials,
                  beliefs=None, q_values=None, gammas=None, initial_step: int = 1,
                  initial_state=None, final_step: int = 1, final_state=None) -> None:
+        # Per step: profiles (T, K) int, utilities (T, K), potentials (T,),
+        # and beliefs (classic), q_values and gammas (aggregation): (T, K,
+        # S), (T, K, S), (T, S).
         self.variant, self.tie_break, self._result = variant, tie_break, None
         self.initial_step, self.initial_state = initial_step, initial_state
         self.final_step, self.final_state = final_step, final_state
-        fields = {"profiles": profiles, "utilities": utilities, "potentials": potentials,
-                  "beliefs": beliefs, "q_values": q_values, "gammas": gammas}
-        for name, arr in fields.items():
+        for name, arr in zip(_PER_STEP, (profiles, utilities, potentials, beliefs, q_values,
+                                         gammas)):
             if arr is not None and len(arr) != len(profiles):
                 raise ValueError(f"trajectory field {name} has length {len(arr)} != "
                                  f"{len(profiles)}")
             setattr(self, name, arr)
+
+    def __getattr__(self, name: str):
+        if name not in _PER_STEP:  # only the fields a view has not built yet get here
+            raise AttributeError(name)
+        setattr(self, name, self.steps(0, self.T, name)[0])
+        return vars(self)[name]
 
     @classmethod
     def _view(cls, result: BatchFPResult, variant: str, tie_break: str, per_profile: dict,
@@ -256,13 +255,6 @@ class Trajectory:
         if self._result is None:
             return self.profiles.shape[1]
         return self._result.final_marginals.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        if self._result is not None:
-            return self._result.final_marginals.shape[2]
-        state = self.beliefs if self.variant == "classic" else self.q_values
-        return state.shape[2] if state is not None else int(self.profiles.max()) + 1
 
     @property
     def beliefs_or_q(self) -> np.ndarray:
@@ -323,7 +315,9 @@ class Trajectory:
         """Each player's number of steps on each channel, (K, S), as floats."""
         if self._result is not None:
             return self._result.counts(self.T)[0]
-        return np.stack([np.bincount(self.profiles[:, k], minlength=self.n_channels)
+        state = self.beliefs if self.variant == "classic" else self.q_values
+        n_channels = state.shape[2] if state is not None else int(self.profiles.max()) + 1
+        return np.stack([np.bincount(self.profiles[:, k], minlength=n_channels)
                          for k in range(self.num_players)]).astype(float)
 
     @property
@@ -430,26 +424,15 @@ class _SwitchLog:
         return getattr(self, name)[:self.size].astype(np.int64)
 
 
-class _Log(NamedTuple):
-    """A switch log's entries by game, then in time: the game, the first
-    step (0-based) of the phase, its profile code, period and laps; the
-    entry whose profile is played before the phase's first switch (-1 for
-    a game's first entry) and before its switch in every later period (the
-    cycle's last switching phase, for its first one); and the number of
-    the entry's (game, profile code) pair, the pairs counted by game and in
-    order of first visit, with each pair's game, code and first step."""
-
-    game: np.ndarray
-    start: np.ndarray
-    code: np.ndarray
-    period: np.ndarray
-    laps: np.ndarray
-    before: np.ndarray
-    before_lap: np.ndarray
-    pair: np.ndarray
-    pair_game: np.ndarray
-    pair_code: np.ndarray
-    pair_start: np.ndarray
+# A switch log's entries by game, then in time: the game, the first step
+# (0-based) of the phase, its profile code, period and laps; the entry whose
+# profile is played before the phase's first switch (-1 for a game's first
+# entry) and before its switch in every later period (the cycle's last
+# switching phase, for its first one); and the number of the entry's (game,
+# profile code) pair, the pairs counted by game and in order of first visit,
+# with each pair's game, code and first step.
+_Log = namedtuple("_Log", "game start code period laps before before_lap pair pair_game "
+                          "pair_code pair_start")
 
 
 @dataclass
@@ -538,25 +521,17 @@ class BatchFPResult:
                         np.searchsorted(key, base + a, side="right") - MAX_PERIOD)
         n = np.searchsorted(key, base + b - 1, side="right") - lo
         entry = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-        row = np.repeat(np.arange(len(games)), n)
         # Each entry's switches from its last one up to step a (its first,
-        # if later) to step b - 1.
+        # if later) to step b - 1, keyed by game and time like the entries.
         start, period, laps = log.start[entry], log.period[entry], log.laps[entry]
         lap = np.clip((a - start) // period, 0, laps - 1)
         m = np.maximum(np.minimum((b - 1 - start) // period, laps - 1) - lap + 1, 0)
         switch = np.repeat(np.arange(len(entry)), m)
-        at = start[switch] + period[switch] * (
-            np.repeat(lap, m) + np.arange(len(switch)) - np.repeat(np.cumsum(m) - m, m))
-        entry, row = entry[switch], row[switch]
-        latest = np.full(len(games), -1)
-        np.maximum.at(latest, row, np.where(at <= a, at, -1))
-        keep = (at > a) | (at == latest[row])
-        column = np.maximum(at[keep] - a, 0)
-        marked = np.zeros((len(games), b - a), dtype=np.intp)
-        marked[row[keep], column] = column
-        switched = np.zeros((len(games), b - a), dtype=np.intp)
-        switched[row[keep], column] = entry[keep]
-        return np.take_along_axis(switched, np.maximum.accumulate(marked, axis=1), axis=1)
+        lap = np.repeat(lap, m) + np.arange(len(switch)) - np.repeat(np.cumsum(m) - m, m)
+        at = key[entry][switch] + period[switch] * lap
+        order = np.argsort(at)
+        latest = np.searchsorted(at[order], base[:, None] + np.arange(a, b), side="right") - 1
+        return entry[switch][order][latest]
 
     def _profiles(self, entries: np.ndarray, dtype) -> np.ndarray:
         """The profiles of log entries, with a trailing player axis."""

@@ -171,7 +171,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     classic variant, q_1..q_S for the aggregation variant; column i holds
     channel i-1)."""
     prefix, state = _state_names(traj)
-    n_players, n_channels = traj.num_players, traj.n_channels
+    n_players, [states] = traj.num_players, traj.steps(0, 1, state)
+    n_channels = states.shape[2] if states is not None else int(traj.profiles.max()) + 1
     header = ["t", "player", "channel", "utility", "potential"]
     header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
 
