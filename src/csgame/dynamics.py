@@ -273,7 +273,7 @@ class Trajectory:
             entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
             pair = self._result._log.pair[entry]
             fresh = {name: table[pair] for name, table in self._per_profile.items()}
-            fresh["profiles"] = self._result._profiles(entry, np.int64)
+            fresh["profiles"] = self._result._log.profile[entry].astype(np.int64)
             state = "beliefs" if self._values is None else "q_values"
             if state in names:
                 fresh[state] = self._state(a, b, pair, fresh["profiles"])
@@ -428,11 +428,12 @@ class _SwitchLog:
 # (0-based) of the phase, its profile code, period and laps; the entry whose
 # profile is played before the phase's first switch (-1 for a game's first
 # entry) and before its switch in every later period (the cycle's last
-# switching phase, for its first one); and the number of the entry's (game,
+# switching phase, for its first one); the number of the entry's (game,
 # profile code) pair, the pairs counted by game and in order of first visit,
-# with each pair's game, code and first step.
+# with each pair's game, code and first step; and the entry's profile, (K,)
+# channel indices in the smallest signed integer type that holds them.
 _Log = namedtuple("_Log", "game start code period laps before before_lap pair pair_game "
-                          "pair_code pair_start")
+                          "pair_code pair_start profile")
 
 
 @dataclass
@@ -492,8 +493,10 @@ class BatchFPResult:
         rank = np.empty(len(at), dtype=np.intp)
         rank[np.argsort(at)] = np.arange(len(at))
         at.sort()
+        _, n_players, n_channels = self.final_marginals.shape
+        profile = code[:, None] // n_channels ** np.arange(n_players - 1, -1, -1) % n_channels
         return _Log(game, start, code, period, laps, before, before_lap, rank[pair.ravel()],
-                    game[at], code[at], start[at])
+                    game[at], code[at], start[at], profile.astype(_action_dtype(n_channels)))
 
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
@@ -533,18 +536,12 @@ class BatchFPResult:
         latest = np.searchsorted(at[order], base[:, None] + np.arange(a, b), side="right") - 1
         return entry[switch][order][latest]
 
-    def _profiles(self, entries: np.ndarray, dtype) -> np.ndarray:
-        """The profiles of log entries, with a trailing player axis."""
-        _, n_players, n_channels = self.final_marginals.shape
-        place = n_channels ** np.arange(n_players - 1, -1, -1)
-        return (self._log.code[entries][..., None] // place % n_channels).astype(dtype)
-
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
         if not 1 <= window <= self.T:
             raise ValueError(f"window must lie in [1, {self.T}]")
         entries = self._in_effect(self.T - window, self.T, np.arange(len(self.final_marginals)))
-        return self._profiles(entries, _action_dtype(self.final_marginals.shape[2]))
+        return self._log.profile[entries]
 
     @cached_property
     def actions(self) -> np.ndarray:
@@ -555,8 +552,7 @@ class BatchFPResult:
         """Exact (G, K, S) action counts over the first t steps, as floats."""
         log = self._log
         n_games, n_players, n_channels = self.final_marginals.shape
-        profile = self._profiles(np.arange(len(log.code)), np.int64)
-        index = (log.game[:, None] * n_players + np.arange(n_players)) * n_channels + profile
+        index = (log.game[:, None] * n_players + np.arange(n_players)) * n_channels + log.profile
         counts = np.bincount(index.ravel(), weights=np.repeat(self._played(t), n_players),
                              minlength=n_games * n_players * n_channels)
         return counts.reshape(n_games, n_players, n_channels)
