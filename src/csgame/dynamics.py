@@ -77,8 +77,9 @@ TIE_BREAKS = ("lowest", "highest")
 # at period p once its last 2p steps, the new decision included, repeat with
 # period p; every period allowed costs a comparison per game and decision.
 MAX_PERIOD = 8
-# Steps detect_cycle reads at once while it seeks a cycle's onset.
-_SCAN_STEPS = 2**14
+# Steps a trajectory view renders at once, and detect_cycle reads at once
+# while it seeks a cycle's onset.
+_BLOCK_STEPS = 2**14
 # Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
 # the window is p-periodic; entries j >= p map to themselves.
 _PERIOD_SHIFT = np.where(np.arange(MAX_PERIOD) < np.arange(1, MAX_PERIOD + 1)[:, None],
@@ -244,6 +245,7 @@ class Trajectory:
         traj._per_profile, traj._base, traj._values = per_profile, base, values
         # The state's sums at a step: counts, or each profile's visits.
         traj._carry = (0, np.zeros(base.shape if values is None else len(values)))
+        traj._block = (0, {"profiles": ()})  # its first step and its fields
         return traj
 
     @property
@@ -265,20 +267,31 @@ class Trajectory:
 
     def steps(self, a: int, b: int, *names: str) -> list:
         """The per-step fields ``names`` over steps a..b-1 (None for a field
-        the run does not carry): slices of the fields held, the others
-        rendered from the engine's log."""
+        the run does not carry): slices of the fields held, the others of a
+        block of at least :data:`_BLOCK_STEPS` steps rendered from the
+        engine's log and kept until a read falls outside it."""
         held = vars(self)
-        fresh = {}
-        if any(name not in held for name in names):
-            entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
-            pair = self._result._log.pair[entry]
-            fresh = {name: table[pair] for name, table in self._per_profile.items()}
-            fresh["profiles"] = self._result._log.profile[entry].astype(np.int64)
-            state = "beliefs" if self._values is None else "q_values"
-            if state in names:
-                fresh[state] = self._state(a, b, pair, fresh["profiles"])
-        return [(None if held[n] is None else held[n][a:b]) if n in held else fresh.get(n)
-                for n in names]
+        missing = [name for name in names if name not in held]
+        if missing:
+            start, block = self._block
+            inside = start <= a and b <= start + len(block["profiles"])
+            if not inside or not set(missing) <= set(block):
+                end = min(self.T, max(b, a + _BLOCK_STEPS))
+                start, block = self._block = a, self._render(a, end, missing)
+        return [(None if held[n] is None else held[n][a:b]) if n in held
+                else None if block[n] is None else block[n][a - start:b - start] for n in names]
+
+    def _render(self, a: int, b: int, names: list[str]) -> dict:
+        entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
+        pair = self._result._log.pair[entry]
+        fields = dict.fromkeys(names)
+        fields.update((name, table[pair]) for name, table in self._per_profile.items()
+                      if name in names)
+        fields["profiles"] = self._result._log.profile[entry].astype(np.int64)
+        state = "beliefs" if self._values is None else "q_values"
+        if state in names:
+            fields[state] = self._state(a, b, pair, fields["profiles"])
+        return fields
 
     def _state(self, a: int, b: int, pair: np.ndarray, profiles: np.ndarray) -> np.ndarray:
         result = self._result
@@ -1113,8 +1126,8 @@ def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
     # that differs from its successor one period on, sought back a chunk of
     # steps at a time.
     onset = 0
-    for b in range(T - window, 0, -_SCAN_STEPS):
-        a = max(0, b - _SCAN_STEPS)
+    for b in range(T - window, 0, -_BLOCK_STEPS):
+        a = max(0, b - _BLOCK_STEPS)
         [profiles] = traj.steps(a, b + period, "profiles")
         misses = np.flatnonzero(np.any(profiles[:b - a] != profiles[period:], axis=1))
         if misses.size:
