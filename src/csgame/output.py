@@ -131,7 +131,7 @@ def _render(path, head: str, template, tail: str, n_rows: int, columns,
     cells between the texts ``template(n)``, whose first entry, what goes
     between two rows, is dropped before the first row. ``columns(a, b)``
     gives the blocks of rows a..b-1 (see :func:`_cells`). ``strict`` (JSON)
-    refuses a non-finite float with ValueError and leaves no file."""
+    refuses a non-finite float; a ValueError leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -148,7 +148,7 @@ def _render(path, head: str, template, tail: str, n_rows: int, columns,
                     out[0, 0] = ""
                 fh.write("".join(out.ravel().tolist()))
             fh.write(tail)
-    except BaseException:
+    except ValueError:
         path.unlink(missing_ok=True)
         raise
     return path
