@@ -245,7 +245,7 @@ class Trajectory:
         traj._per_profile, traj._base, traj._values = per_profile, base, values
         # The state's sums at a step: counts, or each profile's visits.
         traj._carry = (0, np.zeros(base.shape if values is None else len(values)))
-        traj._block = (0, {"profiles": ()})  # its first step and its fields
+        traj._block = (0, {"profiles": ()})  # the rendered block's first step and fields
         return traj
 
     @property
@@ -257,6 +257,13 @@ class Trajectory:
         if self._result is None:
             return self.profiles.shape[1]
         return self._result.final_marginals.shape[1]
+
+    @property
+    def n_channels(self) -> int:
+        if self._result is not None:
+            return self._result.final_marginals.shape[2]
+        state = self.beliefs if self.variant == "classic" else self.q_values
+        return state.shape[2] if state is not None else int(self.profiles.max()) + 1
 
     @property
     def beliefs_or_q(self) -> np.ndarray:
@@ -276,6 +283,7 @@ class Trajectory:
             start, block = self._block
             inside = start <= a and b <= start + len(block["profiles"])
             if not inside or not set(missing) <= set(block):
+                self._block = block = None  # dropped before the next is rendered
                 end = min(self.T, max(b, a + _BLOCK_STEPS))
                 start, block = self._block = a, self._render(a, end, missing)
         return [(None if held[n] is None else held[n][a:b]) if n in held
@@ -328,9 +336,7 @@ class Trajectory:
         """Each player's number of steps on each channel, (K, S), as floats."""
         if self._result is not None:
             return self._result.counts(self.T)[0]
-        state = self.beliefs if self.variant == "classic" else self.q_values
-        n_channels = state.shape[2] if state is not None else int(self.profiles.max()) + 1
-        return np.stack([np.bincount(self.profiles[:, k], minlength=n_channels)
+        return np.stack([np.bincount(self.profiles[:, k], minlength=self.n_channels)
                          for k in range(self.num_players)]).astype(float)
 
     @property

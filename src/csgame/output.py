@@ -138,20 +138,25 @@ def _render(path, head: str, template, tail: str, n_rows: int, columns,
         with path.open("w", newline=newline) as fh:
             fh.write(head)
             for a in range(0, n_rows, _CHUNK_STEPS):
-                blocks = columns(a, min(a + _CHUNK_STEPS, n_rows))
-                if strict and any(b.dtype.kind == "f" and not np.isfinite(b).all()
-                                  for b in blocks):
-                    raise ValueError("Out of range float values are not JSON compliant")
-                cells = _cells(blocks, order)
-                out = _fill(template(cells.shape[1]), cells)
-                if not a:
-                    out[0, 0] = ""
-                fh.write("".join(out.ravel().tolist()))
+                # One chunk's arrays and cells are gone before the next is read.
+                fh.write(_rows(columns(a, min(a + _CHUNK_STEPS, n_rows)), template, order,
+                               strict, not a))
             fh.write(tail)
     except ValueError:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+def _rows(blocks: list[np.ndarray], template, order, strict: bool, first: bool) -> str:
+    """The text of the rows of ``blocks`` (see :func:`_render`)."""
+    if strict and any(b.dtype.kind == "f" and not np.isfinite(b).all() for b in blocks):
+        raise ValueError("Out of range float values are not JSON compliant")
+    cells = _cells(blocks, order)
+    out = _fill(template(cells.shape[1]), cells)
+    if first:
+        out[0, 0] = ""
+    return "".join(out.ravel().tolist())
 
 
 def _csv(path, header: list[str], n_steps: int, columns) -> Path:
@@ -171,14 +176,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     classic variant, q_1..q_S for the aggregation variant; column i holds
     channel i-1)."""
     prefix, state = _state_names(traj)
-    n_players, [states] = traj.num_players, traj.steps(0, 1, state)
-    n_channels = states.shape[2] if states is not None else int(traj.profiles.max()) + 1
+    fields = ("profiles", "utilities", "potentials", state)
+    n_players, n_channels = traj.num_players, traj.n_channels
     header = ["t", "player", "channel", "utility", "potential"]
     header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
 
     def columns(a, b):
-        profiles, utilities, potentials, states = traj.steps(
-            a, b, "profiles", "utilities", "potentials", state)
+        profiles, utilities, potentials, states = traj.steps(a, b, *fields)
         return [np.repeat(np.arange(a + 1, b + 1), n_players),
                 np.tile(np.arange(n_players), b - a), profiles.ravel(), utilities.ravel(),
                 np.repeat(potentials, n_players)] + (
@@ -235,8 +239,9 @@ def write_trajectory_json(traj: Trajectory, path) -> Path:
         return write_json(payload, path)
     # The fields the run carries, as a skeleton step of one row's shapes,
     # twice: the text between the two is what goes between rows.
-    first = dict(zip(names, traj.steps(0, 1, *names.values())))
-    step = {"t": np.arange(1, 2), **{key: arr for key, arr in first.items() if arr is not None}}
+    step = {"t": np.arange(1, 2)}
+    step.update((key, arr.copy()) for key, arr in zip(names, traj.steps(0, 1, *names.values()))
+                if arr is not None)  # copies: a view would keep the rendered block alive
     fields = [names[key] for key in step if key != "t"]
     payload["steps"] = [step, step]
     texts, order, _ = _template(payload)
