@@ -551,7 +551,7 @@ class BatchFPResult:
         switch = np.repeat(np.arange(len(entry)), m)
         lap = np.repeat(lap, m) + np.arange(len(switch)) - np.repeat(np.cumsum(m) - m, m)
         at = key[entry][switch] + period[switch] * lap
-        order = np.argsort(at)
+        order = np.argsort(at, kind="stable")  # merges the entries' sorted runs
         latest = np.searchsorted(at[order], base[:, None] + np.arange(a, b), side="right") - 1
         return entry[switch][order][latest]
 
