@@ -341,16 +341,9 @@ class Trajectory:
 
     @property
     def utility_sums(self) -> np.ndarray:
-        """Each player's payoffs as a counted sum over the run, (K,): per
-        distinct profile, in order of first visit, its visit count times its
-        payoffs, added left to right."""
-        if self._result is not None:
-            return self._result.utility_sums[0]
-        _, first, visits = np.unique(self.profiles, axis=0, return_index=True, return_counts=True)
-        sums = np.zeros(self.num_players)
-        for v in np.argsort(first):
-            sums += visits[v] * self.utilities[first[v]]
-        return sums
+        """Each player's payoffs over a run the engine returned, as the
+        counted sum of :attr:`BatchFPResult.utility_sums`, (K,)."""
+        return self._result.utility_sums[0]
 
 
 def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
