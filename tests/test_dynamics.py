@@ -655,6 +655,65 @@ def test_the_switch_log_reads_as_per_step_play():
     assert looked_up == [sum(len(set(codes)) for codes in steps)]
 
 
+def _random_log(rng, T, init_step=3):
+    """A switch log of random play on 2 players x 3 channels, logged as the
+    engine logs it: decisions of 1-4 phases played for 1-29 laps, one entry
+    per phase whose profile differs from the step before it. A cycle of
+    several laps switches at the same phases in every lap; the step before
+    it may differ from its last phase (the engine's never does)."""
+    steps = []
+    log = _SwitchLog(1, init_step + T, 9)
+    while len(steps) < T:
+        period = int(rng.integers(1, 5))
+        laps = int(rng.integers(1, 30)) if period > 1 else 1
+        laps = min(laps, (T - len(steps)) // period) or 1
+        cycle = rng.integers(0, 3, period).tolist()
+        before = steps[-1] if steps else -1
+        if laps > 1 and (cycle[0] != before) != (cycle[0] != cycle[-1]):
+            continue  # phase 0 would switch in some laps only
+        for phase, code in enumerate(cycle):
+            if code != (cycle[phase - 1] if phase else before):
+                log.append([0], [init_step + len(steps) + phase], [code], [period], [laps])
+        steps += cycle * laps
+    del steps[T:]
+    return log, steps
+
+
+@pytest.mark.parametrize("block", [2, 5, 2**14])
+def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
+    # A trajectory view of random logs renders their per-step profiles and
+    # counts, and finds every cycle's onset as the walk over those profiles
+    # does, reading a few steps at a time and skipping what the log shows
+    # to repeat.
+    monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", block)
+    rng = np.random.default_rng(43)
+    found = 0
+    for T in [1, 2, 3, 9, 40, 120] * 8:
+        log, codes = _random_log(rng, T)
+        batch = BatchFPResult(frequencies={}, final_marginals=np.zeros((1, 2, 3)),
+                              final_step=3 + T, evaluations=np.zeros(1, dtype=np.int64),
+                              tables=None, switches=log, T=T,
+                              payoffs=lambda game, code: np.zeros((len(code), 2)))
+        n_pairs = len(batch._log.pair_code)
+        traj = Trajectory._view(batch, "classic", "lowest",
+                                {"utilities": np.zeros((n_pairs, 2)),
+                                 "potentials": np.zeros(n_pairs)},
+                                np.full((2, 3), 1 / 3), np.ones((2, 3)))
+        profiles = np.array([divmod(c, 3) for c in codes])
+        np.testing.assert_array_equal(traj.steps(0, T, "profiles")[0], profiles)
+        np.testing.assert_array_equal(traj.counts(), [
+            [np.sum(profiles[:, k] == c) for c in range(3)] for k in range(2)])
+        for window in range(1, T + 1):
+            report = detect_cycle(traj, window)
+            expected = detect_cycle(_manual_trajectory(profiles), window)
+            assert (report is None) == (expected is None)
+            if report is not None:
+                found += 1
+                assert (report.period, report.onset, report.cycle_profiles) == (
+                    expected.period, expected.onset, expected.cycle_profiles)
+    assert found > 300
+
+
 class TestEmpiricalFrequencies:
     def test_counts_rounds(self):
         traj = run_fp(
@@ -766,6 +825,36 @@ class TestCycleOnsetAgainstWalkBack:
     def test_no_cycle(self):
         steps = np.arange(40)
         assert self._check(np.stack([steps, steps % 3], axis=1), window=40) is None
+
+    @pytest.mark.parametrize("block", [3, 7, 2**14])
+    def test_engine_runs_skip_what_the_log_shows_to_repeat(self, monkeypatch, block):
+        # A run the engine returns is read a few steps at a time here, and
+        # its onset search skips what its decision log shows to repeat: a
+        # cycle kept two or more laps, or a run of one profile. Cycles that
+        # persist, die or settle must give the walk back's onset.
+        monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", block)
+        rng = np.random.default_rng(31)
+        games = [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.03, (2, 2))),
+                                    p_max=float(rng.choice([1.0, 10.0, 100.0])))
+                 for _ in range(8)]
+        games += [random_game(rng, 3, 3) for _ in range(3)]
+        games += [GameSpec.symmetric(np.ones((n, 2)), p_max=10.0) for n in (2, 3, 4)]
+        found = 0
+        for game in games:
+            beliefs = (BeliefState.from_xi(rng.uniform(0.05, 0.95, 2)) if game.K == 2
+                       else BeliefState.uniform(game.K, game.S))
+            for engine, init in ((run_fp, beliefs), (run_aggregation_fp,
+                                                     q_from_beliefs(game, beliefs))):
+                profiles, traj = engine(game, init, T=500).profiles, engine(game, init, T=500)
+                for window in (4, 9, 64):
+                    report = detect_cycle(traj, window=window)
+                    if report is not None:
+                        found += 1
+                        assert report.onset == oracle_cycle_onset(profiles, report.period,
+                                                                  window)
+                        assert report.cycle_profiles == tuple(
+                            map(tuple, profiles[report.onset - 1:][:report.period].tolist()))
+        assert found > 60
 
 
 class TestSmallestPeriodAgainstScan:
