@@ -299,17 +299,19 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     """
     if kind in ("beliefs", "utilities") and not isinstance(obj, Trajectory):
         raise ValueError(f"kind {kind!r} needs a Trajectory")
+    # Both series are read a chunk at a time, as the trajectory writers read.
     if kind == "beliefs":
-        prefix, state = _state_names(obj)[0], obj.beliefs_or_q
-        n_players, n_channels = state.shape[1:] if obj.T else (0, 0)
+        prefix, state = _state_names(obj)
+        if obj.steps(0, 0, state)[0] is None:
+            raise ValueError("trajectory carries no per-step state snapshots")
+        n_players, n_channels = (obj.num_players, obj.n_channels) if obj.T else (0, 0)
         header = [f"{prefix}_p{k}_c{s}" for k in range(n_players) for s in range(n_channels)]
         return _csv(path, ["t", *header], obj.T,
-                    lambda a, b: [np.arange(a + 1, b + 1), state[a:b]])
+                    lambda a, b: [np.arange(a + 1, b + 1), *obj.steps(a, b, state)])
     if kind == "utilities":
         header = [f"utility_p{k}" for k in range(obj.num_players)]
         return _csv(path, ["t", *header, "potential"], obj.T, lambda a, b: [
-            np.arange(a + 1, b + 1), obj.utilities[a:b], obj.potentials[a:b]
-        ])
+            np.arange(a + 1, b + 1), *obj.steps(a, b, "utilities", "potentials")])
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")

@@ -677,7 +677,12 @@ class TestCli:
             assert stdout["steps"] == 20
 
 
-def test_a_trajectory_is_written_in_memory_that_does_not_grow_with_the_horizon(tmp_path):
+@pytest.mark.parametrize("write", [
+    lambda traj, path: write_trajectory_csv(traj, path),
+    lambda traj, path: emit_plot_data(traj, "beliefs", path),
+], ids=["trajectory_csv", "beliefs_plot"])
+def test_a_trajectory_is_written_in_memory_that_does_not_grow_with_the_horizon(tmp_path,
+                                                                               write):
     # The paper's 2-cycle switches at every step. A run is a view of the
     # engine's decision log, rendered a chunk at a time, so ten times the
     # steps peak within 10% of the same bytes.
@@ -687,7 +692,7 @@ def test_a_trajectory_is_written_in_memory_that_does_not_grow_with_the_horizon(t
         tracemalloc.start()
         try:
             traj = simulate_trajectory(config.game, config.with_overrides(steps=steps).dynamics)
-            write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+            write(traj, tmp_path / "out.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
