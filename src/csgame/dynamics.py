@@ -453,17 +453,16 @@ class _SwitchLog:
 
 
 # A switch log's entries by game, then in time: the game, the first step
-# (0-based) of the phase, its profile code, period and laps; the entry whose
-# profile is played before the phase's first switch (-1 for a game's first
-# entry) and before its switch in every later period (the cycle's last
-# switching phase, for its first one); the number of the entry's (game,
-# profile code) pair, the pairs counted by game and in order of first visit,
-# with each pair's game, code and first step; the entry's profile, (K,)
-# channel indices in the smallest signed integer type that holds them; and
-# the first and last entries of its cycle (exact for cycles of two or more
-# laps).
-_Log = namedtuple("_Log", "game start code period laps before before_lap pair pair_game "
-                          "pair_code pair_start profile first last")
+# (0-based) of the phase, its period and laps; the entry whose profile is
+# played before the phase's first switch (-1 for a game's first entry) and
+# before its switch in every later period (the cycle's last switching phase,
+# for its first one); the number of the entry's (game, profile code) pair,
+# the pairs counted by game and in order of first visit, with each pair's
+# game, code and first step; the entry's profile, (K,) channel indices in
+# the smallest signed integer type that holds them; and the first and last
+# entries of its cycle (exact for cycles of two or more laps).
+_Log = namedtuple("_Log", "game start period laps before before_lap pair pair_game pair_code "
+                          "pair_start profile first last")
 
 
 @dataclass
@@ -526,7 +525,7 @@ class BatchFPResult:
         at.sort()
         _, n_players, n_channels = self.final_marginals.shape
         profile = code[:, None] // n_channels ** np.arange(n_players - 1, -1, -1) % n_channels
-        return _Log(game, start, code, period, laps, before, before_lap, rank[pair.ravel()],
+        return _Log(game, start, period, laps, before, before_lap, rank[pair.ravel()],
                     game[at], code[at], start[at], profile.astype(_action_dtype(n_channels)),
                     np.flatnonzero(opens)[cycle], last)
 
