@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import tracemalloc
 from pathlib import Path
