@@ -332,22 +332,6 @@ class Trajectory:
             state[0] = self.initial_state
         return state
 
-    def _repeats_from(self, end: int, period: int) -> int:
-        """A step u from which the run surely repeats with ``period`` up to
-        step ``end`` - 1, read off the decision log: the first switch of the
-        cycle in effect at step ``end`` - 1 when it repeats two or more laps
-        of a period that divides ``period``, else the switch in effect there;
-        ``end`` for a trajectory built from arrays."""
-        if self._result is None:
-            return end
-        log = self._result._log
-        i = self._result._in_effect(end - 1, end, np.zeros(1, dtype=np.int64))[0, 0]
-        q, last = log.period[i], log.last[i]
-        if log.laps[i] > 1 and period % q == 0 and (
-                end <= log.start[last] + (log.laps[last] - 1) * q + 1):
-            return int(log.start[log.first[i]])
-        return int(log.start[i] + min(log.laps[i] - 1, (end - 1 - log.start[i]) // q) * q)
-
     def counts(self) -> np.ndarray:
         """Each player's number of steps on each channel, (K, S), as floats."""
         if self._result is not None:
@@ -458,11 +442,10 @@ class _SwitchLog:
 # before its switch in every later period (the cycle's last switching phase,
 # for its first one); the number of the entry's (game, profile code) pair,
 # the pairs counted by game and in order of first visit, with each pair's
-# game, code and first step; the entry's profile, (K,) channel indices in
-# the smallest signed integer type that holds them; and the first and last
-# entries of its cycle (exact for cycles of two or more laps).
+# game, code and first step; and the entry's profile, (K,) channel indices
+# in the smallest signed integer type that holds them.
 _Log = namedtuple("_Log", "game start period laps before before_lap pair pair_game pair_code "
-                          "pair_start profile first last")
+                          "pair_start profile")
 
 
 @dataclass
@@ -526,8 +509,7 @@ class BatchFPResult:
         _, n_players, n_channels = self.final_marginals.shape
         profile = code[:, None] // n_channels ** np.arange(n_players - 1, -1, -1) % n_channels
         return _Log(game, start, period, laps, before, before_lap, rank[pair.ravel()],
-                    game[at], code[at], start[at], profile.astype(_action_dtype(n_channels)),
-                    np.flatnonzero(opens)[cycle], last)
+                    game[at], code[at], start[at], profile.astype(_action_dtype(n_channels)))
 
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
@@ -1141,11 +1123,10 @@ def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
     if not period:
         return None
     # The run is periodic from the step after the last one before the window
-    # that differs from its successor one period on, sought back a chunk of
-    # steps at a time, past what the decision log shows to repeat.
+    # that differs from its successor one period on, sought back a block of
+    # steps at a time.
     onset, b = 0, T - window
     while b > 0:
-        b = min(b, traj._repeats_from(b + period, period))
         a = max(0, b - _BLOCK_STEPS)
         [profiles] = traj.steps(a, b + period, "profiles")
         misses = np.flatnonzero(np.any(profiles[:b - a] != profiles[period:], axis=1))

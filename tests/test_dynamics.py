@@ -682,8 +682,7 @@ def _random_log(rng, T, init_step=3):
 def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
     # A trajectory view of random logs renders their per-step profiles and
     # counts, and finds every cycle's onset as the walk over those profiles
-    # does, reading a few steps at a time and skipping what the log shows
-    # to repeat.
+    # does, reading a few steps at a time.
     monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", block)
     rng = np.random.default_rng(43)
     found = 0
@@ -826,11 +825,10 @@ class TestCycleOnsetAgainstWalkBack:
         assert self._check(np.stack([steps, steps % 3], axis=1), window=40) is None
 
     @pytest.mark.parametrize("block", [3, 7, 2**14])
-    def test_engine_runs_skip_what_the_log_shows_to_repeat(self, monkeypatch, block):
+    def test_engine_runs_read_a_block_at_a_time(self, monkeypatch, block):
         # A run the engine returns is read a few steps at a time here, and
-        # its onset search skips what its decision log shows to repeat: a
-        # cycle kept two or more laps, or a run of one profile. Cycles that
-        # persist, die or settle must give the walk back's onset.
+        # its onset is sought back one block at a time. Cycles that persist,
+        # die or settle must give the walk back's onset.
         monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", block)
         rng = np.random.default_rng(31)
         games = [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.03, (2, 2))),
