@@ -80,6 +80,9 @@ MAX_PERIOD = 8
 # Steps a trajectory view renders at once, and detect_cycle reads at once
 # while it seeks a cycle's onset.
 _BLOCK_STEPS = 2**14
+# The longest run: the log's readers count steps in int64 as sums of up to T
+# terms of up to T steps (see BatchFPResult._played), exact while T² fits.
+_MAX_T = math.isqrt(np.iinfo(np.int64).max)
 # Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
 # the window is p-periodic; entries j >= p map to themselves.
 _PERIOD_SHIFT = np.where(np.arange(MAX_PERIOD) < np.arange(1, MAX_PERIOD + 1)[:, None],
@@ -105,6 +108,8 @@ def _chooser(tie_break: str, T: int = 1):
     per-profile cache can key on ``pick``. Rejects a bad ``T`` or tie-break."""
     if T < 1:
         raise ValueError("T must be >= 1")
+    if T > _MAX_T:
+        raise ValueError(f"T must be <= {_MAX_T}, for exact step counts in int64")
     if tie_break == "lowest":
         return (lambda values: values.argmax(axis=-1)), (lambda first, n: first)
     if tie_break == "highest":
@@ -514,7 +519,8 @@ class BatchFPResult:
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
         as int64: each of its switches before step t adds t - s steps for a
-        switch at step s, and each switch away from it takes them off."""
+        switch at step s, and each switch away from it takes them off. Exact
+        for t <= :data:`_MAX_T`."""
         log = self._log
         n = np.clip((t - log.start + log.period - 1) // log.period, 0, log.laps)  # switches
         into = n * (t - log.start) - log.period * (n * (n - 1) // 2)

@@ -34,7 +34,7 @@ from csgame import (
     utility,
     write_trajectory_csv,
 )
-from csgame.dynamics import MAX_PERIOD, _smallest_period, _SwitchLog
+from csgame.dynamics import _MAX_T, MAX_PERIOD, _smallest_period, _SwitchLog
 from _oracles import (
     oracle_counted_sum,
     oracle_cycle_onset,
@@ -383,6 +383,19 @@ class TestSharedChecks:
             with pytest.raises(ValueError) as info:
                 engine(unit_game, T=0)
             assert str(info.value) == "T must be >= 1"
+
+    def test_horizons_past_exact_step_counts_are_refused(self, strong_interference_game):
+        # The log's readers count steps in int64 sums of up to T terms of up
+        # to T steps. At the bound the paper's 2-cycle, jumped in a few
+        # decisions, still counts every step exactly; one step past it no
+        # engine runs.
+        game, T = strong_interference_game, _MAX_T
+        assert T * T <= np.iinfo(np.int64).max < (T + 1) ** 2
+        traj = run_fp(game, BeliefState.from_xi([0.5, 0.5]), T=T)
+        np.testing.assert_array_equal(traj.counts(), [[(T + 1) // 2, T // 2]] * 2)
+        for engine in (run_fp, run_aggregation_fp):
+            with pytest.raises(ValueError, match=f"T must be <= {T}"):
+                engine(game, T=T + 1)
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
     def test_beliefs_that_do_not_fit_the_game(self, unit_game, shape):
