@@ -227,6 +227,10 @@ class Trajectory:
         self.variant, self.tie_break, self._result = variant, tie_break, None
         self.initial_step, self.initial_state = initial_step, initial_state
         self.final_step, self.final_state = final_step, final_state
+        self.T, self.num_players = profiles.shape
+        state = beliefs if variant == "classic" else q_values
+        self.n_channels = state.shape[2] if state is not None else int(profiles.max(
+            initial=-1)) + 1
         for name, arr in zip(_PER_STEP, (profiles, utilities, potentials, beliefs, q_values,
                                          gammas)):
             if arr is not None and len(arr) != len(profiles):
@@ -245,6 +249,7 @@ class Trajectory:
               initial_state: np.ndarray, base: np.ndarray, values=None) -> "Trajectory":
         traj = cls.__new__(cls)
         traj.variant, traj.tie_break, traj._result = variant, tie_break, result
+        traj.T, (_, traj.num_players, traj.n_channels) = result.T, result.final_marginals.shape
         traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
         traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
         traj._per_profile, traj._base, traj._values = per_profile, base, values
@@ -252,30 +257,6 @@ class Trajectory:
         traj._carry = (0, np.zeros(base.shape if values is None else len(values)))
         traj._block = (0, {"profiles": ()})  # the rendered block's first step and fields
         return traj
-
-    @property
-    def T(self) -> int:
-        return len(self.profiles) if self._result is None else self._result.T
-
-    @property
-    def num_players(self) -> int:
-        if self._result is None:
-            return self.profiles.shape[1]
-        return self._result.final_marginals.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        if self._result is not None:
-            return self._result.final_marginals.shape[2]
-        state = self.beliefs if self.variant == "classic" else self.q_values
-        return state.shape[2] if state is not None else int(self.profiles.max()) + 1
-
-    @property
-    def beliefs_or_q(self) -> np.ndarray:
-        state = self.beliefs if self.variant == "classic" else self.q_values
-        if state is None:
-            raise ValueError("trajectory carries no per-step state snapshots")
-        return state
 
     def steps(self, a: int, b: int, *names: str) -> list:
         """The per-step fields ``names`` over steps a..b-1 (None for a field
@@ -346,9 +327,16 @@ class Trajectory:
 
     @property
     def utility_sums(self) -> np.ndarray:
-        """Each player's payoffs over a run the engine returned, as the
-        counted sum of :attr:`BatchFPResult.utility_sums`, (K,)."""
-        return self._result.utility_sums[0]
+        """Each player's payoffs summed over the run as a counted sum, (K,):
+        per distinct profile, in order of first visit and added left to
+        right, its visit count times its payoffs at that first visit (see
+        :attr:`BatchFPResult.utility_sums`)."""
+        if self._result is not None:
+            return self._result.utility_sums[0]
+        _, first, visits = np.unique(self.profiles, axis=0, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        return sum(visits[order, None] * self.utilities[first[order]], np.zeros(self.num_players))
 
 
 def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:

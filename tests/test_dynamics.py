@@ -725,6 +725,20 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
     assert found > 300
 
 
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_a_trajectory_built_from_arrays_reads_the_same_counted_sum(engine):
+    # A trajectory held as arrays (as read back from CSV) sums each player's
+    # payoffs as the engine's view of the same run does.
+    rng = np.random.default_rng(11)
+    for game in [random_game(rng, 2, 2) for _ in range(4)] + [random_game(rng, 3, 3)]:
+        traj = engine(game, T=300)
+        held = Trajectory(variant="classic", tie_break="lowest", profiles=traj.profiles,
+                          utilities=traj.utilities, potentials=traj.potentials)
+        np.testing.assert_array_equal(held.utility_sums, traj.utility_sums)
+        np.testing.assert_array_equal(held.utility_sums,
+                                      oracle_counted_sum(traj.profiles, traj.utilities))
+
+
 class TestEmpiricalFrequencies:
     def test_counts_rounds(self):
         traj = run_fp(

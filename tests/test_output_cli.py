@@ -280,8 +280,8 @@ class TestBulkRenderingAgainstStdlib:
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_belief_plot_without_state_snapshots(self, variant, tmp_path):
-        # The state is read through Trajectory.beliefs_or_q, which names
-        # what is missing; the utility series needs no state.
+        # A trajectory without the state names what is missing; the utility
+        # series needs no state.
         traj = _odd_trajectory(variant, 5, 2, 3)
         traj.beliefs = traj.q_values = None
         with pytest.raises(ValueError, match="no per-step state snapshots"):
