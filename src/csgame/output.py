@@ -120,18 +120,24 @@ def _template(tree) -> tuple[list[str], list[int], list[np.ndarray]]:
     A non-finite float, in an array or kept as it is, raises ValueError."""
     arrays: list = []
     parts = _LEAF.split(dumps_json(_skeleton(tree, itertools.count(), arrays)) + "\n")
+    return parts[0::2], [int(i) for i in parts[1::2]], _finite(arrays)
+
+
+def _finite(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """``arrays``, once none holds a non-finite float (else ValueError, as
+    the standard encoder raises)."""
     if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in arrays):
         raise ValueError("Out of range float values are not JSON compliant")
-    return parts[0::2], [int(i) for i in parts[1::2]], arrays
+    return arrays
 
 
 def _render(path, head: str, template, tail: str, n_rows: int, columns,
-            order=None, newline: str | None = "", strict: bool = False) -> Path:
+            order=None, newline: str | None = "") -> Path:
     """Write ``head``, every row, then ``tail``. A row of n cells is its
     cells between the texts ``template(n)``, whose first entry, what goes
     between two rows, is dropped before the first row. ``columns(a, b)``
-    gives the blocks of rows a..b-1 (see :func:`_cells`). ``strict`` (JSON)
-    refuses a non-finite float; a ValueError leaves no file."""
+    gives the blocks of rows a..b-1 (see :func:`_cells`); a ValueError it
+    raises leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -140,7 +146,7 @@ def _render(path, head: str, template, tail: str, n_rows: int, columns,
             for a in range(0, n_rows, _CHUNK_STEPS):
                 # One chunk's arrays and cells are gone before the next is read.
                 fh.write(_rows(columns(a, min(a + _CHUNK_STEPS, n_rows)), template, order,
-                               strict, not a))
+                               not a))
             fh.write(tail)
     except ValueError:
         path.unlink(missing_ok=True)
@@ -148,10 +154,8 @@ def _render(path, head: str, template, tail: str, n_rows: int, columns,
     return path
 
 
-def _rows(blocks: list[np.ndarray], template, order, strict: bool, first: bool) -> str:
+def _rows(blocks: list[np.ndarray], template, order, first: bool) -> str:
     """The text of the rows of ``blocks`` (see :func:`_render`)."""
-    if strict and any(b.dtype.kind == "f" and not np.isfinite(b).all() for b in blocks):
-        raise ValueError("Out of range float values are not JSON compliant")
     cells = _cells(blocks, order)
     out = _fill(template(cells.shape[1]), cells)
     if first:
@@ -248,8 +252,8 @@ def write_trajectory_json(traj: Trajectory, path) -> Path:
     n_leaves = len(order) // 2
     row = [texts[n_leaves], *texts[1:n_leaves], ""]
     return _render(path, texts[0], lambda n_cells: row, texts[-1], traj.T,
-                   lambda a, b: [np.arange(a + 1, b + 1), *traj.steps(a, b, *fields)],
-                   order[:n_leaves], newline=None, strict=True)
+                   lambda a, b: _finite([np.arange(a + 1, b + 1), *traj.steps(a, b, *fields)]),
+                   order[:n_leaves], newline=None)
 
 
 def write_summary_json(summary: MonteCarloSummary, path) -> Path:
