@@ -1,33 +1,37 @@
 #!/usr/bin/env python3
 """Check that a simulate run's peak memory does not grow with its horizon.
 
-Runs ``csgame simulate CONFIG --format csv`` at each horizon given, one
-fresh child process at a time, each writing into its own temporary
-directory, and reads every child's peak resident set (``ru_maxrss``)
-through ``os.wait4``. This launcher imports nothing heavy, so the children
-start small. Exits 1 when any run peaks more than ``--tolerance`` above the
-first one.
+Runs ``csgame simulate configs/symmetric_cycle.yaml --format csv`` (the
+paper's 2-cycle, which switches at every step) at 30 000 and at 2 000 000
+steps, one fresh child process at a time, each writing into its own
+temporary directory, and reads every child's peak resident set
+(``ru_maxrss``) through ``os.wait4``. This launcher imports nothing heavy,
+so the children start small. Exits 1 when the long run peaks more than 10%
+above the short one.
 
 Usage:
-    PYTHONPATH=src python3 scripts/horizon_memory.py configs/symmetric_cycle.yaml \
-        --steps 30000 2000000 [--tolerance 0.10]
+    PYTHONPATH=src python3 scripts/horizon_memory.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "symmetric_cycle.yaml"
+HORIZONS = (30_000, 2_000_000)
+TOLERANCE = 0.10
 
 
-def peak_mb(config: str, steps: int) -> tuple[float, float]:
+def peak_mb(steps: int) -> tuple[float, float]:
     """Peak RSS in MB and wall seconds of one simulate run."""
     with tempfile.TemporaryDirectory() as out:
-        argv = [sys.executable, "-m", "csgame.cli", "simulate", config, "--steps", str(steps),
-                "--format", "csv", "--out", out]
+        argv = [sys.executable, "-m", "csgame.cli", "simulate", str(CONFIG), "--steps",
+                str(steps), "--format", "csv", "--out", out]
         start = time.perf_counter()
         child = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
@@ -38,20 +42,15 @@ def peak_mb(config: str, steps: int) -> tuple[float, float]:
     return usage.ru_maxrss / 1024, wall
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("config")
-    parser.add_argument("--steps", type=int, nargs="+", required=True)
-    parser.add_argument("--tolerance", type=float, default=0.10)
-    args = parser.parse_args(argv)
+def main() -> int:
     peaks = []
-    for steps in args.steps:
-        peak, wall = peak_mb(args.config, steps)
+    for steps in HORIZONS:
+        peak, wall = peak_mb(steps)
         peaks.append(peak)
         print(f"{steps:>10} steps: peak RSS {peak:7.1f} MB, wall {wall:6.2f} s")
-    limit = (1 + args.tolerance) * peaks[0]
-    if max(peaks) > limit:
-        print(f"peak RSS grows with the horizon: {max(peaks):.1f} MB > {limit:.1f} MB")
+    limit = (1 + TOLERANCE) * peaks[0]
+    if peaks[-1] > limit:
+        print(f"peak RSS grows with the horizon: {peaks[-1]:.1f} MB > {limit:.1f} MB")
         return 1
     return 0
 
