@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dynamics import BeliefState, TIE_BREAKS
+from .dynamics import _MAX_T, BeliefState, TIE_BREAKS
 from .game import GameSpec
 
 __all__ = [
@@ -143,6 +143,8 @@ class DynamicsSpec:
     def __post_init__(self) -> None:
         _require_choice("dynamics.variant", self.variant, VARIANTS)
         _require_int("dynamics.steps", self.steps, 1)
+        if self.steps > _MAX_T:  # the engines count steps exactly in int64
+            raise ConfigError(f"dynamics.steps: must be <= {_MAX_T}")
         _require_choice("dynamics.tie_break", self.tie_break, TIE_BREAKS)
         object.__setattr__(self, "initial_beliefs", _initial_beliefs(self.initial_beliefs))
 

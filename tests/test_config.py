@@ -310,6 +310,7 @@ MALFORMED = [
     ("simulate", "outputs", "directory", True),
     ("simulate", "outputs", "directory", ["out"]),
     ("simulate", "outputs", "directory", ""),
+    ("simulate", "dynamics", "steps", 4 * 10**9),
 ]
 
 
