@@ -31,6 +31,7 @@ supplies only its scores and its certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -101,12 +102,20 @@ def _action_dtype(n_channels: int) -> np.dtype:
     return np.min_scalar_type(-n_channels)
 
 
+def _integer(value, what: str) -> int:
+    """The engines' integer rule for step counts: an integral number, not a
+    bool (a float horizon would size the log's step columns as floats)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _chooser(tie_break: str, T: int = 1):
     """Tie-broken argmax over the last axis, for a run of ``T`` steps, as
     ``(pick, channel)``: ``pick(values)`` is the first maximum in tie-break
     order and ``channel(first, n_channels)`` maps it to a channel, so a
     per-profile cache can key on ``pick``. Rejects a bad ``T`` or tie-break."""
-    if T < 1:
+    if _integer(T, "T") < 1:
         raise ValueError("T must be >= 1")
     if T > _MAX_T:
         raise ValueError(f"T must be <= {_MAX_T}, for exact step counts in int64")
@@ -134,7 +143,7 @@ class BeliefState:
 
     def __post_init__(self) -> None:
         marginals = np.atleast_2d(np.asarray(self.marginals, dtype=float))
-        if int(self.step) < 1:
+        if _integer(self.step, "belief step") < 1:
             raise ValueError("belief step must be >= 1 (priors carry weight 1)")
         if np.any(marginals < 0):
             raise ValueError("belief entries must be non-negative")
@@ -184,7 +193,7 @@ class QState:
 
     def __post_init__(self) -> None:
         q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        if int(self.step) < 0:
+        if _integer(self.step, "q step") < 0:
             raise ValueError("q step must be >= 0")
         if not np.all(np.isfinite(q)) or np.any(q < 0):
             raise ValueError("q entries must be finite and non-negative")
@@ -211,7 +220,7 @@ class Trajectory:
     so a writer holds one chunk at a time whatever the horizon, and a field
     is built whole only when that attribute is read. A step's profile comes
     from the log, its payoffs, potential and gamma from one lookup per
-    distinct profile (rows in order of first visit), and its decision-time
+    pair number (see :class:`BatchFPResult`), and its decision-time
     state is summed as the engine sums it, from the initial step times the
     initial state: exact counts, or each profile's channel values
     (``values``) under the aggregation rule. Chunks read in order carry the
@@ -303,15 +312,14 @@ class Trajectory:
             self._carry = (b, state[-1] + eye[profiles[-1]])
             state += self._base
             return state / weight
-        # The initial sum, then each profile's visits before the step times
-        # its values, in order of first visit, from the step after that
-        # visit on.
+        # The initial sum, then each pair's visits before the step times its
+        # values, in order of first visit, from the step after that visit on.
         state = np.repeat(self._base[None], b - a, axis=0)
-        for row in range(np.searchsorted(result._log.pair_start, b - 1)):
-            hits = pair == row
-            visits = sums[row] + np.cumsum(hits) - hits
-            on = visits > 0
-            state[on] += visits[on, None, None] * self._values[row]
+        for p in range(np.searchsorted(result.pairs["start"], b - 1)):
+            hits = pair == p
+            visits = sums[p] + np.cumsum(hits) - hits
+            on = np.flatnonzero(visits)
+            _counted_sum(state, on, visits[on], self._values[p])
         self._carry = (b, sums + np.bincount(pair, minlength=len(sums)))
         np.divide(state, weight, out=state, where=weight > 0)
         if a == 0 and self.initial_step == 0:
@@ -336,7 +344,8 @@ class Trajectory:
         _, first, visits = np.unique(self.profiles, axis=0, return_index=True,
                                      return_counts=True)
         order = np.argsort(first)
-        return sum(visits[order, None] * self.utilities[first[order]], np.zeros(self.num_players))
+        return _counted_sum(np.zeros((1, self.num_players)), np.zeros(len(order), dtype=np.intp),
+                            visits[order], self.utilities[first[order]])[0]
 
 
 def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
@@ -394,72 +403,75 @@ def fp_best_response(
     return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
 
 
-class _SwitchLog:
-    """Growable log of the switching phases of every decision: game index,
-    weight (initial step plus steps played) at the phase's first switch,
-    new profile code, and the period and number of periods (``laps``) of
-    the cycle played, the phase switching once per period. A single step's
-    switch has period and laps 1. Entries are appended in time order of
-    decisions per game, in the smallest integer types that hold them."""
+class _Columns:
+    """Growable columns of one length, one per keyword, each of its own
+    dtype (a subarray dtype gives its rows a shape). ``append`` takes rows
+    for every column and doubles the capacity of any it overflows;
+    ``self[name]`` is the filled part of a column, as a view."""
 
-    def __init__(self, n_games: int, max_weight: int, n_profiles: int) -> None:
+    def __init__(self, **dtypes) -> None:
         self.size = 0
-        self.game = np.empty(64, np.min_scalar_type(n_games))
-        self.weight = np.empty(64, np.min_scalar_type(max_weight))
-        self.code = np.empty(64, np.min_scalar_type(n_profiles))
-        self.period = np.empty(64, np.min_scalar_type(MAX_PERIOD))
-        self.laps = np.empty(64, np.min_scalar_type(max_weight))
+        self._data = {name: np.empty(64, dtype) for name, dtype in dtypes.items()}
 
-    def append(self, games, weights, codes, periods, laps) -> None:
-        start, end = self.size, self.size + len(games)
-        columns = {"game": games, "weight": weights, "code": codes, "period": periods,
-                   "laps": laps}
-        if end > len(self.game):
-            capacity = max(2 * len(self.game), end)
-            for name in columns:  # one old array held at a time
-                old = getattr(self, name)
-                setattr(self, name, np.empty(capacity, old.dtype))
-                getattr(self, name)[:start] = old[:start]
-        for name, values in columns.items():
-            getattr(self, name)[start:end] = values
-        self.size = end
+    def append(self, **rows) -> None:
+        start = self.size
+        self.size += len(rows[next(iter(self._data))])
+        for name, column in self._data.items():
+            if self.size > len(column):  # one old column held at a time
+                grown = np.empty((max(2 * len(column), self.size),) + column.shape[1:],
+                                 column.dtype)
+                grown[:start] = column[:start]
+                self._data[name] = column = grown
+            column[start:self.size] = rows[name]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        """One column over the entries logged, as int64."""
-        return getattr(self, name)[:self.size].astype(np.int64)
+        return self._data[name][:self.size]
+
+
+def _counted_sum(sums: np.ndarray, rows: np.ndarray, visits: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """Adds a counted sum to ``sums`` in place and returns it: per entry j,
+    in the order given, ``visits[j]`` times ``values[j]`` (or ``values``,
+    one row shared by every entry) to row ``rows[j]``. With the entries in
+    order of first visit, every row sums its profiles left to right in that
+    order, the order in which the engine, its results and a trajectory all
+    sum them, bit for bit."""
+    np.add.at(sums, rows, visits.reshape((-1,) + (1,) * (sums.ndim - 1)) * values)
+    return sums
 
 
 # A switch log's entries by game, then in time: the game, the first step
 # (0-based) of the phase, its period and laps; the entry whose profile is
 # played before the phase's first switch (-1 for a game's first entry) and
 # before its switch in every later period (the cycle's last switching phase,
-# for its first one); the number of the entry's (game, profile code) pair,
-# the pairs counted by game and in order of first visit, with each pair's
-# game, code and first step; and the entry's profile, (K,) channel indices
-# in the smallest signed integer type that holds them.
-_Log = namedtuple("_Log", "game start period laps before before_lap pair pair_game pair_code "
-                          "pair_start profile")
+# for its first one); the entry's pair number (see BatchFPResult) and its
+# profile, (K,) channel indices in the smallest signed integer type that
+# holds them.
+_Log = namedtuple("_Log", "game start period laps before before_lap pair profile")
 
 
 @dataclass
 class BatchFPResult:
     """Fictitious play, of either rule, on a stack of G same-shape games.
 
-    The play is kept run-length encoded, as the switching phases of every
-    decision (``switches``), a jumped cycle's phase once for all its
-    periods; each game's first decision is a switch. Every read goes
-    through the log's entries, so its cost grows with the decisions, not
-    with the steps. ``actions`` renders every game's profile at every step,
-    shape (T, G, K), in the smallest signed integer type that holds a
-    channel index, when it is first read, and :meth:`tail` renders only the
-    last steps. ``frequencies[t]`` holds the (G, K, S) empirical action
-    frequencies after checkpoint step t, from exact counts, and
-    ``final_marginals`` the (G, K, S) final state: beliefs under the
-    classic rule, channel scores under the aggregation rule.
-    ``utility_sums`` holds each player's payoffs summed over the run as a
-    counted sum: per distinct profile, in order of first visit and added
-    left to right, its visit count times its payoffs, shape (G, K), read
-    from ``payoffs(games, codes)`` once per (game, profile code) pair.
+    The play is kept run-length encoded. ``pairs`` numbers the (game,
+    profile) pairs played from 0 in order of first visit, so each game's
+    pairs in its own order of first visit, with each pair's ``game``,
+    profile ``code``, ``profile`` (K channel indices) and ``start`` (0-based
+    step of its first visit). ``switches`` logs the switching phases of
+    every decision, a jumped cycle's phase once for all its periods: per
+    entry its ``pair``, first ``start`` step, and the ``period`` and number
+    of periods (``laps``) of the cycle, the phase switching once per period;
+    each game's first decision is a switch. Every read goes through the
+    log's entries, so its cost grows with the decisions, not with the
+    steps. ``actions`` renders every game's profile at every step, (T, G,
+    K), when it is first read, and :meth:`tail` only the last steps.
+    ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
+    after checkpoint step t, from exact counts, and ``final_marginals`` the
+    (G, K, S) final state: beliefs under the classic rule, channel scores
+    under the aggregation rule. ``utility_sums`` holds each player's
+    payoffs over the run as a counted sum (:func:`_counted_sum`) of
+    ``payoffs()``, (P, K) per pair, shape (G, K).
     ``evaluations`` counts each game's decision points, the steps at which
     its rule's scores were computed; ``tables`` holds the classic rule's
     (G, K) + (S,)*K payoffs (None for the aggregation rule, which needs no
@@ -471,16 +483,20 @@ class BatchFPResult:
     final_step: int
     evaluations: np.ndarray
     tables: np.ndarray | None
-    switches: _SwitchLog
+    switches: _Columns
+    pairs: _Columns
     T: int
-    payoffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    payoffs: Callable[[], np.ndarray]
 
     @cached_property
     def _log(self) -> _Log:
         log = self.switches
-        order = np.argsort(log["game"], kind="stable")  # each game's entries stay in time order
-        game, code, period, laps = (log[name][order] for name in ("game", "code", "period", "laps"))
-        start = log["weight"][order] - (self.final_step - self.T)
+        pair = log["pair"].astype(np.int64)
+        order = np.argsort(self.pairs["game"][pair], kind="stable")  # entries stay in time order
+        pair = pair[order]
+        game = self.pairs["game"][pair]
+        start, period, laps = (log[name][order].astype(np.int64)
+                               for name in ("start", "period", "laps"))
         index = np.arange(len(order))
         first = np.ones(len(order), dtype=bool)
         first[1:] = game[1:] != game[:-1]
@@ -494,15 +510,8 @@ class BatchFPResult:
         cycle = np.cumsum(opens) - 1
         last = np.flatnonzero(np.append(opens[1:], True))[cycle]
         before_lap = np.where(opens, last, before)
-        _, at, pair = np.unique(np.stack([game, code], axis=1), axis=0, return_index=True,
-                                return_inverse=True)
-        rank = np.empty(len(at), dtype=np.intp)
-        rank[np.argsort(at)] = np.arange(len(at))
-        at.sort()
-        _, n_players, n_channels = self.final_marginals.shape
-        profile = code[:, None] // n_channels ** np.arange(n_players - 1, -1, -1) % n_channels
-        return _Log(game, start, period, laps, before, before_lap, rank[pair.ravel()],
-                    game[at], code[at], start[at], profile.astype(_action_dtype(n_channels)))
+        return _Log(game, start, period, laps, before, before_lap, pair,
+                    self.pairs["profile"][pair])
 
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
@@ -567,21 +576,15 @@ class BatchFPResult:
     @cached_property
     def utility_sums(self) -> np.ndarray:
         """Each player's payoffs as a counted sum over the run, (G, K)."""
-        log = self._log
-        n_games, n_players = self.final_marginals.shape[:2]
-        visits = np.bincount(log.pair, weights=self._played(self.T), minlength=len(log.pair_game))
-        payoffs = self.payoffs(log.pair_game, log.pair_code)
-        # bincount adds each bin's weights in input order, so every (game,
-        # player) sum runs over that game's profiles in order of first visit.
-        index = log.pair_game[:, None] * n_players + np.arange(n_players)
-        sums = np.bincount(index.ravel(), weights=(visits[:, None] * payoffs).ravel(),
-                           minlength=n_games * n_players)
-        return sums.reshape(n_games, n_players)
+        visits = np.bincount(self._log.pair, weights=self._played(self.T),
+                             minlength=self.pairs.size)
+        return _counted_sum(np.zeros(self.final_marginals.shape[:2]), self.pairs["game"], visits,
+                            self.payoffs())
 
 
 def _periods(window: np.ndarray) -> np.ndarray:
     """Per row of ``window`` (a game's new decision, then the profiles of the
-    steps it played, newest first, as codes): the smallest p <=
+    steps it played, newest first, as pair numbers): the smallest p <=
     :data:`MAX_PERIOD` whose first 2p entries repeat with period p, else 0."""
     periodic = (window[:, None, :MAX_PERIOD] == window[:, _PERIOD_SHIFT]).all(axis=2)
     return np.where(periodic.any(axis=1), periodic.argmax(axis=1) + 1, 0)
@@ -591,8 +594,8 @@ def _unroll(window: np.ndarray, period: np.ndarray):
     """Each row's cycle of its new decision and the ``period`` - 1 steps
     before it, in a ``window`` that repeats with that period (see
     :func:`_periods`; a single step is a cycle of period 1 in any window),
-    flattened row by row, phase 0 first: the row, phase and profile code of
-    every phase, the code of the step before it, and where each row's
+    flattened row by row, phase 0 first: the row, phase and pair of every
+    phase, the pair of the step before it, and where each row's
     phases start."""
     start = np.cumsum(period) - period
     row = np.repeat(np.arange(len(period)), period)
@@ -704,27 +707,38 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
     the fewest of them before it decides again. Only a game that wanders,
     or meets exact ties again and again, is decided every step.
 
+    Only a game's new decision can visit a profile first, so it alone is
+    numbered as a (game, profile) pair (see :class:`BatchFPResult`), here
+    and nowhere else; the window and the log carry pair numbers.
+
     ``rule`` holds the running games' state: ``ids`` (which games run),
-    ``scores(weight)``, ``certify(at, row, phase, start, code, step,
-    period, cap)`` (per phase of :func:`_unroll` of running game ``at``,
-    at weight ``step``, the periods it keeps, at most ``cap``),
-    ``advance(rows, codes, mult)`` (running game ``rows[i]`` played profile
-    ``codes[i]`` ``mult[i]`` more times), ``retire(done, weight)`` (record
-    the final state of the games ``done`` and drop them), ``final``,
-    ``tables`` and ``payoffs()`` (see :class:`BatchFPResult`).
+    ``pairs`` (set here: the pairs numbered so far), ``scores(weight)``,
+    ``certify(at, row, phase, start, pair, step, period, cap)`` (per phase
+    of :func:`_unroll` of running game ``at``, at weight ``step``, the
+    periods it keeps, at most ``cap``), ``advance(rows, pairs, mult)``
+    (running game ``rows[i]`` played pair ``pairs[i]`` ``mult[i]`` more
+    times), ``retire(done, weight)`` (record the final state of the games
+    ``done`` and drop them), ``final``, ``tables`` and ``payoffs`` (see
+    :class:`BatchFPResult`).
     """
     pick, channel = _chooser(tie_break, T)
-    if n_channels**n_players > np.iinfo(np.int64).max:
-        raise ValueError(f"S**K = {n_channels**n_players} profiles do not fit a 64-bit code")
+    n_profiles = n_channels**n_players
+    if n_profiles > np.iinfo(np.int64).max:
+        raise ValueError(f"S**K = {n_profiles} profiles do not fit a 64-bit code")
     n_games = len(rule.ids)
     place = n_channels ** np.arange(n_players - 1, -1, -1)
     end = float(init_step + T)
     evaluations = np.zeros(n_games, dtype=np.int64)
-    switches = _SwitchLog(n_games, init_step + T, n_channels**n_players)
-    # Per running game: its weight, as a float, and the profile codes of the
-    # last steps played, newest first (-1 before the first steps). A game
-    # leaves the stack as soon as it finishes, so every game in it is
-    # decided at every pass.
+    numbered: dict[int, int] = {}  # game * S**K + profile code -> pair
+    pairs = rule.pairs = _Columns(game=np.int64, code=np.int64, start=np.int64,
+                                  profile=(_action_dtype(n_channels), (n_players,)))
+    switches = _Columns(pair=np.min_scalar_type(n_games * min(n_profiles, T)),
+                        start=np.min_scalar_type(T), period=np.min_scalar_type(MAX_PERIOD),
+                        laps=np.min_scalar_type(T))
+    # Per running game: its weight, as a float, and the pairs of the last
+    # steps played, newest first (-1 before the first steps). A game leaves
+    # the stack as soon as it finishes, so every game in it is decided at
+    # every pass.
     weight = np.full(n_games, float(init_step))
     history = np.full((n_games, 2 * MAX_PERIOD - 1), -1)
     iteration = 0
@@ -732,7 +746,13 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         iteration += 1
         ids = rule.ids
         a = channel(pick(rule.scores(weight)), n_channels)
-        window = np.concatenate([a.dot(place)[:, None], history], axis=1)
+        codes = a.dot(place)
+        decided = np.array([numbered.setdefault(g * n_profiles + c, len(numbered))
+                            for g, c in zip(ids.tolist(), codes.tolist())])
+        new = decided >= pairs.size
+        pairs.append(game=ids[new], code=codes[new], start=weight[new] - init_step,
+                     profile=a[new])
+        window = np.concatenate([decided[:, None], history], axis=1)
         # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
         # one period of one step, its new decision, unless its last steps
         # repeat and the certificate covers whole periods of them.
@@ -742,9 +762,9 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         tried = np.flatnonzero(repeats)
         if tried.size:
             p = repeats[tried]
-            row, phase, code, _, start = _unroll(window[tried], p)
+            row, phase, pair, _, start = _unroll(window[tried], p)
             at = tried[row]
-            kept = rule.certify(at, row, phase, start, code, weight[at] + phase, p[row],
+            kept = rule.certify(at, row, phase, start, pair, weight[at] + phase, p[row],
                                 (end - weight[at]) // p[row])
             kept[phase == 0] = np.maximum(kept[phase == 0], 1)  # decided now
             laps = np.minimum.reduceat(kept, start).astype(np.int64)
@@ -753,11 +773,11 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         # Every game plays each phase of its cycle once per period, and a
         # phase whose profile differs from the step before it is one log
         # entry, a switch in every period.
-        row, phase, code, before, _ = _unroll(window, period)
-        logged = np.flatnonzero(code != before)
-        switches.append(ids[row[logged]], weight[row[logged]] + phase[logged], code[logged],
-                        period[row[logged]], cycles[row[logged]])
-        rule.advance(row, code, cycles[row])
+        row, phase, pair, before, _ = _unroll(window, period)
+        logged = np.flatnonzero(pair != before)
+        switches.append(pair=pair[logged], start=weight[row[logged]] + phase[logged] - init_step,
+                        period=period[row[logged]], laps=cycles[row[logged]])
+        rule.advance(row, pair, cycles[row])
         steps = cycles * period
         weight += steps
         # The last steps played follow the cycle back from its last phase.
@@ -772,8 +792,8 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
                 break
             weight, history = weight[~done], history[~done]
     result = BatchFPResult(frequencies={}, final_marginals=rule.final, final_step=init_step + T,
-                           evaluations=evaluations, tables=rule.tables, switches=switches, T=T,
-                           payoffs=rule.payoffs())
+                           evaluations=evaluations, tables=rule.tables, switches=switches,
+                           pairs=pairs, T=T, payoffs=rule.payoffs)
     for t in checkpoints:
         result.frequencies[t] = result.counts(t) / float(t)
     return result
@@ -786,7 +806,7 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
     state, one per game, or None for ``default(K, S)``; ``what`` names the
     state in messages."""
     _chooser(tie_break, T)  # rejects a bad horizon or tie-break first
-    checkpoints = sorted({int(t) for t in checkpoints})
+    checkpoints = sorted({_integer(t, "checkpoint") for t in checkpoints})
     for t in checkpoints:
         if not 1 <= t <= T:
             raise ValueError(f"checkpoint {t} must lie in [1, T] = [1, {T}]")
@@ -817,7 +837,6 @@ class _Classic:
         self.ids = np.arange(len(tables))
         self.counts = np.zeros(prior.shape)
         self.final = np.empty(prior.shape)
-        self.place = prior.shape[2] ** np.arange(prior.shape[1] - 1, -1, -1)
         self.eye = np.eye(prior.shape[2])
         self._stack(tables)
 
@@ -833,8 +852,8 @@ class _Classic:
         f /= weight[:, None, None]
         return self.expected(f)
 
-    def certify(self, at, row, phase, start, code, step, period, cap):
-        one = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
+    def certify(self, at, row, phase, start, pair, step, period, cap):
+        one = self.eye[self.pairs["profile"][pair]]
         # Every phase of the first period: its beliefs, as the per-step
         # rule would compute them there, and the periods it is kept for.
         g = self.stack_prior[at] + (self.counts[at] + _earlier(one, row, phase))
@@ -843,10 +862,10 @@ class _Classic:
         return self.certified(at, g, one, step, per_period[row] / period[:, None, None],
                               period, cap)
 
-    def advance(self, rows, codes, mult):
+    def advance(self, rows, pairs, mult):
         # Whole counts, so the order of these additions is immaterial.
-        np.add.at(self.counts, (rows[:, None], np.arange(len(self.place)),
-                                codes[:, None] // self.place % len(self.eye)), mult[:, None])
+        np.add.at(self.counts, (rows[:, None], np.arange(self.counts.shape[1]),
+                                self.pairs["profile"][pairs]), mult[:, None])
 
     def retire(self, done, weight):
         self.final[self.ids[done]] = (self.prior[self.ids[done]] + self.counts[done]) / weight
@@ -858,7 +877,7 @@ class _Classic:
     def payoffs(self):
         tables = self.tables.reshape(self.tables.shape[:2] + (-1,))  # by profile code
         players = np.arange(tables.shape[1])
-        return lambda game, code: tables[game[:, None], players, code[:, None]]
+        return tables[self.pairs["game"][:, None], players, self.pairs["code"][:, None]]
 
 
 def run_fp(
@@ -900,9 +919,8 @@ def run_fp(
                    checkpoints)
     if not single:
         return result
-    codes = result._log.pair_code
-    per_profile = {"utilities": tables[0].reshape(n_players, -1)[:, codes].T,
-                   "potentials": potential_table(game).reshape(-1)[codes]}
+    per_profile = {"utilities": result.payoffs(),
+                   "potentials": potential_table(game).reshape(-1)[result.pairs["code"]]}
     return Trajectory._view(result, "classic", tie_break, per_profile, marginals[0].copy(),
                             prior[0])
 
@@ -934,12 +952,13 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
 
 class _Aggregation:
     """Aggregate-feedback play for :func:`_play`. A game's scores at weight
-    w > 0 are a counted sum over w: its initial step times its initial
-    scores, plus, over the distinct profiles it played in order of first
-    visit and added left to right, each one's visit count times its channel
-    values; at weight 0 they are the initial scores. The broadcast feedback
-    of a profile (its channel values, gamma, payoffs and potential) is
-    computed once per game, at the first step that plays it.
+    w > 0 are a counted sum over w (:func:`_counted_sum`): its initial step
+    times its initial scores, plus, over its pairs in order of first visit,
+    each one's visit count times its channel values; at weight 0 they are
+    the initial scores. The broadcast feedback of a pair (its channel
+    values, gamma, payoffs and potential) is computed once, at the first
+    step that plays it, and kept with its visit count under its pair
+    number.
 
     While a cycle of profiles repeats, the scores at each phase move
     linearly toward the cycle's average values in lam = n p / (w + n p), so
@@ -950,85 +969,61 @@ class _Aggregation:
         n_games, n_players, n_channels = q0.shape
         self.games, self.q0, self.base = games, q0, q0 * init_step
         self.ids = np.arange(n_games)
-        self.place = n_channels ** np.arange(n_players - 1, -1, -1)
         self.eye = np.eye(n_channels)
-        # One row per profile a game played (row 0 stands for none and
-        # stays zero): its channel values, visit count, gamma, payoffs and
-        # potential. Per game: the map from its profile codes to their
-        # rows, its rows in order of first visit (``order``, padded with
-        # row 0) and the largest score or value seen.
-        self.values = np.zeros((16, n_players, n_channels))
-        self.visits = np.zeros(16)
-        self.gamma = np.zeros((16, n_channels))
-        self.payoff = np.zeros((16, n_players))
-        self.potential = np.zeros(16)
-        self.n_rows = 1
-        self.row_of: list[dict[int, int]] = [{} for _ in games]
-        self.order = np.zeros((n_games, 1), dtype=np.intp)
-        self.n_slots = np.zeros(n_games, dtype=np.intp)
-        self.scale = q0.max(axis=(1, 2), initial=0.0)
+        self.feedback = _Columns(values=(float, (n_players, n_channels)), visits=float,
+                                 gamma=(float, (n_channels,)), payoff=(float, (n_players,)),
+                                 potential=float)
+        self.scale = q0.max(axis=(1, 2), initial=0.0)  # per game: the largest score or value
         self.final = np.empty(q0.shape)
         self.tables = None
 
     def _sums(self, games):
-        sums = self.base[games]
-        for rows in self.order[games, :self.n_slots[games].max()].T:
-            sums += self.visits[rows, None, None] * self.values[rows]
-        return sums
+        row = np.full(len(self.games), -1)
+        row[games] = np.arange(len(games))
+        at = row[self.pairs["game"]]
+        mine = np.flatnonzero(at >= 0)
+        return _counted_sum(self.base[games], at[mine], self.feedback["visits"][mine],
+                            self.feedback["values"][mine])
 
     def scores(self, weight):
         self.sums = self._sums(self.ids)
         w = weight[:, None, None]
         return np.divide(self.sums, w, out=self.q0[self.ids], where=w > 0)
 
-    def _rows(self, games, codes):
-        """The row of every (game, profile code); a profile not played
-        before gets a new row and its feedback now."""
-        rows = np.empty(len(codes), dtype=np.intp)
-        for i, (g, c) in enumerate(zip(games.tolist(), codes.tolist())):
-            row = self.row_of[g].get(c)
-            if row is None:
-                row = self.row_of[g][c] = self.n_rows
-                self.n_rows += 1
-                if row == len(self.visits):
-                    self.values, self.visits, self.gamma, self.payoff, self.potential = (
-                        np.concatenate([a, np.zeros_like(a)]) for a in
-                        (self.values, self.visits, self.gamma, self.payoff, self.potential))
-                if self.n_slots[g] == self.order.shape[1]:
-                    self.order = np.concatenate([self.order, np.zeros_like(self.order)], axis=1)
-                self.order[g, self.n_slots[g]] = row
-                self.n_slots[g] += 1
-                feedback = _aggregate_feedback(self.games[g], c // self.place % len(self.eye))
-                self.values[row], self.gamma[row], self.payoff[row], self.potential[row] = feedback
-                self.scale[g] = max(self.scale[g], self.values[row].max())
-            rows[i] = row
-        return rows
-
-    def certify(self, at, row, phase, start, code, step, period, cap):
+    def certify(self, at, row, phase, start, pair, step, period, cap):
         games = self.ids[at]
-        values = self.values[self._rows(games, code)]  # all played before: no new row
+        values = self.feedback["values"][pair]
         # Every phase's scores, as the per-step rule would compute them
         # there up to rounding, and the cycle's average values.
         scores = (self.sums[at] + _earlier(values, row, phase)) / step[:, None, None]
         target = np.add.reduceat(values, start)[row] / period[:, None, None]
-        choice = self.eye.take(code[:, None] // self.place % len(self.eye), axis=0)
+        choice = self.eye[self.pairs["profile"][pair]]
         # The counted sum of v visited profiles errs by about v + 1 rounding
         # errors of the largest score, the phase's scores by p more.
-        slack = (16 * (self.n_slots[games] + MAX_PERIOD + 2) * np.finfo(float).eps
+        visited = np.bincount(self.pairs["game"], minlength=len(self.games))[games]
+        slack = (16 * (visited + MAX_PERIOD + 2) * np.finfo(float).eps
                  * self.scale[games])[:, None, None]
         return _laps(_margins(scores, choice) - slack, _margins(target, choice) - slack,
                      step, period, cap, choice)
 
-    def advance(self, rows, codes, mult):
-        rows = self._rows(self.ids[rows], codes)  # may grow the arrays
-        np.add.at(self.visits, rows, mult)
+    def advance(self, rows, pairs, mult):
+        known = self.feedback.size  # the pairs numbered since are first visits
+        games = self.pairs["game"][known:]
+        fresh = [_aggregate_feedback(self.games[g], profile) for g, profile in
+                 zip(games.tolist(), self.pairs["profile"][known:].astype(np.int64))]
+        if fresh:
+            values, gamma, payoff, potential = (np.array(column) for column in zip(*fresh))
+            self.feedback.append(values=values, visits=np.zeros(len(fresh)), gamma=gamma,
+                                 payoff=payoff, potential=potential)
+            np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
+        np.add.at(self.feedback["visits"], pairs, mult)
 
     def retire(self, done, weight):
         self.final[self.ids[done]] = self._sums(self.ids[done]) / weight
         self.ids = self.ids[~done]
 
     def payoffs(self):
-        return lambda game, code: self.payoff[self._rows(game, code)]
+        return self.feedback["payoff"]
 
 
 def run_aggregation_fp(
@@ -1066,12 +1061,11 @@ def run_aggregation_fp(
     result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    log = result._log
-    rows = rule._rows(log.pair_game, log.pair_code)
-    per_profile = {"utilities": rule.payoff[rows], "potentials": rule.potential[rows],
-                   "gammas": rule.gamma[rows]}
+    feedback = rule.feedback
+    per_profile = {"utilities": feedback["payoff"], "potentials": feedback["potential"],
+                   "gammas": feedback["gamma"]}
     return Trajectory._view(result, "aggregation", tie_break, per_profile, q0[0].copy(),
-                            rule.base[0], rule.values[rows])
+                            rule.base[0], feedback["values"])
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:

@@ -70,32 +70,31 @@ CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term is a
-# ceiling, not what a chunk holds: the switch log keeps one entry of a few
-# bytes (game, weight, profile code, period and laps) per switching phase of
-# a decision, a single step's switch one entry and a jumped cycle one per
-# switching phase however many periods it covers, and every read (counts,
-# counted payoff sums, the tail) works on those entries, a few int64 arrays
-# of their length. Ten games of the paper's 2-cycle at T = 10**5, which
-# switch at every step, read their records in 84 kB (tracemalloc peak)
-# against the 2 MB counted here. The chunk's tables are built as one stack,
-# one (player, channel) slice at a time: the build's working set is one G *
-# S**(K-1) load per slice, and there is no second copy of the stack, so an
-# aggregation chunk holds that stack alone, not G single-game tables as
-# well. The chunk's analysis adds a potential stack and a working load of
-# S**K float64 entries each per game, and a boolean mask, which for K >= 2
-# stay within the tables' own size. The classic engine's copy of its running
+# ceiling, not what a chunk holds: the engine numbers the (game, profile)
+# pairs played in a registry of 3 int64 and K channel indices per pair, and
+# logs one entry of a few bytes (pair number, first step, period and laps)
+# per switching phase of a decision, however many periods a jumped cycle
+# covers; every read (counts, counted payoff sums, the tail) works on those
+# entries. Ten games of the paper's 2-cycle at T = 10**5, which switch at
+# every step, read their records in 67 kB (tracemalloc peak) against the
+# 2 MB counted here. The chunk's tables are built as one stack, one
+# (player, channel) slice at a time: the build's working set is one G *
+# S**(K-1) load per slice, and there is no second copy of the stack. The
+# chunk's analysis adds a potential stack and a working load of S**K
+# float64 entries each per game, and a boolean mask, which for K >= 2 stay
+# within the tables' own size. The classic engine's copy of its running
 # games' tables adds up to that size again, twice while one compaction
-# replaces the last. The aggregation engine needs no table: it keeps K * S +
-# K + S + 2 float64 entries (channel values, payoffs, gamma, potential,
-# visit count) per profile a game visits, and per game an 8-byte row index
-# for each profile the most visiting game of the chunk has visited (rounded
-# up to a power of two). Those grow with the play, so they are not counted
-# here. Nor are the records: a chunk keeps them as columns (see _Chunk),
-# about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and 2 * K + 1 per pure
-# equilibrium, beside the trailing windows, CYCLE_WINDOW * K int64 per
-# trial, which dominate; a sweep keeps every chunk's columns until its
-# trial files are written. Writing renders at most 1024 trial files at a
-# time: their cells (one string per distinct value of a column) and their
+# replaces the last. The aggregation engine needs no table: per pair it
+# keeps K * S + K + S + 2 float64 entries (channel values, payoffs, gamma,
+# potential, visit count), and while it runs, a dict entry per pair; on
+# montecarlo_2x2_snr20 (1000 games, 2943 pairs) it holds 0.59 MB at the end
+# and peaks at 2.1 MB (tracemalloc). Those grow with the play, so they are
+# not counted here. Nor are the records: a chunk keeps them as columns (see
+# _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and 2 * K +
+# 1 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
+# int64 per trial, which dominate; a sweep keeps every chunk's columns until
+# its trial files are written. Writing renders at most 1024 trial files at
+# a time: their cells (one string per distinct value of a column) and their
 # texts. Measured on montecarlo_2x2_snr20 (1000 trials, one chunk, with
 # tracemalloc): the columns hold 2.6 MB, 1.0 MB of it the windows, and
 # writing peaks 3.2 MB above them; the same records as dicts hold 3.7 MB.

@@ -34,7 +34,8 @@ from csgame import (
     utility,
     write_trajectory_csv,
 )
-from csgame.dynamics import _MAX_T, MAX_PERIOD, _smallest_period, _SwitchLog
+from csgame import dynamics
+from csgame.dynamics import _MAX_T, MAX_PERIOD, _Columns, _smallest_period
 from _oracles import (
     oracle_counted_sum,
     oracle_cycle_onset,
@@ -397,6 +398,30 @@ class TestSharedChecks:
             with pytest.raises(ValueError, match=f"T must be <= {T}"):
                 engine(game, T=T + 1)
 
+    @pytest.mark.parametrize("T", [5000.0, 5.5, True, "9"])
+    def test_horizons_must_be_integers(self, strong_interference_game, T):
+        # A float horizon once ran and sized the log's step columns as
+        # float16, so reading the paper's cycle back raised a cast error;
+        # T=True ran one step and reported T == True.
+        for engine in (run_fp, run_aggregation_fp):
+            with pytest.raises(TypeError, match=f"T must be an integer, got {T!r}"):
+                engine(strong_interference_game, T=T)
+
+    def test_checkpoints_and_state_steps_must_be_integers(self, unit_game):
+        for engine in (run_fp, run_aggregation_fp):
+            with pytest.raises(TypeError, match="checkpoint must be an integer, got 2.7"):
+                engine([unit_game], T=5, checkpoints=(2.7,))
+        with pytest.raises(TypeError, match="belief step must be an integer, got 2.5"):
+            BeliefState(step=2.5, marginals=[[0.5, 0.5]])
+        with pytest.raises(TypeError, match="q step must be an integer, got 1.9"):
+            QState(step=1.9, q=[[0.0, 0.0]])
+        with pytest.raises(TypeError, match="belief step must be an integer, got True"):
+            BeliefState(step=True, marginals=[[0.5, 0.5]])
+        # Integral numbers of any type pass, as ints.
+        batch = run_fp([unit_game], T=np.int64(5), checkpoints=(np.int32(2),))
+        assert list(batch.frequencies) == [2] and type(list(batch.frequencies)[0]) is int
+        assert type(QState(step=np.int64(3), q=[[0.0, 0.0]]).step) is int
+
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
     def test_beliefs_that_do_not_fit_the_game(self, unit_game, shape):
         # q_from_beliefs once returned a state with rows of uninitialised
@@ -452,6 +477,28 @@ def _assert_aggregation_matches_oracle(game, init, T, tie_break):
 class TestAggregationEngineAgainstOracle:
     """The engine computes the broadcast feedback once per distinct profile;
     the oracle recomputes it every step. Both must agree bit for bit."""
+
+    def test_feedback_is_computed_once_per_game_and_profile(self, monkeypatch,
+                                                             strong_interference_game):
+        # Two copies of the paper's 2-cycle game revisit the same two
+        # profiles, and every game of the batch plays codes the others play.
+        rng = np.random.default_rng(77)
+        games = [strong_interference_game] * 2 + [random_game(rng, 2, 2) for _ in range(6)]
+        init = q_from_beliefs(strong_interference_game, BeliefState.from_xi([0.5, 0.5]))
+        calls = []
+        feedback = dynamics._aggregate_feedback
+        monkeypatch.setattr(dynamics, "_aggregate_feedback",
+                            lambda game, actions: calls.append(1) or feedback(game, actions))
+        batch = run_aggregation_fp(games, init, T=500)
+        distinct = [len({tuple(p) for p in batch.actions[:, i].tolist()})
+                    for i in range(len(games))]
+        assert distinct[:2] == [2, 2] and max(distinct) > 2
+        assert len(calls) == sum(distinct)
+        monkeypatch.setattr(dynamics, "_aggregate_feedback", feedback)
+        for i, game in enumerate(games):
+            traj = run_aggregation_fp(game, init, T=500)
+            np.testing.assert_array_equal(batch.utility_sums[i], traj.utility_sums)
+            np.testing.assert_array_equal(batch.final_marginals[i], traj.final_state)
 
     @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
     def test_random_games(self, tie_break):
@@ -624,24 +671,41 @@ def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, en
     np.testing.assert_array_equal(batch.tail(4)[0], [[0, 0], [1, 1]] * 2)
 
 
+def _hand_result(entries, n_games, T, init_step, payoffs):
+    """The result of a switch log on 2 players x 3 channels (code c is
+    profile (c // 3, c % 3)) built by hand from ``entries`` (game, step,
+    code, period, laps) in the order the engine appends them, each (game,
+    code) pair numbered at its first entry, as the engine numbers them.
+    ``payoffs(games, codes)`` gives the payoffs of those pairs."""
+    pairs = _Columns(game=np.int64, code=np.int64, start=np.int64, profile=(np.int8, (2,)))
+    switches = _Columns(pair=np.int64, start=np.int64, period=np.int64, laps=np.int64)
+    numbered = {}
+    for game, step, code, period, laps in entries:
+        if (game, code) not in numbered:
+            numbered[game, code] = pairs.size
+            pairs.append(game=[game], code=[code], start=[step], profile=[divmod(code, 3)])
+        switches.append(pair=[numbered[game, code]], start=[step], period=[period], laps=[laps])
+    return BatchFPResult(frequencies={}, final_marginals=np.zeros((n_games, 2, 3)),
+                         final_step=init_step + T, evaluations=np.zeros(n_games, dtype=np.int64),
+                         tables=None, switches=switches, pairs=pairs, T=T,
+                         payoffs=lambda: payoffs(pairs["game"], pairs["code"]))
+
+
 def test_the_switch_log_reads_as_per_step_play():
-    # Two games on 2 players x 3 channels (code c is profile (c // 3, c % 3)),
-    # logged as the engine logs them: one entry per switching phase of a
-    # decision, the games' entries interleaved. Game 0 plays a 2-cycle,
-    # then a 3-cycle whose middle phase repeats the step before it, and its
-    # horizon ends two phases into that cycle's fourth period.
+    # Two games, logged as the engine logs them: one entry per switching
+    # phase of a decision, the games' entries interleaved. Game 0 plays a
+    # 2-cycle, then a 3-cycle whose middle phase repeats the step before it,
+    # and its horizon ends two phases into that cycle's fourth period.
     T, init_step = 19, 2
     steps = [
         [5, 5] + [3, 7] * 3 + [0, 0, 4] * 3 + [0, 0],
         [2] + [6, 1] * 4 + [6] * 10,
     ]
-    log = _SwitchLog(2, init_step + T, 9)
-    for game, step, code, period, laps in [
+    entries = [
         (0, 0, 5, 1, 1), (1, 0, 2, 1, 1), (1, 1, 6, 2, 4), (1, 2, 1, 2, 4),
         (0, 2, 3, 2, 3), (0, 3, 7, 2, 3), (0, 8, 0, 3, 3), (0, 10, 4, 3, 3),
         (1, 9, 6, 1, 1), (0, 17, 0, 1, 1),
-    ]:
-        log.append([game], [init_step + step], [code], [period], [laps])
+    ]
     tables = np.random.default_rng(5).uniform(0.0, 3.0, (2, 2, 3, 3))
     looked_up = []
 
@@ -649,9 +713,7 @@ def test_the_switch_log_reads_as_per_step_play():
         looked_up.append(len(code))
         return tables.reshape(2, 2, 9)[game[:, None], [0, 1], code[:, None]]
 
-    batch = BatchFPResult(frequencies={}, final_marginals=np.zeros((2, 2, 3)),
-                          final_step=init_step + T, evaluations=np.zeros(2, dtype=np.int64),
-                          tables=None, switches=log, T=T, payoffs=payoffs)
+    batch = _hand_result(entries, 2, T, init_step, payoffs)
     profiles = [[divmod(c, 3) for c in codes] for codes in steps]
     for window in (1, 2, 5, T):
         np.testing.assert_array_equal(batch.tail(window), [p[T - window:] for p in profiles])
@@ -667,14 +729,14 @@ def test_the_switch_log_reads_as_per_step_play():
     assert looked_up == [sum(len(set(codes)) for codes in steps)]
 
 
-def _random_log(rng, T, init_step=3):
-    """A switch log of random play on 2 players x 3 channels, logged as the
-    engine logs it: decisions of 1-4 phases played for 1-29 laps, one entry
-    per phase whose profile differs from the step before it. A cycle of
-    several laps switches at the same phases in every lap; the step before
-    it may differ from its last phase (the engine's never does)."""
-    steps = []
-    log = _SwitchLog(1, init_step + T, 9)
+def _random_log(rng, T):
+    """The entries of a switch log of random play of one game on 2 players
+    x 3 channels, logged as the engine logs it: decisions of 1-4 phases
+    played for 1-29 laps, one entry per phase whose profile differs from
+    the step before it. A cycle of several laps switches at the same phases
+    in every lap; the step before it may differ from its last phase (the
+    engine's never does)."""
+    steps, entries = [], []
     while len(steps) < T:
         period = int(rng.integers(1, 5))
         laps = int(rng.integers(1, 30)) if period > 1 else 1
@@ -685,10 +747,10 @@ def _random_log(rng, T, init_step=3):
             continue  # phase 0 would switch in some laps only
         for phase, code in enumerate(cycle):
             if code != (cycle[phase - 1] if phase else before):
-                log.append([0], [init_step + len(steps) + phase], [code], [period], [laps])
+                entries.append((0, len(steps) + phase, code, period, laps))
         steps += cycle * laps
     del steps[T:]
-    return log, steps
+    return entries, steps
 
 
 @pytest.mark.parametrize("block", [2, 5, 2**14])
@@ -700,12 +762,9 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
     rng = np.random.default_rng(43)
     found = 0
     for T in [1, 2, 3, 9, 40, 120] * 8:
-        log, codes = _random_log(rng, T)
-        batch = BatchFPResult(frequencies={}, final_marginals=np.zeros((1, 2, 3)),
-                              final_step=3 + T, evaluations=np.zeros(1, dtype=np.int64),
-                              tables=None, switches=log, T=T,
-                              payoffs=lambda game, code: np.zeros((len(code), 2)))
-        n_pairs = len(batch._log.pair_code)
+        entries, codes = _random_log(rng, T)
+        batch = _hand_result(entries, 1, T, 3, lambda game, code: np.zeros((len(code), 2)))
+        n_pairs = batch.pairs.size
         traj = Trajectory._view(batch, "classic", "lowest",
                                 {"utilities": np.zeros((n_pairs, 2)),
                                  "potentials": np.zeros(n_pairs)},

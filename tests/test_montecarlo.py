@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import io
+import itertools
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from csgame import (
     CYCLE_WINDOW,
@@ -23,6 +29,7 @@ from csgame import (
     snr_db_to_power,
     trial_rng,
 )
+from csgame import aggregate_message, aggregated_utility, trial_game, utility
 from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_table
 from csgame import game as game_module
 from csgame.cli import main
@@ -520,6 +527,45 @@ class TestChunkAnalysis:
             "error: S**K = 16777216 profiles exceeds the enumeration guard of 10000000\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def generator_configs(draw):
+    """Sweeps of 1-4 generated games of 1-4 players on 1-3 channels, at an
+    SNR anywhere from -300 to 3000 dB, under either fading law, for at most
+    200 steps."""
+    return {
+        "generator": {"players": draw(st.integers(1, 4)), "channels": draw(st.integers(1, 3)),
+                      "snr_db": draw(st.floats(-300.0, 3000.0)),
+                      "fading": draw(st.sampled_from(["exponential", "rayleigh"])),
+                      "trials": draw(st.integers(1, 4))},
+        "dynamics": {"steps": draw(st.integers(1, 200))},
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(generator_configs())
+def test_property_generated_sweeps_run_and_reconstruct_their_payoffs(config):
+    # Every sweep runs to exit 0 under both rules, and every generated
+    # game's payoffs reconstructed from the broadcast aggregate stay within
+    # 4 ulps of the larger of 1 and the payoff itself.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.yaml"
+        path.write_text(yaml.safe_dump(config))
+        for variant in ("classic", "aggregation"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["montecarlo", str(path), "--variant", variant,
+                             "--out", f"{tmp}/{variant}"]) == 0
+        sweep = load_config(path)
+    for index in range(sweep.trials):
+        game = trial_game(sweep, index)
+        for profile in itertools.product(range(game.S), repeat=game.K):
+            gamma = aggregate_message(game, profile)
+            for k in range(game.K):
+                payoff = utility(game, profile, k)
+                assert abs(aggregated_utility(game, k, profile[k], gamma) - payoff) <= (
+                    4 * np.finfo(float).eps * max(1.0, abs(payoff)))
 
 
 def test_a_cycling_chunk_reads_its_records_within_the_byte_budget():
