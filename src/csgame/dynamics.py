@@ -4,13 +4,13 @@ Both rules move all players simultaneously each round, are fully
 deterministic given their inputs, and run on one event-driven lockstep driver
 (:func:`_play`). It steps one game, or a stack of same-shape games with one
 clock per game and the same per-game arithmetic, which is how Monte-Carlo
-sweeps run, and keeps the play run-length encoded, as a decision log that
-every reader reads directly. Once a game repeats a profile, or a cycle of up
-to :data:`MAX_PERIOD` profiles, it plays it for as many whole periods as the
-per-step rule is certain to keep it, and decides again only then, so a run
-that settles and the paper's miscoordination cycle alike cost a few
-decisions, not one per step, with the same result bit for bit. Each rule
-supplies only its scores and its certificate.
+sweeps run, and keeps the play run-length encoded, as a log of every phase
+of every decision that every reader reads directly. Once a game repeats a
+profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for as
+many whole periods as the per-step rule is certain to keep it, and decides
+again only then, so a run that settles and the paper's miscoordination cycle
+alike cost a few decisions, not one per step, with the same result bit for
+bit. Each rule supplies only its scores and its certificate.
 
 * :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
@@ -45,6 +45,7 @@ from .game import (
     _game_batch,
     _guard_opponent_profiles,
     _payoffs,
+    _potential,
     _rate,
     _strip_own,
     _utility_tables,
@@ -81,8 +82,9 @@ MAX_PERIOD = 8
 # Steps a trajectory view renders at once, and detect_cycle reads at once
 # while it seeks a cycle's onset.
 _BLOCK_STEPS = 2**14
-# The longest run: the log's readers count steps in int64 as sums of up to T
-# terms of up to T steps (see BatchFPResult._played), exact while T² fits.
+# The longest run. The log's readers stay exact up to it: they key entries by
+# game·(T+1)+start in int64 (see BatchFPResult._in_effect) and carry step
+# counts as float weights, exact to 2⁵³.
 _MAX_T = math.isqrt(np.iinfo(np.int64).max)
 # Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
 # the window is p-periodic; entries j >= p map to themselves.
@@ -440,14 +442,13 @@ def _counted_sum(sums: np.ndarray, rows: np.ndarray, visits: np.ndarray,
     return sums
 
 
-# A switch log's entries by game, then in time: the game, the first step
-# (0-based) of the phase, its period and laps; the entry whose profile is
-# played before the phase's first switch (-1 for a game's first entry) and
-# before its switch in every later period (the cycle's last switching phase,
-# for its first one); the entry's pair number (see BatchFPResult) and its
-# profile, (K,) channel indices in the smallest signed integer type that
-# holds them.
-_Log = namedtuple("_Log", "game start period laps before before_lap pair profile")
+# A decision log's entries by game, then in time, one per phase of every
+# decision, so a game's entries tile its steps: the game, the first step
+# (0-based) of the phase, its decision's period and laps, the entry's pair
+# number (see BatchFPResult) and its profile, (K,) channel indices in the
+# smallest signed integer type that holds them. The period keeps its logged
+# one-byte type, as BatchFPResult._in_effect looks it up per step.
+_Log = namedtuple("_Log", "game start period laps pair profile")
 
 
 @dataclass
@@ -458,14 +459,16 @@ class BatchFPResult:
     profile) pairs played from 0 in order of first visit, so each game's
     pairs in its own order of first visit, with each pair's ``game``,
     profile ``code``, ``profile`` (K channel indices) and ``start`` (0-based
-    step of its first visit). ``switches`` logs the switching phases of
-    every decision, a jumped cycle's phase once for all its periods: per
-    entry its ``pair``, first ``start`` step, and the ``period`` and number
-    of periods (``laps``) of the cycle, the phase switching once per period;
-    each game's first decision is a switch. Every read goes through the
-    log's entries, so its cost grows with the decisions, not with the
-    steps. ``actions`` renders every game's profile at every step, (T, G,
-    K), when it is first read, and :meth:`tail` only the last steps.
+    step of its first visit). ``decisions`` logs every phase of every
+    decision, a jumped cycle's phase once for all its periods: per entry
+    its ``pair``, first ``start`` step, and the ``period`` and number of
+    periods (``laps``) of its decision's cycle. A decision's phases start
+    at consecutive steps, and the game's next decision period * laps steps
+    after its first phase, so each game's entries tile its steps. Every
+    read goes through the log's entries, so its cost grows with the
+    decisions, not with the steps. ``actions`` renders every game's profile
+    at every step, (T, G, K), when it is first read, and :meth:`tail` only
+    the last steps.
     ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
     after checkpoint step t, from exact counts, and ``final_marginals`` the
     (G, K, S) final state: beliefs under the classic rule, channel scores
@@ -483,74 +486,44 @@ class BatchFPResult:
     final_step: int
     evaluations: np.ndarray
     tables: np.ndarray | None
-    switches: _Columns
+    decisions: _Columns
     pairs: _Columns
     T: int
     payoffs: Callable[[], np.ndarray]
 
     @cached_property
     def _log(self) -> _Log:
-        log = self.switches
+        log = self.decisions
         pair = log["pair"].astype(np.int64)
         order = np.argsort(self.pairs["game"][pair], kind="stable")  # entries stay in time order
         pair = pair[order]
-        game = self.pairs["game"][pair]
-        start, period, laps = (log[name][order].astype(np.int64)
-                               for name in ("start", "period", "laps"))
-        index = np.arange(len(order))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = game[1:] != game[:-1]
-        before = np.where(first, -1, index - 1)
-        # A cycle's switching phases share their decision's period and laps
-        # and lie within one period; the game's next decision comes at least
-        # a whole cycle later. (Cycles of one lap read the same either way.)
-        opens = first.copy()
-        opens[1:] |= ((period[1:] != period[:-1]) | (laps[1:] != laps[:-1])
-                      | (start[1:] - start[:-1] >= period[1:]))
-        cycle = np.cumsum(opens) - 1
-        last = np.flatnonzero(np.append(opens[1:], True))[cycle]
-        before_lap = np.where(opens, last, before)
-        return _Log(game, start, period, laps, before, before_lap, pair,
+        start, laps = (log[name][order].astype(np.int64) for name in ("start", "laps"))
+        return _Log(self.pairs["game"][pair], start, log["period"][order], laps, pair,
                     self.pairs["profile"][pair])
 
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
-        as int64: each of its switches before step t adds t - s steps for a
-        switch at step s, and each switch away from it takes them off. Exact
-        for t <= :data:`_MAX_T`."""
+        as int64: once in each lap of its decision that reaches its phase
+        before step t."""
         log = self._log
-        n = np.clip((t - log.start + log.period - 1) // log.period, 0, log.laps)  # switches
-        into = n * (t - log.start) - log.period * (n * (n - 1) // 2)
-        first = np.where(n > 0, t - log.start, 0)
-        played = into.copy()
-        known = log.before >= 0
-        np.subtract.at(played, log.before[known], first[known])
-        np.subtract.at(played, log.before_lap, into - first)
-        return played
+        return np.clip((t - log.start + log.period - 1) // log.period, 0, log.laps)
 
     def _in_effect(self, a: int, b: int, games: np.ndarray) -> np.ndarray:
         """The log entry each of ``games`` plays at steps a..b-1, shape
-        (len(games), b - a): the entry of its latest switch up to then."""
+        (len(games), b - a)."""
         log, T = self._log, self.T
-        key = log.game * (T + 1) + log.start  # sorted
-        base = games * (T + 1)
-        # The switch in effect at step a is one of the last MAX_PERIOD
-        # entries up to it: a decision logs at most one per phase.
-        lo = np.maximum(np.searchsorted(key, base),
-                        np.searchsorted(key, base + a, side="right") - MAX_PERIOD)
-        n = np.searchsorted(key, base + b - 1, side="right") - lo
-        entry = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-        # Each entry's switches from its last one up to step a (its first,
-        # if later) to step b - 1, keyed by game and time like the entries.
-        start, period, laps = log.start[entry], log.period[entry], log.laps[entry]
-        lap = np.clip((a - start) // period, 0, laps - 1)
-        m = np.maximum(np.minimum((b - 1 - start) // period, laps - 1) - lap + 1, 0)
-        switch = np.repeat(np.arange(len(entry)), m)
-        lap = np.repeat(lap, m) + np.arange(len(switch)) - np.repeat(np.cumsum(m) - m, m)
-        at = key[entry][switch] + period[switch] * lap
-        order = np.argsort(at, kind="stable")  # merges the entries' sorted runs
-        latest = np.searchsorted(at[order], base[:, None] + np.arange(a, b), side="right") - 1
-        return entry[switch][order][latest]
+        steps = np.arange(a, b)
+        at = games[:, None] * (T + 1) + steps
+        entry = np.searchsorted(log.game * (T + 1) + log.start, at, side="right")
+        entry -= 1
+        # The latest phase to start by a step is the step's own in the first
+        # lap of its decision, and in a later lap the decision's last phase,
+        # (start - step) mod period phases after the step's own.
+        np.take(log.start, entry, out=at, mode="clip")  # "raise" would buffer a copy of ``at``
+        at -= steps
+        at %= log.period[entry]
+        entry -= at
+        return entry
 
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
@@ -595,13 +568,12 @@ def _unroll(window: np.ndarray, period: np.ndarray):
     before it, in a ``window`` that repeats with that period (see
     :func:`_periods`; a single step is a cycle of period 1 in any window),
     flattened row by row, phase 0 first: the row, phase and pair of every
-    phase, the pair of the step before it, and where each row's
-    phases start."""
+    phase, and where each row's phases start."""
     start = np.cumsum(period) - period
     row = np.repeat(np.arange(len(period)), period)
     phase = np.arange(len(row)) - start[row]
     at = (period[row] - phase) % period[row]  # the window runs back in time
-    return row, phase, window[row, at], window[row, at + 1], start
+    return row, phase, window[row, at], start
 
 
 def _earlier(terms: np.ndarray, row: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -709,7 +681,9 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
 
     Only a game's new decision can visit a profile first, so it alone is
     numbered as a (game, profile) pair (see :class:`BatchFPResult`), here
-    and nowhere else; the window and the log carry pair numbers.
+    and nowhere else; the window and the log carry pair numbers. Every
+    phase of every decision is one log entry, so a game's entries tile its
+    steps.
 
     ``rule`` holds the running games' state: ``ids`` (which games run),
     ``pairs`` (set here: the pairs numbered so far), ``scores(weight)``,
@@ -732,9 +706,9 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
     numbered: dict[int, int] = {}  # game * S**K + profile code -> pair
     pairs = rule.pairs = _Columns(game=np.int64, code=np.int64, start=np.int64,
                                   profile=(_action_dtype(n_channels), (n_players,)))
-    switches = _Columns(pair=np.min_scalar_type(n_games * min(n_profiles, T)),
-                        start=np.min_scalar_type(T), period=np.min_scalar_type(MAX_PERIOD),
-                        laps=np.min_scalar_type(T))
+    decisions = _Columns(pair=np.min_scalar_type(n_games * min(n_profiles, T)),
+                         start=np.min_scalar_type(T), period=np.min_scalar_type(MAX_PERIOD),
+                         laps=np.min_scalar_type(T))
     # Per running game: its weight, as a float, and the pairs of the last
     # steps played, newest first (-1 before the first steps). A game leaves
     # the stack as soon as it finishes, so every game in it is decided at
@@ -762,7 +736,7 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         tried = np.flatnonzero(repeats)
         if tried.size:
             p = repeats[tried]
-            row, phase, pair, _, start = _unroll(window[tried], p)
+            row, phase, pair, start = _unroll(window[tried], p)
             at = tried[row]
             kept = rule.certify(at, row, phase, start, pair, weight[at] + phase, p[row],
                                 (end - weight[at]) // p[row])
@@ -770,13 +744,11 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
             laps = np.minimum.reduceat(kept, start).astype(np.int64)
             jump = np.flatnonzero(laps)
             cycles[tried[jump]], period[tried[jump]] = laps[jump], p[jump]
-        # Every game plays each phase of its cycle once per period, and a
-        # phase whose profile differs from the step before it is one log
-        # entry, a switch in every period.
-        row, phase, pair, before, _ = _unroll(window, period)
-        logged = np.flatnonzero(pair != before)
-        switches.append(pair=pair[logged], start=weight[row[logged]] + phase[logged] - init_step,
-                        period=period[row[logged]], laps=cycles[row[logged]])
+        # Every game plays each phase of its cycle once per period, and
+        # each phase is one log entry.
+        row, phase, pair, _ = _unroll(window, period)
+        decisions.append(pair=pair, start=weight[row] + phase - init_step, period=period[row],
+                         laps=cycles[row])
         rule.advance(row, pair, cycles[row])
         steps = cycles * period
         weight += steps
@@ -792,7 +764,7 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
                 break
             weight, history = weight[~done], history[~done]
     result = BatchFPResult(frequencies={}, final_marginals=rule.final, final_step=init_step + T,
-                           evaluations=evaluations, tables=rule.tables, switches=switches,
+                           evaluations=evaluations, tables=rule.tables, decisions=decisions,
                            pairs=pairs, T=T, payoffs=rule.payoffs)
     for t in checkpoints:
         result.frequencies[t] = result.counts(t) / float(t)
@@ -947,7 +919,7 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
     heard = np.tile(gamma.view(np.ndarray), (game.K, 1))  # all of gamma off the own channel
     heard[rows, actions] = _strip_own(game, rows, actions, gamma, gamma.residual)
     values = _rate(game.weights, game.received_power, heard)
-    return values, gamma, _payoffs(game, actions), potential(game, actions)
+    return values, gamma, _payoffs(game, actions), _potential(game, gamma)
 
 
 class _Aggregation:
@@ -1145,9 +1117,9 @@ def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     if xi.shape != (2,):
         raise ValueError("xi must hold one value per player (length 2)")
     BeliefState.from_xi(xi)  # rejects xi outside (0, 1)
-    if int(n) < 1:
+    n = _integer(n, "n")
+    if n < 1:
         raise ValueError("n must be >= 1")
-    n = int(n)
     phi00, phi01, phi10, phi11 = (potential(game, p) for p in ((0, 0), (0, 1), (1, 0), (1, 1)))
     ratios = ((phi10 - phi11, phi01 - phi00, xi[0]),  # player 1, answering player 0
               (phi01 - phi11, phi10 - phi00, xi[1]))  # player 0, answering player 1

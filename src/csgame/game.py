@@ -287,7 +287,11 @@ def potential(game: GameSpec, profile) -> float:
     player's utility change, which is what makes best-response and
     fictitious-play dynamics well behaved here.
     """
-    gamma = aggregate_message(game, profile)
+    return _potential(game, aggregate_message(game, profile))
+
+
+def _potential(game: GameSpec, gamma: np.ndarray) -> float:
+    """The exact potential of the profile whose aggregate is ``gamma``."""
     # Accumulate channel by channel in ascending order so the result is
     # bitwise identical to the corresponding entry of potential_table().
     log_gamma = np.log2(gamma)

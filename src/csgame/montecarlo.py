@@ -73,11 +73,11 @@ CONVERGENCE_TV = 1e-2
 # ceiling, not what a chunk holds: the engine numbers the (game, profile)
 # pairs played in a registry of 3 int64 and K channel indices per pair, and
 # logs one entry of a few bytes (pair number, first step, period and laps)
-# per switching phase of a decision, however many periods a jumped cycle
-# covers; every read (counts, counted payoff sums, the tail) works on those
-# entries. Ten games of the paper's 2-cycle at T = 10**5, which switch at
-# every step, read their records in 67 kB (tracemalloc peak) against the
-# 2 MB counted here. The chunk's tables are built as one stack, one
+# per phase of every decision, however many periods a jumped cycle covers;
+# every read (counts, counted payoff sums, the tail) works on those entries.
+# Ten games of the paper's 2-cycle at T = 10**5, which switch at every step,
+# read their records in 57 kB (tracemalloc peak) against the 2 MB counted
+# here. The chunk's tables are built as one stack, one
 # (player, channel) slice at a time: the build's working set is one G *
 # S**(K-1) load per slice, and there is no second copy of the stack. The
 # chunk's analysis adds a potential stack and a working load of S**K

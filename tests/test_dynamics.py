@@ -615,13 +615,14 @@ class TestAggregationEngineAgainstOracle:
 
     def test_a_run_that_settles_costs_two_decisions(self):
         # The demo game settles on (2, 1) at once: one decision, then a
-        # second that certifies the profile up to the horizon.
+        # second that certifies the profile up to the horizon, one log entry
+        # each.
         config = load_config(CONFIGS / "aggregation_demo.yaml")
         game = config.game
         init = q_from_beliefs(game, config.dynamics.initial_beliefs_for(game))
         batch = run_aggregation_fp([game], init, T=25_000)
         assert batch.evaluations.tolist() == [2]
-        assert batch.switches.size == 1
+        assert batch.decisions.size == 2
         np.testing.assert_array_equal(batch.tail(3)[0], [[2, 1]] * 3)
         _assert_aggregation_matches_oracle(game, init, 2000, "lowest")
 
@@ -654,9 +655,9 @@ class TestAggregationEngineAgainstOracle:
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
 def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, engine):
     # Both rules play 2 * 10**6 steps of the paper's 2-cycle, a switch at
-    # every step, in a few decisions. The log holds one entry per switching
-    # phase of a decision, not one per switch, so neither it nor the
-    # engine's peak grows with the horizon.
+    # every step, in a few decisions. The log holds one entry per phase of
+    # a decision, not one per step, so neither it nor the engine's peak
+    # grows with the horizon.
     game = strong_interference_game
     beliefs = BeliefState.from_xi([0.5, 0.5])
     init = beliefs if engine is run_fp else q_from_beliefs(game, beliefs)
@@ -666,45 +667,98 @@ def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, en
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert batch.switches.size <= MAX_PERIOD * batch.evaluations.sum()
+    assert batch.decisions.size <= MAX_PERIOD * batch.evaluations.sum()
     assert peak < 2**20
     np.testing.assert_array_equal(batch.tail(4)[0], [[0, 0], [1, 1]] * 2)
 
 
+def _assert_decisions_tile_steps(batch):
+    """Per game of ``batch``: its log entries start at strictly increasing
+    steps, each decision's phases start at consecutive steps and share its
+    period and laps, the decisions' period * laps steps sum to T, and so do
+    the steps each entry is played."""
+    log, T = batch._log, batch.T
+    played = batch._played(T)
+    for g in range(len(batch.final_marginals)):
+        mine = np.flatnonzero(log.game == g)
+        start, period, laps = log.start[mine], log.period[mine], log.laps[mine]
+        assert np.all(np.diff(start) > 0)
+        i = step = 0
+        while i < len(mine):
+            p = int(period[i])
+            np.testing.assert_array_equal(start[i:i + p], step + np.arange(p))
+            assert np.all(period[i:i + p] == p) and np.all(laps[i:i + p] == laps[i])
+            step += p * int(laps[i])
+            i += p
+        assert step == T
+        assert played[mine].sum() == T
+
+
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_each_games_decisions_tile_its_steps(strong_interference_game, engine):
+    # One 2x2 batch holds a game that settles, the paper's 2-cycle, a
+    # near-symmetric game whose cycle dies, and the cycle game from uniform
+    # beliefs, kept on exact ties and decided at about every other step.
+    # Near-symmetric 3x3 games, which switch often before they settle,
+    # share another batch (a batch holds one shape).
+    rng = np.random.default_rng(1)
+    settles = GameSpec.symmetric([[10.0, 0.01], [0.01, 10.0]], p_max=1.0)
+    xi = BeliefState.from_xi([0.5, 0.5])
+    near_symmetric_3x3 = [GameSpec.symmetric(np.exp(rng.normal(0.0, 0.15, (3, 3))), p_max=10.0)
+                          for _ in range(6)]
+    batches = [([settles, strong_interference_game, NEAR_SYMMETRIC, strong_interference_game],
+                [xi, xi, xi, BeliefState.uniform(2, 2)]),
+               (near_symmetric_3x3, [BeliefState.uniform(3, 3)] * 6)]
+    T = 600
+    results = []
+    for games, inits in batches:
+        if engine is run_aggregation_fp:
+            inits = [q_from_beliefs(game, init) for game, init in zip(games, inits)]
+        batch = engine(games, inits, T=T)
+        _assert_decisions_tile_steps(batch)
+        results.append(batch)
+    narrow, wide = results
+    assert narrow.evaluations[0] <= 3 and narrow.evaluations[1] <= 10
+    assert narrow.evaluations[3] > T // 3
+    switches = np.any(wide.actions[1:] != wide.actions[:-1], axis=2).sum(axis=0)
+    assert switches.max() >= 25 and wide._log.period.max() > 1
+
+
 def _hand_result(entries, n_games, T, init_step, payoffs):
-    """The result of a switch log on 2 players x 3 channels (code c is
+    """The result of a decision log on 2 players x 3 channels (code c is
     profile (c // 3, c % 3)) built by hand from ``entries`` (game, step,
     code, period, laps) in the order the engine appends them, each (game,
     code) pair numbered at its first entry, as the engine numbers them.
     ``payoffs(games, codes)`` gives the payoffs of those pairs."""
     pairs = _Columns(game=np.int64, code=np.int64, start=np.int64, profile=(np.int8, (2,)))
-    switches = _Columns(pair=np.int64, start=np.int64, period=np.int64, laps=np.int64)
+    decisions = _Columns(pair=np.int64, start=np.int64, period=np.int64, laps=np.int64)
     numbered = {}
     for game, step, code, period, laps in entries:
         if (game, code) not in numbered:
             numbered[game, code] = pairs.size
             pairs.append(game=[game], code=[code], start=[step], profile=[divmod(code, 3)])
-        switches.append(pair=[numbered[game, code]], start=[step], period=[period], laps=[laps])
+        decisions.append(pair=[numbered[game, code]], start=[step], period=[period], laps=[laps])
     return BatchFPResult(frequencies={}, final_marginals=np.zeros((n_games, 2, 3)),
                          final_step=init_step + T, evaluations=np.zeros(n_games, dtype=np.int64),
-                         tables=None, switches=switches, pairs=pairs, T=T,
+                         tables=None, decisions=decisions, pairs=pairs, T=T,
                          payoffs=lambda: payoffs(pairs["game"], pairs["code"]))
 
 
-def test_the_switch_log_reads_as_per_step_play():
-    # Two games, logged as the engine logs them: one entry per switching
-    # phase of a decision, the games' entries interleaved. Game 0 plays a
-    # 2-cycle, then a 3-cycle whose middle phase repeats the step before it,
-    # and its horizon ends two phases into that cycle's fourth period.
+def test_the_decision_log_reads_as_per_step_play():
+    # Two games, logged as the engine logs them: one entry per phase of a
+    # decision, the games' entries interleaved. Game 0 plays a 2-cycle, then
+    # a 3-cycle whose middle phase repeats the step before it, then holds
+    # one profile for two laps; game 1 holds its last profile for one lap,
+    # then nine.
     T, init_step = 19, 2
     steps = [
         [5, 5] + [3, 7] * 3 + [0, 0, 4] * 3 + [0, 0],
         [2] + [6, 1] * 4 + [6] * 10,
     ]
     entries = [
-        (0, 0, 5, 1, 1), (1, 0, 2, 1, 1), (1, 1, 6, 2, 4), (1, 2, 1, 2, 4),
-        (0, 2, 3, 2, 3), (0, 3, 7, 2, 3), (0, 8, 0, 3, 3), (0, 10, 4, 3, 3),
-        (1, 9, 6, 1, 1), (0, 17, 0, 1, 1),
+        (0, 0, 5, 1, 1), (1, 0, 2, 1, 1), (0, 1, 5, 1, 1), (1, 1, 6, 2, 4), (1, 2, 1, 2, 4),
+        (0, 2, 3, 2, 3), (0, 3, 7, 2, 3), (0, 8, 0, 3, 3), (0, 9, 0, 3, 3), (0, 10, 4, 3, 3),
+        (1, 9, 6, 1, 1), (1, 10, 6, 1, 9), (0, 17, 0, 1, 2),
     ]
     tables = np.random.default_rng(5).uniform(0.0, 3.0, (2, 2, 3, 3))
     looked_up = []
@@ -730,12 +784,11 @@ def test_the_switch_log_reads_as_per_step_play():
 
 
 def _random_log(rng, T):
-    """The entries of a switch log of random play of one game on 2 players
+    """The entries of a decision log of random play of one game on 2 players
     x 3 channels, logged as the engine logs it: decisions of 1-4 phases
-    played for 1-29 laps, one entry per phase whose profile differs from
-    the step before it. A cycle of several laps switches at the same phases
-    in every lap; the step before it may differ from its last phase (the
-    engine's never does)."""
+    played for 1-29 laps, one entry per phase. A cycle of several laps
+    switches at the same phases in every lap; the step before it may
+    differ from its last phase (the engine's never does)."""
     steps, entries = [], []
     while len(steps) < T:
         period = int(rng.integers(1, 5))
@@ -745,9 +798,8 @@ def _random_log(rng, T):
         before = steps[-1] if steps else -1
         if laps > 1 and (cycle[0] != before) != (cycle[0] != cycle[-1]):
             continue  # phase 0 would switch in some laps only
-        for phase, code in enumerate(cycle):
-            if code != (cycle[phase - 1] if phase else before):
-                entries.append((0, len(steps) + phase, code, period, laps))
+        entries += [(0, len(steps) + phase, code, period, laps)
+                    for phase, code in enumerate(cycle)]
         steps += cycle * laps
     del steps[T:]
     return entries, steps
@@ -970,9 +1022,9 @@ class TestCyclePersistence:
     def test_near_symmetric_game_dies_at_known_round(self):
         # Potential-difference ratio ~0.894: inside the xi=0.5 band for
         # n <= 3, outside from n = 4 on.
-        for n in (1, 2, 3):
+        for n in (1, 2, np.int64(3)):
             assert cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), n)
-        for n in (4, 5, 100):
+        for n in (np.int32(4), 5, 100):
             assert not cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), n)
 
     def test_engine_leaves_the_cycle_where_the_predicate_turns_false(self):
@@ -1068,6 +1120,9 @@ class TestCyclePersistence:
             cycle_persistence_2x2(strong_interference_game, (0.5, 1.0), 1)
         with pytest.raises(ValueError, match="n must be"):
             cycle_persistence_2x2(strong_interference_game, (0.5, 0.5), 0)
+        for n in (3.9, True):  # neither truncated to round 3 nor read as round 1
+            with pytest.raises(TypeError, match="n must be an integer"):
+                cycle_persistence_2x2(NEAR_SYMMETRIC, (0.5, 0.5), n)
         asymmetric = GameSpec(
             bandwidths=[1.0, 1.0],
             noise=[1.0, 2.0],
