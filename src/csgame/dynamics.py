@@ -10,7 +10,9 @@ profile, or a cycle of up to :data:`MAX_PERIOD` profiles, it plays it for as
 many whole periods as the per-step rule is certain to keep it, and decides
 again only then, so a run that settles and the paper's miscoordination cycle
 alike cost a few decisions, not one per step, with the same result bit for
-bit. Each rule supplies only its scores and its certificate.
+bit. Both rules average one vector per step, which the driver keeps as each
+(game, profile) pair's visits times that vector; each rule supplies only
+the vector, its scores and its certificate.
 
 * :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
@@ -19,13 +21,12 @@ bit. Each rule supplies only its scores and its certificate.
 * :func:`run_aggregation_fp` never reveals actions. After each round the
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution, values every channel it
-  could have used, and plays argmax of the running average of those values,
-  carried as a counted sum (visit count times channel values per distinct
-  profile); a run reports the game's own payoffs and potential. With two
-  players the two rules play identical profiles, so identical payoffs and
-  potentials, from matched initial state (:func:`q_from_beliefs`); with more
-  players the aggregate no longer pins down the opponent profile and the
-  trajectories may diverge.
+  could have used, and plays argmax of the running average of those values;
+  a run reports the game's own payoffs and potential. With two players the
+  two rules play identical profiles, so identical payoffs and potentials,
+  from matched initial state (:func:`q_from_beliefs`); with more players the
+  aggregate no longer pins down the opponent profile and the trajectories
+  may diverge.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ MAX_PERIOD = 8
 # Steps a trajectory view renders at once, and detect_cycle reads at once
 # while it seeks a cycle's onset.
 _BLOCK_STEPS = 2**14
+# Game-steps BatchFPResult.actions renders at once: its int64 keys and entry
+# numbers are about 17 bytes per game-step.
+_BLOCK_CELLS = 2**18
 # The longest run. The log's readers stay exact up to it: they key entries by
 # game·(T+1)+start in int64 (see BatchFPResult._in_effect) and carry step
 # counts as float weights, exact to 2⁵³.
@@ -223,10 +227,10 @@ class Trajectory:
     is built whole only when that attribute is read. A step's profile comes
     from the log, its payoffs, potential and gamma from one lookup per
     pair number (see :class:`BatchFPResult`), and its decision-time
-    state is summed as the engine sums it, from the initial step times the
-    initial state: exact counts, or each profile's channel values
-    (``values``) under the aggregation rule. Chunks read in order carry the
-    state's sums from one to the next.
+    state is summed as the engine sums it (see :func:`_play`): from the
+    rule's base, each pair's visits before the step times its values, in
+    order of first visit, turned into the state by the rule. Chunks read in
+    order carry the pairs' visits from one to the next.
     """
 
     def __init__(self, variant: str, tie_break: str, profiles, utilities, potentials,
@@ -257,15 +261,14 @@ class Trajectory:
 
     @classmethod
     def _view(cls, result: BatchFPResult, variant: str, tie_break: str, per_profile: dict,
-              initial_state: np.ndarray, base: np.ndarray, values=None) -> "Trajectory":
+              initial_state: np.ndarray, rule) -> "Trajectory":
         traj = cls.__new__(cls)
         traj.variant, traj.tie_break, traj._result = variant, tie_break, result
         traj.T, (_, traj.num_players, traj.n_channels) = result.T, result.final_marginals.shape
         traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
         traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
-        traj._per_profile, traj._base, traj._values = per_profile, base, values
-        # The state's sums at a step: counts, or each profile's visits.
-        traj._carry = (0, np.zeros(base.shape if values is None else len(values)))
+        traj._per_profile, traj._rule = per_profile, rule
+        traj._carry = (0, np.zeros(result.pairs.size))  # a step, and each pair's visits before it
         traj._block = (0, {"profiles": ()})  # the rendered block's first step and fields
         return traj
 
@@ -293,36 +296,28 @@ class Trajectory:
         fields.update((name, table[pair]) for name, table in self._per_profile.items()
                       if name in names)
         fields["profiles"] = self._result._log.profile[entry].astype(np.int64)
-        state = "beliefs" if self._values is None else "q_values"
+        state = "beliefs" if self.variant == "classic" else "q_values"
         if state in names:
-            fields[state] = self._state(a, b, pair, fields["profiles"])
+            fields[state] = self._state(a, b, pair)
         return fields
 
-    def _state(self, a: int, b: int, pair: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        result = self._result
-        step, sums = self._carry
+    def _state(self, a: int, b: int, pair: np.ndarray) -> np.ndarray:
+        result, values = self._result, self._result.pairs["values"]
+        step, visited = self._carry
         if step != a:
-            sums = result.counts(a)[0] if self._values is None else np.bincount(
-                result._log.pair, weights=result._played(a), minlength=len(self._values))
-        weight = (self.initial_step + np.arange(a, b))[:, None, None]
-        if self._values is None:  # exact counts, then the prior
-            eye = np.eye(sums.shape[1])
-            state = np.empty((b - a,) + sums.shape)
-            state[0] = sums
-            np.cumsum(eye[profiles[:-1]], axis=0, out=state[1:])
-            state[1:] += sums
-            self._carry = (b, state[-1] + eye[profiles[-1]])
-            state += self._base
-            return state / weight
-        # The initial sum, then each pair's visits before the step times its
+            visited = np.bincount(result._log.pair, weights=result._played(a),
+                                  minlength=len(values))
+        # The rule's base, then each pair's visits before the step times its
         # values, in order of first visit, from the step after that visit on.
-        state = np.repeat(self._base[None], b - a, axis=0)
+        sums = np.repeat(self._rule.base[:1], b - a, axis=0)
         for p in range(np.searchsorted(result.pairs["start"], b - 1)):
             hits = pair == p
-            visits = sums[p] + np.cumsum(hits) - hits
+            visits = visited[p] + np.cumsum(hits) - hits
             on = np.flatnonzero(visits)
-            _counted_sum(state, on, visits[on], self._values[p])
-        self._carry = (b, sums + np.bincount(pair, minlength=len(sums)))
+            _counted_sum(sums, on, visits[on], values[p])
+        self._carry = (b, visited + np.bincount(pair, minlength=len(visited)))
+        weight = (self.initial_step + np.arange(a, b))[:, None, None]
+        state = self._rule.state(sums, 0)
         np.divide(state, weight, out=state, where=weight > 0)
         if a == 0 and self.initial_step == 0:
             state[0] = self.initial_state
@@ -458,17 +453,19 @@ class BatchFPResult:
     The play is kept run-length encoded. ``pairs`` numbers the (game,
     profile) pairs played from 0 in order of first visit, so each game's
     pairs in its own order of first visit, with each pair's ``game``,
-    profile ``code``, ``profile`` (K channel indices) and ``start`` (0-based
-    step of its first visit). ``decisions`` logs every phase of every
-    decision, a jumped cycle's phase once for all its periods: per entry
-    its ``pair``, first ``start`` step, and the ``period`` and number of
-    periods (``laps``) of its decision's cycle. A decision's phases start
-    at consecutive steps, and the game's next decision period * laps steps
-    after its first phase, so each game's entries tile its steps. Every
-    read goes through the log's entries, so its cost grows with the
-    decisions, not with the steps. ``actions`` renders every game's profile
-    at every step, (T, G, K), when it is first read, and :meth:`tail` only
-    the last steps.
+    profile ``code``, ``profile`` (K channel indices), ``start`` (0-based
+    step of its first visit), ``values`` (the (K, S) vector its rule
+    averages at each step that plays it: the profile's one-hot rows, or its
+    channel values) and ``visits`` (its steps played). ``decisions`` logs
+    every phase of every decision, a jumped cycle's phase once for all its
+    periods: per entry its ``pair``, first ``start`` step, and the
+    ``period`` and number of periods (``laps``) of its decision's cycle. A
+    decision's phases start at consecutive steps, and the game's next
+    decision period * laps steps after its first phase, so each game's
+    entries tile its steps. Every read goes through the log's entries, so
+    its cost grows with the decisions, not with the steps. ``actions``
+    renders every game's profile at every step, (T, G, K), when it is first
+    read, and :meth:`tail` only the last steps.
     ``frequencies[t]`` holds the (G, K, S) empirical action frequencies
     after checkpoint step t, from exact counts, and ``final_marginals`` the
     (G, K, S) final state: beliefs under the classic rule, channel scores
@@ -534,8 +531,18 @@ class BatchFPResult:
 
     @cached_property
     def actions(self) -> np.ndarray:
-        """Every game's profile at every step, (T, G, K)."""
-        return self.tail(self.T).swapaxes(0, 1)
+        """Every game's profile at every step, (T, G, K), rendered at most
+        :data:`_BLOCK_CELLS` game-steps at a time."""
+        profile = self._log.profile
+        n_games = len(self.final_marginals)
+        out = np.empty((n_games, self.T) + profile.shape[1:], profile.dtype)
+        steps = min(self.T, _BLOCK_CELLS)
+        for g in range(0, n_games, _BLOCK_CELLS // steps):
+            games = np.arange(g, min(n_games, g + _BLOCK_CELLS // steps))
+            for a in range(0, self.T, steps):
+                b = min(self.T, a + steps)
+                out[g:g + len(games), a:b] = profile[self._in_effect(a, b, games)]
+        return out.swapaxes(0, 1)
 
     def counts(self, t: int) -> np.ndarray:
         """Exact (G, K, S) action counts over the first t steps, as floats."""
@@ -666,9 +673,10 @@ def _certified_run(tables: np.ndarray):
     return certify
 
 
-def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_break: str,
+def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
           checkpoints: list[int]) -> BatchFPResult:
-    """The event-driven lockstep driver of both rules. A game's weight is
+    """The event-driven lockstep driver of both rules, from the (G, K, S)
+    initial state ``init`` at weight ``init_step``. A game's weight is
     ``init_step`` plus the steps it played.
 
     At a decision point every player of every running game plays the
@@ -685,30 +693,48 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
     phase of every decision is one log entry, so a game's entries tile its
     steps.
 
-    ``rule`` holds the running games' state: ``ids`` (which games run),
-    ``pairs`` (set here: the pairs numbered so far), ``scores(weight)``,
-    ``certify(at, row, phase, start, pair, step, period, cap)`` (per phase
-    of :func:`_unroll` of running game ``at``, at weight ``step``, the
-    periods it keeps, at most ``cap``), ``advance(rows, pairs, mult)``
-    (running game ``rows[i]`` played pair ``pairs[i]`` ``mult[i]`` more
-    times), ``retire(done, weight)`` (record the final state of the games
-    ``done`` and drop them), ``final``, ``tables`` and ``payoffs`` (see
-    :class:`BatchFPResult`).
+    The driver keeps both rules' running state: per pair, the vector its
+    rule averages at each step that plays it (``values``) and its visit
+    count (``visits``). A game's sum is :func:`_counted_sum` from the rule's
+    ``base`` over its pairs in order of first visit, and ``rule.state(sums,
+    games)`` its state times its weight. From that the driver computes the
+    state the scores are read from (the initial state at weight 0), each
+    certified phase's state and its cycle's average values (the target),
+    and the final state.
+
+    ``rule`` also holds ``ids`` (the running games), ``pairs`` (set here),
+    ``values(games, profiles)`` (of the pairs numbered now), ``scores(state)``,
+    ``certify(at, state, choice, step, target, period, cap)`` (per phase of
+    :func:`_unroll` of running game ``at``, at weight ``step``, playing
+    one-hot ``choice``: the periods it keeps, at most ``cap``),
+    ``retire(done)``, ``tables`` and ``payoffs`` (see :class:`BatchFPResult`).
     """
     pick, channel = _chooser(tie_break, T)
+    n_games, n_players, n_channels = init.shape
     n_profiles = n_channels**n_players
     if n_profiles > np.iinfo(np.int64).max:
         raise ValueError(f"S**K = {n_profiles} profiles do not fit a 64-bit code")
-    n_games = len(rule.ids)
     place = n_channels ** np.arange(n_players - 1, -1, -1)
+    eye = np.eye(n_channels)
     end = float(init_step + T)
     evaluations = np.zeros(n_games, dtype=np.int64)
+    final = np.empty(init.shape)
     numbered: dict[int, int] = {}  # game * S**K + profile code -> pair
     pairs = rule.pairs = _Columns(game=np.int64, code=np.int64, start=np.int64,
-                                  profile=(_action_dtype(n_channels), (n_players,)))
+                                  profile=(_action_dtype(n_channels), (n_players,)),
+                                  values=(float, (n_players, n_channels)), visits=float)
     decisions = _Columns(pair=np.min_scalar_type(n_games * min(n_profiles, T)),
                          start=np.min_scalar_type(T), period=np.min_scalar_type(MAX_PERIOD),
                          laps=np.min_scalar_type(T))
+
+    def sums(games):  # each of ``games``' state times its weight, before ``state``
+        row = np.full(n_games, -1)
+        row[games] = np.arange(len(games))
+        at = row[pairs["game"]]
+        mine = np.flatnonzero(at >= 0)
+        return _counted_sum(rule.base[games], at[mine], pairs["visits"][mine],
+                            pairs["values"][mine])
+
     # Per running game: its weight, as a float, and the pairs of the last
     # steps played, newest first (-1 before the first steps). A game leaves
     # the stack as soon as it finishes, so every game in it is decided at
@@ -719,13 +745,17 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
     while True:
         iteration += 1
         ids = rule.ids
-        a = channel(pick(rule.scores(weight)), n_channels)
+        held = sums(ids)
+        w = weight[:, None, None]
+        state = np.divide(rule.state(held, ids), w, out=init[ids], where=w > 0)
+        a = channel(pick(rule.scores(state)), n_channels)
         codes = a.dot(place)
         decided = np.array([numbered.setdefault(g * n_profiles + c, len(numbered))
                             for g, c in zip(ids.tolist(), codes.tolist())])
         new = decided >= pairs.size
-        pairs.append(game=ids[new], code=codes[new], start=weight[new] - init_step,
-                     profile=a[new])
+        if new.any():
+            pairs.append(game=ids[new], code=codes[new], start=weight[new] - init_step,
+                         profile=a[new], values=rule.values(ids[new], a[new]), visits=0.0)
         window = np.concatenate([decided[:, None], history], axis=1)
         # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
         # one period of one step, its new decision, unless its last steps
@@ -738,7 +768,14 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
             p = repeats[tried]
             row, phase, pair, start = _unroll(window[tried], p)
             at = tried[row]
-            kept = rule.certify(at, row, phase, start, pair, weight[at] + phase, p[row],
+            # Every phase of the first period: its state, as the per-step
+            # rule would compute it there, and the cycle's average values.
+            step = weight[at] + phase
+            values = pairs["values"][pair]
+            state = rule.state(held[at] + _earlier(values, row, phase), ids[at])
+            state /= step[:, None, None]
+            target = np.add.reduceat(values, start)[row] / p[row][:, None, None]
+            kept = rule.certify(at, state, eye[pairs["profile"][pair]], step, target, p[row],
                                 (end - weight[at]) // p[row])
             kept[phase == 0] = np.maximum(kept[phase == 0], 1)  # decided now
             laps = np.minimum.reduceat(kept, start).astype(np.int64)
@@ -749,7 +786,7 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         row, phase, pair, _ = _unroll(window, period)
         decisions.append(pair=pair, start=weight[row] + phase - init_step, period=period[row],
                          laps=cycles[row])
-        rule.advance(row, pair, cycles[row])
+        np.add.at(pairs["visits"], pair, cycles[row])
         steps = cycles * period
         weight += steps
         # The last steps played follow the cycle back from its last phase.
@@ -759,11 +796,12 @@ def _play(rule, n_players: int, n_channels: int, init_step: int, T: int, tie_bre
         if weight.max() == end:
             done = weight == end
             evaluations[ids[done]] = iteration
-            rule.retire(done, end)
+            final[ids[done]] = rule.state(sums(ids[done]), ids[done]) / end
+            rule.retire(done)
             if done.all():
                 break
             weight, history = weight[~done], history[~done]
-    result = BatchFPResult(frequencies={}, final_marginals=rule.final, final_step=init_step + T,
+    result = BatchFPResult(frequencies={}, final_marginals=final, final_step=init_step + T,
                            evaluations=evaluations, tables=rule.tables, decisions=decisions,
                            pairs=pairs, T=T, payoffs=rule.payoffs)
     for t in checkpoints:
@@ -800,51 +838,33 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
 
 
 class _Classic:
-    """Classic play for :func:`_play`: each running game's exact action
-    counts, expected payoffs under the product of its marginals, and the
-    certificate of :func:`_certified_run`."""
+    """Classic play for :func:`_play`: a pair's values are its profile's
+    one-hot rows, so a game's sum is its exact action counts and its state
+    those counts plus the prior; expected payoffs under the product of the
+    marginals, and the certificate of :func:`_certified_run`."""
 
     def __init__(self, tables: np.ndarray, prior: np.ndarray) -> None:
         self.tables, self.prior = tables, prior  # prior: marginals times the initial step
         self.ids = np.arange(len(tables))
-        self.counts = np.zeros(prior.shape)
-        self.final = np.empty(prior.shape)
-        self.eye = np.eye(prior.shape[2])
+        self.base = np.zeros(prior.shape)
         self._stack(tables)
 
     def _stack(self, stack: np.ndarray) -> None:
         # A C-ordered copy of the running rows has the layout of a prefix
         # of ``tables``, so the same einsum kernels and sums.
         self.stack = stack
-        self.expected, self.certified = _expectation(stack), _certified_run(stack)
-        self.stack_prior = self.prior[self.ids]
+        self.scores, self.certify = _expectation(stack), _certified_run(stack)
 
-    def scores(self, weight):
-        f = self.stack_prior + self.counts
-        f /= weight[:, None, None]
-        return self.expected(f)
+    def values(self, games, profiles):
+        return np.eye(self.prior.shape[2])[profiles]
 
-    def certify(self, at, row, phase, start, pair, step, period, cap):
-        one = self.eye[self.pairs["profile"][pair]]
-        # Every phase of the first period: its beliefs, as the per-step
-        # rule would compute them there, and the periods it is kept for.
-        g = self.stack_prior[at] + (self.counts[at] + _earlier(one, row, phase))
-        g /= step[:, None, None]
-        per_period = np.add.reduceat(one, start)
-        return self.certified(at, g, one, step, per_period[row] / period[:, None, None],
-                              period, cap)
+    def state(self, sums, games):
+        return sums + self.prior[games]
 
-    def advance(self, rows, pairs, mult):
-        # Whole counts, so the order of these additions is immaterial.
-        np.add.at(self.counts, (rows[:, None], np.arange(self.counts.shape[1]),
-                                self.pairs["profile"][pairs]), mult[:, None])
-
-    def retire(self, done, weight):
-        self.final[self.ids[done]] = (self.prior[self.ids[done]] + self.counts[done]) / weight
-        keep = ~done
-        self.ids, self.counts = self.ids[keep], self.counts[keep]
-        if keep.any():
-            self._stack(self.stack[keep])
+    def retire(self, done):
+        self.ids = self.ids[~done]
+        if self.ids.size:
+            self._stack(self.stack[~done])
 
     def payoffs(self):
         tables = self.tables.reshape(self.tables.shape[:2] + (-1,))  # by profile code
@@ -884,17 +904,14 @@ def run_fp(
     games, single, checkpoints, init_step, marginals = _inputs(
         game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
         checkpoints)
-    _, n_players, n_channels = marginals.shape
     tables = _utility_tables(games)
-    prior = marginals * init_step
-    result = _play(_Classic(tables, prior), n_players, n_channels, init_step, T, tie_break,
-                   checkpoints)
+    rule = _Classic(tables, marginals * init_step)
+    result = _play(rule, marginals, init_step, T, tie_break, checkpoints)
     if not single:
         return result
     per_profile = {"utilities": result.payoffs(),
                    "potentials": potential_table(game).reshape(-1)[result.pairs["code"]]}
-    return Trajectory._view(result, "classic", tie_break, per_profile, marginals[0].copy(),
-                            prior[0])
+    return Trajectory._view(result, "classic", tie_break, per_profile, marginals[0].copy(), rule)
 
 
 def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
@@ -923,14 +940,14 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
 
 
 class _Aggregation:
-    """Aggregate-feedback play for :func:`_play`. A game's scores at weight
-    w > 0 are a counted sum over w (:func:`_counted_sum`): its initial step
-    times its initial scores, plus, over its pairs in order of first visit,
-    each one's visit count times its channel values; at weight 0 they are
-    the initial scores. The broadcast feedback of a pair (its channel
-    values, gamma, payoffs and potential) is computed once, at the first
-    step that plays it, and kept with its visit count under its pair
-    number.
+    """Aggregate-feedback play for :func:`_play`. A pair's values are its
+    channel values, so a game's scores at weight w > 0 are its counted sum
+    over w: its initial step times its initial scores (``base``), plus,
+    over its pairs in order of first visit, each one's visit count times
+    its channel values; at weight 0 they are the initial scores. The
+    broadcast feedback of a pair (its channel values, gamma, payoffs and
+    potential) is computed once, when the pair is numbered, and its gamma,
+    payoffs and potential are kept here under its pair number.
 
     While a cycle of profiles repeats, the scores at each phase move
     linearly toward the cycle's average values in lam = n p / (w + n p), so
@@ -938,60 +955,37 @@ class _Aggregation:
     above the error of the counted sums."""
 
     def __init__(self, games: list[GameSpec], q0: np.ndarray, init_step: int) -> None:
-        n_games, n_players, n_channels = q0.shape
-        self.games, self.q0, self.base = games, q0, q0 * init_step
-        self.ids = np.arange(n_games)
-        self.eye = np.eye(n_channels)
-        self.feedback = _Columns(values=(float, (n_players, n_channels)), visits=float,
-                                 gamma=(float, (n_channels,)), payoff=(float, (n_players,)),
+        self.games, self.base, self.tables = games, q0 * init_step, None
+        self.ids = np.arange(len(games))
+        self.feedback = _Columns(gamma=(float, q0.shape[2:]), payoff=(float, q0.shape[1:2]),
                                  potential=float)
         self.scale = q0.max(axis=(1, 2), initial=0.0)  # per game: the largest score or value
-        self.final = np.empty(q0.shape)
-        self.tables = None
 
-    def _sums(self, games):
-        row = np.full(len(self.games), -1)
-        row[games] = np.arange(len(games))
-        at = row[self.pairs["game"]]
-        mine = np.flatnonzero(at >= 0)
-        return _counted_sum(self.base[games], at[mine], self.feedback["visits"][mine],
-                            self.feedback["values"][mine])
+    def values(self, games, profiles):
+        fresh = [_aggregate_feedback(self.games[g], profile)
+                 for g, profile in zip(games.tolist(), profiles)]
+        values, gamma, payoff, potential = (np.array(column) for column in zip(*fresh))
+        self.feedback.append(gamma=gamma, payoff=payoff, potential=potential)
+        np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
+        return values
 
-    def scores(self, weight):
-        self.sums = self._sums(self.ids)
-        w = weight[:, None, None]
-        return np.divide(self.sums, w, out=self.q0[self.ids], where=w > 0)
+    def state(self, sums, games):
+        return sums
 
-    def certify(self, at, row, phase, start, pair, step, period, cap):
+    def scores(self, state):
+        return state
+
+    def certify(self, at, state, choice, step, target, period, cap):
         games = self.ids[at]
-        values = self.feedback["values"][pair]
-        # Every phase's scores, as the per-step rule would compute them
-        # there up to rounding, and the cycle's average values.
-        scores = (self.sums[at] + _earlier(values, row, phase)) / step[:, None, None]
-        target = np.add.reduceat(values, start)[row] / period[:, None, None]
-        choice = self.eye[self.pairs["profile"][pair]]
         # The counted sum of v visited profiles errs by about v + 1 rounding
         # errors of the largest score, the phase's scores by p more.
         visited = np.bincount(self.pairs["game"], minlength=len(self.games))[games]
         slack = (16 * (visited + MAX_PERIOD + 2) * np.finfo(float).eps
                  * self.scale[games])[:, None, None]
-        return _laps(_margins(scores, choice) - slack, _margins(target, choice) - slack,
+        return _laps(_margins(state, choice) - slack, _margins(target, choice) - slack,
                      step, period, cap, choice)
 
-    def advance(self, rows, pairs, mult):
-        known = self.feedback.size  # the pairs numbered since are first visits
-        games = self.pairs["game"][known:]
-        fresh = [_aggregate_feedback(self.games[g], profile) for g, profile in
-                 zip(games.tolist(), self.pairs["profile"][known:].astype(np.int64))]
-        if fresh:
-            values, gamma, payoff, potential = (np.array(column) for column in zip(*fresh))
-            self.feedback.append(values=values, visits=np.zeros(len(fresh)), gamma=gamma,
-                                 payoff=payoff, potential=potential)
-            np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
-        np.add.at(self.feedback["visits"], pairs, mult)
-
-    def retire(self, done, weight):
-        self.final[self.ids[done]] = self._sums(self.ids[done]) / weight
+    def retire(self, done):
         self.ids = self.ids[~done]
 
     def payoffs(self):
@@ -1028,16 +1022,14 @@ def run_aggregation_fp(
     """
     games, single, checkpoints, init_step, q0 = _inputs(
         game, init_q, QState.zeros, lambda s: s.q, "q", T, tie_break, checkpoints)
-    n_games, n_players, n_channels = q0.shape
     rule = _Aggregation(games, q0, init_step)
-    result = _play(rule, n_players, n_channels, init_step, T, tie_break, checkpoints)
+    result = _play(rule, q0, init_step, T, tie_break, checkpoints)
     if not single:
         return result
     feedback = rule.feedback
     per_profile = {"utilities": feedback["payoff"], "potentials": feedback["potential"],
                    "gammas": feedback["gamma"]}
-    return Trajectory._view(result, "aggregation", tie_break, per_profile, q0[0].copy(),
-                            rule.base[0], feedback["values"])
+    return Trajectory._view(result, "aggregation", tie_break, per_profile, q0[0].copy(), rule)
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:

@@ -71,30 +71,31 @@ CONVERGENCE_TV = 1e-2
 # table entries plus K * T channel indices. Sweeps never render per-step
 # actions (a record reads a CYCLE_WINDOW-step tail), so the second term is a
 # ceiling, not what a chunk holds: the engine numbers the (game, profile)
-# pairs played in a registry of 3 int64 and K channel indices per pair, and
-# logs one entry of a few bytes (pair number, first step, period and laps)
-# per phase of every decision, however many periods a jumped cycle covers;
-# every read (counts, counted payoff sums, the tail) works on those entries.
-# Ten games of the paper's 2-cycle at T = 10**5, which switch at every step,
-# read their records in 57 kB (tracemalloc peak) against the 2 MB counted
-# here. The chunk's tables are built as one stack, one
-# (player, channel) slice at a time: the build's working set is one G *
-# S**(K-1) load per slice, and there is no second copy of the stack. The
-# chunk's analysis adds a potential stack and a working load of S**K
-# float64 entries each per game, and a boolean mask, which for K >= 2 stay
-# within the tables' own size. The classic engine's copy of its running
-# games' tables adds up to that size again, twice while one compaction
-# replaces the last. The aggregation engine needs no table: per pair it
-# keeps K * S + K + S + 2 float64 entries (channel values, payoffs, gamma,
-# potential, visit count), and while it runs, a dict entry per pair; on
-# montecarlo_2x2_snr20 (1000 games, 2943 pairs) it holds 0.59 MB at the end
-# and peaks at 2.1 MB (tracemalloc). Those grow with the play, so they are
-# not counted here. Nor are the records: a chunk keeps them as columns (see
-# _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and 2 * K +
-# 1 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
+# pairs played in a registry of 3 int64, K channel indices and, for either
+# rule, K * S + 1 float64 (the vector the rule averages and the visit count)
+# per pair, and logs one entry of a few bytes (pair number, first step,
+# period and laps) per phase of every decision, however many periods a jumped
+# cycle covers; every read (counts, counted payoff sums, the tail) works on
+# those entries. Ten games of the paper's 2-cycle at T = 10**5, which switch
+# at every step, read their records in 60 kB (tracemalloc peak) against the
+# 2 MB counted here. The chunk's tables are built as one stack, one (player,
+# channel) slice at a time: the build's working set is one G * S**(K-1) load
+# per slice, and there is no second copy of the stack. The chunk's analysis
+# adds a potential stack and a working load of S**K float64 entries each per
+# game, and a boolean mask, which for K >= 2 stay within the tables' own
+# size. The classic engine's copy of its running games' tables adds up to
+# that size again, twice while one compaction replaces the last. The
+# aggregation engine needs no table: per pair it keeps K + S + 1 float64 more
+# (payoffs, gamma, potential). Both keep a dict entry per pair while they
+# run. On montecarlo_2x2_snr20 (1000 games, 1475 pairs, tracemalloc) the
+# classic engine holds 0.35 MB at the end and peaks at 1.6 MB, the
+# aggregation engine 0.50 MB and 1.9 MB. Those grow with the play, so they
+# are not counted here. Nor are the records: a chunk keeps them as columns
+# (see _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and
+# 2 * K + 1 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
 # int64 per trial, which dominate; a sweep keeps every chunk's columns until
-# its trial files are written. Writing renders at most 1024 trial files at
-# a time: their cells (one string per distinct value of a column) and their
+# its trial files are written. Writing renders at most 1024 trial files at a
+# time: their cells (one string per distinct value of a column) and their
 # texts. Measured on montecarlo_2x2_snr20 (1000 trials, one chunk, with
 # tracemalloc): the columns hold 2.6 MB, 1.0 MB of it the windows, and
 # writing peaks 3.2 MB above them; the same records as dicts hold 3.7 MB.
@@ -303,45 +304,50 @@ class _SweepRecords(list):
     record dicts are built from the columns on first read. Its length is
     known without them, and :func:`csgame.output.write_trial_records`
     renders the trial files from the columns, so writing a sweep builds
-    no dict."""
+    no dict. Every list method first builds the dicts (:meth:`_read`); one
+    that changes the list also drops the columns, so that writing it
+    renders its dicts."""
+
+    chunks, _unread = None, 0  # unpickling appends records before it sets these
 
     def __init__(self, chunks: list[_Chunk]):
         super().__init__()
         self.chunks = chunks
-        self._length = sum(len(chunk.trials) for chunk in chunks)
+        self._unread = sum(len(chunk.trials) for chunk in chunks)
 
     def _read(self) -> list:
-        if list.__len__(self) < self._length:
-            self.extend(record for chunk in self.chunks for record in chunk.records())
+        if self._unread:
+            self._unread = 0
+            list.extend(self, (record for chunk in self.chunks for record in chunk.records()))
         return self
 
     def __len__(self) -> int:
-        return self._length
+        return self._unread or list.__len__(self)
 
-    def __iter__(self):
-        return list.__iter__(self._read())
-
-    def __reversed__(self):
-        return list.__reversed__(self._read())
-
-    def __getitem__(self, index):
-        return list.__getitem__(self._read(), index)
-
-    def __contains__(self, value) -> bool:
-        return list.__contains__(self._read(), value)
-
-    def __eq__(self, other) -> bool:
-        return list.__eq__(self._read(), _dicts(other))
-
-    def __ne__(self, other) -> bool:
-        return list.__ne__(self._read(), _dicts(other))
-
-    def __repr__(self) -> str:
-        return list.__repr__(self._read())
+    def __radd__(self, other):
+        return list.__add__(other, self._read()) if isinstance(other, list) else NotImplemented
 
 
-def _dicts(records):
-    return records._read() if isinstance(records, _SweepRecords) else records
+def _read_first(name: str, changes: bool):
+    method = getattr(list, name)
+
+    def read_first(self, *args, **kwargs):
+        self._read()
+        if changes:
+            self.chunks = None
+        return method(self, *(arg._read() if isinstance(arg, _SweepRecords) else arg
+                              for arg in args), **kwargs)
+
+    return read_first
+
+
+for _name in ("__iter__", "__reversed__", "__getitem__", "__contains__", "__eq__", "__ne__",
+              "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__",
+              "__repr__", "copy", "count", "index"):
+    setattr(_SweepRecords, _name, _read_first(_name, changes=False))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "reverse", "sort", "clear"):
+    setattr(_SweepRecords, _name, _read_first(_name, changes=True))
 
 
 def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:

@@ -278,11 +278,12 @@ def write_trial_records(records: list[dict], directory) -> list[Path]:
     """Write each record to ``trial_<index>.json`` in ``directory``, as
     :func:`write_json` would, and return the paths in trial order. A
     sweep's records, as :func:`~csgame.montecarlo.run_experiment` returns
-    them, are rendered from the columns they were built from; any other
-    list of record dicts goes through the standard encoder."""
+    them and unchanged since, are rendered from the columns they were built
+    from; any other list of record dicts goes through the standard
+    encoder."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(records, _SweepRecords):
+    if isinstance(records, _SweepRecords) and records.chunks is not None:
         files = _trial_texts(records)
     else:
         files = ((rec["trial"], dumps_json(rec) + "\n") for rec in records)

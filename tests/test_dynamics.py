@@ -672,6 +672,29 @@ def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, en
     np.testing.assert_array_equal(batch.tail(4)[0], [[0, 0], [1, 1]] * 2)
 
 
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_actions_are_rendered_in_bounded_blocks(monkeypatch, engine):
+    # Every game's profile at every step is rendered a block of games and
+    # steps at a time, so rendering it peaks within a small multiple of its
+    # own size, and the blocks join into per-step play.
+    rng = np.random.default_rng(7)
+    games = [random_game(rng, 2, 2) for _ in range(200)]
+    batch = engine(games, T=20_000)
+    tracemalloc.start()
+    try:
+        actions = batch.actions
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert actions.shape == (20_000, 200, 2)
+    assert peak < 2 * actions.nbytes
+    for i in (0, 199):
+        np.testing.assert_array_equal(actions[:, i], engine(games[i], T=20_000).profiles)
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", 7)  # blocks of 7 steps of one game
+    small = engine([random_game(rng, 2, 3) for _ in range(3)], T=40)
+    np.testing.assert_array_equal(small.actions, small.tail(40).swapaxes(0, 1))
+
+
 def _assert_decisions_tile_steps(batch):
     """Per game of ``batch``: its log entries start at strictly increasing
     steps, each decision's phases start at consecutive steps and share its
@@ -716,6 +739,12 @@ def test_each_games_decisions_tile_its_steps(strong_interference_game, engine):
             inits = [q_from_beliefs(game, init) for game, init in zip(games, inits)]
         batch = engine(games, inits, T=T)
         _assert_decisions_tile_steps(batch)
+        # The engine's visit counts are the steps the log plays each pair.
+        visits = batch.pairs["visits"]
+        np.testing.assert_array_equal(visits, np.bincount(batch._log.pair,
+                                                          weights=batch._played(T)))
+        np.testing.assert_array_equal(np.bincount(batch.pairs["game"], weights=visits),
+                                      [T] * len(games))
         results.append(batch)
     narrow, wide = results
     assert narrow.evaluations[0] <= 3 and narrow.evaluations[1] <= 10
@@ -820,7 +849,8 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
         traj = Trajectory._view(batch, "classic", "lowest",
                                 {"utilities": np.zeros((n_pairs, 2)),
                                  "potentials": np.zeros(n_pairs)},
-                                np.full((2, 3), 1 / 3), np.ones((2, 3)))
+                                np.full((2, 3), 1 / 3),
+                                dynamics._Classic(np.zeros((1, 2, 3, 3)), np.ones((1, 2, 3))))
         profiles = np.array([divmod(c, 3) for c in codes])
         np.testing.assert_array_equal(traj.steps(0, T, "profiles")[0], profiles)
         np.testing.assert_array_equal(traj.counts(), [

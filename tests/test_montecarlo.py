@@ -8,6 +8,7 @@ import dataclasses
 import io
 import itertools
 import json
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -37,6 +38,7 @@ from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
 from csgame.game import _utility_tables
 from csgame.montecarlo import _trial_games
+from csgame.output import write_trial_records
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
 
@@ -373,6 +375,49 @@ class TestRecords:
         _, records = run_experiment(config)
         parsed = json.loads(json.dumps(records))
         assert parsed == records
+
+    def test_every_list_method_reads_a_fresh_result(self, tmp_path, monkeypatch):
+        # A sweep's records build their dicts on first read; every list
+        # method, those written in C included, sees all of them.
+        config = parse_config({"generator": {"trials": 3}, "dynamics": {"steps": 50}, "seed": 3})
+
+        def fresh():
+            return run_experiment(config)[1]
+
+        held = list(fresh())
+        assert len(held) == 3
+        assert fresh().copy() == held and type(fresh().copy()) is list
+        assert fresh() + [] == held and [] + fresh() == held and fresh() * 2 == held * 2
+        assert fresh() + fresh() == held + held
+        assert fresh().count(held[1]) == 1 and fresh().index(held[2]) == 2
+        assert held[0] in fresh() and fresh()[-1] == held[-1]
+        assert list(reversed(fresh())) == held[::-1]
+        assert copy.copy(fresh()) == held and copy.deepcopy(fresh()) == held
+        assert pickle.loads(pickle.dumps(fresh())) == held
+        assert repr(fresh()) == repr(held)
+        records = fresh()
+        records.append("x")
+        assert len(records) == 4 and list(records) == held + ["x"] and records[-1] == "x"
+        for change, expected in ((lambda r: r.insert(0, "x"), ["x"] + held),
+                                 (lambda r: r.extend(["x"]), held + ["x"]),
+                                 (lambda r: r.pop(), held[:2]),
+                                 (lambda r: r.remove(held[1]), [held[0], held[2]]),
+                                 (lambda r: r.reverse(), held[::-1]),
+                                 (lambda r: r.sort(key=lambda rec: -rec["trial"]), held[::-1]),
+                                 (lambda r: r.__delitem__(0), held[1:]),
+                                 (lambda r: r.__setitem__(0, "x"), ["x"] + held[1:]),
+                                 (lambda r: r.clear(), [])):
+            records = fresh()
+            change(records)
+            assert len(records) == len(expected) and records == expected
+        # A changed list writes what it holds; an unchanged one its columns.
+        records = fresh()
+        records.pop()
+        assert len(write_trial_records(records, tmp_path / "changed")) == 2
+        monkeypatch.setattr(montecarlo._Chunk, "records", None)  # no dict may be built
+        assert main(["montecarlo", str(ROOT / "configs/montecarlo_2x2_snr20.yaml"),
+                     "--steps", "50", "--out", str(tmp_path / "cli")]) == 0
+        assert len(list((tmp_path / "cli" / "trials").iterdir())) == 1000
 
     def test_run_trial_fields(self, worked_mixed_game):
         record = run_trial(0, worked_mixed_game, DynamicsSpec(steps=300))
