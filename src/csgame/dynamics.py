@@ -308,13 +308,14 @@ class Trajectory:
             visited = np.bincount(result._log.pair, weights=result._played(a),
                                   minlength=len(values))
         # The rule's base, then each pair's visits before the step times its
-        # values, in order of first visit, from the step after that visit on.
+        # values, in order of first visit, from the step after that visit on:
+        # visits never fall, so the steps that add them are a tail.
         sums = np.repeat(self._rule.base[:1], b - a, axis=0)
         for p in range(np.searchsorted(result.pairs["start"], b - 1)):
             hits = pair == p
             visits = visited[p] + np.cumsum(hits) - hits
-            on = np.flatnonzero(visits)
-            _counted_sum(sums, on, visits[on], values[p])
+            on = np.searchsorted(visits, 1)
+            sums[on:] += visits[on:, None, None] * values[p]
         self._carry = (b, visited + np.bincount(pair, minlength=len(visited)))
         weight = (self.initial_step + np.arange(a, b))[:, None, None]
         state = self._rule.state(sums, 0)

@@ -18,9 +18,10 @@ equilibrium point and the mixed-equilibrium payoff of every record are read
 off the chunk's arrays. A record reads only its game's trailing window of
 profiles, its counts and counted payoff sums, all off the decision log's
 entries, and the game's payoff table. The summary is read off the columns
-too, and a record's dict is built only when a caller reads it: the CLI
-writes each trial file by filling a template from the columns (see
-:mod:`csgame.output`).
+too, and a sweep returns its records as those columns
+(:class:`SweepRecords`): a record's dict is built only by
+:meth:`SweepRecords.records`, and the CLI writes each trial file by filling
+a template from the columns (see :mod:`csgame.output`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "generate_game",
     "trial_game",
     "MonteCarloSummary",
+    "SweepRecords",
     "simulate_trajectory",
     "run_trial",
     "run_experiment",
@@ -299,55 +301,21 @@ def _rows(layout, n_rows: int) -> list:
     return [layout] * n_rows
 
 
-class _SweepRecords(list):
-    """A sweep's trial records, kept as its chunks' columns: a list whose
-    record dicts are built from the columns on first read. Its length is
-    known without them, and :func:`csgame.output.write_trial_records`
-    renders the trial files from the columns, so writing a sweep builds
-    no dict. Every list method first builds the dicts (:meth:`_read`); one
-    that changes the list also drops the columns, so that writing it
-    renders its dicts."""
-
-    chunks, _unread = None, 0  # unpickling appends records before it sets these
+class SweepRecords:
+    """A sweep's trial records, kept as its chunks' columns (see
+    :class:`_Chunk`): ``len()`` is the trial count, :meth:`records` builds
+    the record dicts, and :func:`csgame.output.write_trial_records` renders
+    the trial files from the columns without them."""
 
     def __init__(self, chunks: list[_Chunk]):
-        super().__init__()
         self.chunks = chunks
-        self._unread = sum(len(chunk.trials) for chunk in chunks)
-
-    def _read(self) -> list:
-        if self._unread:
-            self._unread = 0
-            list.extend(self, (record for chunk in self.chunks for record in chunk.records()))
-        return self
 
     def __len__(self) -> int:
-        return self._unread or list.__len__(self)
+        return sum(len(chunk.trials) for chunk in self.chunks)
 
-    def __radd__(self, other):
-        return list.__add__(other, self._read()) if isinstance(other, list) else NotImplemented
-
-
-def _read_first(name: str, changes: bool):
-    method = getattr(list, name)
-
-    def read_first(self, *args, **kwargs):
-        self._read()
-        if changes:
-            self.chunks = None
-        return method(self, *(arg._read() if isinstance(arg, _SweepRecords) else arg
-                              for arg in args), **kwargs)
-
-    return read_first
-
-
-for _name in ("__iter__", "__reversed__", "__getitem__", "__contains__", "__eq__", "__ne__",
-              "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__",
-              "__repr__", "copy", "count", "index"):
-    setattr(_SweepRecords, _name, _read_first(_name, changes=False))
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "reverse", "sort", "clear"):
-    setattr(_SweepRecords, _name, _read_first(_name, changes=True))
+    def records(self) -> list[dict]:
+        """The record dict of every trial, in trial order."""
+        return [record for chunk in self.chunks for record in chunk.records()]
 
 
 def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
@@ -467,7 +435,7 @@ def _trial_games(config: ExperimentConfig, indices=None) -> list[GameSpec]:
                             lambda g: f"trial {indices[g]} (seed {config.seed}): ")
 
 
-def _summarize(chunks: list[_Chunk]) -> MonteCarloSummary:
+def _summarize(records: SweepRecords) -> MonteCarloSummary:
     """The summary of a sweep, read off its chunks' columns. A mean over
     trials averages each trial's mean over players (for an equilibrium
     payoff, the best or worst such mean among the trial's pure equilibria)."""
@@ -475,7 +443,7 @@ def _summarize(chunks: list[_Chunk]) -> MonteCarloSummary:
     region_hist: Counter = Counter()
     convergence: Counter = Counter()
     realized, best, worst, mixed_vals = [], [], [], []
-    for chunk in chunks:
+    for chunk in records.chunks:
         ne_hist.update(chunk.ne_counts.tolist())
         region_hist.update("+".join(labels) for labels in chunk.regions if labels is not None)
         convergence.update(chunk.outcomes.tolist())
@@ -499,7 +467,7 @@ def _summarize(chunks: list[_Chunk]) -> MonteCarloSummary:
         "trials_with_mixed": sum(len(v) for v in mixed_vals),
     }
     return MonteCarloSummary(
-        trials=sum(len(chunk.trials) for chunk in chunks),
+        trials=len(records),
         ne_count_histogram=dict(ne_hist),
         region_histogram=dict(region_hist),
         convergence={k: convergence[k] for k in OUTCOMES},
@@ -515,19 +483,21 @@ def _batch_size(game: GameSpec, steps: int) -> int:
     return max(1, _BATCH_BYTE_BUDGET // (table_bytes + action_bytes))
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, list[dict]]:
+def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, SweepRecords]:
     """Run every trial of a configured experiment and aggregate the records.
 
     Pure computation: writing files is the caller's business (see
     :mod:`csgame.output` and the CLI). Trials are processed in index order
     but each one depends only on (seed, index), so any execution order would
-    produce the same records. The records are a list whose dicts are built
-    from the chunks' columns when first read.
+    produce the same records. The records stay as the chunks' columns:
+    :meth:`SweepRecords.records` builds their dicts, and
+    :func:`csgame.output.write_trial_records` writes the trial files
+    without them.
     """
     games = _trial_games(config)
     dynamics = config.dynamics
     # Generated games share one shape; an empty sweep makes no engine call.
     chunk = _batch_size(games[0], dynamics.steps) if games else 1
-    chunks = [_records(start, games[start:start + chunk], dynamics)
-              for start in range(0, len(games), chunk)]
-    return _summarize(chunks), _SweepRecords(chunks)
+    records = SweepRecords([_records(start, games[start:start + chunk], dynamics)
+                            for start in range(0, len(games), chunk)])
+    return _summarize(records), records

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trajectory
-from .montecarlo import SCHEMA_VERSION, MonteCarloSummary, _SweepRecords
+from .montecarlo import SCHEMA_VERSION, MonteCarloSummary, SweepRecords
 
 __all__ = [
     "write_trajectory_csv", "read_trajectory_csv", "write_trajectory_json",
@@ -260,10 +260,15 @@ def write_summary_json(summary: MonteCarloSummary, path) -> Path:
     return write_json(summary.to_dict(), path)
 
 
-def _trial_texts(records: _SweepRecords):
-    """(trial, file text) of every record of a sweep, rendered from its
-    chunks' columns a skeleton and at most :data:`_CHUNK_STEPS` trials at a
-    time."""
+def write_trial_records(records: SweepRecords, directory) -> list[Path]:
+    """Write each trial record of a sweep to ``trial_<index>.json`` in
+    ``directory``, as :func:`write_json` would write its dict, and return
+    the paths in trial order. The files are rendered from the chunks'
+    columns, one template per record skeleton and at most
+    :data:`_CHUNK_STEPS` trials at a time, so no record dict is built."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {}
     for chunk in records.chunks:
         for _, layout in chunk.skeletons():
             texts, order, arrays = _template(layout)
@@ -271,27 +276,10 @@ def _trial_texts(records: _SweepRecords):
             for a in range(0, len(trials), _CHUNK_STEPS):
                 b = a + _CHUNK_STEPS
                 cells = _cells([arr[a:b] for arr in arrays], order)
-                yield from zip(trials[a:b], map("".join, _fill(texts, cells).tolist()))
-
-
-def write_trial_records(records: list[dict], directory) -> list[Path]:
-    """Write each record to ``trial_<index>.json`` in ``directory``, as
-    :func:`write_json` would, and return the paths in trial order. A
-    sweep's records, as :func:`~csgame.montecarlo.run_experiment` returns
-    them and unchanged since, are rendered from the columns they were built
-    from; any other list of record dicts goes through the standard
-    encoder."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(records, _SweepRecords) and records.chunks is not None:
-        files = _trial_texts(records)
-    else:
-        files = ((rec["trial"], dumps_json(rec) + "\n") for rec in records)
-    paths = {}
-    for trial, text in files:
-        paths[trial] = directory / f"trial_{trial:05d}.json"
-        with open(paths[trial], "w") as fh:
-            fh.write(text)
+                for trial, text in zip(trials[a:b], map("".join, _fill(texts, cells).tolist())):
+                    paths[trial] = directory / f"trial_{trial:05d}.json"
+                    with open(paths[trial], "w") as fh:
+                        fh.write(text)
     return [paths[trial] for trial in sorted(paths)]
 
 

@@ -1388,6 +1388,19 @@ def _assert_cycles_match_oracle(games, inits, T, checkpoints=()):
     return batches
 
 
+# (players, channels, Dirichlet draw, period) of all-ones games that cycle.
+_MULTI_PLAYER_CYCLES = [(3, 3, 0, 2), (3, 3, 2, 3), (4, 2, 0, 2), (4, 2, 2, 2), (2, 3, 1, 3)]
+
+
+def _all_ones_cycle(n_players: int, n_channels: int, draw: int):
+    """An all-ones game from Dirichlet beliefs: everyone crowds onto the
+    same channels and flees them together, in cycles of 2 or 3 profiles."""
+    rng = np.random.default_rng(10 * n_players + n_channels)
+    init = [BeliefState(step=1, marginals=rng.dirichlet(np.ones(n_channels), size=n_players))
+            for _ in range(draw + 1)][draw]
+    return GameSpec.symmetric(np.ones((n_players, n_channels)), p_max=10.0), init
+
+
 class TestCertifiedCycles:
     """Cycles of profiles are jumped whole periods at a time, exactly."""
 
@@ -1423,20 +1436,33 @@ class TestCertifiedCycles:
             assert batch.evaluations[0] <= 10
             np.testing.assert_array_equal(batch.frequencies[500][0], np.full((2, 2), 0.5))
 
-    @pytest.mark.parametrize("n_players, n_channels, draw, period",
-                             [(3, 3, 0, 2), (3, 3, 2, 3), (4, 2, 0, 2), (4, 2, 2, 2),
-                              (2, 3, 1, 3)])
+    @pytest.mark.parametrize("n_players, n_channels, draw, period", _MULTI_PLAYER_CYCLES)
     def test_multi_player_cycles(self, n_players, n_channels, draw, period):
-        # All-ones games from Dirichlet beliefs: everyone crowds onto the same
-        # channels and flees them together, in cycles of 2 or 3 profiles.
-        rng = np.random.default_rng(10 * n_players + n_channels)
-        init = [BeliefState(step=1, marginals=rng.dirichlet(np.ones(n_channels), size=n_players))
-                for _ in range(draw + 1)][draw]
-        game = GameSpec.symmetric(np.ones((n_players, n_channels)), p_max=10.0)
+        game, init = _all_ones_cycle(n_players, n_channels, draw)
         T = 600
         for batch in _assert_cycles_match_oracle([game], [init], T, (T // 2, T)).values():
             assert batch.evaluations[0] <= 10
         assert detect_cycle(run_fp(game, init, T=T), window=60).period == period
+
+    @pytest.mark.parametrize("n_players, n_channels, draw",
+                             [cycle[:3] for cycle in _MULTI_PLAYER_CYCLES])
+    def test_multi_player_cycle_beliefs_across_blocks(self, monkeypatch, n_players, n_channels,
+                                                      draw):
+        # The view renders its beliefs 64 steps at a time. Read a block at a
+        # time, each block starts from the visits the last one carried; read
+        # 7 steps at a time, most blocks count them afresh. Both, and the
+        # whole field, are the per-step oracle's beliefs, bit for bit.
+        monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", 64)
+        game, init = _all_ones_cycle(n_players, n_channels, draw)
+        T = 600
+        for tie_break in TIE_BREAKS:
+            ref = oracle_run_fp(game, init.marginals, T, tie_break, step=init.step)
+            traj = run_fp(game, init, T=T, tie_break=tie_break)
+            for stride in (64, 7):
+                beliefs = [traj.steps(a, min(a + stride, T), "beliefs")[0]
+                           for a in range(0, T, stride)]
+                np.testing.assert_array_equal(np.concatenate(beliefs), ref.beliefs)
+            np.testing.assert_array_equal(traj.beliefs, ref.beliefs)
 
     def test_cycle_trajectory_csv_matches_oracle(self, tmp_path):
         # The simulate path of the paper's 2-cycle: engine, rendering and CSV

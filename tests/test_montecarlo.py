@@ -8,7 +8,6 @@ import dataclasses
 import io
 import itertools
 import json
-import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -38,7 +37,6 @@ from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
 from csgame.game import _utility_tables
 from csgame.montecarlo import _trial_games
-from csgame.output import write_trial_records
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
 
@@ -108,13 +106,13 @@ class TestRunExperiment:
         )
         summary_a, records_a = run_experiment(config)
         summary_b, records_b = run_experiment(config)
-        assert records_a == records_b
+        assert records_a.records() == records_b.records()
         assert summary_a.to_dict() == summary_b.to_dict()
 
     def test_seed_changes_games(self):
         base = {"generator": {"trials": 5}, "dynamics": {"steps": 50}}
-        _, records_a = run_experiment(parse_config(dict(base, seed=1)))
-        _, records_b = run_experiment(parse_config(dict(base, seed=2)))
+        records_a = run_experiment(parse_config(dict(base, seed=1)))[1].records()
+        records_b = run_experiment(parse_config(dict(base, seed=2)))[1].records()
         assert [r["game"] for r in records_a] != [r["game"] for r in records_b]
 
     def test_fast_batch_path_matches_reference_path(self):
@@ -129,7 +127,7 @@ class TestRunExperiment:
                     "seed": 31,
                 }
             )
-            _, fast_records = run_experiment(config)
+            fast_records = run_experiment(config)[1].records()
             games = _trial_games(config)
             assert len(fast_records) == len(games) == trials
             for i, game in enumerate(games):
@@ -150,11 +148,11 @@ class TestRunExperiment:
         config = parse_config({"generator": {"players": 3, "channels": 2, "trials": 7},
                                "dynamics": {"steps": 100}, "seed": 4})
         bytes_per_game = 3 * (8 * 2**3 + 100)
-        _, whole = run_experiment(config)
+        whole = run_experiment(config)[1].records()
         assert calls == [(7 * 300, 7)]
         calls.clear()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * bytes_per_game + 1)
-        _, chunked = run_experiment(config)
+        chunked = run_experiment(config)[1].records()
         assert calls == [(900, 3), (900, 3), (300, 1)]
         assert chunked == whole
         # Short runs of many-player games: the stacked tables bind.
@@ -163,15 +161,15 @@ class TestRunExperiment:
         bytes_per_game = 4 * (8 * 3**4 + 10)
         calls.clear()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 2 * bytes_per_game)
-        _, chunked = run_experiment(config)
+        chunked = run_experiment(config)[1].records()
         assert [c[1] for c in calls] == [2, 2, 1]
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", bytes_per_game - 1)
         calls.clear()
-        assert run_experiment(config)[1] == chunked
+        assert run_experiment(config)[1].records() == chunked
         assert [c[1] for c in calls] == [1] * 5  # a game over budget still runs alone
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 10**9)
         calls.clear()
-        assert run_experiment(config)[1] == chunked
+        assert run_experiment(config)[1].records() == chunked
         assert len(calls) == 1
 
     @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
@@ -185,10 +183,10 @@ class TestRunExperiment:
             "seed": 12,
         })
         games = _trial_games(config)
-        _, whole = run_experiment(config)
+        whole = run_experiment(config)[1].records()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 150))
         assert montecarlo._batch_size(games[0], 150) == 3
-        _, records = run_experiment(config)
+        records = run_experiment(config)[1].records()
         assert records == whole
         assert [r["trial"] for r in records] == list(range(7))
         for i, game in enumerate(games):
@@ -207,7 +205,7 @@ class TestRunExperiment:
         records = {}
         for variant in ("classic", "aggregation"):
             swept = config.with_overrides(steps=2000, variant=variant, tie_break=tie_break)
-            records[variant] = run_experiment(swept)[1]
+            records[variant] = run_experiment(swept)[1].records()
         assert len(records["classic"]) == 100
         for classic, aggregation in zip(records["classic"], records["aggregation"]):
             assert classic["dynamics"].pop("variant") == "classic"
@@ -254,7 +252,7 @@ class TestRunExperiment:
         config = parse_config(copy.deepcopy(XI_CYCLE_CONFIG))
         summary, records = run_experiment(config)
         assert summary.trials == 1
-        record = records[0]
+        record = records.records()[0]
         assert record["ne_count"] == 2
         assert record["pure_ne"] == [[0, 1], [1, 0]]
         assert record["regions"] == ["H1", "H4"]
@@ -287,7 +285,7 @@ class TestRunExperiment:
             }
         )
         summary, records = run_experiment(config)
-        record = records[0]
+        record = records.records()[0]
         assert record["dynamics"]["variant"] == "aggregation"
         assert record["dynamics"]["outcome"] == "pure"
         assert record["dynamics"]["cycle"]["profiles"] == [[0, 1]]
@@ -296,7 +294,7 @@ class TestRunExperiment:
     def test_zero_trials(self):
         config = parse_config({"generator": {"trials": 0}, "seed": 0})
         summary, records = run_experiment(config)
-        assert records == []
+        assert len(records) == 0 and records.records() == []
         assert summary.trials == 0
         assert summary.ne_count_histogram == {}
         assert summary.payoffs["mean_time_avg_utility"] is None
@@ -317,7 +315,7 @@ class TestRunExperiment:
         assert sum(summary.convergence.values()) == 30
         assert summary.trials == 30
         # The summary is a pure function of the records.
-        for record in records:
+        for record in records.records():
             assert record["dynamics"]["outcome"] in summary.convergence
 
     def test_summary_matches_record_arithmetic(self):
@@ -329,6 +327,7 @@ class TestRunExperiment:
             }
         )
         summary, records = run_experiment(config)
+        records = records.records()
         realized = [float(np.mean(r["dynamics"]["time_avg_utility"])) for r in records]
         assert summary.payoffs["mean_time_avg_utility"] == pytest.approx(
             float(np.mean(realized)), abs=1e-15
@@ -350,7 +349,7 @@ class TestRunExperiment:
         )
         summary, records = run_experiment(config)
         assert summary.trials == 4
-        for record in records:
+        for record in records.records():
             assert len(record["dynamics"]["final_frequencies"][0]) == 3
             assert 1 <= record["ne_count"] <= 3
 
@@ -361,9 +360,9 @@ class TestRunExperiment:
                  "initial_beliefs": {"xi": [0.5, 0.5]}})
         )
         assert short.dynamics.steps < CYCLE_WINDOW
-        _, records = run_experiment(short)
+        records = run_experiment(short)[1].records()
         assert records[0]["dynamics"]["cycle"]["period"] == 2
-        _, full = run_experiment(config)
+        full = run_experiment(config)[1].records()
         assert full[0]["dynamics"]["cycle"]["period"] == 2
 
 
@@ -372,49 +371,17 @@ class TestRecords:
         config = parse_config(
             {"generator": {"trials": 3}, "dynamics": {"steps": 100}, "seed": 21}
         )
-        _, records = run_experiment(config)
+        records = run_experiment(config)[1].records()
         parsed = json.loads(json.dumps(records))
         assert parsed == records
 
-    def test_every_list_method_reads_a_fresh_result(self, tmp_path, monkeypatch):
-        # A sweep's records build their dicts on first read; every list
-        # method, those written in C included, sees all of them.
-        config = parse_config({"generator": {"trials": 3}, "dynamics": {"steps": 50}, "seed": 3})
-
-        def fresh():
-            return run_experiment(config)[1]
-
-        held = list(fresh())
-        assert len(held) == 3
-        assert fresh().copy() == held and type(fresh().copy()) is list
-        assert fresh() + [] == held and [] + fresh() == held and fresh() * 2 == held * 2
-        assert fresh() + fresh() == held + held
-        assert fresh().count(held[1]) == 1 and fresh().index(held[2]) == 2
-        assert held[0] in fresh() and fresh()[-1] == held[-1]
-        assert list(reversed(fresh())) == held[::-1]
-        assert copy.copy(fresh()) == held and copy.deepcopy(fresh()) == held
-        assert pickle.loads(pickle.dumps(fresh())) == held
-        assert repr(fresh()) == repr(held)
-        records = fresh()
-        records.append("x")
-        assert len(records) == 4 and list(records) == held + ["x"] and records[-1] == "x"
-        for change, expected in ((lambda r: r.insert(0, "x"), ["x"] + held),
-                                 (lambda r: r.extend(["x"]), held + ["x"]),
-                                 (lambda r: r.pop(), held[:2]),
-                                 (lambda r: r.remove(held[1]), [held[0], held[2]]),
-                                 (lambda r: r.reverse(), held[::-1]),
-                                 (lambda r: r.sort(key=lambda rec: -rec["trial"]), held[::-1]),
-                                 (lambda r: r.__delitem__(0), held[1:]),
-                                 (lambda r: r.__setitem__(0, "x"), ["x"] + held[1:]),
-                                 (lambda r: r.clear(), [])):
-            records = fresh()
-            change(records)
-            assert len(records) == len(expected) and records == expected
-        # A changed list writes what it holds; an unchanged one its columns.
-        records = fresh()
-        records.pop()
-        assert len(write_trial_records(records, tmp_path / "changed")) == 2
+    def test_a_sweep_is_counted_and_written_without_record_dicts(self, tmp_path, monkeypatch):
+        # A sweep's records stay as columns: its length and its trial files
+        # are read off them, so neither run_experiment nor the CLI builds a
+        # record dict.
         monkeypatch.setattr(montecarlo._Chunk, "records", None)  # no dict may be built
+        config = load_config(ROOT / "configs/montecarlo_2x2_snr20.yaml").with_overrides(steps=50)
+        assert len(run_experiment(config)[1]) == config.trials == 1000
         assert main(["montecarlo", str(ROOT / "configs/montecarlo_2x2_snr20.yaml"),
                      "--steps", "50", "--out", str(tmp_path / "cli")]) == 0
         assert len(list((tmp_path / "cli" / "trials").iterdir())) == 1000
@@ -499,7 +466,7 @@ class TestChunkAnalysis:
             "generator": {"players": 2, "channels": 2, "snr_db": 5.0, "trials": 60},
             "dynamics": {"variant": variant, "steps": 300}, "seed": 21,
         })
-        _, records = run_experiment(config)
+        records = run_experiment(config)[1].records()
         for game, record in zip(_trial_games(config), records):
             report = oracle_analyze_game(game)
             freq = np.array(record["dynamics"]["final_frequencies"])
@@ -545,12 +512,12 @@ class TestChunkAnalysis:
             "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
         })
         gains = [g.gains.tolist() for g in _trial_games(config)]
-        _, whole = run_experiment(config)
+        whole = run_experiment(config)[1].records()
         assert built == [gains] and analyses == [7]
         built.clear()
         analyses.clear()
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 40))
-        _, chunked = run_experiment(config)
+        chunked = run_experiment(config)[1].records()
         assert analyses == [3, 3, 1]
         assert built == [gains[0:3], gains[3:6], gains[6:7]]
         assert chunked == whole

@@ -16,6 +16,7 @@ import pytest
 from csgame import (
     BeliefState,
     GameSpec,
+    SweepRecords,
     Trajectory,
     emit_plot_data,
     load_config,
@@ -31,7 +32,7 @@ from csgame import (
     write_trajectory_json,
     write_trial_records,
 )
-from csgame import cli, montecarlo, output
+from csgame import cli, output
 from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
 from csgame.output import dumps_json, fmt_float, write_json
@@ -298,7 +299,7 @@ class TestBulkRenderingAgainstStdlib:
 
     def test_region_scatter(self, tmp_path):
         config = parse_config({"generator": {"trials": 9}, "dynamics": {"steps": 5}, "seed": 3})
-        _, records = run_experiment(config)
+        records = run_experiment(config)[1].records()
         path = emit_plot_data(records, "regions", tmp_path / "regions.csv")
         assert path.read_bytes() == oracle_plot_csv(records, "regions").encode()
 
@@ -334,7 +335,7 @@ class TestTrialRecords:
             "trial_00001.json",
             "trial_00002.json",
         ]
-        for path, record in zip(paths, records):
+        for path, record in zip(paths, records.records()):
             assert json.loads(path.read_text()) == record
         summary_path = write_summary_json(summary, tmp_path / "summary.json")
         assert json.loads(summary_path.read_text()) == summary.to_dict()
@@ -357,6 +358,7 @@ class TestTrialRecords:
         _, records = run_experiment(config)
         paths = write_trial_records(records, tmp_path / "trials")
         assert len(paths) == len(records) == config.trials
+        records = records.records()
         skeletons = {(r["ne_count"], r["mixed_ne"] is None, r["regions"] is None,
                       (r["dynamics"]["cycle"] or {}).get("period")) for r in records}
         assert len(skeletons) >= min(config.trials, 2)
@@ -368,22 +370,22 @@ class TestTrialRecords:
         _, records = run_experiment(config)
         [chunk] = records.chunks
         odd = np.resize([0.0, -0.0, 1.0, 1e-05, 1e16], chunk.time_avg_utility.size)
-        records = montecarlo._SweepRecords([chunk._replace(
+        records = SweepRecords([chunk._replace(
             time_avg_utility=odd.reshape(chunk.time_avg_utility.shape))])
         paths = write_trial_records(records, tmp_path / "trials")
         text = "".join(path.read_text() for path in paths)
         assert all(f"  {x!r}" in text for x in (0.0, -0.0, 1.0, 1e-05, 1e16))
-        for path, record in zip(paths, records):
+        for path, record in zip(paths, records.records()):
             assert path.read_text() == dumps_json(record) + "\n"
         # A non-finite float raises, as the encoder does on the record's dict.
         for bad in (np.inf, -np.inf, np.nan):
             utilities = chunk.time_avg_utility.copy()
             utilities[-1, 0] = bad
-            records = montecarlo._SweepRecords([chunk._replace(time_avg_utility=utilities)])
+            records = SweepRecords([chunk._replace(time_avg_utility=utilities)])
             with pytest.raises(ValueError, match="JSON compliant"):
                 write_trial_records(records, tmp_path / "bad")
             with pytest.raises(ValueError, match="JSON compliant"):
-                write_json(records[-1], tmp_path / "bad.json")
+                write_json(records.records()[-1], tmp_path / "bad.json")
 
 
 class TestPlotData:

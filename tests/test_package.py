@@ -23,6 +23,7 @@ PUBLIC_NAMES = {
     "load_config", "parse_config",
     # montecarlo
     "CONVERGENCE_TV", "CYCLE_WINDOW", "OUTCOMES", "SCHEMA_VERSION", "MonteCarloSummary",
+    "SweepRecords",
     "generate_game", "run_experiment", "run_trial", "sample_gains", "simulate_trajectory",
     "snr_db_to_power", "trial_game", "trial_rng",
     # output
@@ -33,7 +34,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 62
     assert len(csgame.__all__) == len(set(csgame.__all__))
     assert set(csgame.__all__) == PUBLIC_NAMES
 
