@@ -11,8 +11,8 @@ many whole periods as the per-step rule is certain to keep it, and decides
 again only then, so a run that settles and the paper's miscoordination cycle
 alike cost a few decisions, not one per step, with the same result bit for
 bit. Both rules average one vector per step, which the driver keeps as each
-(game, profile) pair's visits times that vector; each rule supplies only
-the vector, its scores and its certificate.
+(game, profile) pair's visits times that vector, beside its payoffs; each
+rule supplies only the vector and payoffs, its scores and its certificate.
 
 * :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +52,6 @@ from .game import (
     _utility_tables,
     aggregate_message,
     potential,
-    potential_table,
     utility_table,
 )
 from .equilibrium import require_symmetric_2x2
@@ -117,18 +116,17 @@ def _integer(value, what: str) -> int:
 
 
 def _chooser(tie_break: str, T: int = 1):
-    """Tie-broken argmax over the last axis, for a run of ``T`` steps, as
-    ``(pick, channel)``: ``pick(values)`` is the first maximum in tie-break
-    order and ``channel(first, n_channels)`` maps it to a channel, so a
-    per-profile cache can key on ``pick``. Rejects a bad ``T`` or tie-break."""
+    """Tie-broken argmax over the last axis, for a run of ``T`` steps:
+    ``choose(values)`` is the channel of the first maximum in tie-break
+    order. Rejects a bad ``T`` or tie-break."""
     if _integer(T, "T") < 1:
         raise ValueError("T must be >= 1")
     if T > _MAX_T:
         raise ValueError(f"T must be <= {_MAX_T}, for exact step counts in int64")
     if tie_break == "lowest":
-        return (lambda values: values.argmax(axis=-1)), (lambda first, n: first)
+        return lambda values: values.argmax(axis=-1)
     if tie_break == "highest":
-        return (lambda values: values[..., ::-1].argmax(axis=-1)), (lambda first, n: n - 1 - first)
+        return lambda values: values.shape[-1] - 1 - values[..., ::-1].argmax(axis=-1)
     raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
 
 
@@ -225,8 +223,9 @@ class Trajectory:
     result: :meth:`steps` renders any stretch of steps from the decision log,
     so a writer holds one chunk at a time whatever the horizon, and a field
     is built whole only when that attribute is read. A step's profile comes
-    from the log, its payoffs, potential and gamma from one lookup per
-    pair number (see :class:`BatchFPResult`), and its decision-time
+    from the log, its payoffs from the engine's registry of its pair (see
+    :class:`BatchFPResult`), its potential and gamma from the aggregate of
+    its pair's profile, computed once per pair, and its decision-time
     state is summed as the engine sums it (see :func:`_play`): from the
     rule's base, each pair's visits before the step times its values, in
     order of first visit, turned into the state by the rule. Chunks read in
@@ -260,14 +259,20 @@ class Trajectory:
         return vars(self)[name]
 
     @classmethod
-    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, per_profile: dict,
+    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, game: GameSpec,
               initial_state: np.ndarray, rule) -> "Trajectory":
+        """The view of a batch-of-one ``result`` of ``rule`` on ``game``, with
+        each pair's payoffs, potential and (aggregation rule) gamma."""
         traj = cls.__new__(cls)
         traj.variant, traj.tie_break, traj._result = variant, tie_break, result
         traj.T, (_, traj.num_players, traj.n_channels) = result.T, result.final_marginals.shape
         traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
         traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
-        traj._per_profile, traj._rule = per_profile, rule
+        gammas = np.array([aggregate_message(game, p) for p in result.pairs["profile"]])
+        traj._per_pair = {"utilities": result.pairs["payoff"],
+                          "potentials": np.array([_potential(game, g) for g in gammas]),
+                          "gammas": gammas if variant == "aggregation" else None}
+        traj._rule = rule
         traj._carry = (0, np.zeros(result.pairs.size))  # a step, and each pair's visits before it
         traj._block = (0, {"profiles": ()})  # the rendered block's first step and fields
         return traj
@@ -293,8 +298,8 @@ class Trajectory:
         entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
         pair = self._result._log.pair[entry]
         fields = dict.fromkeys(names)
-        fields.update((name, table[pair]) for name, table in self._per_profile.items()
-                      if name in names)
+        fields.update((name, table[pair]) for name, table in self._per_pair.items()
+                      if name in names and table is not None)
         fields["profiles"] = self._result._log.profile[entry].astype(np.int64)
         state = "beliefs" if self.variant == "classic" else "q_values"
         if state in names:
@@ -395,10 +400,10 @@ def fp_best_response(
     game: GameSpec, player: int, beliefs: BeliefState, tie_break: str = "lowest"
 ) -> int:
     """Channel maximizing expected utility under product-of-marginals beliefs."""
-    pick, channel = _chooser(tie_break)
+    choose = _chooser(tie_break)
     player = _check_player(game, player)
     _guard_opponent_profiles(game)
-    return int(channel(pick(_expected_payoffs(game, beliefs)[player]), game.S))
+    return int(choose(_expected_payoffs(game, beliefs)[player]))
 
 
 class _Columns:
@@ -454,13 +459,14 @@ class BatchFPResult:
     The play is kept run-length encoded. ``pairs`` numbers the (game,
     profile) pairs played from 0 in order of first visit, so each game's
     pairs in its own order of first visit, with each pair's ``game``,
-    profile ``code``, ``profile`` (K channel indices), ``start`` (0-based
-    step of its first visit), ``values`` (the (K, S) vector its rule
-    averages at each step that plays it: the profile's one-hot rows, or its
-    channel values) and ``visits`` (its steps played). ``decisions`` logs
-    every phase of every decision, a jumped cycle's phase once for all its
-    periods: per entry its ``pair``, first ``start`` step, and the
-    ``period`` and number of periods (``laps``) of its decision's cycle. A
+    ``profile`` (K channel indices), ``start`` (0-based step of its first
+    visit), ``values`` (the (K, S) vector its rule averages at each step
+    that plays it: the profile's one-hot rows, or its channel values),
+    ``payoff`` (the game's own K payoffs at the profile) and ``visits``
+    (its steps played). ``decisions`` logs every phase of every decision,
+    a jumped cycle's phase once for all its periods: per entry its
+    ``pair``, first ``start`` step, and the ``period`` and number of
+    periods (``laps``) of its decision's cycle. A
     decision's phases start at consecutive steps, and the game's next
     decision period * laps steps after its first phase, so each game's
     entries tile its steps. Every read goes through the log's entries, so
@@ -471,23 +477,22 @@ class BatchFPResult:
     after checkpoint step t, from exact counts, and ``final_marginals`` the
     (G, K, S) final state: beliefs under the classic rule, channel scores
     under the aggregation rule. ``utility_sums`` holds each player's
-    payoffs over the run as a counted sum (:func:`_counted_sum`) of
-    ``payoffs()``, (P, K) per pair, shape (G, K).
+    payoffs over the run as a counted sum (:func:`_counted_sum`) of each
+    pair's visits times its ``payoff``, shape (G, K).
     ``evaluations`` counts each game's decision points, the steps at which
     its rule's scores were computed; ``tables`` holds the classic rule's
-    (G, K) + (S,)*K payoffs (None for the aggregation rule, which needs no
-    table).
+    (G, K) + (S,)*K payoffs, which :func:`run_fp` sets (None for the
+    aggregation rule, which needs no table).
     """
 
     frequencies: dict[int, np.ndarray]
     final_marginals: np.ndarray
     final_step: int
     evaluations: np.ndarray
-    tables: np.ndarray | None
     decisions: _Columns
     pairs: _Columns
     T: int
-    payoffs: Callable[[], np.ndarray]
+    tables: np.ndarray | None = None
 
     @cached_property
     def _log(self) -> _Log:
@@ -557,10 +562,8 @@ class BatchFPResult:
     @cached_property
     def utility_sums(self) -> np.ndarray:
         """Each player's payoffs as a counted sum over the run, (G, K)."""
-        visits = np.bincount(self._log.pair, weights=self._played(self.T),
-                             minlength=self.pairs.size)
-        return _counted_sum(np.zeros(self.final_marginals.shape[:2]), self.pairs["game"], visits,
-                            self.payoffs())
+        return _counted_sum(np.zeros(self.final_marginals.shape[:2]), self.pairs["game"],
+                            self.pairs["visits"], self.pairs["payoff"])
 
 
 def _periods(window: np.ndarray) -> np.ndarray:
@@ -689,10 +692,10 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
     or meets exact ties again and again, is decided every step.
 
     Only a game's new decision can visit a profile first, so it alone is
-    numbered as a (game, profile) pair (see :class:`BatchFPResult`), here
-    and nowhere else; the window and the log carry pair numbers. Every
-    phase of every decision is one log entry, so a game's entries tile its
-    steps.
+    numbered as a (game, profile) pair (see :class:`BatchFPResult`), with
+    its values and payoffs, here and nowhere else; the window and the log
+    carry pair numbers. Every phase of every decision is one log entry, so
+    a game's entries tile its steps.
 
     The driver keeps both rules' running state: per pair, the vector its
     rule averages at each step that plays it (``values``) and its visit
@@ -703,14 +706,14 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
     certified phase's state and its cycle's average values (the target),
     and the final state.
 
-    ``rule`` also holds ``ids`` (the running games), ``pairs`` (set here),
-    ``values(games, profiles)`` (of the pairs numbered now), ``scores(state)``,
-    ``certify(at, state, choice, step, target, period, cap)`` (per phase of
-    :func:`_unroll` of running game ``at``, at weight ``step``, playing
-    one-hot ``choice``: the periods it keeps, at most ``cap``),
-    ``retire(done)``, ``tables`` and ``payoffs`` (see :class:`BatchFPResult`).
+    ``rule`` also holds ``ids`` (the running games), ``values(games,
+    profiles)`` (the vectors and payoffs of the pairs numbered now),
+    ``scores(state)``, ``certify(at, state, choice, step, target, period,
+    cap)`` (per phase of :func:`_unroll` of running game ``at``, at weight
+    ``step``, playing one-hot ``choice``: the periods it keeps, at most
+    ``cap``) and ``retire(done)``.
     """
-    pick, channel = _chooser(tie_break, T)
+    choose = _chooser(tie_break, T)
     n_games, n_players, n_channels = init.shape
     n_profiles = n_channels**n_players
     if n_profiles > np.iinfo(np.int64).max:
@@ -721,9 +724,9 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
     evaluations = np.zeros(n_games, dtype=np.int64)
     final = np.empty(init.shape)
     numbered: dict[int, int] = {}  # game * S**K + profile code -> pair
-    pairs = rule.pairs = _Columns(game=np.int64, code=np.int64, start=np.int64,
-                                  profile=(_action_dtype(n_channels), (n_players,)),
-                                  values=(float, (n_players, n_channels)), visits=float)
+    pairs = _Columns(game=np.int64, start=np.int64, visits=float,
+                     profile=(_action_dtype(n_channels), (n_players,)),
+                     values=(float, (n_players, n_channels)), payoff=(float, (n_players,)))
     decisions = _Columns(pair=np.min_scalar_type(n_games * min(n_profiles, T)),
                          start=np.min_scalar_type(T), period=np.min_scalar_type(MAX_PERIOD),
                          laps=np.min_scalar_type(T))
@@ -749,14 +752,15 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
         held = sums(ids)
         w = weight[:, None, None]
         state = np.divide(rule.state(held, ids), w, out=init[ids], where=w > 0)
-        a = channel(pick(rule.scores(state)), n_channels)
+        a = choose(rule.scores(state))
         codes = a.dot(place)
         decided = np.array([numbered.setdefault(g * n_profiles + c, len(numbered))
                             for g, c in zip(ids.tolist(), codes.tolist())])
         new = decided >= pairs.size
         if new.any():
-            pairs.append(game=ids[new], code=codes[new], start=weight[new] - init_step,
-                         profile=a[new], values=rule.values(ids[new], a[new]), visits=0.0)
+            values, payoff = rule.values(ids[new], a[new])
+            pairs.append(game=ids[new], start=weight[new] - init_step, profile=a[new],
+                         values=values, payoff=payoff, visits=0.0)
         window = np.concatenate([decided[:, None], history], axis=1)
         # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
         # one period of one step, its new decision, unless its last steps
@@ -803,8 +807,7 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
                 break
             weight, history = weight[~done], history[~done]
     result = BatchFPResult(frequencies={}, final_marginals=final, final_step=init_step + T,
-                           evaluations=evaluations, tables=rule.tables, decisions=decisions,
-                           pairs=pairs, T=T, payoffs=rule.payoffs)
+                           evaluations=evaluations, decisions=decisions, pairs=pairs, T=T)
     for t in checkpoints:
         result.frequencies[t] = result.counts(t) / float(t)
     return result
@@ -841,11 +844,12 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
 class _Classic:
     """Classic play for :func:`_play`: a pair's values are its profile's
     one-hot rows, so a game's sum is its exact action counts and its state
-    those counts plus the prior; expected payoffs under the product of the
-    marginals, and the certificate of :func:`_certified_run`."""
+    those counts plus the prior, and its payoffs are read off the game's
+    table; expected payoffs under the product of the marginals, and the
+    certificate of :func:`_certified_run`."""
 
     def __init__(self, tables: np.ndarray, prior: np.ndarray) -> None:
-        self.tables, self.prior = tables, prior  # prior: marginals times the initial step
+        self._tables, self.prior = tables, prior  # prior: marginals times the initial step
         self.ids = np.arange(len(tables))
         self.base = np.zeros(prior.shape)
         self._stack(tables)
@@ -857,7 +861,8 @@ class _Classic:
         self.scores, self.certify = _expectation(stack), _certified_run(stack)
 
     def values(self, games, profiles):
-        return np.eye(self.prior.shape[2])[profiles]
+        payoffs = self._tables[(games, slice(None)) + tuple(profiles.T)]
+        return np.eye(self.prior.shape[2])[profiles], payoffs
 
     def state(self, sums, games):
         return sums + self.prior[games]
@@ -866,11 +871,6 @@ class _Classic:
         self.ids = self.ids[~done]
         if self.ids.size:
             self._stack(self.stack[~done])
-
-    def payoffs(self):
-        tables = self.tables.reshape(self.tables.shape[:2] + (-1,))  # by profile code
-        players = np.arange(tables.shape[1])
-        return tables[self.pairs["game"][:, None], players, self.pairs["code"][:, None]]
 
 
 def run_fp(
@@ -908,11 +908,10 @@ def run_fp(
     tables = _utility_tables(games)
     rule = _Classic(tables, marginals * init_step)
     result = _play(rule, marginals, init_step, T, tie_break, checkpoints)
+    result.tables = tables
     if not single:
         return result
-    per_profile = {"utilities": result.payoffs(),
-                   "potentials": potential_table(game).reshape(-1)[result.pairs["code"]]}
-    return Trajectory._view(result, "classic", tie_break, per_profile, marginals[0].copy(), rule)
+    return Trajectory._view(result, "classic", tie_break, games[0], marginals[0].copy(), rule)
 
 
 def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
@@ -929,15 +928,14 @@ def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
 
     Returns the (K, S) value of every channel to every player against what is
     left of gamma (noise plus total received power per channel) once its own
-    contribution is stripped, then gamma, and the payoffs and potential the
-    run reports: the game's own, not the reconstruction.
+    contribution is stripped, then the payoffs the run reports: the game's
+    own, not the reconstruction.
     """
     rows = np.arange(game.K)
     gamma = aggregate_message(game, actions)
     heard = np.tile(gamma.view(np.ndarray), (game.K, 1))  # all of gamma off the own channel
     heard[rows, actions] = _strip_own(game, rows, actions, gamma, gamma.residual)
-    values = _rate(game.weights, game.received_power, heard)
-    return values, gamma, _payoffs(game, actions), _potential(game, gamma)
+    return _rate(game.weights, game.received_power, heard), _payoffs(game, actions)
 
 
 class _Aggregation:
@@ -945,10 +943,10 @@ class _Aggregation:
     channel values, so a game's scores at weight w > 0 are its counted sum
     over w: its initial step times its initial scores (``base``), plus,
     over its pairs in order of first visit, each one's visit count times
-    its channel values; at weight 0 they are the initial scores. The
-    broadcast feedback of a pair (its channel values, gamma, payoffs and
-    potential) is computed once, when the pair is numbered, and its gamma,
-    payoffs and potential are kept here under its pair number.
+    its channel values; at weight 0 they are the initial scores. A pair's
+    channel values and payoffs are computed once, when the pair is
+    numbered, and :func:`_play` keeps them; the rule counts each game's
+    pairs (``visited``) for its slack.
 
     While a cycle of profiles repeats, the scores at each phase move
     linearly toward the cycle's average values in lam = n p / (w + n p), so
@@ -956,19 +954,18 @@ class _Aggregation:
     above the error of the counted sums."""
 
     def __init__(self, games: list[GameSpec], q0: np.ndarray, init_step: int) -> None:
-        self.games, self.base, self.tables = games, q0 * init_step, None
+        self.games, self.base = games, q0 * init_step
         self.ids = np.arange(len(games))
-        self.feedback = _Columns(gamma=(float, q0.shape[2:]), payoff=(float, q0.shape[1:2]),
-                                 potential=float)
+        self.visited = np.zeros(len(games), dtype=np.int64)  # per game: its pairs
         self.scale = q0.max(axis=(1, 2), initial=0.0)  # per game: the largest score or value
 
     def values(self, games, profiles):
         fresh = [_aggregate_feedback(self.games[g], profile)
                  for g, profile in zip(games.tolist(), profiles)]
-        values, gamma, payoff, potential = (np.array(column) for column in zip(*fresh))
-        self.feedback.append(gamma=gamma, payoff=payoff, potential=potential)
+        values, payoffs = (np.array(column) for column in zip(*fresh))
+        np.add.at(self.visited, games, 1)
         np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
-        return values
+        return values, payoffs
 
     def state(self, sums, games):
         return sums
@@ -980,17 +977,13 @@ class _Aggregation:
         games = self.ids[at]
         # The counted sum of v visited profiles errs by about v + 1 rounding
         # errors of the largest score, the phase's scores by p more.
-        visited = np.bincount(self.pairs["game"], minlength=len(self.games))[games]
-        slack = (16 * (visited + MAX_PERIOD + 2) * np.finfo(float).eps
+        slack = (16 * (self.visited[games] + MAX_PERIOD + 2) * np.finfo(float).eps
                  * self.scale[games])[:, None, None]
         return _laps(_margins(state, choice) - slack, _margins(target, choice) - slack,
                      step, period, cap, choice)
 
     def retire(self, done):
         self.ids = self.ids[~done]
-
-    def payoffs(self):
-        return self.feedback["payoff"]
 
 
 def run_aggregation_fp(
@@ -1027,10 +1020,7 @@ def run_aggregation_fp(
     result = _play(rule, q0, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    feedback = rule.feedback
-    per_profile = {"utilities": feedback["payoff"], "potentials": feedback["potential"],
-                   "gammas": feedback["gamma"]}
-    return Trajectory._view(result, "aggregation", tie_break, per_profile, q0[0].copy(), rule)
+    return Trajectory._view(result, "aggregation", tie_break, games[0], q0[0].copy(), rule)
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:

@@ -87,11 +87,12 @@ CONVERGENCE_TV = 1e-2
 # game, and a boolean mask, which for K >= 2 stay within the tables' own
 # size. The classic engine's copy of its running games' tables adds up to
 # that size again, twice while one compaction replaces the last. The
-# aggregation engine needs no table: per pair it keeps K + S + 1 float64 more
-# (payoffs, gamma, potential). Both keep a dict entry per pair while they
-# run. On montecarlo_2x2_snr20 (1000 games, 1475 pairs, tracemalloc) the
-# classic engine holds 0.35 MB at the end and peaks at 1.6 MB, the
-# aggregation engine 0.50 MB and 1.9 MB. Those grow with the play, so they
+# aggregation engine needs no table. Under both rules the engine's registry
+# keeps K payoff float64 per pair beside the pair's values, and a dict entry
+# per pair while it runs. On montecarlo_2x2_snr20 (1000 games, 1475 pairs,
+# tracemalloc over the engine call, the classic result's tables left out)
+# the classic engine holds 0.36 MB at the end and peaks at 1.55 MB, the
+# aggregation engine 0.43 MB and 1.53 MB. Those grow with the play, so they
 # are not counted here. Nor are the records: a chunk keeps them as columns
 # (see _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and
 # 2 * K + 1 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K

@@ -265,21 +265,26 @@ def write_trial_records(records: SweepRecords, directory) -> list[Path]:
     ``directory``, as :func:`write_json` would write its dict, and return
     the paths in trial order. The files are rendered from the chunks'
     columns, one template per record skeleton and at most
-    :data:`_CHUNK_STEPS` trials at a time, so no record dict is built."""
+    :data:`_CHUNK_STEPS` trials at a time, so no record dict is built. A
+    non-finite float raises ValueError and leaves none of the files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for chunk in records.chunks:
-        for _, layout in chunk.skeletons():
-            texts, order, arrays = _template(layout)
-            trials = layout["trial"].tolist()
-            for a in range(0, len(trials), _CHUNK_STEPS):
-                b = a + _CHUNK_STEPS
-                cells = _cells([arr[a:b] for arr in arrays], order)
-                for trial, text in zip(trials[a:b], map("".join, _fill(texts, cells).tolist())):
-                    paths[trial] = directory / f"trial_{trial:05d}.json"
-                    with open(paths[trial], "w") as fh:
-                        fh.write(text)
+    try:
+        for chunk in records.chunks:
+            for _, layout in chunk.skeletons():
+                texts, order, arrays = _template(layout)
+                trials = layout["trial"].tolist()
+                for a in range(0, len(trials), _CHUNK_STEPS):
+                    b = a + _CHUNK_STEPS
+                    cells = _cells([arr[a:b] for arr in arrays], order)
+                    for trial, row in zip(trials[a:b], _fill(texts, cells).tolist()):
+                        paths[trial] = directory / f"trial_{trial:05d}.json"
+                        paths[trial].write_text("".join(row))
+    except ValueError:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise
     return [paths[trial] for trial in sorted(paths)]
 
 

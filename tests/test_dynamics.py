@@ -315,22 +315,6 @@ class TestAggregationFP:
         for _ in range(100):
             _assert_two_player_engines_agree(random_game(rng, 2, int(rng.integers(2, 5))))
 
-    def test_payoffs_and_potentials_are_the_games_own(self):
-        # The scores are reconstructed from the broadcast; what a run
-        # reports is utility() and potential() of the profile played.
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            n_players, n_channels = (int(x) for x in rng.integers(1, 5, 2))
-            game = random_game(rng, n_players, n_channels)
-            init = QState(step=int(rng.integers(0, 4)),
-                          q=rng.uniform(0.0, 2.0, (n_players, n_channels)))
-            traj = run_aggregation_fp(game, init, T=50)
-            for profile in np.unique(traj.profiles, axis=0):
-                at = np.all(traj.profiles == profile, axis=1)
-                payoffs = [utility(game, profile, k) for k in range(n_players)]
-                assert np.all(traj.utilities[at] == payoffs)
-                assert np.all(traj.potentials[at] == potential(game, profile))
-
     def test_q_is_running_average_of_counterfactual_values(self, worked_mixed_game):
         game = worked_mixed_game
         beliefs = BeliefState.uniform(2, 2)
@@ -365,7 +349,34 @@ class TestAggregationFP:
 
 class TestSharedChecks:
     """One tie-break chooser and one validated expectation serve both
-    engines and the best response, so each rejects bad input alike."""
+    engines and the best response, so each rejects bad input alike, and
+    one registry of each visited pair's payoffs serves both engines."""
+
+    @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+    def test_payoffs_and_potentials_are_the_games_own(self, engine):
+        # What a run reports is utility() and potential() of the profile
+        # played, whether the classic rule read its tables or the
+        # aggregation rule reconstructed its scores from the broadcast;
+        # gamma, which only the aggregation rule carries, is the broadcast.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n_players, n_channels = (int(x) for x in rng.integers(1, 5, 2))
+            game = random_game(rng, n_players, n_channels)
+            if engine is run_fp:
+                init = BeliefState(step=int(rng.integers(1, 4)),
+                                   marginals=rng.dirichlet(np.ones(n_channels), n_players))
+            else:
+                init = QState(step=int(rng.integers(0, 4)),
+                              q=rng.uniform(0.0, 2.0, (n_players, n_channels)))
+            traj = engine(game, init, T=50)
+            assert (traj.gammas is None) == (engine is run_fp)
+            for profile in np.unique(traj.profiles, axis=0):
+                at = np.all(traj.profiles == profile, axis=1)
+                payoffs = [utility(game, profile, k) for k in range(n_players)]
+                assert np.all(traj.utilities[at] == payoffs)
+                assert np.all(traj.potentials[at] == potential(game, profile))
+                if traj.gammas is not None:
+                    assert np.all(traj.gammas[at] == aggregate_message(game, profile))
 
     def test_unknown_tie_break_has_one_message(self, unit_game):
         messages = set()
@@ -753,24 +764,29 @@ def test_each_games_decisions_tile_its_steps(strong_interference_game, engine):
     assert switches.max() >= 25 and wide._log.period.max() > 1
 
 
-def _hand_result(entries, n_games, T, init_step, payoffs):
+def _hand_result(entries, steps, T, init_step, tables):
     """The result of a decision log on 2 players x 3 channels (code c is
     profile (c // 3, c % 3)) built by hand from ``entries`` (game, step,
     code, period, laps) in the order the engine appends them, each (game,
     code) pair numbered at its first entry, as the engine numbers them.
-    ``payoffs(games, codes)`` gives the payoffs of those pairs."""
-    pairs = _Columns(game=np.int64, code=np.int64, start=np.int64, profile=(np.int8, (2,)))
+    ``steps[g]`` holds game g's code at every step, from which each pair's
+    visits are counted; its payoffs are read off ``tables`` (G, 2, 3, 3)."""
+    pairs = _Columns(game=np.int64, start=np.int64, profile=(np.int8, (2,)),
+                     payoff=(float, (2,)), visits=float)
     decisions = _Columns(pair=np.int64, start=np.int64, period=np.int64, laps=np.int64)
     numbered = {}
     for game, step, code, period, laps in entries:
         if (game, code) not in numbered:
             numbered[game, code] = pairs.size
-            pairs.append(game=[game], code=[code], start=[step], profile=[divmod(code, 3)])
+            profile = divmod(code, 3)
+            pairs.append(game=[game], start=[step], profile=[profile],
+                         payoff=[tables[(game, slice(None)) + profile]],
+                         visits=[steps[game].count(code)])
         decisions.append(pair=[numbered[game, code]], start=[step], period=[period], laps=[laps])
+    n_games = len(steps)
     return BatchFPResult(frequencies={}, final_marginals=np.zeros((n_games, 2, 3)),
                          final_step=init_step + T, evaluations=np.zeros(n_games, dtype=np.int64),
-                         tables=None, decisions=decisions, pairs=pairs, T=T,
-                         payoffs=lambda: payoffs(pairs["game"], pairs["code"]))
+                         decisions=decisions, pairs=pairs, T=T)
 
 
 def test_the_decision_log_reads_as_per_step_play():
@@ -790,13 +806,7 @@ def test_the_decision_log_reads_as_per_step_play():
         (1, 9, 6, 1, 1), (1, 10, 6, 1, 9), (0, 17, 0, 1, 2),
     ]
     tables = np.random.default_rng(5).uniform(0.0, 3.0, (2, 2, 3, 3))
-    looked_up = []
-
-    def payoffs(game, code):
-        looked_up.append(len(code))
-        return tables.reshape(2, 2, 9)[game[:, None], [0, 1], code[:, None]]
-
-    batch = _hand_result(entries, 2, T, init_step, payoffs)
+    batch = _hand_result(entries, steps, T, init_step, tables)
     profiles = [[divmod(c, 3) for c in codes] for codes in steps]
     for window in (1, 2, 5, T):
         np.testing.assert_array_equal(batch.tail(window), [p[T - window:] for p in profiles])
@@ -805,11 +815,13 @@ def test_the_decision_log_reads_as_per_step_play():
         np.testing.assert_array_equal(batch.counts(t), [
             [[sum(p[k] == c for p in profiles[g][:t]) for c in range(3)] for k in range(2)]
             for g in range(2)])
+    # The log plays each pair as many steps as the per-step codes do, and
+    # each game's payoffs are summed over its pairs in order of first visit.
+    np.testing.assert_array_equal(batch.pairs["visits"],
+                                  np.bincount(batch._log.pair, weights=batch._played(T)))
     sums = [oracle_counted_sum(profiles[g], [tables[g, :, a, b] for a, b in profiles[g]])
             for g in range(2)]
     np.testing.assert_array_equal(batch.utility_sums, sums)
-    # Payoffs are read once per distinct (game, profile) pair.
-    assert looked_up == [sum(len(set(codes)) for codes in steps)]
 
 
 def _random_log(rng, T):
@@ -844,11 +856,9 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
     found = 0
     for T in [1, 2, 3, 9, 40, 120] * 8:
         entries, codes = _random_log(rng, T)
-        batch = _hand_result(entries, 1, T, 3, lambda game, code: np.zeros((len(code), 2)))
-        n_pairs = batch.pairs.size
+        batch = _hand_result(entries, [codes], T, 3, np.zeros((1, 2, 3, 3)))
         traj = Trajectory._view(batch, "classic", "lowest",
-                                {"utilities": np.zeros((n_pairs, 2)),
-                                 "potentials": np.zeros(n_pairs)},
+                                GameSpec.symmetric(np.ones((2, 3)), p_max=1.0),
                                 np.full((2, 3), 1 / 3),
                                 dynamics._Classic(np.zeros((1, 2, 3, 3)), np.ones((1, 2, 3))))
         profiles = np.array([divmod(c, 3) for c in codes])

@@ -387,6 +387,23 @@ class TestTrialRecords:
             with pytest.raises(ValueError, match="JSON compliant"):
                 write_json(records.records()[-1], tmp_path / "bad.json")
 
+    def test_a_non_finite_float_leaves_no_trial_file(self, tmp_path):
+        # The trials are written skeleton after skeleton: a non-finite float
+        # in the last skeleton's first trial raises after the files of the
+        # earlier skeletons are written, and those must go too.
+        config = parse_config({"generator": {"trials": 10, "snr_db": 20.0},
+                               "dynamics": {"steps": 200}, "seed": 7})
+        _, records = run_experiment(config)
+        [chunk] = records.chunks
+        skeletons = [rows for rows, _ in chunk.skeletons()]
+        assert len(skeletons) >= 2
+        utilities = chunk.time_avg_utility.copy()
+        utilities[skeletons[-1][0], 0] = np.inf
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_trial_records(SweepRecords([chunk._replace(time_avg_utility=utilities)]),
+                                tmp_path / "trials")
+        assert list((tmp_path / "trials").iterdir()) == []
+
 
 class TestPlotData:
     def test_belief_series(self, strong_interference_game, tmp_path):
