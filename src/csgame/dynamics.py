@@ -42,6 +42,7 @@ import numpy as np
 
 from .game import (
     GameSpec,
+    _check_channels,
     _check_player,
     _game_batch,
     _guard_opponent_profiles,
@@ -149,8 +150,8 @@ class BeliefState:
         marginals = np.atleast_2d(np.asarray(self.marginals, dtype=float))
         if _integer(self.step, "belief step") < 1:
             raise ValueError("belief step must be >= 1 (priors carry weight 1)")
-        if np.any(marginals < 0):
-            raise ValueError("belief entries must be non-negative")
+        if not np.all(np.isfinite(marginals)) or np.any(marginals < 0):
+            raise ValueError("belief entries must be finite and non-negative")
         sums = marginals.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError("each belief marginal must sum to 1 within 1e-12")
@@ -171,14 +172,14 @@ class BeliefState:
         fully symmetric games.
         """
         xi = np.asarray(xi, dtype=float).ravel()
-        if np.any(xi <= 0) or np.any(xi >= 1):
+        if not np.all((xi > 0) & (xi < 1)):
             raise ValueError("xi entries must lie strictly between 0 and 1")
         marginals = np.stack([xi / (1.0 + xi), 1.0 / (1.0 + xi)], axis=1)
         return cls(step=1, marginals=marginals)
 
     @classmethod
     def point_mass(cls, channels, n_channels: int) -> "BeliefState":
-        channels = np.asarray(channels, dtype=np.int64).ravel()
+        channels = _check_channels(n_channels, channels).ravel()
         marginals = np.zeros((channels.size, n_channels))
         marginals[np.arange(channels.size), channels] = 1.0
         return cls(step=1, marginals=marginals)

@@ -174,19 +174,20 @@ def _game_stack(bandwidths: np.ndarray, noise: np.ndarray, max_power: np.ndarray
     return games
 
 
-def _check_channels(game: GameSpec, channels) -> np.ndarray:
-    """One channel index or an array of them, checked, as int64."""
+def _check_channels(n_channels: int, channels) -> np.ndarray:
+    """One index of ``n_channels`` channels or an array of them, checked, as
+    int64."""
     arr = np.asarray(channels)
     if arr.dtype.kind not in "iu":
         raise ValueError("channel indices must be integers")
-    if ((arr < 0) | (arr >= game.S)).any():
-        raise ValueError(f"channel indices must lie in [0, {game.S})")
+    if ((arr < 0) | (arr >= n_channels)).any():
+        raise ValueError(f"channel indices must lie in [0, {n_channels})")
     return arr.astype(np.int64, copy=False)
 
 
 def check_profile(game: GameSpec, profile) -> np.ndarray:
     """Validate a pure profile and return it as an int64 array of channel indices."""
-    arr = _check_channels(game, profile).ravel()
+    arr = _check_channels(game.S, profile).ravel()
     if arr.shape != (game.K,):
         raise ValueError(f"profile must list one channel per player (K={game.K})")
     return arr
@@ -324,7 +325,7 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
     Entries of ``gamma`` for unused channels are irrelevant.
     """
     player = _check_player(game, player)
-    own_channel = int(_check_channels(game, own_channel))
+    own_channel = int(_check_channels(game.S, own_channel))
     residual = getattr(gamma, "residual", None)
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.shape != (game.S,):
@@ -356,7 +357,7 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
     skipped, so a point mass reproduces :func:`utility` exactly.
     """
     player = _check_player(game, player)
-    own_channel = int(_check_channels(game, own_channel))
+    own_channel = int(_check_channels(game.S, own_channel))
     n_profiles = _guard_opponent_profiles(game)
     shape = (game.S,) * (game.K - 1)
     dist = np.asarray(opponent_dist, dtype=float)
@@ -369,7 +370,7 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
         ) from None
     if np.any(dist < 0):
         raise ValueError("opponent distribution entries must be non-negative")
-    if abs(float(dist.sum()) - 1.0) > 1e-9:
+    if not abs(float(dist.sum()) - 1.0) <= 1e-9:
         raise ValueError("opponent distribution must sum to 1 within 1e-9")
     opponents = [j for j in range(game.K) if j != player]
     prof = np.empty(game.K, dtype=np.int64)

@@ -13,9 +13,10 @@ record is bit-for-bit the one a sweep writes. The analysis and the records
 of a chunk share one stack of utility tables (the classic batch's own, or,
 for the aggregation rule, which needs none, one built for the chunk, which
 also gives each game its initial scores), and the whole chunk is analyzed in
-one :func:`~csgame.equilibrium.analyze_game` call over them; the nearest
-equilibrium point and the mixed-equilibrium payoff of every record are read
-off the chunk's arrays. A record reads only its game's trailing window of
+one :func:`~csgame.equilibrium.analyze_game` call over them. Its per-game
+reports are turned into columns once, and the nearest equilibrium point, the
+mixed-equilibrium payoff and the outcome of every record are array rules
+over those columns. A record reads only its game's trailing window of
 profiles, its counts and counted payoff sums, all off the decision log's
 entries, and the game's payoff table. The summary is read off the columns
 too, and a sweep returns its records as those columns
@@ -43,7 +44,7 @@ from .dynamics import (
     run_aggregation_fp,
     run_fp,
 )
-from .equilibrium import EquilibriumReport, analyze_game
+from .equilibrium import analyze_game
 from .game import GameSpec, _game_batch, _game_stack, _utility_tables
 
 __all__ = [
@@ -168,44 +169,19 @@ def _tv_to_points(freqs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.max(0.5 * np.abs(freqs - points).sum(axis=-1), axis=-1)
 
 
-def _nearest_equilibria(freqs: np.ndarray,
-                        reports: list[EquilibriumReport]) -> tuple[list[str], list[float]]:
+def _nearest_equilibria(freqs: np.ndarray, game_of: np.ndarray, pure_ne: np.ndarray,
+                        mixed: np.ndarray, mixed_ne: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per game of a (G, K, S) frequency stack, the kind ("pure", "mixed" or
-    "none") and total-variation distance of its closest equilibrium point:
-    the first closest pure equilibrium, unless the mixed one is strictly
+    "none") and total-variation distance of its closest equilibrium point,
+    read off a chunk's analysis columns: the (N, K) pure equilibria and the
+    game of each, and the (G, K, S) mixed points where ``mixed`` holds. The
+    first closest pure equilibrium wins, unless the mixed one is strictly
     closer; with neither, "none" at infinity."""
-    n_games, n_players, n_channels = freqs.shape
-    game_of = np.array([g for g, r in enumerate(reports) for _ in r.pure_ne], dtype=np.intp)
-    profiles = np.array([p for r in reports for p in r.pure_ne], dtype=np.intp)
-    tv = np.full(n_games, np.inf)
-    np.minimum.at(tv, game_of, _tv_to_points(
-        freqs[game_of], np.eye(n_channels)[profiles.reshape(-1, n_players)]))
-    kinds = ["pure" if r.pure_ne else "none" for r in reports]
-    with_mixed = [g for g, r in enumerate(reports) if r.mixed_ne is not None]
-    if with_mixed:
-        mixed_tv = _tv_to_points(freqs[with_mixed],
-                                 np.stack([reports[g].mixed_ne for g in with_mixed]))
-        closer = mixed_tv < tv[with_mixed]
-        closest = np.array(with_mixed)[closer]
-        tv[closest] = mixed_tv[closer]
-        for g in closest.tolist():
-            kinds[g] = "mixed"
-    return kinds, tv.tolist()
-
-
-def _mixed_mean_utilities(tables: np.ndarray,
-                          reports: list[EquilibriumReport]) -> list[float | None]:
-    """Per game, the mean per-player expected payoff at its strictly mixed
-    equilibrium (None without one): each of the two players on channel 0
-    against the other's mixed row, over the (G, 2, 2, 2) utility tables."""
-    means: list[float | None] = [None] * len(reports)
-    with_mixed = [g for g, r in enumerate(reports) if r.mixed_ne is not None]
-    if with_mixed:
-        mixed = np.stack([reports[g].mixed_ne for g in with_mixed])
-        on_first = _expectation(tables[with_mixed])(mixed)[:, :, 0]
-        for g, mean in zip(with_mixed, (on_first.sum(axis=1) / 2).tolist()):
-            means[g] = mean
-    return means
+    tv = np.full(len(freqs), np.inf)
+    np.minimum.at(tv, game_of, _tv_to_points(freqs[game_of], np.eye(freqs.shape[2])[pure_ne]))
+    mixed_tv = np.where(mixed, _tv_to_points(freqs, mixed_ne), np.inf)
+    kinds = np.where(mixed_tv < tv, "mixed", np.where(np.isfinite(tv), "pure", "none"))
+    return kinds, np.minimum(tv, mixed_tv)
 
 
 class _Chunk(NamedTuple):
@@ -335,9 +311,13 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     records share one stack of utility tables: the classic batch's own, or,
     for the aggregation rule, which needs none, one built here that also
     gives every game its initial scores. The whole chunk is analyzed in one
-    pass, its trailing windows are checked for an exact period in one call,
-    and its nearest equilibrium points, mixed-equilibrium payoffs, cycle
-    payoffs and outcomes are read off the chunk's arrays."""
+    pass, whose per-game reports are turned into columns once: the pure
+    equilibria (N, K) with the game of each, their payoffs and potentials,
+    and a (G, K, S) stack of mixed points, zero where ``mixed`` does not
+    hold. The nearest equilibrium points, the mixed-equilibrium payoffs and
+    the outcomes are array rules over those columns; the trailing windows
+    are checked for an exact period in one call, and the cycle payoffs are
+    read off the tables."""
     T = dynamics.steps
     games, _ = _game_batch(games)  # the engine, analysis and potentials skip the shape check
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
@@ -357,12 +337,23 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)
     reports = analyze_game(games, tables=tables)
-    kinds, tvs = _nearest_equilibria(freqs, reports)
-    near, tvs = np.array(kinds), np.array(tvs)
     ne_counts = np.array([len(r.pure_ne) for r in reports])
     game_of = np.repeat(np.arange(len(games)), ne_counts)
     pure_ne = np.array([p for r in reports for p in r.pure_ne], dtype=np.int64)
     pure_ne = pure_ne.reshape(len(game_of), games[0].K)
+    ne_utilities = np.concatenate([r.utilities for r in reports])
+    ne_potentials = np.concatenate([r.potentials for r in reports])
+    mixed = np.array([r.mixed_ne is not None for r in reports])
+    mixed_ne = np.zeros(freqs.shape)
+    if mixed.any():
+        mixed_ne[mixed] = np.stack([r.mixed_ne for r in reports if r.mixed_ne is not None])
+    regions = [None if r.regions is None else tuple(sorted(r.regions)) for r in reports]
+    near, tvs = _nearest_equilibria(freqs, game_of, pure_ne, mixed, mixed_ne)
+    # The mean per-player expected payoff at each mixed point: each of the
+    # two players on channel 0 against the other's mixed row.
+    mixed_ne_mean_utility = np.zeros(len(games))
+    mixed_ne_mean_utility[mixed] = (
+        _expectation(tables[mixed])(mixed_ne[mixed])[:, :, 0].sum(axis=1) / 2)
     # A settled run is "pure" when its profile is one of its game's pure
     # equilibria; an unsettled one is "at" its nearest point within
     # CONVERGENCE_TV.
@@ -379,10 +370,6 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         rows = np.flatnonzero(periods == period)
         profiles = tuple(np.moveaxis(tails[rows, :period], -1, 0))
         cycle_utility[rows] = np.mean(tables[(rows[:, None], slice(None)) + profiles], axis=1)
-    mixed = np.array([r.mixed_ne is not None for r in reports])
-    mixed_ne = np.zeros(freqs.shape)
-    if mixed.any():
-        mixed_ne[mixed] = np.stack([r.mixed_ne for r in reports if r.mixed_ne is not None])
     return _Chunk(
         trials=first_trial + np.arange(len(games)),
         games={key: np.stack([getattr(g, key) for g in games])
@@ -390,13 +377,12 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         dynamics=dynamics,
         ne_counts=ne_counts,
         pure_ne=pure_ne,
-        ne_utilities=np.concatenate([r.utilities for r in reports]),
-        ne_potentials=np.concatenate([r.potentials for r in reports]),
+        ne_utilities=ne_utilities,
+        ne_potentials=ne_potentials,
         mixed=mixed,
         mixed_ne=mixed_ne,
-        mixed_ne_mean_utility=np.array(
-            [0.0 if m is None else m for m in _mixed_mean_utilities(tables, reports)]),
-        regions=[None if r.regions is None else tuple(sorted(r.regions)) for r in reports],
+        mixed_ne_mean_utility=mixed_ne_mean_utility,
+        regions=regions,
         final_frequencies=freqs,
         time_avg_utility=mean_utilities,
         tails=tails,

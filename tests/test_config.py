@@ -183,6 +183,10 @@ class TestSpecValidation:
             DynamicsSpec(initial_beliefs=np.full((3, 2), 0.5)).initial_beliefs_for(two)
         with pytest.raises(ConfigError, match="sum to 1"):
             DynamicsSpec(initial_beliefs=np.full((2, 2), 0.4)).initial_beliefs_for(two)
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            DynamicsSpec(initial_beliefs=[[np.nan, np.nan], [0.5, 0.5]]).initial_beliefs_for(two)
+        with pytest.raises(ConfigError, match="strictly between"):
+            DynamicsSpec(initial_beliefs=("xi", (np.nan, 0.5))).initial_beliefs_for(two)
 
 
 class TestOverrides:
@@ -311,6 +315,7 @@ MALFORMED = [
     ("simulate", "outputs", "directory", ["out"]),
     ("simulate", "outputs", "directory", ""),
     ("simulate", "dynamics", "steps", 4 * 10**9),
+    ("simulate", "dynamics", "initial_beliefs", [[float("nan"), float("nan")], [0.5, 0.5]]),
 ]
 
 

@@ -70,13 +70,17 @@ class TestBeliefState:
         assert state.step == 1
 
     def test_from_xi_rejects_out_of_range(self):
-        for bad in ([0.0, 0.5], [1.0, 0.5], [-0.1, 0.5]):
+        for bad in ([0.0, 0.5], [1.0, 0.5], [-0.1, 0.5], [np.nan, 0.5]):
             with pytest.raises(ValueError, match="strictly between"):
                 BeliefState.from_xi(bad)
 
     def test_point_mass(self):
         state = BeliefState.point_mass([2, 0], 3)
         np.testing.assert_array_equal(state.marginals, [[0, 0, 1], [1, 0, 0]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            BeliefState.point_mass([-1, 0], 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            BeliefState.point_mass([0.7, 1.2], 2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="step"):
@@ -85,6 +89,9 @@ class TestBeliefState:
             BeliefState(step=1, marginals=[[0.6, 0.6]])
         with pytest.raises(ValueError, match="non-negative"):
             BeliefState(step=1, marginals=[[1.5, -0.5]])
+        for bad in ([[np.nan, np.nan]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                BeliefState(step=1, marginals=bad)
 
     def test_marginals_read_only(self):
         state = BeliefState.uniform(2, 2)

@@ -312,6 +312,8 @@ class TestExpectedUtility:
     def test_rejects_bad_distributions(self, unit_game):
         with pytest.raises(ValueError, match="sum to 1"):
             expected_utility(unit_game, 0, 0, [0.6, 0.6])
+        with pytest.raises(ValueError, match="sum to 1"):
+            expected_utility(unit_game, 0, 0, [np.nan, np.nan])
         with pytest.raises(ValueError, match="non-negative"):
             expected_utility(unit_game, 0, 0, [1.5, -0.5])
         with pytest.raises(ValueError, match="entries"):

@@ -406,8 +406,8 @@ def _bits(value):
 
 class TestChunkAnalysis:
     """A chunk's records read the mixed-equilibrium payoff and the nearest
-    equilibrium point off the chunk's arrays, bit for bit what the
-    per-record helpers computed."""
+    equilibrium point off the chunk's analysis columns, bit for bit what the
+    per-record oracles compute."""
 
     def _games(self):
         rng = np.random.default_rng(83)
@@ -423,10 +423,12 @@ class TestChunkAnalysis:
 
     def test_mixed_payoffs_match_the_per_record_oracle(self):
         games = self._games()
-        tables = np.stack([utility_table(g) for g in games])
-        means = montecarlo._mixed_mean_utilities(tables, analyze_game(games, tables=tables))
+        chunk = montecarlo._records(0, games, DynamicsSpec(steps=1))
         expected = [oracle_mixed_mean_utility(g, oracle_analyze_game(g)) for g in games]
         assert sum(m is not None for m in expected) > 20
+        assert chunk.mixed.tolist() == [m is not None for m in expected]
+        means = [m if mixed else None
+                 for m, mixed in zip(chunk.mixed_ne_mean_utility.tolist(), chunk.mixed)]
         assert [_bits(m) for m in means] == [_bits(m) for m in expected]
 
     @pytest.mark.parametrize("n_players,n_channels", [(2, 2), (3, 3), (1, 4)])
@@ -453,11 +455,18 @@ class TestChunkAnalysis:
             symmetric = len(games) - 4
             assert reports[symmetric].mixed_ne.tolist() == [[0.5, 0.5], [0.5, 0.5]]
             freqs[symmetric] = [[0.75, 0.25], [0.25, 0.75]]
-        kinds, tvs = montecarlo._nearest_equilibria(freqs, analyze_game(games))
+        # The chunk's analysis columns, built from the oracle's reports.
+        game_of = np.repeat(np.arange(len(games)), [len(r.pure_ne) for r in reports])
+        pure_ne = np.array([p for r in reports for p in r.pure_ne], dtype=np.int64)
+        mixed = np.array([r.mixed_ne is not None for r in reports])
+        mixed_ne = np.array([np.zeros((n_players, n_channels)) if r.mixed_ne is None
+                             else r.mixed_ne for r in reports])
+        kinds, tvs = montecarlo._nearest_equilibria(
+            freqs, game_of, pure_ne.reshape(len(game_of), n_players), mixed, mixed_ne)
         expected = [oracle_nearest_equilibrium(f, r, n_channels) for f, r in zip(freqs, reports)]
-        assert kinds == [kind for kind, _ in expected]
+        assert kinds.tolist() == [kind for kind, _ in expected]
         if n_channels == 2:
-            assert {"pure", "mixed"} <= set(kinds)
+            assert {"pure", "mixed"} <= set(kinds.tolist())
         assert [_bits(tv) for tv in tvs] == [_bits(tv) for _, tv in expected]
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
