@@ -32,7 +32,6 @@ rule supplies only the vector and payoffs, its scores and its certificate.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .game import (
     _check_player,
     _game_batch,
     _guard_opponent_profiles,
+    _integer,
     _payoffs,
     _potential,
     _rate,
@@ -108,14 +108,6 @@ def _action_dtype(n_channels: int) -> np.dtype:
     return np.min_scalar_type(-n_channels)
 
 
-def _integer(value, what: str) -> int:
-    """The engines' integer rule for step counts: an integral number, not a
-    bool (a float horizon would size the log's step columns as floats)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _chooser(tie_break: str, T: int = 1):
     """Tie-broken argmax over the last axis, for a run of ``T`` steps:
     ``choose(values)`` is the channel of the first maximum in tie-break
@@ -129,6 +121,19 @@ def _chooser(tie_break: str, T: int = 1):
     if tie_break == "highest":
         return lambda values: values.shape[-1] - 1 - values[..., ::-1].argmax(axis=-1)
     raise ValueError(f"unknown tie_break {tie_break!r}, expected one of {TIE_BREAKS}")
+
+
+def _check_state(state, field: str, what: str, least: int, why: str = "") -> None:
+    """The check of both learning states: sets ``field`` to a read-only 2-D
+    float array of finite, non-negative entries, the step to an integer >= ``least``."""
+    values = np.atleast_2d(np.asarray(getattr(state, field), dtype=float))
+    if _integer(state.step, f"{what} step") < least:
+        raise ValueError(f"{what} step must be >= {least}{why}")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError(f"{what} entries must be finite and non-negative")
+    values.setflags(write=False)
+    object.__setattr__(state, field, values)
+    object.__setattr__(state, "step", int(state.step))
 
 
 @dataclass(frozen=True)
@@ -147,17 +152,9 @@ class BeliefState:
     marginals: np.ndarray
 
     def __post_init__(self) -> None:
-        marginals = np.atleast_2d(np.asarray(self.marginals, dtype=float))
-        if _integer(self.step, "belief step") < 1:
-            raise ValueError("belief step must be >= 1 (priors carry weight 1)")
-        if not np.all(np.isfinite(marginals)) or np.any(marginals < 0):
-            raise ValueError("belief entries must be finite and non-negative")
-        sums = marginals.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
+        _check_state(self, "marginals", "belief", 1, " (priors carry weight 1)")
+        if np.any(np.abs(self.marginals.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("each belief marginal must sum to 1 within 1e-12")
-        marginals.setflags(write=False)
-        object.__setattr__(self, "marginals", marginals)
-        object.__setattr__(self, "step", int(self.step))
 
     @classmethod
     def uniform(cls, n_players: int, n_channels: int) -> "BeliefState":
@@ -197,14 +194,7 @@ class QState:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        if _integer(self.step, "q step") < 0:
-            raise ValueError("q step must be >= 0")
-        if not np.all(np.isfinite(q)) or np.any(q < 0):
-            raise ValueError("q entries must be finite and non-negative")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "step", int(self.step))
+        _check_state(self, "q", "q", 0)
 
     @classmethod
     def zeros(cls, n_players: int, n_channels: int) -> "QState":

@@ -29,6 +29,7 @@ import numpy as np
 
 from .game import (
     GameSpec,
+    _Batch,
     _game_batch,
     _utility_tables,
     potential_table,
@@ -87,18 +88,16 @@ def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
-def _symmetric_2x2(games: list[GameSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per game of a same-shape list: the index into
-    :data:`_SYMMETRIC_2X2_NEEDS` of the first need it fails, or -1 when it
-    is in the common-budget 2x2 setting; then the (G, 2, 2) gains and (G,)
-    common SNRs, which only games in that setting use."""
+def _symmetric_2x2(games: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per game of a batch: the index into :data:`_SYMMETRIC_2X2_NEEDS` of
+    the first need it fails, or -1 when it is in the common-budget 2x2
+    setting; then the (G, 2, 2) gains and (G,) common SNRs, which only games
+    in that setting use."""
     n_games = len(games)
     if not games or (games[0].K, games[0].S) != (2, 2):
         return np.zeros(n_games, dtype=np.int64), np.empty((n_games, 2, 2)), np.empty(n_games)
     bandwidths, noise, max_power, gains = (
-        np.stack([getattr(g, name) for g in games])
-        for name in ("bandwidths", "noise", "max_power", "gains")
-    )
+        games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains"))
     fails = np.stack([
         np.zeros(n_games, dtype=bool),
         bandwidths[:, 0] != bandwidths[:, 1],
@@ -110,7 +109,7 @@ def _symmetric_2x2(games: list[GameSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     return failures, gains, max_power[:, 0] / noise[:, 0]
 
 
-def _require_symmetric_2x2(games: list[GameSpec]) -> tuple[np.ndarray, np.ndarray]:
+def _require_symmetric_2x2(games: _Batch) -> tuple[np.ndarray, np.ndarray]:
     """(G, 2, 2) gains and (G,) common SNRs of games in the common-budget 2x2
     setting; raises ValueError for the first game that is not."""
     failures, gains, snr = _symmetric_2x2(games)
@@ -126,7 +125,7 @@ def require_symmetric_2x2(game: GameSpec) -> float:
     Needs K = S = 2, equal bandwidths, one noise level, one power budget and
     strictly positive gains. Raises ValueError otherwise.
     """
-    return float(_require_symmetric_2x2([game])[1][0])
+    return float(_require_symmetric_2x2(_game_batch(game)[0])[1][0])
 
 
 def _region_comparisons(gains: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -196,7 +195,7 @@ def boundary_margin_2x2(game: GameSpec) -> float:
     weak-inequality membership and payoff comparisons become tie-sensitive.
     """
     own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = (
-        c[0] for c in _region_comparisons(*_require_symmetric_2x2([game])))
+        c[0] for c in _region_comparisons(*_require_symmetric_2x2(_game_batch(game)[0])))
     return min(
         abs(own_ratio - low_own),
         abs(own_ratio - high_own),

@@ -15,8 +15,10 @@ Channels and players are 0-based indices throughout.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,41 +139,47 @@ _GAME_NEEDS = (
     "gains must be finite and non-negative",
     "noise plus the total received power on a channel overflows; "
     "every channel aggregate must be finite",
+    "bandwidths must have a finite total",
+    "a received power over its channel's noise must be finite",
 )
 
 
 def _game_stack(bandwidths: np.ndarray, noise: np.ndarray, max_power: np.ndarray,
-                gains: np.ndarray, name=lambda g: "") -> list[GameSpec]:
-    """The games of same-shape float64 stacks, (G, S) bandwidths and noise,
-    (G, K) power budgets and (G, K, S) gains, checked in one pass: the first
-    game that fails a need of :data:`_GAME_NEEDS` raises ValueError with the
-    first need it fails, prefixed by ``name(g)``. The stacks are frozen, and
-    each game's arrays are views of them."""
+                gains: np.ndarray, name=lambda g: "") -> _Batch:
+    """The batch of games of same-shape float64 stacks, (G, S) bandwidths and
+    noise, (G, K) power budgets and (G, K, S) gains, checked in one pass: the
+    first game that fails a need of :data:`_GAME_NEEDS` raises ValueError
+    with the first need it fails, prefixed by ``name(g)``. The stacks are
+    frozen and kept as the batch's ``stacks``; each game's arrays are views."""
     with np.errstate(all="ignore"):  # failing games only; they raise below
-        weights = bandwidths / bandwidths.sum(axis=1, keepdims=True)
+        total = bandwidths.sum(axis=1, keepdims=True)
+        weights = bandwidths / total
         received = max_power[:, :, None] * gains
         worst = noise + received.sum(axis=1)
+        snr = received / noise[:, None]
     fails = np.stack([
         ~np.isfinite(bandwidths).all(axis=1) | (bandwidths <= 0).any(axis=1),
         ~np.isfinite(noise).all(axis=1) | (noise <= 0).any(axis=1),
         ~np.isfinite(max_power).all(axis=1) | (max_power <= 0).any(axis=1),
         ~np.isfinite(gains).all(axis=(1, 2)) | (gains < 0).any(axis=(1, 2)),
         ~np.isfinite(worst).all(axis=1),
+        ~np.isfinite(total[:, 0]),
+        ~np.isfinite(snr).all(axis=(1, 2)),
     ], axis=1)
     failed = np.flatnonzero(fails.any(axis=1))
     if len(failed):
         g = int(failed[0])
         raise ValueError(name(g) + _GAME_NEEDS[int(fails[g].argmax())])
-    stacks = {"bandwidths": bandwidths, "noise": noise, "max_power": max_power,
-              "gains": gains, "_weights": weights, "_received": received}
-    for arr in stacks.values():
+    batch = _Batch()
+    batch.stacks = {"bandwidths": bandwidths, "noise": noise, "max_power": max_power,
+                    "gains": gains, "_weights": weights, "_received": received}
+    for arr in batch.stacks.values():
         arr.setflags(write=False)
-    games = []
-    for rows in zip(*stacks.values()):
+    for rows in zip(*batch.stacks.values()):
         game = object.__new__(GameSpec)
-        vars(game).update(zip(stacks, rows))
-        games.append(game)
-    return games
+        vars(game).update(zip(batch.stacks, rows))
+        batch.append(game)
+    return batch
 
 
 def _check_channels(n_channels: int, channels) -> np.ndarray:
@@ -193,22 +201,38 @@ def check_profile(game: GameSpec, profile) -> np.ndarray:
     return arr
 
 
+def _integer(value, what: str) -> int:
+    """The integer rule for indices and step counts: an integral number, not
+    a bool (a float horizon would size the log's step columns as floats)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_player(game: GameSpec, player) -> int:
-    if not isinstance(player, (int, np.integer)):
-        raise TypeError(f"player index must be an integer, got {player!r}")
+    player = _integer(player, "player index")
     if not 0 <= player < game.K:
         raise IndexError(f"player index {player} out of range [0, {game.K})")
-    return int(player)
+    return player
 
 
 class _Batch(list):
-    """Games checked to share one (K, S) shape."""
+    """Games checked to share one (K, S) shape; ``stacks`` holds their arrays (a game's
+    ``vars``) by name on a leading game axis, read-only: :func:`_game_stack`'s own, or
+    stacked on first read."""
+
+    @cached_property
+    def stacks(self) -> dict[str, np.ndarray]:
+        stacks = {key: np.stack([vars(g)[key] for g in self]) for key in vars(self[0])}
+        for arr in stacks.values():
+            arr.setflags(write=False)
+        return stacks
 
 
-def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[list[GameSpec], bool]:
-    """``game`` as a list of games, and whether it was one game (a batch of
-    one). The games of a sequence must share one (K, S) shape; the list
-    returned is not checked again when it is passed back in."""
+def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[_Batch, bool]:
+    """``game`` as a batch of games, and whether it was one game (a batch of
+    one). The games of a sequence must share one (K, S) shape; the batch
+    returned is not checked or stacked again when it is passed back in."""
     if isinstance(game, _Batch):
         return game, False
     single = isinstance(game, GameSpec)
@@ -415,21 +439,15 @@ def _channel_loads(noise: np.ndarray, received: np.ndarray, players,
     return load
 
 
-def _stacks(games: Sequence[GameSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (G, S) noise, (G, K, S) received powers and (G, S) bandwidth
-    fractions of same-shape games."""
-    return (np.stack([g.noise for g in games]), np.stack([g.received_power for g in games]),
-            np.stack([g.weights for g in games]))
-
-
 def _utility_tables(games: Sequence[GameSpec]) -> np.ndarray:
     """:func:`utility_table` of every game of a non-empty same-shape
     sequence, stacked: (G, K) + (S,)*K, each game's entries the bits it has
-    alone. Built one (player, channel) slice at a time over the whole
-    stack, so the working set is one G * S**(K-1) load and the stack is
+    alone. Built from the batch's stacks one (player, channel) slice at a
+    time, so the working set is one G * S**(K-1) load and the tables are
     never copied."""
+    games, _ = _game_batch(games)
     n_players, n_channels = _guard_full_enumeration(games[0])
-    noise, received, weights = _stacks(games)
+    noise, received, weights = (games.stacks[key] for key in ("noise", "_received", "_weights"))
     lead = (len(games),) + (1,) * (n_players - 1)
     eye = np.eye(n_channels)
     tables = np.empty((len(games), n_players) + (n_channels,) * n_players)
@@ -465,7 +483,7 @@ def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
     if not games:
         raise ValueError("need at least one game")
     n_players, n_channels = _guard_full_enumeration(games[0])
-    noise, received, weights = _stacks(games)
+    noise, received, weights = (games.stacks[key] for key in ("noise", "_received", "_weights"))
     eye = np.eye(n_channels)
     out = np.zeros((len(games),) + (n_channels,) * n_players)
     for s in range(n_channels):

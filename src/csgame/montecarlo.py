@@ -9,14 +9,16 @@ columns. It runs a chunk as one lockstep batch of the configured rule
 (:func:`~csgame.dynamics.run_fp` or
 :func:`~csgame.dynamics.run_aggregation_fp`, which share one event-driven
 engine and one run-length result); a single trial is a chunk of one, so its
-record is bit-for-bit the one a sweep writes. The analysis and the records
-of a chunk share one stack of utility tables (the classic batch's own, or,
-for the aggregation rule, which needs none, one built for the chunk, which
-also gives each game its initial scores), and the whole chunk is analyzed in
-one :func:`~csgame.equilibrium.analyze_game` call over them. Its per-game
-reports are turned into columns once, and the nearest equilibrium point, the
-mixed-equilibrium payoff and the outcome of every record are array rules
-over those columns. A record reads only its game's trailing window of
+record is bit-for-bit the one a sweep writes. A chunk's games are stacked
+once, as one batch: its tables, its 2x2 check and its records' game columns
+read the batch's stacks. The analysis and the records of a chunk share one
+stack of utility tables (the classic batch's own, or, for the aggregation
+rule, which needs none, one built for the chunk, which also gives each game
+its initial scores), and the whole chunk is analyzed in one
+:func:`~csgame.equilibrium.analyze_game` call over them. Its per-game reports
+are turned into columns once, and the nearest equilibrium point, the
+mixed-equilibrium payoff and the outcome of every record are array rules over
+those columns. A record reads only its game's trailing window of
 profiles, its counts and counted payoff sums, all off the decision log's
 entries, and the game's payoff table. The summary is read off the columns
 too, and a sweep returns its records as those columns
@@ -319,7 +321,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     are checked for an exact period in one call, and the cycle payoffs are
     read off the tables."""
     T = dynamics.steps
-    games, _ = _game_batch(games)  # the engine, analysis and potentials skip the shape check
+    games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
     if dynamics.variant == "classic":
@@ -372,8 +374,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         cycle_utility[rows] = np.mean(tables[(rows[:, None], slice(None)) + profiles], axis=1)
     return _Chunk(
         trials=first_trial + np.arange(len(games)),
-        games={key: np.stack([getattr(g, key) for g in games])
-               for key in ("bandwidths", "noise", "max_power", "gains")},
+        games={key: games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains")},
         dynamics=dynamics,
         ne_counts=ne_counts,
         pure_ne=pure_ne,

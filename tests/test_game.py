@@ -22,7 +22,7 @@ from csgame import (
     utility,
     utility_table,
 )
-from csgame.game import _game_stack, _utility_tables
+from csgame.game import _Batch, _game_stack, _utility_tables
 from _oracles import oracle_potential, oracle_utility
 from conftest import random_game
 
@@ -84,7 +84,8 @@ class TestGameSpec:
     def test_a_stack_is_checked_as_each_game_alone(self):
         # A stack names its first failing game with the first need that game
         # fails alone (game 1 fails the noise and the gain needs, game 2 the
-        # bandwidth need); games of a valid stack equal single games.
+        # bandwidth need); games of a valid stack equal single games, and
+        # are rows of the stacks their batch keeps.
         rng = np.random.default_rng(5)
         stacks = [rng.uniform(0.5, 2.0, shape) for shape in ((3, 2), (3, 2), (3, 2), (3, 2, 2))]
         bad = [a.copy() for a in stacks]
@@ -95,12 +96,18 @@ class TestGameSpec:
             _game_stack(*bad, name=lambda g: f"game {g}: ")
         with pytest.raises(ValueError, match="noise must be positive"):
             GameSpec(*(a[1] for a in bad))
-        for stacked, *arrays in zip(_game_stack(*stacks), *stacks):
+        batch = _game_stack(*stacks)
+        assert isinstance(batch, _Batch)
+        assert batch.stacks["gains"] is stacks[3]
+        for g, (stacked, *arrays) in enumerate(zip(batch, *stacks)):
             alone = GameSpec(*arrays)
             for name in ("bandwidths", "noise", "max_power", "gains", "weights",
                          "received_power"):
                 assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes()
                 assert not getattr(stacked, name).flags.writeable
+            for key, stack in batch.stacks.items():
+                assert np.shares_memory(getattr(stacked, key), stack)
+                assert getattr(stacked, key).tobytes() == stack[g].tobytes()
 
     def test_rejects_mismatched_gain_shape(self):
         # Channel count is taken from the gain matrix, so the bandwidth
@@ -196,7 +203,11 @@ class TestUtility:
      "channel indices must be integers"),
     (lambda g: aggregated_utility(g, 0, 1.5, [2.0, 2.0]), ValueError,
      "channel indices must be integers"),
-], ids=["utility", "fp_best_response", "expected_utility", "aggregated_utility"])
+    (lambda g: utility(g, (0, 1), True), TypeError, "player index must be an integer, got True"),
+    (lambda g: fp_best_response(g, True, BeliefState.uniform(2, 2)), TypeError,
+     "player index must be an integer, got True"),
+], ids=["utility", "fp_best_response", "expected_utility", "aggregated_utility",
+        "utility-bool", "fp_best_response-bool"])
 def test_non_integer_indices_are_rejected(unit_game, call, error, message):
     with pytest.raises(error, match=message):
         call(unit_game)
@@ -458,6 +469,22 @@ def test_channel_aggregate_must_be_finite():
         GameSpec.symmetric([[1.0, 2.0]], p_max=1e308)
     game = GameSpec.symmetric([[1.0, 0.5], [0.5, 1.0]], p_max=1e308)
     assert np.all(np.isfinite(game.received_power.sum(axis=0) + game.noise))
+
+
+# Each channel aggregate is finite, yet the payoffs cannot be: the bandwidth
+# total overflows, which would make every weight and payoff 0, or one
+# received power is infinitely many times its channel's noise, which would
+# make a payoff infinite.
+@pytest.mark.parametrize("game, message", [
+    (dict(bandwidths=[1e308, 1e308], noise=[1.0, 1.0], max_power=[1.0, 1.0],
+          gains=[[1.0, 1.0], [1.0, 1.0]]), "bandwidths must have a finite total"),
+    (dict(bandwidths=[1.0, 1.0], noise=[1e-300, 1e-300], max_power=[1e300, 1.0],
+          gains=[[1.0, 0.0], [0.0, 1.0]]),
+     "a received power over its channel's noise must be finite"),
+], ids=["bandwidth-total", "received-over-noise"])
+def test_payoffs_must_be_finite(game, message):
+    with pytest.raises(ValueError, match=message):
+        GameSpec(**game)
 
 
 def test_reconstruction_is_exact_where_the_subtraction_cancels():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -612,15 +613,27 @@ def test_a_cycling_chunk_reads_its_records_within_the_byte_budget():
 @pytest.mark.parametrize("variant", ["classic", "aggregation"])
 def test_a_chunk_checks_the_shape_of_its_games_once(monkeypatch, variant):
     # The engine, the analysis and the potential tables all take the
-    # chunk's games; only the first look walks them to compare shapes.
+    # chunk's games; only the first look walks them to compare shapes, and
+    # their arrays are stacked once: the tables, the 2x2 check and the
+    # records' game columns all read the batch's stacks.
     games = [generate_game(trial_rng(5, i), 2, 2, 20.0) for i in range(40)]
-    walks = []
+    walks, builds, batches = [], [], []
 
     class Batch(game_module._Batch):
         def __init__(self, games):
             walks.append(len(games))
+            batches.append(self)
             super().__init__(games)
 
+        @functools.cached_property
+        def stacks(self):
+            builds.append(len(self))
+            return super().stacks
+
     monkeypatch.setattr(game_module, "_Batch", Batch)
-    montecarlo._records(0, games, DynamicsSpec(steps=50, variant=variant))
+    chunk = montecarlo._records(0, games, DynamicsSpec(steps=50, variant=variant))
     assert walks == [len(games)]
+    assert builds == [len(games)]
+    [batch] = batches
+    for key, column in chunk.games.items():
+        assert column is batch.stacks[key]
