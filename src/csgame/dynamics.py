@@ -125,8 +125,8 @@ def _chooser(tie_break: str, T: int = 1):
 
 def _check_state(state, field: str, what: str, least: int, why: str = "") -> None:
     """The check of both learning states: sets ``field`` to a read-only 2-D
-    float array of finite, non-negative entries, the step to an integer >= ``least``."""
-    values = np.atleast_2d(np.asarray(getattr(state, field), dtype=float))
+    float copy of finite, non-negative entries, the step to an integer >= ``least``."""
+    values = np.atleast_2d(np.array(getattr(state, field), dtype=float))
     if _integer(state.step, f"{what} step") < least:
         raise ValueError(f"{what} step must be >= {least}{why}")
     if not np.all(np.isfinite(values)) or np.any(values < 0):

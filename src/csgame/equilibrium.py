@@ -13,14 +13,15 @@ maximum along its own channel axis of the stacked utility tables, an
 equilibrium's payoffs and potential are reads of the utility and potential
 tables (a unilateral payoff change is a potential difference, Monderer and
 Shapley 1996), and the 2x2 precondition, the region comparisons and the
-mixed-point ratios are evaluated on (G, 2, 2) stacks. :func:`analyze_game`
-takes one game or a same-shape sequence (a Monte-Carlo chunk, with the
-engine's tables); one game is a batch of one, and the single-game functions
-below are that batch of one.
+mixed-point ratios are evaluated on (G, 2, 2) stacks, into columns that a
+Monte-Carlo chunk reads with its engine's tables. :func:`analyze_game` takes
+one game or a same-shape sequence and slices a report per game from them;
+one game is a batch of one, and the single-game functions are that batch.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -153,8 +154,8 @@ def _region_mask(gains: np.ndarray, snr: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _labels(mask: np.ndarray) -> list[frozenset[str]]:
-    return [frozenset(compress(_REGIONS, row)) for row in mask.tolist()]
+def _labels(mask: np.ndarray) -> list[tuple[str, ...]]:
+    return [tuple(compress(_REGIONS, row)) for row in mask.tolist()]
 
 
 def classify_region_2x2(
@@ -179,7 +180,7 @@ def classify_region_2x2(
     2x2 setting raises, the first one naming its defect.
     """
     games, single = _game_batch(game)
-    labels = _labels(_region_mask(*_require_symmetric_2x2(games)))
+    labels = [frozenset(row) for row in _labels(_region_mask(*_require_symmetric_2x2(games)))]
     return labels[0] if single else labels
 
 
@@ -299,13 +300,40 @@ def analyze_game(
         tables = _utility_tables(games)
     if np.shape(tables) != shape:
         raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
+    columns = _analysis_columns(games, tables)
+    profiles = [tuple(row) for row in columns.pure_ne.tolist()]
+    bounds = np.concatenate([[0], np.cumsum(columns.ne_counts)]).tolist()
+    reports = [
+        EquilibriumReport(
+            pure_ne=tuple(profiles[lo:hi]),
+            utilities=columns.ne_utilities[lo:hi],
+            potentials=columns.ne_potentials[lo:hi],
+            mixed_ne=columns.mixed_ne[g] if columns.mixed[g] else None,
+            regions=None if labels is None else frozenset(labels),
+        )
+        for g, (lo, hi, labels) in enumerate(zip(bounds[:-1], bounds[1:], columns.regions))
+    ]
+    return reports[0] if single else reports
+
+
+_AnalysisColumns = namedtuple("_AnalysisColumns", "ne_counts mixed mixed_ne regions "
+                              "game_of pure_ne ne_utilities ne_potentials")
+
+
+def _analysis_columns(games: _Batch, tables: np.ndarray) -> _AnalysisColumns:
+    """A non-empty batch's analysis (see :func:`analyze_game`) over its utility
+    tables, as columns. Per game: its pure-equilibrium count, whether it has a
+    strictly mixed equilibrium, its (K, S) mixed point (zero where it has none)
+    and its region labels in H1..H4 order (None outside the 2x2 setting). Per
+    pure equilibrium, game after game: its game, profile, payoffs and potential."""
+    n_games = len(games)
     ne = np.argwhere(_pure_ne_mask(tables))  # (N, 1 + K): game, then profile
-    game_of = ne[:, 0]
-    utilities = tables[(game_of, slice(None)) + tuple(ne[:, 1:].T)]
+    game_of, profiles = ne[:, 0], ne[:, 1:]
     potential_stack = potential_table(games)
     counts = np.bincount(game_of, minlength=n_games)
     regions: list = [None] * n_games
-    mixed: list = [None] * n_games
+    mixed = np.zeros(n_games, dtype=bool)
+    mixed_ne = np.zeros((n_games, games[0].K, games[0].S))
     failures, gains, snr = _symmetric_2x2(games)
     symmetric = np.flatnonzero(failures < 0)
     if len(symmetric):
@@ -315,20 +343,9 @@ def analyze_game(
         # In H1 and H4, with the two orthogonal profiles as the only pure NE.
         two_sided = symmetric[mask[:, 0] & mask[:, 3] & (counts[symmetric] == 2)]
         points, degenerate, boundary = _mixed_points(potential_stack[two_sided])
-        for g, point, ok in zip(two_sided.tolist(), points, ~(degenerate | boundary)):
-            if ok:
-                mixed[g] = point
-    potentials = potential_stack[tuple(ne.T)]
-    profiles = [tuple(row) for row in ne[:, 1:].tolist()]
-    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    reports = [
-        EquilibriumReport(
-            pure_ne=tuple(profiles[lo:hi]),
-            utilities=utilities[lo:hi],
-            potentials=potentials[lo:hi],
-            mixed_ne=mixed[g],
-            regions=regions[g],
-        )
-        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    return reports[0] if single else reports
+        interior = ~(degenerate | boundary)
+        mixed[two_sided[interior]] = True
+        mixed_ne[mixed] = points[interior]
+    return _AnalysisColumns(counts, mixed, mixed_ne, regions, game_of, profiles,
+                            tables[(game_of, slice(None)) + tuple(profiles.T)],
+                            potential_stack[tuple(ne.T)])

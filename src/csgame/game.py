@@ -47,7 +47,7 @@ class GameSpec:
 
     ``gains[k, s]`` is the power gain from transmitter k to the receiver on
     channel s. Total bandwidth is always derived from ``bandwidths``, never
-    stored. Arrays are coerced to float64 and frozen at construction.
+    stored. Arrays are copied as float64 and frozen at construction.
     """
 
     bandwidths: np.ndarray
@@ -56,10 +56,10 @@ class GameSpec:
     gains: np.ndarray
 
     def __post_init__(self) -> None:
-        gains = np.atleast_2d(np.asarray(self.gains, dtype=float))
-        bandwidths = np.asarray(self.bandwidths, dtype=float).ravel()
-        noise = np.asarray(self.noise, dtype=float).ravel()
-        max_power = np.asarray(self.max_power, dtype=float).ravel()
+        gains = np.atleast_2d(np.array(self.gains, dtype=float))
+        bandwidths = np.array(self.bandwidths, dtype=float).ravel()
+        noise = np.array(self.noise, dtype=float).ravel()
+        max_power = np.array(self.max_power, dtype=float).ravel()
         if gains.ndim != 2:
             raise ValueError("gains must be a 2-d array of shape (K, S)")
         n_players, n_channels = gains.shape

@@ -14,13 +14,12 @@ once, as one batch: its tables, its 2x2 check and its records' game columns
 read the batch's stacks. The analysis and the records of a chunk share one
 stack of utility tables (the classic batch's own, or, for the aggregation
 rule, which needs none, one built for the chunk, which also gives each game
-its initial scores), and the whole chunk is analyzed in one
-:func:`~csgame.equilibrium.analyze_game` call over them. Its per-game reports
-are turned into columns once, and the nearest equilibrium point, the
-mixed-equilibrium payoff and the outcome of every record are array rules over
-those columns. A record reads only its game's trailing window of
-profiles, its counts and counted payoff sums, all off the decision log's
-entries, and the game's payoff table. The summary is read off the columns
+its initial scores), and the whole chunk is analyzed in one pass over them,
+which hands it its equilibria as columns: no per-game report is built, and
+the nearest equilibrium point, the mixed-equilibrium payoff and the outcome
+of every record are array rules over those columns. A record reads only its
+game's trailing window of profiles, its counts and counted payoff sums, all
+off the decision log's entries, and the game's payoff table. The summary is read off the columns
 too, and a sweep returns its records as those columns
 (:class:`SweepRecords`): a record's dict is built only by
 :meth:`SweepRecords.records`, and the CLI writes each trial file by filling
@@ -46,7 +45,7 @@ from .dynamics import (
     run_aggregation_fp,
     run_fp,
 )
-from .equilibrium import analyze_game
+from .equilibrium import _analysis_columns
 from .game import GameSpec, _game_batch, _game_stack, _utility_tables
 
 __all__ = [
@@ -98,7 +97,7 @@ CONVERGENCE_TV = 1e-2
 # aggregation engine 0.43 MB and 1.53 MB. Those grow with the play, so they
 # are not counted here. Nor are the records: a chunk keeps them as columns
 # (see _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and
-# 2 * K + 1 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
+# 2 * K + 2 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
 # int64 per trial, which dominate; a sweep keeps every chunk's columns until
 # its trial files are written. Writing renders at most 1024 trial files at a
 # time: their cells (one string per distinct value of a column) and their
@@ -195,13 +194,14 @@ class _Chunk(NamedTuple):
     profiles (``tails``) and their exact period (0 for none) with the
     mean payoffs over one period (read only where the period is not 0), its
     outcome, and the distance to its nearest equilibrium point (infinite
-    for none). Per pure equilibrium, trial after trial: its profile,
-    payoffs and potential."""
+    for none). Per pure equilibrium, trial after trial: its trial's row
+    (``game_of``), its profile, payoffs and potential."""
 
     trials: np.ndarray
     games: dict[str, np.ndarray]
     dynamics: DynamicsSpec
     ne_counts: np.ndarray
+    game_of: np.ndarray
     pure_ne: np.ndarray
     ne_utilities: np.ndarray
     ne_potentials: np.ndarray
@@ -313,13 +313,11 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     records share one stack of utility tables: the classic batch's own, or,
     for the aggregation rule, which needs none, one built here that also
     gives every game its initial scores. The whole chunk is analyzed in one
-    pass, whose per-game reports are turned into columns once: the pure
-    equilibria (N, K) with the game of each, their payoffs and potentials,
-    and a (G, K, S) stack of mixed points, zero where ``mixed`` does not
-    hold. The nearest equilibrium points, the mixed-equilibrium payoffs and
-    the outcomes are array rules over those columns; the trailing windows
-    are checked for an exact period in one call, and the cycle payoffs are
-    read off the tables."""
+    pass, as columns (see :func:`~csgame.equilibrium._analysis_columns`).
+    The nearest equilibrium points, the mixed-equilibrium payoffs and the
+    outcomes are array rules over those columns; the trailing windows are
+    checked for an exact period in one call, and the cycle payoffs are read
+    off the tables."""
     T = dynamics.steps
     games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
@@ -338,29 +336,18 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)
-    reports = analyze_game(games, tables=tables)
-    ne_counts = np.array([len(r.pure_ne) for r in reports])
-    game_of = np.repeat(np.arange(len(games)), ne_counts)
-    pure_ne = np.array([p for r in reports for p in r.pure_ne], dtype=np.int64)
-    pure_ne = pure_ne.reshape(len(game_of), games[0].K)
-    ne_utilities = np.concatenate([r.utilities for r in reports])
-    ne_potentials = np.concatenate([r.potentials for r in reports])
-    mixed = np.array([r.mixed_ne is not None for r in reports])
-    mixed_ne = np.zeros(freqs.shape)
-    if mixed.any():
-        mixed_ne[mixed] = np.stack([r.mixed_ne for r in reports if r.mixed_ne is not None])
-    regions = [None if r.regions is None else tuple(sorted(r.regions)) for r in reports]
-    near, tvs = _nearest_equilibria(freqs, game_of, pure_ne, mixed, mixed_ne)
+    ne = _analysis_columns(games, tables)
+    near, tvs = _nearest_equilibria(freqs, ne.game_of, ne.pure_ne, ne.mixed, ne.mixed_ne)
     # The mean per-player expected payoff at each mixed point: each of the
     # two players on channel 0 against the other's mixed row.
     mixed_ne_mean_utility = np.zeros(len(games))
-    mixed_ne_mean_utility[mixed] = (
-        _expectation(tables[mixed])(mixed_ne[mixed])[:, :, 0].sum(axis=1) / 2)
+    mixed_ne_mean_utility[ne.mixed] = (
+        _expectation(tables[ne.mixed])(ne.mixed_ne[ne.mixed])[:, :, 0].sum(axis=1) / 2)
     # A settled run is "pure" when its profile is one of its game's pure
     # equilibria; an unsettled one is "at" its nearest point within
     # CONVERGENCE_TV.
     settled_on_ne = np.zeros(len(games), dtype=bool)
-    settled_on_ne[game_of[(pure_ne == tails[game_of, 0]).all(axis=1)]] = True
+    settled_on_ne[ne.game_of[(ne.pure_ne == tails[ne.game_of, 0]).all(axis=1)]] = True
     outcomes = np.where(periods >= 2, "cycling", np.where(
         periods == 1, np.where(settled_on_ne, "pure", "undetermined"),
         np.where((tvs < CONVERGENCE_TV) & (near != "none"), near, "undetermined")))
@@ -376,14 +363,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         trials=first_trial + np.arange(len(games)),
         games={key: games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains")},
         dynamics=dynamics,
-        ne_counts=ne_counts,
-        pure_ne=pure_ne,
-        ne_utilities=ne_utilities,
-        ne_potentials=ne_potentials,
-        mixed=mixed,
-        mixed_ne=mixed_ne,
         mixed_ne_mean_utility=mixed_ne_mean_utility,
-        regions=regions,
         final_frequencies=freqs,
         time_avg_utility=mean_utilities,
         tails=tails,
@@ -391,6 +371,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         cycle_utility=cycle_utility,
         outcomes=outcomes,
         nearest_ne_tv=tvs,
+        **ne._asdict(),
     )
 
 

@@ -45,7 +45,7 @@ __all__ = [
 _CHUNK_STEPS = 1024
 # A numbered leaf of a skeleton, as the encoder writes it.
 _LEAF = re.compile(r'"@@(\d+)@@"')
-_FORMATS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__, "U": json.dumps}
+_FORMATS = {"i": repr, "u": repr, "f": repr, "U": json.dumps}
 
 
 def fmt_float(x) -> str:

@@ -97,6 +97,12 @@ class TestBeliefState:
         state = BeliefState.uniform(2, 2)
         with pytest.raises(ValueError):
             state.marginals[0, 0] = 1.0
+        # A caller's array is copied: a later write does not reach the state,
+        # and the caller's array stays writable.
+        marginals = np.full((2, 2), 0.5)
+        state = BeliefState(step=1, marginals=marginals)
+        marginals[0] = [1.0, 0.0]
+        assert state.marginals.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 class TestQState:
@@ -104,6 +110,17 @@ class TestQState:
         state = QState.zeros(2, 3)
         assert state.step == 0
         np.testing.assert_array_equal(state.q, np.zeros((2, 3)))
+
+    def test_q_read_only(self):
+        state = QState.zeros(2, 2)
+        with pytest.raises(ValueError):
+            state.q[0, 0] = 1.0
+        # A caller's array is copied: a later write does not reach the state,
+        # and the caller's array stays writable.
+        q = np.full((2, 2), 0.25)
+        state = QState(step=3, q=q)
+        q[0] = [1.0, 0.0]
+        assert state.q.tolist() == [[0.25, 0.25], [0.25, 0.25]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="step"):

@@ -59,6 +59,16 @@ class TestGameSpec:
                     unit_game.gains, unit_game.weights, unit_game.received_power):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 9.9
+        # A game built from a caller's float64 arrays owns copies of them: a
+        # later write does not reach it, and the caller's arrays stay writable.
+        inputs = {"bandwidths": np.ones(2), "noise": np.ones(2),
+                  "max_power": np.full(2, 3.0), "gains": np.ones((2, 2))}
+        game = GameSpec(**inputs)
+        for arr in inputs.values():
+            arr[(0,) * arr.ndim] = 100.0
+        assert game.to_dict() == GameSpec.symmetric(np.ones((2, 2)), p_max=3.0).to_dict()
+        assert game.weights.tolist() == [0.5, 0.5]
+        assert game.received_power.tolist() == [[3.0, 3.0], [3.0, 3.0]]
 
     @pytest.mark.parametrize(
         "field,value,message",

@@ -512,11 +512,11 @@ class TestChunkAnalysis:
             monkeypatch.setattr(module, "utility_table", counted_single)
         analyses = []
 
-        def counted_analysis(*args, **kwargs):
-            analyses.append(len(args[0]))
-            return analyze_game(*args, **kwargs)
+        def counted_analysis(games, tables):
+            analyses.append(len(games))
+            return equilibrium._analysis_columns(games, tables)
 
-        monkeypatch.setattr(montecarlo, "analyze_game", counted_analysis)
+        monkeypatch.setattr(montecarlo, "_analysis_columns", counted_analysis)
         config = parse_config({
             "generator": {"players": 3, "channels": 2, "snr_db": 10.0, "trials": 7},
             "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
@@ -532,6 +532,29 @@ class TestChunkAnalysis:
         assert built == [gains[0:3], gains[3:6], gains[6:7]]
         assert chunked == whole
         assert singles == []
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_sweep_builds_no_equilibrium_report(self, monkeypatch, variant):
+        # A chunk reads its equilibria as the analysis columns; a report is
+        # built only for a caller of analyze_game.
+        built = []
+        init = equilibrium.EquilibriumReport.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(equilibrium.EquilibriumReport, "__init__", counted)
+        analyze_game(GameSpec.symmetric(np.ones((2, 2)), p_max=10.0))
+        assert len(built) == 1
+        built.clear()
+        config = parse_config({
+            "generator": {"players": 2, "channels": 2, "snr_db": 10.0, "trials": 60},
+            "dynamics": {"variant": variant, "steps": 50}, "seed": 4,
+        })
+        summary, records = run_experiment(config)
+        assert len(records) == 60 and summary.payoffs["trials_with_mixed"] > 0
+        assert built == []
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_chunk_past_the_enumeration_guard_exits_two(self, variant, tmp_path, capsys):
