@@ -4,10 +4,10 @@
 Runs one seeded Monte-Carlo experiment per SNR value (classic play,
 exponential fading) and reports, for each, how many runs settled on a pure
 equilibrium, tracked the mixed point, or were still cycling at the horizon,
-plus the payoff benchmarks. Writes the table as CSV next to the per-trial
-records. Higher SNR pushes more realizations into the two-equilibria
-overlap region, where the initial beliefs decide between coordination and
-the miscoordination cycle.
+plus the payoff benchmarks. Writes only that table, as sweep.csv; the
+per-trial records are not kept. Higher SNR pushes more realizations into
+the two-equilibria overlap region, where the initial beliefs decide between
+coordination and the miscoordination cycle.
 
 Usage:
     python3 scripts/convergence_sweep.py [--snrs 0 10 20 30] [--trials 200]

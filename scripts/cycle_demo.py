@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Reproduce the miscoordination cycle on the fully symmetric game.
+"""Check the miscoordination cycle's payoff ordering and persistence.
 
-Both players start out believing the opponent leans toward channel 2
-(xi < 1), so both grab channel 1, then both flee to channel 2, and so on:
-the realized actions alternate between the two coordination failures
-forever while the empirical frequencies quietly converge to the mixed
-equilibrium (1/2, 1/2). The time-averaged payoff of that cycle is strictly
-below every equilibrium payoff, which is the whole point of the demo.
+Runs configs/symmetric_cycle.yaml as ``csgame simulate`` does: on the fully
+symmetric game both players start out believing the opponent leans toward
+channel 2 (xi < 1), so both grab channel 1, then both flee to channel 2, and
+so on, while the empirical frequencies converge to the mixed equilibrium
+(1/2, 1/2). ``csgame simulate configs/symmetric_cycle.yaml`` writes that
+trajectory, its cycle and final frequencies; this script adds what the CLI
+lacks: the time-averaged payoff of the cycle is strictly below every
+equilibrium payoff, the cycle persists through 10^6 double-steps, and a
+plot-ready beliefs.csv.
 
 Usage:
-    python3 scripts/cycle_demo.py [--snr 10] [--xi 0.5] [--steps 10000] [--out out/cycle_demo]
+    python3 scripts/cycle_demo.py [--steps 10000] [--out out/cycle_demo]
 """
 
 from __future__ import annotations
@@ -18,64 +21,43 @@ import argparse
 from pathlib import Path
 
 from csgame import (
-    BeliefState,
-    GameSpec,
     cycle_persistence_2x2,
-    detect_cycle,
     emit_plot_data,
     expected_utility,
+    load_config,
     mixed_ne_2x2,
-    run_fp,
+    simulate_trajectory,
     utility,
-    write_trajectory_csv,
 )
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "symmetric_cycle.yaml"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--snr", type=float, default=10.0,
-                        help="common SNR p_max/sigma^2 (linear, not dB)")
-    parser.add_argument("--xi", type=float, default=0.5,
-                        help="initial-belief tilt, 0 < xi < 1")
-    parser.add_argument("--steps", type=int, default=10_000)
+    parser.add_argument("--steps", type=int, default=None,
+                        help="override the config's steps (10000)")
     parser.add_argument("--out", type=Path, default=Path("out/cycle_demo"))
     return parser
 
 
 def main() -> None:
     args = build_parser().parse_args()
-    game = GameSpec.symmetric([[1.0, 1.0], [1.0, 1.0]], p_max=args.snr, noise_var=1.0)
-    init = BeliefState.from_xi([args.xi, args.xi])
-    traj = run_fp(game, init, T=args.steps)
+    config = load_config(CONFIG).with_overrides(steps=args.steps)
+    game = config.game
+    traj = simulate_trajectory(game, config.dynamics)
 
-    print(f"symmetric game, SNR {args.snr:g}, xi {args.xi:g}, {args.steps} steps")
-    print("first six action profiles:",
-          [tuple(int(c) for c in p) for p in traj.profiles[:6]])
-
-    cycle = detect_cycle(traj, window=min(200, args.steps))
-    if cycle is None:
-        print("no exact cycle in the trailing window")
-    else:
-        print(f"cycle: period {cycle.period}, profiles {cycle.cycle_profiles}, "
-              f"periodic from step {cycle.onset}")
-
-    print("final empirical marginals (rows = players):")
-    print(traj.final_state.round(6))
-
-    pi = mixed_ne_2x2(game)
     u_pure = utility(game, (0, 1), 0)
-    u_mixed = expected_utility(game, 0, 0, pi[1])
+    u_mixed = expected_utility(game, 0, 0, mixed_ne_2x2(game)[1])
     u_cycle = float(traj.utilities.mean(axis=0).mean())
     print(f"per-player payoff: cycle {u_cycle:.4f} < mixed NE {u_mixed:.4f} "
           f"< pure NE {u_pure:.4f} bits/s/Hz")
 
-    horizon = 10**6
-    persists = cycle_persistence_2x2(game, (args.xi, args.xi), horizon)
+    _, xi = config.dynamics.initial_beliefs
+    persists = cycle_persistence_2x2(game, xi, 10**6)
     print(f"cycle persists through n = 10^6 double-steps: {persists}")
 
-    csv_path = write_trajectory_csv(traj, args.out / "trajectory.csv")
-    beliefs_path = emit_plot_data(traj, "beliefs", args.out / "beliefs.csv")
-    print(f"wrote {csv_path} and {beliefs_path}")
+    print(f"wrote {emit_plot_data(traj, 'beliefs', args.out / 'beliefs.csv')}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .config import FORMATS, VARIANTS, ConfigError, ExperimentConfig, load_config
@@ -29,8 +30,8 @@ from .montecarlo import (
     trial_game,
 )
 from .output import (
+    _region_scatter,
     dumps_json,
-    emit_plot_data,
     write_json,
     write_summary_json,
     write_trajectory_csv,
@@ -75,17 +76,13 @@ def cmd_regions(config: ExperimentConfig) -> int:
             f"got {gen.players} and {gen.channels}"
         )
     games = _trial_games(config)
-    records, histogram = [], {}
-    for i, (game, labels) in enumerate(zip(games, classify_region_2x2(games))):
-        labels = sorted(labels)
-        key = "+".join(labels)
-        histogram[key] = histogram.get(key, 0) + 1
-        records.append({"trial": i, "game": game.to_dict(), "regions": labels})
-    scatter_path = emit_plot_data(records, "regions", out_dir / "regions.csv")
+    keys = ["+".join(sorted(labels)) for labels in classify_region_2x2(games)]
+    scatter_path = _region_scatter(out_dir / "regions.csv", range(len(games)),
+                                   games.stacks["gains"] if games else [], keys)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "trials": gen.trials,
-        "region_histogram": dict(sorted(histogram.items())),
+        "region_histogram": dict(sorted(Counter(keys).items())),
         "scatter": str(scatter_path),
     }
     write_json(payload, out_dir / "regions.json")

@@ -254,6 +254,7 @@ class EquilibriumReport:
     ``utilities[i]`` and ``potentials[i]`` correspond to ``pure_ne[i]``.
     ``mixed_ne`` and ``regions`` are present only for the common-budget 2x2
     setting (and the former only when strictly mixed play is an equilibrium).
+    The arrays of :func:`analyze_game`'s reports are read-only.
     """
 
     pure_ne: tuple[tuple[int, ...], ...]
@@ -301,6 +302,8 @@ def analyze_game(
     if np.shape(tables) != shape:
         raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
     columns = _analysis_columns(games, tables)
+    for arr in (columns.ne_utilities, columns.ne_potentials, columns.mixed_ne):
+        arr.setflags(write=False)  # the reports slice them
     profiles = [tuple(row) for row in columns.pure_ne.tolist()]
     bounds = np.concatenate([[0], np.cumsum(columns.ne_counts)]).tolist()
     reports = [

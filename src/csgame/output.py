@@ -313,16 +313,19 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")
-        gains = np.array([rec["game"]["gains"] for rec in obj], dtype=float)
-        gains = gains.reshape(len(obj), 2, 2)  # 2x2 games only
-        with np.errstate(divide="raise", invalid="raise"):  # a zero gain has no ratio
-            ratios = gains[:, :, 0] / gains[:, :, 1]
-        blocks = [
-            np.array([rec["trial"] for rec in obj], dtype=np.int64),
-            gains,
-            ratios,
-            np.array(["+".join(rec["regions"] or []) for rec in obj], dtype=object),
-        ]
-        header = ["trial", "g11", "g12", "g21", "g22", "own_ratio", "cross_ratio", "regions"]
-        return _csv(path, header, len(obj), lambda a, b: [block[a:b] for block in blocks])
+        return _region_scatter(path, [rec["trial"] for rec in obj],
+                               [rec["game"]["gains"] for rec in obj],
+                               ["+".join(rec["regions"] or []) for rec in obj])
     raise ValueError(f"unsupported plot-data kind {kind!r}")
+
+
+def _region_scatter(path, trials, gains, regions) -> Path:
+    """The region scatter: per trial its index, its 2x2 gains, both gain
+    ratios and its region labels joined by "+" (``regions``)."""
+    gains = np.asarray(gains, dtype=float).reshape(len(trials), 2, 2)  # 2x2 games only
+    with np.errstate(divide="raise", invalid="raise"):  # a zero gain has no ratio
+        ratios = gains[:, :, 0] / gains[:, :, 1]
+    blocks = [np.asarray(trials, dtype=np.int64), gains, ratios,
+              np.asarray(regions, dtype=object)]
+    header = ["trial", "g11", "g12", "g21", "g22", "own_ratio", "cross_ratio", "regions"]
+    return _csv(path, header, len(trials), lambda a, b: [block[a:b] for block in blocks])

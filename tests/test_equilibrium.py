@@ -301,6 +301,17 @@ class TestAnalyzeGame:
         assert report.mixed_ne is None
         assert len(report.pure_ne) >= 1
 
+    def test_report_arrays_are_read_only(self, worked_mixed_game, unique_ne_game):
+        reports = analyze_game([worked_mixed_game, unique_ne_game])
+        for report in reports:
+            for arr in (report.utilities, report.potentials):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            reports[0].mixed_ne[1, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            analyze_game(worked_mixed_game).utilities[1, 0] = 99.0
+
     def test_to_dict_is_json_friendly(self, worked_mixed_game):
         import json
 

@@ -19,6 +19,7 @@ from csgame import (
     SweepRecords,
     Trajectory,
     emit_plot_data,
+    generate_game,
     load_config,
     parse_config,
     read_trajectory_csv,
@@ -36,7 +37,12 @@ from csgame import cli, output
 from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
 from csgame.output import dumps_json, fmt_float, write_json
-from _oracles import oracle_plot_csv, oracle_trajectory_csv, oracle_trajectory_json
+from _oracles import (
+    oracle_classify_region_2x2,
+    oracle_plot_csv,
+    oracle_trajectory_csv,
+    oracle_trajectory_json,
+)
 from conftest import random_game
 
 INLINE_GAME_YAML = """\
@@ -501,8 +507,17 @@ class TestCli:
         payload = json.loads((out / "regions.json").read_text())
         assert payload["trials"] == 6
         assert sum(payload["region_histogram"].values()) == 6
-        scatter = (out / "regions.csv").read_text().splitlines()
-        assert len(scatter) == 7  # header + one row per trial
+        # The scatter, byte for byte: each trial's game drawn on its own
+        # generator, with the oracle's sorted region labels.
+        config = load_config(generator_config)
+        gen = config.generator
+        records = []
+        for trial in range(gen.trials):
+            game = generate_game(trial_rng(config.seed, trial), gen.players, gen.channels,
+                                 gen.snr_db, gen.fading)
+            records.append({"trial": trial, "game": {"gains": game.gains.tolist()},
+                            "regions": sorted(oracle_classify_region_2x2(game))})
+        assert (out / "regions.csv").read_bytes() == oracle_plot_csv(records, "regions").encode()
 
     def test_simulate_csv(self, inline_config, tmp_path, capsys):
         assert main(["simulate", str(inline_config)]) == 0
