@@ -50,7 +50,6 @@ from .game import (
     _potential,
     _rate,
     _strip_own,
-    _utility_tables,
     aggregate_message,
     potential,
     utility_table,
@@ -471,9 +470,7 @@ class BatchFPResult:
     payoffs over the run as a counted sum (:func:`_counted_sum`) of each
     pair's visits times its ``payoff``, shape (G, K).
     ``evaluations`` counts each game's decision points, the steps at which
-    its rule's scores were computed; ``tables`` holds the classic rule's
-    (G, K) + (S,)*K payoffs, which :func:`run_fp` sets (None for the
-    aggregation rule, which needs no table).
+    its rule's scores were computed.
     """
 
     frequencies: dict[int, np.ndarray]
@@ -483,7 +480,6 @@ class BatchFPResult:
     decisions: _Columns
     pairs: _Columns
     T: int
-    tables: np.ndarray | None = None
 
     @cached_property
     def _log(self) -> _Log:
@@ -521,6 +517,7 @@ class BatchFPResult:
 
     def tail(self, window: int) -> np.ndarray:
         """Every game's profiles over its last ``window`` steps, (G, window, K)."""
+        window = _integer(window, "window")
         if not 1 <= window <= self.T:
             raise ValueError(f"window must lie in [1, {self.T}]")
         entries = self._in_effect(self.T - window, self.T, np.arange(len(self.final_marginals)))
@@ -896,10 +893,8 @@ def run_fp(
     games, single, checkpoints, init_step, marginals = _inputs(
         game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
         checkpoints)
-    tables = _utility_tables(games)
-    rule = _Classic(tables, marginals * init_step)
+    rule = _Classic(games.tables, marginals * init_step)
     result = _play(rule, marginals, init_step, T, tie_break, checkpoints)
-    result.tables = tables
     if not single:
         return result
     return Trajectory._view(result, "classic", tie_break, games[0], marginals[0].copy(), rule)
@@ -1049,7 +1044,7 @@ def _smallest_period(windows: np.ndarray) -> np.ndarray:
 
 def detect_cycle(traj: Trajectory, window: int) -> CycleReport | None:
     """Exact-period detection over the trailing ``window`` steps of a run."""
-    T = traj.T
+    T, window = traj.T, _integer(window, "window")
     if not 1 <= window <= T:
         raise ValueError(f"window must lie in [1, {T}]")
     [tail] = traj.steps(T - window, T, "profiles")

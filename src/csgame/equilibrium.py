@@ -14,9 +14,11 @@ equilibrium's payoffs and potential are reads of the utility and potential
 tables (a unilateral payoff change is a potential difference, Monderer and
 Shapley 1996), and the 2x2 precondition, the region comparisons and the
 mixed-point ratios are evaluated on (G, 2, 2) stacks, into columns that a
-Monte-Carlo chunk reads with its engine's tables. :func:`analyze_game` takes
-one game or a same-shape sequence and slices a report per game from them;
-one game is a batch of one, and the single-game functions are that batch.
+Monte-Carlo chunk reads. The utility tables are the batch's own, stacked
+once and read by every reader of the batch, the classic engine included.
+:func:`analyze_game` takes one game or a same-shape sequence and slices a
+report per game from the columns; one game is a batch of one, and the
+single-game functions are that batch.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .game import (
     GameSpec,
     _Batch,
     _game_batch,
-    _utility_tables,
     potential_table,
     utility_table,
 )
@@ -274,18 +275,14 @@ class EquilibriumReport:
 
 
 def analyze_game(
-    game: GameSpec | Sequence[GameSpec], tables: np.ndarray | None = None,
+    game: GameSpec | Sequence[GameSpec],
 ) -> EquilibriumReport | list[EquilibriumReport]:
     """Run the full equilibrium analysis each game deserves.
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
     analyzed in one pass of array operations over their stacked tables; one
     game is a batch of one and returns its report, a sequence returns one
-    report per game. ``tables``, when given, must be exactly the games'
-    :func:`~csgame.game.utility_table` results stacked in order as
-    (G, K) + (S,)*K, as a batch engine holds them (even for one game); only
-    their shape is checked, so tables of other games give a report that
-    mixes two games. Without them they are built here.
+    report per game.
 
     The pure equilibria come from per-player maxima of the utility tables,
     their payoffs and potentials are read off the utility and potential
@@ -295,13 +292,7 @@ def analyze_game(
     games, single = _game_batch(game)
     if not games:
         return []
-    n_games, n_players, n_channels = len(games), games[0].K, games[0].S
-    shape = (n_games, n_players) + (n_channels,) * n_players
-    if tables is None:
-        tables = _utility_tables(games)
-    if np.shape(tables) != shape:
-        raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
-    columns = _analysis_columns(games, tables)
+    columns = _analysis_columns(games)
     for arr in (columns.ne_utilities, columns.ne_potentials, columns.mixed_ne):
         arr.setflags(write=False)  # the reports slice them
     profiles = [tuple(row) for row in columns.pure_ne.tolist()]
@@ -323,13 +314,13 @@ _AnalysisColumns = namedtuple("_AnalysisColumns", "ne_counts mixed mixed_ne regi
                               "game_of pure_ne ne_utilities ne_potentials")
 
 
-def _analysis_columns(games: _Batch, tables: np.ndarray) -> _AnalysisColumns:
+def _analysis_columns(games: _Batch) -> _AnalysisColumns:
     """A non-empty batch's analysis (see :func:`analyze_game`) over its utility
     tables, as columns. Per game: its pure-equilibrium count, whether it has a
     strictly mixed equilibrium, its (K, S) mixed point (zero where it has none)
     and its region labels in H1..H4 order (None outside the 2x2 setting). Per
     pure equilibrium, game after game: its game, profile, payoffs and potential."""
-    n_games = len(games)
+    n_games, tables = len(games), games.tables
     ne = np.argwhere(_pure_ne_mask(tables))  # (N, 1 + K): game, then profile
     game_of, profiles = ne[:, 0], ne[:, 1:]
     potential_stack = potential_table(games)

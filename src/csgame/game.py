@@ -219,7 +219,8 @@ def _check_player(game: GameSpec, player) -> int:
 class _Batch(list):
     """Games checked to share one (K, S) shape; ``stacks`` holds their arrays (a game's
     ``vars``) by name on a leading game axis, read-only: :func:`_game_stack`'s own, or
-    stacked on first read."""
+    stacked on first read. ``tables`` holds their utility tables, stacked
+    (see :func:`_utility_tables`) on first read, read-only."""
 
     @cached_property
     def stacks(self) -> dict[str, np.ndarray]:
@@ -227,6 +228,12 @@ class _Batch(list):
         for arr in stacks.values():
             arr.setflags(write=False)
         return stacks
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        tables = _utility_tables(self)
+        tables.setflags(write=False)
+        return tables
 
 
 def _game_batch(game: GameSpec | Sequence[GameSpec]) -> tuple[_Batch, bool]:
@@ -346,7 +353,8 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
     array; see :func:`aggregate_message`), and treats the remainder as
     interference-plus-noise. For the profile that actually produced
     ``gamma`` this is :func:`utility`'s value up to a few roundings.
-    Entries of ``gamma`` for unused channels are irrelevant.
+    Entries of ``gamma`` for unused channels are irrelevant; the one on the
+    player's channel must be finite.
     """
     player = _check_player(game, player)
     own_channel = int(_check_channels(game.S, own_channel))
@@ -354,6 +362,8 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.shape != (game.S,):
         raise ValueError(f"gamma must have length S={game.S}")
+    if not np.isfinite(gamma[own_channel]):
+        raise ValueError("gamma must be finite on the player's channel")
     heard = _strip_own(game, player, own_channel, gamma,
                        np.zeros(game.S) if residual is None else residual)
     return float(_rate(game.weights[own_channel], game.received_power[player, own_channel], heard))

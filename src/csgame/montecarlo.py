@@ -11,10 +11,10 @@ columns. It runs a chunk as one lockstep batch of the configured rule
 engine and one run-length result); a single trial is a chunk of one, so its
 record is bit-for-bit the one a sweep writes. A chunk's games are stacked
 once, as one batch: its tables, its 2x2 check and its records' game columns
-read the batch's stacks. The analysis and the records of a chunk share one
-stack of utility tables (the classic batch's own, or, for the aggregation
-rule, which needs none, one built for the chunk, which also gives each game
-its initial scores), and the whole chunk is analyzed in one pass over them,
+read the batch's stacks. The classic engine, the analysis and the records
+of a chunk read one stack of utility tables, the batch's own (which also
+gives each game its initial scores under the aggregation rule, whose engine
+needs none), and the whole chunk is analyzed in one pass over them,
 which hands it its equilibria as columns: no per-game report is built, and
 the nearest equilibrium point, the mixed-equilibrium payoff and the outcome
 of every record are array rules over those columns. A record reads only its
@@ -46,7 +46,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import _analysis_columns
-from .game import GameSpec, _game_batch, _game_stack, _utility_tables
+from .game import GameSpec, _game_batch, _game_stack
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,39 +71,19 @@ CYCLE_WINDOW = 64
 # Total-variation radius within which a frequency profile counts as "at" an
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
-# Cap on the bytes one chunk of a sweep holds: per game, K * S**K float64
-# table entries plus K * T channel indices. Sweeps never render per-step
-# actions (a record reads a CYCLE_WINDOW-step tail), so the second term is a
-# ceiling, not what a chunk holds: the engine numbers the (game, profile)
-# pairs played in a registry of 3 int64, K channel indices and, for either
-# rule, K * S + 1 float64 (the vector the rule averages and the visit count)
-# per pair, and logs one entry of a few bytes (pair number, first step,
-# period and laps) per phase of every decision, however many periods a jumped
-# cycle covers; every read (counts, counted payoff sums, the tail) works on
-# those entries. Ten games of the paper's 2-cycle at T = 10**5, which switch
-# at every step, read their records in 60 kB (tracemalloc peak) against the
-# 2 MB counted here. The chunk's tables are built as one stack, one (player,
-# channel) slice at a time: the build's working set is one G * S**(K-1) load
-# per slice, and there is no second copy of the stack. The chunk's analysis
-# adds a potential stack and a working load of S**K float64 entries each per
-# game, and a boolean mask, which for K >= 2 stay within the tables' own
-# size. The classic engine's copy of its running games' tables adds up to
-# that size again, twice while one compaction replaces the last. The
-# aggregation engine needs no table. Under both rules the engine's registry
-# keeps K payoff float64 per pair beside the pair's values, and a dict entry
-# per pair while it runs. On montecarlo_2x2_snr20 (1000 games, 1475 pairs,
-# tracemalloc over the engine call, the classic result's tables left out)
-# the classic engine holds 0.36 MB at the end and peaks at 1.55 MB, the
-# aggregation engine 0.43 MB and 1.53 MB. Those grow with the play, so they
-# are not counted here. Nor are the records: a chunk keeps them as columns
-# (see _Chunk), about 3 * K * S + 2 * S + 3 * K + 8 numbers per trial and
-# 2 * K + 2 per pure equilibrium, beside the trailing windows, CYCLE_WINDOW * K
-# int64 per trial, which dominate; a sweep keeps every chunk's columns until
-# its trial files are written. Writing renders at most 1024 trial files at a
-# time: their cells (one string per distinct value of a column) and their
-# texts. Measured on montecarlo_2x2_snr20 (1000 trials, one chunk, with
-# tracemalloc): the columns hold 2.6 MB, 1.0 MB of it the windows, and
-# writing peaks 3.2 MB above them; the same records as dicts hold 3.7 MB.
+# Cap on the bytes one chunk of a sweep holds. _batch_size charges each game
+# its K * S**K float64 utility-table entries (the batch's one stack, which
+# the classic engine, the analysis and the records all read) plus K * T
+# channel indices, a ceiling on the actions of a run that no sweep renders
+# (a record reads a CYCLE_WINDOW-step tail), and fits as many games as the
+# cap allows, at least one. What the tables bring with them is not counted
+# apart: the analysis's potential stack and mask and the classic engine's
+# copy of its running games' tables stay within a small multiple of the
+# stack. Left uncounted on purpose, because they grow with the play and the
+# sweep, not with the game's shape: the engine's registry of visited (game,
+# profile) pairs, its decision log (a few bytes per phase of a decision,
+# however many periods a jumped cycle covers), and the records' columns,
+# which a sweep keeps for every chunk until its trial files are written.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -309,11 +289,11 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
 
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> _Chunk:
     """The records of consecutive same-shape trials, as columns, simulated
-    as one lockstep batch of the configured rule. The analysis and the
-    records share one stack of utility tables: the classic batch's own, or,
-    for the aggregation rule, which needs none, one built here that also
-    gives every game its initial scores. The whole chunk is analyzed in one
-    pass, as columns (see :func:`~csgame.equilibrium._analysis_columns`).
+    as one lockstep batch of the configured rule. The classic engine, the
+    analysis and the records read the batch's one stack of utility tables,
+    which under the aggregation rule gives every game its initial scores.
+    The whole chunk is analyzed in one pass, as columns (see
+    :func:`~csgame.equilibrium._analysis_columns`).
     The nearest equilibrium points, the mixed-equilibrium payoffs and the
     outcomes are array rules over those columns; the trailing windows are
     checked for an exact period in one call, and the cycle payoffs are read
@@ -322,11 +302,10 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
     beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
     run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
+    tables = games.tables
     if dynamics.variant == "classic":
         result = run_fp(games, beliefs, **run)
-        tables = result.tables
     else:
-        tables = _utility_tables(games)
         # q_from_beliefs of every game, from the same tables, over a
         # C-ordered stack of the marginals (einsum picks its kernel by layout).
         marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
@@ -336,7 +315,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)
-    ne = _analysis_columns(games, tables)
+    ne = _analysis_columns(games)
     near, tvs = _nearest_equilibria(freqs, ne.game_of, ne.pure_ne, ne.mixed, ne.mixed_ne)
     # The mean per-player expected payoff at each mixed point: each of the
     # two players on channel 0 against the other's mixed row.

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from csgame import GameSpec, analyze_game, equilibrium
-from csgame.game import _game_batch, _utility_tables
+from csgame.game import _game_batch
 from conftest import random_game, random_symmetric_2x2
 
 
@@ -23,7 +23,7 @@ def _batch(seed: int, shape: str, size: int) -> list[GameSpec]:
 
 
 def _columns(games: list[GameSpec]):
-    return equilibrium._analysis_columns(_game_batch(games)[0], _utility_tables(games))
+    return equilibrium._analysis_columns(_game_batch(games)[0])
 
 
 def _reports_match_columns(games: list[GameSpec]) -> None:

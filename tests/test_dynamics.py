@@ -615,7 +615,7 @@ class TestAggregationEngineAgainstOracle:
             inits[-1] = QState(step=1, q=np.zeros((n_players, n_channels)))
             batch = run_aggregation_fp(games, inits, T=T, tie_break=tie_break,
                                        checkpoints=(1, T // 3, T))
-            assert batch.tables is None and batch.final_step == T + 1
+            assert batch.final_step == T + 1
             switches = np.any(batch.actions[1:] != batch.actions[:-1], axis=2).sum(axis=0)
             jumped += np.sum(switches > 10 * batch.evaluations)
             for i, (game, init) in enumerate(zip(games, inits)):
@@ -984,6 +984,17 @@ class TestDetectCycle:
             detect_cycle(traj, window=0)
         with pytest.raises(ValueError, match="window"):
             detect_cycle(traj, window=3)
+
+    @pytest.mark.parametrize("window", [True, 2.5, 64.0])
+    def test_window_must_be_an_integer(self, strong_interference_game, window):
+        # On the paper's 2-cycle a bool would read a 1-step window, a fixed
+        # profile, and an integral float would fail inside the onset search.
+        init = BeliefState.from_xi([0.5, 0.5])
+        traj = run_fp(strong_interference_game, init, T=500)
+        batch = run_fp([strong_interference_game], init, T=500)
+        for read in (lambda w: detect_cycle(traj, w), batch.tail):
+            with pytest.raises(TypeError, match="window must be an integer"):
+                read(window)
 
     def test_onset_extends_before_window(self):
         profiles = [[1, 1]] + [[0, 1], [1, 0]] * 10

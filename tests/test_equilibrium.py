@@ -23,6 +23,8 @@ from csgame import (
     utility,
     utility_table,
 )
+from csgame import game as game_module
+from csgame.game import _game_batch
 from _oracles import (
     oracle_analyze_game,
     oracle_best_response_2x2,
@@ -441,18 +443,21 @@ class TestBatchedAnalysisAgainstOracle:
             classify_region_2x2(games)
         assert classify_region_2x2([]) == []
 
-    def test_given_tables_are_used_as_they_are(self):
+    def test_given_tables_are_used_as_they_are(self, monkeypatch):
+        # A batch that already holds its tables, as one a classic run has
+        # read, is analyzed over them as they are: nothing is built again.
         rng = np.random.default_rng(79)
         games = [random_game(rng, 3, 3) for _ in range(4)]
-        tables = np.stack([utility_table(g) for g in games])
-        for report, oracle in zip(analyze_game(games, tables=tables), analyze_game(games)):
-            _assert_same_report(report, oracle)
-        _assert_same_report(analyze_game(games[0], tables=tables[:1]),
-                            oracle_analyze_game(games[0]))
-        with pytest.raises(ValueError, match="tables must have shape"):
-            analyze_game(games[0], tables=tables[0])
-        with pytest.raises(ValueError, match="tables must have shape"):
-            analyze_game(games, tables=tables[:3])
+        batch = _game_batch(games)[0]
+        tables = batch.tables
+        assert np.array_equal(tables, np.stack([utility_table(g) for g in games]))
+        built = []
+        monkeypatch.setattr(game_module, "_utility_tables", built.append)
+        for report, game in zip(analyze_game(batch), games):
+            _assert_same_report(report, oracle_analyze_game(game))
+        assert batch.tables is tables and built == []
+        monkeypatch.undo()
+        _assert_same_report(analyze_game(games[0]), oracle_analyze_game(games[0]))
         with pytest.raises(ValueError, match="share one"):
             analyze_game([games[0], random_game(rng, 2, 3)])
         assert analyze_game([]) == []

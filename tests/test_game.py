@@ -294,6 +294,16 @@ class TestAggregatedUtility:
         with pytest.raises(ValueError, match="inconsistent"):
             aggregated_utility(unit_game, 0, 0, [0.5, 1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_aggregate_on_the_own_channel_raises(self, value):
+        # Unchecked, nan would come back as the payoff and inf as 0.0; on
+        # another channel the entry stays irrelevant.
+        game = GameSpec.symmetric([[1, .5], [.7, 1]], p_max=10)
+        with pytest.raises(ValueError, match="finite on the player's channel"):
+            aggregated_utility(game, 0, 0, [value, 1.0])
+        assert aggregated_utility(game, 0, 1, [value, 6.0]) == aggregated_utility(
+            game, 0, 1, [1.0, 6.0])
+
     def test_bad_arguments(self, unit_game):
         with pytest.raises(ValueError, match="channel indices"):
             aggregated_utility(unit_game, 0, 2, [1.0, 1.0])
@@ -464,11 +474,14 @@ def game_stacks(draw):
 @settings(deadline=None, max_examples=100)
 @given(game_stacks())
 def test_property_stacked_tables_equal_each_games_own(games):
-    stack = _utility_tables(games)
-    assert stack.flags.c_contiguous
-    assert stack.shape == (len(games), games[0].K) + (games[0].S,) * games[0].K
-    for table, game in zip(stack, games):
-        assert np.array_equal(table.view(np.int64), utility_table(game).view(np.int64))
+    batch = _Batch(games)
+    for stack in (_utility_tables(games), batch.tables):
+        assert stack.flags.c_contiguous
+        assert stack.shape == (len(games), games[0].K) + (games[0].S,) * games[0].K
+        for table, game in zip(stack, games):
+            assert np.array_equal(table.view(np.int64), utility_table(game).view(np.int64))
+    assert not batch.tables.flags.writeable and batch.tables is batch.tables
+    assert utility_table(games[0]).flags.writeable
 
 
 def test_channel_aggregate_must_be_finite():

@@ -36,7 +36,6 @@ from csgame import game as game_module
 from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import run_fp
-from csgame.game import _utility_tables
 from csgame.montecarlo import _trial_games
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
@@ -489,32 +488,31 @@ class TestChunkAnalysis:
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant):
-        # The stacked table function, wrapped where the engine, the analysis
-        # and the sweep bind it, the way the benchmark's tracer wraps names:
-        # one call per chunk (7 games, then chunks of 3, 3 and 1), with that
-        # chunk's games in order. The analysis and the records share the
-        # chunk's tables: a classic chunk reuses the batch engine's, and an
-        # aggregation chunk builds one stack, which also gives its games
-        # their initial scores. No table is built for a single game.
+        # The stacked table function, wrapped where the batch binds it: one
+        # call per chunk (7 games, then chunks of 3, 3 and 1), with that
+        # chunk's games in order. The classic engine, the analysis and the
+        # records read the chunk batch's one stack, which also gives an
+        # aggregation chunk's games their initial scores. No table is built
+        # for a single game.
         built, singles = [], []
+        stacked = game_module._utility_tables
 
         def counted(games):
             built.append([g.gains.tolist() for g in games])
-            return _utility_tables(games)
+            return stacked(games)
 
         def counted_single(game):
             singles.append(game)
             return utility_table(game)
 
-        for module in (dynamics, equilibrium, montecarlo):
-            monkeypatch.setattr(module, "_utility_tables", counted)
+        monkeypatch.setattr(game_module, "_utility_tables", counted)
         for module in (dynamics, equilibrium):
             monkeypatch.setattr(module, "utility_table", counted_single)
         analyses = []
 
-        def counted_analysis(games, tables):
+        def counted_analysis(games):
             analyses.append(len(games))
-            return equilibrium._analysis_columns(games, tables)
+            return equilibrium._analysis_columns(games)
 
         monkeypatch.setattr(montecarlo, "_analysis_columns", counted_analysis)
         config = parse_config({
