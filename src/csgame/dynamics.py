@@ -41,16 +41,17 @@ import numpy as np
 
 from .game import (
     GameSpec,
+    _aggregates,
+    _Batch,
     _check_channels,
     _check_player,
     _game_batch,
     _guard_opponent_profiles,
     _integer,
     _payoffs,
-    _potential,
+    _potentials,
     _rate,
     _strip_own,
-    aggregate_message,
     potential,
     utility_table,
 )
@@ -215,7 +216,7 @@ class Trajectory:
     is built whole only when that attribute is read. A step's profile comes
     from the log, its payoffs from the engine's registry of its pair (see
     :class:`BatchFPResult`), its potential and gamma from the aggregate of
-    its pair's profile, computed once per pair, and its decision-time
+    its pair's profile, one batched call for all pairs, and its decision-time
     state is summed as the engine sums it (see :func:`_play`): from the
     rule's base, each pair's visits before the step times its values, in
     order of first visit, turned into the state by the rule. Chunks read in
@@ -249,18 +250,19 @@ class Trajectory:
         return vars(self)[name]
 
     @classmethod
-    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, game: GameSpec,
+    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, games: _Batch,
               initial_state: np.ndarray, rule) -> "Trajectory":
-        """The view of a batch-of-one ``result`` of ``rule`` on ``game``, with
+        """The view of a batch-of-one ``result`` of ``rule`` on ``games``, with
         each pair's payoffs, potential and (aggregation rule) gamma."""
         traj = cls.__new__(cls)
         traj.variant, traj.tie_break, traj._result = variant, tie_break, result
         traj.T, (_, traj.num_players, traj.n_channels) = result.T, result.final_marginals.shape
         traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
         traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
-        gammas = np.array([aggregate_message(game, p) for p in result.pairs["profile"]])
+        noise, received, weights = games.rows(result.pairs["game"])
+        gammas = _aggregates(noise, received, result.pairs["profile"])[0]
         traj._per_pair = {"utilities": result.pairs["payoff"],
-                          "potentials": np.array([_potential(game, g) for g in gammas]),
+                          "potentials": _potentials(weights, gammas),
                           "gammas": gammas if variant == "aggregation" else None}
         traj._rule = rule
         traj._carry = (0, np.zeros(result.pairs.size))  # a step, and each pair's visits before it
@@ -272,13 +274,16 @@ class Trajectory:
         the run does not carry): slices of the fields held, the others of a
         block of at least :data:`_BLOCK_STEPS` steps rendered from the
         engine's log and kept until a read falls outside it."""
+        a, b = _integer(a, "step"), _integer(b, "step")
+        if not 0 <= a <= b <= self.T:
+            raise ValueError(f"steps {a}..{b} must satisfy 0 <= a <= b <= T = {self.T}")
         held = vars(self)
         missing = [name for name in names if name not in held]
         if missing:
             start, block = self._block
             inside = start <= a and b <= start + len(block["profiles"])
             if not inside or not set(missing) <= set(block):
-                self._block = block = None  # dropped before the next is rendered
+                self._block = block = (0, {"profiles": ()})  # dropped before the next is rendered
                 end = min(self.T, max(b, a + _BLOCK_STEPS))
                 start, block = self._block = a, self._render(a, end, missing)
         return [(None if held[n] is None else held[n][a:b]) if n in held
@@ -540,6 +545,8 @@ class BatchFPResult:
 
     def counts(self, t: int) -> np.ndarray:
         """Exact (G, K, S) action counts over the first t steps, as floats."""
+        if not 0 <= _integer(t, "step") <= self.T:
+            raise ValueError(f"step {t} must lie in [0, T] = [0, {self.T}]")
         log = self._log
         n_games, n_players, n_channels = self.final_marginals.shape
         index = (log.game[:, None] * n_players + np.arange(n_players)) * n_channels + log.profile
@@ -897,7 +904,7 @@ def run_fp(
     result = _play(rule, marginals, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    return Trajectory._view(result, "classic", tie_break, games[0], marginals[0].copy(), rule)
+    return Trajectory._view(result, "classic", tie_break, games, marginals[0].copy(), rule)
 
 
 def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
@@ -909,21 +916,6 @@ def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
     return QState(step=beliefs.step, q=_expected_payoffs(game, beliefs))
 
 
-def _aggregate_feedback(game: GameSpec, actions: np.ndarray):
-    """What the broadcast aggregate tells every player under one profile.
-
-    Returns the (K, S) value of every channel to every player against what is
-    left of gamma (noise plus total received power per channel) once its own
-    contribution is stripped, then the payoffs the run reports: the game's
-    own, not the reconstruction.
-    """
-    rows = np.arange(game.K)
-    gamma = aggregate_message(game, actions)
-    heard = np.tile(gamma.view(np.ndarray), (game.K, 1))  # all of gamma off the own channel
-    heard[rows, actions] = _strip_own(game, rows, actions, gamma, gamma.residual)
-    return _rate(game.weights, game.received_power, heard), _payoffs(game, actions)
-
-
 class _Aggregation:
     """Aggregate-feedback play for :func:`_play`. A pair's values are its
     channel values, so a game's scores at weight w > 0 are its counted sum
@@ -931,24 +923,30 @@ class _Aggregation:
     over its pairs in order of first visit, each one's visit count times
     its channel values; at weight 0 they are the initial scores. A pair's
     channel values and payoffs are computed once, when the pair is
-    numbered, and :func:`_play` keeps them; the rule counts each game's
-    pairs (``visited``) for its slack.
+    numbered, in one batched broadcast for all the pairs a pass numbers,
+    and :func:`_play` keeps them; the rule counts each game's pairs
+    (``visited``) for its slack.
 
     While a cycle of profiles repeats, the scores at each phase move
     linearly toward the cycle's average values in lam = n p / (w + n p), so
     each margin is certified as in :func:`_laps`, with a rounding slack far
     above the error of the counted sums."""
 
-    def __init__(self, games: list[GameSpec], q0: np.ndarray, init_step: int) -> None:
+    def __init__(self, games: _Batch, q0: np.ndarray, init_step: int) -> None:
         self.games, self.base = games, q0 * init_step
         self.ids = np.arange(len(games))
         self.visited = np.zeros(len(games), dtype=np.int64)  # per game: its pairs
         self.scale = q0.max(axis=(1, 2), initial=0.0)  # per game: the largest score or value
 
     def values(self, games, profiles):
-        fresh = [_aggregate_feedback(self.games[g], profile)
-                 for g, profile in zip(games.tolist(), profiles)]
-        values, payoffs = (np.array(column) for column in zip(*fresh))
+        noise, received, weights = self.games.rows(games)
+        gammas, residuals = _aggregates(noise, received, profiles)
+        rows, players = np.arange(len(games))[:, None], range(profiles.shape[1])
+        heard = np.repeat(gammas[:, None], len(players), axis=1)  # all of gamma off the own channel
+        heard[rows, players, profiles] = _strip_own(
+            gammas[rows, profiles], received[rows, players, profiles], residuals[rows, profiles])
+        values = _rate(weights[:, None], received, heard)
+        payoffs = _payoffs(noise, received, weights, profiles)
         np.add.at(self.visited, games, 1)
         np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
         return values, payoffs
@@ -990,9 +988,9 @@ def run_aggregation_fp(
     as a counted sum (see :class:`_Aggregation`) that does not depend on how
     play is cut into runs. Everything the broadcast determines (gamma, the
     consistency check, the channel values) depends on the profile alone, so
-    it is computed once per distinct profile a game visits. The run reports
-    each profile's exact :func:`~csgame.game.utility` and
-    :func:`~csgame.game.potential`.
+    it is computed once per distinct profile a game visits, for all the
+    games' new profiles at once. The run reports each profile's exact
+    :func:`~csgame.game.utility` and :func:`~csgame.game.potential`.
 
     The engine is event-driven and batched like :func:`run_fp` (see
     :func:`_play`), with the step-by-step rule's result bit for bit. One
@@ -1006,7 +1004,7 @@ def run_aggregation_fp(
     result = _play(rule, q0, init_step, T, tie_break, checkpoints)
     if not single:
         return result
-    return Trajectory._view(result, "aggregation", tie_break, games[0], q0[0].copy(), rule)
+    return Trajectory._view(result, "aggregation", tie_break, games, q0[0].copy(), rule)
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:

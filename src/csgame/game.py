@@ -229,6 +229,10 @@ class _Batch(list):
             arr.setflags(write=False)
         return stacks
 
+    def rows(self, at=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The noise (N, S), received powers (N, K, S) and weights (N, S) of games ``at``."""
+        return tuple(self.stacks[key][at] for key in ("noise", "_received", "_weights"))
+
     @cached_property
     def tables(self) -> np.ndarray:
         tables = _utility_tables(self)
@@ -254,19 +258,21 @@ def _rate(weight, signal, interference):
     return weight * np.log2(1.0 + signal / interference)
 
 
-def _payoffs(game: GameSpec, channels: np.ndarray) -> np.ndarray:
-    """Every player's utility under a checked profile, (K,). Row k of
-    ``loads``: k's channel noise, then each player's power where it shares
-    k's channel and 0 elsewhere; accumulated left to right (a reduction may
-    pair terms), the powers are added in ascending player order."""
-    n_players = game.K
-    own = game.received_power[range(n_players), channels]
-    loads = np.empty((n_players, n_players + 1))
-    loads[:, 0] = game.noise[channels]
-    np.multiply(channels[:, None] == channels, own, out=loads[:, 1:])
-    loads.reshape(-1)[1::n_players + 2] = 0.0  # k's own power, at (k, k + 1)
-    np.add.accumulate(loads, axis=1, out=loads)
-    return _rate(game.weights[channels], own, loads[:, -1])
+def _payoffs(noise, received, weights, channels: np.ndarray) -> np.ndarray:
+    """Every player's utility under N checked profiles, (N, K), with their
+    games' :meth:`_Batch.rows`. Row (n, k) of ``loads``: k's channel noise,
+    then each player's power where it shares k's channel and 0 elsewhere;
+    accumulated left to right (a reduction may pair terms), the powers are
+    added in ascending player order."""
+    n_pairs, n_players = channels.shape
+    rows = np.arange(n_pairs)[:, None]
+    own = received[rows, range(n_players), channels]
+    loads = np.empty((n_pairs, n_players, n_players + 1))
+    loads[:, :, 0] = noise[rows, channels]
+    np.multiply(channels[:, :, None] == channels[:, None], own[:, None], out=loads[:, :, 1:])
+    loads.reshape(n_pairs, -1)[:, 1::n_players + 2] = 0.0  # k's own power, at (k, k + 1)
+    np.add.accumulate(loads, axis=2, out=loads)
+    return _rate(weights[rows, channels], own, loads[:, :, -1])
 
 
 def utility(game: GameSpec, profile, player: int) -> float:
@@ -276,8 +282,9 @@ def utility(game: GameSpec, profile, player: int) -> float:
     bandwidth fraction times log2(1 + SINR), where every co-channel
     transmitter is counted as interference.
     """
-    channels = check_profile(game, profile)
-    return float(_payoffs(game, channels)[_check_player(game, player)])
+    channels = check_profile(game, profile)[None]
+    payoffs = _payoffs(game.noise[None], game.received_power[None], game.weights[None], channels)
+    return float(payoffs[0, _check_player(game, player)])
 
 
 class _Aggregate(np.ndarray):
@@ -291,6 +298,21 @@ class _Aggregate(np.ndarray):
         self.residual = getattr(obj, "residual", None)
 
 
+def _aggregates(noise, received, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :class:`_Aggregate` of N checked profiles, with their games'
+    noise and received powers: its values and residuals, each (N, S)."""
+    totals, pairs = noise.tolist(), zip(channels.tolist(), received.tolist())
+    residuals = [[0.0] * len(total) for total in totals]
+    for total, residual, (row, powers) in zip(totals, residuals, pairs):
+        for k, s in enumerate(row):
+            power = powers[k][s]
+            added = total[s] + power
+            part = added - total[s]
+            residual[s] += (total[s] - (added - part)) + (power - part)
+            total[s] = added
+    return np.array(totals), np.array(residuals)
+
+
 def aggregate_message(game: GameSpec, profile) -> np.ndarray:
     """Receiver-side per-channel aggregate: noise plus total received power.
 
@@ -300,15 +322,9 @@ def aggregate_message(game: GameSpec, profile) -> np.ndarray:
     message is 2S floats: value plus residual.
     """
     channels = check_profile(game, profile)
-    total, residual = game.noise.tolist(), [0.0] * game.S
-    for k, s in enumerate(channels.tolist()):
-        power = float(game.received_power[k, s])
-        added = total[s] + power
-        part = added - total[s]
-        residual[s] += (total[s] - (added - part)) + (power - part)
-        total[s] = added
-    gamma = np.array(total).view(_Aggregate)
-    gamma.residual = np.array(residual)
+    totals, residuals = _aggregates(game.noise[None], game.received_power[None], channels[None])
+    gamma = totals[0].view(_Aggregate)
+    gamma.residual = residuals[0]
     return gamma
 
 
@@ -319,28 +335,25 @@ def potential(game: GameSpec, profile) -> float:
     player's utility change, which is what makes best-response and
     fictitious-play dynamics well behaved here.
     """
-    return _potential(game, aggregate_message(game, profile))
+    return float(_potentials(game.weights, np.array([aggregate_message(game, profile)]))[0])
 
 
-def _potential(game: GameSpec, gamma: np.ndarray) -> float:
-    """The exact potential of the profile whose aggregate is ``gamma``."""
-    # Accumulate channel by channel in ascending order so the result is
+def _potentials(weights, gammas: np.ndarray) -> np.ndarray:
+    """The exact potential of the profiles whose aggregates are the rows of
+    a contiguous ``gammas``, with their games' ``weights``, (N,)."""
+    # Accumulate channel by channel in ascending order so each result is
     # bitwise identical to the corresponding entry of potential_table().
-    log_gamma = np.log2(gamma)
-    total = 0.0
-    for s in range(game.S):
-        total += float(game.weights[s] * log_gamma[s])
-    return total
+    return sum((weights * np.log2(gammas)).T, 0.0)
 
 
-def _strip_own(game: GameSpec, players, channels, gamma: np.ndarray, residual: np.ndarray):
-    """The reconstruction: what each of ``players`` hears on its own entry
-    of ``channels``, the aggregate ``gamma`` there less its own power, plus
-    the aggregate's rounding ``residual`` there. The difference is exact
-    wherever the own power is at least half the aggregate (Sterbenz), which
-    is where it would otherwise cancel."""
-    heard = (gamma[channels] - game.received_power[players, channels]) + residual[channels]
-    if (heard <= 0.0).any():
+def _strip_own(gamma, own, residual):
+    """The reconstruction: what players hear on their own channels, the
+    aggregate ``gamma`` there less their ``own`` power, plus the aggregate's
+    rounding ``residual`` there. The difference is exact wherever the own
+    power is at least half the aggregate (Sterbenz), which is where it
+    would otherwise cancel."""
+    heard = (gamma - own) + residual
+    if np.any(heard <= 0.0):
         raise ValueError("aggregate inconsistent: own power meets or exceeds the aggregate")
     return heard
 
@@ -364,9 +377,9 @@ def aggregated_utility(game: GameSpec, player: int, own_channel: int, gamma) -> 
         raise ValueError(f"gamma must have length S={game.S}")
     if not np.isfinite(gamma[own_channel]):
         raise ValueError("gamma must be finite on the player's channel")
-    heard = _strip_own(game, player, own_channel, gamma,
-                       np.zeros(game.S) if residual is None else residual)
-    return float(_rate(game.weights[own_channel], game.received_power[player, own_channel], heard))
+    own = game.received_power[player, own_channel]
+    heard = _strip_own(gamma[own_channel], own, 0.0 if residual is None else residual[own_channel])
+    return float(_rate(game.weights[own_channel], own, heard))
 
 
 def _guard_opponent_profiles(game: GameSpec) -> int:
@@ -457,7 +470,7 @@ def _utility_tables(games: Sequence[GameSpec]) -> np.ndarray:
     never copied."""
     games, _ = _game_batch(games)
     n_players, n_channels = _guard_full_enumeration(games[0])
-    noise, received, weights = (games.stacks[key] for key in ("noise", "_received", "_weights"))
+    noise, received, weights = games.rows()
     lead = (len(games),) + (1,) * (n_players - 1)
     eye = np.eye(n_channels)
     tables = np.empty((len(games), n_players) + (n_channels,) * n_players)
@@ -493,7 +506,7 @@ def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
     if not games:
         raise ValueError("need at least one game")
     n_players, n_channels = _guard_full_enumeration(games[0])
-    noise, received, weights = (games.stacks[key] for key in ("noise", "_received", "_weights"))
+    noise, received, weights = games.rows()
     eye = np.eye(n_channels)
     out = np.zeros((len(games),) + (n_channels,) * n_players)
     for s in range(n_channels):

@@ -13,13 +13,15 @@ at-a-time classic fictitious-play loop, with the same per-opponent
 beliefs, deciding every step; it reads the package's payoff tables, which
 other tests check against
 :func:`oracle_utility` and :func:`oracle_potential`.
-:func:`oracle_run_aggregation_fp` recomputes the broadcast aggregate and
-every payoff at every step, and scores every profile it plays, from the
-package's scalar ``aggregate_message``, ``aggregated_utility``, ``utility``
-and ``potential``, and re-adds its counted-sum scores from scratch at every
-step; :func:`oracle_cycle_onset` walks a cycle's onset back one step at a
-time, and :func:`oracle_smallest_period` tries one period of one window at
-a time.
+:func:`oracle_run_aggregation_fp` recomputes the broadcast aggregate at
+every step with :func:`oracle_aggregate_message`, the plain-float TwoSum
+loop over one profile's players that the package's batched broadcast
+replaced, scores every profile it plays and reads every payoff from the
+package's scalar ``aggregated_utility``, ``utility`` and ``potential``, and
+re-adds its counted-sum scores from scratch at every step;
+:func:`oracle_cycle_onset` walks a cycle's onset back one step at a time,
+and :func:`oracle_smallest_period` tries one period of one window at a
+time.
 
 The analysis oracles are the per-game equilibrium analysis that the batched
 ``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
@@ -47,7 +49,6 @@ import numpy as np
 
 from csgame import (
     EquilibriumReport,
-    aggregate_message,
     aggregated_utility,
     expected_utility,
     potential,
@@ -183,6 +184,29 @@ def oracle_counted_sum(profiles, utilities) -> np.ndarray:
     return sums
 
 
+class _Broadcast(np.ndarray):
+    """An aggregate carrying its rounding residuals, read by ``aggregated_utility``."""
+
+    residual = None
+
+
+def oracle_aggregate_message(game, profile) -> np.ndarray:
+    """The broadcast aggregate of one profile, one player at a time in
+    plain floats: per channel, noise plus the received powers there, added
+    in ascending player order, with each sum's rounding residual in
+    ``residual``, accumulated by TwoSum (Knuth, TAOCP vol. 2, §4.2.2)."""
+    total, residual = game.noise.tolist(), [0.0] * game.S
+    for k, s in enumerate(profile):
+        power = float(game.received_power[k, s])
+        added = total[s] + power
+        part = added - total[s]
+        residual[s] += (total[s] - (added - part)) + (power - part)
+        total[s] = added
+    gamma = np.array(total).view(_Broadcast)
+    gamma.residual = np.array(residual)
+    return gamma
+
+
 def _oracle_scores(game, actions, gamma) -> np.ndarray:
     """The (K, S) value of every channel to every player under one profile,
     one scalar call per entry: :func:`aggregated_utility` on the broadcast
@@ -204,11 +228,12 @@ def _oracle_scores(game, actions, gamma) -> np.ndarray:
 def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: int = 0):
     """Aggregate-feedback fictitious play on one game, one step at a time.
 
-    Every step recomputes the broadcast with :func:`aggregate_message` and
-    reads the payoffs and the potential of the profile played from
-    :func:`utility` and :func:`potential`. The channel scores depend on the
-    profile alone and take K * S scalar calls, so each profile is scored
-    once (:func:`_oracle_scores`), keyed by the profile itself.
+    Every step recomputes the broadcast with
+    :func:`oracle_aggregate_message` and reads the payoffs and the
+    potential of the profile played from :func:`utility` and
+    :func:`potential`. The channel scores depend on the profile alone and
+    take K * S scalar calls, so each profile is scored once
+    (:func:`_oracle_scores`), keyed by the profile itself.
 
     Scores are counted sums, recomputed from scratch at every step: at
     weight w = initial step + steps played, each player's scores are
@@ -244,7 +269,7 @@ def oracle_run_aggregation_fp(game, q, T: int, tie_break: str = "lowest", step: 
         else:
             actions = [int(n_channels - 1 - np.argmax(q[k][::-1])) for k in range(n_players)]
         profiles[t] = actions
-        gammas[t] = gamma = aggregate_message(game, actions)
+        gammas[t] = gamma = oracle_aggregate_message(game, actions)
         if tuple(actions) not in scores:
             scores[tuple(actions)] = _oracle_scores(game, actions, gamma)
             visits[tuple(actions)] = 0

@@ -36,6 +36,7 @@ from csgame import (
 )
 from csgame import dynamics
 from csgame.dynamics import _MAX_T, MAX_PERIOD, _Columns, _smallest_period
+from csgame.game import _Batch
 from _oracles import (
     oracle_counted_sum,
     oracle_cycle_onset,
@@ -442,6 +443,37 @@ class TestSharedChecks:
             with pytest.raises(TypeError, match=f"T must be an integer, got {T!r}"):
                 engine(strong_interference_game, T=T)
 
+    @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+    @pytest.mark.parametrize("read, error, message", [
+        (lambda traj, batch: traj.steps(5, 3, "profiles"), ValueError, "steps 5..3 must"),
+        (lambda traj, batch: traj.steps(-2, 3, "profiles"), ValueError, "steps -2..3 must"),
+        (lambda traj, batch: traj.steps(0, 12, "profiles"), ValueError, "steps 0..12 must"),
+        (lambda traj, batch: traj.steps(True, 3, "profiles"), TypeError, "got True"),
+        (lambda traj, batch: traj.steps(0.5, 3, "profiles"), TypeError, "got 0.5"),
+        (lambda traj, batch: batch.counts(2.5), TypeError, "got 2.5"),
+        (lambda traj, batch: batch.counts(True), TypeError, "got True"),
+        (lambda traj, batch: batch.counts(11), ValueError, r"step 11 must lie in \[0, T\]"),
+        (lambda traj, batch: batch.counts(100), ValueError, r"step 100 must lie in \[0, T\]"),
+        (lambda traj, batch: batch.counts(-3), ValueError, r"step -3 must lie in \[0, T\]"),
+    ])
+    def test_log_reads_take_integer_steps_within_the_run(self, strong_interference_game,
+                                                         engine, read, error, message):
+        # Steps once read as their truncation or as 1 for True, outside the
+        # run as some other stretch or zeros, and a bad read left the view
+        # without a block, so every later read of it failed.
+        game, T = strong_interference_game, 10
+        init = BeliefState.from_xi([0.5, 0.5])
+        init = init if engine is run_fp else q_from_beliefs(game, init)
+        traj, batch = engine(game, init, T=T), engine([game], init, T=T)
+        with pytest.raises(error, match=message):
+            read(traj, batch)
+        profiles = np.array([[t % 2] * 2 for t in range(T)])  # the 2-cycle
+        np.testing.assert_array_equal(traj.steps(0, T, "profiles")[0], profiles)
+        np.testing.assert_array_equal(traj.steps(3, 3, "profiles")[0], profiles[:0])
+        np.testing.assert_array_equal(traj.profiles, profiles)
+        np.testing.assert_array_equal(batch.counts(T)[0], traj.counts())
+        np.testing.assert_array_equal(batch.counts(0), np.zeros((1, 2, 2)))
+
     def test_checkpoints_and_state_steps_must_be_integers(self, unit_game):
         for engine in (run_fp, run_aggregation_fp):
             with pytest.raises(TypeError, match="checkpoint must be an integer, got 2.7"):
@@ -520,16 +552,22 @@ class TestAggregationEngineAgainstOracle:
         rng = np.random.default_rng(77)
         games = [strong_interference_game] * 2 + [random_game(rng, 2, 2) for _ in range(6)]
         init = q_from_beliefs(strong_interference_game, BeliefState.from_xi([0.5, 0.5]))
-        calls = []
-        feedback = dynamics._aggregate_feedback
-        monkeypatch.setattr(dynamics, "_aggregate_feedback",
-                            lambda game, actions: calls.append(1) or feedback(game, actions))
+        # The rule's values take the new pairs of a pass as one stack, and
+        # compute their broadcast in one batched call.
+        pairs, rows = [], []
+        values, aggregates = dynamics._Aggregation.values, dynamics._aggregates
+        monkeypatch.setattr(dynamics._Aggregation, "values", lambda rule, at, profiles: (
+            pairs.extend(zip(at.tolist(), map(tuple, profiles.tolist())))
+            or values(rule, at, profiles)))
+        monkeypatch.setattr(dynamics, "_aggregates", lambda noise, received, profiles: (
+            rows.append(len(profiles)) or aggregates(noise, received, profiles)))
         batch = run_aggregation_fp(games, init, T=500)
         distinct = [len({tuple(p) for p in batch.actions[:, i].tolist()})
                     for i in range(len(games))]
         assert distinct[:2] == [2, 2] and max(distinct) > 2
-        assert len(calls) == sum(distinct)
-        monkeypatch.setattr(dynamics, "_aggregate_feedback", feedback)
+        assert len(pairs) == len(set(pairs)) == sum(rows) == sum(distinct)
+        assert len(rows) < sum(distinct)  # pairs new at one pass share one call
+        monkeypatch.undo()
         for i, game in enumerate(games):
             traj = run_aggregation_fp(game, init, T=500)
             np.testing.assert_array_equal(batch.utility_sums[i], traj.utility_sums)
@@ -882,7 +920,7 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
         entries, codes = _random_log(rng, T)
         batch = _hand_result(entries, [codes], T, 3, np.zeros((1, 2, 3, 3)))
         traj = Trajectory._view(batch, "classic", "lowest",
-                                GameSpec.symmetric(np.ones((2, 3)), p_max=1.0),
+                                _Batch([GameSpec.symmetric(np.ones((2, 3)), p_max=1.0)]),
                                 np.full((2, 3), 1 / 3),
                                 dynamics._Classic(np.zeros((1, 2, 3, 3)), np.ones((1, 2, 3))))
         profiles = np.array([divmod(c, 3) for c in codes])

@@ -22,8 +22,9 @@ from csgame import (
     utility,
     utility_table,
 )
-from csgame.game import _Batch, _game_stack, _utility_tables
-from _oracles import oracle_potential, oracle_utility
+from csgame.dynamics import _Aggregation
+from csgame.game import _aggregates, _Batch, _game_stack, _payoffs, _potentials, _utility_tables
+from _oracles import _oracle_scores, oracle_aggregate_message, oracle_potential, oracle_utility
 from conftest import random_game
 
 
@@ -522,3 +523,52 @@ def test_reconstruction_is_exact_where_the_subtraction_cancels():
     for k, channel in enumerate((0, 1)):
         assert aggregated_utility(game, k, channel, gamma) == utility(game, (0, 1), k)
     assert aggregated_utility(game, 0, 0, gamma.tolist()) != utility(game, (0, 1), 0)
+
+
+@st.composite
+def pair_stacks(draw):
+    """1-20 games of one shape (1-5 players, 1-4 channels), with noise down
+    to 1e-30 and received powers from 1e-6 to 1e10, some gains exactly 0,
+    and 1-40 (game, profile) pairs of them, a game's pairs repeating."""
+    n_players, n_channels = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n_games, n_pairs = draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = rng.uniform(1.0, 10.0, (n_games, n_players, n_channels))
+    gains[rng.random(gains.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    games = [GameSpec(bandwidths=10 ** rng.uniform(-1, 1, n_channels),
+                      noise=10 ** rng.uniform(-30, 1, n_channels),
+                      max_power=10 ** rng.uniform(-6, 9, n_players), gains=g) for g in gains]
+    at = rng.integers(0, n_games, n_pairs)
+    return games, at, rng.integers(0, n_channels, (n_pairs, n_players))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pair_stacks())
+def test_property_a_stack_of_pairs_is_each_pair_alone(case):
+    # One batched call over a stack of (game, profile) pairs gives, row by
+    # row and bit for bit, the plain TwoSum loop's aggregate and residual,
+    # the single pair's potential and payoffs, and the scores the oracle
+    # builds from scalar calls.
+    games, at, profiles = case
+    batch = _Batch(games)
+    noise, received, weights = batch.rows(at)
+    gammas, residuals = _aggregates(noise, received, profiles)
+    potentials = _potentials(weights, gammas)
+    payoffs = _payoffs(noise, received, weights, profiles)
+    values, scored = _Aggregation(batch, np.zeros(batch.stacks["gains"].shape), 0).values(
+        at, profiles)
+    assert np.array_equal(_bits(scored), _bits(payoffs))
+    for n, (game, profile) in enumerate(zip([games[g] for g in at], profiles.tolist())):
+        gamma = oracle_aggregate_message(game, profile)
+        assert np.array_equal(_bits(gammas[n]), _bits(gamma))
+        assert np.array_equal(_bits(residuals[n]), _bits(gamma.residual))
+        assert np.array_equal(_bits(aggregate_message(game, profile).residual),
+                              _bits(gamma.residual))
+        assert _bits(potentials[n]) == _bits(potential(game, profile))
+        assert np.array_equal(_bits(payoffs[n]),
+                              _bits([utility(game, profile, k) for k in range(game.K)]))
+        assert np.array_equal(_bits(values[n]), _bits(_oracle_scores(game, profile, gamma)))
