@@ -11,8 +11,9 @@ many whole periods as the per-step rule is certain to keep it, and decides
 again only then, so a run that settles and the paper's miscoordination cycle
 alike cost a few decisions, not one per step, with the same result bit for
 bit. Both rules average one vector per step, which the driver keeps as each
-(game, profile) pair's visits times that vector, beside its payoffs; each
-rule supplies only the vector and payoffs, its scores and its certificate.
+(game, profile) pair's visits times that vector, beside the game's own
+payoffs at the profile; each rule supplies only the vector, its scores and
+its certificate.
 
 * :func:`run_fp` is the full-observation rule: every player tracks one
   empirical frequency vector per opponent (initial beliefs act as a single
@@ -271,12 +272,16 @@ class Trajectory:
 
     def steps(self, a: int, b: int, *names: str) -> list:
         """The per-step fields ``names`` over steps a..b-1 (None for a field
-        the run does not carry): slices of the fields held, the others of a
-        block of at least :data:`_BLOCK_STEPS` steps rendered from the
-        engine's log and kept until a read falls outside it."""
+        the run does not carry; a name outside :data:`_PER_STEP` is a
+        ValueError): slices of the fields held, the others of a block of at
+        least :data:`_BLOCK_STEPS` steps rendered from the engine's log and
+        kept until a read falls outside it."""
         a, b = _integer(a, "step"), _integer(b, "step")
         if not 0 <= a <= b <= self.T:
             raise ValueError(f"steps {a}..{b} must satisfy 0 <= a <= b <= T = {self.T}")
+        for name in names:
+            if name not in _PER_STEP:
+                raise ValueError(f"unknown trajectory field {name!r}, expected one of {_PER_STEP}")
         held = vars(self)
         missing = [name for name in names if name not in held]
         if missing:
@@ -346,39 +351,38 @@ class Trajectory:
                             visits[order], self.utilities[first[order]])[0]
 
 
-def _layout(tables: np.ndarray) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Per player of tables shaped (G, K) + (S,)*K: its payoffs with its own
-    channel axis first, as strided views (contiguous copies would switch
-    ``einsum`` to a kernel that sums in another order), and its opponents,
-    last player first, in the order they are contracted."""
-    n_players = tables.shape[1]
-    own_first = [np.moveaxis(tables[:, k], k + 1, 1) for k in range(n_players)]
-    opponents = [[j for j in reversed(range(n_players)) if j != k] for k in range(n_players)]
-    return own_first, opponents
+def _layout(tables: np.ndarray) -> list[np.ndarray]:
+    """Per player of tables shaped (G, K) + (S,)*K, its payoffs with its own
+    channel axis first, as strided views: contiguous copies would switch
+    ``einsum`` to a kernel that sums in another order."""
+    return [np.moveaxis(tables[:, k], k + 1, 1) for k in range(tables.shape[1])]
 
 
-def _expectation(tables: np.ndarray):
-    """Expected-payoff map for a stack of utility tables, shape (G, K) + (S,)*K.
+def _expectations(own_first: list[np.ndarray], f: np.ndarray,
+                  target: np.ndarray | None = None) -> np.ndarray:
+    """Expected payoffs of every own channel under the product of the
+    opponents' frequency vectors, with up to every opponent moved to a
+    ``target``. ``own_first`` is :func:`_layout` of G tables, ``f`` and
+    ``target`` (G, K, S) marginals.
 
-    Returns ``expected(f)``: for marginals ``f`` of shape (G, K, S), the
-    (G, K, S) expected utility of every own channel under the product of the
-    opponents' frequency vectors, contracted one ``einsum`` per opponent in
-    the order of :func:`_layout`.
-    """
-    own_first, opponents = _layout(tables)
-
-    def expected(f: np.ndarray) -> np.ndarray:
-        out = np.empty(f.shape)
-        for k, res in enumerate(own_first):
-            if not opponents[k]:  # a lone player's payoffs ignore beliefs
-                out[:, k] = res
+    Returns ``sums`` of shape (M, G, K, S): ``sums[m, :, k]`` adds player
+    k's expected payoffs over every way to put m of its opponents at their
+    target and the others at ``f``; M is K with a target, else 1, so
+    ``sums[0]`` is the plain expectation. The opponents are contracted one
+    ``einsum`` per opponent and term, last player first."""
+    n_players = len(own_first)
+    sums = np.empty((1 if target is None else n_players,) + f.shape)
+    for k, own in enumerate(own_first):
+        terms = [own]  # a lone player's payoffs ignore beliefs
+        for j in reversed(range(n_players)):
+            if j == k:
                 continue
-            for j in opponents[k][:-1]:
-                res = _einsum("z...s,zs->z...", res, f[:, j])
-            _einsum("z...s,zs->z...", res, f[:, opponents[k][-1]], out=out[:, k])
-        return out
-
-    return expected
+            spread = [_einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
+            mass = [] if target is None else [
+                _einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
+            terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), *mass[-1:]]
+        sums[:, :, k] = terms
+    return sums
 
 
 def _expected_payoffs(game: GameSpec, beliefs: BeliefState) -> np.ndarray:
@@ -388,7 +392,7 @@ def _expected_payoffs(game: GameSpec, beliefs: BeliefState) -> np.ndarray:
         raise ValueError(
             f"beliefs have shape {beliefs.marginals.shape}, game needs {(game.K, game.S)}"
         )
-    return _expectation(utility_table(game)[None])(beliefs.marginals[None])[0]
+    return _expectations(_layout(utility_table(game)[None]), beliefs.marginals[None])[0, 0]
 
 
 def fp_best_response(
@@ -614,69 +618,11 @@ def _laps(low, high, step, period, cap, choice):
     return np.minimum(n.min(axis=(1, 2)), cap)
 
 
-def _certified_run(tables: np.ndarray):
-    """Certified cycles for a stack of utility tables, (G, K) + (S,)*K.
-
-    Returns ``certify(rows, f, choice, step, target, period, cap)``, which
-    bounds one phase of a cycle of profiles per entry. Entry i concerns
-    stack row ``rows[i]`` at a step where its beliefs are ``f[i]`` (K, S),
-    at belief weight ``step[i]``, and where it plays the profile whose
-    one-hot rows are ``choice[i]`` (K, S); every period of the cycle adds
-    ``period[i]`` steps and ``period[i] * target[i]`` to the counts, so
-    ``target`` holds the cycle's average marginals (the point mass of the
-    profile for a period of one step). ``certify`` returns, per entry, the
-    number of periods n = 0, 1, ..., at most ``cap[i]``, over which the
-    per-step rule is certain to play that profile at this phase.
-
-    After n more periods the beliefs at the phase are (1 - lam) f + lam v,
-    with v the target and lam = n p / (step + n p), so each margin E_k(a_k)
-    - E_k(c) is a degree-(K-1) polynomial in lam. Its Bernstein coefficient
-    b_m averages the margin over the ways to put m opponents at their
-    target: b_0 is the margin now (d0), b_{K-1} the margin at the target
-    itself. With tau the largest of (d0 - b_m) / m and 0, the margin is at
-    least d0 - lam (K-1) tau, because the opponents placed follow a
-    binomial law of mean (K-1) lam; for K = 2 that bound is the margin
-    itself. A period is certified (:func:`_laps`) when the bound exceeds a
-    rounding slack far above the error of the float expectation, so there
-    the per-step argmax is strict and no tie-break is consulted.
-    """
-    n_games, n_players = tables.shape[:2]
-    n_channels = tables.shape[2]
-    flat = tables.reshape(n_games, -1)
-    slack = (16 * n_players * n_channels ** (n_players - 1) * np.finfo(float).eps
-             * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
-    own_first, opponents = _layout(tables)
-    ways = np.array([math.comb(n_players - 1, m) for m in range(n_players)])[:, None, None, None]
-    placed = np.arange(1, n_players)[:, None, None, None]  # opponents at their target
-
-    def certify(rows, f, choice, step, target, period, cap):
-        if n_players == 1:  # payoffs ignore beliefs: the choice never changes
-            return cap
-        # sums[m, :, k] adds player k's expected payoffs over every way to
-        # put m opponents at their target, the others at their beliefs.
-        sums = np.empty((n_players,) + f.shape)
-        for k in range(n_players):
-            terms = [own_first[k][rows]]
-            for j in opponents[k]:
-                spread = [_einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
-                mass = [_einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
-                terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), mass[-1]]
-            sums[:, :, k] = terms
-        b = _margins(sums / ways, choice)  # one term is nonzero: exact
-        d0 = b[0]
-        tau = np.maximum((d0 - b[1:]) / placed, 0).max(axis=0)
-        low = d0 - slack[rows, None, None]  # bound minus slack now ...
-        high = low - (n_players - 1) * tau  # ... and at the target (lam = 1)
-        return _laps(low, high, step, period, cap, choice)
-
-    return certify
-
-
-def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
+def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_break: str,
           checkpoints: list[int]) -> BatchFPResult:
-    """The event-driven lockstep driver of both rules, from the (G, K, S)
-    initial state ``init`` at weight ``init_step``. A game's weight is
-    ``init_step`` plus the steps it played.
+    """The event-driven lockstep driver of both rules on ``games``, from the
+    (G, K, S) initial state ``init`` at weight ``init_step``. A game's weight
+    is ``init_step`` plus the steps it played.
 
     At a decision point every player of every running game plays the
     tie-broken argmax of the rule's scores. When a game's last 2p steps,
@@ -688,8 +634,10 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
 
     Only a game's new decision can visit a profile first, so it alone is
     numbered as a (game, profile) pair (see :class:`BatchFPResult`), with
-    its values and payoffs, here and nowhere else; the window and the log
-    carry pair numbers. Every phase of every decision is one log entry, so
+    its values and its payoffs, here and nowhere else; the window and the
+    log carry pair numbers. The driver computes every new pair's payoffs
+    under either rule, one batched :func:`~csgame.game._payoffs` call per
+    pass. Every phase of every decision is one log entry, so
     a game's entries tile its steps.
 
     The driver keeps both rules' running state: per pair, the vector its
@@ -702,7 +650,7 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
     and the final state.
 
     ``rule`` also holds ``ids`` (the running games), ``values(games,
-    profiles)`` (the vectors and payoffs of the pairs numbered now),
+    profiles)`` (the vectors of the pairs numbered now, (N, K, S)),
     ``scores(state)``, ``certify(at, state, choice, step, target, period,
     cap)`` (per phase of :func:`_unroll` of running game ``at``, at weight
     ``step``, playing one-hot ``choice``: the periods it keeps, at most
@@ -753,9 +701,9 @@ def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
                             for g, c in zip(ids.tolist(), codes.tolist())])
         new = decided >= pairs.size
         if new.any():
-            values, payoff = rule.values(ids[new], a[new])
             pairs.append(game=ids[new], start=weight[new] - init_step, profile=a[new],
-                         values=values, payoff=payoff, visits=0.0)
+                         values=rule.values(ids[new], a[new]),
+                         payoff=_payoffs(*games.rows(ids[new]), a[new]), visits=0.0)
         window = np.concatenate([decided[:, None], history], axis=1)
         # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
         # one period of one step, its new decision, unless its last steps
@@ -839,33 +787,64 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
 class _Classic:
     """Classic play for :func:`_play`: a pair's values are its profile's
     one-hot rows, so a game's sum is its exact action counts and its state
-    those counts plus the prior, and its payoffs are read off the game's
-    table; expected payoffs under the product of the marginals, and the
-    certificate of :func:`_certified_run`."""
+    those counts plus the prior; its scores are :func:`_expectations` of
+    the running games' tables under their state.
+
+    While a cycle of profiles repeats, n more periods put the beliefs at a
+    phase at (1 - lam) f + lam v, with f the beliefs now, v the cycle's
+    average marginals (the target) and lam = n p / (step + n p), so each
+    margin E_k(a_k) - E_k(c) is a degree-(K-1) polynomial in lam. Its
+    Bernstein coefficient b_m averages the margin over the ways to put m
+    opponents at their target: b_0 is the margin now (d0), b_{K-1} the
+    margin at the target itself. With tau the largest of (d0 - b_m) / m and
+    0, the margin is at least d0 - lam (K-1) tau, because the opponents
+    placed follow a binomial law of mean (K-1) lam; for K = 2 that bound is
+    the margin itself. A period is certified (:func:`_laps`) when the bound
+    exceeds a rounding slack far above the error of the float expectation,
+    so there the per-step argmax is strict and no tie-break is consulted."""
 
     def __init__(self, tables: np.ndarray, prior: np.ndarray) -> None:
-        self._tables, self.prior = tables, prior  # prior: marginals times the initial step
+        self.prior = prior  # marginals times the initial step
         self.ids = np.arange(len(tables))
         self.base = np.zeros(prior.shape)
-        self._stack(tables)
+        n_games, n_players, n_channels = prior.shape
+        flat = tables.reshape(n_games, -1)
+        self.slack = (16 * n_players * n_channels ** (n_players - 1) * np.finfo(float).eps
+                      * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
+        self._restack(tables)
 
-    def _stack(self, stack: np.ndarray) -> None:
+    def _restack(self, stack: np.ndarray) -> None:
         # A C-ordered copy of the running rows has the layout of a prefix
-        # of ``tables``, so the same einsum kernels and sums.
-        self.stack = stack
-        self.scores, self.certify = _expectation(stack), _certified_run(stack)
+        # of the tables, so the same einsum kernels and sums.
+        self.stack, self._own_first = stack, _layout(stack)
 
     def values(self, games, profiles):
-        payoffs = self._tables[(games, slice(None)) + tuple(profiles.T)]
-        return np.eye(self.prior.shape[2])[profiles], payoffs
+        return np.eye(self.prior.shape[2])[profiles]
 
     def state(self, sums, games):
         return sums + self.prior[games]
 
+    def scores(self, state):
+        return _expectations(self._own_first, state)[0]
+
+    def certify(self, at, state, choice, step, target, period, cap):
+        n_players = state.shape[1]
+        if n_players == 1:  # payoffs ignore beliefs: the choice never changes
+            return cap
+        sums = _expectations([own[at] for own in self._own_first], state, target)
+        ways = np.array([math.comb(n_players - 1, m) for m in range(n_players)])
+        b = _margins(sums / ways[:, None, None, None], choice)  # one term is nonzero: exact
+        d0 = b[0]
+        placed = np.arange(1, n_players)[:, None, None, None]  # opponents at their target
+        tau = np.maximum((d0 - b[1:]) / placed, 0).max(axis=0)
+        low = d0 - self.slack[self.ids[at], None, None]  # bound minus slack now ...
+        high = low - (n_players - 1) * tau  # ... and at the target (lam = 1)
+        return _laps(low, high, step, period, cap, choice)
+
     def retire(self, done):
         self.ids = self.ids[~done]
         if self.ids.size:
-            self._stack(self.stack[~done])
+            self._restack(self.stack[~done])
 
 
 def run_fp(
@@ -884,8 +863,8 @@ def run_fp(
     step, the prior being the initial marginals.
 
     The engine is event-driven (:func:`_play`): a cycle of profiles is
-    played for as many whole periods as :func:`_certified_run`, whose
-    target is the cycle's average marginals, certifies. The result equals
+    played for as many whole periods as :class:`_Classic`'s certificate,
+    whose target is the cycle's average marginals, allows. The result equals
     the step-by-step rule's exactly. Checkpoints must lie in [1, T].
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
@@ -901,7 +880,7 @@ def run_fp(
         game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
         checkpoints)
     rule = _Classic(games.tables, marginals * init_step)
-    result = _play(rule, marginals, init_step, T, tie_break, checkpoints)
+    result = _play(rule, games, marginals, init_step, T, tie_break, checkpoints)
     if not single:
         return result
     return Trajectory._view(result, "classic", tie_break, games, marginals[0].copy(), rule)
@@ -922,10 +901,10 @@ class _Aggregation:
     over w: its initial step times its initial scores (``base``), plus,
     over its pairs in order of first visit, each one's visit count times
     its channel values; at weight 0 they are the initial scores. A pair's
-    channel values and payoffs are computed once, when the pair is
-    numbered, in one batched broadcast for all the pairs a pass numbers,
-    and :func:`_play` keeps them; the rule counts each game's pairs
-    (``visited``) for its slack.
+    channel values are computed once, when the pair is numbered, in one
+    batched broadcast for all the pairs a pass numbers, and :func:`_play`
+    keeps them; the rule counts each game's pairs (``visited``) for its
+    slack.
 
     While a cycle of profiles repeats, the scores at each phase move
     linearly toward the cycle's average values in lam = n p / (w + n p), so
@@ -946,10 +925,9 @@ class _Aggregation:
         heard[rows, players, profiles] = _strip_own(
             gammas[rows, profiles], received[rows, players, profiles], residuals[rows, profiles])
         values = _rate(weights[:, None], received, heard)
-        payoffs = _payoffs(noise, received, weights, profiles)
         np.add.at(self.visited, games, 1)
         np.maximum.at(self.scale, games, values.max(axis=(1, 2)))
-        return values, payoffs
+        return values
 
     def state(self, sums, games):
         return sums
@@ -1001,7 +979,7 @@ def run_aggregation_fp(
     games, single, checkpoints, init_step, q0 = _inputs(
         game, init_q, QState.zeros, lambda s: s.q, "q", T, tie_break, checkpoints)
     rule = _Aggregation(games, q0, init_step)
-    result = _play(rule, q0, init_step, T, tie_break, checkpoints)
+    result = _play(rule, games, q0, init_step, T, tie_break, checkpoints)
     if not single:
         return result
     return Trajectory._view(result, "aggregation", tie_break, games, q0[0].copy(), rule)

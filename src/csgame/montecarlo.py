@@ -39,7 +39,8 @@ from .dynamics import (
     QState,
     Trajectory,
     _action_dtype,
-    _expectation,
+    _expectations,
+    _layout,
     _smallest_period,
     q_from_beliefs,
     run_aggregation_fp,
@@ -309,9 +310,8 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         # q_from_beliefs of every game, from the same tables, over a
         # C-ordered stack of the marginals (einsum picks its kernel by layout).
         marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
-        result = run_aggregation_fp(
-            games, [QState(step=beliefs.step, q=q) for q in _expectation(tables)(marginals)],
-            **run)
+        q0 = _expectations(_layout(tables), marginals)[0]
+        result = run_aggregation_fp(games, [QState(step=beliefs.step, q=q) for q in q0], **run)
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)
@@ -320,8 +320,8 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     # The mean per-player expected payoff at each mixed point: each of the
     # two players on channel 0 against the other's mixed row.
     mixed_ne_mean_utility = np.zeros(len(games))
-    mixed_ne_mean_utility[ne.mixed] = (
-        _expectation(tables[ne.mixed])(ne.mixed_ne[ne.mixed])[:, :, 0].sum(axis=1) / 2)
+    expected = _expectations(_layout(tables[ne.mixed]), ne.mixed_ne[ne.mixed])[0]
+    mixed_ne_mean_utility[ne.mixed] = expected[:, :, 0].sum(axis=1) / 2
     # A settled run is "pure" when its profile is one of its game's pure
     # equilibria; an unsettled one is "at" its nearest point within
     # CONVERGENCE_TV.

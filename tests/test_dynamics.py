@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,13 @@ from csgame import (
     load_config,
     potential,
     q_from_beliefs,
+    read_trajectory_csv,
     run_aggregation_fp,
     run_fp,
     run_fp_batch_2x2,
     trial_game,
     utility,
+    utility_table,
     write_trajectory_csv,
 )
 from csgame import dynamics
@@ -380,8 +383,8 @@ class TestSharedChecks:
     @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
     def test_payoffs_and_potentials_are_the_games_own(self, engine):
         # What a run reports is utility() and potential() of the profile
-        # played, whether the classic rule read its tables or the
-        # aggregation rule reconstructed its scores from the broadcast;
+        # played, whether the classic rule scored channels from its tables
+        # or the aggregation rule from its reconstruction of the broadcast;
         # gamma, which only the aggregation rule carries, is the broadcast.
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -473,6 +476,33 @@ class TestSharedChecks:
         np.testing.assert_array_equal(traj.profiles, profiles)
         np.testing.assert_array_equal(batch.counts(T)[0], traj.counts())
         np.testing.assert_array_equal(batch.counts(0), np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+    def test_steps_reject_a_field_outside_the_per_step_fields(self, strong_interference_game,
+                                                               engine):
+        # A misspelt field once read as None, like a field the run does not
+        # carry, and re-rendered a view's block at every such read.
+        view = engine(strong_interference_game, T=10)
+        held = _manual_trajectory(engine(strong_interference_game, T=10).profiles)
+        for traj in (view, held):
+            with pytest.raises(ValueError, match="unknown trajectory field 'foo'"):
+                traj.steps(0, 3, "foo", "profiles")
+            np.testing.assert_array_equal(traj.steps(0, 3, "profiles")[0], [[0, 0], [1, 1],
+                                                                            [0, 0]])
+        absent = "gammas" if engine is run_fp else "beliefs"
+        assert view.steps(0, 3, absent) == held.steps(0, 3, absent) == [None]
+
+    def test_fields_must_have_one_length(self):
+        with pytest.raises(ValueError, match="trajectory field utilities has length 4 != 5"):
+            Trajectory(variant="classic", tie_break="lowest",
+                       profiles=np.zeros((5, 2), dtype=np.int64), utilities=np.zeros((4, 2)),
+                       potentials=np.zeros(5))
+
+    def test_profile_codes_must_fit_64_bits(self):
+        # 3**40 profiles: the driver numbers (game, profile) pairs by an
+        # int64 code of the profile, so it refuses before it plays a step.
+        with pytest.raises(ValueError, match="do not fit a 64-bit code"):
+            run_aggregation_fp(GameSpec.symmetric(np.ones((40, 3)), p_max=1.0), T=3)
 
     def test_checkpoints_and_state_steps_must_be_integers(self, unit_game):
         for engine in (run_fp, run_aggregation_fp):
@@ -818,6 +848,11 @@ def test_each_games_decisions_tile_its_steps(strong_interference_game, engine):
                                                           weights=batch._played(T)))
         np.testing.assert_array_equal(np.bincount(batch.pairs["game"], weights=visits),
                                       [T] * len(games))
+        # Under either rule, each pair's payoffs are its game's table entry,
+        # bit for bit.
+        cells = (batch.pairs["game"], slice(None)) + tuple(batch.pairs["profile"].T)
+        assert np.array_equal(batch.pairs["payoff"].view(np.int64),
+                              _Batch(games).tables[cells].view(np.int64))
         results.append(batch)
     narrow, wide = results
     assert narrow.evaluations[0] <= 3 and narrow.evaluations[1] <= 10
@@ -962,6 +997,13 @@ class TestEmpiricalFrequencies:
         freq = empirical_frequencies(traj)
         # 4 visits to channel 0 (odd steps), 3 to channel 1, for each player.
         np.testing.assert_allclose(freq, np.full((2, 2), [4 / 7, 3 / 7]), rtol=0, atol=1e-15)
+
+    def test_a_trajectory_read_back_counts_as_its_view(self, tmp_path):
+        rng = np.random.default_rng(8)
+        traj = run_fp(random_game(rng, 3, 3), T=400)
+        held = read_trajectory_csv(write_trajectory_csv(traj, tmp_path / "t.csv"))
+        assert held._result is None
+        np.testing.assert_array_equal(empirical_frequencies(held), empirical_frequencies(traj))
 
     def test_rejects_empty_trajectory(self):
         empty = Trajectory(
@@ -1486,6 +1528,33 @@ def _all_ones_cycle(n_players: int, n_channels: int, draw: int):
 
 class TestCertifiedCycles:
     """Cycles of profiles are jumped whole periods at a time, exactly."""
+
+    def test_placement_sums_are_sums_over_opponent_subsets(self):
+        # The certificate's coefficients: sums[m, :, k] adds player k's
+        # expected payoffs over every way to put m of its opponents at the
+        # target and the others at their beliefs. Without a target only m = 0
+        # is computed, the plain expectation, with the same bits.
+        rng = np.random.default_rng(29)
+        n_games = 3
+        for n_players, n_channels in product(range(1, 6), (2, 3)):
+            games = [random_game(rng, n_players, n_channels) for _ in range(n_games)]
+            tables = np.stack([utility_table(game) for game in games])
+            f, target = rng.dirichlet(np.ones(n_channels), (2, n_games, n_players))
+            own_first = dynamics._layout(tables)
+            sums = dynamics._expectations(own_first, f, target)
+            assert sums.shape == (n_players, n_games, n_players, n_channels)
+            plain = dynamics._expectations(own_first, f)
+            assert np.array_equal(plain.view(np.int64), sums[:1].view(np.int64))
+            for g, k in product(range(n_games), range(n_players)):
+                opponents = [j for j in range(n_players) if j != k]
+                for m in range(n_players):
+                    expected = np.zeros(n_channels)
+                    for placed in combinations(opponents, m):
+                        for profile in product(range(n_channels), repeat=n_players):
+                            weight = math.prod((target if j in placed else f)[g, j, profile[j]]
+                                               for j in opponents)
+                            expected[profile[k]] += weight * tables[(g, k) + profile]
+                    np.testing.assert_allclose(sums[m, g, k], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("xi", [(0.5, 0.5), (0.2, 0.2), (0.9, 0.9), (0.3, 0.7)])
     def test_symmetric_two_cycle(self, strong_interference_game, xi):
