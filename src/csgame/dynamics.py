@@ -53,7 +53,7 @@ from .game import (
     _potentials,
     _rate,
     _strip_own,
-    potential,
+    potential_table,
     utility_table,
 )
 from .equilibrium import require_symmetric_2x2
@@ -96,12 +96,6 @@ _MAX_T = math.isqrt(np.iinfo(np.int64).max)
 _PERIOD_SHIFT = np.where(np.arange(MAX_PERIOD) < np.arange(1, MAX_PERIOD + 1)[:, None],
                          np.arange(MAX_PERIOD) + np.arange(1, MAX_PERIOD + 1)[:, None],
                          np.arange(MAX_PERIOD))
-
-try:  # np.einsum without path optimization only forwards to this; calling it
-    # directly saves the dispatch, which dominates on small stacks.
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # pragma: no cover - other numpy layouts
-    _einsum = np.einsum
 
 
 def _action_dtype(n_channels: int) -> np.dtype:
@@ -377,9 +371,9 @@ def _expectations(own_first: list[np.ndarray], f: np.ndarray,
         for j in reversed(range(n_players)):
             if j == k:
                 continue
-            spread = [_einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
+            spread = [np.einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
             mass = [] if target is None else [
-                _einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
+                np.einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
             terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), *mass[-1:]]
         sums[:, :, k] = terms
     return sums
@@ -758,11 +752,12 @@ def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_bre
 
 def _inputs(game, init, default, array, what: str, T: int, tie_break: str, checkpoints):
     """Checked inputs of either engine: the games, whether ``game`` was one
-    game, the sorted checkpoints, the initial step and one initial state
-    array per game (``array(state)``), stacked. ``init`` is one initial
-    state, one per game, or None for ``default(K, S)``; ``what`` names the
-    state in messages."""
+    game, the horizon as an ``int``, the sorted checkpoints, the initial
+    step and one initial state array per game (``array(state)``), stacked.
+    ``init`` is one initial state, one per game, or None for ``default(K,
+    S)``; ``what`` names the state in messages."""
     _chooser(tie_break, T)  # rejects a bad horizon or tie-break first
+    T = int(T)
     checkpoints = sorted({_integer(t, "checkpoint") for t in checkpoints})
     for t in checkpoints:
         if not 1 <= t <= T:
@@ -781,7 +776,7 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
             raise ValueError(f"initial {what} state has shape {state.shape}, game needs {shape}")
     if len({s.step for s in inits}) != 1:
         raise ValueError(f"every initial {what} state in a batch must carry the same step")
-    return games, single, checkpoints, inits[0].step, np.stack(states)
+    return games, single, T, checkpoints, inits[0].step, np.stack(states)
 
 
 class _Classic:
@@ -876,7 +871,7 @@ def run_fp(
     one shared :class:`BeliefState` or one per game; all must carry the
     same step.
     """
-    games, single, checkpoints, init_step, marginals = _inputs(
+    games, single, T, checkpoints, init_step, marginals = _inputs(
         game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
         checkpoints)
     rule = _Classic(games.tables, marginals * init_step)
@@ -976,7 +971,7 @@ def run_aggregation_fp(
     returns a :class:`BatchFPResult` and takes one shared :class:`QState`
     or one per game, all with the same step.
     """
-    games, single, checkpoints, init_step, q0 = _inputs(
+    games, single, T, checkpoints, init_step, q0 = _inputs(
         game, init_q, QState.zeros, lambda s: s.q, "q", T, tie_break, checkpoints)
     rule = _Aggregation(games, q0, init_step)
     result = _play(rule, games, q0, init_step, T, tie_break, checkpoints)
@@ -1065,7 +1060,7 @@ def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi00, phi01, phi10, phi11 = (potential(game, p) for p in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    (phi00, phi01), (phi10, phi11) = potential_table(game).tolist()
     ratios = ((phi10 - phi11, phi01 - phi00, xi[0]),  # player 1, answering player 0
               (phi01 - phi11, phi10 - phi00, xi[1]))  # player 0, answering player 1
     if any(den == 0.0 for _, den, _ in ratios):

@@ -401,15 +401,16 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
     opponents (players other than ``player`` in ascending order, C-order
     layout, so shape (S,)*(K-1) or anything of that size). Entries must be
     non-negative and sum to 1 within 1e-9. Zero-probability profiles are
-    skipped, so a point mass reproduces :func:`utility` exactly.
+    skipped, so a point mass reproduces :func:`utility` exactly: the payoffs
+    at every opponent profile are one :func:`_channel_loads` slice, and the
+    nonzero terms are added left to right in C order.
     """
     player = _check_player(game, player)
-    own_channel = int(_check_channels(game.S, own_channel))
+    s = int(_check_channels(game.S, own_channel))
     n_profiles = _guard_opponent_profiles(game)
-    shape = (game.S,) * (game.K - 1)
     dist = np.asarray(opponent_dist, dtype=float)
     try:
-        dist = dist.reshape(shape)
+        dist = dist.reshape((game.S,) * (game.K - 1))
     except ValueError:
         raise ValueError(
             f"opponent distribution needs S**(K-1) = {n_profiles} entries, "
@@ -420,16 +421,13 @@ def expected_utility(game: GameSpec, player: int, own_channel: int, opponent_dis
     if not abs(float(dist.sum()) - 1.0) <= 1e-9:
         raise ValueError("opponent distribution must sum to 1 within 1e-9")
     opponents = [j for j in range(game.K) if j != player]
-    prof = np.empty(game.K, dtype=np.int64)
-    prof[player] = own_channel
+    loads = _channel_loads(game.noise[None, s], game.received_power[None, :, s], opponents,
+                           s, game.S)[0]
+    payoffs = _rate(game.weights[s], game.received_power[player, s], loads)
     total = 0.0
-    for idx in np.ndindex(shape):
-        p = float(dist[idx])
-        if p == 0.0:
-            continue
-        for j, c in zip(opponents, idx):
-            prof[j] = c
-        total += p * utility(game, prof, player)
+    for p, u in zip(dist.ravel().tolist(), payoffs.ravel().tolist()):
+        if p != 0.0:
+            total += p * u
     return total
 
 
@@ -443,22 +441,21 @@ def _guard_full_enumeration(game: GameSpec) -> tuple[int, int]:
     return game.K, game.S
 
 
-def _channel_loads(noise: np.ndarray, received: np.ndarray, players,
-                   on_channel: np.ndarray) -> np.ndarray:
-    """For a stack of games, with ``noise`` (G, C) and ``received`` (G, K, C)
-    on C channels whose one-hot rows over all S channels are ``on_channel``
-    (C, S): on each of those channels (axis 1), noise plus the received
-    power of whichever of ``players`` sit on it, at every profile of theirs
-    (axis i + 2 holds the i-th listed player's channel). A player's power
-    there is its power times 1 on that channel and times 0 elsewhere, and
-    powers are added in the listed order, which callers keep ascending, so
-    the table entries keep their bits."""
-    lead = noise.shape
-    n_listed, n_channels = len(players), on_channel.shape[1]
-    load = noise.reshape(lead + (1,) * n_listed)
+def _channel_loads(noise: np.ndarray, received: np.ndarray, players, s: int,
+                   n_channels: int) -> np.ndarray:
+    """For a stack of games, with ``noise`` (G,) and ``received`` (G, K) on
+    channel ``s`` of ``n_channels``: noise plus the received power of
+    whichever of ``players`` sit on s, at every profile of theirs, (G,) +
+    (S,)*len(players) (axis i + 1 holds the i-th listed player's channel).
+    A player's power there is its power times 1 on s and times 0 elsewhere,
+    and powers are added in the listed order, which callers keep ascending,
+    so every payoff and potential built on it keeps its bits."""
+    n_listed, on_channel = len(players), np.eye(n_channels)[s]
+    load = noise.reshape(noise.shape + (1,) * n_listed)
     for pos, j in enumerate(players):
-        power = received[:, j, :, None] * on_channel
-        load = load + power.reshape(lead + (1,) * pos + (n_channels,) + (1,) * (n_listed - pos - 1))
+        power = received[:, j, None] * on_channel
+        load = load + power.reshape(noise.shape + (1,) * pos + (n_channels,)
+                                    + (1,) * (n_listed - pos - 1))
     return load
 
 
@@ -472,13 +469,11 @@ def _utility_tables(games: Sequence[GameSpec]) -> np.ndarray:
     n_players, n_channels = _guard_full_enumeration(games[0])
     noise, received, weights = games.rows()
     lead = (len(games),) + (1,) * (n_players - 1)
-    eye = np.eye(n_channels)
     tables = np.empty((len(games), n_players) + (n_channels,) * n_players)
     for k in range(n_players):
         opponents = [j for j in range(n_players) if j != k]
         for s in range(n_channels):
-            denom = _channel_loads(noise[:, s:s + 1], received[:, :, s:s + 1], opponents,
-                                   eye[s:s + 1])[:, 0]
+            denom = _channel_loads(noise[:, s], received[:, :, s], opponents, s, n_channels)
             idx: list = [slice(None), k] + [slice(None)] * n_players
             idx[k + 2] = s
             tables[tuple(idx)] = _rate(weights[:, s].reshape(lead),
@@ -507,11 +502,9 @@ def potential_table(game: GameSpec | Sequence[GameSpec]) -> np.ndarray:
         raise ValueError("need at least one game")
     n_players, n_channels = _guard_full_enumeration(games[0])
     noise, received, weights = games.rows()
-    eye = np.eye(n_channels)
     out = np.zeros((len(games),) + (n_channels,) * n_players)
     for s in range(n_channels):
-        term = _channel_loads(noise[:, s:s + 1], received[:, :, s:s + 1], range(n_players),
-                              eye[s:s + 1])[:, 0]
+        term = _channel_loads(noise[:, s], received[:, :, s], range(n_players), s, n_channels)
         np.log2(term, out=term)
         term *= weights[:, s].reshape((len(games),) + (1,) * n_players)
         out += term

@@ -48,10 +48,6 @@ _LEAF = re.compile(r'"@@(\d+)@@"')
 _FORMATS = {"i": repr, "u": repr, "f": repr, "U": json.dumps}
 
 
-def fmt_float(x) -> str:
-    return repr(float(x))
-
-
 def dumps_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 

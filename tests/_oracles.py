@@ -23,6 +23,10 @@ re-adds its counted-sum scores from scratch at every step;
 and :func:`oracle_smallest_period` tries one period of one window at a
 time.
 
+:func:`oracle_expected_utility` is the per-opponent-profile loop of scalar
+``utility`` calls that the vectorized ``expected_utility`` replaced, and
+tests hold it to the loop bit for bit.
+
 The analysis oracles are the per-game equilibrium analysis that the batched
 ``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
 time, and tests hold the batch to them bit for bit: :func:`oracle_analyze_game`
@@ -80,6 +84,25 @@ def oracle_potential(bandwidths, noise, max_power, gains, profile) -> float:
             if ch == s:
                 agg += max_power[k] * gains[k][s]
         total += (bandwidths[s] / total_b) * math.log2(agg)
+    return total
+
+
+def oracle_expected_utility(game, player: int, own_channel: int, opponent_dist) -> float:
+    """The opponent-profile loop that the vectorized ``expected_utility``
+    replaced, unchecked: one scalar ``utility`` call per nonzero entry of
+    the (S,)*(K-1) distribution, in C order, each term added left to right."""
+    dist = np.asarray(opponent_dist, dtype=float).reshape((game.S,) * (game.K - 1))
+    opponents = [j for j in range(game.K) if j != player]
+    prof = np.empty(game.K, dtype=np.int64)
+    prof[player] = own_channel
+    total = 0.0
+    for idx in np.ndindex(dist.shape):
+        p = float(dist[idx])
+        if p == 0.0:
+            continue
+        for j, c in zip(opponents, idx):
+            prof[j] = c
+        total += p * utility(game, prof, player)
     return total
 
 

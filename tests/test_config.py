@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 import yaml
@@ -169,6 +171,8 @@ class TestSpecValidation:
     def test_output_spec(self):
         with pytest.raises(ConfigError, match="format"):
             OutputSpec(format="parquet")
+        directory = OutputSpec(directory=pathlib.Path("x")).directory
+        assert type(directory) is str and directory == "x"
 
     def test_initial_beliefs_for_mismatches(self):
         three_channels = GameSpec.symmetric(np.ones((2, 3)), p_max=1.0)

@@ -756,6 +756,17 @@ class TestAggregationEngineAgainstOracle:
 
 
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_a_view_renders_nothing_for_an_unknown_attribute(unique_ne_game, engine):
+    traj = engine(unique_ne_game, T=50)
+    block = traj._block
+    with pytest.raises(AttributeError, match="no_such_field"):
+        traj.no_such_field
+    assert not hasattr(traj, "no_such_field")
+    assert traj._block is block
+    assert not set(dynamics._PER_STEP) & set(vars(traj))
+
+
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
 def test_a_jumped_cycle_is_logged_in_bounded_blocks(strong_interference_game, engine):
     # Both rules play 2 * 10**6 steps of the paper's 2-cycle, a switch at
     # every step, in a few decisions. The log holds one entry per phase of

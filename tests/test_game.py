@@ -24,7 +24,13 @@ from csgame import (
 )
 from csgame.dynamics import _Aggregation
 from csgame.game import _aggregates, _Batch, _game_stack, _payoffs, _potentials, _utility_tables
-from _oracles import _oracle_scores, oracle_aggregate_message, oracle_potential, oracle_utility
+from _oracles import (
+    _oracle_scores,
+    oracle_aggregate_message,
+    oracle_expected_utility,
+    oracle_potential,
+    oracle_utility,
+)
 from conftest import random_game
 
 
@@ -130,6 +136,11 @@ class TestGameSpec:
                 max_power=[1.0, 1.0],
                 gains=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
             )
+
+    def test_rejects_gains_of_more_than_two_axes(self):
+        with pytest.raises(ValueError, match=r"gains must be a 2-d array of shape \(K, S\)"):
+            GameSpec(bandwidths=[1.0, 1.0], noise=[1.0, 1.0], max_power=[1.0, 1.0],
+                     gains=np.ones((2, 2, 1)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -351,6 +362,38 @@ class TestExpectedUtility:
         with pytest.raises(ValueError, match="entries"):
             expected_utility(unit_game, 0, 0, [0.5, 0.25, 0.25])
 
+    def test_matches_the_scalar_loop_bit_for_bit(self):
+        # Every player and own channel of seeded games with K 1-6 and S 1-4,
+        # against sparse, point-mass and (up to 3 players) dense distributions.
+        rng = np.random.default_rng(30)
+        for n_players in range(1, 7):
+            for n_channels in range(1, 5):
+                game = random_game(rng, n_players, n_channels)
+                size = n_channels ** (n_players - 1)
+                for k in range(n_players):
+                    for s in range(n_channels):
+                        sparse = rng.random(size) * (rng.random(size) < 0.3)
+                        sparse[rng.integers(size)] += 0.5
+                        point = np.zeros(size)
+                        point[rng.integers(size)] = 1.0
+                        dists = [sparse / sparse.sum(), point]
+                        if n_players <= 3:
+                            dense = rng.random(size)
+                            dists.append(dense / dense.sum())
+                        for dist in dists:
+                            assert (expected_utility(game, k, s, dist).hex()
+                                    == oracle_expected_utility(game, k, s, dist).hex())
+
+    def test_only_the_opponent_guard_applies(self):
+        # 100**4 profiles exceed the full-enumeration guard; 100**3 opponent
+        # profiles do not exceed the opponent guard.
+        game = random_game(np.random.default_rng(4), 4, 100)
+        assert game.S ** game.K > MAX_ENUM_PROFILES
+        assert game.S ** (game.K - 1) == MAX_OPPONENT_PROFILES
+        dist = np.zeros((100,) * 3)
+        dist[7, 7, 42] = 1.0
+        assert expected_utility(game, 1, 7, dist) == utility(game, [7, 7, 7, 42], 1)
+
     def test_enumeration_guard(self):
         game = GameSpec(
             bandwidths=[1.0, 1.0],
@@ -391,6 +434,10 @@ class TestTables:
             utility_table(game)
         with pytest.raises(ValueError, match="enumeration guard"):
             potential_table(game)
+
+    def test_potential_table_needs_a_game(self):
+        with pytest.raises(ValueError, match="need at least one game"):
+            potential_table([])
 
 
 positive = st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False)

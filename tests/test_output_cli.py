@@ -36,7 +36,7 @@ from csgame import (
 from csgame import cli, output
 from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
-from csgame.output import dumps_json, fmt_float, write_json
+from csgame.output import _strings, dumps_json, write_json
 from _oracles import (
     oracle_classify_region_2x2,
     oracle_plot_csv,
@@ -97,15 +97,17 @@ def _empty_trajectory() -> Trajectory:
 
 
 class TestFloatFormatting:
+    """The writers' one rule for a float cell: ``_strings`` on a float block."""
+
     def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(-1e6, 1e6, 200):
-            assert float(fmt_float(x)) == x
+        block = np.random.default_rng(0).uniform(-1e6, 1e6, (100, 2))
+        strings = _strings(block)
+        assert strings.shape == block.shape
+        for x, text in zip(block.ravel().tolist(), strings.ravel().tolist()):
+            assert float(text) == x
 
     def test_shortest_form(self):
-        assert fmt_float(0.1) == "0.1"
-        assert fmt_float(0.5) == "0.5"
-        assert fmt_float(2.0) == "2.0"
+        assert _strings(np.array([0.1, 0.5, 2.0])).tolist() == ["0.1", "0.5", "2.0"]
 
 
 class TestWriteJson:
@@ -192,6 +194,19 @@ class TestTrajectoryJson:
         assert step1["profile"] == traj.profiles[0].tolist()
         assert step1["belief"] == init.marginals.tolist()
         assert "gamma" not in step1
+
+    @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+    def test_numpy_integer_horizon(self, worked_mixed_game, engine, tmp_path):
+        # The horizon is checked as an integer and carried as an int, so a
+        # numpy one leaks into no step field and the JSON writer takes it.
+        traj = engine(worked_mixed_game, T=np.int64(5))
+        assert type(traj.T) is int and traj.T == 5
+        assert type(traj.initial_step) is int and type(traj.final_step) is int
+        batch = engine([worked_mixed_game], T=np.int64(5))
+        assert type(batch.T) is int and type(batch.final_step) is int
+        written = write_trajectory_json(traj, tmp_path / "numpy.json").read_bytes()
+        plain = engine(worked_mixed_game, T=5)
+        assert written == write_trajectory_json(plain, tmp_path / "int.json").read_bytes()
 
     def test_aggregation_payload_includes_gamma(self, worked_mixed_game, tmp_path):
         traj = run_aggregation_fp(worked_mixed_game, T=4)
