@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("equilibria", "pure/mixed equilibrium analysis of one game"),
-        ("regions", "closed-form 2x2 region classification (plus scatter data)"),
+        ("regions", "2x2 regions of the pure equilibria (plus scatter data)"),
         ("simulate", "one fictitious-play trajectory"),
         ("montecarlo", "seeded multi-trial sweep with summary statistics"),
     ):

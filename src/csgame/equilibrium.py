@@ -1,10 +1,11 @@
-"""Equilibrium analysis: exhaustive pure search and closed-form 2x2 regions.
+"""Equilibrium analysis: exhaustive pure search and the 2x2 regions.
 
 The exhaustive search works for any (K, S) within the enumeration guard. The
-closed-form pieces target the two-player, two-channel setting with a common
-power budget, common noise level and equal bandwidths; there the gain vector
-alone decides which pure profiles are equilibria, and when both orthogonal
-profiles qualify a strictly mixed equilibrium exists with probabilities given
+2x2 pieces target the two-player, two-channel setting with a common power
+budget, common noise level and equal bandwidths. There the paper's regions
+H1..H4 are the four pure profiles' equilibrium conditions, so the labels are
+read off the pure-equilibrium mask; when the two orthogonal profiles are the
+only pure equilibria, a strictly mixed one exists with probabilities given
 by potential differences.
 
 Every rule is written once, as array operations over a stack of same-shape
@@ -12,7 +13,7 @@ games: the pure-equilibrium mask compares each player's payoffs with their
 maximum along its own channel axis of the stacked utility tables, an
 equilibrium's payoffs and potential are reads of the utility and potential
 tables (a unilateral payoff change is a potential difference, Monderer and
-Shapley 1996), and the 2x2 precondition, the region comparisons and the
+Shapley 1996), and the 2x2 precondition, the region labels and the
 mixed-point ratios are evaluated on (G, 2, 2) stacks, into columns that a
 Monte-Carlo chunk reads. The utility tables are the batch's own, stacked
 once and read by every reader of the batch, the classic engine included.
@@ -50,7 +51,7 @@ __all__ = [
     "analyze_game",
 ]
 
-# Pure profile certified by membership in each region (player 0, player 1).
+# Each region's pure profile (player 0, player 1), a (weak) equilibrium exactly in it.
 REGION_PROFILES = {
     "H1": (0, 1),
     "H2": (0, 0),
@@ -58,6 +59,7 @@ REGION_PROFILES = {
     "H4": (1, 0),
 }
 _REGIONS = tuple(REGION_PROFILES)
+_PLAYER0, _PLAYER1 = np.array(list(REGION_PROFILES.values())).T  # the regions' cells
 
 # What the common-budget 2x2 setting needs, in the order it is checked.
 _SYMMETRIC_2X2_NEEDS = (
@@ -90,14 +92,13 @@ def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
-def _symmetric_2x2(games: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _symmetric_2x2(games: _Batch) -> np.ndarray:
     """Per game of a batch: the index into :data:`_SYMMETRIC_2X2_NEEDS` of
     the first need it fails, or -1 when it is in the common-budget 2x2
-    setting; then the (G, 2, 2) gains and (G,) common SNRs, which only games
-    in that setting use."""
+    setting."""
     n_games = len(games)
     if not games or (games[0].K, games[0].S) != (2, 2):
-        return np.zeros(n_games, dtype=np.int64), np.empty((n_games, 2, 2)), np.empty(n_games)
+        return np.zeros(n_games, dtype=np.int64)
     bandwidths, noise, max_power, gains = (
         games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains"))
     fails = np.stack([
@@ -107,18 +108,16 @@ def _symmetric_2x2(games: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         max_power[:, 0] != max_power[:, 1],
         np.any(gains <= 0, axis=(1, 2)),
     ], axis=1)
-    failures = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
-    return failures, gains, max_power[:, 0] / noise[:, 0]
+    return np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
 
 
-def _require_symmetric_2x2(games: _Batch) -> tuple[np.ndarray, np.ndarray]:
-    """(G, 2, 2) gains and (G,) common SNRs of games in the common-budget 2x2
-    setting; raises ValueError for the first game that is not."""
-    failures, gains, snr = _symmetric_2x2(games)
+def _require_symmetric_2x2(games: _Batch) -> None:
+    """Raises ValueError for the first game of a batch that is not in the
+    common-budget 2x2 setting."""
+    failures = _symmetric_2x2(games)
     failed = failures[failures >= 0]
     if len(failed):
         raise ValueError(f"this analysis needs {_SYMMETRIC_2X2_NEEDS[failed[0]]}")
-    return gains, snr
 
 
 def require_symmetric_2x2(game: GameSpec) -> float:
@@ -127,44 +126,23 @@ def require_symmetric_2x2(game: GameSpec) -> float:
     Needs K = S = 2, equal bandwidths, one noise level, one power budget and
     strictly positive gains. Raises ValueError otherwise.
     """
-    return float(_require_symmetric_2x2(_game_batch(game)[0])[1][0])
+    games = _game_batch(game)[0]
+    _require_symmetric_2x2(games)
+    return float(games.stacks["max_power"][0, 0] / games.stacks["noise"][0, 0])
 
 
-def _region_comparisons(gains: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gain ratios and the four thresholds the regions are built from,
-    per game of a (G, 2, 2) gain stack with common SNRs ``snr``."""
-    g11, g12, g21, g22 = (gains[:, k, s] for k in range(2) for s in range(2))
-    own_ratio = g11 / g12  # player 0's gain ratio, channel 0 over channel 1
-    cross_ratio = g21 / g22  # player 1's gain ratio, channel 0 over channel 1
-    low_own = 1.0 / (1.0 + snr * g22)
-    high_own = 1.0 + snr * g21
-    low_cross = 1.0 / (1.0 + snr * g12)
-    high_cross = 1.0 + snr * g11
-    return own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross
-
-
-def _region_mask(gains: np.ndarray, snr: np.ndarray) -> np.ndarray:
-    """(G, 4) memberships in H1..H4 (weak inequalities)."""
-    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = (
-        _region_comparisons(gains, snr))
-    return np.stack([
-        (own_ratio >= low_own) & (cross_ratio <= high_cross),
-        (own_ratio >= high_own) & (cross_ratio >= high_cross),
-        (own_ratio <= low_own) & (cross_ratio <= low_cross),
-        (own_ratio <= high_own) & (cross_ratio >= low_cross),
-    ], axis=1)
-
-
-def _labels(mask: np.ndarray) -> list[tuple[str, ...]]:
-    return [tuple(compress(_REGIONS, row)) for row in mask.tolist()]
+def _labels(ne_mask: np.ndarray) -> list[tuple[str, ...]]:
+    """Region labels, in H1..H4 order, per game of a (G, 2, 2) stack of
+    pure-equilibrium masks."""
+    return [tuple(compress(_REGIONS, row)) for row in ne_mask[:, _PLAYER0, _PLAYER1].tolist()]
 
 
 def classify_region_2x2(
     game: GameSpec | Sequence[GameSpec],
 ) -> frozenset[str] | list[frozenset[str]]:
-    """Region memberships of the gain vector (weak inequalities, may overlap).
-
-    Each region certifies one pure equilibrium, see :data:`REGION_PROFILES`:
+    """Region memberships (may overlap): H_i holds exactly when its profile
+    in :data:`REGION_PROFILES` is a pure equilibrium, read off the mask of
+    :func:`enumerate_pure_ne`. In the paper's closed form:
 
     * H1: player 0 prefers channel 0 when alone there and player 1 tolerates
       channel 1 -> (0, 1) stable.
@@ -175,34 +153,41 @@ def classify_region_2x2(
       when its channel-0 advantage does not beat the interference player 1
       creates there.
 
-    Every strictly positive gain vector belongs to at least one region.
+    A potential game has a pure equilibrium, so every game is in a region.
     ``game`` is one game, or a sequence of games classified in one pass,
     which gives a list of memberships; any game outside the common-budget
     2x2 setting raises, the first one naming its defect.
     """
     games, single = _game_batch(game)
-    labels = [frozenset(row) for row in _labels(_region_mask(*_require_symmetric_2x2(games)))]
+    _require_symmetric_2x2(games)
+    labels = [frozenset(row) for row in _labels(_pure_ne_mask(games.tables))] if games else []
     return labels[0] if single else labels
 
 
 def region_ne_profiles(labels) -> list[tuple[int, int]]:
     """Pure equilibria implied by region memberships, lexicographic order."""
-    return sorted(REGION_PROFILES[h] for h in labels)
+    try:
+        return sorted(REGION_PROFILES[h] for h in labels)
+    except KeyError as exc:
+        raise ValueError(f"unknown region label {exc.args[0]!r}, "
+                         f"the regions are {', '.join(_REGIONS)}") from None
 
 
 def boundary_margin_2x2(game: GameSpec) -> float:
-    """Smallest absolute slack among the four region-defining comparisons.
+    """Smallest absolute slack among the paper's four closed-form region
+    comparisons (gain ratios against 1 / (1 + SNR * g) and 1 + SNR * g).
 
     Useful for rejection-sampling games away from region boundaries, where
-    weak-inequality membership and payoff comparisons become tie-sensitive.
+    the closed form and the payoff comparisons may round a tie differently.
     """
-    own_ratio, cross_ratio, low_own, high_own, low_cross, high_cross = (
-        c[0] for c in _region_comparisons(*_require_symmetric_2x2(_game_batch(game)[0])))
+    snr = require_symmetric_2x2(game)
+    (g11, g12), (g21, g22) = game.gains
+    own_ratio, cross_ratio = g11 / g12, g21 / g22
     return min(
-        abs(own_ratio - low_own),
-        abs(own_ratio - high_own),
-        abs(cross_ratio - low_cross),
-        abs(cross_ratio - high_cross),
+        abs(own_ratio - 1.0 / (1.0 + snr * g22)),
+        abs(own_ratio - (1.0 + snr * g21)),
+        abs(cross_ratio - 1.0 / (1.0 + snr * g12)),
+        abs(cross_ratio - (1.0 + snr * g11)),
     )
 
 
@@ -228,17 +213,18 @@ def _mixed_points(potentials: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def mixed_ne_2x2(game: GameSpec) -> np.ndarray:
     """The strictly mixed equilibrium of a 2x2 game with two pure equilibria.
 
-    Requires membership in both H1 and H4 (both orthogonal profiles stable).
-    Row k is player k's distribution over channels; each entry is a ratio of
-    potential differences, so in a fully symmetric game both rows are exactly
-    (0.5, 0.5). Raises when only one region applies, when the potential
-    differences degenerate, or when a boundary case fails strict interiority.
+    Requires the two orthogonal profiles to be the only pure equilibria
+    (regions exactly H1 and H4). Row k is player k's distribution over
+    channels; each entry is a ratio of potential differences, so in a fully
+    symmetric game both rows are exactly (0.5, 0.5). Raises for any other
+    regions, when the potential differences degenerate, or when a boundary
+    case fails strict interiority.
     """
     labels = classify_region_2x2(game)
-    if not {"H1", "H4"} <= labels:
+    if labels != {"H1", "H4"}:
         raise ValueError(
-            "a strictly mixed equilibrium needs both orthogonal profiles "
-            f"to be stable (regions found: {sorted(labels)})"
+            "a strictly mixed equilibrium needs the two orthogonal profiles "
+            f"to be the only pure equilibria (regions found: {sorted(labels)})"
         )
     mixed, degenerate, boundary = _mixed_points(potential_table([game]))
     if degenerate[0]:
@@ -321,21 +307,21 @@ def _analysis_columns(games: _Batch) -> _AnalysisColumns:
     and its region labels in H1..H4 order (None outside the 2x2 setting). Per
     pure equilibrium, game after game: its game, profile, payoffs and potential."""
     n_games, tables = len(games), games.tables
-    ne = np.argwhere(_pure_ne_mask(tables))  # (N, 1 + K): game, then profile
+    ne_mask = _pure_ne_mask(tables)
+    ne = np.argwhere(ne_mask)  # (N, 1 + K): game, then profile
     game_of, profiles = ne[:, 0], ne[:, 1:]
     potential_stack = potential_table(games)
     counts = np.bincount(game_of, minlength=n_games)
     regions: list = [None] * n_games
     mixed = np.zeros(n_games, dtype=bool)
     mixed_ne = np.zeros((n_games, games[0].K, games[0].S))
-    failures, gains, snr = _symmetric_2x2(games)
-    symmetric = np.flatnonzero(failures < 0)
+    symmetric = np.flatnonzero(_symmetric_2x2(games) < 0)
     if len(symmetric):
-        mask = _region_mask(gains[symmetric], snr[symmetric])
-        for g, labels in zip(symmetric.tolist(), _labels(mask)):
-            regions[g] = labels
-        # In H1 and H4, with the two orthogonal profiles as the only pure NE.
-        two_sided = symmetric[mask[:, 0] & mask[:, 3] & (counts[symmetric] == 2)]
+        labels = _labels(ne_mask[symmetric])
+        for g, row in zip(symmetric.tolist(), labels):
+            regions[g] = row
+        # The two orthogonal profiles are the only pure NE.
+        two_sided = symmetric[[row == ("H1", "H4") for row in labels]]
         points, degenerate, boundary = _mixed_points(potential_stack[two_sided])
         interior = ~(degenerate | boundary)
         mixed[two_sided[interior]] = True

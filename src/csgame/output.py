@@ -309,8 +309,10 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")
-        return _region_scatter(path, [rec["trial"] for rec in obj],
-                               [rec["game"]["gains"] for rec in obj],
+        gains = [rec["game"]["gains"] for rec in obj]
+        if any(np.shape(g) != (2, 2) for g in gains):
+            raise ValueError("region scatter needs 2x2 records (2 players, 2 channels)")
+        return _region_scatter(path, [rec["trial"] for rec in obj], gains,
                                ["+".join(rec["regions"] or []) for rec in obj])
     raise ValueError(f"unsupported plot-data kind {kind!r}")
 

@@ -30,10 +30,12 @@ tests hold it to the loop bit for bit.
 The analysis oracles are the per-game equilibrium analysis that the batched
 ``analyze_game`` replaced, one scalar ``utility``/``potential`` call at a
 time, and tests hold the batch to them bit for bit: :func:`oracle_analyze_game`
-with its pure-equilibrium, 2x2-setting, region and mixed-point pieces, and
-the per-record mixed payoff
-(:func:`oracle_mixed_mean_utility`) and nearest equilibrium point
-(:func:`oracle_nearest_equilibrium`) of the Monte-Carlo records.
+with its pure-equilibrium, 2x2-setting, region and mixed-point pieces (the
+regions read off the enumerated equilibria, as the package's are; the
+paper's closed form is :func:`oracle_classify_region_2x2`), and the
+per-record mixed payoff (:func:`oracle_mixed_mean_utility`) and nearest
+equilibrium point (:func:`oracle_nearest_equilibrium`) of the Monte-Carlo
+records.
 
 The rendering oracles write trajectories and plot series the plain way, with
 the standard ``json`` encoder on the whole payload and ``csv.writer`` row by
@@ -52,6 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from csgame import (
+    REGION_PROFILES,
     EquilibriumReport,
     aggregated_utility,
     expected_utility,
@@ -364,8 +367,9 @@ def oracle_require_symmetric_2x2(game) -> float:
 
 
 def oracle_classify_region_2x2(game) -> frozenset[str]:
-    """H1-H4 memberships of one game, each region's two weak inequalities
-    evaluated on scalars."""
+    """H1-H4 memberships of one game in the paper's closed form, each
+    region's two weak inequalities evaluated on scalars. It rounds a tie its
+    own way, so it equals the package's labels off the region boundaries."""
     snr = oracle_require_symmetric_2x2(game)
     (g11, g12), (g21, g22) = game.gains
     own_ratio, cross_ratio = g11 / g12, g21 / g22
@@ -383,14 +387,23 @@ def oracle_classify_region_2x2(game) -> frozenset[str]:
     return frozenset(labels)
 
 
+def oracle_regions_2x2(game) -> frozenset[str]:
+    """H1-H4 memberships of one game in the common-budget 2x2 setting, each
+    region holding exactly when its profile is among the enumerated pure
+    equilibria."""
+    oracle_require_symmetric_2x2(game)
+    pure = oracle_enumerate_pure_ne(game)
+    return frozenset(h for h, profile in REGION_PROFILES.items() if profile in pure)
+
+
 def oracle_mixed_ne_2x2(game) -> np.ndarray:
     """The strictly mixed equilibrium of one 2x2 game from scalar potentials;
     raises as the package does when there is none."""
-    labels = oracle_classify_region_2x2(game)
-    if not {"H1", "H4"} <= labels:
+    labels = oracle_regions_2x2(game)
+    if labels != {"H1", "H4"}:
         raise ValueError(
-            "a strictly mixed equilibrium needs both orthogonal profiles "
-            f"to be stable (regions found: {sorted(labels)})"
+            "a strictly mixed equilibrium needs the two orthogonal profiles "
+            f"to be the only pure equilibria (regions found: {sorted(labels)})"
         )
     phi11 = potential(game, (0, 0))
     phi12 = potential(game, (0, 1))
@@ -422,8 +435,8 @@ def oracle_analyze_game(game) -> EquilibriumReport:
     except ValueError:
         pass
     else:
-        regions = oracle_classify_region_2x2(game)
-        if {"H1", "H4"} <= regions and len(pure) == 2:
+        regions = oracle_regions_2x2(game)
+        if regions == {"H1", "H4"}:
             try:
                 mixed = oracle_mixed_ne_2x2(game)
             except ValueError:

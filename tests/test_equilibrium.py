@@ -32,6 +32,7 @@ from _oracles import (
     oracle_enumerate_pure_ne,
     oracle_mixed_ne_2x2,
     oracle_pure_ne,
+    oracle_regions_2x2,
     oracle_require_symmetric_2x2,
 )
 from conftest import random_game, random_symmetric_2x2
@@ -160,16 +161,28 @@ class TestRegions:
         assert region_ne_profiles({"H3"}) == [(1, 1)]
         assert region_ne_profiles({"H4"}) == [(1, 0)]
         assert region_ne_profiles({"H1", "H4"}) == [(0, 1), (1, 0)]
+        with pytest.raises(ValueError,
+                           match=r"^unknown region label 'H5', the regions are H1, H2, H3, H4$"):
+            region_ne_profiles({"H1", "H5"})
 
-    def test_regions_agree_with_enumeration_off_boundary(self):
+    def test_regions_agree_with_enumeration(self):
         rng = np.random.default_rng(43)
-        checked = 0
-        while checked < 300:
+        for _ in range(300):
             game = random_symmetric_2x2(rng)
-            if boundary_margin_2x2(game) <= 1e-9:
-                continue
-            checked += 1
             assert region_ne_profiles(classify_region_2x2(game)) == enumerate_pure_ne(game)
+
+    def test_regions_agree_with_the_closed_form_off_boundary(self):
+        # The paper's gain-ratio inequalities decide the same regions as the
+        # payoff comparisons wherever no tie is near.
+        rng = np.random.default_rng(41)
+        checked = 0
+        for snr in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(150):
+                game = random_symmetric_2x2(rng, snr)
+                if boundary_margin_2x2(game) > 1e-9:
+                    checked += 1
+                    assert classify_region_2x2(game) == oracle_classify_region_2x2(game)
+        assert checked > 550
 
     def test_regions_agree_with_best_response_oracle(self):
         rng = np.random.default_rng(47)
@@ -407,8 +420,13 @@ class TestBatchedAnalysisAgainstOracle:
             assert oracles[name].regions == {"H1", "H4"}
             assert oracles[name].mixed_ne is None
         assert len(oracles["all-ones ties"].pure_ne) == 4
+        assert oracles["all-ones ties"].regions == {"H1", "H2", "H3", "H4"}
         assert len(oracles["three equilibria"].pure_ne) == 3
         assert oracles["three equilibria"].mixed_ne is None
+        with pytest.raises(ValueError, match=r"^a strictly mixed equilibrium needs the two "
+                           r"orthogonal profiles to be the only pure equilibria \(regions "
+                           r"found: \['H1', 'H3', 'H4'\]\)$"):
+            mixed_ne_2x2(special["three equilibria"])
         for name in ("unequal bandwidths", "unequal noise", "unequal budgets", "zero gain",
                      "zero gains"):
             assert oracles[name].regions is None
@@ -425,7 +443,7 @@ class TestBatchedAnalysisAgainstOracle:
         for game in games:
             assert enumerate_pure_ne(game) == oracle_enumerate_pure_ne(game)
             for fn, oracle in ((require_symmetric_2x2, oracle_require_symmetric_2x2),
-                               (classify_region_2x2, oracle_classify_region_2x2)):
+                               (classify_region_2x2, oracle_regions_2x2)):
                 assert _outcome(fn, game) == _outcome(oracle, game)
             mixed, oracle = _outcome(mixed_ne_2x2, game), _outcome(oracle_mixed_ne_2x2, game)
             if isinstance(oracle, str):
@@ -433,8 +451,7 @@ class TestBatchedAnalysisAgainstOracle:
             else:
                 assert _same_array(mixed, oracle)
         symmetric = [g for g in games if isinstance(_outcome(require_symmetric_2x2, g), float)]
-        assert classify_region_2x2(symmetric) == [oracle_classify_region_2x2(g)
-                                                  for g in symmetric]
+        assert classify_region_2x2(symmetric) == [oracle_regions_2x2(g) for g in symmetric]
 
     def test_a_batch_outside_the_2x2_setting_names_its_first_defect(self):
         special = _special_2x2_games()
@@ -481,7 +498,24 @@ def test_property_every_symmetric_game_falls_in_some_region(game):
 
 @settings(deadline=None, max_examples=200)
 @given(symmetric_games())
-def test_property_region_profiles_are_equilibria_off_boundary(game):
-    if boundary_margin_2x2(game) <= 1e-9:
-        return
+def test_property_region_profiles_are_equilibria(game):
     assert region_ne_profiles(classify_region_2x2(game)) == enumerate_pure_ne(game)
+
+
+@settings(deadline=None, max_examples=300)
+@given(positive, positive, positive, st.sampled_from(["low_own", "high_own"]))
+def test_property_one_decision_on_region_boundaries(g12, g21, g22, boundary):
+    # g11 put on a region boundary in floats, at SNR 10: the labels, the
+    # report and the mixed point all follow the enumerated equilibria.
+    snr = 10.0
+    g11 = g12 / (1.0 + snr * g22) if boundary == "low_own" else g12 * (1.0 + snr * g21)
+    game = GameSpec.symmetric([[g11, g12], [g21, g22]], p_max=snr, noise_var=1.0)
+    labels = classify_region_2x2(game)
+    assert region_ne_profiles(labels) == enumerate_pure_ne(game)
+    report = analyze_game(game)
+    assert report.regions == labels
+    mixed = _outcome(mixed_ne_2x2, game)
+    if report.mixed_ne is None:
+        assert isinstance(mixed, str)
+    else:
+        assert _same_array(mixed, report.mixed_ne)

@@ -38,8 +38,8 @@ from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
 from csgame.output import _strings, dumps_json, write_json
 from _oracles import (
-    oracle_classify_region_2x2,
     oracle_plot_csv,
+    oracle_regions_2x2,
     oracle_trajectory_csv,
     oracle_trajectory_json,
 )
@@ -481,6 +481,13 @@ class TestPlotData:
         summary, _ = run_experiment(config)
         with pytest.raises(ValueError, match="per-trial records"):
             emit_plot_data(summary, "regions", tmp_path / "x.csv")
+        # A 3x3 sweep's records have no 2x2 gains to scatter.
+        config = parse_config({"generator": {"trials": 2, "players": 3, "channels": 3},
+                               "dynamics": {"steps": 5}, "seed": 0})
+        records = run_experiment(config)[1].records()
+        with pytest.raises(ValueError, match=r"^region scatter needs 2x2 records"):
+            emit_plot_data(records, "regions", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_trajectory_series(self, tmp_path):
         path = emit_plot_data(_empty_trajectory(), "beliefs", tmp_path / "b.csv")
@@ -531,7 +538,7 @@ class TestCli:
             game = generate_game(trial_rng(config.seed, trial), gen.players, gen.channels,
                                  gen.snr_db, gen.fading)
             records.append({"trial": trial, "game": {"gains": game.gains.tolist()},
-                            "regions": sorted(oracle_classify_region_2x2(game))})
+                            "regions": sorted(oracle_regions_2x2(game))})
         assert (out / "regions.csv").read_bytes() == oracle_plot_csv(records, "regions").encode()
 
     def test_simulate_csv(self, inline_config, tmp_path, capsys):
