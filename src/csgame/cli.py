@@ -33,7 +33,6 @@ from .output import (
     _region_scatter,
     dumps_json,
     write_json,
-    write_summary_json,
     write_trajectory_csv,
     write_trajectory_json,
     write_trial_records,
@@ -42,33 +41,30 @@ from .output import (
 __all__ = ["main", "build_parser"]
 
 
-def _emit(payload: dict) -> None:
+def _report(config: ExperimentConfig, name: str, payload: dict) -> int:
+    """Write ``payload`` to ``name`` in the output directory, print it and
+    return the success exit code."""
+    write_json(payload, Path(config.outputs.directory) / name)
     print(dumps_json(payload))
-
-
-def cmd_equilibria(config: ExperimentConfig) -> int:
-    report = analyze_game(trial_game(config, 0))
-    payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
-    write_json(payload, Path(config.outputs.directory) / "equilibria.json")
-    _emit(payload)
     return 0
 
 
+def cmd_equilibria(config: ExperimentConfig) -> int:
+    report = analyze_game(trial_game(config, 0)).to_dict()
+    return _report(config, "equilibria.json", {"schema_version": SCHEMA_VERSION, **report})
+
+
 def cmd_regions(config: ExperimentConfig) -> int:
-    out_dir = Path(config.outputs.directory)
     if config.game is not None:
         try:
             labels = classify_region_2x2(config.game)
         except ValueError as exc:
             raise ConfigError(f"game: {exc}") from None
-        payload = {
+        return _report(config, "regions.json", {
             "schema_version": SCHEMA_VERSION,
             "regions": sorted(labels),
             "gains": config.game.gains.tolist(),
-        }
-        write_json(payload, out_dir / "regions.json")
-        _emit(payload)
-        return 0
+        })
     gen = config.generator
     if (gen.players, gen.channels) != (2, 2):
         raise ConfigError(
@@ -77,17 +73,14 @@ def cmd_regions(config: ExperimentConfig) -> int:
         )
     games = _trial_games(config)
     keys = ["+".join(sorted(labels)) for labels in classify_region_2x2(games)]
-    scatter_path = _region_scatter(out_dir / "regions.csv", range(len(games)),
-                                   games.stacks["gains"] if games else [], keys)
-    payload = {
+    scatter_path = _region_scatter(Path(config.outputs.directory) / "regions.csv",
+                                   range(len(games)), games.stacks["gains"] if games else [], keys)
+    return _report(config, "regions.json", {
         "schema_version": SCHEMA_VERSION,
         "trials": gen.trials,
         "region_histogram": dict(sorted(Counter(keys).items())),
         "scatter": str(scatter_path),
-    }
-    write_json(payload, out_dir / "regions.json")
-    _emit(payload)
-    return 0
+    })
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -99,7 +92,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     else:
         traj_path = write_trajectory_json(traj, out_dir / "trajectory.json")
     cycle = detect_cycle(traj, window=min(CYCLE_WINDOW, traj.T))
-    payload = {
+    return _report(config, "run_summary.json", {
         "schema_version": SCHEMA_VERSION,
         "variant": traj.variant,
         "steps": traj.T,
@@ -112,19 +105,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             "time_avg_utility": cycle.time_avg_utility.tolist(),
         },
         "trajectory": str(traj_path),
-    }
-    write_json(payload, out_dir / "run_summary.json")
-    _emit(payload)
-    return 0
+    })
 
 
 def cmd_montecarlo(config: ExperimentConfig) -> int:
     summary, records = run_experiment(config)
-    out_dir = Path(config.outputs.directory)
-    write_trial_records(records, out_dir / "trials")
-    write_summary_json(summary, out_dir / "summary.json")
-    _emit(summary.to_dict())
-    return 0
+    write_trial_records(records, Path(config.outputs.directory) / "trials")
+    return _report(config, "summary.json", summary.to_dict())
 
 
 _COMMANDS = {
@@ -172,10 +159,6 @@ def main(argv=None) -> int:
             out=args.out,
             fmt=args.format,
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -274,7 +274,7 @@ def load_config(path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_bytes())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if data is None:

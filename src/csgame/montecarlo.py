@@ -8,10 +8,11 @@ memory budget, and one record builder turns each chunk into its records'
 columns. It runs a chunk as one lockstep batch of the configured rule
 (:func:`~csgame.dynamics.run_fp` or
 :func:`~csgame.dynamics.run_aggregation_fp`, which share one event-driven
-engine and one run-length result); a single trial is a chunk of one, so its
-record is bit-for-bit the one a sweep writes. A chunk's games are stacked
-once, as one batch: its tables, its 2x2 check and its records' game columns
-read the batch's stacks. The classic engine, the analysis and the records
+engine and one run-length result), started by :func:`_run` as
+:func:`simulate_trajectory` starts one game; a single trial is a chunk of
+one, so its record is bit-for-bit the one a sweep writes. A chunk's games
+are stacked once, as one batch: its tables, its 2x2 check and its records'
+game columns read the batch's stacks. The classic engine, the analysis and the records
 of a chunk read one stack of utility tables, the batch's own (which also
 gives each game its initial scores under the aggregation rule, whose engine
 needs none), and the whole chunk is analyzed in one pass over them,
@@ -42,7 +43,6 @@ from .dynamics import (
     _expectations,
     _layout,
     _smallest_period,
-    q_from_beliefs,
     run_aggregation_fp,
     run_fp,
 )
@@ -278,21 +278,36 @@ class SweepRecords:
         return [record for chunk in self.chunks for record in chunk.records()]
 
 
-def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
-    """One dynamics run as configured, as a full per-step trajectory."""
-    beliefs = dynamics.initial_beliefs_for(game)
+def _run(game: GameSpec | list[GameSpec], dynamics: DynamicsSpec, **options):
+    """The configured run of one game (a :class:`Trajectory`) or of a
+    same-shape batch in lockstep, with ``options`` passed to the engine.
+    The initial beliefs are built once: they depend on (K, S) only. Under
+    the aggregation rule every game starts from
+    :func:`~csgame.dynamics.q_from_beliefs` of them, computed from the
+    batch's one stack of tables over a C-ordered stack of the marginals
+    (einsum picks its kernel by layout)."""
+    games, _ = _game_batch(game)
+    beliefs = dynamics.initial_beliefs_for(games[0])
+    run = {"T": dynamics.steps, "tie_break": dynamics.tie_break, **options}
     if dynamics.variant == "classic":
-        return run_fp(game, beliefs, T=dynamics.steps, tie_break=dynamics.tie_break)
-    return run_aggregation_fp(
-        game, q_from_beliefs(game, beliefs), T=dynamics.steps, tie_break=dynamics.tie_break
-    )
+        return run_fp(game, beliefs, **run)
+    marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
+    q0 = _expectations(_layout(games.tables), marginals)[0]
+    return run_aggregation_fp(game, [QState(step=beliefs.step, q=q) for q in q0], **run)
+
+
+def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
+    """One dynamics run as configured, as a full per-step trajectory; it
+    starts as a sweep's trial does (see :func:`_run`)."""
+    return _run(game, dynamics)
 
 
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> _Chunk:
     """The records of consecutive same-shape trials, as columns, simulated
     as one lockstep batch of the configured rule. The classic engine, the
     analysis and the records read the batch's one stack of utility tables,
-    which under the aggregation rule gives every game its initial scores.
+    which under the aggregation rule gives every game its initial scores
+    (the run starts in :func:`_run`, as :func:`simulate_trajectory` does).
     The whole chunk is analyzed in one pass, as columns (see
     :func:`~csgame.equilibrium._analysis_columns`).
     The nearest equilibrium points, the mixed-equilibrium payoffs and the
@@ -301,17 +316,8 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     off the tables."""
     T = dynamics.steps
     games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
-    beliefs = dynamics.initial_beliefs_for(games[0])  # one state: it depends on (K, S) only
-    run = {"T": T, "tie_break": dynamics.tie_break, "checkpoints": (T,)}
+    result = _run(games, dynamics, checkpoints=(T,))
     tables = games.tables
-    if dynamics.variant == "classic":
-        result = run_fp(games, beliefs, **run)
-    else:
-        # q_from_beliefs of every game, from the same tables, over a
-        # C-ordered stack of the marginals (einsum picks its kernel by layout).
-        marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
-        q0 = _expectations(_layout(tables), marginals)[0]
-        result = run_aggregation_fp(games, [QState(step=beliefs.step, q=q) for q in q0], **run)
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)

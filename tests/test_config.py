@@ -248,6 +248,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(path)
 
+    def test_undecodable_bytes_are_a_config_error(self, tmp_path, capsys):
+        # YAML reads the file's bytes as UTF-8 (or UTF-16 with a BOM) whatever
+        # the locale: a byte that no encoding accepts is invalid YAML.
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"game: {bandwidths: [1, 1], noise: [1, 1], max_power: [1, 1], "
+                         b"gains: [[1, 1], [1, 1]]}\n# caf\xe9 \xff\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(path)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file is not valid YAML: ")
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")

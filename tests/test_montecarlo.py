@@ -35,8 +35,8 @@ from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_tabl
 from csgame import game as game_module
 from csgame.cli import main
 from csgame.config import DynamicsSpec
-from csgame.dynamics import run_fp
-from csgame.montecarlo import _trial_games
+from csgame.dynamics import empirical_frequencies, run_fp
+from csgame.montecarlo import _trial_games, simulate_trajectory
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
 
@@ -114,6 +114,26 @@ class TestRunExperiment:
         records_a = run_experiment(parse_config(dict(base, seed=1)))[1].records()
         records_b = run_experiment(parse_config(dict(base, seed=2)))[1].records()
         assert [r["game"] for r in records_a] != [r["game"] for r in records_b]
+
+    @pytest.mark.parametrize("tie_break", ["lowest", "highest"])
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    @pytest.mark.parametrize("players,channels", [(2, 2), (3, 3), (4, 2), (3, 4)])
+    def test_simulate_starts_as_a_sweep_trial_does(self, players, channels, variant, tie_break):
+        # simulate and a sweep's chunk start from one place: trial i run on
+        # its own gives the frequencies and mean payoffs of record i, bit
+        # for bit, under the aggregation rule's batched initial scores too.
+        steps = 200
+        config = parse_config({
+            "generator": {"players": players, "channels": channels, "snr_db": 10.0,
+                          "trials": 12},
+            "dynamics": {"variant": variant, "steps": steps, "tie_break": tie_break},
+            "seed": 8,
+        })
+        records = run_experiment(config)[1].records()
+        for i, record in enumerate(records):
+            traj = simulate_trajectory(trial_game(config, i), config.dynamics)
+            assert empirical_frequencies(traj).tolist() == record["dynamics"]["final_frequencies"]
+            assert (traj.utility_sums / steps).tolist() == record["dynamics"]["time_avg_utility"]
 
     def test_fast_batch_path_matches_reference_path(self):
         # A sweep's batched records equal, bit for bit, single trials run

@@ -34,6 +34,7 @@ from csgame import (
     write_trial_records,
 )
 from csgame import cli, output
+from csgame.config import ConfigError
 from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
 from csgame.output import _strings, dumps_json, write_json
@@ -574,6 +575,10 @@ class TestCli:
         trials_a = sorted((out_a / "trials").iterdir())
         assert len(trials_a) == 6
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+        # The CLI's summary is the one write_summary_json writes.
+        summary = run_experiment(load_config(generator_config))[0]
+        written = write_summary_json(summary, tmp_path / "summary.json")
+        assert (out_a / "summary.json").read_bytes() == written.read_bytes()
         for path in trials_a:
             twin = out_b / "trials" / path.name
             assert path.read_bytes() == twin.read_bytes()
@@ -694,6 +699,30 @@ class TestCli:
         assert main(["equilibria", str(path)]) == 2
         assert "exceeds the enumeration guard" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_one_handler_covers_loading_and_the_command(self, inline_config, monkeypatch,
+                                                         capsys):
+        # Loading, the overrides and the command share one handler: a
+        # runtime failure while loading exits 2 as one of the command's does.
+        def broken_load(path):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(cli, "load_config", broken_load)
+        assert main(["simulate", str(inline_config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: disk on fire"]
+        monkeypatch.undo()
+        # A config error from an override or from the command still exits 1.
+        assert main(["simulate", str(inline_config), "--steps", "0"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+        def bad_command(config):
+            raise ConfigError("dynamics.steps: too many")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", bad_command)
+        assert main(["simulate", str(inline_config)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config error: dynamics.steps: too many"]
 
     @pytest.mark.parametrize("section,expected", [
         ("game:\n  bandwidths: [1.0, 1.0]\n  noise: [1.0, 1.0]\n"
