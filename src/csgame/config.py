@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -275,8 +276,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_bytes())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # one line: a mark as "at line L, column C", no snippet
+        mark = r'\n  in "[^"\n]*", ((?:line|position) [^:\n]*)(?::\n.*\n *\^)?'
+        problem = re.sub(mark, r" at \1", str(exc)).replace("\n", "; ")
+        raise ConfigError(f"config file is not valid YAML: {problem}") from exc
     if data is None:
         raise ConfigError("config file is empty")
     return parse_config(data)

@@ -11,12 +11,12 @@ by potential differences.
 Every rule is written once, as array operations over a stack of same-shape
 games: the pure-equilibrium mask compares each player's payoffs with their
 maximum along its own channel axis of the stacked utility tables, an
-equilibrium's payoffs and potential are reads of the utility and potential
-tables (a unilateral payoff change is a potential difference, Monderer and
-Shapley 1996), and the 2x2 precondition, the region labels and the
-mixed-point ratios are evaluated on (G, 2, 2) stacks, into columns that a
-Monte-Carlo chunk reads. The utility tables are the batch's own, stacked
-once and read by every reader of the batch, the classic engine included.
+equilibrium's payoffs and potential are computed at its profile by the
+rules that give the tables their bits, and the 2x2 precondition, the region
+labels and the mixed-point ratios (potential differences, Monderer and
+Shapley 1996, off the potential tables of the 2x2 games) are evaluated on
+(G, 2, 2) stacks, into columns that a Monte-Carlo chunk reads. The utility
+tables are the batch's own, stacked once and read by every reader of it.
 :func:`analyze_game` takes one game or a same-shape sequence and slices a
 report per game from the columns; one game is a batch of one, and the
 single-game functions are that batch.
@@ -34,7 +34,10 @@ import numpy as np
 from .game import (
     GameSpec,
     _Batch,
+    _aggregates,
     _game_batch,
+    _payoffs,
+    _potentials,
     potential_table,
     utility_table,
 )
@@ -271,9 +274,9 @@ def analyze_game(
     report per game.
 
     The pure equilibria come from per-player maxima of the utility tables,
-    their payoffs and potentials are read off the utility and potential
-    tables, and games in the common-budget 2x2 setting get their regions
-    and, with exactly the two orthogonal equilibria, the strictly mixed one.
+    their payoffs and potentials are computed at their profiles, and games
+    in the common-budget 2x2 setting get their regions and, with exactly the
+    two orthogonal equilibria, the strictly mixed one.
     """
     games, single = _game_batch(game)
     if not games:
@@ -301,16 +304,16 @@ _AnalysisColumns = namedtuple("_AnalysisColumns", "ne_counts mixed mixed_ne regi
 
 
 def _analysis_columns(games: _Batch) -> _AnalysisColumns:
-    """A non-empty batch's analysis (see :func:`analyze_game`) over its utility
-    tables, as columns. Per game: its pure-equilibrium count, whether it has a
-    strictly mixed equilibrium, its (K, S) mixed point (zero where it has none)
-    and its region labels in H1..H4 order (None outside the 2x2 setting). Per
-    pure equilibrium, game after game: its game, profile, payoffs and potential."""
-    n_games, tables = len(games), games.tables
-    ne_mask = _pure_ne_mask(tables)
+    """A non-empty batch's analysis (see :func:`analyze_game`), as columns; only
+    the mask reads the utility tables. Per game: its pure-NE count, whether it
+    has a strictly mixed equilibrium, its (K, S) mixed point (zero where it has
+    none) and its region labels in H1..H4 order (None outside the 2x2 setting).
+    Per pure NE, game after game: its game, profile, payoffs and potential."""
+    n_games = len(games)
+    ne_mask = _pure_ne_mask(games.tables)
     ne = np.argwhere(ne_mask)  # (N, 1 + K): game, then profile
     game_of, profiles = ne[:, 0], ne[:, 1:]
-    potential_stack = potential_table(games)
+    noise, received, weights = games.rows(game_of)
     counts = np.bincount(game_of, minlength=n_games)
     regions: list = [None] * n_games
     mixed = np.zeros(n_games, dtype=bool)
@@ -322,10 +325,10 @@ def _analysis_columns(games: _Batch) -> _AnalysisColumns:
             regions[g] = row
         # The two orthogonal profiles are the only pure NE.
         two_sided = symmetric[[row == ("H1", "H4") for row in labels]]
-        points, degenerate, boundary = _mixed_points(potential_stack[two_sided])
+        points, degenerate, boundary = _mixed_points(potential_table(games)[two_sided])
         interior = ~(degenerate | boundary)
         mixed[two_sided[interior]] = True
         mixed_ne[mixed] = points[interior]
     return _AnalysisColumns(counts, mixed, mixed_ne, regions, game_of, profiles,
-                            tables[(game_of, slice(None)) + tuple(profiles.T)],
-                            potential_stack[tuple(ne.T)])
+                            _payoffs(noise, received, weights, profiles),
+                            _potentials(weights, _aggregates(noise, received, profiles)[0]))

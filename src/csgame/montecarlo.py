@@ -12,17 +12,17 @@ engine and one run-length result), started by :func:`_run` as
 :func:`simulate_trajectory` starts one game; a single trial is a chunk of
 one, so its record is bit-for-bit the one a sweep writes. A chunk's games
 are stacked once, as one batch: its tables, its 2x2 check and its records'
-game columns read the batch's stacks. The classic engine, the analysis and the records
-of a chunk read one stack of utility tables, the batch's own (which also
-gives each game its initial scores under the aggregation rule, whose engine
-needs none), and the whole chunk is analyzed in one pass over them,
-which hands it its equilibria as columns: no per-game report is built, and
-the nearest equilibrium point, the mixed-equilibrium payoff and the outcome
-of every record are array rules over those columns. A record reads only its
-game's trailing window of profiles, its counts and counted payoff sums, all
-off the decision log's entries, and the game's payoff table. The summary is read off the columns
-too, and a sweep returns its records as those columns
-(:class:`SweepRecords`): a record's dict is built only by
+game columns read the batch's stacks. A chunk's classic engine, equilibrium
+mask and mixed-equilibrium payoffs read one stack of utility tables, the
+batch's own (which also gives each game its initial scores under the
+aggregation rule), and the whole chunk is analyzed in one pass, which hands
+it its equilibria as columns: no per-game report is built, and the nearest
+equilibrium point, the mixed-equilibrium payoff and the outcome of every
+record are array rules over those columns. A record reads only its game's
+trailing window of profiles, its counts and counted payoff sums, all off the
+decision log's entries; a cycle's payoffs are computed at its profiles. The
+summary is read off the columns too, and a sweep returns its records as those
+columns (:class:`SweepRecords`): a record's dict is built only by
 :meth:`SweepRecords.records`, and the CLI writes each trial file by filling
 a template from the columns (see :mod:`csgame.output`).
 """
@@ -47,7 +47,7 @@ from .dynamics import (
     run_fp,
 )
 from .equilibrium import _analysis_columns
-from .game import GameSpec, _game_batch, _game_stack
+from .game import GameSpec, _game_batch, _game_stack, _payoffs
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,18 +73,18 @@ CYCLE_WINDOW = 64
 # equilibrium point.
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds. _batch_size charges each game
-# its K * S**K float64 utility-table entries (the batch's one stack, which
-# the classic engine, the analysis and the records all read) plus K * T
+# its K * S**K float64 utility-table entries (the batch's one stack, read by
+# the classic engine, the analysis's mask and the mixed payoffs) plus K * T
 # channel indices, a ceiling on the actions of a run that no sweep renders
 # (a record reads a CYCLE_WINDOW-step tail), and fits as many games as the
 # cap allows, at least one. What the tables bring with them is not counted
-# apart: the analysis's potential stack and mask and the classic engine's
-# copy of its running games' tables stay within a small multiple of the
-# stack. Left uncounted on purpose, because they grow with the play and the
-# sweep, not with the game's shape: the engine's registry of visited (game,
-# profile) pairs, its decision log (a few bytes per phase of a decision,
-# however many periods a jumped cycle covers), and the records' columns,
-# which a sweep keeps for every chunk until its trial files are written.
+# apart: the analysis's mask and the classic engine's copy of its running
+# games' tables stay within a small multiple of the stack. Left uncounted on
+# purpose, because they grow with the play and the sweep, not with the
+# game's shape: the engine's registry of visited (game, profile) pairs, its
+# decision log (a few bytes per phase of a decision, however many periods a
+# jumped cycle covers), and the records' columns, which a sweep keeps for
+# every chunk until its trial files are written.
 _BATCH_BYTE_BUDGET = 32 * 2**20
 
 OUTCOMES = ("pure", "mixed", "cycling", "undetermined")
@@ -305,19 +305,18 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> _Chunk:
     """The records of consecutive same-shape trials, as columns, simulated
     as one lockstep batch of the configured rule. The classic engine, the
-    analysis and the records read the batch's one stack of utility tables,
+    mask and the mixed payoffs read the batch's one stack of utility tables,
     which under the aggregation rule gives every game its initial scores
     (the run starts in :func:`_run`, as :func:`simulate_trajectory` does).
     The whole chunk is analyzed in one pass, as columns (see
     :func:`~csgame.equilibrium._analysis_columns`).
     The nearest equilibrium points, the mixed-equilibrium payoffs and the
     outcomes are array rules over those columns; the trailing windows are
-    checked for an exact period in one call, and the cycle payoffs are read
-    off the tables."""
+    checked for an exact period in one call, and the cycle payoffs are
+    computed at the cycle's profiles."""
     T = dynamics.steps
     games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
     result = _run(games, dynamics, checkpoints=(T,))
-    tables = games.tables
     freqs, mean_utilities, tails = (result.frequencies[T], result.utility_sums / T,
                                     result.tail(min(CYCLE_WINDOW, T)).astype(np.int64))
     periods = _smallest_period(tails)
@@ -326,7 +325,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     # The mean per-player expected payoff at each mixed point: each of the
     # two players on channel 0 against the other's mixed row.
     mixed_ne_mean_utility = np.zeros(len(games))
-    expected = _expectations(_layout(tables[ne.mixed]), ne.mixed_ne[ne.mixed])[0]
+    expected = _expectations(_layout(games.tables[ne.mixed]), ne.mixed_ne[ne.mixed])[0]
     mixed_ne_mean_utility[ne.mixed] = expected[:, :, 0].sum(axis=1) / 2
     # A settled run is "pure" when its profile is one of its game's pure
     # equilibria; an unsettled one is "at" its nearest point within
@@ -336,14 +335,15 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     outcomes = np.where(periods >= 2, "cycling", np.where(
         periods == 1, np.where(settled_on_ne, "pure", "undetermined"),
         np.where((tvs < CONVERGENCE_TV) & (near != "none"), near, "undetermined")))
-    # Each cycle's mean payoffs over one period, read off the tables at its
-    # first `period` trailing profiles; np.mean along the period axis adds
-    # them in the order a mean of one trial's (period, K) stack does.
+    # Each cycle's mean payoffs over one period: the payoffs at its first
+    # `period` trailing profiles; np.mean along the period axis adds them in
+    # the order a mean of one trial's (period, K) stack does.
     cycle_utility = np.zeros(mean_utilities.shape)
     for period in sorted(set(periods[periods > 0].tolist())):
         rows = np.flatnonzero(periods == period)
-        profiles = tuple(np.moveaxis(tails[rows, :period], -1, 0))
-        cycle_utility[rows] = np.mean(tables[(rows[:, None], slice(None)) + profiles], axis=1)
+        payoffs = _payoffs(*games.rows(np.repeat(rows, period)),
+                           tails[rows, :period].reshape(-1, tails.shape[2]))
+        cycle_utility[rows] = np.mean(payoffs.reshape(len(rows), period, -1), axis=1)
     return _Chunk(
         trials=first_trial + np.arange(len(games)),
         games={key: games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains")},

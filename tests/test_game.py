@@ -422,6 +422,33 @@ class TestTables:
                     assert u_table[(k, *profile)] == utility(game, profile, k)
                 assert p_table[profile] == potential(game, profile)
 
+    @pytest.mark.parametrize("n_players, n_channels",
+                             [(k, s) for s in (1, 2, 3) for k in range(1, 9)]
+                             + [(k, 4) for k in range(1, 7)])
+    def test_per_profile_rules_match_the_stacked_tables(self, n_players, n_channels):
+        # The analysis reports each pure equilibrium's payoffs and potential,
+        # and a sweep each cycle's payoffs, with the per-profile rules, not
+        # off the stacked tables: at every profile of every game of a stack
+        # they give the tables' bits. Parameters span several decades, and
+        # some gains are exactly 0.
+        rng = np.random.default_rng(100 * n_players + n_channels)
+        gains = rng.exponential(1.0, (3, n_players, n_channels))
+        gains[rng.random(gains.shape) < 0.3] = 0.0
+        batch = _Batch([GameSpec(bandwidths=10 ** rng.uniform(-1, 1, n_channels),
+                                 noise=10 ** rng.uniform(-3, 2, n_channels),
+                                 max_power=10 ** rng.uniform(-3, 6, n_players), gains=g)
+                        for g in gains])
+        profiles = np.indices((n_channels,) * n_players).reshape(n_players, -1).T
+        at = np.repeat(np.arange(len(batch)), len(profiles))
+        channels = np.tile(profiles, (len(batch), 1))
+        noise, received, weights = batch.rows(at)
+        payoffs = _payoffs(noise, received, weights, channels)
+        potentials = _potentials(weights, _aggregates(noise, received, channels)[0])
+        tables = np.moveaxis(_utility_tables(batch), 1, -1).reshape(len(at), n_players)
+        assert np.array_equal(payoffs.view(np.int64), tables.view(np.int64))
+        assert np.array_equal(potentials.view(np.int64),
+                              potential_table(batch).reshape(-1).view(np.int64))
+
     def test_enumeration_guard(self):
         game = GameSpec(
             bandwidths=[1.0, 1.0],

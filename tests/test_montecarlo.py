@@ -552,6 +552,38 @@ class TestChunkAnalysis:
         assert singles == []
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_potential_table_is_built_only_for_2x2_mixed_points(self, monkeypatch, variant):
+        # The analysis computes each pure equilibrium's potential from its
+        # profile; only the common-budget 2x2 branch builds potential tables,
+        # for the mixed points, once per chunk (7 games, then chunks of 3, 3
+        # and 1). No table is built for a 3x2 sweep or a 3x3 game.
+        built = []
+        table = equilibrium.potential_table
+
+        def counted(games):
+            built.append(len(games))
+            return table(games)
+
+        monkeypatch.setattr(equilibrium, "potential_table", counted)
+
+        def sweep(players):
+            return parse_config({
+                "generator": {"players": players, "channels": 2, "snr_db": 10.0, "trials": 7},
+                "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
+            })
+
+        run_experiment(sweep(3))
+        analyze_game(random_game(np.random.default_rng(5), 3, 3))
+        assert built == []
+        config = sweep(2)
+        whole = run_experiment(config)[1].records()
+        assert built == [7]
+        built.clear()
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * (8 * 2 * 2**2 + 2 * 40))
+        assert run_experiment(config)[1].records() == whole
+        assert built == [3, 3, 1]
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_sweep_builds_no_equilibrium_report(self, monkeypatch, variant):
         # A chunk reads its equilibria as the analysis columns; a report is
         # built only for a caller of analyze_game.
