@@ -81,15 +81,14 @@ TIE_BREAKS = ("lowest", "highest")
 # at period p once its last 2p steps, the new decision included, repeat with
 # period p; every period allowed costs a comparison per game and decision.
 MAX_PERIOD = 8
-# Steps a trajectory view renders at once, and detect_cycle reads at once
-# while it seeks a cycle's onset.
+# Steps detect_cycle reads at once while it seeks a cycle's onset.
 _BLOCK_STEPS = 2**14
 # Game-steps BatchFPResult.actions renders at once: its int64 keys and entry
 # numbers are about 17 bytes per game-step.
 _BLOCK_CELLS = 2**18
 # The longest run. The log's readers stay exact up to it: they key entries by
-# game·(T+1)+start in int64 (see BatchFPResult._in_effect) and carry step
-# counts as float weights, exact to 2⁵³.
+# game·(T+1)+start in int64 (see BatchFPResult._log) and carry step counts as
+# float weights, exact to 2⁵³.
 _MAX_T = math.isqrt(np.iinfo(np.int64).max)
 # Row p - 1 maps entry j < p of a window to entry j + p, which equals it when
 # the window is p-periodic; entries j >= p map to themselves.
@@ -206,16 +205,17 @@ class Trajectory:
 
     A trajectory built from arrays holds them. One that :func:`run_fp` or
     :func:`run_aggregation_fp` returns is a view of its batch-of-one engine
-    result: :meth:`steps` renders any stretch of steps from the decision log,
-    so a writer holds one chunk at a time whatever the horizon, and a field
-    is built whole only when that attribute is read. A step's profile comes
-    from the log, its payoffs from the engine's registry of its pair (see
-    :class:`BatchFPResult`), its potential and gamma from the aggregate of
-    its pair's profile, one batched call for all pairs, and its decision-time
+    result: :meth:`steps` renders exactly the steps asked from the decision
+    log, so a writer holds one chunk at a time whatever the horizon, and a
+    field is built whole only when that attribute is read. A step's profile
+    comes from the log, its payoffs from the engine's registry of its pair
+    (see :class:`BatchFPResult`), its potential and gamma from the aggregate
+    of its pair's profile, one batched call for all pairs, and its decision-time
     state is summed as the engine sums it (see :func:`_play`): from the
     rule's base, each pair's visits before the step times its values, in
-    order of first visit, turned into the state by the rule. Chunks read in
-    order carry the pairs' visits from one to the next.
+    order of first visit, turned into the state by the rule. A read that
+    starts where the last one ended carries the pairs' visits on from it;
+    any other counts them afresh off the log.
     """
 
     def __init__(self, variant: str, tie_break: str, profiles, utilities, potentials,
@@ -245,31 +245,29 @@ class Trajectory:
         return vars(self)[name]
 
     @classmethod
-    def _view(cls, result: BatchFPResult, variant: str, tie_break: str, games: _Batch,
-              initial_state: np.ndarray, rule) -> "Trajectory":
-        """The view of a batch-of-one ``result`` of ``rule`` on ``games``, with
-        each pair's payoffs, potential and (aggregation rule) gamma."""
+    def _view(cls, result: BatchFPResult, rule, tie_break: str,
+              initial_state: np.ndarray) -> "Trajectory":
+        """The view of a batch-of-one ``result`` of ``rule``, with each pair's
+        payoffs, potential and (aggregation rule) gamma."""
         traj = cls.__new__(cls)
-        traj.variant, traj.tie_break, traj._result = variant, tie_break, result
+        traj.variant, traj.tie_break, traj._result = rule.variant, tie_break, result
         traj.T, (_, traj.num_players, traj.n_channels) = result.T, result.final_marginals.shape
         traj.initial_step, traj.initial_state = result.final_step - result.T, initial_state
         traj.final_step, traj.final_state = result.final_step, result.final_marginals[0]
-        noise, received, weights = games.rows(result.pairs["game"])
+        noise, received, weights = rule.games.rows(result.pairs["game"])
         gammas = _aggregates(noise, received, result.pairs["profile"])[0]
         traj._per_pair = {"utilities": result.pairs["payoff"],
                           "potentials": _potentials(weights, gammas),
-                          "gammas": gammas if variant == "aggregation" else None}
+                          "gammas": gammas if rule.variant == "aggregation" else None}
         traj._rule = rule
         traj._carry = (0, np.zeros(result.pairs.size))  # a step, and each pair's visits before it
-        traj._block = (0, {"profiles": ()})  # the rendered block's first step and fields
         return traj
 
     def steps(self, a: int, b: int, *names: str) -> list:
         """The per-step fields ``names`` over steps a..b-1 (None for a field
         the run does not carry; a name outside :data:`_PER_STEP` is a
-        ValueError): slices of the fields held, the others of a block of at
-        least :data:`_BLOCK_STEPS` steps rendered from the engine's log and
-        kept until a read falls outside it."""
+        ValueError): slices of the fields held, the others rendered from the
+        engine's log for exactly these steps."""
         a, b = _integer(a, "step"), _integer(b, "step")
         if not 0 <= a <= b <= self.T:
             raise ValueError(f"steps {a}..{b} must satisfy 0 <= a <= b <= T = {self.T}")
@@ -278,15 +276,9 @@ class Trajectory:
                 raise ValueError(f"unknown trajectory field {name!r}, expected one of {_PER_STEP}")
         held = vars(self)
         missing = [name for name in names if name not in held]
-        if missing:
-            start, block = self._block
-            inside = start <= a and b <= start + len(block["profiles"])
-            if not inside or not set(missing) <= set(block):
-                self._block = block = (0, {"profiles": ()})  # dropped before the next is rendered
-                end = min(self.T, max(b, a + _BLOCK_STEPS))
-                start, block = self._block = a, self._render(a, end, missing)
-        return [(None if held[n] is None else held[n][a:b]) if n in held
-                else None if block[n] is None else block[n][a - start:b - start] for n in names]
+        rendered = self._render(a, b, missing) if missing else {}
+        return [rendered[n] if n in rendered else None if held[n] is None else held[n][a:b]
+                for n in names]
 
     def _render(self, a: int, b: int, names: list[str]) -> dict:
         entry = self._result._in_effect(a, b, np.zeros(1, dtype=np.int64))[0]
@@ -320,7 +312,7 @@ class Trajectory:
         state = self._rule.state(sums, 0)
         np.divide(state, weight, out=state, where=weight > 0)
         if a == 0 and self.initial_step == 0:
-            state[0] = self.initial_state
+            state[:1] = self.initial_state  # no row when b == 0
         return state
 
     def counts(self) -> np.ndarray:
@@ -439,10 +431,11 @@ def _counted_sum(sums: np.ndarray, rows: np.ndarray, visits: np.ndarray,
 # A decision log's entries by game, then in time, one per phase of every
 # decision, so a game's entries tile its steps: the game, the first step
 # (0-based) of the phase, its decision's period and laps, the entry's pair
-# number (see BatchFPResult) and its profile, (K,) channel indices in the
-# smallest signed integer type that holds them. The period keeps its logged
-# one-byte type, as BatchFPResult._in_effect looks it up per step.
-_Log = namedtuple("_Log", "game start period laps pair profile")
+# number (see BatchFPResult), its profile, (K,) channel indices in the
+# smallest signed integer type that holds them, and its search key
+# game·(T+1)+start, ascending. The period keeps its logged one-byte type, as
+# BatchFPResult._in_effect looks it up per step.
+_Log = namedtuple("_Log", "game start period laps pair profile key")
 
 
 @dataclass
@@ -490,9 +483,10 @@ class BatchFPResult:
         pair = log["pair"].astype(np.int64)
         order = np.argsort(self.pairs["game"][pair], kind="stable")  # entries stay in time order
         pair = pair[order]
+        game = self.pairs["game"][pair]
         start, laps = (log[name][order].astype(np.int64) for name in ("start", "laps"))
-        return _Log(self.pairs["game"][pair], start, log["period"][order], laps, pair,
-                    self.pairs["profile"][pair])
+        return _Log(game, start, log["period"][order], laps, pair, self.pairs["profile"][pair],
+                    game * (self.T + 1) + start)
 
     def _played(self, t: int) -> np.ndarray:
         """Steps each log entry's profile is played over the first t steps,
@@ -504,10 +498,10 @@ class BatchFPResult:
     def _in_effect(self, a: int, b: int, games: np.ndarray) -> np.ndarray:
         """The log entry each of ``games`` plays at steps a..b-1, shape
         (len(games), b - a)."""
-        log, T = self._log, self.T
+        log = self._log
         steps = np.arange(a, b)
-        at = games[:, None] * (T + 1) + steps
-        entry = np.searchsorted(log.game * (T + 1) + log.start, at, side="right")
+        at = games[:, None] * (self.T + 1) + steps
+        entry = np.searchsorted(log.key, at, side="right")
         entry -= 1
         # The latest phase to start by a step is the step's own in the first
         # lap of its decision, and in a later lap the decision's last phase,
@@ -612,11 +606,11 @@ def _laps(low, high, step, period, cap, choice):
     return np.minimum(n.min(axis=(1, 2)), cap)
 
 
-def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_break: str,
+def _play(rule, init: np.ndarray, init_step: int, T: int, tie_break: str,
           checkpoints: list[int]) -> BatchFPResult:
-    """The event-driven lockstep driver of both rules on ``games``, from the
-    (G, K, S) initial state ``init`` at weight ``init_step``. A game's weight
-    is ``init_step`` plus the steps it played.
+    """The event-driven lockstep driver of both rules on the rule's ``games``,
+    from the (G, K, S) initial state ``init`` at weight ``init_step``. A
+    game's weight is ``init_step`` plus the steps it played.
 
     At a decision point every player of every running game plays the
     tie-broken argmax of the rule's scores. When a game's last 2p steps,
@@ -643,10 +637,10 @@ def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_bre
     certified phase's state and its cycle's average values (the target),
     and the final state.
 
-    ``rule`` also holds ``ids`` (the running games), ``values(games,
-    profiles)`` (the vectors of the pairs numbered now, (N, K, S)),
-    ``scores(state)``, ``certify(at, state, choice, step, target, period,
-    cap)`` (per phase of :func:`_unroll` of running game ``at``, at weight
+    ``rule`` also holds ``games`` (the batch), ``ids`` (the running games),
+    ``values(games, profiles)`` (the vectors of the pairs numbered now, (N,
+    K, S)), ``scores(state)``, ``certify(at, state, choice, step, target,
+    period, cap)`` (per phase of :func:`_unroll` of running game ``at``, at weight
     ``step``, playing one-hot ``choice``: the periods it keeps, at most
     ``cap``) and ``retire(done)``.
     """
@@ -697,7 +691,7 @@ def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_bre
         if new.any():
             pairs.append(game=ids[new], start=weight[new] - init_step, profile=a[new],
                          values=rule.values(ids[new], a[new]),
-                         payoff=_payoffs(*games.rows(ids[new]), a[new]), visits=0.0)
+                         payoff=_payoffs(*rule.games.rows(ids[new]), a[new]), visits=0.0)
         window = np.concatenate([decided[:, None], history], axis=1)
         # Each game plays ``cycles`` periods of a cycle of ``period`` steps:
         # one period of one step, its new decision, unless its last steps
@@ -750,12 +744,13 @@ def _play(rule, games: _Batch, init: np.ndarray, init_step: int, T: int, tie_bre
     return result
 
 
-def _inputs(game, init, default, array, what: str, T: int, tie_break: str, checkpoints):
-    """Checked inputs of either engine: the games, whether ``game`` was one
-    game, the horizon as an ``int``, the sorted checkpoints, the initial
-    step and one initial state array per game (``array(state)``), stacked.
-    ``init`` is one initial state, one per game, or None for ``default(K,
-    S)``; ``what`` names the state in messages."""
+def _fictitious_play(rule_class, game, init, T: int, tie_break: str, checkpoints):
+    """The one engine entry of both rules: checks the inputs, builds the rule
+    (``rule_class`` on the games) and runs :func:`_play`. ``game`` is one game,
+    whose result is returned as its :class:`Trajectory` view, or a sequence of
+    same-shape games, whose :class:`BatchFPResult` is returned; ``init`` is one
+    initial state, one per game, all with one step, or None for
+    ``rule_class.default(K, S)``; each state's array is its ``rule_class.field``."""
     _chooser(tie_break, T)  # rejects a bad horizon or tie-break first
     T = int(T)
     checkpoints = sorted({_integer(t, "checkpoint") for t in checkpoints})
@@ -765,18 +760,21 @@ def _inputs(game, init, default, array, what: str, T: int, tie_break: str, check
     games, single = _game_batch(game)
     if not games:
         raise ValueError("need at least one game")
-    shape = (games[0].K, games[0].S)
-    init = default(*shape) if init is None else init
+    shape, what = (games[0].K, games[0].S), rule_class.what
+    init = rule_class.default(*shape) if init is None else init
     inits = [init] * len(games) if hasattr(init, "step") else list(init)
     if len(inits) != len(games):
         raise ValueError(f"got {len(inits)} initial {what} states for {len(games)} games")
-    states = [array(s) for s in inits]
+    states = [getattr(s, rule_class.field) for s in inits]
     for state in states:
         if state.shape != shape:
             raise ValueError(f"initial {what} state has shape {state.shape}, game needs {shape}")
     if len({s.step for s in inits}) != 1:
         raise ValueError(f"every initial {what} state in a batch must carry the same step")
-    return games, single, T, checkpoints, inits[0].step, np.stack(states)
+    init_step, states = inits[0].step, np.stack(states)
+    rule = rule_class(games, states, init_step)
+    result = _play(rule, states, init_step, T, tie_break, checkpoints)
+    return Trajectory._view(result, rule, tie_break, states[0].copy()) if single else result
 
 
 class _Classic:
@@ -798,15 +796,17 @@ class _Classic:
     exceeds a rounding slack far above the error of the float expectation,
     so there the per-step argmax is strict and no tie-break is consulted."""
 
-    def __init__(self, tables: np.ndarray, prior: np.ndarray) -> None:
-        self.prior = prior  # marginals times the initial step
-        self.ids = np.arange(len(tables))
-        self.base = np.zeros(prior.shape)
-        n_games, n_players, n_channels = prior.shape
-        flat = tables.reshape(n_games, -1)
+    variant, default, field, what = "classic", BeliefState.uniform, "marginals", "belief"
+
+    def __init__(self, games: _Batch, marginals: np.ndarray, init_step: int) -> None:
+        self.games, self.prior = games, marginals * init_step  # marginals times the initial step
+        self.ids = np.arange(len(games))
+        self.base = np.zeros(marginals.shape)
+        n_games, n_players, n_channels = marginals.shape
+        flat = games.tables.reshape(n_games, -1)
         self.slack = (16 * n_players * n_channels ** (n_players - 1) * np.finfo(float).eps
                       * np.maximum(flat.max(axis=1), -flat.min(axis=1)))
-        self._restack(tables)
+        self._restack(games.tables)
 
     def _restack(self, stack: np.ndarray) -> None:
         # A C-ordered copy of the running rows has the layout of a prefix
@@ -871,14 +871,7 @@ def run_fp(
     one shared :class:`BeliefState` or one per game; all must carry the
     same step.
     """
-    games, single, T, checkpoints, init_step, marginals = _inputs(
-        game, init_beliefs, BeliefState.uniform, lambda s: s.marginals, "belief", T, tie_break,
-        checkpoints)
-    rule = _Classic(games.tables, marginals * init_step)
-    result = _play(rule, games, marginals, init_step, T, tie_break, checkpoints)
-    if not single:
-        return result
-    return Trajectory._view(result, "classic", tie_break, games, marginals[0].copy(), rule)
+    return _fictitious_play(_Classic, game, init_beliefs, T, tie_break, checkpoints)
 
 
 def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
@@ -905,6 +898,8 @@ class _Aggregation:
     linearly toward the cycle's average values in lam = n p / (w + n p), so
     each margin is certified as in :func:`_laps`, with a rounding slack far
     above the error of the counted sums."""
+
+    variant, default, field, what = "aggregation", QState.zeros, "q", "q"
 
     def __init__(self, games: _Batch, q0: np.ndarray, init_step: int) -> None:
         self.games, self.base = games, q0 * init_step
@@ -971,13 +966,7 @@ def run_aggregation_fp(
     returns a :class:`BatchFPResult` and takes one shared :class:`QState`
     or one per game, all with the same step.
     """
-    games, single, T, checkpoints, init_step, q0 = _inputs(
-        game, init_q, QState.zeros, lambda s: s.q, "q", T, tie_break, checkpoints)
-    rule = _Aggregation(games, q0, init_step)
-    result = _play(rule, games, q0, init_step, T, tie_break, checkpoints)
-    if not single:
-        return result
-    return Trajectory._view(result, "aggregation", tie_break, games, q0[0].copy(), rule)
+    return _fictitious_play(_Aggregation, game, init_q, T, tie_break, checkpoints)
 
 
 def empirical_frequencies(traj: Trajectory) -> np.ndarray:

@@ -220,7 +220,16 @@ class _Batch(list):
     """Games checked to share one (K, S) shape; ``stacks`` holds their arrays (a game's
     ``vars``) by name on a leading game axis, read-only: :func:`_game_stack`'s own, or
     stacked on first read. ``tables`` holds their utility tables, stacked
-    (see :func:`_utility_tables`) on first read, read-only."""
+    (see :func:`_utility_tables`) on first read, read-only. A slice of a batch
+    is a batch whose stacks are views of its stacks."""
+
+    def __getitem__(self, at):
+        if not isinstance(at, slice):
+            return super().__getitem__(at)
+        batch = type(self)(super().__getitem__(at))
+        if self:
+            batch.stacks = {key: stack[at] for key, stack in self.stacks.items()}
+        return batch
 
     @cached_property
     def stacks(self) -> dict[str, np.ndarray]:
@@ -299,18 +308,18 @@ class _Aggregate(np.ndarray):
 
 
 def _aggregates(noise, received, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The :class:`_Aggregate` of N checked profiles, with their games'
-    noise and received powers: its values and residuals, each (N, S)."""
-    totals, pairs = noise.tolist(), zip(channels.tolist(), received.tolist())
-    residuals = [[0.0] * len(total) for total in totals]
-    for total, residual, (row, powers) in zip(totals, residuals, pairs):
-        for k, s in enumerate(row):
-            power = powers[k][s]
-            added = total[s] + power
-            part = added - total[s]
-            residual[s] += (total[s] - (added - part)) + (power - part)
-            total[s] = added
-    return np.array(totals), np.array(residuals)
+    """The :class:`_Aggregate` of N checked profiles, with their games' noise
+    and received powers: its values and residuals, each (N, S) (also for N =
+    0), adding each player in ascending order to all N profiles at once."""
+    totals, residuals = np.array(noise, dtype=float), np.zeros(noise.shape)
+    rows = np.arange(len(channels))
+    for k, s in enumerate(channels.T):
+        total, power = totals[rows, s], received[rows, k, s]
+        added = total + power
+        part = added - total
+        residuals[rows, s] += (total - (added - part)) + (power - part)
+        totals[rows, s] = added
+    return totals, residuals
 
 
 def aggregate_message(game: GameSpec, profile) -> np.ndarray:

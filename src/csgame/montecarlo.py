@@ -10,13 +10,13 @@ columns. It runs a chunk as one lockstep batch of the configured rule
 :func:`~csgame.dynamics.run_aggregation_fp`, which share one event-driven
 engine and one run-length result), started by :func:`_run` as
 :func:`simulate_trajectory` starts one game; a single trial is a chunk of
-one, so its record is bit-for-bit the one a sweep writes. A chunk's games
-are stacked once, as one batch: its tables, its 2x2 check and its records'
-game columns read the batch's stacks. A chunk's classic engine, equilibrium
-mask and mixed-equilibrium payoffs read one stack of utility tables, the
-batch's own (which also gives each game its initial scores under the
-aggregation rule), and the whole chunk is analyzed in one pass, which hands
-it its equilibria as columns: no per-game report is built, and the nearest
+one, so its record is bit-for-bit the one a sweep writes. A sweep's games
+are stacked once, as one batch, and a chunk is a slice of it: its tables,
+its 2x2 check and its records' game columns read views of those stacks. A
+chunk's classic engine, equilibrium mask and mixed-equilibrium payoffs read
+one stack of utility tables, the chunk batch's own (which also gives each
+game its initial scores under the aggregation rule), and the whole chunk is
+analyzed in one pass, which hands it its equilibria as columns: no per-game report is built, and the nearest
 equilibrium point, the mixed-equilibrium payoff and the outcome of every
 record are array rules over those columns. A record reads only its game's
 trailing window of profiles, its counts and counted payoff sums, all off the
@@ -448,7 +448,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[MonteCarloSummary, SweepRe
     :func:`csgame.output.write_trial_records` writes the trial files
     without them.
     """
-    games = _trial_games(config)
+    games, _ = _game_batch(_trial_games(config))  # chunks are slices: views of its stacks
     dynamics = config.dynamics
     # Generated games share one shape; an empty sweep makes no engine call.
     chunk = _batch_size(games[0], dynamics.steps) if games else 1

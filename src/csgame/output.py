@@ -240,8 +240,8 @@ def write_trajectory_json(traj: Trajectory, path) -> Path:
     # The fields the run carries, as a skeleton step of one row's shapes,
     # twice: the text between the two is what goes between rows.
     step = {"t": np.arange(1, 2)}
-    step.update((key, arr.copy()) for key, arr in zip(names, traj.steps(0, 1, *names.values()))
-                if arr is not None)  # copies: a view would keep the rendered block alive
+    step.update((key, arr) for key, arr in zip(names, traj.steps(0, 1, *names.values()))
+                if arr is not None)
     fields = [names[key] for key in step if key != "t"]
     payload["steps"] = [step, step]
     texts, order, _ = _template(payload)

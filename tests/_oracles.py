@@ -19,6 +19,9 @@ loop over one profile's players that the package's batched broadcast
 replaced, scores every profile it plays and reads every payoff from the
 package's scalar ``aggregated_utility``, ``utility`` and ``potential``, and
 re-adds its counted-sum scores from scratch at every step;
+:func:`oracle_aggregates` is that loop over a stack of profiles, every
+(profile, player) in turn, as the package ran it before it updated all
+profiles at once, player by player;
 :func:`oracle_cycle_onset` walks a cycle's onset back one step at a time,
 and :func:`oracle_smallest_period` tries one period of one window at a
 time.
@@ -231,6 +234,24 @@ def oracle_aggregate_message(game, profile) -> np.ndarray:
     gamma = np.array(total).view(_Broadcast)
     gamma.residual = np.array(residual)
     return gamma
+
+
+def oracle_aggregates(noise, received, channels) -> tuple[np.ndarray, np.ndarray]:
+    """The broadcast aggregates of N profiles, with their games' (N, S) noise
+    and (N, K, S) received powers: the plain-float TwoSum loop over every
+    (profile, player) that the package's vectorized ``_aggregates``
+    replaced. Its values and residuals are ``np.array`` of per-profile
+    lists, each (N, S), and (0,) for N = 0."""
+    totals, pairs = noise.tolist(), zip(channels.tolist(), received.tolist())
+    residuals = [[0.0] * len(total) for total in totals]
+    for total, residual, (row, powers) in zip(totals, residuals, pairs):
+        for k, s in enumerate(row):
+            power = powers[k][s]
+            added = total[s] + power
+            part = added - total[s]
+            residual[s] += (total[s] - (added - part)) + (power - part)
+            total[s] = added
+    return np.array(totals), np.array(residuals)
 
 
 def _oracle_scores(game, actions, gamma) -> np.ndarray:

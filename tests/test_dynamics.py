@@ -34,8 +34,10 @@ from csgame import (
     run_fp_batch_2x2,
     trial_game,
     utility,
+    emit_plot_data,
     utility_table,
     write_trajectory_csv,
+    write_trajectory_json,
 )
 from csgame import dynamics
 from csgame.dynamics import _MAX_T, MAX_PERIOD, _Columns, _smallest_period
@@ -755,15 +757,52 @@ class TestAggregationEngineAgainstOracle:
                                           oracle_counted_sum(traj.profiles, traj.utilities))
 
 
+def _spy_renders(monkeypatch) -> list:
+    """The (a, b) of every step span a trajectory view renders from now on."""
+    rendered, render = [], Trajectory._render
+    monkeypatch.setattr(Trajectory, "_render", lambda traj, a, b, names: (
+        rendered.append((a, b)) or render(traj, a, b, names)))
+    return rendered
+
+
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
-def test_a_view_renders_nothing_for_an_unknown_attribute(unique_ne_game, engine):
+def test_a_view_renders_nothing_for_an_unknown_attribute(monkeypatch, unique_ne_game, engine):
     traj = engine(unique_ne_game, T=50)
-    block = traj._block
+    rendered = _spy_renders(monkeypatch)
     with pytest.raises(AttributeError, match="no_such_field"):
         traj.no_such_field
     assert not hasattr(traj, "no_such_field")
-    assert traj._block is block
+    assert rendered == []
     assert not set(dynamics._PER_STEP) & set(vars(traj))
+
+
+@pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
+def test_a_view_renders_exactly_the_steps_each_reader_asks(monkeypatch, tmp_path,
+                                                           strong_interference_game, engine):
+    # The writers read a view a chunk at a time, and detect_cycle reads its
+    # tail, then seeks the onset of the paper's 2-cycle (periodic from step
+    # 1) back a block at a time. Each read renders the steps it asks for,
+    # no more: a view keeps no rendered block.
+    game = strong_interference_game
+    beliefs = BeliefState.from_xi([0.5, 0.5])
+    init = beliefs if engine is run_fp else q_from_beliefs(game, beliefs)
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 700)
+    readers = [lambda traj: write_trajectory_csv(traj, tmp_path / "run.csv"),
+               lambda traj: write_trajectory_json(traj, tmp_path / "run.json"),
+               lambda traj: emit_plot_data(traj, "beliefs", tmp_path / "beliefs.csv"),
+               lambda traj: emit_plot_data(traj, "utilities", tmp_path / "utilities.csv"),
+               lambda traj: detect_cycle(traj, 64)]
+    for read in readers:
+        traj = engine(game, init, T=2500)
+        asked, steps = [], Trajectory.steps
+        with monkeypatch.context() as patch:
+            patch.setattr(Trajectory, "steps", lambda traj, a, b, *names: (
+                asked.append((a, b)) or steps(traj, a, b, *names)))
+            rendered = _spy_renders(patch)
+            read(traj)
+        assert len(asked) >= 3
+        assert rendered == asked
+    assert asked[1:-2] == [(1736, 2438), (1036, 1738), (336, 1038), (0, 338)]  # onset blocks
 
 
 @pytest.mark.parametrize("engine", [run_fp, run_aggregation_fp])
@@ -961,14 +1000,13 @@ def test_a_view_of_any_log_reads_as_per_step_play(monkeypatch, block):
     # does, reading a few steps at a time.
     monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", block)
     rng = np.random.default_rng(43)
+    games = _Batch([GameSpec.symmetric(np.ones((2, 3)), p_max=1.0)])
     found = 0
     for T in [1, 2, 3, 9, 40, 120] * 8:
         entries, codes = _random_log(rng, T)
         batch = _hand_result(entries, [codes], T, 3, np.zeros((1, 2, 3, 3)))
-        traj = Trajectory._view(batch, "classic", "lowest",
-                                _Batch([GameSpec.symmetric(np.ones((2, 3)), p_max=1.0)]),
-                                np.full((2, 3), 1 / 3),
-                                dynamics._Classic(np.zeros((1, 2, 3, 3)), np.ones((1, 2, 3))))
+        traj = Trajectory._view(batch, dynamics._Classic(games, np.full((1, 2, 3), 1 / 3), 3),
+                                "lowest", np.full((2, 3), 1 / 3))
         profiles = np.array([divmod(c, 3) for c in codes])
         np.testing.assert_array_equal(traj.steps(0, T, "profiles")[0], profiles)
         np.testing.assert_array_equal(traj.counts(), [
@@ -1611,20 +1649,30 @@ class TestCertifiedCycles:
                              [cycle[:3] for cycle in _MULTI_PLAYER_CYCLES])
     def test_multi_player_cycle_beliefs_across_blocks(self, monkeypatch, n_players, n_channels,
                                                       draw):
-        # The view renders its beliefs 64 steps at a time. Read a block at a
-        # time, each block starts from the visits the last one carried; read
-        # 7 steps at a time, most blocks count them afresh. Both, and the
-        # whole field, are the per-step oracle's beliefs, bit for bit.
-        monkeypatch.setattr("csgame.dynamics._BLOCK_STEPS", 64)
+        # The view renders the beliefs of exactly the steps read. Read in
+        # order, 64 or 7 steps at a time, each read starts from the visits
+        # the last one carried; read in reverse order, each counts them
+        # afresh off the log. All of them, and the whole field, are the
+        # per-step oracle's beliefs, bit for bit.
         game, init = _all_ones_cycle(n_players, n_channels, draw)
         T = 600
+        recounts, played = [], BatchFPResult._played
+        monkeypatch.setattr(BatchFPResult, "_played", lambda result, t: (
+            recounts.append(t) or played(result, t)))
         for tie_break in TIE_BREAKS:
             ref = oracle_run_fp(game, init.marginals, T, tie_break, step=init.step)
             traj = run_fp(game, init, T=T, tie_break=tie_break)
             for stride in (64, 7):
-                beliefs = [traj.steps(a, min(a + stride, T), "beliefs")[0]
-                           for a in range(0, T, stride)]
+                starts = range(0, T, stride)
+                recounts.clear()
+                beliefs = [traj.steps(a, min(a + stride, T), "beliefs")[0] for a in starts]
                 np.testing.assert_array_equal(np.concatenate(beliefs), ref.beliefs)
+                assert recounts == ([] if stride == 64 else [0])  # at 0 after reads back to 0..64
+                recounts.clear()
+                beliefs = [traj.steps(a, min(a + stride, T), "beliefs")[0]
+                           for a in reversed(starts)]
+                np.testing.assert_array_equal(np.concatenate(beliefs[::-1]), ref.beliefs)
+                assert recounts == list(reversed(starts))
             np.testing.assert_array_equal(traj.beliefs, ref.beliefs)
 
     def test_cycle_trajectory_csv_matches_oracle(self, tmp_path):

@@ -27,6 +27,7 @@ from csgame.game import _aggregates, _Batch, _game_stack, _payoffs, _potentials,
 from _oracles import (
     _oracle_scores,
     oracle_aggregate_message,
+    oracle_aggregates,
     oracle_expected_utility,
     oracle_potential,
     oracle_utility,
@@ -644,3 +645,28 @@ def test_property_a_stack_of_pairs_is_each_pair_alone(case):
         assert np.array_equal(_bits(payoffs[n]),
                               _bits([utility(game, profile, k) for k in range(game.K)]))
         assert np.array_equal(_bits(values[n]), _bits(_oracle_scores(game, profile, gamma)))
+
+
+def test_the_broadcast_of_a_stack_is_the_scalar_loop():
+    # The broadcast updates every profile at once, one player at a time in
+    # ascending order, each with TwoSum per (profile, channel): bit for bit
+    # the loop over every (profile, player), in values and residuals, on
+    # stacks of 1-11 players, 1-4 channels, noise from 1e-30 to 1e2 and
+    # received powers from 1e-6 to 1e10. With no profile, each is (0, S),
+    # where the loop's array of no lists is (0,).
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        n_players, n_channels = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        n_profiles = int(rng.integers(1, 40))
+        noise = 10 ** rng.uniform(-30, 2, (n_profiles, n_channels))
+        received = 10 ** rng.uniform(-6, 10, (n_profiles, n_players, n_channels))
+        channels = rng.integers(0, n_channels, (n_profiles, n_players)).astype(
+            rng.choice([np.int8, np.int64]))
+        for got, want in zip(_aggregates(noise, received, channels),
+                             oracle_aggregates(noise, received, channels)):
+            assert got.shape == want.shape == (n_profiles, n_channels)
+            assert np.array_equal(_bits(got), _bits(want))
+    none = _aggregates(np.empty((0, 3)), np.empty((0, 2, 3)), np.empty((0, 2), dtype=np.int8))
+    assert [a.shape for a in none] == [(0, 3), (0, 3)]
+    assert [a.shape for a in oracle_aggregates(np.empty((0, 3)), np.empty((0, 2, 3)),
+                                               np.empty((0, 2), dtype=np.int8))] == [(0,), (0,)]

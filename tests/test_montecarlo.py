@@ -37,6 +37,7 @@ from csgame.cli import main
 from csgame.config import DynamicsSpec
 from csgame.dynamics import empirical_frequencies, run_fp
 from csgame.montecarlo import _trial_games, simulate_trajectory
+from csgame.output import write_trial_records
 from _oracles import oracle_analyze_game, oracle_mixed_mean_utility, oracle_nearest_equilibrium
 from conftest import random_game, random_symmetric_2x2
 
@@ -710,3 +711,35 @@ def test_a_chunk_checks_the_shape_of_its_games_once(monkeypatch, variant):
     [batch] = batches
     for key, column in chunk.games.items():
         assert column is batch.stacks[key]
+
+
+@pytest.mark.parametrize("variant", ["classic", "aggregation"])
+def test_a_sweep_stacks_its_games_once(monkeypatch, tmp_path, variant):
+    # A sweep's games are checked and stacked once, by _game_stack, before
+    # any is played; its chunks (3, 3 and 1 games) are slices of that batch,
+    # whose stacks are views of the sweep's, so no chunk stacks its games
+    # again. The trial files are those of chunks stacked apart, byte for byte.
+    builds = []
+
+    class Batch(game_module._Batch):
+        @functools.cached_property
+        def stacks(self):
+            builds.append(len(self))
+            return super().stacks
+
+    config = parse_config({
+        "generator": {"players": 3, "channels": 2, "snr_db": 10.0, "trials": 7},
+        "dynamics": {"variant": variant, "steps": 40}, "seed": 6,
+    })
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * 3 * (8 * 2**3 + 40))
+    monkeypatch.setattr(game_module, "_Batch", Batch)
+    records = run_experiment(config)[1]
+    assert [len(chunk.trials) for chunk in records.chunks] == [3, 3, 1]
+    assert builds == []
+    games = list(_trial_games(config))
+    apart = montecarlo.SweepRecords([montecarlo._records(a, games[a:a + 3], config.dynamics)
+                                     for a in range(0, 7, 3)])
+    assert builds == [3, 3, 1]
+    paths = write_trial_records(records, tmp_path / "sliced")
+    for path, other in zip(paths, write_trial_records(apart, tmp_path / "apart"), strict=True):
+        assert path.read_bytes() == other.read_bytes()
