@@ -45,7 +45,7 @@ import numpy as np
 import yaml
 
 from .dynamics import _MAX_T, BeliefState, TIE_BREAKS
-from .game import GameSpec
+from .game import GameSpec, _integer
 
 __all__ = [
     "ConfigError",
@@ -67,12 +67,16 @@ class ConfigError(ValueError):
     """A configuration file failed validation."""
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """The integer rule: an int (not a bool, float or string) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+def _require_int(name: str, value, minimum: int) -> int:
+    """The engine's integer rule (:func:`~csgame.game._integer`, numpy integers
+    included) with a least value; returns the value as an ``int``."""
+    try:
+        value = _integer(value, name)
+    except TypeError:
+        raise ConfigError(f"{name}: must be an integer, got {value!r}") from None
     if value < minimum:
         raise ConfigError(f"{name}: must be >= {minimum}")
+    return value
 
 
 def _require_choice(name: str, value, choices: tuple[str, ...]) -> None:
@@ -95,8 +99,8 @@ class GeneratorSpec:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        _require_int("generator.players", self.players, 1)
-        _require_int("generator.channels", self.channels, 1)
+        object.__setattr__(self, "players", _require_int("generator.players", self.players, 1))
+        object.__setattr__(self, "channels", _require_int("generator.channels", self.channels, 1))
         if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
             raise ConfigError(f"generator.snr_db: must be a number, got {self.snr_db!r}")
         try:
@@ -109,7 +113,7 @@ class GeneratorSpec:
                 "budget 10**(snr_db/10), which must be positive and finite"
             )
         _require_choice("generator.fading", self.fading, FADING_LAWS)
-        _require_int("generator.trials", self.trials, 0)
+        object.__setattr__(self, "trials", _require_int("generator.trials", self.trials, 0))
 
 
 def _initial_beliefs(spec):
@@ -143,7 +147,7 @@ class DynamicsSpec:
 
     def __post_init__(self) -> None:
         _require_choice("dynamics.variant", self.variant, VARIANTS)
-        _require_int("dynamics.steps", self.steps, 1)
+        object.__setattr__(self, "steps", _require_int("dynamics.steps", self.steps, 1))
         if self.steps > _MAX_T:  # the engines count steps exactly in int64
             raise ConfigError(f"dynamics.steps: must be <= {_MAX_T}")
         _require_choice("dynamics.tie_break", self.tie_break, TIE_BREAKS)
@@ -210,7 +214,7 @@ class ExperimentConfig:
             if self.generator is not None:
                 raise ConfigError("seed: mandatory in generator mode")
             object.__setattr__(self, "seed", 0)
-        _require_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
     @property
     def trials(self) -> int:

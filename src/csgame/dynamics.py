@@ -46,15 +46,16 @@ from .game import (
     _Batch,
     _check_channels,
     _check_player,
+    _expectations,
     _game_batch,
     _guard_opponent_profiles,
     _integer,
+    _layout,
     _payoffs,
     _potentials,
     _rate,
     _strip_own,
     potential_table,
-    utility_table,
 )
 from .equilibrium import require_symmetric_2x2
 
@@ -337,50 +338,6 @@ class Trajectory:
                             visits[order], self.utilities[first[order]])[0]
 
 
-def _layout(tables: np.ndarray) -> list[np.ndarray]:
-    """Per player of tables shaped (G, K) + (S,)*K, its payoffs with its own
-    channel axis first, as strided views: contiguous copies would switch
-    ``einsum`` to a kernel that sums in another order."""
-    return [np.moveaxis(tables[:, k], k + 1, 1) for k in range(tables.shape[1])]
-
-
-def _expectations(own_first: list[np.ndarray], f: np.ndarray,
-                  target: np.ndarray | None = None) -> np.ndarray:
-    """Expected payoffs of every own channel under the product of the
-    opponents' frequency vectors, with up to every opponent moved to a
-    ``target``. ``own_first`` is :func:`_layout` of G tables, ``f`` and
-    ``target`` (G, K, S) marginals.
-
-    Returns ``sums`` of shape (M, G, K, S): ``sums[m, :, k]`` adds player
-    k's expected payoffs over every way to put m of its opponents at their
-    target and the others at ``f``; M is K with a target, else 1, so
-    ``sums[0]`` is the plain expectation. The opponents are contracted one
-    ``einsum`` per opponent and term, last player first."""
-    n_players = len(own_first)
-    sums = np.empty((1 if target is None else n_players,) + f.shape)
-    for k, own in enumerate(own_first):
-        terms = [own]  # a lone player's payoffs ignore beliefs
-        for j in reversed(range(n_players)):
-            if j == k:
-                continue
-            spread = [np.einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
-            mass = [] if target is None else [
-                np.einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
-            terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), *mass[-1:]]
-        sums[:, :, k] = terms
-    return sums
-
-
-def _expected_payoffs(game: GameSpec, beliefs: BeliefState) -> np.ndarray:
-    """(K, S) expected utility of every player's every channel under
-    product-of-marginals ``beliefs``, which must match the game's shape."""
-    if beliefs.marginals.shape != (game.K, game.S):
-        raise ValueError(
-            f"beliefs have shape {beliefs.marginals.shape}, game needs {(game.K, game.S)}"
-        )
-    return _expectations(_layout(utility_table(game)[None]), beliefs.marginals[None])[0, 0]
-
-
 def fp_best_response(
     game: GameSpec, player: int, beliefs: BeliefState, tie_break: str = "lowest"
 ) -> int:
@@ -388,7 +345,7 @@ def fp_best_response(
     choose = _chooser(tie_break)
     player = _check_player(game, player)
     _guard_opponent_profiles(game)
-    return int(choose(_expected_payoffs(game, beliefs)[player]))
+    return int(choose(q_from_beliefs(game, beliefs).q[player]))
 
 
 class _Columns:
@@ -874,13 +831,26 @@ def run_fp(
     return _fictitious_play(_Classic, game, init_beliefs, T, tie_break, checkpoints)
 
 
-def q_from_beliefs(game: GameSpec, beliefs: BeliefState) -> QState:
+def q_from_beliefs(game: GameSpec | Sequence[GameSpec],
+                   beliefs: BeliefState) -> QState | list[QState]:
     """Channel scores matching classic-play expectations under ``beliefs``.
 
     Use this to start :func:`run_aggregation_fp` in lockstep with
-    :func:`run_fp` from the same initial state.
+    :func:`run_fp` from the same initial state. ``game`` is one game, or a
+    same-shape sequence given one state per game: the batch's one stack of
+    tables is contracted against a C-ordered stack of the marginals (einsum
+    picks its kernel by layout), so one game is a batch of one.
     """
-    return QState(step=beliefs.step, q=_expected_payoffs(game, beliefs))
+    games, single = _game_batch(game)
+    if not games:
+        return []
+    shape = (games[0].K, games[0].S)
+    if beliefs.marginals.shape != shape:
+        raise ValueError(f"beliefs have shape {beliefs.marginals.shape}, game needs {shape}")
+    marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
+    states = [QState(step=beliefs.step, q=q)
+              for q in _expectations(_layout(games.tables), marginals)[0]]
+    return states[0] if single else states
 
 
 class _Aggregation:

@@ -15,8 +15,8 @@ equilibrium's payoffs and potential are computed at its profile by the
 rules that give the tables their bits, and the 2x2 precondition, the region
 labels and the mixed-point ratios (potential differences, Monderer and
 Shapley 1996, off the potential tables of the 2x2 games) are evaluated on
-(G, 2, 2) stacks, into columns that a Monte-Carlo chunk reads. The utility
-tables are the batch's own, stacked once and read by every reader of it.
+(G, 2, 2) stacks, into columns, mixed payoffs included, that a Monte-Carlo
+chunk keeps. Only the mask and the mixed payoffs read the batch's one stack.
 :func:`analyze_game` takes one game or a same-shape sequence and slices a
 report per game from the columns; one game is a batch of one, and the
 single-game functions are that batch.
@@ -35,11 +35,12 @@ from .game import (
     GameSpec,
     _Batch,
     _aggregates,
+    _expectations,
     _game_batch,
+    _layout,
     _payoffs,
     _potentials,
     potential_table,
-    utility_table,
 )
 
 __all__ = [
@@ -91,7 +92,7 @@ def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
     Ties count: a profile stays in the set when the best deviation merely
     matches the current payoff. Profiles are returned in lexicographic order.
     """
-    mask = _pure_ne_mask(utility_table(game)[None])[0]
+    mask = _pure_ne_mask(_game_batch(game)[0].tables)[0]
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
@@ -300,15 +301,16 @@ def analyze_game(
 
 
 _AnalysisColumns = namedtuple("_AnalysisColumns", "ne_counts mixed mixed_ne regions "
-                              "game_of pure_ne ne_utilities ne_potentials")
+                              "game_of pure_ne ne_utilities ne_potentials mixed_ne_mean_utility")
 
 
 def _analysis_columns(games: _Batch) -> _AnalysisColumns:
     """A non-empty batch's analysis (see :func:`analyze_game`), as columns; only
-    the mask reads the utility tables. Per game: its pure-NE count, whether it
-    has a strictly mixed equilibrium, its (K, S) mixed point (zero where it has
-    none) and its region labels in H1..H4 order (None outside the 2x2 setting).
-    Per pure NE, game after game: its game, profile, payoffs and potential."""
+    the mask and the mixed payoffs read the utility tables. Per game: its pure-NE
+    count, whether it has a strictly mixed equilibrium, its (K, S) mixed point and
+    its region labels in H1..H4 order (None outside the 2x2 setting). Per pure NE,
+    game after game: its game, profile, payoffs and potential. Per game again: the
+    mean payoff at its mixed point (zero, as the point, where it has none)."""
     n_games = len(games)
     ne_mask = _pure_ne_mask(games.tables)
     ne = np.argwhere(ne_mask)  # (N, 1 + K): game, then profile
@@ -318,6 +320,7 @@ def _analysis_columns(games: _Batch) -> _AnalysisColumns:
     regions: list = [None] * n_games
     mixed = np.zeros(n_games, dtype=bool)
     mixed_ne = np.zeros((n_games, games[0].K, games[0].S))
+    mixed_ne_mean_utility = np.zeros(n_games)
     symmetric = np.flatnonzero(_symmetric_2x2(games) < 0)
     if len(symmetric):
         labels = _labels(ne_mask[symmetric])
@@ -329,6 +332,11 @@ def _analysis_columns(games: _Batch) -> _AnalysisColumns:
         interior = ~(degenerate | boundary)
         mixed[two_sided[interior]] = True
         mixed_ne[mixed] = points[interior]
+        # The mean per-player expected payoff at each mixed point: each of
+        # the two players on channel 0 against the other's mixed row.
+        expected = _expectations(_layout(games.tables[mixed]), mixed_ne[mixed])[0]
+        mixed_ne_mean_utility[mixed] = expected[:, :, 0].sum(axis=1) / 2
     return _AnalysisColumns(counts, mixed, mixed_ne, regions, game_of, profiles,
                             _payoffs(noise, received, weights, profiles),
-                            _potentials(weights, _aggregates(noise, received, profiles)[0]))
+                            _potentials(weights, _aggregates(noise, received, profiles)[0]),
+                            mixed_ne_mean_utility)

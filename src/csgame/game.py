@@ -490,6 +490,40 @@ def _utility_tables(games: Sequence[GameSpec]) -> np.ndarray:
     return tables
 
 
+def _layout(tables: np.ndarray) -> list[np.ndarray]:
+    """Per player of tables shaped (G, K) + (S,)*K, its payoffs with its own
+    channel axis first, as strided views: contiguous copies would switch
+    ``einsum`` to a kernel that sums in another order."""
+    return [np.moveaxis(tables[:, k], k + 1, 1) for k in range(tables.shape[1])]
+
+
+def _expectations(own_first: list[np.ndarray], f: np.ndarray,
+                  target: np.ndarray | None = None) -> np.ndarray:
+    """Expected payoffs of every own channel under the product of the
+    opponents' frequency vectors, with up to every opponent moved to a
+    ``target``. ``own_first`` is :func:`_layout` of G tables, ``f`` and
+    ``target`` (G, K, S) marginals.
+
+    Returns ``sums`` of shape (M, G, K, S): ``sums[m, :, k]`` adds player
+    k's expected payoffs over every way to put m of its opponents at their
+    target and the others at ``f``; M is K with a target, else 1, so
+    ``sums[0]`` is the plain expectation. The opponents are contracted one
+    ``einsum`` per opponent and term, last player first."""
+    n_players = len(own_first)
+    sums = np.empty((1 if target is None else n_players,) + f.shape)
+    for k, own in enumerate(own_first):
+        terms = [own]  # a lone player's payoffs ignore beliefs
+        for j in reversed(range(n_players)):
+            if j == k:
+                continue
+            spread = [np.einsum("z...s,zs->z...", t, f[:, j]) for t in terms]
+            mass = [] if target is None else [
+                np.einsum("z...s,zs->z...", t, target[:, j]) for t in terms]
+            terms = [spread[0], *(x + y for x, y in zip(spread[1:], mass)), *mass[-1:]]
+        sums[:, :, k] = terms
+    return sums
+
+
 def utility_table(game: GameSpec) -> np.ndarray:
     """Utilities of every player at every pure profile.
 

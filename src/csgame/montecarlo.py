@@ -13,12 +13,10 @@ engine and one run-length result), started by :func:`_run` as
 one, so its record is bit-for-bit the one a sweep writes. A sweep's games
 are stacked once, as one batch, and a chunk is a slice of it: its tables,
 its 2x2 check and its records' game columns read views of those stacks. A
-chunk's classic engine, equilibrium mask and mixed-equilibrium payoffs read
-one stack of utility tables, the chunk batch's own (which also gives each
-game its initial scores under the aggregation rule), and the whole chunk is
-analyzed in one pass, which hands it its equilibria as columns: no per-game report is built, and the nearest
-equilibrium point, the mixed-equilibrium payoff and the outcome of every
-record are array rules over those columns. A record reads only its game's
+chunk reads no payoff table: it composes the engine's result and the
+columns of one analysis pass (its equilibria and mixed-equilibrium payoffs),
+builds no per-game report, and its nearest equilibrium points and outcomes
+are array rules over those columns. A record reads only its game's
 trailing window of profiles, its counts and counted payoff sums, all off the
 decision log's entries; a cycle's payoffs are computed at its profiles. The
 summary is read off the columns too, and a sweep returns its records as those
@@ -37,16 +35,14 @@ import numpy as np
 
 from .config import FADING_LAWS, DynamicsSpec, ExperimentConfig, snr_db_to_power
 from .dynamics import (
-    QState,
     Trajectory,
     _action_dtype,
-    _expectations,
-    _layout,
     _smallest_period,
+    q_from_beliefs,
     run_aggregation_fp,
     run_fp,
 )
-from .equilibrium import _analysis_columns
+from .equilibrium import _AnalysisColumns, _analysis_columns
 from .game import GameSpec, _game_batch, _game_stack, _payoffs
 
 __all__ = [
@@ -74,11 +70,11 @@ CYCLE_WINDOW = 64
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds. _batch_size charges each game
 # its K * S**K float64 utility-table entries (the batch's one stack, read by
-# the classic engine, the analysis's mask and the mixed payoffs) plus K * T
-# channel indices, a ceiling on the actions of a run that no sweep renders
-# (a record reads a CYCLE_WINDOW-step tail), and fits as many games as the
-# cap allows, at least one. What the tables bring with them is not counted
-# apart: the analysis's mask and the classic engine's copy of its running
+# the classic engine, the aggregation start, the analysis's mask and its
+# mixed payoffs) plus K * T channel indices, a ceiling on the actions of a
+# run that no sweep renders (a record reads a CYCLE_WINDOW-step tail), and
+# fits as many games as the cap allows, at least one. What the tables bring
+# with them is not counted apart: the analysis's mask and the classic engine's copy of its running
 # games' tables stay within a small multiple of the stack. Left uncounted on
 # purpose, because they grow with the play and the sweep, not with the
 # game's shape: the engine's registry of visited (game, profile) pairs, its
@@ -168,28 +164,18 @@ def _nearest_equilibria(freqs: np.ndarray, game_of: np.ndarray, pure_ne: np.ndar
 
 class _Chunk(NamedTuple):
     """The records of a chunk of consecutive trials, as columns. Per trial:
-    its index, its game's stacks (``games``), its pure-equilibrium count,
-    whether it has a mixed point (``mixed``; ``mixed_ne`` and
-    ``mixed_ne_mean_utility`` are read only there), its sorted region
-    labels or None, its final frequencies and mean payoffs, its trailing
-    profiles (``tails``) and their exact period (0 for none) with the
-    mean payoffs over one period (read only where the period is not 0), its
-    outcome, and the distance to its nearest equilibrium point (infinite
-    for none). Per pure equilibrium, trial after trial: its trial's row
-    (``game_of``), its profile, payoffs and potential."""
+    its index, its game's stacks (``games``), its final frequencies and
+    mean payoffs, its trailing profiles (``tails``) and their exact period
+    (0 for none) with the mean payoffs over one period (read only where the
+    period is not 0), its outcome, and the distance to its nearest
+    equilibrium point (infinite for none). Its games' equilibria are its
+    ``analysis`` columns (see :func:`~csgame.equilibrium._analysis_columns`),
+    whose mixed point and payoff are read only where ``mixed`` holds."""
 
     trials: np.ndarray
     games: dict[str, np.ndarray]
     dynamics: DynamicsSpec
-    ne_counts: np.ndarray
-    game_of: np.ndarray
-    pure_ne: np.ndarray
-    ne_utilities: np.ndarray
-    ne_potentials: np.ndarray
-    mixed: np.ndarray
-    mixed_ne: np.ndarray
-    mixed_ne_mean_utility: np.ndarray
-    regions: list[tuple[str, ...] | None]
+    analysis: _AnalysisColumns
     final_frequencies: np.ndarray
     time_avg_utility: np.ndarray
     tails: np.ndarray
@@ -204,27 +190,27 @@ class _Chunk(NamedTuple):
         point or none): the rows of its trials, and the record's layout
         with an array of one row per trial at each leaf and the skeleton's
         constants as they are."""
-        n_labels = [-1 if labels is None else len(labels) for labels in self.regions]
-        keys = np.stack([self.ne_counts, self.mixed, n_labels, self.periods,
+        ne, dyn = self.analysis, self.dynamics
+        n_labels = [-1 if labels is None else len(labels) for labels in ne.regions]
+        keys = np.stack([ne.ne_counts, ne.mixed, n_labels, self.periods,
                          np.isfinite(self.nearest_ne_tv)], axis=1)
         shapes, skeleton_of = np.unique(keys, axis=0, return_inverse=True)
-        first_ne = np.cumsum(self.ne_counts) - self.ne_counts
-        dyn = self.dynamics
+        first_ne = np.cumsum(ne.ne_counts) - ne.ne_counts
         for i, (n_ne, mixed, n_regions, period, near) in enumerate(shapes.tolist()):
             rows = np.flatnonzero(skeleton_of.ravel() == i)
-            ne = first_ne[rows, None] + np.arange(n_ne)
+            at = first_ne[rows, None] + np.arange(n_ne)
             yield rows, {
                 "schema_version": SCHEMA_VERSION,
                 "trial": self.trials[rows],
                 "game": {key: stack[rows] for key, stack in self.games.items()},
                 "ne_count": n_ne,
-                "pure_ne": self.pure_ne[ne],
-                "ne_utilities": self.ne_utilities[ne],
-                "ne_potentials": self.ne_potentials[ne],
-                "mixed_ne": self.mixed_ne[rows] if mixed else None,
-                "mixed_ne_mean_utility": self.mixed_ne_mean_utility[rows] if mixed else None,
+                "pure_ne": ne.pure_ne[at],
+                "ne_utilities": ne.ne_utilities[at],
+                "ne_potentials": ne.ne_potentials[at],
+                "mixed_ne": ne.mixed_ne[rows] if mixed else None,
+                "mixed_ne_mean_utility": ne.mixed_ne_mean_utility[rows] if mixed else None,
                 "regions": None if n_regions < 0 else np.array(
-                    [self.regions[r] for r in rows.tolist()], dtype=str),
+                    [ne.regions[r] for r in rows.tolist()], dtype=str),
                 "dynamics": {
                     "variant": dyn.variant,
                     "steps": dyn.steps,
@@ -283,17 +269,14 @@ def _run(game: GameSpec | list[GameSpec], dynamics: DynamicsSpec, **options):
     same-shape batch in lockstep, with ``options`` passed to the engine.
     The initial beliefs are built once: they depend on (K, S) only. Under
     the aggregation rule every game starts from
-    :func:`~csgame.dynamics.q_from_beliefs` of them, computed from the
-    batch's one stack of tables over a C-ordered stack of the marginals
-    (einsum picks its kernel by layout)."""
+    :func:`~csgame.dynamics.q_from_beliefs` of them, one call for the
+    whole batch."""
     games, _ = _game_batch(game)
     beliefs = dynamics.initial_beliefs_for(games[0])
     run = {"T": dynamics.steps, "tie_break": dynamics.tie_break, **options}
     if dynamics.variant == "classic":
         return run_fp(game, beliefs, **run)
-    marginals = np.repeat(beliefs.marginals[None], len(games), axis=0)
-    q0 = _expectations(_layout(games.tables), marginals)[0]
-    return run_aggregation_fp(game, [QState(step=beliefs.step, q=q) for q in q0], **run)
+    return run_aggregation_fp(game, q_from_beliefs(games, beliefs), **run)
 
 
 def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
@@ -304,16 +287,13 @@ def simulate_trajectory(game: GameSpec, dynamics: DynamicsSpec) -> Trajectory:
 
 def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) -> _Chunk:
     """The records of consecutive same-shape trials, as columns, simulated
-    as one lockstep batch of the configured rule. The classic engine, the
-    mask and the mixed payoffs read the batch's one stack of utility tables,
-    which under the aggregation rule gives every game its initial scores
-    (the run starts in :func:`_run`, as :func:`simulate_trajectory` does).
-    The whole chunk is analyzed in one pass, as columns (see
-    :func:`~csgame.equilibrium._analysis_columns`).
-    The nearest equilibrium points, the mixed-equilibrium payoffs and the
-    outcomes are array rules over those columns; the trailing windows are
-    checked for an exact period in one call, and the cycle payoffs are
-    computed at the cycle's profiles."""
+    as one lockstep batch of the configured rule, started in :func:`_run`
+    as :func:`simulate_trajectory` starts one game, and analyzed in one
+    pass, as columns (see :func:`~csgame.equilibrium._analysis_columns`),
+    which the chunk keeps. The nearest equilibrium points and the outcomes
+    are array rules over those columns; the trailing windows are checked
+    for an exact period in one call, and the cycle payoffs are computed at
+    the cycle's profiles."""
     T = dynamics.steps
     games, _ = _game_batch(games)  # one shape check and one stack for the whole chunk
     result = _run(games, dynamics, checkpoints=(T,))
@@ -322,11 +302,6 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
     periods = _smallest_period(tails)
     ne = _analysis_columns(games)
     near, tvs = _nearest_equilibria(freqs, ne.game_of, ne.pure_ne, ne.mixed, ne.mixed_ne)
-    # The mean per-player expected payoff at each mixed point: each of the
-    # two players on channel 0 against the other's mixed row.
-    mixed_ne_mean_utility = np.zeros(len(games))
-    expected = _expectations(_layout(games.tables[ne.mixed]), ne.mixed_ne[ne.mixed])[0]
-    mixed_ne_mean_utility[ne.mixed] = expected[:, :, 0].sum(axis=1) / 2
     # A settled run is "pure" when its profile is one of its game's pure
     # equilibria; an unsettled one is "at" its nearest point within
     # CONVERGENCE_TV.
@@ -348,7 +323,7 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         trials=first_trial + np.arange(len(games)),
         games={key: games.stacks[key] for key in ("bandwidths", "noise", "max_power", "gains")},
         dynamics=dynamics,
-        mixed_ne_mean_utility=mixed_ne_mean_utility,
+        analysis=ne,
         final_frequencies=freqs,
         time_avg_utility=mean_utilities,
         tails=tails,
@@ -356,7 +331,6 @@ def _records(first_trial: int, games: list[GameSpec], dynamics: DynamicsSpec) ->
         cycle_utility=cycle_utility,
         outcomes=outcomes,
         nearest_ne_tv=tvs,
-        **ne._asdict(),
     )
 
 
@@ -398,16 +372,17 @@ def _summarize(records: SweepRecords) -> MonteCarloSummary:
     convergence: Counter = Counter()
     realized, best, worst, mixed_vals = [], [], [], []
     for chunk in records.chunks:
-        ne_hist.update(chunk.ne_counts.tolist())
-        region_hist.update("+".join(labels) for labels in chunk.regions if labels is not None)
+        ne = chunk.analysis
+        ne_hist.update(ne.ne_counts.tolist())
+        region_hist.update("+".join(labels) for labels in ne.regions if labels is not None)
         convergence.update(chunk.outcomes.tolist())
         realized.append(chunk.time_avg_utility.mean(axis=1))
-        per_ne = chunk.ne_utilities.mean(axis=1)
-        starts = (np.cumsum(chunk.ne_counts) - chunk.ne_counts)[chunk.ne_counts > 0]
+        per_ne = ne.ne_utilities.mean(axis=1)
+        starts = (np.cumsum(ne.ne_counts) - ne.ne_counts)[ne.ne_counts > 0]
         if len(starts):
             best.append(np.maximum.reduceat(per_ne, starts))
             worst.append(np.minimum.reduceat(per_ne, starts))
-        mixed_vals.append(chunk.mixed_ne_mean_utility[chunk.mixed])
+        mixed_vals.append(ne.mixed_ne_mean_utility[ne.mixed])
 
     def mean(parts: list[np.ndarray]) -> float | None:
         values = np.concatenate(parts) if parts else np.empty(0)

@@ -172,14 +172,15 @@ def _state_names(traj: Trajectory) -> tuple[str, str]:
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """Long-format per-step rows: t, player, channel, utility, potential,
-    then the player's decision-time state (belief_1..belief_S for the
-    classic variant, q_1..q_S for the aggregation variant; column i holds
-    channel i-1)."""
+    then, when the run carries it, the player's decision-time state
+    (belief_1..belief_S for the classic variant, q_1..q_S for the
+    aggregation variant; column i holds channel i-1)."""
     prefix, state = _state_names(traj)
     fields = ("profiles", "utilities", "potentials", state)
     n_players, n_channels = traj.num_players, traj.n_channels
     header = ["t", "player", "channel", "utility", "potential"]
-    header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
+    if traj.steps(0, 0, state)[0] is not None:
+        header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
 
     def columns(a, b):
         profiles, utilities, potentials, states = traj.steps(a, b, *fields)
@@ -196,7 +197,8 @@ def read_trajectory_csv(path) -> Trajectory:
 
     The CSV carries the full per-step record but not the run's bookkeeping
     (tie-break policy, post-run state), so those fields are filled with
-    defaults; use the JSON form when full fidelity matters.
+    defaults; use the JSON form when full fidelity matters. A CSV without
+    state columns reads back as a classic run that carries no state.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -204,7 +206,7 @@ def read_trajectory_csv(path) -> Trajectory:
         header = next(reader)
         rows = list(reader)
     state_cols = [c for c in header if c.startswith(("belief_", "q_"))]
-    variant = "classic" if state_cols and state_cols[0].startswith("belief_") else "aggregation"
+    variant = "aggregation" if state_cols and state_cols[0].startswith("q_") else "classic"
     n_channels = len(state_cols)
     table = np.array([list(map(float, r)) for r in rows]).reshape(len(rows), len(header))
     t, k = table[:, 0].astype(np.int64) - 1, table[:, 1].astype(np.int64)
@@ -218,6 +220,8 @@ def read_trajectory_csv(path) -> Trajectory:
     potentials[t] = table[:, 4]
     state[t, k] = table[:, 5:5 + n_channels]
     ends = state[[0, -1]] if T else np.empty((2, 0, n_channels))
+    if not state_cols:
+        state, ends = None, (None, None)
     return Trajectory(
         variant=variant, tie_break="lowest", profiles=profiles, utilities=utilities,
         potentials=potentials, beliefs=state if variant == "classic" else None,
@@ -233,8 +237,10 @@ def write_trajectory_json(traj: Trajectory, path) -> Path:
              prefix: state, "gamma": "gammas"}
     payload = {"schema_version": SCHEMA_VERSION, "variant": traj.variant,
                "tie_break": traj.tie_break, "initial_step": traj.initial_step,
-               "initial_state": traj.initial_state.tolist(), "final_step": traj.final_step,
-               "final_state": traj.final_state.tolist(), "steps": []}
+               "final_step": traj.final_step, "steps": []}
+    # A run without an initial or final state writes null for it.
+    payload.update((key, None if ends is None else ends.tolist()) for key, ends in
+                   [("initial_state", traj.initial_state), ("final_state", traj.final_state)])
     if not traj.T:
         return write_json(payload, path)
     # The fields the run carries, as a skeleton step of one row's shapes,
@@ -289,7 +295,8 @@ def emit_plot_data(obj, kind: str, path) -> Path:
 
     Supported kinds: ``"beliefs"`` and ``"utilities"`` for a
     :class:`Trajectory` (wide per-step series), ``"regions"`` for a list of
-    trial records (gain-ratio scatter with region labels).
+    trial records or a sweep's :class:`SweepRecords` (gain-ratio scatter
+    with region labels).
     """
     if kind in ("beliefs", "utilities") and not isinstance(obj, Trajectory):
         raise ValueError(f"kind {kind!r} needs a Trajectory")
@@ -309,6 +316,8 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")
+        if isinstance(obj, SweepRecords):
+            obj = obj.records()
         gains = [rec["game"]["gains"] for rec in obj]
         if any(np.shape(g) != (2, 2) for g in gains):
             raise ValueError("region scatter needs 2x2 records (2 players, 2 channels)")

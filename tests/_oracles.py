@@ -522,9 +522,9 @@ def oracle_trajectory_json(traj) -> str:
         "variant": traj.variant,
         "tie_break": traj.tie_break,
         "initial_step": traj.initial_step,
-        "initial_state": traj.initial_state.tolist(),
+        "initial_state": None if traj.initial_state is None else traj.initial_state.tolist(),
         "final_step": traj.final_step,
-        "final_state": traj.final_state.tolist(),
+        "final_state": None if traj.final_state is None else traj.final_state.tolist(),
         "steps": steps,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -541,9 +541,9 @@ def _csv_text(header, rows) -> str:
 def oracle_trajectory_csv(traj) -> str:
     """Long-format trajectory CSV written row by row with ``csv.writer``."""
     prefix, state = _state(traj)
-    n_channels = state.shape[2] if state is not None else int(traj.profiles.max()) + 1
     header = ["t", "player", "channel", "utility", "potential"]
-    header += [f"{prefix}_{s + 1}" for s in range(n_channels)]
+    if state is not None:  # state columns only for a run that carries a state
+        header += [f"{prefix}_{s + 1}" for s in range(state.shape[2])]
     rows = []
     for t in range(traj.T):
         for k in range(traj.num_players):

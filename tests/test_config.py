@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import numpy as np
@@ -19,6 +20,7 @@ from csgame import (
     OutputSpec,
     load_config,
     parse_config,
+    run_experiment,
 )
 from csgame.cli import main
 
@@ -296,10 +298,30 @@ class TestExperimentConfigDirect:
                 outputs=OutputSpec(),
             )
 
-    @pytest.mark.parametrize("seed", [True, 3.0])
+    @pytest.mark.parametrize("seed", [True, 3.0, np.True_, np.float64(3.0)])
     def test_direct_construction_checks_the_seed(self, seed):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match=r"^seed: must be an integer, got "):
             ExperimentConfig(game=GameSpec.from_dict(INLINE_GAME), seed=seed)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_are_integers_stored_as_int(self, kind):
+        # The config's integer rule is the engine's: an integral number,
+        # numpy's included. The value is stored as an int, so a trial record's
+        # dynamics.steps leaf encodes as JSON.
+        generator = GeneratorSpec(players=kind(3), channels=kind(2), trials=kind(3))
+        dynamics = DynamicsSpec(steps=kind(10))
+        config = ExperimentConfig(generator=generator, dynamics=dynamics, seed=kind(7))
+        values = [generator.players, generator.channels, generator.trials, dynamics.steps,
+                  config.seed]
+        assert values == [3, 2, 3, 10, 7] and {type(v) for v in values} == {int}
+        assert config.with_overrides(seed=kind(8), steps=kind(20)).seed == 8
+        _, records = run_experiment(config)
+        assert json.loads(json.dumps(records.records()[0]))["dynamics"]["steps"] == 10
+
+    def test_a_seed_beyond_64_bits_runs_a_sweep(self):
+        config = parse_config({"generator": {"trials": 2}, "dynamics": {"steps": 20},
+                               "seed": 2**70})
+        assert config.seed == 2**70 and len(run_experiment(config)[1]) == 2
 
     def test_trials_property(self):
         game = GameSpec.from_dict(INLINE_GAME)

@@ -40,6 +40,7 @@ from csgame import (
     write_trajectory_json,
 )
 from csgame import dynamics
+from csgame import game as game_module
 from csgame.dynamics import _MAX_T, MAX_PERIOD, _Columns, _smallest_period
 from csgame.game import _Batch
 from _oracles import (
@@ -362,6 +363,29 @@ class TestAggregationFP:
                 own[traj.profiles[t, k]] = game.received_power[k, traj.profiles[t, k]]
                 remainder = gamma - own
                 running[k] += game.weights * np.log2(1.0 + game.received_power[k] / remainder)
+
+    @pytest.mark.parametrize("n_players,n_channels", [(1, 1), (2, 2), (3, 3), (4, 2), (2, 4)])
+    def test_q_from_beliefs_on_a_sequence_gives_each_game_its_own_bits(self, n_players,
+                                                                       n_channels):
+        # One start for one game and for a same-shape sequence: each game of
+        # the sequence gets the bits it gets alone, under uniform, xi and
+        # explicit beliefs (one of them Fortran-ordered).
+        rng = np.random.default_rng(101 + 10 * n_players + n_channels)
+        games = [random_game(rng, n_players, n_channels) for _ in range(6)]
+        explicit = rng.dirichlet(np.ones(n_channels), size=n_players)
+        starts = [BeliefState.uniform(n_players, n_channels),
+                  BeliefState(step=3, marginals=explicit),
+                  BeliefState(step=2, marginals=np.asfortranarray(explicit))]
+        if n_channels == 2:
+            starts.append(BeliefState.from_xi(rng.uniform(0.1, 0.9, n_players)))
+        for beliefs in starts:
+            states = q_from_beliefs(games, beliefs)
+            assert len(states) == len(games)
+            for game, state in zip(games, states):
+                alone = q_from_beliefs(game, beliefs)
+                assert state.step == alone.step == beliefs.step
+                assert np.array_equal(state.q.view(np.int64), alone.q.view(np.int64))
+        assert q_from_beliefs([], starts[0]) == []
 
     def test_q_from_beliefs_matches_expected_utility(self):
         rng = np.random.default_rng(79)
@@ -1589,10 +1613,10 @@ class TestCertifiedCycles:
             games = [random_game(rng, n_players, n_channels) for _ in range(n_games)]
             tables = np.stack([utility_table(game) for game in games])
             f, target = rng.dirichlet(np.ones(n_channels), (2, n_games, n_players))
-            own_first = dynamics._layout(tables)
-            sums = dynamics._expectations(own_first, f, target)
+            own_first = game_module._layout(tables)
+            sums = game_module._expectations(own_first, f, target)
             assert sums.shape == (n_players, n_games, n_players, n_channels)
-            plain = dynamics._expectations(own_first, f)
+            plain = game_module._expectations(own_first, f)
             assert np.array_equal(plain.view(np.int64), sums[:1].view(np.int64))
             for g, k in product(range(n_games), range(n_players)):
                 opponents = [j for j in range(n_players) if j != k]

@@ -9,6 +9,7 @@ import functools
 import io
 import itertools
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,7 +32,7 @@ from csgame import (
     trial_rng,
 )
 from csgame import aggregate_message, aggregated_utility, trial_game, utility
-from csgame import analyze_game, dynamics, equilibrium, montecarlo, utility_table
+from csgame import analyze_game, dynamics, equilibrium, montecarlo
 from csgame import game as game_module
 from csgame.cli import main
 from csgame.config import DynamicsSpec
@@ -443,14 +444,19 @@ class TestChunkAnalysis:
         ]
 
     def test_mixed_payoffs_match_the_per_record_oracle(self):
+        # The mixed payoff is a column of the analysis, which a chunk keeps
+        # as it is: the batch's columns and the chunk's hold the oracle's bits.
         games = self._games()
         chunk = montecarlo._records(0, games, DynamicsSpec(steps=1))
         expected = [oracle_mixed_mean_utility(g, oracle_analyze_game(g)) for g in games]
         assert sum(m is not None for m in expected) > 20
-        assert chunk.mixed.tolist() == [m is not None for m in expected]
-        means = [m if mixed else None
-                 for m, mixed in zip(chunk.mixed_ne_mean_utility.tolist(), chunk.mixed)]
-        assert [_bits(m) for m in means] == [_bits(m) for m in expected]
+        for columns in (equilibrium._analysis_columns(game_module._game_batch(games)[0]),
+                        chunk.analysis):
+            assert columns.mixed.tolist() == [m is not None for m in expected]
+            means = [m if mixed else None
+                     for m, mixed in zip(columns.mixed_ne_mean_utility.tolist(), columns.mixed)]
+            assert [_bits(m) for m in means] == [_bits(m) for m in expected]
+            assert not columns.mixed_ne_mean_utility[~columns.mixed].any()
 
     @pytest.mark.parametrize("n_players,n_channels", [(2, 2), (3, 3), (1, 4)])
     def test_nearest_points_match_the_per_record_oracle(self, n_players, n_channels):
@@ -511,24 +517,20 @@ class TestChunkAnalysis:
     def test_a_sweep_builds_its_utility_tables_once_per_chunk(self, monkeypatch, variant):
         # The stacked table function, wrapped where the batch binds it: one
         # call per chunk (7 games, then chunks of 3, 3 and 1), with that
-        # chunk's games in order. The classic engine, the analysis and the
-        # records read the chunk batch's one stack, which also gives an
-        # aggregation chunk's games their initial scores. No table is built
-        # for a single game.
-        built, singles = [], []
+        # chunk's games in order. The classic engine, the aggregation start
+        # and the analysis read the chunk batch's one stack. No table is
+        # built for a single game: neither the engine nor the analysis binds
+        # the single-game table function.
+        built = []
         stacked = game_module._utility_tables
 
         def counted(games):
             built.append([g.gains.tolist() for g in games])
             return stacked(games)
 
-        def counted_single(game):
-            singles.append(game)
-            return utility_table(game)
-
         monkeypatch.setattr(game_module, "_utility_tables", counted)
-        for module in (dynamics, equilibrium):
-            monkeypatch.setattr(module, "utility_table", counted_single)
+        for module in (dynamics, equilibrium, montecarlo):
+            assert not hasattr(module, "utility_table")
         analyses = []
 
         def counted_analysis(games):
@@ -550,7 +552,28 @@ class TestChunkAnalysis:
         assert analyses == [3, 3, 1]
         assert built == [gains[0:3], gains[3:6], gains[6:7]]
         assert chunked == whole
-        assert singles == []
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_sweep_reads_no_table_in_montecarlo(self, monkeypatch, variant):
+        # A chunk composes the engine's result and the analysis' columns:
+        # every read of a batch's utility tables comes from the engine, the
+        # aggregation start or the analysis, none from montecarlo itself.
+        readers = []
+        tables = game_module._Batch.tables
+
+        def spied(batch):
+            readers.append(sys._getframe(1).f_globals["__name__"])
+            return tables.__get__(batch, type(batch))
+
+        monkeypatch.setattr(game_module._Batch, "tables", property(spied))
+        config = parse_config({
+            "generator": {"players": 2, "channels": 2, "snr_db": 10.0, "trials": 40},
+            "dynamics": {"variant": variant, "steps": 60}, "seed": 5,
+        })
+        summary, _ = run_experiment(config)
+        assert summary.payoffs["trials_with_mixed"] > 0
+        assert "csgame.equilibrium" in readers
+        assert "csgame.montecarlo" not in readers
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_potential_table_is_built_only_for_2x2_mixed_points(self, monkeypatch, variant):

@@ -33,7 +33,7 @@ from csgame import (
     write_trajectory_json,
     write_trial_records,
 )
-from csgame import cli, output
+from csgame import cli, montecarlo, output
 from csgame.config import ConfigError
 from csgame.cli import main
 from csgame.montecarlo import simulate_trajectory
@@ -302,6 +302,32 @@ class TestBulkRenderingAgainstStdlib:
         assert csv_path.read_bytes() == oracle_trajectory_csv(traj).encode()
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
+    def test_a_stateless_trajectory_round_trips(self, variant, tmp_path):
+        # A run built from arrays with no per-step state and no initial or
+        # final state: the CSV lists no state column and reads back with no
+        # state, and the JSON writes null for the absent states.
+        traj = Trajectory(variant=variant, tie_break="lowest",
+                          profiles=np.array([[0, 1], [1, 1], [1, 0]]),
+                          utilities=np.array([[0.5, 0.25], [0.125, 1.5], [2.0, 0.75]]),
+                          potentials=np.array([1.0, 0.5, 3.25]))
+        csv_path = output.write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert csv_path.read_bytes() == oracle_trajectory_csv(traj).encode()
+        assert csv_path.read_text().splitlines()[0] == "t,player,channel,utility,potential"
+        back = read_trajectory_csv(csv_path)
+        assert (back.T, back.num_players, back.n_channels) == (3, 2, 2)
+        for name in ("profiles", "utilities", "potentials"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name))
+        assert back.beliefs is None and back.q_values is None
+        assert back.initial_state is None and back.final_state is None
+        assert output.write_trajectory_csv(back, tmp_path / "u.csv").read_bytes() == (
+            csv_path.read_bytes())
+        json_path = output.write_trajectory_json(traj, tmp_path / "t.json")
+        assert json_path.read_bytes() == oracle_trajectory_json(traj).encode()
+        payload = json.loads(json_path.read_text())
+        assert payload["initial_state"] is None and payload["final_state"] is None
+        assert [step["profile"] for step in payload["steps"]] == traj.profiles.tolist()
+
+    @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_belief_plot_without_state_snapshots(self, variant, tmp_path):
         # A trajectory without the state names what is missing; the utility
         # series needs no state.
@@ -324,6 +350,18 @@ class TestBulkRenderingAgainstStdlib:
         records = run_experiment(config)[1].records()
         path = emit_plot_data(records, "regions", tmp_path / "regions.csv")
         assert path.read_bytes() == oracle_plot_csv(records, "regions").encode()
+
+    def test_region_scatter_of_a_sweep(self, tmp_path, monkeypatch):
+        # run_experiment's SweepRecords scatter as their record dicts do,
+        # across chunks (3, 3 and 1 trials).
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * (8 * 2 * 2**2 + 2 * 5))
+        config = parse_config({"generator": {"trials": 7}, "dynamics": {"steps": 5}, "seed": 3})
+        records = run_experiment(config)[1]
+        assert [len(chunk.trials) for chunk in records.chunks] == [3, 3, 1]
+        sweep = emit_plot_data(records, "regions", tmp_path / "sweep.csv")
+        dicts = emit_plot_data(records.records(), "regions", tmp_path / "dicts.csv")
+        assert sweep.read_bytes() == dicts.read_bytes()
+        assert len(sweep.read_text().splitlines()) == 8
 
 
 class TestStrictJson:
