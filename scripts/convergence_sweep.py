@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Sweep SNR and tabulate where fictitious play ends up on random 2x2 games.
 
-Runs one seeded Monte-Carlo experiment per SNR value (classic play,
-exponential fading) and reports, for each, how many runs settled on a pure
-equilibrium, tracked the mixed point, or were still cycling at the horizon,
-plus the payoff benchmarks. Writes only that table, as sweep.csv; the
-per-trial records are not kept. Higher SNR pushes more realizations into
-the two-equilibria overlap region, where the initial beliefs decide between
-coordination and the miscoordination cycle.
+Runs one seeded Monte-Carlo experiment per SNR value (classic play from
+uniform beliefs, exponential fading) and reports, for each, how many runs
+settled on a pure equilibrium, tracked the mixed point, or were still
+cycling at the horizon, plus the payoff benchmarks. Writes only that table,
+as sweep.csv; the per-trial records are not kept. On these random games play
+settles on a pure equilibrium: 300 trials x 5000 steps (seed 1) gave 300
+"pure" at each of 0, 10, 20 and 30 dB. The miscoordination cycle needs
+players whose gains are identical; configs/symmetric_cycle.yaml and
+scripts/cycle_demo.py run it.
 
 Usage:
     python3 scripts/convergence_sweep.py [--snrs 0 10 20 30] [--trials 200]

@@ -9,7 +9,8 @@ so on, while the empirical frequencies converge to the mixed equilibrium
 trajectory, its cycle and final frequencies; this script adds what the CLI
 lacks: the time-averaged payoff of the cycle is strictly below every
 equilibrium payoff, the cycle persists through 10^6 double-steps, and a
-plot-ready beliefs.csv.
+plot-ready beliefs.csv. It exits with status 1 when the payoff ordering
+fails or the cycle does not persist.
 
 Usage:
     python3 scripts/cycle_demo.py [--steps 10000] [--out out/cycle_demo]
@@ -18,6 +19,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from csgame import (
@@ -41,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main() -> None:
+def main() -> int:
     args = build_parser().parse_args()
     config = load_config(CONFIG).with_overrides(steps=args.steps)
     game = config.game
@@ -50,15 +52,17 @@ def main() -> None:
     u_pure = utility(game, (0, 1), 0)
     u_mixed = expected_utility(game, 0, 0, mixed_ne_2x2(game)[1])
     u_cycle = float(traj.utilities.mean(axis=0).mean())
+    ordered = u_cycle < u_mixed < u_pure
     print(f"per-player payoff: cycle {u_cycle:.4f} < mixed NE {u_mixed:.4f} "
-          f"< pure NE {u_pure:.4f} bits/s/Hz")
+          f"< pure NE {u_pure:.4f} bits/s/Hz: {ordered}")
 
     _, xi = config.dynamics.initial_beliefs
     persists = cycle_persistence_2x2(game, xi, 10**6)
     print(f"cycle persists through n = 10^6 double-steps: {persists}")
 
     print(f"wrote {emit_plot_data(traj, 'beliefs', args.out / 'beliefs.csv')}")
+    return 0 if ordered and persists else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,11 +23,19 @@ its certificate.
   receiver broadcasts the per-channel aggregate (noise plus total received
   power); each player strips its own contribution, values every channel it
   could have used, and plays argmax of the running average of those values;
-  a run reports the game's own payoffs and potential. With two players the
-  two rules play identical profiles, so identical payoffs and potentials,
-  from matched initial state (:func:`q_from_beliefs`); with more players the
-  aggregate no longer pins down the opponent profile and the trajectories
-  may diverge.
+  a run reports the game's own payoffs and potential. A channel's average
+  value is its payoff against the opponents' empirical joint play, so the
+  rule is joint-strategy fictitious play (Marden, Arslan and Shamma, IEEE
+  TAC 2009). With two players the joint play of the one opponent is its
+  marginal, so from matched initial state (:func:`q_from_beliefs`) the two
+  rules' scores are equal in exact arithmetic, and they play identical
+  profiles, payoffs and potentials wherever no decision falls on an exact
+  tie. On a tie the floats decide: from uniform beliefs, on the game whose
+  gains are all 1 at SNR 10, the classic scores tie exactly at step index
+  38 while the aggregation rule's are one ulp apart, and the two part there
+  (at SNR 1 they part at index 68, at SNR 100 at index 2). With more
+  players the joint play is not the product of the marginals, and the
+  trajectories may diverge.
 """
 
 from __future__ import annotations
@@ -55,9 +63,8 @@ from .game import (
     _potentials,
     _rate,
     _strip_own,
-    potential_table,
 )
-from .equilibrium import require_symmetric_2x2
+from .equilibrium import _corners, require_symmetric_2x2
 
 __all__ = [
     "TIE_BREAKS",
@@ -1019,7 +1026,7 @@ def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    (phi00, phi01), (phi10, phi11) = potential_table(game).tolist()
+    [((phi00, phi01), (phi10, phi11))] = _corners(_game_batch(game)[0], [0])[1].tolist()
     ratios = ((phi10 - phi11, phi01 - phi00, xi[0]),  # player 1, answering player 0
               (phi01 - phi11, phi10 - phi00, xi[1]))  # player 0, answering player 1
     if any(den == 0.0 for _, den, _ in ratios):

@@ -10,13 +10,15 @@ by potential differences.
 
 Every rule is written once, as array operations over a stack of same-shape
 games: the pure-equilibrium mask compares each player's payoffs with their
-maximum along its own channel axis of the stacked utility tables, an
-equilibrium's payoffs and potential are computed at its profile by the
-rules that give the tables their bits, and the 2x2 precondition, the region
-labels and the mixed-point ratios (potential differences, Monderer and
-Shapley 1996, off the potential tables of the 2x2 games) are evaluated on
-(G, 2, 2) stacks, into columns, mixed payoffs included, that a Monte-Carlo
-chunk keeps. Only the mask and the mixed payoffs read the batch's one stack.
+maximum along its own channel axis of the stacked utility tables; every
+other payoff and potential is computed at a profile by the rules that give
+the tables their bits (:func:`_at_profiles`): an equilibrium's at the
+equilibrium, and those a 2x2 game's mixed point and mixed payoff are built
+from at the game's four profiles; and the 2x2 precondition, the region
+labels, the mixed-point ratios (potential differences, Monderer and Shapley
+1996) and the mixed payoffs are evaluated on (G, 2, 2) stacks, into columns
+that a Monte-Carlo chunk keeps. Only the mask reads the batch's one stack
+of utility tables.
 :func:`analyze_game` takes one game or a same-shape sequence and slices a
 report per game from the columns; one game is a batch of one, and the
 single-game functions are that batch.
@@ -35,12 +37,9 @@ from .game import (
     GameSpec,
     _Batch,
     _aggregates,
-    _expectations,
     _game_batch,
-    _layout,
     _payoffs,
     _potentials,
-    potential_table,
 )
 
 __all__ = [
@@ -64,6 +63,8 @@ REGION_PROFILES = {
 }
 _REGIONS = tuple(REGION_PROFILES)
 _PLAYER0, _PLAYER1 = np.array(list(REGION_PROFILES.values())).T  # the regions' cells
+# The four profiles of a 2x2 game, (0, 0), (0, 1), (1, 0), (1, 1).
+_CORNERS = np.indices((2, 2)).reshape(2, -1).T
 
 # What the common-budget 2x2 setting needs, in the order it is checked.
 _SYMMETRIC_2X2_NEEDS = (
@@ -75,10 +76,11 @@ _SYMMETRIC_2X2_NEEDS = (
 )
 
 
-def _pure_ne_mask(tables: np.ndarray) -> np.ndarray:
-    """Pure-equilibrium mask of a stack of utility tables, (G, K) + (S,)*K:
-    a profile is kept when each player's payoff there reaches the best its
-    own channel axis offers (ties count)."""
+def _pure_ne_mask(games: _Batch) -> np.ndarray:
+    """Pure-equilibrium mask of a non-empty batch, (G,) + (S,)*K, off its
+    stacked utility tables: a profile is kept when each player's payoff
+    there reaches the best its own channel axis offers (ties count)."""
+    tables = games.tables
     mask = np.ones(tables.shape[:1] + tables.shape[2:], dtype=bool)
     for k in range(tables.shape[1]):
         own = tables[:, k]
@@ -92,7 +94,7 @@ def enumerate_pure_ne(game: GameSpec) -> list[tuple[int, ...]]:
     Ties count: a profile stays in the set when the best deviation merely
     matches the current payoff. Profiles are returned in lexicographic order.
     """
-    mask = _pure_ne_mask(_game_batch(game)[0].tables)[0]
+    mask = _pure_ne_mask(_game_batch(game)[0])[0]
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
@@ -164,7 +166,7 @@ def classify_region_2x2(
     """
     games, single = _game_batch(game)
     _require_symmetric_2x2(games)
-    labels = [frozenset(row) for row in _labels(_pure_ne_mask(games.tables))] if games else []
+    labels = [frozenset(row) for row in _labels(_pure_ne_mask(games))] if games else []
     return labels[0] if single else labels
 
 
@@ -195,10 +197,29 @@ def boundary_margin_2x2(game: GameSpec) -> float:
     )
 
 
+def _at_profiles(games: _Batch, at, profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The payoffs (N, K) and potentials (N,) of the games ``at`` of a batch
+    under N checked profiles, each by the rule that gives the tables their
+    bits: :func:`~csgame.game._payoffs`, and
+    :func:`~csgame.game._potentials` of the profile's aggregate."""
+    noise, received, weights = games.rows(at)
+    return (_payoffs(noise, received, weights, profiles),
+            _potentials(weights, _aggregates(noise, received, profiles)[0]))
+
+
+def _corners(games: _Batch, at) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_at_profiles` of the 2x2 games ``at`` of a batch at their four
+    profiles: payoffs (n, 2, 2, 2) and potentials (n, 2, 2), indexed by
+    player 0's channel, then player 1's (then the player)."""
+    payoffs, potentials = _at_profiles(games, np.repeat(at, 4), np.tile(_CORNERS, (len(at), 1)))
+    return payoffs.reshape(-1, 2, 2, 2), potentials.reshape(-1, 2, 2)
+
+
 def _mixed_points(potentials: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate mixed points of a (G, 2, 2) stack of potential tables:
-    the (G, 2, 2) points, and masks of the games whose potential
-    differences degenerate and whose point is not strictly interior."""
+    """Candidate mixed points of a (G, 2, 2) stack of potentials at the
+    games' four profiles: the (G, 2, 2) points, and masks of the games whose
+    potential differences degenerate and whose point is not strictly
+    interior."""
     phi11, phi12, phi21, phi22 = (potentials[:, a, b] for a in range(2) for b in range(2))
     numerators = np.stack([
         phi21 - phi22,  # player 0's weight on channel 0
@@ -230,7 +251,7 @@ def mixed_ne_2x2(game: GameSpec) -> np.ndarray:
             "a strictly mixed equilibrium needs the two orthogonal profiles "
             f"to be the only pure equilibria (regions found: {sorted(labels)})"
         )
-    mixed, degenerate, boundary = _mixed_points(potential_table([game]))
+    mixed, degenerate, boundary = _mixed_points(_corners(_game_batch(game)[0], [0])[1])
     if degenerate[0]:
         raise ValueError("degenerate potential differences, no unique mixed point")
     if boundary[0]:
@@ -270,14 +291,15 @@ def analyze_game(
     """Run the full equilibrium analysis each game deserves.
 
     ``game`` is one game or a sequence of games with one (K, S) shape,
-    analyzed in one pass of array operations over their stacked tables; one
-    game is a batch of one and returns its report, a sequence returns one
-    report per game.
+    analyzed in one pass of array operations over the batch; one game is a
+    batch of one and returns its report, a sequence returns one report per
+    game.
 
     The pure equilibria come from per-player maxima of the utility tables,
     their payoffs and potentials are computed at their profiles, and games
     in the common-budget 2x2 setting get their regions and, with exactly the
-    two orthogonal equilibria, the strictly mixed one.
+    two orthogonal equilibria, the strictly mixed one, from the potentials
+    at their four profiles.
     """
     games, single = _game_batch(game)
     if not games:
@@ -306,16 +328,16 @@ _AnalysisColumns = namedtuple("_AnalysisColumns", "ne_counts mixed mixed_ne regi
 
 def _analysis_columns(games: _Batch) -> _AnalysisColumns:
     """A non-empty batch's analysis (see :func:`analyze_game`), as columns; only
-    the mask and the mixed payoffs read the utility tables. Per game: its pure-NE
-    count, whether it has a strictly mixed equilibrium, its (K, S) mixed point and
-    its region labels in H1..H4 order (None outside the 2x2 setting). Per pure NE,
-    game after game: its game, profile, payoffs and potential. Per game again: the
-    mean payoff at its mixed point (zero, as the point, where it has none)."""
+    the mask reads the utility tables, and every payoff and potential is
+    :func:`_at_profiles` of its profiles. Per game: its pure-NE count, whether it
+    has a strictly mixed equilibrium, its (K, S) mixed point and its region labels
+    in H1..H4 order (None outside the 2x2 setting). Per pure NE, game after game:
+    its game, profile, payoffs and potential. Per game again: the mean payoff at
+    its mixed point (zero, as the point, where it has none)."""
     n_games = len(games)
-    ne_mask = _pure_ne_mask(games.tables)
+    ne_mask = _pure_ne_mask(games)
     ne = np.argwhere(ne_mask)  # (N, 1 + K): game, then profile
     game_of, profiles = ne[:, 0], ne[:, 1:]
-    noise, received, weights = games.rows(game_of)
     counts = np.bincount(game_of, minlength=n_games)
     regions: list = [None] * n_games
     mixed = np.zeros(n_games, dtype=bool)
@@ -328,15 +350,16 @@ def _analysis_columns(games: _Batch) -> _AnalysisColumns:
             regions[g] = row
         # The two orthogonal profiles are the only pure NE.
         two_sided = symmetric[[row == ("H1", "H4") for row in labels]]
-        points, degenerate, boundary = _mixed_points(potential_table(games)[two_sided])
+        payoffs, potentials = _corners(games, two_sided)
+        points, degenerate, boundary = _mixed_points(potentials)
         interior = ~(degenerate | boundary)
         mixed[two_sided[interior]] = True
-        mixed_ne[mixed] = points[interior]
+        points = points[interior]
+        mixed_ne[mixed] = points
         # The mean per-player expected payoff at each mixed point: each of
-        # the two players on channel 0 against the other's mixed row.
-        expected = _expectations(_layout(games.tables[mixed]), mixed_ne[mixed])[0]
-        mixed_ne_mean_utility[mixed] = expected[:, :, 0].sum(axis=1) / 2
+        # the two players on channel 0 against the other's mixed row, the
+        # other's channels added in order.
+        own = np.stack([payoffs[interior, 0, :, 0], payoffs[interior, :, 0, 1]], axis=1)
+        mixed_ne_mean_utility[mixed] = (own * points[:, ::-1]).sum(axis=2).sum(axis=1) / 2
     return _AnalysisColumns(counts, mixed, mixed_ne, regions, game_of, profiles,
-                            _payoffs(noise, received, weights, profiles),
-                            _potentials(weights, _aggregates(noise, received, profiles)[0]),
-                            mixed_ne_mean_utility)
+                            *_at_profiles(games, game_of, profiles), mixed_ne_mean_utility)

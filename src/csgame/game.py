@@ -279,7 +279,8 @@ def _payoffs(noise, received, weights, channels: np.ndarray) -> np.ndarray:
     loads = np.empty((n_pairs, n_players, n_players + 1))
     loads[:, :, 0] = noise[rows, channels]
     np.multiply(channels[:, :, None] == channels[:, None], own[:, None], out=loads[:, :, 1:])
-    loads.reshape(n_pairs, -1)[:, 1::n_players + 2] = 0.0  # k's own power, at (k, k + 1)
+    # k's own power, at (k, k + 1); the row length is spelled out for N = 0
+    loads.reshape(n_pairs, n_players * (n_players + 1))[:, 1::n_players + 2] = 0.0
     np.add.accumulate(loads, axis=2, out=loads)
     return _rate(weights[rows, channels], own, loads[:, :, -1])
 

@@ -70,12 +70,13 @@ CYCLE_WINDOW = 64
 CONVERGENCE_TV = 1e-2
 # Cap on the bytes one chunk of a sweep holds. _batch_size charges each game
 # its K * S**K float64 utility-table entries (the batch's one stack, read by
-# the classic engine, the aggregation start, the analysis's mask and its
-# mixed payoffs) plus K * T channel indices, a ceiling on the actions of a
-# run that no sweep renders (a record reads a CYCLE_WINDOW-step tail), and
-# fits as many games as the cap allows, at least one. What the tables bring
-# with them is not counted apart: the analysis's mask and the classic engine's copy of its running
-# games' tables stay within a small multiple of the stack. Left uncounted on
+# the classic engine, the aggregation start and the analysis's pure-NE mask;
+# the analysis computes every payoff and potential at its profiles) plus
+# K * T channel indices, a ceiling on the actions of a run that no sweep
+# renders (a record reads a CYCLE_WINDOW-step tail), and fits as many games
+# as the cap allows, at least one. What the tables bring with them is not
+# counted apart: the analysis's mask and the classic engine's copy of its
+# running games' tables stay within a small multiple of the stack. Left uncounted on
 # purpose, because they grow with the play and the sweep, not with the
 # game's shape: the engine's registry of visited (game, profile) pairs, its
 # decision log (a few bytes per phase of a decision, however many periods a

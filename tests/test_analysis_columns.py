@@ -74,6 +74,11 @@ def test_the_columns_hold_mixed_points_regions_and_other_shapes():
     _reports_match_columns(batch)
     columns = _columns(batch)
     assert columns.mixed.sum() >= 5 and not columns.mixed.all()
+    # A common-budget 2x2 batch without the two orthogonal equilibria
+    # computes its mixed points and payoffs at no profile.
+    lone = [GameSpec.symmetric([[3.0, 1.0], [3.0, 1.0]], p_max=0.1)]
+    _reports_match_columns(lone)
+    assert _columns(lone).regions == [("H2",)] and not _columns(lone).mixed.any()
     assert columns.mixed_ne[-2].tolist() == [[0.5, 0.5], [0.5, 0.5]]
     assert all(labels for labels in columns.regions[:-1]) and columns.regions[-1] is None
     for shape in ("3x2", "K = 1"):

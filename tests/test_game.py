@@ -653,7 +653,7 @@ def test_the_broadcast_of_a_stack_is_the_scalar_loop():
     # the loop over every (profile, player), in values and residuals, on
     # stacks of 1-11 players, 1-4 channels, noise from 1e-30 to 1e2 and
     # received powers from 1e-6 to 1e10. With no profile, each is (0, S),
-    # where the loop's array of no lists is (0,).
+    # where the loop's array of no lists is (0,), and the payoffs are (0, K).
     rng = np.random.default_rng(34)
     for _ in range(400):
         n_players, n_channels = int(rng.integers(1, 12)), int(rng.integers(1, 5))
@@ -668,5 +668,7 @@ def test_the_broadcast_of_a_stack_is_the_scalar_loop():
             assert np.array_equal(_bits(got), _bits(want))
     none = _aggregates(np.empty((0, 3)), np.empty((0, 2, 3)), np.empty((0, 2), dtype=np.int8))
     assert [a.shape for a in none] == [(0, 3), (0, 3)]
+    assert _payoffs(np.empty((0, 3)), np.empty((0, 2, 3)), np.empty((0, 3)),
+                    np.empty((0, 2), dtype=np.int8)).shape == (0, 2)
     assert [a.shape for a in oracle_aggregates(np.empty((0, 3)), np.empty((0, 2, 3)),
                                                np.empty((0, 2), dtype=np.int8))] == [(0,), (0,)]

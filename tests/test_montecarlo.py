@@ -33,6 +33,7 @@ from csgame import (
 )
 from csgame import aggregate_message, aggregated_utility, trial_game, utility
 from csgame import analyze_game, dynamics, equilibrium, montecarlo
+from csgame import cycle_persistence_2x2, mixed_ne_2x2
 from csgame import game as game_module
 from csgame.cli import main
 from csgame.config import DynamicsSpec
@@ -556,13 +557,16 @@ class TestChunkAnalysis:
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_sweep_reads_no_table_in_montecarlo(self, monkeypatch, variant):
         # A chunk composes the engine's result and the analysis' columns:
-        # every read of a batch's utility tables comes from the engine, the
-        # aggregation start or the analysis, none from montecarlo itself.
+        # every read of a batch's utility tables comes from the classic
+        # engine, the aggregation start or the analysis' pure-equilibrium
+        # mask, none from montecarlo itself. The mixed points and payoffs
+        # are computed at the 2x2 games' four profiles.
         readers = []
         tables = game_module._Batch.tables
 
         def spied(batch):
-            readers.append(sys._getframe(1).f_globals["__name__"])
+            caller = sys._getframe(1)
+            readers.append((caller.f_globals["__name__"], caller.f_code.co_qualname))
             return tables.__get__(batch, type(batch))
 
         monkeypatch.setattr(game_module._Batch, "tables", property(spied))
@@ -572,23 +576,30 @@ class TestChunkAnalysis:
         })
         summary, _ = run_experiment(config)
         assert summary.payoffs["trials_with_mixed"] > 0
-        assert "csgame.equilibrium" in readers
-        assert "csgame.montecarlo" not in readers
+        start = {"classic": ("csgame.dynamics", "_Classic.__init__"),
+                 "aggregation": ("csgame.dynamics", "q_from_beliefs")}[variant]
+        assert set(readers) == {("csgame.equilibrium", "_pure_ne_mask"), start}
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
-    def test_a_potential_table_is_built_only_for_2x2_mixed_points(self, monkeypatch, variant):
-        # The analysis computes each pure equilibrium's potential from its
-        # profile; only the common-budget 2x2 branch builds potential tables,
-        # for the mixed points, once per chunk (7 games, then chunks of 3, 3
-        # and 1). No table is built for a 3x2 sweep or a 3x3 game.
+    def test_no_analysis_builds_a_potential_table(self, monkeypatch, variant):
+        # Every potential the analysis reports or compares is computed at its
+        # profile: a pure equilibrium's at the equilibrium, and a 2x2 game's
+        # mixed point, mixed_ne_2x2 and cycle_persistence_2x2 off the
+        # potentials at its four profiles. No module but game binds the
+        # table function, and none of a 3x2 sweep, a 2x2 sweep with mixed
+        # points (7 games, then chunks of 3, 3 and 1), analyze_game on a 3x3
+        # game or on the fully symmetric 2x2 one, mixed_ne_2x2 or
+        # cycle_persistence_2x2 builds a potential table.
         built = []
-        table = equilibrium.potential_table
+        table = game_module.potential_table
 
         def counted(games):
-            built.append(len(games))
+            built.append(games)
             return table(games)
 
-        monkeypatch.setattr(equilibrium, "potential_table", counted)
+        monkeypatch.setattr(game_module, "potential_table", counted)
+        for module in (dynamics, equilibrium, montecarlo):
+            assert not hasattr(module, "potential_table")
 
         def sweep(players):
             return parse_config({
@@ -598,14 +609,16 @@ class TestChunkAnalysis:
 
         run_experiment(sweep(3))
         analyze_game(random_game(np.random.default_rng(5), 3, 3))
-        assert built == []
         config = sweep(2)
         whole = run_experiment(config)[1].records()
-        assert built == [7]
-        built.clear()
+        assert any(record["mixed_ne"] is not None for record in whole)
         monkeypatch.setattr(montecarlo, "_BATCH_BYTE_BUDGET", 3 * (8 * 2 * 2**2 + 2 * 40))
         assert run_experiment(config)[1].records() == whole
-        assert built == [3, 3, 1]
+        symmetric = GameSpec.symmetric(np.ones((2, 2)), p_max=10.0)
+        assert analyze_game(symmetric).mixed_ne.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert mixed_ne_2x2(symmetric).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert cycle_persistence_2x2(symmetric, (0.5, 0.5), 3)
+        assert built == []
 
     @pytest.mark.parametrize("variant", ["classic", "aggregation"])
     def test_a_sweep_builds_no_equilibrium_report(self, monkeypatch, variant):
