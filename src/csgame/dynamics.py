@@ -30,10 +30,8 @@ its certificate.
   marginal, so from matched initial state (:func:`q_from_beliefs`) the two
   rules' scores are equal in exact arithmetic, and they play identical
   profiles, payoffs and potentials wherever no decision falls on an exact
-  tie. On a tie the floats decide: from uniform beliefs, on the game whose
-  gains are all 1 at SNR 10, the classic scores tie exactly at step index
-  38 while the aggregation rule's are one ulp apart, and the two part there
-  (at SNR 1 they part at index 68, at SNR 100 at index 2). With more
+  tie. On a tie the floats decide, and the two rules may part: from
+  uniform beliefs they do on the game whose gains are all 1. With more
   players the joint play is not the product of the marginals, and the
   trajectories may diverge.
 """
@@ -1026,7 +1024,7 @@ def cycle_persistence_2x2(game: GameSpec, xi, n: int) -> bool:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    [((phi00, phi01), (phi10, phi11))] = _corners(_game_batch(game)[0], [0])[1].tolist()
+    [((phi00, phi01), (phi10, phi11))] = _corners(game)[1].tolist()
     ratios = ((phi10 - phi11, phi01 - phi00, xi[0]),  # player 1, answering player 0
               (phi01 - phi11, phi10 - phi00, xi[1]))  # player 0, answering player 1
     if any(den == 0.0 for _, den, _ in ratios):

@@ -207,10 +207,12 @@ def _at_profiles(games: _Batch, at, profiles: np.ndarray) -> tuple[np.ndarray, n
             _potentials(weights, _aggregates(noise, received, profiles)[0]))
 
 
-def _corners(games: _Batch, at) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_at_profiles` of the 2x2 games ``at`` of a batch at their four
-    profiles: payoffs (n, 2, 2, 2) and potentials (n, 2, 2), indexed by
-    player 0's channel, then player 1's (then the player)."""
+def _corners(game: GameSpec | _Batch, at=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_at_profiles` of the 2x2 games ``at`` of a batch (one game is
+    a batch of one) at their four profiles: payoffs (n, 2, 2, 2) and
+    potentials (n, 2, 2), indexed by player 0's channel, then player 1's
+    (then the player)."""
+    games = _game_batch(game)[0]
     payoffs, potentials = _at_profiles(games, np.repeat(at, 4), np.tile(_CORNERS, (len(at), 1)))
     return payoffs.reshape(-1, 2, 2, 2), potentials.reshape(-1, 2, 2)
 
@@ -245,13 +247,14 @@ def mixed_ne_2x2(game: GameSpec) -> np.ndarray:
     regions, when the potential differences degenerate, or when a boundary
     case fails strict interiority.
     """
-    labels = classify_region_2x2(game)
+    games = _game_batch(game)[0]
+    [labels] = classify_region_2x2(games)
     if labels != {"H1", "H4"}:
         raise ValueError(
             "a strictly mixed equilibrium needs the two orthogonal profiles "
             f"to be the only pure equilibria (regions found: {sorted(labels)})"
         )
-    mixed, degenerate, boundary = _mixed_points(_corners(_game_batch(game)[0], [0])[1])
+    mixed, degenerate, boundary = _mixed_points(_corners(games)[1])
     if degenerate[0]:
         raise ValueError("degenerate potential differences, no unique mixed point")
     if boundary[0]:

@@ -316,17 +316,13 @@ def emit_plot_data(obj, kind: str, path) -> Path:
     if kind == "regions":
         if isinstance(obj, MonteCarloSummary):
             raise ValueError("region scatter needs the per-trial records, not the summary")
-        if isinstance(obj, SweepRecords):  # the chunks' columns, not the record dicts
-            trials = [t for chunk in obj.chunks for t in chunk.trials.tolist()]
-            gains = [g for chunk in obj.chunks for g in chunk.games["gains"]]
-            labels = [row for chunk in obj.chunks for row in chunk.analysis.regions]
-        else:
-            trials = [rec["trial"] for rec in obj]
-            gains = [rec["game"]["gains"] for rec in obj]
-            labels = [rec["regions"] for rec in obj]
+        if isinstance(obj, SweepRecords):
+            obj = obj.records()
+        gains = [rec["game"]["gains"] for rec in obj]
         if any(np.shape(g) != (2, 2) for g in gains):
             raise ValueError("region scatter needs 2x2 records (2 players, 2 channels)")
-        return _region_scatter(path, trials, gains, ["+".join(row or []) for row in labels])
+        return _region_scatter(path, [rec["trial"] for rec in obj], gains,
+                               ["+".join(rec["regions"] or []) for rec in obj])
     raise ValueError(f"unsupported plot-data kind {kind!r}")
 
 

@@ -346,14 +346,13 @@ class TestAggregationFP:
         for _ in range(100):
             _assert_two_player_engines_agree(random_game(rng, 2, int(rng.integers(2, 5))))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_two_player_engines_agree_on_exact_ties(self):
         # The all-ones game ties every score exactly whenever both players
         # have played each channel equally often. The rules' scores are
-        # equal in exact arithmetic, but at step index 38 the classic floats
-        # tie while the aggregation rule's are one ulp apart, so the
-        # tie-break and the rounding pick different profiles. Exact tie
-        # decisions make the two agree.
+        # equal in exact arithmetic, but their floats may round a tie
+        # differently, and then the two rules play different profiles.
+        # Exact tie decisions make the two agree.
         _assert_two_player_engines_agree(GameSpec.symmetric(np.ones((2, 2)), p_max=10.0))
 
     def test_q_is_running_average_of_counterfactual_values(self, worked_mixed_game):

@@ -565,8 +565,8 @@ class TestChunkAnalysis:
         tables = game_module._Batch.tables
 
         def spied(batch):
-            caller = sys._getframe(1)
-            readers.append((caller.f_globals["__name__"], caller.f_code.co_qualname))
+            caller = sys._getframe(1)  # co_qualname would need Python 3.11
+            readers.append((caller.f_globals["__name__"], caller.f_code.co_name))
             return tables.__get__(batch, type(batch))
 
         monkeypatch.setattr(game_module._Batch, "tables", property(spied))
@@ -576,7 +576,7 @@ class TestChunkAnalysis:
         })
         summary, _ = run_experiment(config)
         assert summary.payoffs["trials_with_mixed"] > 0
-        start = {"classic": ("csgame.dynamics", "_Classic.__init__"),
+        start = {"classic": ("csgame.dynamics", "__init__"),
                  "aggregation": ("csgame.dynamics", "q_from_beliefs")}[variant]
         assert set(readers) == {("csgame.equilibrium", "_pure_ne_mask"), start}
 
